@@ -68,6 +68,7 @@ from .subordination import (
 from .verify import (
     ECFReport,
     SuiteConfig,
+    ThetaGridSpec,
     cf_compare,
     clt_bound,
     default_theta_grid,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,7 +32,7 @@ from .subordination import simulate_strong, simulate_weak, weak_exponent
 from .verify import (
     SCENARIOS,
     SuiteConfig,
-    default_theta_grid,
+    ThetaGridSpec,
     equality_in_law_suite,
     scenario_processes,
 )
@@ -59,31 +60,15 @@ def stream(seed: int, purpose: str, replicate: int = 0) -> np.random.Generator:
 
 
 @dataclass
-class ThetaGridSpec:
-    size: int = 16
-    scale: float = 0.5
-    grid_seed: int = 20240817
-    points: np.ndarray | None = None
-
-    def build(self, dim: int) -> np.ndarray:
-        if self.points is not None:
-            pts = np.asarray(self.points, dtype=float)
-            if pts.ndim != 2 or pts.shape[1] != dim:
-                raise ConfigError([f"theta grid points must have {dim} columns"])
-            return pts
-        return default_theta_grid(dim, self.size, self.scale, self.grid_seed)
-
-
-@dataclass
 class ExperimentConfig:
     seed: int
     scenario: str | None = None
     subordinator: SubordinatorSpec | None = None
     subordinate: LevyLaw | None = None
     horizon: float = 1.0
-    replicates: int = 100_000
+    replicates: int = SuiteConfig.n_paths
     theta_grid: ThetaGridSpec = field(default_factory=ThetaGridSpec)
-    k: float = 4.0
+    k: float = SuiteConfig.k
     mode: str = "time1"  # simulate output: pooled "time1" samples or "paths"
 
     def processes(self) -> tuple[SubordinatorSpec, LevyLaw]:
@@ -98,16 +83,40 @@ class ExperimentConfig:
         return T, X
 
 
-def _take(obj: dict, allowed: dict, errors: list[str], where: str) -> dict:
+def _take(obj, allowed: dict, errors: list[str], where: str) -> dict:
+    if not isinstance(obj, dict):
+        errors.append(f"{where} must be a JSON object")
+        return {}
     for key in obj:
         if key not in allowed:
             errors.append(f"unknown key {key!r} in {where}")
     return {k: obj[k] for k in allowed if k in obj}
 
 
-def _parse_jumps(obj, dim_hint, errors, where) -> AtomicJumps | ZeroJumps | None:
+def _number(obj: dict, key: str, default, errors: list[str], where: str = "",
+            minimum: int | None = None):
+    """obj[key], or `default` when absent: an integer >= `minimum` when
+    that is given, else a finite number > 0. A bad value is recorded in
+    `errors` and replaced by the default."""
+    value = obj.get(key, default)
+    if minimum is None:
+        ok = isinstance(value, (int, float)) and 0 < value < math.inf
+        kind = "a finite number > 0"
+    else:
+        ok = isinstance(value, int) and value >= minimum
+        kind = f"an integer >= {minimum}"
+    if isinstance(value, bool) or not ok:
+        errors.append(f"{where}{key} must be {kind}")
+        return default
+    return value
+
+
+def _parse_jumps(obj, errors, where) -> AtomicJumps | None:
     atoms = obj.get("atoms", [])
     if not atoms:
+        return None
+    if not isinstance(atoms, list):
+        errors.append(f"{where}.atoms must be a list")
         return None
     points, rates = [], []
     for i, atom in enumerate(atoms):
@@ -129,18 +138,20 @@ def _parse_subordinator(obj, errors) -> SubordinatorSpec | None:
     if "drift" not in got:
         errors.append("subordinator.drift required")
         return None
-    d = np.asarray(got["drift"], dtype=float)
-    jumps = _parse_jumps(obj, d.shape[0], errors, "subordinator")
+    try:
+        d = np.asarray(got["drift"], dtype=float)
+    except (TypeError, ValueError):
+        d = None
+    if d is None or d.ndim != 1:
+        errors.append("subordinator.drift must be a list of numbers")
+        return None
+    jumps = _parse_jumps(got, errors, "subordinator")
     if jumps is None:
         jumps = ZeroJumps(d.shape[0])
     elif jumps.dim != d.shape[0]:
         errors.append("subordinator atom dimension differs from drift")
         return None
-    try:
-        spec = SubordinatorSpec(d, jumps)
-    except ValueError as exc:
-        errors.append(f"subordinator: {exc}")
-        return None
+    spec = SubordinatorSpec(d, jumps)
     report = validate_triplet(spec)
     if not report.valid:
         for v in report:
@@ -152,7 +163,7 @@ def _parse_subordinator(obj, errors) -> SubordinatorSpec | None:
 
 
 def _parse_subordinate(obj, errors, where="subordinate") -> LevyLaw | None:
-    family = obj.get("family")
+    family = obj.get("family") if isinstance(obj, dict) else None
     if family == "brownian":
         got = _take(obj, {"family": None, "mu": None, "sigma": None}, errors, where)
         try:
@@ -162,19 +173,16 @@ def _parse_subordinate(obj, errors, where="subordinate") -> LevyLaw | None:
             return None
     if family == "compound_poisson":
         got = _take(obj, {"family": None, "atoms": None}, errors, where)
-        jumps = _parse_jumps(obj, None, errors, where)
+        jumps = _parse_jumps(got, errors, where)
         if jumps is None:
             errors.append(f"{where}: compound_poisson needs atoms")
             return None
-        try:
-            return CompoundPoisson(jumps)
-        except ValueError as exc:
-            errors.append(f"{where}: {exc}")
-            return None
+        return CompoundPoisson(jumps)
     if family == "stack":
         got = _take(obj, {"family": None, "blocks": None}, errors, where)
+        blocks = got.get("blocks", [])
         blocks = [_parse_subordinate(b, errors, f"{where}.blocks[{i}]")
-                  for i, b in enumerate(got.get("blocks", []))]
+                  for i, b in enumerate(blocks if isinstance(blocks, list) else [])]
         if not blocks or any(b is None for b in blocks):
             errors.append(f"{where}: stack needs valid blocks")
             return None
@@ -202,12 +210,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if "seed" not in raw:
         errors.append("seed required")
-        seed = 0
-    elif not isinstance(raw["seed"], int):
-        errors.append("seed must be an integer")
-        seed = 0
-    else:
-        seed = raw["seed"]
+    seed = _number(raw, "seed", 0, errors, minimum=0)
 
     scenario = raw.get("scenario")
     if scenario is not None and scenario not in SCENARIOS:
@@ -221,33 +224,41 @@ def parse_config(text: str) -> ExperimentConfig:
     if "subordinate" in raw:
         subordinate = _parse_subordinate(raw["subordinate"], errors)
 
-    grid = ThetaGridSpec()
-    if "theta_grid" in raw:
-        got = _take(raw["theta_grid"],
-                    {"size": None, "scale": None, "grid_seed": None, "points": None},
-                    errors, "theta_grid")
-        grid = ThetaGridSpec(
-            size=got.get("size", 16), scale=got.get("scale", 0.5),
-            grid_seed=got.get("grid_seed", 20240817),
-            points=None if "points" not in got else np.asarray(got["points"]))
+    defaults = ExperimentConfig(seed=0)
+    got = _take(raw.get("theta_grid", {}),
+                {"size": None, "scale": None, "grid_seed": None, "points": None},
+                errors, "theta_grid")
+    grid = ThetaGridSpec(
+        size=_number(got, "size", defaults.theta_grid.size, errors,
+                     "theta_grid.", minimum=1),
+        scale=_number(got, "scale", defaults.theta_grid.scale, errors,
+                      "theta_grid."),
+        grid_seed=_number(got, "grid_seed", defaults.theta_grid.grid_seed, errors,
+                          "theta_grid.", minimum=0),
+        points=got.get("points"))
 
-    horizon = float(raw.get("horizon", 1.0))
-    if horizon <= 0:
-        errors.append("horizon must be positive")
-    replicates = int(raw.get("replicates", 100_000))
-    if replicates < 0:
-        errors.append("replicates must be nonnegative")
-    mode = raw.get("mode", "time1")
+    mode = raw.get("mode", defaults.mode)
     if mode not in ("time1", "paths"):
         errors.append("mode must be time1 or paths")
-
+    config = ExperimentConfig(
+        seed=seed, scenario=scenario, subordinator=subordinator,
+        subordinate=subordinate,
+        horizon=_number(raw, "horizon", defaults.horizon, errors),
+        replicates=_number(raw, "replicates", defaults.replicates, errors,
+                           minimum=0),
+        theta_grid=grid, k=_number(raw, "k", defaults.k, errors), mode=mode)
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(seed=seed, scenario=scenario,
-                            subordinator=subordinator, subordinate=subordinate,
-                            horizon=horizon, replicates=replicates,
-                            theta_grid=grid, k=float(raw.get("k", 4.0)),
-                            mode=mode)
+
+    T, X = config.processes()
+    if T.dim != X.dim:
+        raise ConfigError([f"subordinator dimension {T.dim} differs from "
+                           f"subordinate dimension {X.dim}"])
+    try:
+        grid.build(2 * T.dim)
+    except ValueError as exc:
+        raise ConfigError([f"theta_grid: {exc}"]) from exc
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +319,17 @@ def run_verify(config: ExperimentConfig, out_dir: Path, quiet: bool = False) -> 
     """Run the scenario's equality-in-law suite; write report.json and a
     text summary; exit status 0 iff the suite passed (for the negative
     control, 0 iff the expected mismatch was observed)."""
+    errors = []
     if config.scenario is None:
-        raise ConfigError(["verify requires a scenario"])
+        errors.append("verify requires a scenario")
+    if config.replicates < 100:
+        errors.append("verify needs replicates >= 100 for its CLT bound")
+    if config.horizon != 1.0:
+        errors.append("verify compares the laws at time 1, so horizon must be 1")
+    if errors:
+        raise ConfigError(errors)
     suite_config = SuiteConfig(n_paths=config.replicates, k=config.k,
-                               grid_size=config.theta_grid.size,
-                               grid_scale=config.theta_grid.scale,
-                               grid_seed=config.theta_grid.grid_seed,
-                               theta_grid=config.theta_grid.points)
+                               theta_grid=config.theta_grid)
     report = equality_in_law_suite(config.scenario, suite_config,
                                    stream(config.seed, "verify"),
                                    T=config.subordinator, X=config.subordinate)
@@ -331,6 +346,12 @@ def run_verify(config: ExperimentConfig, out_dir: Path, quiet: bool = False) -> 
 # ---------------------------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weaksub",
@@ -342,10 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
                         ("verify", "run an equality-in-law suite")):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", required=True, type=Path)
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_count, default=None,
                        help="override the config seed")
         p.add_argument("--out", type=Path, default=Path("."))
-        p.add_argument("--replicates", type=int, default=None,
+        p.add_argument("--replicates", type=_count, default=None,
                        help="override the config replicate count")
         p.add_argument("--quiet", action="store_true")
         if name == "simulate":
@@ -356,18 +377,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = parse_config(args.config.read_text())
-    except (ConfigError, OSError) as exc:
-        errors = exc.errors if isinstance(exc, ConfigError) else [str(exc)]
-        print(json.dumps({"error": "invalid config", "details": errors}),
-              file=sys.stderr)
-        return 2
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.replicates is not None:
-        config.replicates = args.replicates
-    args.out.mkdir(parents=True, exist_ok=True)
-    try:
+        try:
+            text = args.config.read_text()
+        except OSError as exc:
+            raise ConfigError([str(exc)]) from exc
+        config = parse_config(text)
+        if args.seed is not None:
+            config.seed = args.seed
+        if args.replicates is not None:
+            config.replicates = args.replicates
+        args.out.mkdir(parents=True, exist_ok=True)
         if args.command == "exponent":
             out = run_exponent(config, args.out)
         elif args.command == "simulate":

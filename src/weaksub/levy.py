@@ -12,7 +12,7 @@ unit-ball-truncated triplet are provided.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,21 +45,10 @@ class JumpMeasure:
         """Draw `size` i.i.d. jumps from the normalized measure."""
         raise NotImplementedError
 
-
-@dataclass(frozen=True)
-class ZeroJumps(JumpMeasure):
-    """The zero measure (no jumps)."""
-
-    dim: int
-
-    @property
-    def total_mass(self) -> float:
-        return 0.0
-
-    def sample(self, rng: np.random.Generator, size: int) -> Array:
-        if size > 0:
-            raise LevySpecError("cannot sample jumps from the zero measure")
-        return np.zeros((0, self.dim))
+    def integrate(self, g: Callable[[Array], Array], rng=None, samples=10_000):
+        """(value, standard error) of the integral of g against the measure;
+        g maps an (m, dim) array of jump points to their m values."""
+        raise NotImplementedError
 
 
 class AtomicJumps(JumpMeasure):
@@ -68,8 +57,8 @@ class AtomicJumps(JumpMeasure):
     def __init__(self, points, rates):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         rates = np.asarray(rates, dtype=float)
-        if points.shape[0] != rates.shape[0]:
-            raise LevySpecError("number of atoms and rates differ")
+        if points.ndim != 2 or rates.shape != (points.shape[0],):
+            raise LevySpecError("need one rate per atom and one point per row")
         if np.any(rates <= 0):
             raise LevySpecError("atom rates must be positive")
         if np.any(np.all(points == 0.0, axis=1)):
@@ -83,12 +72,27 @@ class AtomicJumps(JumpMeasure):
         return float(self.rates.sum())
 
     def sample(self, rng: np.random.Generator, size: int) -> Array:
+        if not self.rates.size:
+            if size > 0:
+                raise LevySpecError("cannot sample jumps from the zero measure")
+            return self.points
         probs = self.rates / self.rates.sum()
         idx = rng.choice(len(self.rates), size=size, p=probs)
         return self.points[idx]
 
+    def integrate(self, g, rng=None, samples=10_000):
+        """Exact: sum_j rate_j g(x_j), with standard error 0."""
+        return self.rates @ g(self.points), 0.0
+
     def __repr__(self):
         return f"AtomicJumps(points={self.points!r}, rates={self.rates!r})"
+
+
+class ZeroJumps(AtomicJumps):
+    """The zero measure: no atoms, so every jump integral is 0."""
+
+    def __init__(self, dim: int):
+        super().__init__(np.zeros((0, dim)), np.zeros(0))
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,6 @@ class SamplableJumps(JumpMeasure):
     dim: int
     total_mass_value: float
     sampler: Callable[[np.random.Generator, int], Array]
-    analytic_moments: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.total_mass_value <= 0 or not np.isfinite(self.total_mass_value):
@@ -116,6 +119,17 @@ class SamplableJumps(JumpMeasure):
     def sample(self, rng: np.random.Generator, size: int) -> Array:
         out = np.asarray(self.sampler(rng, size), dtype=float)
         return out.reshape(size, self.dim)
+
+    def integrate(self, g, rng=None, samples=10_000):
+        """Monte Carlo over `samples` draws: total mass times the sample
+        mean of g, with its standard error."""
+        if rng is None:
+            raise LevySpecError("an integral against a samplable jump measure "
+                                "is a Monte Carlo estimate and needs an rng")
+        vals = g(self.sample(rng, samples))
+        mass = self.total_mass
+        se = mass * float(np.sqrt((np.var(vals.real) + np.var(vals.imag)) / samples))
+        return mass * vals.mean(), se
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +180,7 @@ def exponent_cpp(jumps: JumpMeasure, theta) -> complex:
     sum_j rate_j (exp(i<theta, x_j>) - 1).
     """
     theta = np.asarray(theta, dtype=float)
-    if isinstance(jumps, ZeroJumps):
-        return 0.0 + 0.0j
-    if not isinstance(jumps, AtomicJumps):
-        raise LevySpecError("exponent_cpp requires an atomic jump measure")
-    phases = jumps.points @ theta
-    return complex(np.sum(jumps.rates * (np.exp(1j * phases) - 1.0)))
+    return complex(jumps.integrate(lambda x: np.exp(1j * (x @ theta)) - 1.0)[0])
 
 
 def kac_stack_exponent(blocks: Sequence["LevyLaw"], theta) -> complex:
@@ -323,13 +332,10 @@ class CharTriplet:
 
 
 def _atoms_inside_unit_ball_mean(jumps: JumpMeasure) -> Array:
-    """integral of x over the closed unit ball against the jump measure."""
-    if isinstance(jumps, ZeroJumps):
-        return np.zeros(jumps.dim)
-    if not isinstance(jumps, AtomicJumps):
-        raise LevySpecError("truncation conversion requires atomic jumps")
-    inside = np.linalg.norm(jumps.points, axis=1) <= 1.0
-    return (jumps.rates[inside, None] * jumps.points[inside]).sum(axis=0)
+    """integral of x over the closed unit ball against the jump measure;
+    exact, so atomic jumps only."""
+    return jumps.integrate(
+        lambda x: x * (np.linalg.norm(x, axis=1) <= 1.0)[:, None])[0]
 
 
 def to_unit_ball_truncation(t: CharTriplet) -> CharTriplet:
@@ -363,10 +369,6 @@ class SubordinatorSpec:
     def dim(self) -> int:
         return self.d.shape[0]
 
-    @property
-    def is_atomic(self) -> bool:
-        return isinstance(self.jumps, (AtomicJumps, ZeroJumps))
-
 
 def pure_drift(d) -> SubordinatorSpec:
     d = np.asarray(d, dtype=float)
@@ -375,38 +377,24 @@ def pure_drift(d) -> SubordinatorSpec:
 
 def laplace_exponent(T: SubordinatorSpec, z) -> complex:
     """Extended Laplace exponent <d, z> + sum_j rate_j (1 - exp(-<z, t_j>)),
-    for Re z >= 0 coordinatewise. Exact; atomic specs only.
+    for Re z >= 0 coordinatewise. Exact; atomic specs only (use
+    laplace_exponent_mc for samplable measures).
     """
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.real < 0):
-        raise LevySpecError("laplace_exponent requires Re(z) >= 0")
-    val = complex(T.d @ z)
-    if isinstance(T.jumps, ZeroJumps):
-        return val
-    if not isinstance(T.jumps, AtomicJumps):
-        raise LevySpecError("exact Laplace exponent needs atomic jumps; "
-                            "use laplace_exponent_mc for samplable measures")
-    val += complex(np.sum(T.jumps.rates * (1.0 - np.exp(-(T.jumps.points @ z)))))
-    return val
+    return laplace_exponent_mc(T, z, None)[0]
 
 
-def laplace_exponent_mc(T: SubordinatorSpec, z, rng: np.random.Generator,
+def laplace_exponent_mc(T: SubordinatorSpec, z, rng: np.random.Generator | None,
                         samples: int = 10_000) -> tuple[complex, float]:
-    """Monte Carlo Laplace exponent for samplable jump measures.
+    """Laplace exponent with the jump integral from `T.jumps.integrate`:
+    exact for atomic specs, Monte Carlo over `samples` draws otherwise.
 
     Returns (estimate, standard error of the jump-integral part).
     """
     z = np.asarray(z, dtype=complex)
     if np.any(z.real < 0):
         raise LevySpecError("laplace_exponent requires Re(z) >= 0")
-    if T.is_atomic:
-        return laplace_exponent(T, z), 0.0
-    pts = T.jumps.sample(rng, samples)
-    vals = 1.0 - np.exp(-(pts @ z))
-    mean = vals.mean()
-    se = T.jumps.total_mass * float(
-        np.sqrt((np.var(vals.real) + np.var(vals.imag)) / samples))
-    return complex(T.d @ z) + T.jumps.total_mass * mean, se
+    jump, se = T.jumps.integrate(lambda t: 1.0 - np.exp(-(t @ z)), rng, samples)
+    return complex(T.d @ z + jump), se
 
 
 # ---------------------------------------------------------------------------

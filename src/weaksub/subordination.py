@@ -21,7 +21,6 @@ from .levy import (
     LevySpecError,
     SamplableJumps,
     SubordinatorSpec,
-    ZeroJumps,
     laplace_exponent,
 )
 from .ordered_time import sample_subordinate_at, vector_time_exponent
@@ -42,43 +41,32 @@ def weak_exponent(T: SubordinatorSpec, X: LevyLaw, theta1, theta2) -> complex:
 
     Exact; atomic jump measures only (use weak_exponent_mc otherwise).
     """
+    return weak_exponent_mc(T, X, theta1, theta2, None)[0]
+
+
+def weak_exponent_mc(T: SubordinatorSpec, X: LevyLaw, theta1, theta2,
+                     rng: np.random.Generator | None,
+                     samples: int = 10_000) -> tuple[complex, float]:
+    """Weak exponent with the jump integral from `T.jumps.integrate`:
+    exact for atomic jump measures, Monte Carlo over `samples` draws
+    otherwise.
+
+    Returns (estimate, standard error of the jump-integral part).
+    """
     theta1 = np.asarray(theta1, dtype=float)
     theta2 = np.asarray(theta2, dtype=float)
     n = T.dim
     if theta1.shape != (n,) or theta2.shape != (n,) or X.dim != n:
         raise LevySpecError("theta1, theta2, T and X dimensions disagree")
-    val = 1j * complex(T.d @ theta1) + vector_time_exponent(X, T.d, theta2)
-    if isinstance(T.jumps, ZeroJumps):
-        return val
-    if not isinstance(T.jumps, AtomicJumps):
-        raise LevySpecError("exact weak exponent needs atomic jumps")
-    for point, rate in zip(T.jumps.points, T.jumps.rates):
-        phi = np.exp(1j * complex(theta1 @ point)
-                     + vector_time_exponent(X, point, theta2))
-        val += rate * (phi - 1.0)
-    return complex(val)
 
+    def jump_term(t):
+        psi = np.array([vector_time_exponent(X, ti, theta2) for ti in t],
+                       dtype=complex)
+        return np.exp(1j * (t @ theta1) + psi) - 1.0
 
-def weak_exponent_mc(T: SubordinatorSpec, X: LevyLaw, theta1, theta2,
-                     rng: np.random.Generator,
-                     samples: int = 10_000) -> tuple[complex, float]:
-    """Monte Carlo weak exponent for samplable jump measures.
-
-    Returns (estimate, standard error of the jump-integral part).
-    """
-    if T.is_atomic:
-        return weak_exponent(T, X, theta1, theta2), 0.0
-    theta1 = np.asarray(theta1, dtype=float)
-    theta2 = np.asarray(theta2, dtype=float)
-    val = 1j * complex(T.d @ theta1) + vector_time_exponent(X, T.d, theta2)
-    pts = T.jumps.sample(rng, samples)
-    integrand = np.array([
-        np.exp(1j * complex(theta1 @ t) + vector_time_exponent(X, t, theta2)) - 1.0
-        for t in pts])
-    mass = T.jumps.total_mass
-    se = mass * float(np.sqrt(
-        (np.var(integrand.real) + np.var(integrand.imag)) / samples))
-    return complex(val + mass * integrand.mean()), se
+    jump, se = T.jumps.integrate(jump_term, rng, samples)
+    drift = 1j * complex(T.d @ theta1) + vector_time_exponent(X, T.d, theta2)
+    return complex(drift + jump), se
 
 
 def weak_drift_component(T: SubordinatorSpec, X: LevyLaw, reps: int,
@@ -95,8 +83,6 @@ def weak_drift_component(T: SubordinatorSpec, X: LevyLaw, reps: int,
     n = T.dim
     est = np.zeros(2 * n)
     var = np.zeros(2 * n)
-    if isinstance(T.jumps, ZeroJumps):
-        return est, np.zeros(2 * n)
     if not isinstance(T.jumps, AtomicJumps):
         raise LevySpecError("weak drift component needs atomic jumps")
     for point, rate in zip(T.jumps.points, T.jumps.rates):
@@ -158,10 +144,8 @@ def stacked_subordinator(R: SubordinatorSpec, stack: StackEmbedding) -> Subordin
     if R.dim != stack.d:
         raise LevySpecError("subordinator dimension differs from block count")
     d = stack.expand(R.d)
-    if isinstance(R.jumps, ZeroJumps):
-        jumps: JumpMeasure = ZeroJumps(stack.n)
-    elif isinstance(R.jumps, AtomicJumps):
-        jumps = AtomicJumps(stack.expand(R.jumps.points), R.jumps.rates)
+    if isinstance(R.jumps, AtomicJumps):
+        jumps: JumpMeasure = AtomicJumps(stack.expand(R.jumps.points), R.jumps.rates)
     else:
         base = R.jumps
         jumps = SamplableJumps(

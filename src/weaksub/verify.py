@@ -30,9 +30,7 @@ from .subordination import (
 Array = np.ndarray
 
 DEFAULT_K = 4.0
-DEFAULT_GRID_SIZE = 16
-DEFAULT_GRID_SCALE = 0.5
-DEFAULT_GRID_SEED = 20240817
+EXACT_CHECK_THETAS = 100  # A3: frequencies of the stacked closed-form check
 
 
 # ---------------------------------------------------------------------------
@@ -65,13 +63,30 @@ def clt_bound(n: int, k: float = DEFAULT_K) -> float:
     return k * np.sqrt(2.0 / n)
 
 
-def default_theta_grid(dim: int, size: int = DEFAULT_GRID_SIZE,
-                       scale: float = DEFAULT_GRID_SCALE,
-                       seed: int = DEFAULT_GRID_SEED) -> Array:
-    """Fixed-seed standard normal grid scaled so |CF| stays well away
-    from zero for the supported test laws."""
-    grid_rng = np.random.default_rng(seed)
-    return scale * grid_rng.standard_normal((size, dim))
+@dataclass
+class ThetaGridSpec:
+    """An ECF frequency grid: explicit `points`, or else `size` standard
+    normal rows from the stream `grid_seed`, times `scale`. The default
+    scale keeps |CF| well away from zero for the supported test laws."""
+
+    size: int = 16
+    scale: float = 0.5
+    grid_seed: int = 20240817
+    points: Array | None = None
+
+    def build(self, dim: int) -> Array:
+        if self.points is None:
+            grid_rng = np.random.default_rng(self.grid_seed)
+            return self.scale * grid_rng.standard_normal((self.size, dim))
+        pts = np.asarray(self.points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != dim:
+            raise LevySpecError(f"theta grid points must have {dim} columns")
+        return pts
+
+
+def default_theta_grid(dim: int) -> Array:
+    """The default ECF grid in `dim` dimensions."""
+    return ThetaGridSpec().build(dim)
 
 
 @dataclass
@@ -235,17 +250,7 @@ class SuiteConfig:
 
     n_paths: int = 100_000
     k: float = DEFAULT_K
-    grid_size: int = DEFAULT_GRID_SIZE
-    grid_scale: float = DEFAULT_GRID_SCALE
-    grid_seed: int = DEFAULT_GRID_SEED
-    theta_grid: Array | None = None
-    exact_check_thetas: int = 100
-
-    def grid(self, dim: int) -> Array:
-        if self.theta_grid is not None:
-            return np.asarray(self.theta_grid, dtype=float)
-        return default_theta_grid(dim, self.grid_size, self.grid_scale,
-                                  self.grid_seed)
+    theta_grid: ThetaGridSpec = field(default_factory=ThetaGridSpec)
 
 
 def _acceptance_bm() -> BrownianMotion:
@@ -353,7 +358,7 @@ def equality_in_law_suite(scenario: str, config: SuiteConfig,
     T = default_T if T is None else T
     X = default_X if X is None else X
     n = T.dim
-    grid = config.grid(2 * n)
+    grid = config.theta_grid.build(2 * n)
 
     def target(theta):
         return np.exp(weak_exponent(T, X, theta[:n], theta[n:]))
@@ -370,9 +375,9 @@ def equality_in_law_suite(scenario: str, config: SuiteConfig,
                          strong=strong_rep, weak=weak_rep, strong_vs_weak=cross)
 
     if scenario == "stacked_C3" and extras:
-        theta_rng = np.random.default_rng(config.grid_seed + 1)
+        theta_rng = np.random.default_rng(config.theta_grid.grid_seed + 1)
         max_diff = 0.0
-        for _ in range(config.exact_check_thetas):
+        for _ in range(EXACT_CHECK_THETAS):
             th = theta_rng.standard_normal(2 * n)
             exact = stacked_strong_exponent(extras["R"], extras["embedding"],
                                             extras["blocks"], th[:n], th[n:])

@@ -143,7 +143,40 @@ class TestRunSimulate:
         assert files[0].read_text().startswith("time,T_1,T_2,Z_1,Z_2")
 
 
+BROWNIAN_3D = {"family": "brownian", "mu": [0, 0, 0],
+               "sigma": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+BAD_CONFIGS = {
+    "seed_bool": {**MINIMAL, "seed": True},
+    "seed_negative": {**MINIMAL, "seed": -1},
+    "k_negative": {**MINIMAL, "k": -1},
+    "k_text": {**MINIMAL, "k": "four"},
+    "horizon_text": {**MINIMAL, "horizon": "abc"},
+    "replicates_text": {**MINIMAL, "replicates": "many"},
+    "size_text": {**MINIMAL, "theta_grid": {"size": "big"}},
+    "scale_text": {**MINIMAL, "theta_grid": {"scale": "wide"}},
+    "size_zero": {**MINIMAL, "theta_grid": {"size": 0}},
+    "grid_not_object": {**MINIMAL, "theta_grid": 16},
+    "points_wrong_columns": {**MINIMAL, "theta_grid": {"points": [[0, 0, 1]]}},
+    "drift_text": {**MINIMAL, "subordinator": {"drift": "fast"}},
+    "rate_not_scalar": {**MINIMAL, "subordinator": {
+        "drift": [0, 0], "atoms": [{"point": [1, 1], "rate": [1, 2]}]}},
+    "dimension_mismatch": {**MINIMAL, "subordinate": BROWNIAN_3D},
+    # verify compares at t = 1 with a CLT bound that needs N >= 100
+    "replicates_below_100": {**MINIMAL, "replicates": 99},
+    "horizon_not_1": {**MINIMAL, "horizon": 5},
+}
+
+
 class TestMain:
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_bad_config_exit_2_with_json_error(self, tmp_path, capsys, case):
+        cfg = write_config(tmp_path, BAD_CONFIGS[case])
+        code = main(["verify", "--config", str(cfg), "--out",
+                     str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid config"
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_verify_deterministic_exit_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**MINIMAL, "replicates": 2000})
         code = main(["verify", "--config", str(cfg), "--out",
@@ -172,6 +205,11 @@ class TestMain:
         assert code == 0
         rows = (tmp_path / "samples.csv").read_text().strip().split("\n")
         assert len(rows) == 6  # header + 5 replicates
+        for flag in ("--seed", "--replicates"):
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
+                      flag, "-1"])
+            assert exc.value.code == 2
 
     def test_exponent_subcommand(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)

@@ -49,6 +49,11 @@ class TestExponentCPP:
 
     def test_zero_measure(self):
         assert ws.exponent_cpp(ws.ZeroJumps(2), [1.0, 2.0]) == 0
+        assert ws.ZeroJumps(2).integrate(lambda x: x[:, 0] + 1.0) == (0, 0.0)
+        rng = np.random.default_rng(0)
+        assert ws.ZeroJumps(2).sample(rng, 0).shape == (0, 2)
+        with pytest.raises(ws.LevySpecError):
+            ws.ZeroJumps(2).sample(rng, 1)
 
 
 class TestKacStack:
@@ -81,6 +86,9 @@ class TestLaplaceExponent:
     def test_unit_poisson(self):
         T = ws.SubordinatorSpec(np.zeros(1), ws.AtomicJumps([[1.0]], [1.0]))
         assert ws.laplace_exponent(T, [1.0]) == pytest.approx(1 - np.exp(-1))
+        # an atomic measure is integrated exactly whatever the rng
+        assert ws.laplace_exponent_mc(T, [1.0], np.random.default_rng(0)) == (
+            ws.laplace_exponent(T, [1.0]), 0.0)
 
     def test_unit_poisson_mc_oracle(self):
         # cross-check E exp(-T(1)) for a unit-rate Poisson directly
@@ -112,6 +120,8 @@ class TestLaplaceExponent:
         T = ws.SubordinatorSpec(np.zeros(1), jumps)
         with pytest.raises(ws.LevySpecError):
             ws.laplace_exponent(T, [1.0])
+        with pytest.raises(ws.LevySpecError):
+            jumps.integrate(lambda t: t[:, 0])
         rng = np.random.default_rng(3)
         est, se = ws.laplace_exponent_mc(T, [1.0], rng, samples=200_000)
         # E jump ~ Exp(1): exact value 2*(1 - E e^{-t}) = 2*(1 - 1/2) = 1

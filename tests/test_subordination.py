@@ -21,6 +21,9 @@ class TestWeakExponent:
         bm = ws.BrownianMotion([0, 0], np.eye(2))
         val = ws.weak_exponent(T, bm, [0, 0], [1, 1])
         assert val == pytest.approx(np.exp(-1) - 1)
+        # an atomic measure is integrated exactly whatever the rng
+        assert ws.weak_exponent_mc(T, bm, [0, 0], [1, 1],
+                                   np.random.default_rng(0)) == (val, 0.0)
 
     def test_pure_drift_reduction(self):
         T = ws.pure_drift([1, 2])
