@@ -1,7 +1,8 @@
 """Strong and weak subordination of multivariate Lévy processes.
 
 Construction and evaluation of characteristic/Laplace exponents, exact
-path simulation for finite-activity subordinators, Poisson random
+path simulation and batched exact time-t sampling for finite-activity
+subordinators, Poisson random
 measure checks, and Monte Carlo verification of the equality-in-law
 results relating the two subordination operations.
 """
@@ -55,8 +56,10 @@ from .subordination import (
     StackEmbedding,
     choose_truncation_eps,
     simulate_strong,
+    simulate_strong_at,
     simulate_subordinator,
     simulate_weak,
+    simulate_weak_at,
     stacked_strong_exponent,
     stacked_subordinator,
     truncate_jump_density,
@@ -77,7 +80,6 @@ from .verify import (
     ecf_two_sample_compare,
     equality_in_law_suite,
     increment_stationarity_check,
-    joint_time_samples,
     scenario_processes,
 )
 

@@ -1,11 +1,18 @@
 """Config-driven command line: evaluate exponents on grids, dump
-simulated paths or time-1 samples to CSV, and run the equality-in-law
-verification suites to JSON reports.
+simulated paths or time-horizon samples to CSV, and run the
+equality-in-law verification suites to JSON reports.
 
-Configs are JSON with a strict schema (unknown keys are errors); see the
-README for the documented fields. All runs are deterministic given the
-seed: replicate r with purpose p uses the stream derived from
-SeedSequence(seed, spawn_key=(p, r)).
+Configs are JSON with a strict schema (unknown keys are errors; so are
+the non-finite literals NaN and Infinity); see the README for the
+documented fields. All runs are deterministic given the seed: stream r
+of purpose p is the generator of SeedSequence(seed, spawn_key=(p, r)).
+`simulate --mode paths` draws replicate r from stream r; `simulate
+--mode time1` draws its rows in chunks of TIME_T_CHUNK, chunk c from
+stream c; `verify` draws from stream 0.
+
+Exit status: 0 success (for verify, the suite passed); 1 the verify
+suite failed; 2 invalid config or flags, with a JSON error on stderr;
+3 any other error, with a JSON error naming the exception on stderr.
 """
 from __future__ import annotations
 
@@ -13,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,7 +36,14 @@ from .levy import (
     ZeroJumps,
     validate_triplet,
 )
-from .subordination import simulate_strong, simulate_weak, weak_exponent
+from .subordination import (
+    TIME_T_CHUNK,
+    simulate_strong,
+    simulate_strong_at,
+    simulate_weak,
+    simulate_weak_at,
+    weak_exponent,
+)
 from .verify import (
     SCENARIOS,
     SuiteConfig,
@@ -195,11 +210,15 @@ TOP_LEVEL_KEYS = {"seed", "scenario", "subordinator", "subordinate", "horizon",
                   "replicates", "theta_grid", "k", "mode"}
 
 
+def _reject_constant(name: str):
+    raise ConfigError([f"not valid JSON: {name} is not a finite number"])
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON experiment config (strict schema)."""
     errors: list[str] = []
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"not valid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
@@ -290,12 +309,13 @@ def run_exponent(config: ExperimentConfig, out_dir: Path) -> Path:
 
 def run_simulate(config: ExperimentConfig, out_dir: Path,
                  kind: str = "weak") -> Path:
-    """Simulate replicate paths of (T, Z); `mode` selects pooled time-
-    horizon samples (one CSV) or per-replicate path dumps."""
+    """Simulate (T, Z); `mode` selects pooled time-horizon samples (one
+    CSV, drawn in chunks by the batched samplers) or per-replicate path
+    dumps (one CSV per replicate path)."""
     T, X = config.processes()
-    simulate = {"weak": simulate_weak, "strong": simulate_strong}[kind]
     n = T.dim
     if config.mode == "paths":
+        simulate = {"weak": simulate_weak, "strong": simulate_strong}[kind]
         out = out_dir / "paths"
         out.mkdir(parents=True, exist_ok=True)
         for r in range(config.replicates):
@@ -304,14 +324,16 @@ def run_simulate(config: ExperimentConfig, out_dir: Path,
             with (out / f"rep_{r:06d}.csv").open("w") as fp:
                 path.to_csv(fp)
         return out
+    sample = {"weak": simulate_weak_at, "strong": simulate_strong_at}[kind]
     out = out_dir / "samples.csv"
     with out.open("w") as fp:
         cols = [f"T_{j+1}" for j in range(n)] + [f"Z_{j+1}" for j in range(n)]
         fp.write(",".join(cols) + "\n")
-        for r in range(config.replicates):
-            path = simulate(T, X, config.horizon, stream(config.seed, "simulate", r),
-                            sample_times=[config.horizon])
-            fp.write(",".join(_fmt(v) for v in path.values[-1]) + "\n")
+        for c, start in enumerate(range(0, config.replicates, TIME_T_CHUNK)):
+            rows = sample(T, X, config.horizon,
+                          min(TIME_T_CHUNK, config.replicates - start),
+                          stream(config.seed, "simulate", c))
+            fp.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
     return out
 
 
@@ -397,6 +419,12 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "invalid config", "details": exc.errors}),
               file=sys.stderr)
         return 2
+    except Exception as exc:  # the command's boundary: report, never a bare traceback
+        print(json.dumps({"error": "internal error", "type": type(exc).__name__,
+                          "details": str(exc),
+                          "traceback": traceback.format_exc()}),
+              file=sys.stderr)
+        return 3
     if not args.quiet:
         print(out)
     return 0

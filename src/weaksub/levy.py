@@ -217,11 +217,36 @@ class LevyLaw:
         """Characteristic exponent at frequency theta."""
         raise NotImplementedError
 
-    def sample(self, dt: float, rng: np.random.Generator, size: int = 1) -> Array:
-        """Draw `size` independent copies of the increment over duration dt,
-        shape (size, dim).
+    def sample(self, dt, rng: np.random.Generator, size: int = 1) -> Array:
+        """Draw `size` independent increments, shape (size, dim): all over
+        the duration dt, or row i over dt[i] when dt has shape (size,).
         """
         raise NotImplementedError
+
+
+def _durations(dt, size: int):
+    """Check durations: a scalar dt is returned as is, else an array of
+    shape (size,) with one duration per row."""
+    if np.ndim(dt) == 0:
+        if dt < 0:
+            raise LevySpecError("negative duration")
+        return dt
+    dt = np.asarray(dt, dtype=float)
+    if dt.shape != (size,):
+        raise LevySpecError(f"durations have shape {dt.shape}, expected ({size},)")
+    if np.any(dt < 0):
+        raise LevySpecError("negative duration")
+    return dt
+
+
+def poisson_scatter(counts: Array, values: Array) -> Array:
+    """Compound sums: row i of the result is the sum of the counts[i]
+    consecutive rows of `values` that follow those of rows 0..i-1, so
+    values has counts.sum() rows. Shape (len(counts),) + values.shape[1:].
+    """
+    out = np.zeros((counts.shape[0],) + values.shape[1:])
+    np.add.at(out, np.repeat(np.arange(counts.shape[0]), counts), values)
+    return out
 
 
 class BrownianMotion(LevyLaw):
@@ -240,8 +265,9 @@ class BrownianMotion(LevyLaw):
         return exponent_bm(self.mu, self.sigma, theta)
 
     def sample(self, dt, rng, size=1):
-        if dt < 0:
-            raise LevySpecError("negative duration")
+        dt = _durations(dt, size)
+        if np.ndim(dt):
+            dt = dt[:, None]
         z = rng.standard_normal((size, self.dim))
         return dt * self.mu + np.sqrt(dt) * (z @ self._factor.T)
 
@@ -262,16 +288,11 @@ class CompoundPoisson(LevyLaw):
         return exponent_cpp(self.jumps, theta)
 
     def sample(self, dt, rng, size=1):
-        if dt < 0:
-            raise LevySpecError("negative duration")
-        counts = rng.poisson(self.jumps.total_mass * dt, size=size)
+        counts = rng.poisson(self.jumps.total_mass * _durations(dt, size), size=size)
         total = int(counts.sum())
-        out = np.zeros((size, self.dim))
-        if total:
-            sizes = self.jumps.sample(rng, total)
-            owner = np.repeat(np.arange(size), counts)
-            np.add.at(out, owner, sizes)
-        return out
+        if not total:
+            return np.zeros((size, self.dim))
+        return poisson_scatter(counts, self.jumps.sample(rng, total))
 
     def __repr__(self):
         return f"CompoundPoisson({self.jumps!r})"

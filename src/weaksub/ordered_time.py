@@ -23,7 +23,8 @@ class OrderedTime:
     """A time vector together with its stable sort permutation and gaps.
 
     perm[k] is the original index of the (k+1)-th smallest coordinate;
-    deltas[k] = t_(k+1) - t_(k) with t_(0) = 0.
+    deltas[k] = t_(k+1) - t_(k) with t_(0) = 0. For an (m, n) array of
+    time vectors, each row is sorted on its own along the last axis.
     """
 
     t: Array
@@ -32,14 +33,16 @@ class OrderedTime:
 
 
 def order_times(t) -> OrderedTime:
-    """Sort a nonnegative time vector; ties broken by ascending index."""
+    """Sort a nonnegative time vector, or each row of an (m, n) array of
+    them; ties broken by ascending index."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise LevySpecError("time vector must be coordinatewise >= 0")
-    perm = np.argsort(t, kind="stable")
-    sorted_t = t[perm]
-    deltas = np.diff(sorted_t, prepend=0.0)
-    return OrderedTime(t=t, perm=perm, deltas=deltas)
+    sorted_t = np.sort(t, axis=-1)
+    deltas = sorted_t.copy()
+    deltas[..., 1:] -= sorted_t[..., :-1]
+    return OrderedTime(t=t, perm=np.argsort(t, axis=-1, kind="stable"),
+                       deltas=deltas)
 
 
 def vector_time_exponent(psi: LevyLaw, t, theta) -> complex:
@@ -76,20 +79,31 @@ def sample_subordinate_at(x: LevyLaw, t, rng: np.random.Generator,
     """Draw from the law of (X_1(t_1), ..., X_n(t_n)).
 
     Accumulates independent increments of one X over the sorted gaps of
-    t, projecting each onto the still-alive coordinates. Returns shape
-    (n,) when size is None, else (size, n). Zero gaps are skipped.
+    t, keeping only the still-alive coordinates of each. t is one time
+    vector, shape (n,): the result has shape (n,) when size is None,
+    else (size, n). Or t holds one time vector per row, shape (m, n),
+    each with its own sort order: the result has shape (m, n), and size
+    must be None or m. Gap k is drawn as one batch over all rows, with
+    row i's own gap as its duration, and skipped only when it is zero
+    in every row; so a single time vector and its rows tiled m times
+    consume the same draws.
     """
-    squeeze = size is None
-    m = 1 if squeeze else size
     ot = order_times(t)
-    n = ot.t.shape[0]
+    if ot.t.ndim not in (1, 2):
+        raise LevySpecError("time vectors must have shape (n,) or (m, n)")
+    n = ot.t.shape[-1]
     if x.dim != n:
         raise LevySpecError("process dimension differs from time vector")
+    if ot.t.ndim == 2:
+        if size not in (None, ot.t.shape[0]):
+            raise LevySpecError("size differs from the number of time vectors")
+        m = ot.t.shape[0]
+    else:
+        m = 1 if size is None else size
+    rank = np.argsort(ot.perm, axis=-1)  # position of each coordinate in the sort
     out = np.zeros((m, n))
     for k in range(n):
-        if ot.deltas[k] == 0.0:
-            continue
-        alive = ot.perm[k:]
-        w = x.sample(ot.deltas[k], rng, m)
-        out[:, alive] += w[:, alive]
-    return out[0] if squeeze else out
+        gap = ot.deltas[..., k]
+        if np.count_nonzero(gap):
+            np.add(out, x.sample(gap, rng, m), out=out, where=rank >= k)
+    return out[0] if ot.t.ndim == 1 and size is None else out

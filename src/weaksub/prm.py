@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, stats
 
-from .levy import LevyLaw, LevySpecError, SubordinatorSpec
+from .levy import LevyLaw, LevySpecError, SubordinatorSpec, poisson_scatter
 from .ordered_time import sample_subordinate_at
 from .subordination import simulate_subordinator
 
@@ -233,9 +233,7 @@ def laplace_functional_mc(rate: float, marks: MarkDistribution, horizon: float,
     sums = np.zeros(reps)
     if total:
         times = rng.uniform(0.0, horizon, size=total)
-        mk = marks.sample(rng, total)
-        vals = f.evaluate(times, mk)
-        np.add.at(sums, np.repeat(np.arange(reps), counts), vals)
+        sums = poisson_scatter(counts, f.evaluate(times, marks.sample(rng, total)))
     prods = np.exp(-sums)
     return float(prods.mean()), float(prods.std(ddof=1) / np.sqrt(reps))
 

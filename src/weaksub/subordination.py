@@ -1,8 +1,9 @@
 """Strong and weak subordination of multivariate Lévy processes.
 
 Exponent formulas for the joint 2n-dimensional process (T, Z), the
-closed-form exponent for stacked configurations, and exact path
-simulators for finite-activity subordinators. Z is X evaluated along T
+closed-form exponent for stacked configurations, exact path
+simulators for finite-activity subordinators, and exact batched
+samplers of the time-t value of (T, Z). Z is X evaluated along T
 componentwise (strong) or the Lévy process that jumps with the law of
 X(t) whenever T jumps by t (weak).
 """
@@ -22,6 +23,7 @@ from .levy import (
     SamplableJumps,
     SubordinatorSpec,
     laplace_exponent,
+    poisson_scatter,
 )
 from .ordered_time import sample_subordinate_at, vector_time_exponent
 
@@ -367,6 +369,57 @@ def simulate_weak(T: SubordinatorSpec, X: LevyLaw, horizon: float,
     drift_part = np.concatenate([T.d, np.zeros(n)])
     return PathRecord(event_times=events, values=np.hstack([tvals, zvals]),
                       drift_part=drift_part, horizon=horizon)
+
+
+TIME_T_CHUNK = 8192  # rows per batch of the time-t samplers; bounds their temporaries
+
+
+def _clock_at(T: SubordinatorSpec, t: float, out: Array,
+              rng: np.random.Generator):
+    """Fill out[:, :n] with independent draws of T(t), TIME_T_CHUNK rows
+    at a time; per chunk, yield its rows of `out`, the jump count of
+    each row and the jumps in row order, for the caller to fill
+    out[:, n:]. A row has Poisson(total mass * t) jumps from T's
+    measure, and T(t) = d t + their sum."""
+    if t <= 0:
+        raise LevySpecError("horizon must be positive")
+    for start in range(0, out.shape[0], TIME_T_CHUNK):
+        rows = out[start : start + TIME_T_CHUNK]
+        counts = rng.poisson(T.jumps.total_mass * t, size=rows.shape[0])
+        total = int(counts.sum())
+        jumps = T.jumps.sample(rng, total) if total else np.zeros((0, T.dim))
+        rows[:, : T.dim] = t * T.d + poisson_scatter(counts, jumps)
+        yield rows, counts, jumps
+
+
+def simulate_strong_at(T: SubordinatorSpec, X: LevyLaw, t: float, size: int,
+                       rng: np.random.Generator) -> Array:
+    """`size` exact independent draws of (T(t), (X o T)(t)), shape
+    (size, 2n): given T(t) = tau, (X o T)(t) is X at the vector time
+    tau. The law of `simulate_strong`'s value at time t, without a
+    per-path loop."""
+    n = T.dim
+    out = np.empty((size, 2 * n))
+    for rows, _, _ in _clock_at(T, t, out, rng):
+        rows[:, n:] = sample_subordinate_at(X, rows[:, :n], rng)
+    return out
+
+
+def simulate_weak_at(T: SubordinatorSpec, X: LevyLaw, t: float, size: int,
+                     rng: np.random.Generator) -> Array:
+    """`size` exact independent draws of (T(t), (X (.) T)(t)), shape
+    (size, 2n): Z(t) is the sum of one independent mark per subordinator
+    jump, with the law of X at that jump as vector time, plus an
+    independent X at the vector time d t. The law of `simulate_weak`'s
+    value at time t, without a per-path loop; exact for atomic and
+    samplable jump measures alike."""
+    n = T.dim
+    out = np.empty((size, 2 * n))
+    for rows, counts, jumps in _clock_at(T, t, out, rng):
+        rows[:, n:] = poisson_scatter(counts, sample_subordinate_at(X, jumps, rng))
+        if np.any(T.d > 0):
+            rows[:, n:] += sample_subordinate_at(X, t * T.d, rng, size=len(counts))
+    return out
 
 
 # ---------------------------------------------------------------------------

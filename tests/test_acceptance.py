@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import weaksub as ws
-from weaksub.verify import joint_time_samples, scenario_processes
+from weaksub.verify import scenario_processes
 
 N = 100_000
 BOUND = 4 * np.sqrt(2 / N)  # ~0.0179
@@ -34,7 +34,7 @@ class TestAcceptance:
         grid = ws.default_theta_grid(4)
         rng = np.random.default_rng(101)
         start = time.monotonic()
-        samples = joint_time_samples(ws.simulate_strong, T, X, 1.0, N, rng)
+        samples = ws.simulate_strong_at(T, X, 1.0, N, rng)
         report = ws.cf_compare(samples, weak_cf_target(T, X), grid)
         elapsed = time.monotonic() - start
         ok = report.passed and elapsed <= 60.0
@@ -46,8 +46,8 @@ class TestAcceptance:
         T, X, _ = scenario_processes("finite_activity_C1")
         grid = ws.default_theta_grid(4)
         rng = np.random.default_rng(102)
-        strong = joint_time_samples(ws.simulate_strong, T, X, 1.0, N, rng)
-        weak = joint_time_samples(ws.simulate_weak, T, X, 1.0, N, rng)
+        strong = ws.simulate_strong_at(T, X, 1.0, N, rng)
+        weak = ws.simulate_weak_at(T, X, 1.0, N, rng)
         target = weak_cf_target(T, X)
         rep_s = ws.cf_compare(strong, target, grid)
         rep_w = ws.cf_compare(weak, target, grid)
@@ -70,7 +70,7 @@ class TestAcceptance:
             weak = ws.weak_exponent(T, X, th[:2], th[2:])
             max_diff = max(max_diff, abs(exact - weak))
         rng = np.random.default_rng(104)
-        samples = joint_time_samples(ws.simulate_strong, T, X, 1.0, N, rng)
+        samples = ws.simulate_strong_at(T, X, 1.0, N, rng)
         report = ws.cf_compare(samples, weak_cf_target(T, X),
                                ws.default_theta_grid(4))
         ok = max_diff <= 1e-10 and report.passed
@@ -109,8 +109,8 @@ class TestAcceptance:
         T, X, _ = scenario_processes("negative_control")
         grid = ws.default_theta_grid(4)
         rng = np.random.default_rng(106)
-        strong = joint_time_samples(ws.simulate_strong, T, X, 1.0, N, rng)
-        weak = joint_time_samples(ws.simulate_weak, T, X, 1.0, N, rng)
+        strong = ws.simulate_strong_at(T, X, 1.0, N, rng)
+        weak = ws.simulate_weak_at(T, X, 1.0, N, rng)
         target = weak_cf_target(T, X)
         rep_s = ws.cf_compare(strong, target, grid)
         rep_w = ws.cf_compare(weak, target, grid)

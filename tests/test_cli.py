@@ -134,6 +134,20 @@ class TestRunSimulate:
         b = run_simulate(cfg, tmp_path).read_bytes()
         assert a == b
 
+    def test_time1_chunk_c_draws_from_stream_c(self, tmp_path):
+        import weaksub as ws
+        from weaksub.cli import stream
+        from weaksub.subordination import TIME_T_CHUNK
+        n = TIME_T_CHUNK + 5
+        cfg = parse_config(json.dumps({**MINIMAL, "replicates": n}))
+        out = run_simulate(cfg, tmp_path, kind="strong")
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        T, X = cfg.processes()
+        expected = np.vstack([
+            ws.simulate_strong_at(T, X, 1.0, TIME_T_CHUNK, stream(7, "simulate", 0)),
+            ws.simulate_strong_at(T, X, 1.0, 5, stream(7, "simulate", 1))])
+        assert np.array_equal(data, expected)
+
     def test_paths_mode(self, tmp_path):
         cfg = parse_config(json.dumps({**MINIMAL, "replicates": 3,
                                        "mode": "paths"}))
@@ -164,6 +178,13 @@ BAD_CONFIGS = {
     # verify compares at t = 1 with a CLT bound that needs N >= 100
     "replicates_below_100": {**MINIMAL, "replicates": 99},
     "horizon_not_1": {**MINIMAL, "horizon": 5},
+    # the JSON literals NaN, Infinity and -Infinity are not numbers here
+    "points_nan": {**MINIMAL, "theta_grid": {"points": [[0, float("nan"), 0, 0]]}},
+    "drift_infinity": {**MINIMAL, "subordinator": {"drift": [float("inf"), 0.0]}},
+    "sigma_nan": {**MINIMAL, "subordinate": {
+        "family": "brownian", "mu": [0, 0], "sigma": [[1, float("nan")], [0, 1]]}},
+    "mu_minus_infinity": {**MINIMAL, "subordinate": {
+        "family": "brownian", "mu": [float("-inf"), 0], "sigma": [[1, 0], [0, 1]]}},
 }
 
 
@@ -176,6 +197,22 @@ class TestMain:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "invalid config"
         assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_unexpected_error_exit_3_with_json_error(self, tmp_path, capsys,
+                                                      monkeypatch):
+        import weaksub.cli as cli
+
+        def fail(config, out_dir):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_exponent", fail)
+        cfg = write_config(tmp_path, MINIMAL)
+        code = main(["exponent", "--config", str(cfg), "--out", str(tmp_path),
+                     "--quiet"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "internal error"
+        assert err["type"] == "RuntimeError" and err["details"] == "boom"
 
     def test_verify_deterministic_exit_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**MINIMAL, "replicates": 2000})

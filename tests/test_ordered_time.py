@@ -188,3 +188,55 @@ class TestSampleSubordinateAt:
         grid = ws.default_theta_grid(2)
         report = ws.cf_compare(x, lambda th: ws.vector_time_cf(law, t, th), grid)
         assert report.passed, report.summary()
+
+
+STACK_3D = ws.IndependentStack([
+    ws.BrownianMotion([0.2, -0.1], [[1, 0.5], [0.5, 1]]),
+    ws.CompoundPoisson(ws.AtomicJumps([[1.0], [-0.5]], [0.8, 1.2]))])
+LAWS_3D = {
+    "bm": ws.BrownianMotion([0.1, 0, -0.2], [[1, 0.3, 0.1], [0.3, 1, 0.2],
+                                            [0.1, 0.2, 1]]),
+    "cpp": ws.CompoundPoisson(ws.AtomicJumps([[1.0, -0.5, 0.2],
+                                              [0.2, 0.4, -1.0]], [0.8, 1.2])),
+    "stack": STACK_3D,
+}
+
+
+class TestSampleSubordinateAtRows:
+    def test_rows_match_vector_time_cf(self):
+        # each row has its own sort order, with ties and zero times
+        patterns = np.array([[1.0, 1.0, 0.5], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0],
+                             [1.5, 0.3, 1.5], [0.7, 0.7, 0.7]])
+        n = 20_000
+        rng = np.random.default_rng(21)
+        which = np.repeat(np.arange(len(patterns)), n)
+        rng.shuffle(which)
+        x = ws.sample_subordinate_at(STACK_3D, patterns[which], rng)
+        assert x.shape == (len(which), 3)
+        grid = ws.default_theta_grid(3)
+        for p, t in enumerate(patterns):
+            report = ws.cf_compare(
+                x[which == p], lambda th: ws.vector_time_cf(STACK_3D, t, th), grid)
+            assert report.passed, (t, report.summary())
+
+    @pytest.mark.parametrize("name", sorted(LAWS_3D))
+    def test_tiled_rows_use_the_same_draws(self, name):
+        law = LAWS_3D[name]
+        for t in ([1.0, 0.0, 1.0], [0.5, 2.0, 1.2], [0.0, 0.0, 0.0]):
+            a = ws.sample_subordinate_at(law, t, np.random.default_rng(31), size=257)
+            b = ws.sample_subordinate_at(law, np.tile(t, (257, 1)),
+                                         np.random.default_rng(31))
+            assert np.array_equal(a, b)
+
+    def test_shapes_checked(self):
+        bm = LAWS_3D["bm"]
+        rng = np.random.default_rng(0)
+        with pytest.raises(ws.LevySpecError):
+            bm.sample(np.ones(3), rng, 4)
+        with pytest.raises(ws.LevySpecError):
+            bm.sample(np.array([1.0, -1.0]), rng, 2)
+        with pytest.raises(ws.LevySpecError):
+            ws.sample_subordinate_at(bm, np.ones((3, 3)), rng, size=4)
+        with pytest.raises(ws.LevySpecError):
+            ws.sample_subordinate_at(bm, np.ones((2, 3, 3)), rng)
+        assert ws.sample_subordinate_at(bm, np.ones((0, 3)), rng).shape == (0, 3)

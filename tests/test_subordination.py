@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import weaksub as ws
-from weaksub.verify import joint_time_samples
+from weaksub.subordination import TIME_T_CHUNK
+from weaksub.verify import scenario_processes
 
 
 def correlated_bm():
@@ -214,7 +215,7 @@ class TestSimulateStrong:
         T = ws.pure_drift([1.0, 1.0])
         X = correlated_bm()
         rng = np.random.default_rng(3)
-        samples = joint_time_samples(ws.simulate_strong, T, X, 1.0, 20_000, rng)
+        samples = ws.simulate_strong_at(T, X, 1.0, 20_000, rng)
         grid = ws.default_theta_grid(2)
         report = ws.cf_compare(samples[:, 2:],
                                lambda th: np.exp(X.exponent(th)), grid)
@@ -234,7 +235,7 @@ class TestSimulateStrong:
         X = correlated_bm()
         rng = np.random.default_rng(5)
         n = 50_000
-        samples = joint_time_samples(ws.simulate_strong, T, X, 1.0, n, rng)
+        samples = ws.simulate_strong_at(T, X, 1.0, n, rng)
         sq = samples[:, 2] ** 2
         assert abs(sq.mean() - 1.0) <= 4 * sq.std(ddof=1) / np.sqrt(n)
 
@@ -243,7 +244,7 @@ class TestSimulateStrong:
                                 ws.AtomicJumps([[1, 0], [0, 2]], [1.0, 0.5]))
         X = correlated_bm()
         rng = np.random.default_rng(6)
-        samples = joint_time_samples(ws.simulate_strong, T, X, 1.0, 20_000, rng)
+        samples = ws.simulate_strong_at(T, X, 1.0, 20_000, rng)
         direct = np.array([
             ws.simulate_subordinator(T, 1.0, rng).values_at([1.0])[0]
             for _ in range(20_000)])
@@ -263,7 +264,7 @@ class TestSimulateWeak:
         T = ws.pure_drift([1.0, 2.0])
         X = correlated_bm()
         rng = np.random.default_rng(7)
-        samples = joint_time_samples(ws.simulate_weak, T, X, 1.0, 20_000, rng)
+        samples = ws.simulate_weak_at(T, X, 1.0, 20_000, rng)
         grid = ws.default_theta_grid(4)
         report = ws.cf_compare(
             samples,
@@ -276,7 +277,7 @@ class TestSimulateWeak:
         X = ws.BrownianMotion([0, 0], np.eye(2))
         rng = np.random.default_rng(8)
         n = 30_000
-        samples = joint_time_samples(ws.simulate_weak, T, X, 1.0, n, rng)
+        samples = ws.simulate_weak_at(T, X, 1.0, n, rng)
         emp = ws.ecf(samples, [0, 0, 1, 1])
         assert abs(emp - np.exp(np.exp(-1) - 1)) <= ws.clt_bound(n)
 
@@ -285,13 +286,64 @@ class TestSimulateWeak:
                                 ws.AtomicJumps([[1, 1], [0, 0.5]], [0.6, 0.9]))
         X = correlated_bm()
         rng = np.random.default_rng(9)
-        samples = joint_time_samples(ws.simulate_weak, T, X, 1.0, 20_000, rng)
+        samples = ws.simulate_weak_at(T, X, 1.0, 20_000, rng)
         direct = np.array([
             ws.simulate_subordinator(T, 1.0, rng).values_at([1.0])[0]
             for _ in range(20_000)])
         grid = ws.default_theta_grid(2)
         report = ws.ecf_two_sample_compare(samples[:, :2], direct, grid)
         assert report.passed, report.summary()
+
+
+def time_t_cases():
+    """(T, X) pairs for the batched-vs-per-path check: the four suite
+    scenarios, a truncated gamma clock (samplable jumps) and a compound
+    Poisson subordinate (one duration per row in its increments)."""
+    cases = {name: scenario_processes(name)[:2]
+             for name in ("deterministic", "finite_activity_C1", "stacked_C3",
+                          "negative_control")}
+    cases["truncated_gamma"] = (ws.truncated_gamma_subordinator(2.0, 1.5),
+                                ws.BrownianMotion([0.3], [[1.0]]))
+    cases["compound_poisson"] = (
+        ws.SubordinatorSpec(np.array([0.4, 0.1]),
+                            ws.AtomicJumps([[1, 0.5], [0.2, 1.5]], [0.7, 0.6])),
+        ws.CompoundPoisson(ws.AtomicJumps([[1.0, -0.5], [0.3, 0.8]], [0.9, 1.1])))
+    return cases
+
+
+TIME_T_CASES = time_t_cases()
+
+
+class TestTimeTSamplers:
+    # the per-path simulators are the reference for the batched samplers
+    N = 2000
+
+    @pytest.mark.parametrize("kind", ["strong", "weak"])
+    @pytest.mark.parametrize("case", sorted(TIME_T_CASES))
+    def test_batched_matches_per_path(self, case, kind):
+        T, X = TIME_T_CASES[case]
+        simulate = {"strong": ws.simulate_strong, "weak": ws.simulate_weak}[kind]
+        batched = {"strong": ws.simulate_strong_at, "weak": ws.simulate_weak_at}[kind]
+        rng = np.random.default_rng(40)
+        per_path = np.array([simulate(T, X, 1.0, rng).values[-1]
+                             for _ in range(self.N)])
+        rows = batched(T, X, 1.0, self.N, np.random.default_rng(41))
+        assert rows.shape == (self.N, 2 * T.dim)
+        report = ws.ecf_two_sample_compare(rows, per_path,
+                                           ws.default_theta_grid(2 * T.dim), k=4)
+        assert report.passed, report.summary()
+
+    def test_chunks_and_edge_sizes(self):
+        T, X = TIME_T_CASES["finite_activity_C1"]
+        assert ws.simulate_weak_at(T, X, 1.0, 0, np.random.default_rng(0)).shape == (0, 4)
+        for sample in (ws.simulate_strong_at, ws.simulate_weak_at):
+            # rows come in chunks drawn one after another from the one rng
+            rows = sample(T, X, 1.0, TIME_T_CHUNK + 3, np.random.default_rng(1))
+            rng = np.random.default_rng(1)
+            parts = [sample(T, X, 1.0, size, rng) for size in (TIME_T_CHUNK, 3)]
+            assert np.array_equal(rows, np.vstack(parts))
+        with pytest.raises(ws.LevySpecError):
+            ws.simulate_strong_at(T, X, 0.0, 10, np.random.default_rng(0))
 
 
 class TestPathRecord:

@@ -8,7 +8,6 @@ from weaksub.verify import (
     SuiteConfig,
     equality_in_law_suite,
     increment_stationarity_check,
-    joint_time_samples,
     scenario_processes,
 )
 
@@ -40,6 +39,17 @@ class TestECF:
         samples = rng.standard_normal((200, 2))
         theta = rng.standard_normal(2)
         assert ws.ecf(samples, -theta) == np.conj(ws.ecf(samples, theta))
+
+    def test_ecf_is_a_row_of_ecf_grid(self):
+        # more rows than one ECF block, so the blocked sum is exercised
+        rng = np.random.default_rng(17)
+        samples = rng.standard_normal((20_000, 3))
+        grid = ws.default_theta_grid(3)
+        row = ws.ecf_grid(samples, grid)
+        reference = np.exp(1j * samples @ grid.T).mean(axis=0)
+        assert np.all(np.abs(row - reference) <= 1e-12)
+        for i in (0, 7, 15):
+            assert abs(ws.ecf(samples, grid[i]) - row[i]) <= 1e-12
 
     def test_modulus_at_most_one(self):
         rng = np.random.default_rng(2)
@@ -186,7 +196,6 @@ class TestScenarioProcesses:
 
     def test_time1_ecf_modulus(self):
         T, X, _ = scenario_processes("finite_activity_C1")
-        samples = joint_time_samples(ws.simulate_weak, T, X, 1.0, 2000,
-                                     np.random.default_rng(16))
+        samples = ws.simulate_weak_at(T, X, 1.0, 2000, np.random.default_rng(16))
         grid = ws.default_theta_grid(4)
         assert np.all(np.abs(ws.ecf_grid(samples, grid)) <= 1 + 1e-12)
