@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import traceback
 from dataclasses import dataclass, field
@@ -53,6 +52,9 @@ from .verify import (
 )
 
 PURPOSES = {"exponent": 0, "simulate": 1, "verify": 2}
+# Largest theta_grid.size and replicates: verify holds 2 x replicates x 2n
+# floats, and exponent builds its whole grid before evaluating it in blocks.
+MAX_ROWS = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -109,21 +111,46 @@ def _take(obj, allowed: dict, errors: list[str], where: str) -> dict:
 
 
 def _number(obj: dict, key: str, default, errors: list[str], where: str = "",
-            minimum: int | None = None):
-    """obj[key], or `default` when absent: an integer >= `minimum` when
-    that is given, else a finite number > 0. A bad value is recorded in
-    `errors` and replaced by the default."""
+            minimum: int | None = None, maximum: int | None = None):
+    """obj[key], or `default` when absent: an integer >= `minimum` (and
+    <= `maximum`, when given) when `minimum` is given, else a finite
+    number > 0. A bad value is recorded in `errors` and replaced by the
+    default."""
     value = obj.get(key, default)
     if minimum is None:
-        ok = isinstance(value, (int, float)) and 0 < value < math.inf
+        ok = isinstance(value, (int, float)) and 0 < value <= sys.float_info.max
         kind = "a finite number > 0"
     else:
-        ok = isinstance(value, int) and value >= minimum
-        kind = f"an integer >= {minimum}"
+        ok = (isinstance(value, int) and value >= minimum
+              and (maximum is None or value <= maximum))
+        kind = f"an integer >= {minimum}" + (
+            "" if maximum is None else f" and <= {maximum}")
     if isinstance(value, bool) or not ok:
         errors.append(f"{where}{key} must be {kind}")
         return default
     return value
+
+
+def _numbers(value, ndim: int, errors: list[str], where: str) -> np.ndarray | None:
+    """`value` as a float array when it is a JSON number (ndim 0) or a
+    rectangular list of numbers nested `ndim` deep; else record an error
+    and return None. Booleans and strings are not numbers."""
+    def numeric(v, depth):
+        if depth == 0:
+            return (isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and abs(v) <= sys.float_info.max)
+        return isinstance(v, list) and all(numeric(x, depth - 1) for x in v)
+
+    if numeric(value, ndim):
+        try:
+            arr = np.asarray(value, dtype=float)
+        except ValueError:  # ragged nesting
+            arr = None
+        if arr is not None and arr.ndim == ndim:
+            return arr
+    kind = ("a number", "a list of numbers", "a list of lists of numbers")[ndim]
+    errors.append(f"{where} must be {kind}")
+    return None
 
 
 def _parse_jumps(obj, errors, where) -> AtomicJumps | None:
@@ -135,12 +162,15 @@ def _parse_jumps(obj, errors, where) -> AtomicJumps | None:
         return None
     points, rates = [], []
     for i, atom in enumerate(atoms):
-        got = _take(atom, {"point": None, "rate": None}, errors, f"{where}.atoms[{i}]")
+        here = f"{where}.atoms[{i}]"
+        got = _take(atom, {"point": None, "rate": None}, errors, here)
         if "point" not in got or "rate" not in got:
-            errors.append(f"{where}.atoms[{i}] needs point and rate")
+            errors.append(f"{here} needs point and rate")
             return None
-        points.append(got["point"])
-        rates.append(got["rate"])
+        points.append(_numbers(got["point"], 1, errors, f"{here}.point"))
+        rates.append(_numbers(got["rate"], 0, errors, f"{here}.rate"))
+    if any(p is None for p in points) or any(r is None for r in rates):
+        return None
     try:
         return AtomicJumps(points, rates)
     except ValueError as exc:
@@ -153,12 +183,8 @@ def _parse_subordinator(obj, errors) -> SubordinatorSpec | None:
     if "drift" not in got:
         errors.append("subordinator.drift required")
         return None
-    try:
-        d = np.asarray(got["drift"], dtype=float)
-    except (TypeError, ValueError):
-        d = None
-    if d is None or d.ndim != 1:
-        errors.append("subordinator.drift must be a list of numbers")
+    d = _numbers(got["drift"], 1, errors, "subordinator.drift")
+    if d is None:
         return None
     jumps = _parse_jumps(got, errors, "subordinator")
     if jumps is None:
@@ -181,8 +207,15 @@ def _parse_subordinate(obj, errors, where="subordinate") -> LevyLaw | None:
     family = obj.get("family") if isinstance(obj, dict) else None
     if family == "brownian":
         got = _take(obj, {"family": None, "mu": None, "sigma": None}, errors, where)
+        if "mu" not in got or "sigma" not in got:
+            errors.append(f"{where}: brownian needs mu and sigma")
+            return None
+        mu = _numbers(got["mu"], 1, errors, f"{where}.mu")
+        sigma = _numbers(got["sigma"], 2, errors, f"{where}.sigma")
+        if mu is None or sigma is None:
+            return None
         try:
-            return BrownianMotion(got.get("mu", []), got.get("sigma", []))
+            return BrownianMotion(mu, sigma)
         except ValueError as exc:
             errors.append(f"{where}: {exc}")
             return None
@@ -249,12 +282,13 @@ def parse_config(text: str) -> ExperimentConfig:
                 errors, "theta_grid")
     grid = ThetaGridSpec(
         size=_number(got, "size", defaults.theta_grid.size, errors,
-                     "theta_grid.", minimum=1),
+                     "theta_grid.", minimum=1, maximum=MAX_ROWS),
         scale=_number(got, "scale", defaults.theta_grid.scale, errors,
                       "theta_grid."),
         grid_seed=_number(got, "grid_seed", defaults.theta_grid.grid_seed, errors,
                           "theta_grid.", minimum=0),
-        points=got.get("points"))
+        points=(None if got.get("points") is None else
+                _numbers(got["points"], 2, errors, "theta_grid.points")))
 
     mode = raw.get("mode", defaults.mode)
     if mode not in ("time1", "paths"):
@@ -264,7 +298,7 @@ def parse_config(text: str) -> ExperimentConfig:
         subordinate=subordinate,
         horizon=_number(raw, "horizon", defaults.horizon, errors),
         replicates=_number(raw, "replicates", defaults.replicates, errors,
-                           minimum=0),
+                           minimum=0, maximum=MAX_ROWS),
         theta_grid=grid, k=_number(raw, "k", defaults.k, errors), mode=mode)
     if errors:
         raise ConfigError(errors)
@@ -273,10 +307,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if T.dim != X.dim:
         raise ConfigError([f"subordinator dimension {T.dim} differs from "
                            f"subordinate dimension {X.dim}"])
-    try:
-        grid.build(2 * T.dim)
-    except ValueError as exc:
-        raise ConfigError([f"theta_grid: {exc}"]) from exc
+    if grid.points is not None and grid.points.shape[1] != 2 * T.dim:
+        raise ConfigError([f"theta_grid: theta grid points must have "
+                           f"{2 * T.dim} columns"])
     return config
 
 
@@ -296,14 +329,19 @@ def run_exponent(config: ExperimentConfig, out_dir: Path) -> Path:
     T, X = config.processes()
     n = T.dim
     grid = config.theta_grid.build(2 * n)
+    # rows per block: each block's (jumps x rows x n) temporaries stay
+    # within TIME_T_CHUNK x n values
+    block = max(1, TIME_T_CHUNK // max(1, T.jumps.points.shape[0]))
     out = out_dir / "exponent.csv"
     with out.open("w") as fp:
         cols = [f"theta_{j+1}" for j in range(2 * n)] + ["re", "im", "se"]
         fp.write(",".join(cols) + "\n")
-        for theta in grid:
-            val = weak_exponent(T, X, theta[:n], theta[n:])
-            row = [_fmt(v) for v in theta] + [_fmt(val.real), _fmt(val.imag), ""]
-            fp.write(",".join(row) + "\n")
+        for start in range(0, grid.shape[0], block):
+            thetas = grid[start : start + block]
+            vals = weak_exponent(T, X, thetas[:, :n], thetas[:, n:])
+            fp.writelines(
+                ",".join([*map(_fmt, theta), _fmt(val.real), _fmt(val.imag), ""])
+                + "\n" for theta, val in zip(thetas, vals))
     return out
 
 
@@ -407,6 +445,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config.seed = args.seed
         if args.replicates is not None:
+            if args.replicates > MAX_ROWS:
+                raise ConfigError([f"--replicates must be <= {MAX_ROWS}"])
             config.replicates = args.replicates
         args.out.mkdir(parents=True, exist_ok=True)
         if args.command == "exponent":

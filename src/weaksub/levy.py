@@ -46,8 +46,11 @@ class JumpMeasure:
         raise NotImplementedError
 
     def integrate(self, g: Callable[[Array], Array], rng=None, samples=10_000):
-        """(value, standard error) of the integral of g against the measure;
-        g maps an (m, dim) array of jump points to their m values."""
+        """(value, standard error) of the integral of g against the measure.
+
+        g maps a (k, dim) array of jump points to values of shape
+        (..., k), the jump axis last; value and standard error then have
+        shape (...), one per leading index (e.g. one per theta row)."""
         raise NotImplementedError
 
 
@@ -82,7 +85,8 @@ class AtomicJumps(JumpMeasure):
 
     def integrate(self, g, rng=None, samples=10_000):
         """Exact: sum_j rate_j g(x_j), with standard error 0."""
-        return self.rates @ g(self.points), 0.0
+        value = g(self.points) @ self.rates
+        return value, (np.zeros(value.shape) if np.ndim(value) else 0.0)
 
     def __repr__(self):
         return f"AtomicJumps(points={self.points!r}, rates={self.rates!r})"
@@ -121,27 +125,22 @@ class SamplableJumps(JumpMeasure):
         return out.reshape(size, self.dim)
 
     def integrate(self, g, rng=None, samples=10_000):
-        """Monte Carlo over `samples` draws: total mass times the sample
-        mean of g, with its standard error."""
+        """Monte Carlo over `samples` draws, shared by every leading index
+        of g's values: total mass times the sample mean of g, with its
+        standard error."""
         if rng is None:
             raise LevySpecError("an integral against a samplable jump measure "
                                 "is a Monte Carlo estimate and needs an rng")
         vals = g(self.sample(rng, samples))
         mass = self.total_mass
-        se = mass * float(np.sqrt((np.var(vals.real) + np.var(vals.imag)) / samples))
-        return mass * vals.mean(), se
+        se = mass * np.sqrt((np.var(vals.real, axis=-1)
+                             + np.var(vals.imag, axis=-1)) / samples)
+        return mass * vals.mean(axis=-1), (se if np.ndim(se) else float(se))
 
 
 # ---------------------------------------------------------------------------
 # Characteristic / Laplace exponents for the supported families
 # ---------------------------------------------------------------------------
-
-
-def _check_dim(name, vec, dim):
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (dim,):
-        raise LevySpecError(f"{name} has shape {vec.shape}, expected ({dim},)")
-    return vec
 
 
 def psd_factor(sigma: Array, tol: float = PSD_TOL) -> Array:
@@ -158,45 +157,68 @@ def psd_factor(sigma: Array, tol: float = PSD_TOL) -> Array:
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-def exponent_bm(mu, sigma, theta) -> complex:
-    """Characteristic exponent of Brownian motion with drift.
+def _theta_rows(theta, dim: int, dtype=float) -> Array:
+    """theta as an array of shape (..., dim): one frequency vector, or one
+    per row. Any other shape is a LevySpecError."""
+    theta = np.asarray(theta, dtype=dtype)
+    if theta.ndim == 0 or theta.shape[-1] != dim:
+        raise LevySpecError(f"theta has shape {theta.shape}, expected (..., {dim})")
+    return theta
 
-    i<mu, theta> - theta sigma theta' / 2.
+
+def _per_row(value, theta: Array):
+    """An exponent value as returned for theta: a Python complex when
+    theta is one vector, else the array of one value per row."""
+    return complex(value) if theta.ndim == 1 else value
+
+
+def _gaussian_exponent(mu: Array, sym: Array, theta: Array) -> Array:
+    """i<mu, theta> - theta sym theta' / 2 for each row of theta."""
+    return 1j * (theta @ mu) - 0.5 * np.sum((theta @ sym) * theta, axis=-1)
+
+
+def exponent_bm(mu, sigma, theta):
+    """Characteristic exponent of Brownian motion with drift,
+    i<mu, theta> - theta sigma theta' / 2, checking that sigma is PSD.
+
+    theta of shape (n,) gives a complex, (..., n) one value per row.
     """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    theta = np.asarray(theta, dtype=float)
     n = mu.shape[0]
-    if theta.shape != (n,) or sigma.shape != (n, n):
+    if sigma.shape != (n, n):
         raise LevySpecError("mu, sigma, theta dimensions disagree")
+    theta = _theta_rows(theta, n)
     sym = 0.5 * (sigma + sigma.T)
     if np.any(np.linalg.eigvalsh(sym) < -PSD_TOL):
         raise LevySpecError("sigma is not positive semidefinite")
-    return complex(1j * mu @ theta - 0.5 * theta @ sym @ theta)
+    return _per_row(_gaussian_exponent(mu, sym, theta), theta)
 
 
-def exponent_cpp(jumps: JumpMeasure, theta) -> complex:
+def exponent_cpp(jumps: JumpMeasure, theta):
     """Characteristic exponent of a compound Poisson process, uncompensated:
     sum_j rate_j (exp(i<theta, x_j>) - 1).
+
+    theta of shape (n,) gives a complex, (..., n) one value per row.
     """
-    theta = np.asarray(theta, dtype=float)
-    return complex(jumps.integrate(lambda x: np.exp(1j * (x @ theta)) - 1.0)[0])
+    theta = _theta_rows(theta, jumps.dim)
+    return _per_row(jumps.integrate(lambda x: np.exp(1j * (theta @ x.T)) - 1.0)[0],
+                   theta)
 
 
-def kac_stack_exponent(blocks: Sequence["LevyLaw"], theta) -> complex:
+def kac_stack_exponent(blocks: Sequence["LevyLaw"], theta):
     """Exponent of a stack of independent processes: sum of block exponents
     evaluated on the matching theta blocks.
+
+    theta of shape (n,) gives a complex, (..., n) one value per row.
     """
-    theta = np.asarray(theta, dtype=float)
-    dims = [b.dim for b in blocks]
-    if sum(dims) != theta.shape[0]:
-        raise LevySpecError("block dimensions do not sum to dim(theta)")
+    theta = _theta_rows(theta, sum(b.dim for b in blocks))
     total = 0.0 + 0.0j
     pos = 0
     for block in blocks:
-        total += block.exponent(theta[pos : pos + block.dim])
+        total += block.exponent(theta[..., pos : pos + block.dim])
         pos += block.dim
-    return total
+    return _per_row(total, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +235,9 @@ class LevyLaw:
 
     dim: int
 
-    def exponent(self, theta) -> complex:
-        """Characteristic exponent at frequency theta."""
+    def exponent(self, theta):
+        """Characteristic exponent at frequency theta: a complex for theta
+        of shape (dim,), an array of one value per row for (..., dim)."""
         raise NotImplementedError
 
     def sample(self, dt, rng: np.random.Generator, size: int = 1) -> Array:
@@ -255,14 +278,18 @@ class BrownianMotion(LevyLaw):
     def __init__(self, mu, sigma):
         self.mu = np.asarray(mu, dtype=float)
         sigma = np.asarray(sigma, dtype=float)
+        if self.mu.ndim != 1:
+            raise LevySpecError("mu must be a vector")
         self.dim = self.mu.shape[0]
         if sigma.shape != (self.dim, self.dim):
             raise LevySpecError("sigma must be square of order dim(mu)")
         self.sigma = 0.5 * (sigma + sigma.T)
         self._factor = psd_factor(self.sigma)
 
-    def exponent(self, theta) -> complex:
-        return exponent_bm(self.mu, self.sigma, theta)
+    def exponent(self, theta):
+        # sigma was symmetrised and checked PSD once, in __init__
+        theta = _theta_rows(theta, self.dim)
+        return _per_row(_gaussian_exponent(self.mu, self.sigma, theta), theta)
 
     def sample(self, dt, rng, size=1):
         dt = _durations(dt, size)
@@ -284,7 +311,7 @@ class CompoundPoisson(LevyLaw):
         self.jumps = jumps
         self.dim = jumps.dim
 
-    def exponent(self, theta) -> complex:
+    def exponent(self, theta):
         return exponent_cpp(self.jumps, theta)
 
     def sample(self, dt, rng, size=1):
@@ -308,7 +335,7 @@ class IndependentStack(LevyLaw):
         self.dims = tuple(b.dim for b in blocks)
         self.dim = sum(self.dims)
 
-    def exponent(self, theta) -> complex:
+    def exponent(self, theta):
         return kac_stack_exponent(self.blocks, theta)
 
     def sample(self, dt, rng, size=1):
@@ -348,15 +375,14 @@ class CharTriplet:
     def dim(self) -> int:
         return self.mu.shape[0]
 
-    def exponent(self, theta) -> complex:
+    def exponent(self, theta):
         return exponent_bm(self.mu, self.sigma, theta) + exponent_cpp(self.jumps, theta)
 
 
 def _atoms_inside_unit_ball_mean(jumps: JumpMeasure) -> Array:
     """integral of x over the closed unit ball against the jump measure;
     exact, so atomic jumps only."""
-    return jumps.integrate(
-        lambda x: x * (np.linalg.norm(x, axis=1) <= 1.0)[:, None])[0]
+    return jumps.integrate(lambda x: x.T * (np.linalg.norm(x, axis=1) <= 1.0))[0]
 
 
 def to_unit_ball_truncation(t: CharTriplet) -> CharTriplet:
@@ -396,26 +422,29 @@ def pure_drift(d) -> SubordinatorSpec:
     return SubordinatorSpec(d, ZeroJumps(d.shape[0]))
 
 
-def laplace_exponent(T: SubordinatorSpec, z) -> complex:
+def laplace_exponent(T: SubordinatorSpec, z):
     """Extended Laplace exponent <d, z> + sum_j rate_j (1 - exp(-<z, t_j>)),
-    for Re z >= 0 coordinatewise. Exact; atomic specs only (use
+    for Re z >= 0 coordinatewise: a complex for z of shape (n,), one
+    value per row for (..., n). Exact; atomic specs only (use
     laplace_exponent_mc for samplable measures).
     """
     return laplace_exponent_mc(T, z, None)[0]
 
 
 def laplace_exponent_mc(T: SubordinatorSpec, z, rng: np.random.Generator | None,
-                        samples: int = 10_000) -> tuple[complex, float]:
+                        samples: int = 10_000):
     """Laplace exponent with the jump integral from `T.jumps.integrate`:
     exact for atomic specs, Monte Carlo over `samples` draws otherwise.
 
-    Returns (estimate, standard error of the jump-integral part).
+    Returns (estimate, standard error of the jump-integral part): a
+    complex and a float for z of shape (n,); for (..., n), one estimate
+    and one standard error per row, all rows sharing the same draws.
     """
-    z = np.asarray(z, dtype=complex)
+    z = _theta_rows(z, T.dim, dtype=complex)
     if np.any(z.real < 0):
         raise LevySpecError("laplace_exponent requires Re(z) >= 0")
-    jump, se = T.jumps.integrate(lambda t: 1.0 - np.exp(-(t @ z)), rng, samples)
-    return complex(T.d @ z + jump), se
+    jump, se = T.jumps.integrate(lambda t: 1.0 - np.exp(-(z @ t.T)), rng, samples)
+    return _per_row(z @ T.d + jump, z), se
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levy import LevyLaw, LevySpecError
+from .levy import LevyLaw, LevySpecError, _theta_rows
 
 Array = np.ndarray
 
@@ -31,6 +31,11 @@ class OrderedTime:
     perm: Array
     deltas: Array
 
+    @property
+    def rank(self) -> Array:
+        """rank[..., j] is the position of coordinate j in its row's sort."""
+        return np.argsort(self.perm, axis=-1)
+
 
 def order_times(t) -> OrderedTime:
     """Sort a nonnegative time vector, or each row of an (m, n) array of
@@ -45,33 +50,41 @@ def order_times(t) -> OrderedTime:
                        deltas=deltas)
 
 
-def vector_time_exponent(psi: LevyLaw, t, theta) -> complex:
+def vector_time_exponent(psi: LevyLaw, t, theta):
     """Exponent of X at the vector time t:
 
     sum_k (t_(k) - t_(k-1)) * Psi(theta restricted to the coordinates
     whose times have not yet elapsed).
 
-    Invariant under the tie-breaking choice of the sort.
+    Invariant under the tie-breaking choice of the sort. t and theta
+    have shape (..., n) and broadcast against each other: one (n,) pair
+    gives a complex, else the result holds one value per broadcast row.
+    Gap k is one call of psi.exponent over every row, with theta masked
+    to the coordinates of rank >= k in that row's sort.
     """
-    theta = np.asarray(theta, dtype=float)
     ot = order_times(t)
-    n = ot.t.shape[0]
-    if theta.shape != (n,) or psi.dim != n:
+    n = psi.dim
+    theta = _theta_rows(theta, n)
+    if ot.t.shape[-1] != n:
         raise LevySpecError("theta, t and process dimensions disagree")
-    total = 0.0 + 0.0j
+    try:
+        shape = np.broadcast_shapes(ot.t.shape, theta.shape)
+    except ValueError as exc:
+        raise LevySpecError(f"time and theta rows do not broadcast: {exc}") from exc
+    rank = ot.rank
+    total = np.zeros(shape[:-1], dtype=complex)
     for k in range(n):
-        if ot.deltas[k] == 0.0:
-            continue
-        proj = np.zeros(n)
-        alive = ot.perm[k:]
-        proj[alive] = theta[alive]
-        total += ot.deltas[k] * psi.exponent(proj)
-    return total
+        gap = ot.deltas[..., k]
+        if np.count_nonzero(gap):
+            total += gap * psi.exponent(np.where(rank >= k, theta, 0.0))
+    return complex(total) if len(shape) == 1 else total
 
 
-def vector_time_cf(psi: LevyLaw, t, theta) -> complex:
-    """Characteristic function of X at the vector time t; modulus <= 1."""
-    return complex(np.exp(vector_time_exponent(psi, t, theta)))
+def vector_time_cf(psi: LevyLaw, t, theta):
+    """Characteristic function of X at the vector time t; modulus <= 1.
+    Shapes as in `vector_time_exponent`."""
+    value = np.exp(vector_time_exponent(psi, t, theta))
+    return complex(value) if np.ndim(value) == 0 else value
 
 
 def sample_subordinate_at(x: LevyLaw, t, rng: np.random.Generator,
@@ -100,7 +113,7 @@ def sample_subordinate_at(x: LevyLaw, t, rng: np.random.Generator,
         m = ot.t.shape[0]
     else:
         m = 1 if size is None else size
-    rank = np.argsort(ot.perm, axis=-1)  # position of each coordinate in the sort
+    rank = ot.rank
     out = np.zeros((m, n))
     for k in range(n):
         gap = ot.deltas[..., k]

@@ -22,6 +22,8 @@ from .levy import (
     LevySpecError,
     SamplableJumps,
     SubordinatorSpec,
+    _per_row,
+    _theta_rows,
     laplace_exponent,
     poisson_scatter,
 )
@@ -35,40 +37,55 @@ Array = np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def weak_exponent(T: SubordinatorSpec, X: LevyLaw, theta1, theta2) -> complex:
+def weak_exponent(T: SubordinatorSpec, X: LevyLaw, theta1, theta2):
     """Exponent of the joint weakly subordinated process (T, X(.)T):
 
     i<d, theta1> + (d (*) Psi_X)(theta2)
         + sum_j rate_j (exp(i<theta1, t_j>) * CF_{X(t_j)}(theta2) - 1).
 
-    Exact; atomic jump measures only (use weak_exponent_mc otherwise).
+    theta1 and theta2 of shape (n,) give a complex; of shape (..., n)
+    (broadcast against each other) one value per row. Exact; atomic
+    jump measures only (use weak_exponent_mc otherwise).
     """
     return weak_exponent_mc(T, X, theta1, theta2, None)[0]
 
 
+def _theta_pair(n: int, theta1, theta2) -> tuple[Array, Array]:
+    """theta1 and theta2 as (..., n) arrays broadcast to one shape."""
+    theta1, theta2 = _theta_rows(theta1, n), _theta_rows(theta2, n)
+    try:
+        return np.broadcast_arrays(theta1, theta2)
+    except ValueError as exc:
+        raise LevySpecError(f"theta1 and theta2 rows do not broadcast: {exc}") from exc
+
+
 def weak_exponent_mc(T: SubordinatorSpec, X: LevyLaw, theta1, theta2,
                      rng: np.random.Generator | None,
-                     samples: int = 10_000) -> tuple[complex, float]:
+                     samples: int = 10_000):
     """Weak exponent with the jump integral from `T.jumps.integrate`:
     exact for atomic jump measures, Monte Carlo over `samples` draws
     otherwise.
 
-    Returns (estimate, standard error of the jump-integral part).
+    Returns (estimate, standard error of the jump-integral part): a
+    complex and a float for theta of shape (n,); for (..., n), one
+    estimate and one standard error per row, all rows sharing the same
+    draws (so row i equals the single-theta call with an rng in the
+    same state). Every jump is evaluated against every row in one
+    `vector_time_exponent` call, so temporaries hold jumps x rows x n
+    values (`samples` jumps for a Monte Carlo estimate): pass a large
+    grid in blocks of rows.
     """
-    theta1 = np.asarray(theta1, dtype=float)
-    theta2 = np.asarray(theta2, dtype=float)
-    n = T.dim
-    if theta1.shape != (n,) or theta2.shape != (n,) or X.dim != n:
+    if X.dim != T.dim:
         raise LevySpecError("theta1, theta2, T and X dimensions disagree")
+    theta1, theta2 = _theta_pair(T.dim, theta1, theta2)
 
-    def jump_term(t):
-        psi = np.array([vector_time_exponent(X, ti, theta2) for ti in t],
-                       dtype=complex)
-        return np.exp(1j * (t @ theta1) + psi) - 1.0
+    def jump_term(t):  # (k, n) jumps -> (..., k)
+        psi = vector_time_exponent(X, t, theta2[..., None, :])
+        return np.exp(1j * (theta1 @ t.T) + psi) - 1.0
 
     jump, se = T.jumps.integrate(jump_term, rng, samples)
-    drift = 1j * complex(T.d @ theta1) + vector_time_exponent(X, T.d, theta2)
-    return complex(drift + jump), se
+    drift = 1j * (theta1 @ T.d) + vector_time_exponent(X, T.d, theta2)
+    return _per_row(drift + jump, theta1), se
 
 
 def weak_drift_component(T: SubordinatorSpec, X: LevyLaw, reps: int,
@@ -157,22 +174,22 @@ def stacked_subordinator(R: SubordinatorSpec, stack: StackEmbedding) -> Subordin
 
 
 def stacked_strong_exponent(R: SubordinatorSpec, stack: StackEmbedding,
-                            Y: list[LevyLaw], theta1, theta2) -> complex:
+                            Y: list[LevyLaw], theta1, theta2):
     """Closed-form exponent of (T, X o T) under stacked univariate
     subordination: -Lambda_R(z) with
     z_m = -i <theta1 block m, ones> - Psi_{Y_m}(theta2 block m).
+
+    theta1 and theta2 of shape (n,) give a complex; of shape (..., n)
+    one value per row.
     """
-    theta1 = np.asarray(theta1, dtype=float)
-    theta2 = np.asarray(theta2, dtype=float)
     if R.dim != stack.d or len(Y) != stack.d:
         raise LevySpecError("embedding, subordinator and block list disagree")
-    if theta1.shape != (stack.n,) or theta2.shape != (stack.n,):
-        raise LevySpecError("theta dimensions differ from the stack total")
-    z = np.empty(stack.d, dtype=complex)
+    theta1, theta2 = _theta_pair(stack.n, theta1, theta2)
+    z = np.empty(theta1.shape[:-1] + (stack.d,), dtype=complex)
     for m, sl in enumerate(stack.block_slices()):
         if Y[m].dim != stack.dims[m]:
             raise LevySpecError(f"block {m} law has wrong dimension")
-        z[m] = -1j * theta1[sl].sum() - Y[m].exponent(theta2[sl])
+        z[..., m] = -1j * theta1[..., sl].sum(axis=-1) - Y[m].exponent(theta2[..., sl])
     if np.any(z.real < -1e-12):
         raise LevySpecError("Re(z) < 0; block exponent has positive real part")
     z.real = np.clip(z.real, 0.0, None)
@@ -371,7 +388,9 @@ def simulate_weak(T: SubordinatorSpec, X: LevyLaw, horizon: float,
                       drift_part=drift_part, horizon=horizon)
 
 
-TIME_T_CHUNK = 8192  # rows per batch of the time-t samplers; bounds their temporaries
+# Rows per batch of the time-t samplers, and (jumps x theta rows) per block
+# of `weaksub exponent`; bounds their temporaries.
+TIME_T_CHUNK = 8192
 
 
 def _clock_at(T: SubordinatorSpec, t: float, out: Array,

@@ -361,8 +361,7 @@ def equality_in_law_suite(scenario: str, config: SuiteConfig,
     n = T.dim
     grid = config.theta_grid.build(2 * n)
 
-    target = np.array([np.exp(weak_exponent(T, X, th[:n], th[n:]))
-                       for th in grid], dtype=complex)
+    target = np.exp(weak_exponent(T, X, grid[:, :n], grid[:, n:]))
     strong_samples = simulate_strong_at(T, X, 1.0, config.n_paths, rng)
     weak_samples = simulate_weak_at(T, X, 1.0, config.n_paths, rng)
     strong_rep = cf_compare(strong_samples, target, grid, config.k)
@@ -375,14 +374,11 @@ def equality_in_law_suite(scenario: str, config: SuiteConfig,
 
     if scenario == "stacked_C3" and extras:
         theta_rng = np.random.default_rng(config.theta_grid.grid_seed + 1)
-        max_diff = 0.0
-        for _ in range(EXACT_CHECK_THETAS):
-            th = theta_rng.standard_normal(2 * n)
-            exact = stacked_strong_exponent(extras["R"], extras["embedding"],
-                                            extras["blocks"], th[:n], th[n:])
-            weak = weak_exponent(T, X, th[:n], th[n:])
-            max_diff = max(max_diff, abs(exact - weak))
-        report.exact_exponent_max_diff = max_diff
+        th = theta_rng.standard_normal((EXACT_CHECK_THETAS, 2 * n))
+        exact = stacked_strong_exponent(extras["R"], extras["embedding"],
+                                        extras["blocks"], th[:, :n], th[:, n:])
+        weak = weak_exponent(T, X, th[:, :n], th[:, n:])
+        report.exact_exponent_max_diff = float(np.abs(exact - weak).max())
 
     if scenario == "negative_control":
         report.negative_control_max_ratio = strong_rep.max_ratio

@@ -3,7 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from weaksub.cli import ConfigError, main, parse_config, run_exponent, run_simulate
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from weaksub.cli import (
+    ConfigError,
+    ExperimentConfig,
+    main,
+    parse_config,
+    run_exponent,
+    run_simulate,
+)
+from weaksub.verify import SCENARIOS
 
 
 MINIMAL = {"seed": 7, "scenario": "deterministic"}
@@ -185,6 +196,15 @@ BAD_CONFIGS = {
         "family": "brownian", "mu": [0, 0], "sigma": [[1, float("nan")], [0, 1]]}},
     "mu_minus_infinity": {**MINIMAL, "subordinate": {
         "family": "brownian", "mu": [float("-inf"), 0], "sigma": [[1, 0], [0, 1]]}},
+    # objects where numbers or lists of numbers belong
+    "points_object": {**MINIMAL, "theta_grid": {"points": {}}},
+    "mu_object": {**MINIMAL, "subordinate": {
+        "family": "brownian", "mu": {}, "sigma": [[1, 0], [0, 1]]}},
+    "point_object": {**MINIMAL, "subordinator": {
+        "drift": [0, 0], "atoms": [{"point": {}, "rate": 1.0}]}},
+    # row counts above MAX_ROWS
+    "size_too_large": {**MINIMAL, "theta_grid": {"size": 10**12}},
+    "replicates_too_large": {**MINIMAL, "replicates": 10**12},
 }
 
 
@@ -248,9 +268,67 @@ class TestMain:
                       flag, "-1"])
             assert exc.value.code == 2
 
+    def test_replicates_flag_above_max_rows(self, tmp_path, capsys):
+        from weaksub.cli import MAX_ROWS
+        cfg = write_config(tmp_path, MINIMAL)
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
+                     "--replicates", str(MAX_ROWS + 1), "--quiet"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid config"
+        assert not (tmp_path / "samples.csv").exists()
+
     def test_exponent_subcommand(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
         code = main(["exponent", "--config", str(cfg), "--out", str(tmp_path),
                      "--quiet"])
         assert code == 0
         assert (tmp_path / "exponent.csv").exists()
+
+
+# --- fuzzing: any JSON parses to a config or raises ConfigError -----------
+
+def _json_values():
+    scalars = (st.none() | st.booleans() | st.integers()
+               | st.floats(allow_nan=False, allow_infinity=False)
+               | st.text(max_size=4))
+    return st.recursive(
+        scalars,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+        max_leaves=10)
+
+
+def _config_like():
+    """Mostly schema-shaped configs, with any JSON value in any field."""
+    anything = _json_values()
+    num = st.integers(-3, 4) | st.floats(-3, 3) | anything
+    vec = st.lists(num, max_size=4) | anything
+    mat = st.lists(vec, max_size=4) | anything
+
+    def obj(fields):
+        return st.fixed_dictionaries({}, optional=fields) | anything
+
+    atoms = st.lists(obj({"point": vec, "rate": num}), max_size=3) | anything
+    law = st.deferred(lambda: obj({
+        "family": st.sampled_from(["brownian", "compound_poisson", "stack"])
+        | anything,
+        "mu": vec, "sigma": mat, "atoms": atoms,
+        "blocks": st.lists(law, max_size=2) | anything}))
+    return obj({
+        "seed": num, "scenario": st.sampled_from(SCENARIOS) | anything,
+        "subordinator": obj({"drift": vec, "atoms": atoms}),
+        "subordinate": law, "horizon": num, "replicates": num, "k": num,
+        "theta_grid": obj({"size": num, "scale": num, "grid_seed": num,
+                           "points": mat}),
+        "mode": st.sampled_from(["time1", "paths"]) | anything})
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_config_like())
+def test_any_json_parses_or_raises_config_error(obj):
+    try:
+        cfg = parse_config(json.dumps(obj))
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)

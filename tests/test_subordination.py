@@ -78,12 +78,18 @@ class TestWeakExponent:
         est, se = ws.weak_exponent_mc(T, X, [0.0, 0.0], [1.0, 1.0],
                                       np.random.default_rng(5), samples=5000)
         assert se > 0
-        # oracle: quadrature of the atomic integrand over the exponential law
-        from scipy import integrate
-        def integrand(t1, t2):
-            val = np.exp(ws.vector_time_exponent(X, [t1, t2], [1.0, 1.0]))
-            return (val.real - 1.0) * np.exp(-t1 - t2)
-        exact, _ = integrate.dblquad(integrand, 0, 30, 0, 30)
+        # oracle: quadrature of the atomic integrand over the exponential
+        # law. The integrand has a kink at t1 = t2 and is smooth on either
+        # side; on the side t_a <= t_b write t_a = x / 2, t_b = t_a + y,
+        # whose density is e^{-x} e^{-y} / 2, and use a tensor
+        # Gauss-Laguerre rule in (x, y), all nodes in one array call.
+        x, w = np.polynomial.laguerre.laggauss(60)
+        lo = np.repeat(x / 2, x.size)
+        hi = lo + np.tile(x, x.size)
+        nodes = np.vstack([np.column_stack([lo, hi]), np.column_stack([hi, lo])])
+        weights = np.tile(np.outer(w, w).ravel() / 2, 2)
+        vals = np.exp(ws.vector_time_exponent(X, nodes, [1.0, 1.0])).real - 1.0
+        exact = weights @ vals
         assert abs(est - exact) <= 4 * se
 
 
