@@ -44,12 +44,10 @@ from .prm import (
     DiagonalGaussianMark,
     ExpTimeDecayFunctional,
     PointMassMark,
-    PointSet,
     UniformBoxMark,
     laplace_functional_analytic,
     laplace_functional_mc,
     marked_laplace_check,
-    simulate_prm,
 )
 from .subordination import (
     PathRecord,

@@ -52,8 +52,9 @@ from .verify import (
 )
 
 PURPOSES = {"exponent": 0, "simulate": 1, "verify": 2}
-# Largest theta_grid.size and replicates: verify holds 2 x replicates x 2n
-# floats, and exponent builds its whole grid before evaluating it in blocks.
+# Largest theta_grid.size and replicates, and expected subordinator jumps
+# per replicate: verify holds 2 x replicates x 2n floats, and exponent builds
+# its whole grid before evaluating it in blocks.
 MAX_ROWS = 10_000_000
 
 
@@ -307,6 +308,10 @@ def parse_config(text: str) -> ExperimentConfig:
     if T.dim != X.dim:
         raise ConfigError([f"subordinator dimension {T.dim} differs from "
                            f"subordinate dimension {X.dim}"])
+    if T.jumps.total_mass * config.horizon > MAX_ROWS:
+        raise ConfigError([f"horizon: {config.horizon:g} x the subordinator's jump "
+                           f"rate {T.jumps.total_mass:g} expects more than "
+                           f"{MAX_ROWS} jumps per replicate"])
     if grid.points is not None and grid.points.shape[1] != 2 * T.dim:
         raise ConfigError([f"theta_grid: theta grid points must have "
                            f"{2 * T.dim} columns"])

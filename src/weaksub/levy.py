@@ -272,6 +272,17 @@ def poisson_scatter(counts: Array, values: Array) -> Array:
     return out
 
 
+def poisson_draws(mean, sample: Callable[[np.random.Generator, int], Array],
+                  size: int, rng: np.random.Generator) -> tuple[Array, Array]:
+    """`size` independent Poisson windows: counts of shape (size,), row i
+    Poisson(mean) (or Poisson(mean[i]) for `mean` of shape (size,)), then
+    all counts.sum() points in one `sample(rng, k)` call, row 0's first.
+    So `poisson_scatter(counts, g(points))` sums g over each window.
+    """
+    counts = rng.poisson(mean, size=size)
+    return counts, sample(rng, int(counts.sum()))
+
+
 class BrownianMotion(LevyLaw):
     """Brownian motion with drift mu and covariance sigma (per unit time)."""
 
@@ -315,11 +326,8 @@ class CompoundPoisson(LevyLaw):
         return exponent_cpp(self.jumps, theta)
 
     def sample(self, dt, rng, size=1):
-        counts = rng.poisson(self.jumps.total_mass * _durations(dt, size), size=size)
-        total = int(counts.sum())
-        if not total:
-            return np.zeros((size, self.dim))
-        return poisson_scatter(counts, self.jumps.sample(rng, total))
+        mean = self.jumps.total_mass * _durations(dt, size)
+        return poisson_scatter(*poisson_draws(mean, self.jumps.sample, size, rng))
 
     def __repr__(self):
         return f"CompoundPoisson({self.jumps!r})"

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, stats
 
-from .levy import LevyLaw, LevySpecError, SubordinatorSpec, poisson_scatter
+from .levy import (LevyLaw, LevySpecError, SubordinatorSpec, poisson_draws,
+                   poisson_scatter)
 from .ordered_time import sample_subordinate_at
-from .subordination import simulate_subordinator
+from .subordination import _jump_windows
 
 Array = np.ndarray
 
@@ -96,36 +97,6 @@ class DiagonalGaussianMark(MarkDistribution):
         std = np.asarray(self.std, dtype=float)
         return float(np.prod(stats.norm.cdf(hi, mean, std)
                              - stats.norm.cdf(lo, mean, std)))
-
-
-# ---------------------------------------------------------------------------
-# Point sets and simulation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PointSet:
-    """Finitely many (time, mark) points on the window (0, horizon]."""
-
-    times: Array   # (m,), sorted ascending
-    marks: Array   # (m, k)
-    horizon: float
-
-    def count_in(self, t_lo: float, t_hi: float) -> int:
-        return int(np.sum((self.times > t_lo) & (self.times <= t_hi)))
-
-
-def simulate_prm(rate: float, marks: MarkDistribution, horizon: float,
-                 rng: np.random.Generator) -> PointSet:
-    """Poisson point process on (0, horizon] with i.i.d. marks: count is
-    Poisson(rate * horizon), times uniform given the count, sorted.
-    """
-    if rate < 0 or not np.isfinite(rate):
-        raise LevySpecError("rate must be finite and nonnegative")
-    count = int(rng.poisson(rate * horizon)) if rate > 0 else 0
-    times = np.sort(rng.uniform(0.0, horizon, size=count))
-    mk = marks.sample(rng, count) if count else np.zeros((0, marks.dim))
-    return PointSet(times=times, marks=mk, horizon=horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -222,20 +193,33 @@ def laplace_functional_analytic(rate: float, marks: MarkDistribution,
     return float(np.exp(-f.intensity_integral(rate, marks, horizon)))
 
 
+def _check_window(horizon: float, reps: int) -> None:
+    if not horizon > 0:
+        raise LevySpecError("horizon must be positive")
+    if reps < 2:
+        raise LevySpecError("reps must be at least 2 for a standard error")
+
+
+def _mean_se(vals: Array) -> tuple[float, float]:
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
+
+
 def laplace_functional_mc(rate: float, marks: MarkDistribution, horizon: float,
                           f: Functional, reps: int,
                           rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo mean of the product of e^{-f} over the points of
-    `reps` independent simulations; returns (estimate, standard error).
+    `reps` independent Poisson(rate * horizon) windows, times uniform
+    and marks i.i.d.; returns (estimate, standard error).
     """
-    counts = rng.poisson(rate * horizon, size=reps) if rate > 0 else np.zeros(reps, int)
-    total = int(counts.sum())
-    sums = np.zeros(reps)
-    if total:
-        times = rng.uniform(0.0, horizon, size=total)
-        sums = poisson_scatter(counts, f.evaluate(times, marks.sample(rng, total)))
-    prods = np.exp(-sums)
-    return float(prods.mean()), float(prods.std(ddof=1) / np.sqrt(reps))
+    if rate < 0 or not np.isfinite(rate):
+        raise LevySpecError("rate must be finite and nonnegative")
+    _check_window(horizon, reps)
+
+    def f_values(rng, k):  # f at k uniform times with i.i.d. marks
+        return f.evaluate(rng.uniform(0.0, horizon, size=k), marks.sample(rng, k))
+
+    sums = poisson_scatter(*poisson_draws(rate * horizon, f_values, reps, rng))
+    return _mean_se(np.exp(-sums))
 
 
 # ---------------------------------------------------------------------------
@@ -272,27 +256,25 @@ def marked_laplace_check(T: SubordinatorSpec, X: LevyLaw, f, horizon: float,
     unbiased because marks are conditionally independent given the jumps.
 
     f is called as f(time, jump_vector, mark_vector) -> nonnegative float,
-    vectorized over leading axes is not required.
+    once per point; vectorized over leading axes is not required. Each
+    side draws the jumps of all `reps` windows at once and all their
+    marks in one `sample_subordinate_at` call.
     """
-    lhs_vals = np.empty(reps)
-    rhs_vals = np.empty(reps)
-    for r in range(reps):
-        sub = simulate_subordinator(T, horizon, rng)
-        total = 0.0
-        for s, jump in zip(sub.times, sub.sizes):
-            mark = sample_subordinate_at(X, jump, rng)
-            total += f(s, jump, mark)
-        lhs_vals[r] = np.exp(-total)
+    _check_window(horizon, reps)
 
-        sub = simulate_subordinator(T, horizon, rng)
-        prod = 1.0
-        for s, jump in zip(sub.times, sub.sizes):
-            marks = sample_subordinate_at(X, jump, rng, size=inner)
-            prod *= np.mean([np.exp(-f(s, jump, m)) for m in marks])
-        rhs_vals[r] = prod
-    return MarkedCheckResult(
-        lhs=float(lhs_vals.mean()),
-        lhs_se=float(lhs_vals.std(ddof=1) / np.sqrt(reps)),
-        rhs=float(rhs_vals.mean()),
-        rhs_se=float(rhs_vals.std(ddof=1) / np.sqrt(reps)),
-    )
+    def f_at(times, jumps, marks):
+        return np.array([f(s, jump, mark) for s, jump, mark
+                         in zip(times, jumps, marks)], dtype=float)
+
+    counts, times, jumps = _jump_windows(T, horizon, reps, rng)
+    sums = poisson_scatter(counts, f_at(times, jumps,
+                                        sample_subordinate_at(X, jumps, rng)))
+    lhs = _mean_se(np.exp(-sums))
+
+    counts, times, jumps = _jump_windows(T, horizon, reps, rng)
+    times, jumps = np.repeat(times, inner), np.repeat(jumps, inner, axis=0)
+    inner_means = np.exp(-f_at(times, jumps, sample_subordinate_at(X, jumps, rng)))
+    inner_means = inner_means.reshape(-1, inner).mean(axis=1)
+    with np.errstate(divide="ignore"):  # a zero mean makes the product 0
+        rhs = _mean_se(np.exp(poisson_scatter(counts, np.log(inner_means))))
+    return MarkedCheckResult(*lhs, *rhs)

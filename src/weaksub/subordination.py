@@ -25,6 +25,7 @@ from .levy import (
     _per_row,
     _theta_rows,
     laplace_exponent,
+    poisson_draws,
     poisson_scatter,
 )
 from .ordered_time import sample_subordinate_at, vector_time_exponent
@@ -297,22 +298,36 @@ class SubordinatorJumps:
         return out
 
 
-def simulate_subordinator(T: SubordinatorSpec, horizon: float,
-                          rng: np.random.Generator) -> SubordinatorJumps:
-    """Exact finite-activity simulation: Poisson(total mass * horizon)
-    many jumps at i.i.d. uniform times, sizes i.i.d. from the normalized
-    jump measure, drift d between jumps.
-    """
+def _jump_windows(T: SubordinatorSpec, horizon: float, size: int,
+                  rng: np.random.Generator) -> tuple[Array, Array, Array]:
+    """`size` independent windows (0, horizon] of T's jumps: the jump
+    count of each, Poisson(total mass * horizon), then the times (i.i.d.
+    uniform, unsorted) and sizes (i.i.d. from the normalized measure) of
+    all jumps, window 0's first."""
     if horizon <= 0:
         raise LevySpecError("horizon must be positive")
     mass = T.jumps.total_mass
     if not np.isfinite(mass):
         raise LevySpecError("subordinator must have finite activity; "
                             "truncate small jumps first")
-    count = int(rng.poisson(mass * horizon)) if mass > 0 else 0
-    times = np.sort(rng.uniform(0.0, horizon, size=count))
-    sizes = T.jumps.sample(rng, count) if count else np.zeros((0, T.dim))
-    return SubordinatorJumps(times=times, sizes=sizes, d=T.d, horizon=horizon)
+
+    def jumps(rng, k):  # (k, 1 + n): time, then size
+        return np.column_stack([rng.uniform(0.0, horizon, size=k),
+                                T.jumps.sample(rng, k)])
+
+    counts, points = poisson_draws(mass * horizon, jumps, size, rng)
+    return counts, points[:, 0], points[:, 1:]
+
+
+def simulate_subordinator(T: SubordinatorSpec, horizon: float,
+                          rng: np.random.Generator) -> SubordinatorJumps:
+    """Exact finite-activity simulation: Poisson(total mass * horizon)
+    many jumps at i.i.d. uniform times, sizes i.i.d. from the normalized
+    jump measure, drift d between jumps.
+    """
+    _, times, sizes = _jump_windows(T, horizon, 1, rng)
+    return SubordinatorJumps(times=np.sort(times), sizes=sizes, d=T.d,
+                             horizon=horizon)
 
 
 def _event_grid(jump_times: Array, horizon: float, sample_times) -> Array:
@@ -338,17 +353,10 @@ def simulate_strong(T: SubordinatorSpec, X: LevyLaw, horizon: float,
     events = _event_grid(sub.times, horizon, sample_times)
     n = T.dim
     tvals = sub.values_at(events)                      # (m, n)
-    clock = np.unique(tvals[tvals > 0.0])
-    xpath = np.zeros((len(clock) + 1, n))              # row 0 is clock time 0
-    prev = 0.0
-    for i, u in enumerate(clock):
-        xpath[i + 1] = xpath[i] + X.sample(u - prev, rng, 1)[0]
-        prev = u
-    clock_with0 = np.concatenate([[0.0], clock])
-    zvals = np.empty_like(tvals)
-    for j in range(n):
-        idx = np.searchsorted(clock_with0, tvals[:, j])
-        zvals[:, j] = xpath[idx, j]
+    clock = np.concatenate([[0.0], np.unique(tvals[tvals > 0.0])])
+    steps = X.sample(np.diff(clock), rng, len(clock) - 1)
+    xpath = np.cumsum(np.vstack([np.zeros(n), steps]), axis=0)  # X at clock
+    zvals = xpath[np.searchsorted(clock, tvals), np.arange(n)]
     drift_part = np.concatenate([T.d, np.zeros(n)])
     return PathRecord(event_times=events, values=np.hstack([tvals, zvals]),
                       drift_part=drift_part, horizon=horizon)
@@ -370,19 +378,14 @@ def simulate_weak(T: SubordinatorSpec, X: LevyLaw, horizon: float,
     n = T.dim
     tvals = sub.values_at(events)
 
-    marks = np.zeros((len(sub.times), n))
-    for i, jump in enumerate(sub.sizes):
-        marks[i] = sample_subordinate_at(X, jump, rng)
+    marks = sample_subordinate_at(X, sub.sizes, rng)
     mark_csum = np.vstack([np.zeros(n), np.cumsum(marks, axis=0)])
     zvals = mark_csum[np.searchsorted(sub.times, events, side="right")]
 
     if np.any(T.d > 0):
-        v = np.zeros(n)
-        prev = 0.0
-        for i, t in enumerate(events):
-            v = v + sample_subordinate_at(X, T.d * (t - prev), rng)
-            zvals[i] += v
-            prev = t
+        gaps = np.diff(events, prepend=0.0)
+        zvals += np.cumsum(sample_subordinate_at(X, np.outer(gaps, T.d), rng),
+                           axis=0)
     drift_part = np.concatenate([T.d, np.zeros(n)])
     return PathRecord(event_times=events, values=np.hstack([tvals, zvals]),
                       drift_part=drift_part, horizon=horizon)
@@ -404,9 +407,8 @@ def _clock_at(T: SubordinatorSpec, t: float, out: Array,
         raise LevySpecError("horizon must be positive")
     for start in range(0, out.shape[0], TIME_T_CHUNK):
         rows = out[start : start + TIME_T_CHUNK]
-        counts = rng.poisson(T.jumps.total_mass * t, size=rows.shape[0])
-        total = int(counts.sum())
-        jumps = T.jumps.sample(rng, total) if total else np.zeros((0, T.dim))
+        counts, jumps = poisson_draws(T.jumps.total_mass * t, T.jumps.sample,
+                                      rows.shape[0], rng)
         rows[:, : T.dim] = t * T.d + poisson_scatter(counts, jumps)
         yield rows, counts, jumps
 

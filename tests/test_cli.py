@@ -205,6 +205,9 @@ BAD_CONFIGS = {
     # row counts above MAX_ROWS
     "size_too_large": {**MINIMAL, "theta_grid": {"size": 10**12}},
     "replicates_too_large": {**MINIMAL, "replicates": 10**12},
+    # more than MAX_ROWS expected subordinator jumps per replicate
+    "horizon_too_large": {"seed": 1, "scenario": "finite_activity_C1",
+                          "horizon": 1e300, "replicates": 10},
 }
 
 
@@ -275,6 +278,14 @@ class TestMain:
                      "--replicates", str(MAX_ROWS + 1), "--quiet"])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "invalid config"
+        assert not (tmp_path / "samples.csv").exists()
+
+    def test_simulate_horizon_beyond_max_rows_jumps(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BAD_CONFIGS["horizon_too_large"])
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
+                     "--quiet"])
+        assert code == 2
+        assert "horizon" in json.loads(capsys.readouterr().err)["details"][0]
         assert not (tmp_path / "samples.csv").exists()
 
     def test_exponent_subcommand(self, tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weaksub as ws
+from weaksub.levy import poisson_draws, poisson_scatter
 
 
 class TestExponentBM:
@@ -54,6 +55,34 @@ class TestExponentCPP:
         assert ws.ZeroJumps(2).sample(rng, 0).shape == (0, 2)
         with pytest.raises(ws.LevySpecError):
             ws.ZeroJumps(2).sample(rng, 1)
+
+
+class TestPoissonDraws:
+    def test_shapes_and_one_point_per_count(self):
+        jumps = ws.AtomicJumps([[1.0, 0.0], [0.0, 2.0]], [1.0, 3.0])
+        counts, points = poisson_draws(2.5, jumps.sample, 100,
+                                       np.random.default_rng(0))
+        assert counts.shape == (100,)
+        assert points.shape == (counts.sum(), 2)
+        assert counts.sum() > 0
+        # scattering g(points) sums g over each window
+        sums = poisson_scatter(counts, np.ones(len(points)))
+        assert np.array_equal(sums, counts)
+
+    def test_per_row_mean(self):
+        mean = np.array([0.0, 5.0, 50.0])
+        counts, points = poisson_draws(mean, lambda rng, k: rng.uniform(size=k),
+                                       3, np.random.default_rng(1))
+        assert counts[0] == 0 and counts[2] > counts[1] > 0
+        assert points.shape == (counts.sum(),)
+
+    def test_zero_mean_draws_nothing(self):
+        rng = np.random.default_rng(2)
+        state = rng.bit_generator.state
+        counts, points = poisson_draws(0.0, ws.ZeroJumps(3).sample, 10, rng)
+        assert np.array_equal(counts, np.zeros(10))
+        assert points.shape == (0, 3)
+        assert rng.bit_generator.state == state
 
 
 class TestKacStack:

@@ -8,37 +8,8 @@ def unit_mark():
     return ws.PointMassMark((0.0,))
 
 
-class TestSimulatePRM:
-    def test_zero_rate_empty(self):
-        ps = ws.simulate_prm(0.0, unit_mark(), 1.0, np.random.default_rng(0))
-        assert len(ps.times) == 0
-
-    def test_mean_count(self):
-        rng = np.random.default_rng(1)
-        reps = 10**4
-        counts = [len(ws.simulate_prm(2.0, unit_mark(), 1.0, rng).times)
-                  for _ in range(reps)]
-        se = np.std(counts, ddof=1) / np.sqrt(reps)
-        assert abs(np.mean(counts) - 2.0) <= 4 * se
-
-    def test_times_sorted(self):
-        ps = ws.simulate_prm(20.0, unit_mark(), 1.0, np.random.default_rng(2))
-        assert np.all(np.diff(ps.times) >= 0)
-        assert np.all((ps.times > 0) & (ps.times <= 1.0))
-
-    def test_disjoint_window_counts_uncorrelated(self):
-        rng = np.random.default_rng(3)
-        reps = 10**4
-        a = np.empty(reps)
-        b = np.empty(reps)
-        for r in range(reps):
-            ps = ws.simulate_prm(3.0, unit_mark(), 1.0, rng)
-            a[r] = ps.count_in(0.0, 0.5)
-            b[r] = ps.count_in(0.5, 1.0)
-        prod = (a - a.mean()) * (b - b.mean())
-        corr = prod.mean() / (a.std() * b.std())
-        corr_se = prod.std(ddof=1) / (a.std() * b.std()) / np.sqrt(reps)
-        assert abs(corr) <= 4 * corr_se
+def correlated_bm():
+    return ws.BrownianMotion([0, 0], [[1, 0.5], [0.5, 1]])
 
 
 class TestLaplaceFunctionalAnalytic:
@@ -116,6 +87,16 @@ class TestCampbellIdentity:
         est, se = ws.laplace_functional_mc(3.0, mark, 1.0, f, 4 * 10**4, rng)
         assert abs(est - target) <= 4 * max(se, 1e-12)
 
+    @pytest.mark.parametrize("rate,horizon,reps", [
+        (-1.0, 1.0, 100), (np.nan, 1.0, 100), (np.inf, 1.0, 100),
+        (2.0, 0.0, 100), (2.0, -1.0, 100), (2.0, 1.0, 1), (2.0, 1.0, 0),
+    ])
+    def test_bad_arguments_raise(self, rate, horizon, reps):
+        with pytest.raises(ws.LevySpecError):
+            ws.laplace_functional_mc(rate, unit_mark(), horizon,
+                                     ws.ConstantFunctional(1.0), reps,
+                                     np.random.default_rng(0))
+
     def test_separable_time_decay_quadrature(self):
         rng = np.random.default_rng(8)
         f = ws.ExpTimeDecayFunctional(c=1.2, alpha=0.7)
@@ -129,7 +110,7 @@ class TestMarkedLaplaceCheck:
     def test_weak_subordination_kernel_identity(self):
         # marked-point-process identity for the common-jump configuration
         T = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1, 1]], [1.0]))
-        X = ws.BrownianMotion([0, 0], [[1, 0.5], [0.5, 1]])
+        X = correlated_bm()
 
         def f(time, jump, mark):
             inside = (time <= 0.8) and np.all(np.abs(mark) <= 1.0)
@@ -139,3 +120,42 @@ class TestMarkedLaplaceCheck:
                                          rng=np.random.default_rng(9))
         assert result.lhs_se > 0 and result.rhs_se > 0
         assert result.within(4.0), (result.lhs, result.rhs, result.combined_se)
+
+    def test_pure_drift_has_no_jumps(self):
+        # no rep has a jump, so both products are empty: exactly 1, se 0
+        T = ws.pure_drift([1.0, 0.5])
+        result = ws.marked_laplace_check(T, correlated_bm(), lambda *a: 1.0,
+                                         horizon=1.0, reps=50,
+                                         rng=np.random.default_rng(10))
+        assert (result.lhs, result.lhs_se, result.rhs, result.rhs_se) == (1, 0, 1, 0)
+
+    def test_infinite_functional_on_a_mark_box(self):
+        # f = inf on the quadrant B = {mark > 0}: with inner = 2 an inner
+        # mean is 0 whenever both inner marks land in B, and the product is
+        # then 0. Both sides estimate P(no mark in B) = exp(-rate * p) with
+        # p = P(X(1, 1) in B) = 1/4 + arcsin(1/2) / (2 pi) = 1/3.
+        T = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1, 1]], [3.0]))
+
+        def f(time, jump, mark):
+            return np.inf if mark[0] > 0 and mark[1] > 0 else 0.0
+
+        result = ws.marked_laplace_check(T, correlated_bm(), f, horizon=1.0,
+                                         reps=4000, rng=np.random.default_rng(11),
+                                         inner=2)
+        for est, se in ((result.lhs, result.lhs_se), (result.rhs, result.rhs_se)):
+            assert abs(est - np.exp(-1.0)) <= 4 * se, (est, se)
+
+        # with f = inf everywhere and 50 jumps expected, every product is 0
+        result = ws.marked_laplace_check(
+            ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1, 1]], [50.0])),
+            correlated_bm(), lambda *a: np.inf, horizon=1.0, reps=20,
+            rng=np.random.default_rng(12), inner=2)
+        assert (result.lhs, result.lhs_se, result.rhs, result.rhs_se) == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("horizon,reps", [(0.0, 100), (-1.0, 100), (1.0, 1)])
+    def test_bad_arguments_raise(self, horizon, reps):
+        T = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1, 1]], [1.0]))
+        with pytest.raises(ws.LevySpecError):
+            ws.marked_laplace_check(T, correlated_bm(), lambda *a: 0.0,
+                                    horizon=horizon, reps=reps,
+                                    rng=np.random.default_rng(0))

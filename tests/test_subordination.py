@@ -214,6 +214,27 @@ class TestSimulateSubordinator:
         vals = sub.values_at(np.linspace(0, 3, 50))
         assert np.all(np.diff(vals, axis=0) >= -1e-12)
 
+    def test_times_sorted(self):
+        T = ws.SubordinatorSpec(np.zeros(1), ws.AtomicJumps([[1.0]], [20.0]))
+        sub = ws.simulate_subordinator(T, 1.0, np.random.default_rng(2))
+        assert np.all(np.diff(sub.times) >= 0)
+        assert np.all((sub.times > 0) & (sub.times <= 1.0))
+
+    def test_disjoint_window_counts_uncorrelated(self):
+        T = ws.SubordinatorSpec(np.zeros(1), ws.AtomicJumps([[1.0]], [3.0]))
+        rng = np.random.default_rng(3)
+        reps = 10**4
+        a = np.empty(reps)
+        b = np.empty(reps)
+        for r in range(reps):
+            times = ws.simulate_subordinator(T, 1.0, rng).times
+            a[r] = np.sum(times <= 0.5)
+            b[r] = np.sum(times > 0.5)
+        prod = (a - a.mean()) * (b - b.mean())
+        corr = prod.mean() / (a.std() * b.std())
+        corr_se = prod.std(ddof=1) / (a.std() * b.std()) / np.sqrt(reps)
+        assert abs(corr) <= 4 * corr_se
+
 
 class TestSimulateStrong:
     def test_identity_time_change(self):
