@@ -10,7 +10,6 @@ results relating the two subordination operations.
 from .levy import (
     AtomicJumps,
     BrownianMotion,
-    CharTriplet,
     CompoundPoisson,
     IndependentStack,
     JumpMeasure,
@@ -18,21 +17,13 @@ from .levy import (
     LevySpecError,
     SamplableJumps,
     SubordinatorSpec,
-    ValidationReport,
     ZeroJumps,
-    exponent_bm,
-    exponent_cpp,
-    from_unit_ball_truncation,
-    kac_stack_exponent,
     laplace_exponent,
     laplace_exponent_mc,
     pure_drift,
-    to_unit_ball_truncation,
-    validate_triplet,
     zero_process,
 )
 from .ordered_time import (
-    OrderedTime,
     order_times,
     sample_subordinate_at,
     vector_time_cf,
@@ -62,7 +53,6 @@ from .subordination import (
     stacked_subordinator,
     truncate_jump_density,
     truncated_gamma_subordinator,
-    weak_drift_component,
     weak_exponent,
     weak_exponent_mc,
 )

@@ -31,9 +31,9 @@ from .levy import (
     CompoundPoisson,
     IndependentStack,
     LevyLaw,
+    LevySpecError,
     SubordinatorSpec,
     ZeroJumps,
-    validate_triplet,
 )
 from .subordination import (
     TIME_T_CHUNK,
@@ -41,20 +41,20 @@ from .subordination import (
     simulate_strong_at,
     simulate_weak,
     simulate_weak_at,
-    weak_exponent,
 )
 from .verify import (
     SCENARIOS,
     SuiteConfig,
     ThetaGridSpec,
     equality_in_law_suite,
+    grid_exponent,
     scenario_processes,
 )
 
 PURPOSES = {"exponent": 0, "simulate": 1, "verify": 2}
-# Largest theta_grid.size and replicates, and expected subordinator jumps
-# per replicate: verify holds 2 x replicates x 2n floats, and exponent builds
-# its whole grid before evaluating it in blocks.
+# Largest theta_grid.size and replicates, and expected subordinator and
+# subordinate jumps per replicate: verify holds 2 x replicates x 2n floats,
+# and exponent builds its whole grid before evaluating it in blocks.
 MAX_ROWS = 10_000_000
 
 
@@ -188,20 +188,11 @@ def _parse_subordinator(obj, errors) -> SubordinatorSpec | None:
     if d is None:
         return None
     jumps = _parse_jumps(got, errors, "subordinator")
-    if jumps is None:
-        jumps = ZeroJumps(d.shape[0])
-    elif jumps.dim != d.shape[0]:
-        errors.append("subordinator atom dimension differs from drift")
+    try:
+        return SubordinatorSpec(d, ZeroJumps(d.shape[0]) if jumps is None else jumps)
+    except ValueError as exc:
+        errors.append(f"subordinator: {exc}")
         return None
-    spec = SubordinatorSpec(d, jumps)
-    report = validate_triplet(spec)
-    if not report.valid:
-        for v in report:
-            errors.append(f"subordinator: orthant violation ({v})"
-                          if "orthant" in v or "negative" in v
-                          else f"subordinator: {v}")
-        return None
-    return spec
 
 
 def _parse_subordinate(obj, errors, where="subordinate") -> LevyLaw | None:
@@ -238,6 +229,13 @@ def _parse_subordinate(obj, errors, where="subordinate") -> LevyLaw | None:
         return IndependentStack(blocks)
     errors.append(f"{where}.family must be brownian, compound_poisson or stack")
     return None
+
+
+def _jump_rate(X: LevyLaw) -> float:
+    """Total jump rate of a subordinate law, a stack's blocks summed."""
+    if isinstance(X, IndependentStack):
+        return sum(_jump_rate(b) for b in X.blocks)
+    return X.jumps.total_mass if isinstance(X, CompoundPoisson) else 0.0
 
 
 TOP_LEVEL_KEYS = {"seed", "scenario", "subordinator", "subordinate", "horizon",
@@ -312,6 +310,14 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError([f"horizon: {config.horizon:g} x the subordinator's jump "
                            f"rate {T.jumps.total_mass:g} expects more than "
                            f"{MAX_ROWS} jumps per replicate"])
+    # Python floats: a product beyond the float range is inf, not a warning
+    rate = _jump_rate(X)
+    reach = (float(np.max(T.d, initial=0.0)) + T.jumps.total_mass
+             * float(np.max(T.jumps.points, initial=0.0)))
+    if rate > 0 and rate * config.horizon * reach > MAX_ROWS:
+        raise ConfigError([f"subordinate: jump rate {rate:g} x horizon x the "
+                           f"subordinator's reach {reach:g} expects more than "
+                           f"{MAX_ROWS} jumps per replicate"])
     if grid.points is not None and grid.points.shape[1] != 2 * T.dim:
         raise ConfigError([f"theta_grid: theta grid points must have "
                            f"{2 * T.dim} columns"])
@@ -338,15 +344,19 @@ def run_exponent(config: ExperimentConfig, out_dir: Path) -> Path:
     # within TIME_T_CHUNK x n values
     block = max(1, TIME_T_CHUNK // max(1, T.jumps.points.shape[0]))
     out = out_dir / "exponent.csv"
-    with out.open("w") as fp:
-        cols = [f"theta_{j+1}" for j in range(2 * n)] + ["re", "im", "se"]
-        fp.write(",".join(cols) + "\n")
-        for start in range(0, grid.shape[0], block):
-            thetas = grid[start : start + block]
-            vals = weak_exponent(T, X, thetas[:, :n], thetas[:, n:])
-            fp.writelines(
-                ",".join([*map(_fmt, theta), _fmt(val.real), _fmt(val.imag), ""])
-                + "\n" for theta, val in zip(thetas, vals))
+    try:
+        with out.open("w") as fp:
+            cols = [f"theta_{j+1}" for j in range(2 * n)] + ["re", "im", "se"]
+            fp.write(",".join(cols) + "\n")
+            for start in range(0, grid.shape[0], block):
+                thetas = grid[start : start + block]
+                vals = grid_exponent(T, X, thetas)
+                fp.writelines(
+                    ",".join([*map(_fmt, theta), _fmt(val.real), _fmt(val.imag), ""])
+                    + "\n" for theta, val in zip(thetas, vals))
+    except LevySpecError as exc:  # a non-finite exponent: no partial table
+        out.unlink()
+        raise ConfigError([f"theta_grid: {exc}"]) from exc
     return out
 
 
@@ -395,11 +405,15 @@ def run_verify(config: ExperimentConfig, out_dir: Path, quiet: bool = False) -> 
         raise ConfigError(errors)
     suite_config = SuiteConfig(n_paths=config.replicates, k=config.k,
                                theta_grid=config.theta_grid)
-    report = equality_in_law_suite(config.scenario, suite_config,
-                                   stream(config.seed, "verify"),
-                                   T=config.subordinator, X=config.subordinate)
+    try:
+        report = equality_in_law_suite(config.scenario, suite_config,
+                                       stream(config.seed, "verify"),
+                                       T=config.subordinator, X=config.subordinate)
+    except LevySpecError as exc:  # a non-finite exact exponent on the grid
+        raise ConfigError([f"theta_grid: {exc}"]) from exc
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(json.dumps(report.to_dict(), indent=2))
+    (out_dir / "report.json").write_text(
+        json.dumps(report.to_dict(), indent=2, allow_nan=False))
     (out_dir / "summary.txt").write_text(report.summary() + "\n")
     if not quiet:
         print(report.summary())

@@ -7,8 +7,7 @@ uncompensated form of the jump integral
     sum_j rate_j * (exp(i<theta, x_j>) - 1)
 
 is always finite and is the internal convention: the drift field is the
-total drift of the continuous part. Conversion helpers to and from the
-unit-ball-truncated triplet are provided.
+total drift of the continuous part.
 """
 from __future__ import annotations
 
@@ -18,7 +17,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 PSD_TOL = 1e-10
-REAL_PART_TOL = 1e-10
 
 Array = np.ndarray
 
@@ -139,7 +137,7 @@ class SamplableJumps(JumpMeasure):
 
 
 # ---------------------------------------------------------------------------
-# Characteristic / Laplace exponents for the supported families
+# Subordinate laws (exactly samplable at arbitrary times)
 # ---------------------------------------------------------------------------
 
 
@@ -170,60 +168,6 @@ def _per_row(value, theta: Array):
     """An exponent value as returned for theta: a Python complex when
     theta is one vector, else the array of one value per row."""
     return complex(value) if theta.ndim == 1 else value
-
-
-def _gaussian_exponent(mu: Array, sym: Array, theta: Array) -> Array:
-    """i<mu, theta> - theta sym theta' / 2 for each row of theta."""
-    return 1j * (theta @ mu) - 0.5 * np.sum((theta @ sym) * theta, axis=-1)
-
-
-def exponent_bm(mu, sigma, theta):
-    """Characteristic exponent of Brownian motion with drift,
-    i<mu, theta> - theta sigma theta' / 2, checking that sigma is PSD.
-
-    theta of shape (n,) gives a complex, (..., n) one value per row.
-    """
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    n = mu.shape[0]
-    if sigma.shape != (n, n):
-        raise LevySpecError("mu, sigma, theta dimensions disagree")
-    theta = _theta_rows(theta, n)
-    sym = 0.5 * (sigma + sigma.T)
-    if np.any(np.linalg.eigvalsh(sym) < -PSD_TOL):
-        raise LevySpecError("sigma is not positive semidefinite")
-    return _per_row(_gaussian_exponent(mu, sym, theta), theta)
-
-
-def exponent_cpp(jumps: JumpMeasure, theta):
-    """Characteristic exponent of a compound Poisson process, uncompensated:
-    sum_j rate_j (exp(i<theta, x_j>) - 1).
-
-    theta of shape (n,) gives a complex, (..., n) one value per row.
-    """
-    theta = _theta_rows(theta, jumps.dim)
-    return _per_row(jumps.integrate(lambda x: np.exp(1j * (theta @ x.T)) - 1.0)[0],
-                   theta)
-
-
-def kac_stack_exponent(blocks: Sequence["LevyLaw"], theta):
-    """Exponent of a stack of independent processes: sum of block exponents
-    evaluated on the matching theta blocks.
-
-    theta of shape (n,) gives a complex, (..., n) one value per row.
-    """
-    theta = _theta_rows(theta, sum(b.dim for b in blocks))
-    total = 0.0 + 0.0j
-    pos = 0
-    for block in blocks:
-        total += block.exponent(theta[..., pos : pos + block.dim])
-        pos += block.dim
-    return _per_row(total, theta)
-
-
-# ---------------------------------------------------------------------------
-# Subordinate laws (exactly samplable at arbitrary times)
-# ---------------------------------------------------------------------------
 
 
 class LevyLaw:
@@ -298,9 +242,11 @@ class BrownianMotion(LevyLaw):
         self._factor = psd_factor(self.sigma)
 
     def exponent(self, theta):
-        # sigma was symmetrised and checked PSD once, in __init__
+        """i<mu, theta> - theta sigma theta' / 2; sigma was symmetrised and
+        checked PSD once, in __init__."""
         theta = _theta_rows(theta, self.dim)
-        return _per_row(_gaussian_exponent(self.mu, self.sigma, theta), theta)
+        quad = np.sum((theta @ self.sigma) * theta, axis=-1)
+        return _per_row(1j * (theta @ self.mu) - 0.5 * quad, theta)
 
     def sample(self, dt, rng, size=1):
         dt = _durations(dt, size)
@@ -323,7 +269,10 @@ class CompoundPoisson(LevyLaw):
         self.dim = jumps.dim
 
     def exponent(self, theta):
-        return exponent_cpp(self.jumps, theta)
+        """Uncompensated: sum_j rate_j (exp(i<theta, x_j>) - 1)."""
+        theta = _theta_rows(theta, self.dim)
+        value, _ = self.jumps.integrate(lambda x: np.exp(1j * (theta @ x.T)) - 1.0)
+        return _per_row(value, theta)
 
     def sample(self, dt, rng, size=1):
         mean = self.jumps.total_mass * _durations(dt, size)
@@ -340,11 +289,17 @@ class IndependentStack(LevyLaw):
         if not blocks:
             raise LevySpecError("stack needs at least one block")
         self.blocks = tuple(blocks)
-        self.dims = tuple(b.dim for b in blocks)
-        self.dim = sum(self.dims)
+        self.dim = sum(b.dim for b in blocks)
 
     def exponent(self, theta):
-        return kac_stack_exponent(self.blocks, theta)
+        """Sum of the block exponents on the matching theta blocks."""
+        theta = _theta_rows(theta, self.dim)
+        total = 0.0 + 0.0j
+        pos = 0
+        for block in self.blocks:
+            total += block.exponent(theta[..., pos : pos + block.dim])
+            pos += block.dim
+        return _per_row(total, theta)
 
     def sample(self, dt, rng, size=1):
         return np.hstack([b.sample(dt, rng, size) for b in self.blocks])
@@ -359,66 +314,31 @@ def zero_process(dim: int) -> BrownianMotion:
 
 
 # ---------------------------------------------------------------------------
-# Characteristic triplets and subordinators
+# Subordinators
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CharTriplet:
-    """Characteristic triplet (drift, covariance, jump measure).
-
-    The drift is the total drift of the continuous part (uncompensated
-    jump convention); see `to_unit_ball_truncation`.
-    """
-
-    mu: Array
-    sigma: Array
-    jumps: JumpMeasure
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
-        object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
-
-    @property
-    def dim(self) -> int:
-        return self.mu.shape[0]
-
-    def exponent(self, theta):
-        return exponent_bm(self.mu, self.sigma, theta) + exponent_cpp(self.jumps, theta)
-
-
-def _atoms_inside_unit_ball_mean(jumps: JumpMeasure) -> Array:
-    """integral of x over the closed unit ball against the jump measure;
-    exact, so atomic jumps only."""
-    return jumps.integrate(lambda x: x.T * (np.linalg.norm(x, axis=1) <= 1.0))[0]
-
-
-def to_unit_ball_truncation(t: CharTriplet) -> CharTriplet:
-    """Re-express the drift for the unit-ball-truncated jump integral."""
-    return CharTriplet(t.mu + _atoms_inside_unit_ball_mean(t.jumps), t.sigma, t.jumps)
-
-
-def from_unit_ball_truncation(t: CharTriplet) -> CharTriplet:
-    """Inverse of `to_unit_ball_truncation`."""
-    return CharTriplet(t.mu - _atoms_inside_unit_ball_mean(t.jumps), t.sigma, t.jumps)
 
 
 @dataclass(frozen=True)
 class SubordinatorSpec:
     """Nonnegative drift plus a finite-activity jump measure on the
-    nonnegative orthant.
+    nonnegative orthant. A negative drift coordinate or an atom outside
+    the orthant is an orthant violation (LevySpecError); the atoms of a
+    samplable measure cannot be checked.
     """
 
     d: Array
     jumps: JumpMeasure
 
     def __post_init__(self):
-        # Orthant/sign violations are left to validate_triplet so they can
-        # be reported rather than raised.
         d = np.asarray(self.d, dtype=float)
         object.__setattr__(self, "d", d)
         if self.jumps.dim != d.shape[0]:
             raise LevySpecError("jump measure dimension differs from drift")
+        if np.any(d < 0):
+            raise LevySpecError("orthant violation: drift has a negative coordinate")
+        if isinstance(self.jumps, AtomicJumps) and np.any(self.jumps.points < 0):
+            raise LevySpecError("orthant violation: jump atom outside the "
+                                "nonnegative orthant")
 
     @property
     def dim(self) -> int:
@@ -453,45 +373,3 @@ def laplace_exponent_mc(T: SubordinatorSpec, z, rng: np.random.Generator | None,
         raise LevySpecError("laplace_exponent requires Re(z) >= 0")
     jump, se = T.jumps.integrate(lambda t: 1.0 - np.exp(-(z @ t.T)), rng, samples)
     return _per_row(z @ T.d + jump, z), se
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ValidationReport:
-    violations: list[str]
-
-    @property
-    def valid(self) -> bool:
-        return not self.violations
-
-    def __iter__(self):
-        return iter(self.violations)
-
-
-def validate_triplet(t: CharTriplet | SubordinatorSpec) -> ValidationReport:
-    """Check triplet/subordinator invariants, reporting rather than raising."""
-    violations: list[str] = []
-    if isinstance(t, SubordinatorSpec):
-        if np.any(t.d < 0):
-            violations.append("drift has a negative coordinate")
-        if isinstance(t.jumps, AtomicJumps) and np.any(t.jumps.points < 0):
-            violations.append("jump atom outside the nonnegative orthant")
-    else:
-        sym = 0.5 * (t.sigma + t.sigma.T)
-        if t.sigma.shape != (t.dim, t.dim):
-            violations.append("sigma is not square of order dim(mu)")
-        elif np.any(np.linalg.eigvalsh(sym) < -PSD_TOL):
-            violations.append("sigma is not positive semidefinite")
-    jumps = t.jumps
-    if isinstance(jumps, AtomicJumps):
-        if np.any(np.all(jumps.points == 0.0, axis=1)):
-            violations.append("jump atom at the origin")
-        if np.any(jumps.rates <= 0):
-            violations.append("nonpositive atom rate")
-    if not np.isfinite(jumps.total_mass):
-        violations.append("jump measure has infinite total mass")
-    return ValidationReport(violations)

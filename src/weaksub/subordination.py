@@ -9,7 +9,6 @@ X(t) whenever T jumps by t (weak).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,35 +86,6 @@ def weak_exponent_mc(T: SubordinatorSpec, X: LevyLaw, theta1, theta2,
     jump, se = T.jumps.integrate(jump_term, rng, samples)
     drift = 1j * (theta1 @ T.d) + vector_time_exponent(X, T.d, theta2)
     return _per_row(drift + jump, theta1), se
-
-
-def weak_drift_component(T: SubordinatorSpec, X: LevyLaw, reps: int,
-                         rng: np.random.Generator) -> tuple[Array, Array]:
-    """Drift of the weak-subordination triplet for driftless atomic T:
-
-    the integral of (t, x) over the closed 2n-dimensional unit ball
-    against the joint jump measure, estimated per atom by Monte Carlo
-    over x ~ law of X(t). Returns (estimate, per-coordinate SE), both
-    2n-vectors.
-    """
-    if np.any(T.d != 0):
-        raise LevySpecError("weak drift component requires a driftless subordinator")
-    n = T.dim
-    est = np.zeros(2 * n)
-    var = np.zeros(2 * n)
-    if not isinstance(T.jumps, AtomicJumps):
-        raise LevySpecError("weak drift component needs atomic jumps")
-    for point, rate in zip(T.jumps.points, T.jumps.rates):
-        tnorm2 = float(point @ point)
-        if tnorm2 > 1.0:
-            continue  # every support point (t, x) lies outside the ball
-        marks = sample_subordinate_at(X, point, rng, size=reps)
-        inside = tnorm2 + np.sum(marks**2, axis=1) <= 1.0
-        joint = np.hstack([np.broadcast_to(point, (reps, n)), marks])
-        contrib = joint * inside[:, None]
-        est += rate * contrib.mean(axis=0)
-        var += (rate**2) * contrib.var(axis=0) / reps
-    return est, np.sqrt(var)
 
 
 @dataclass(frozen=True)
@@ -223,21 +193,14 @@ class PathRecord:
     def dim(self) -> int:
         return self.values.shape[1] // 2
 
-    def value_at(self, t: float) -> Array:
-        return self.values_at(np.array([t]))[0]
-
     def values_at(self, times) -> Array:
         """State at each time; exact at event times and before the first
         event, drift-interpolated in between."""
         times = np.asarray(times, dtype=float)
-        idx = np.searchsorted(self.event_times, times, side="right") - 1
-        out = np.empty((times.shape[0], self.values.shape[1]))
-        for i, (t, j) in enumerate(zip(times, idx)):
-            if j < 0:
-                out[i] = self.drift_part * t
-            else:
-                out[i] = self.values[j] + self.drift_part * (t - self.event_times[j])
-        return out
+        idx = np.searchsorted(self.event_times, times, side="right")
+        values = np.vstack([np.zeros(self.values.shape[1]), self.values])
+        starts = np.concatenate([[0.0], self.event_times])
+        return values[idx] + np.outer(times - starts[idx], self.drift_part)
 
     def to_csv(self, fp) -> None:
         """Write columns time, T_1..T_n, Z_1..Z_n (one row per event)."""
@@ -246,31 +209,6 @@ class PathRecord:
         fp.write(",".join(header) + "\n")
         for t, row in zip(self.event_times, self.values):
             fp.write(",".join(repr(float(v)) for v in [t, *row]) + "\n")
-
-    def to_jsonl(self, fp) -> None:
-        """Header line with horizon/drift, then one JSON object per event."""
-        n = self.dim
-        fp.write(json.dumps({"horizon": self.horizon, "n": n,
-                             "drift_part": list(self.drift_part)}) + "\n")
-        for t, row in zip(self.event_times, self.values):
-            fp.write(json.dumps({"time": float(t), "T": list(row[:n]),
-                                 "Z": list(row[n:])}) + "\n")
-
-    @classmethod
-    def from_jsonl(cls, fp) -> "PathRecord":
-        head = json.loads(fp.readline())
-        times, values = [], []
-        for line in fp:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            times.append(rec["time"])
-            values.append(rec["T"] + rec["Z"])
-        n = head["n"]
-        return cls(event_times=np.asarray(times, dtype=float),
-                   values=np.asarray(values, dtype=float).reshape(len(times), 2 * n),
-                   drift_part=np.asarray(head["drift_part"], dtype=float),
-                   horizon=float(head["horizon"]))
 
 
 # ---------------------------------------------------------------------------

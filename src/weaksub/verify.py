@@ -91,6 +91,19 @@ class ThetaGridSpec:
         return pts
 
 
+def grid_exponent(T: SubordinatorSpec, X: LevyLaw, grid) -> Array:
+    """weak_exponent at each row (theta1, theta2) of an (m, 2n) grid. A
+    value that is not finite, from a grid too large for floating point,
+    is a LevySpecError, so no NaN reaches a table or a report."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = weak_exponent(T, X, grid[:, : T.dim], grid[:, T.dim :])
+    bad = ~np.isfinite(psi)
+    if np.any(bad):
+        raise LevySpecError(f"the exact exponent is not finite at {bad.sum()} of "
+                            f"{len(psi)} theta grid points")
+    return psi
+
+
 def default_theta_grid(dim: int) -> Array:
     """The default ECF grid in `dim` dimensions."""
     return ThetaGridSpec().build(dim)
@@ -361,7 +374,7 @@ def equality_in_law_suite(scenario: str, config: SuiteConfig,
     n = T.dim
     grid = config.theta_grid.build(2 * n)
 
-    target = np.exp(weak_exponent(T, X, grid[:, :n], grid[:, n:]))
+    target = np.exp(grid_exponent(T, X, grid))
     strong_samples = simulate_strong_at(T, X, 1.0, config.n_paths, rng)
     weak_samples = simulate_weak_at(T, X, 1.0, config.n_paths, rng)
     strong_rep = cf_compare(strong_samples, target, grid, config.k)

@@ -134,17 +134,9 @@ class TestStackedAndLaplaceRows:
         assert se.shape == (M,) and np.all(se == 0)
 
     def test_exponent_cpp_and_stack_free_functions(self):
-        cpp, stack = LAWS["cpp"], LAWS["stack"]
         th = thetas(10)
-        assert_rows(ws.exponent_cpp(cpp.jumps, th),
-                    [ws.exponent_cpp(cpp.jumps, row) for row in th])
-        assert_rows(ws.kac_stack_exponent(stack.blocks, th),
-                    [ws.kac_stack_exponent(stack.blocks, row) for row in th])
-        bm = LAWS["bm"]
-        assert_rows(ws.exponent_bm(bm.mu, bm.sigma, th),
-                    [bm.exponent(row) for row in th])
-        triplet = ws.CharTriplet(bm.mu, bm.sigma, cpp.jumps)
-        assert_rows(triplet.exponent(th), [triplet.exponent(row) for row in th])
+        for law in (LAWS["cpp"], LAWS["stack"], LAWS["bm"]):
+            assert_rows(law.exponent(th), [law.exponent(row) for row in th])
 
 
 class TestMonteCarloRows:
@@ -217,4 +209,4 @@ class TestShapeErrors:
         with pytest.raises(ws.LevySpecError):
             ws.laplace_exponent(R, np.ones((3, 3)))
         with pytest.raises(ws.LevySpecError):
-            ws.exponent_cpp(R.jumps, np.ones((3, 1)))
+            ws.CompoundPoisson(R.jumps).exponent(np.ones((3, 1)))

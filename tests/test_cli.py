@@ -103,6 +103,18 @@ class TestRunExponent:
         b = run_exponent(cfg, tmp_path).read_bytes()
         assert a == b
 
+    def test_non_finite_exponent_exit_2_without_table(self, tmp_path, capsys):
+        # the first row is fine, the second overflows the exact exponent
+        cfg = write_config(tmp_path, {**MINIMAL, "theta_grid": {
+            "points": [[0, 0, 1, 1], [0, 0, 1e200, 1e200]]}})
+        code = main(["exponent", "--config", str(cfg), "--out", str(tmp_path),
+                     "--quiet"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid config"
+        assert "not finite at 1 of 2" in err["details"][0]
+        assert not (tmp_path / "exponent.csv").exists()
+
 
 class TestRunSimulate:
     def test_zero_subordinate_zero_columns(self, tmp_path):
@@ -135,7 +147,8 @@ class TestRunSimulate:
         grid = ws.default_theta_grid(2)
         rep = ws.cf_compare(
             data[:, 2:],
-            lambda th: np.exp(ws.exponent_bm([0, 0], [[1, 0.5], [0.5, 1]], th)),
+            lambda th: np.exp(ws.BrownianMotion([0, 0], [[1, 0.5], [0.5, 1]])
+                              .exponent(th)),
             grid)
         assert rep.passed, rep.summary()
 
@@ -167,9 +180,20 @@ class TestRunSimulate:
         assert len(files) == 3
         assert files[0].read_text().startswith("time,T_1,T_2,Z_1,Z_2")
 
+    @pytest.mark.parametrize("kind", ["weak", "strong"])
+    def test_paths_rerun_byte_identical(self, tmp_path, kind):
+        cfg = parse_config(json.dumps({"seed": 5, "scenario": "finite_activity_C1",
+                                       "replicates": 4, "horizon": 3.0,
+                                       "mode": "paths"}))
+        runs = [sorted(run_simulate(cfg, tmp_path / str(i), kind).glob("rep_*.csv"))
+                for i in range(2)]
+        assert len(runs[0]) == 4
+        assert [f.read_bytes() for f in runs[0]] == [f.read_bytes() for f in runs[1]]
+
 
 BROWNIAN_3D = {"family": "brownian", "mu": [0, 0, 0],
                "sigma": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+CPP_2D = {"family": "compound_poisson", "atoms": [{"point": [1.0, 0.0], "rate": 1.0}]}
 BAD_CONFIGS = {
     "seed_bool": {**MINIMAL, "seed": True},
     "seed_negative": {**MINIMAL, "seed": -1},
@@ -208,6 +232,17 @@ BAD_CONFIGS = {
     # more than MAX_ROWS expected subordinator jumps per replicate
     "horizon_too_large": {"seed": 1, "scenario": "finite_activity_C1",
                           "horizon": 1e300, "replicates": 10},
+    # more than MAX_ROWS expected subordinate jumps per replicate
+    "subordinator_drift_too_large": {**MINIMAL, "subordinate": CPP_2D,
+                                     "subordinator": {"drift": [1e300, 0.0]}},
+    "subordinator_atom_too_large": {**MINIMAL, "subordinate": CPP_2D, "subordinator": {
+        "drift": [0.0, 0.0], "atoms": [{"point": [1e300, 0.0], "rate": 1.0}]}},
+    "subordinate_rate_1e300": {**MINIMAL, "subordinate": {
+        "family": "compound_poisson", "atoms": [{"point": [1.0, 0.0], "rate": 1e300}]}},
+    "subordinate_rate_1e9": {**MINIMAL, "subordinate": {
+        "family": "compound_poisson", "atoms": [{"point": [1.0, 0.0], "rate": 1e9}]}},
+    # the exact exponent overflows on this grid
+    "grid_scale_1e200": {**MINIMAL, "theta_grid": {"scale": 1e200}},
 }
 
 
@@ -244,6 +279,16 @@ class TestMain:
         assert code == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["passed"] is True
+
+    def test_verify_rerun_report_byte_identical(self, tmp_path):
+        cfg = write_config(tmp_path, {"seed": 9, "scenario": "stacked_C3",
+                                      "replicates": 500})
+        for out in ("a", "b"):
+            main(["verify", "--config", str(cfg), "--out", str(tmp_path / out),
+                  "--quiet"])
+        report = (tmp_path / "a" / "report.json").read_bytes()
+        assert json.loads(report)["scenario"] == "stacked_C3"
+        assert report == (tmp_path / "b" / "report.json").read_bytes()
 
     def test_malformed_config_nonzero_exit(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -9,14 +9,15 @@ from weaksub.levy import poisson_draws, poisson_scatter
 
 class TestExponentBM:
     def test_standard_bm(self):
-        assert ws.exponent_bm([0, 0], np.eye(2), [1, 1]) == pytest.approx(-1.0)
+        bm = ws.BrownianMotion([0, 0], np.eye(2))
+        assert bm.exponent([1, 1]) == pytest.approx(-1.0)
 
     def test_origin(self):
-        assert ws.exponent_bm([1.5, -2], [[2, 1], [1, 2]], [0, 0]) == 0
+        assert ws.BrownianMotion([1.5, -2], [[2, 1], [1, 2]]).exponent([0, 0]) == 0
 
     def test_correlated_with_drift(self):
         # theta Sigma theta' = 1 + 2*0.5 + 1 = 3 by hand
-        val = ws.exponent_bm([1, 0], [[1, 0.5], [0.5, 1]], [1, 1])
+        val = ws.BrownianMotion([1, 0], [[1, 0.5], [0.5, 1]]).exponent([1, 1])
         assert val == pytest.approx(1j - 1.5)
 
     def test_correlated_with_drift_ecf_oracle(self):
@@ -29,27 +30,26 @@ class TestExponentBM:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ws.LevySpecError):
-            ws.exponent_bm([0, 0], np.eye(2), [1, 1, 1])
+            ws.BrownianMotion([0, 0], np.eye(2)).exponent([1, 1, 1])
 
     def test_non_psd_sigma(self):
         with pytest.raises(ws.LevySpecError):
-            ws.exponent_bm([0, 0], [[1, 2], [2, 1]], [1, 1])
+            ws.BrownianMotion([0, 0], [[1, 2], [2, 1]])
 
 
 class TestExponentCPP:
     def test_origin(self):
-        assert ws.exponent_cpp(ws.AtomicJumps([[1.0]], [1.0]), [0.0]) == 0
+        assert ws.CompoundPoisson(ws.AtomicJumps([[1.0]], [1.0])).exponent([0.0]) == 0
 
     def test_unit_jump_at_pi(self):
-        val = ws.exponent_cpp(ws.AtomicJumps([[1.0]], [1.0]), [np.pi])
+        val = ws.CompoundPoisson(ws.AtomicJumps([[1.0]], [1.0])).exponent([np.pi])
         assert val == pytest.approx(-2.0 + 0j, abs=1e-12)
 
     def test_linear_in_rate(self):
-        val = ws.exponent_cpp(ws.AtomicJumps([[1.0]], [2.0]), [np.pi])
+        val = ws.CompoundPoisson(ws.AtomicJumps([[1.0]], [2.0])).exponent([np.pi])
         assert val == pytest.approx(-4.0 + 0j, abs=1e-12)
 
     def test_zero_measure(self):
-        assert ws.exponent_cpp(ws.ZeroJumps(2), [1.0, 2.0]) == 0
         assert ws.ZeroJumps(2).integrate(lambda x: x[:, 0] + 1.0) == (0, 0.0)
         rng = np.random.default_rng(0)
         assert ws.ZeroJumps(2).sample(rng, 0).shape == (0, 2)
@@ -87,24 +87,25 @@ class TestPoissonDraws:
 
 class TestKacStack:
     def test_two_standard_bms(self):
-        blocks = [ws.BrownianMotion([0.0], [[1.0]]) for _ in range(2)]
-        assert ws.kac_stack_exponent(blocks, [1, 1]) == pytest.approx(-1.0)
-        assert ws.kac_stack_exponent(blocks, [0, 0]) == 0
+        stack = ws.IndependentStack([ws.BrownianMotion([0.0], [[1.0]])
+                                     for _ in range(2)])
+        assert stack.exponent([1, 1]) == pytest.approx(-1.0)
+        assert stack.exponent([0, 0]) == 0
 
     def test_bm_plus_poisson(self):
         blocks = [ws.BrownianMotion([0.0], [[1.0]]),
                   ws.CompoundPoisson(ws.AtomicJumps([[1.0]], [1.0]))]
-        val = ws.kac_stack_exponent(blocks, [0.0, np.pi])
+        val = ws.IndependentStack(blocks).exponent([0.0, np.pi])
         assert val == pytest.approx(-2.0 + 0j, abs=1e-12)
 
     def test_single_block_identity(self):
         bm = ws.BrownianMotion([0.3, -1.0], [[2, 0.4], [0.4, 1]])
         theta = np.array([0.7, -0.2])
-        assert ws.kac_stack_exponent([bm], theta) == bm.exponent(theta)
+        assert ws.IndependentStack([bm]).exponent(theta) == bm.exponent(theta)
 
     def test_dim_mismatch(self):
         with pytest.raises(ws.LevySpecError):
-            ws.kac_stack_exponent([ws.BrownianMotion([0.0], [[1.0]])], [1, 1])
+            ws.IndependentStack([ws.BrownianMotion([0.0], [[1.0]])]).exponent([1, 1])
 
 
 class TestLaplaceExponent:
@@ -138,7 +139,7 @@ class TestLaplaceExponent:
         # Lambda(-i theta) == -Psi_T(theta) for atomic subordinators
         T = ws.SubordinatorSpec(np.array([0.4, 0.0]),
                                 ws.AtomicJumps([[1, 2], [0.5, 0]], [0.7, 1.3]))
-        cpp = ws.exponent_cpp(T.jumps, np.array([0.9, -0.4]))
+        cpp = ws.CompoundPoisson(T.jumps).exponent(np.array([0.9, -0.4]))
         psi = 1j * (T.d @ np.array([0.9, -0.4])) + cpp
         lam = ws.laplace_exponent(T, -1j * np.array([0.9, -0.4]))
         assert abs(lam + psi) < 1e-10
@@ -159,51 +160,13 @@ class TestLaplaceExponent:
 
 
 class TestValidateTriplet:
-    def test_zero_triplet_valid(self):
-        t = ws.CharTriplet(np.zeros(2), np.zeros((2, 2)), ws.ZeroJumps(2))
-        assert ws.validate_triplet(t).valid
-
-    def test_non_psd_sigma_reported(self):
-        t = ws.CharTriplet(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]),
-                           ws.ZeroJumps(2))
-        report = ws.validate_triplet(t)
-        assert not report.valid
-        assert any("positive semidefinite" in v for v in report)
-
     def test_subordinator_orthant_violation(self):
-        T = ws.SubordinatorSpec(np.zeros(1), ws.AtomicJumps([[-1.0]], [1.0]))
-        report = ws.validate_triplet(T)
-        assert not report.valid
-        assert any("orthant" in v for v in report)
+        with pytest.raises(ws.LevySpecError, match="orthant"):
+            ws.SubordinatorSpec(np.zeros(1), ws.AtomicJumps([[-1.0]], [1.0]))
 
     def test_negative_drift_reported(self):
-        T = ws.SubordinatorSpec(np.array([-0.5]), ws.ZeroJumps(1))
-        assert not ws.validate_triplet(T).valid
-
-
-class TestTruncationConversion:
-    def test_roundtrip(self):
-        t = ws.CharTriplet(np.array([1.0, -1.0]), np.eye(2),
-                           ws.AtomicJumps([[0.3, 0.4], [2, 2]], [1.0, 0.5]))
-        back = ws.from_unit_ball_truncation(ws.to_unit_ball_truncation(t))
-        assert np.allclose(back.mu, t.mu)
-
-    def test_only_small_jumps_compensated(self):
-        t = ws.CharTriplet(np.zeros(1), np.zeros((1, 1)),
-                           ws.AtomicJumps([[0.5], [3.0]], [2.0, 1.0]))
-        conv = ws.to_unit_ball_truncation(t)
-        assert conv.mu[0] == pytest.approx(2.0 * 0.5)
-
-    def test_exponent_invariant_under_convention(self):
-        # both conventions must describe the same law
-        jumps = ws.AtomicJumps([[0.3, -0.2], [1.5, 0.5]], [1.0, 0.8])
-        t = ws.CharTriplet(np.array([0.2, 0.7]), np.eye(2), jumps)
-        conv = ws.to_unit_ball_truncation(t)
-        theta = np.array([0.9, -1.3])
-        compensated = (ws.exponent_bm(conv.mu, conv.sigma, theta)
-                       + ws.exponent_cpp(jumps, theta)
-                       - 1j * theta @ (conv.mu - t.mu))
-        assert abs(compensated - t.exponent(theta)) < 1e-12
+        with pytest.raises(ws.LevySpecError, match="orthant"):
+            ws.SubordinatorSpec(np.array([-0.5]), ws.ZeroJumps(1))
 
 
 @st.composite

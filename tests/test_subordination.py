@@ -93,51 +93,6 @@ class TestWeakExponent:
         assert abs(est - exact) <= 4 * se
 
 
-class TestWeakDriftComponent:
-    def test_atom_outside_ball_is_zero(self):
-        T = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1, 1]], [1.0]))
-        m, se = ws.weak_drift_component(T, correlated_bm(), 1000,
-                                        np.random.default_rng(0))
-        assert np.all(m == 0)
-
-    def test_zero_process_inside_ball(self):
-        T = ws.SubordinatorSpec(np.zeros(2),
-                                ws.AtomicJumps([[0.1, 0.1]], [1.0]))
-        m, se = ws.weak_drift_component(T, ws.zero_process(2), 1000,
-                                        np.random.default_rng(0))
-        assert np.allclose(m, [0.1, 0.1, 0, 0])
-
-    def test_empty_measure(self):
-        T = ws.SubordinatorSpec(np.zeros(2), ws.ZeroJumps(2))
-        m, se = ws.weak_drift_component(T, correlated_bm(), 100,
-                                        np.random.default_rng(0))
-        assert np.all(m == 0) and np.all(se == 0)
-
-    def test_nonzero_drift_rejected(self):
-        T = ws.pure_drift([1.0, 0.0])
-        with pytest.raises(ws.LevySpecError):
-            ws.weak_drift_component(T, correlated_bm(), 10,
-                                    np.random.default_rng(0))
-
-    def test_mc_matches_small_atom_oracle(self):
-        # atom t0 = (0.09, 0.16), X standard 1d-stack BM: the mark is
-        # N(0, diag(t0)); oracle by direct Gaussian integration (MC with
-        # a different construction)
-        T = ws.SubordinatorSpec(np.zeros(2),
-                                ws.AtomicJumps([[0.09, 0.16]], [2.0]))
-        X = ws.IndependentStack([ws.BrownianMotion([0.0], [[1.0]]),
-                                 ws.BrownianMotion([0.0], [[1.0]])])
-        m, se = ws.weak_drift_component(T, X, 200_000,
-                                        np.random.default_rng(1))
-        rng = np.random.default_rng(2)
-        y = rng.standard_normal((200_000, 2)) * np.sqrt([0.09, 0.16])
-        inside = 0.09**2 + 0.16**2 + (y**2).sum(axis=1) <= 1.0
-        oracle_t = 2.0 * np.array([0.09, 0.16]) * inside.mean()
-        oracle_y = 2.0 * (y * inside[:, None]).mean(axis=0)
-        assert np.all(np.abs(m[:2] - oracle_t) <= 4 * (se[:2] + 1e-4))
-        assert np.all(np.abs(m[2:] - oracle_y) <= 4 * (se[2:] + 1e-4))
-
-
 class TestStackedStrongExponent:
     def setup_method(self):
         self.emb = ws.StackEmbedding((1, 1))
@@ -401,15 +356,20 @@ class TestPathRecord:
         assert row[0] == path.event_times[0]
         assert np.all(row[1:] == path.values[0])
 
-    def test_jsonl_round_trip(self):
-        path = self._make_path()
-        buf = io.StringIO()
-        path.to_jsonl(buf)
-        buf.seek(0)
-        back = ws.PathRecord.from_jsonl(buf)
-        assert np.array_equal(back.event_times, path.event_times)
-        assert np.array_equal(back.values, path.values)
-        assert back.horizon == path.horizon
+    def test_values_at_hand_values(self):
+        # before the first event: drift x t; at an event: its value;
+        # between events: the last value plus drift x elapsed time
+        path = ws.PathRecord(event_times=np.array([1.0, 3.0]),
+                             values=np.array([[1.0, 1.0, 5.0, 6.0],
+                                              [2.0, 4.0, 7.0, 8.0]]),
+                             drift_part=np.array([0.5, 1.0, 0.0, 0.0]),
+                             horizon=4.0)
+        got = path.values_at([0.5, 1.0, 2.0, 3.0, 3.5])
+        assert np.array_equal(got, [[0.25, 0.5, 0.0, 0.0],
+                                    [1.0, 1.0, 5.0, 6.0],
+                                    [1.5, 2.0, 5.0, 6.0],
+                                    [2.0, 4.0, 7.0, 8.0],
+                                    [2.25, 4.5, 7.0, 8.0]])
 
 
 class TestTruncation:
