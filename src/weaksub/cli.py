@@ -37,6 +37,7 @@ from .levy import (
 )
 from .subordination import (
     TIME_T_CHUNK,
+    expected_jumps,
     simulate_strong,
     simulate_strong_at,
     simulate_weak,
@@ -231,13 +232,6 @@ def _parse_subordinate(obj, errors, where="subordinate") -> LevyLaw | None:
     return None
 
 
-def _jump_rate(X: LevyLaw) -> float:
-    """Total jump rate of a subordinate law, a stack's blocks summed."""
-    if isinstance(X, IndependentStack):
-        return sum(_jump_rate(b) for b in X.blocks)
-    return X.jumps.total_mass if isinstance(X, CompoundPoisson) else 0.0
-
-
 TOP_LEVEL_KEYS = {"seed", "scenario", "subordinator", "subordinate", "horizon",
                   "replicates", "theta_grid", "k", "mode"}
 
@@ -306,18 +300,15 @@ def parse_config(text: str) -> ExperimentConfig:
     if T.dim != X.dim:
         raise ConfigError([f"subordinator dimension {T.dim} differs from "
                            f"subordinate dimension {X.dim}"])
-    if T.jumps.total_mass * config.horizon > MAX_ROWS:
+    t_jumps, x_jumps = expected_jumps(T, X, config.horizon)
+    if t_jumps > MAX_ROWS:
         raise ConfigError([f"horizon: {config.horizon:g} x the subordinator's jump "
                            f"rate {T.jumps.total_mass:g} expects more than "
                            f"{MAX_ROWS} jumps per replicate"])
-    # Python floats: a product beyond the float range is inf, not a warning
-    rate = _jump_rate(X)
-    reach = (float(np.max(T.d, initial=0.0)) + T.jumps.total_mass
-             * float(np.max(T.jumps.points, initial=0.0)))
-    if rate > 0 and rate * config.horizon * reach > MAX_ROWS:
-        raise ConfigError([f"subordinate: jump rate {rate:g} x horizon x the "
-                           f"subordinator's reach {reach:g} expects more than "
-                           f"{MAX_ROWS} jumps per replicate"])
+    if x_jumps > MAX_ROWS:
+        raise ConfigError([f"subordinate: jump rate {X.jump_rate:g} x horizon x the "
+                           f"subordinator's reach expects {x_jumps:g} jumps per "
+                           f"replicate, more than {MAX_ROWS}"])
     if grid.points is not None and grid.points.shape[1] != 2 * T.dim:
         raise ConfigError([f"theta_grid: theta grid points must have "
                            f"{2 * T.dim} columns"])
@@ -331,6 +322,15 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _make_dir(path: Path) -> None:
+    """mkdir -p; a path that cannot be a directory (a file, or a path under
+    one) is a bad --out, so a ConfigError."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"--out: {exc}"]) from exc
 
 
 def run_exponent(config: ExperimentConfig, out_dir: Path) -> Path:
@@ -370,7 +370,7 @@ def run_simulate(config: ExperimentConfig, out_dir: Path,
     if config.mode == "paths":
         simulate = {"weak": simulate_weak, "strong": simulate_strong}[kind]
         out = out_dir / "paths"
-        out.mkdir(parents=True, exist_ok=True)
+        _make_dir(out)
         for r in range(config.replicates):
             path = simulate(T, X, config.horizon, stream(config.seed, "simulate", r),
                             sample_times=[config.horizon])
@@ -411,7 +411,7 @@ def run_verify(config: ExperimentConfig, out_dir: Path, quiet: bool = False) -> 
                                        T=config.subordinator, X=config.subordinate)
     except LevySpecError as exc:  # a non-finite exact exponent on the grid
         raise ConfigError([f"theta_grid: {exc}"]) from exc
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     (out_dir / "report.json").write_text(
         json.dumps(report.to_dict(), indent=2, allow_nan=False))
     (out_dir / "summary.txt").write_text(report.summary() + "\n")
@@ -467,7 +467,7 @@ def main(argv=None) -> int:
             if args.replicates > MAX_ROWS:
                 raise ConfigError([f"--replicates must be <= {MAX_ROWS}"])
             config.replicates = args.replicates
-        args.out.mkdir(parents=True, exist_ok=True)
+        _make_dir(args.out)
         if args.command == "exponent":
             out = run_exponent(config, args.out)
         elif args.command == "simulate":

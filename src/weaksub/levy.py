@@ -39,6 +39,12 @@ class JumpMeasure:
     def total_mass(self) -> float:
         raise NotImplementedError
 
+    @property
+    def largest_coordinate(self) -> float:
+        """Largest coordinate of any jump; inf when only a sampler knows
+        the jumps."""
+        return np.inf
+
     def sample(self, rng: np.random.Generator, size: int) -> Array:
         """Draw `size` i.i.d. jumps from the normalized measure."""
         raise NotImplementedError
@@ -71,6 +77,10 @@ class AtomicJumps(JumpMeasure):
     @property
     def total_mass(self) -> float:
         return float(self.rates.sum())
+
+    @property
+    def largest_coordinate(self) -> float:
+        return float(np.max(self.points, initial=0.0))
 
     def sample(self, rng: np.random.Generator, size: int) -> Array:
         if not self.rates.size:
@@ -179,6 +189,11 @@ class LevyLaw:
 
     dim: int
 
+    @property
+    def jump_rate(self) -> float:
+        """Expected jumps per unit time."""
+        raise NotImplementedError
+
     def exponent(self, theta):
         """Characteristic exponent at frequency theta: a complex for theta
         of shape (dim,), an array of one value per row for (..., dim)."""
@@ -241,6 +256,10 @@ class BrownianMotion(LevyLaw):
         self.sigma = 0.5 * (sigma + sigma.T)
         self._factor = psd_factor(self.sigma)
 
+    @property
+    def jump_rate(self) -> float:
+        return 0.0
+
     def exponent(self, theta):
         """i<mu, theta> - theta sigma theta' / 2; sigma was symmetrised and
         checked PSD once, in __init__."""
@@ -268,6 +287,10 @@ class CompoundPoisson(LevyLaw):
         self.jumps = jumps
         self.dim = jumps.dim
 
+    @property
+    def jump_rate(self) -> float:
+        return self.jumps.total_mass
+
     def exponent(self, theta):
         """Uncompensated: sum_j rate_j (exp(i<theta, x_j>) - 1)."""
         theta = _theta_rows(theta, self.dim)
@@ -290,6 +313,10 @@ class IndependentStack(LevyLaw):
             raise LevySpecError("stack needs at least one block")
         self.blocks = tuple(blocks)
         self.dim = sum(b.dim for b in blocks)
+
+    @property
+    def jump_rate(self) -> float:
+        return sum(b.jump_rate for b in self.blocks)
 
     def exponent(self, theta):
         """Sum of the block exponents on the matching theta blocks."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
 
 from .levy import (LevyLaw, LevySpecError, SubordinatorSpec, poisson_draws,
                    poisson_scatter)
@@ -93,6 +92,8 @@ class DiagonalGaussianMark(MarkDistribution):
         return mean + std * rng.standard_normal((size, self.dim))
 
     def box_prob(self, lo, hi):
+        from scipy import stats  # loaded here, so importing weaksub needs no scipy
+
         mean = np.asarray(self.mean, dtype=float)
         std = np.asarray(self.std, dtype=float)
         return float(np.prod(stats.norm.cdf(hi, mean, std)
@@ -176,6 +177,8 @@ class ExpTimeDecayFunctional(Functional):
         return self.c * np.exp(-self.alpha * times)
 
     def intensity_integral(self, rate, marks, horizon):
+        from scipy import integrate
+
         val, _ = integrate.quad(
             lambda t: -np.expm1(-self.c * np.exp(-self.alpha * t)), 0.0, horizon)
         return rate * val

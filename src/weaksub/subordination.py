@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .levy import (
     AtomicJumps,
@@ -332,19 +331,46 @@ def simulate_weak(T: SubordinatorSpec, X: LevyLaw, horizon: float,
 # Rows per batch of the time-t samplers, and (jumps x theta rows) per block
 # of `weaksub exponent`; bounds their temporaries.
 TIME_T_CHUNK = 8192
+# Expected jumps, T's and X's together, per batch of the time-t samplers: a
+# batch has fewer than TIME_T_CHUNK rows when its rows expect more jumps.
+MAX_BATCH_JUMPS = 2**20
 
 
-def _clock_at(T: SubordinatorSpec, t: float, out: Array,
+def expected_jumps(T: SubordinatorSpec, X: LevyLaw, t: float) -> tuple[float, float]:
+    """Upper bounds on the expected jumps in one draw of (T(t), Z(t)),
+    strong or weak: T's, total mass x t, and X's along T, its jump rate
+    x t x T's reach (largest drift coordinate + total mass x largest
+    jump coordinate). Python floats, so a product beyond the float range
+    is inf; X's is inf when it jumps and T's jumps are known only
+    through a sampler."""
+    t = float(t)
+    rate = X.jump_rate
+    reach = (float(np.max(T.d, initial=0.0))
+             + T.jumps.total_mass * T.jumps.largest_coordinate)
+    return T.jumps.total_mass * t, (rate * t * reach if rate > 0 else 0.0)
+
+
+def _batch_rows(T: SubordinatorSpec, X: LevyLaw, t: float) -> int:
+    """TIME_T_CHUNK, or fewer rows (one at least) when that many rows
+    expect more than MAX_BATCH_JUMPS jumps."""
+    per_row = sum(expected_jumps(T, X, t))
+    if per_row * TIME_T_CHUNK <= MAX_BATCH_JUMPS:
+        return TIME_T_CHUNK
+    return max(1, int(MAX_BATCH_JUMPS // per_row))
+
+
+def _clock_at(T: SubordinatorSpec, X: LevyLaw, t: float, out: Array,
               rng: np.random.Generator):
-    """Fill out[:, :n] with independent draws of T(t), TIME_T_CHUNK rows
-    at a time; per chunk, yield its rows of `out`, the jump count of
-    each row and the jumps in row order, for the caller to fill
-    out[:, n:]. A row has Poisson(total mass * t) jumps from T's
+    """Fill out[:, :n] with independent draws of T(t), `_batch_rows`
+    rows at a time; per batch, yield its rows of `out`, the jump count
+    of each row and the jumps in row order, for the caller to fill
+    out[:, n:] from X. A row has Poisson(total mass * t) jumps from T's
     measure, and T(t) = d t + their sum."""
     if t <= 0:
         raise LevySpecError("horizon must be positive")
-    for start in range(0, out.shape[0], TIME_T_CHUNK):
-        rows = out[start : start + TIME_T_CHUNK]
+    step = _batch_rows(T, X, t)
+    for start in range(0, out.shape[0], step):
+        rows = out[start : start + step]
         counts, jumps = poisson_draws(T.jumps.total_mass * t, T.jumps.sample,
                                       rows.shape[0], rng)
         rows[:, : T.dim] = t * T.d + poisson_scatter(counts, jumps)
@@ -359,7 +385,7 @@ def simulate_strong_at(T: SubordinatorSpec, X: LevyLaw, t: float, size: int,
     per-path loop."""
     n = T.dim
     out = np.empty((size, 2 * n))
-    for rows, _, _ in _clock_at(T, t, out, rng):
+    for rows, _, _ in _clock_at(T, X, t, out, rng):
         rows[:, n:] = sample_subordinate_at(X, rows[:, :n], rng)
     return out
 
@@ -374,7 +400,7 @@ def simulate_weak_at(T: SubordinatorSpec, X: LevyLaw, t: float, size: int,
     samplable jump measures alike."""
     n = T.dim
     out = np.empty((size, 2 * n))
-    for rows, counts, jumps in _clock_at(T, t, out, rng):
+    for rows, counts, jumps in _clock_at(T, X, t, out, rng):
         rows[:, n:] = poisson_scatter(counts, sample_subordinate_at(X, jumps, rng))
         if np.any(T.d > 0):
             rows[:, n:] += sample_subordinate_at(X, t * T.d, rng, size=len(counts))
@@ -396,6 +422,8 @@ def truncate_jump_density(density, eps: float, upper: float = np.inf,
     to be added to the subordinator drift. The bias in higher moments is
     not compensated.
     """
+    from scipy import integrate  # loaded here, so importing weaksub needs no scipy
+
     if eps <= 0:
         raise LevySpecError("truncation level must be positive")
     mass, _ = integrate.quad(density, eps, upper)
@@ -422,6 +450,8 @@ def choose_truncation_eps(density, target: float = 1e-3) -> float:
     """Smallest-jump cutoff at which the discarded expected-time mass
     (integral of t*density over (0, eps]) stays below `target` per unit
     time."""
+    from scipy import integrate, optimize
+
     def discarded(eps):
         return integrate.quad(lambda t: t * density(t), 0.0, eps)[0] - target
 

@@ -333,6 +333,53 @@ class TestMain:
         assert "horizon" in json.loads(capsys.readouterr().err)["details"][0]
         assert not (tmp_path / "samples.csv").exists()
 
+    def test_simulate_subordinate_rate_1e6_draws_a_row_per_batch(self, tmp_path):
+        # 2e6 expected subordinate jumps per replicate pass parse_config; a
+        # batch of TIME_T_CHUNK such rows would ask for ~16e9 jumps at once
+        from weaksub.subordination import _batch_rows
+        obj = {"seed": 7, "scenario": "deterministic", "replicates": 2,
+               "subordinate": {"family": "compound_poisson",
+                               "atoms": [{"point": [1.0, 0.0], "rate": 1e6}]}}
+        assert _batch_rows(*parse_config(json.dumps(obj)).processes(), 1.0) == 1
+        cfg = write_config(tmp_path, obj)
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
+                     "--quiet"])
+        assert code == 0
+        data = np.loadtxt(tmp_path / "samples.csv", delimiter=",", skiprows=1)
+        assert data.shape == (2, 4)
+
+    @pytest.mark.parametrize("out, command, obj", [
+        ("a_file", "exponent", MINIMAL),
+        ("a_file/below", "exponent", MINIMAL),
+        # --mode paths writes into <out>/paths
+        ("holder", "simulate", {**MINIMAL, "replicates": 2, "mode": "paths"})])
+    def test_unusable_out_exit_2_with_json_error(self, tmp_path, capsys, out,
+                                                 command, obj):
+        (tmp_path / "a_file").write_text("")
+        (tmp_path / "holder").mkdir()
+        (tmp_path / "holder" / "paths").write_text("")
+        cfg = write_config(tmp_path, obj)
+        code = main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / out), "--quiet"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid config"
+        assert err["details"][0].startswith("--out: ")
+
+    def test_verify_stacked_with_own_subordinator_skips_exact_check(self, tmp_path):
+        # the stacked closed form belongs to the scenario's own processes;
+        # with another subordinator only the ECF comparisons apply
+        cfg = write_config(tmp_path, {
+            "seed": 1, "scenario": "stacked_C3", "replicates": 4000,
+            "subordinator": {"drift": [0.5, 0.5],
+                             "atoms": [{"point": [2.0, 2.0], "rate": 1.0}]}})
+        code = main(["verify", "--config", str(cfg), "--out",
+                     str(tmp_path / "out"), "--quiet"])
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["passed"] and report["exact_exponent_max_diff"] is None
+        assert "exact exponent check skipped" in report["notes"][0]
+
     def test_exponent_subcommand(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
         code = main(["exponent", "--config", str(cfg), "--out", str(tmp_path),

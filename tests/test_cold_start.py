@@ -1,0 +1,65 @@
+"""Start-up cost: importing weaksub and running any CLI command loads no
+scipy. Each check runs in a fresh interpreter, since this test process
+may already have imported scipy for other tests."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import weaksub
+
+SRC = str(Path(weaksub.__file__).resolve().parents[1])
+
+
+def run_python(code: str, cwd: Path) -> str:
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_import_loads_no_scipy(tmp_path):
+    out = run_python("import sys, weaksub, weaksub.cli\n"
+                     "print(sorted(m for m in sys.modules\n"
+                     "             if m.split('.')[0] == 'scipy'))", tmp_path)
+    assert out.strip() == "[]"
+
+
+# one small config per command; none of them needs scipy
+CONFIGS = {
+    "exponent": {"seed": 1, "scenario": "stacked_C3", "theta_grid": {"size": 8}},
+    "simulate_time1": {"seed": 2, "scenario": "finite_activity_C1", "replicates": 50},
+    "simulate_paths": {"seed": 3, "scenario": "finite_activity_C1", "replicates": 3,
+                       "mode": "paths"},
+    "verify": {"seed": 4, "scenario": "stacked_C3", "replicates": 2000},
+}
+
+BLOCKED_RUN = """
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from weaksub.cli import main
+try:
+    import scipy
+    blocked = False
+except ImportError:
+    blocked = True
+codes = {name: main([name.split("_")[0], "--config", name + ".json",
+                     "--out", name, "--quiet"])
+         for name in %r}
+print(json.dumps({"blocked": blocked, "codes": codes}))
+"""
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    for name, cfg in CONFIGS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    result = json.loads(run_python(BLOCKED_RUN % sorted(CONFIGS), tmp_path))
+    assert result["blocked"]
+    assert result["codes"] == {name: 0 for name in CONFIGS}
+    assert (tmp_path / "exponent" / "exponent.csv").exists()
+    assert (tmp_path / "simulate_time1" / "samples.csv").exists()
+    assert len(list((tmp_path / "simulate_paths" / "paths").glob("rep_*.csv"))) == 3
+    report = json.loads((tmp_path / "verify" / "report.json").read_text())
+    assert report["passed"] and report["exact_exponent_max_diff"] <= 1e-10

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import weaksub as ws
-from weaksub.subordination import TIME_T_CHUNK
+from weaksub import subordination
+from weaksub.subordination import TIME_T_CHUNK, _batch_rows, expected_jumps
 from weaksub.verify import scenario_processes
 
 
@@ -326,6 +327,49 @@ class TestTimeTSamplers:
             assert np.array_equal(rows, np.vstack(parts))
         with pytest.raises(ws.LevySpecError):
             ws.simulate_strong_at(T, X, 0.0, 10, np.random.default_rng(0))
+
+
+class TestBatchRows:
+    # a subordinator with drift and one atom over a compound Poisson law
+    T = ws.SubordinatorSpec(np.array([0.5, 1.0]), ws.AtomicJumps([[1.0, 2.0]], [1.0]))
+    X = ws.CompoundPoisson(ws.AtomicJumps([[1.0, -0.5]], [50.0]))
+
+    def test_expected_jumps(self):
+        # T: mass 1 x t; X: rate 50 x t x (drift 1.0 + mass 1 x coordinate 2.0)
+        assert expected_jumps(self.T, self.X, 2.0) == (2.0, 300.0)
+        assert expected_jumps(self.T, correlated_bm(), 2.0) == (2.0, 0.0)
+        gamma = ws.truncated_gamma_subordinator(2.0, 1.5)
+        cpp = ws.CompoundPoisson(ws.AtomicJumps([[1.0]], [1.0]))
+        # a sampled jump measure: its largest jump is unknown
+        assert expected_jumps(gamma, cpp, 1.0)[1] == np.inf
+        assert _batch_rows(gamma, cpp, 1.0) == 1
+        bm = ws.BrownianMotion([0.0], [[1.0]])
+        assert _batch_rows(gamma, bm, 1.0) == TIME_T_CHUNK
+
+    def test_suite_scenarios_keep_full_batches(self):
+        for name in ("deterministic", "finite_activity_C1", "stacked_C3",
+                     "negative_control"):
+            assert _batch_rows(*scenario_processes(name)[:2], 1.0) == TIME_T_CHUNK
+
+    @pytest.mark.parametrize("kind", ["strong", "weak"])
+    def test_no_draw_exceeds_the_cap(self, monkeypatch, kind):
+        sample = {"strong": ws.simulate_strong_at, "weak": ws.simulate_weak_at}[kind]
+        assert _batch_rows(self.T, self.X, 1.0) >= 2000
+        full = sample(self.T, self.X, 1.0, 2000, np.random.default_rng(13))
+        # 151 expected jumps per row; a cap of 1510 makes batches of 10 rows
+        cap = 1510
+        monkeypatch.setattr(subordination, "MAX_BATCH_JUMPS", cap)
+        assert _batch_rows(self.T, self.X, 1.0) == 10
+        sizes = []  # points per jump draw of X; a law of its own records them
+        X = ws.CompoundPoisson(ws.AtomicJumps([[1.0, -0.5]], [50.0]))
+        draw = X.jumps.sample
+        X.jumps.sample = lambda rng, k: (sizes.append(k), draw(rng, k))[1]
+        rows = sample(self.T, X, 1.0, 2000, np.random.default_rng(12))
+        assert rows.shape == (2000, 4)
+        assert len(sizes) >= 200 and max(sizes) <= cap
+        # smaller batches draw differently, from the same law as one batch
+        report = ws.ecf_two_sample_compare(rows, full, ws.default_theta_grid(4))
+        assert report.passed, report.summary()
 
 
 class TestPathRecord:
