@@ -30,13 +30,8 @@ from .ordered_time import (
     vector_time_exponent,
 )
 from .prm import (
-    BoxIndicatorFunctional,
     ConstantFunctional,
-    DiagonalGaussianMark,
-    ExpTimeDecayFunctional,
     PointMassMark,
-    UniformBoxMark,
-    laplace_functional_analytic,
     laplace_functional_mc,
     marked_laplace_check,
 )

@@ -57,6 +57,10 @@ PURPOSES = {"exponent": 0, "simulate": 1, "verify": 2}
 # subordinate jumps per replicate: verify holds 2 x replicates x 2n floats,
 # and exponent builds its whole grid before evaluating it in blocks.
 MAX_ROWS = 10_000_000
+# Largest expected jumps of T and X over a whole simulate or verify run
+# (verify draws its replicates twice, strong and weak): about 70 s of
+# sampling at 68 ns per jump on a 2-vCPU Xeon.
+MAX_RUN_JUMPS = 10**9
 
 
 class ConfigError(ValueError):
@@ -324,6 +328,16 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _check_run_jumps(config: ExperimentConfig, draws: int) -> None:
+    """Reject a run of `draws` x replicates draws of (T, Z) that expects
+    more than MAX_RUN_JUMPS jumps of T and X together."""
+    T, X = config.processes()
+    total = draws * config.replicates * sum(expected_jumps(T, X, config.horizon))
+    if total > MAX_RUN_JUMPS:
+        raise ConfigError([f"replicates: {draws} x {config.replicates} draws expect "
+                           f"{total:g} jumps, more than {MAX_RUN_JUMPS:g} per run"])
+
+
 def _make_dir(path: Path) -> None:
     """mkdir -p; a path that cannot be a directory (a file, or a path under
     one) is a bad --out, so a ConfigError."""
@@ -467,6 +481,8 @@ def main(argv=None) -> int:
             if args.replicates > MAX_ROWS:
                 raise ConfigError([f"--replicates must be <= {MAX_ROWS}"])
             config.replicates = args.replicates
+        if args.command != "exponent":
+            _check_run_jumps(config, 2 if args.command == "verify" else 1)
         _make_dir(args.out)
         if args.command == "exponent":
             out = run_exponent(config, args.out)

@@ -66,6 +66,8 @@ class AtomicJumps(JumpMeasure):
         rates = np.asarray(rates, dtype=float)
         if points.ndim != 2 or rates.shape != (points.shape[0],):
             raise LevySpecError("need one rate per atom and one point per row")
+        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(rates))):
+            raise LevySpecError("atom points and rates must be finite")
         if np.any(rates <= 0):
             raise LevySpecError("atom rates must be positive")
         if np.any(np.all(points == 0.0, axis=1)):
@@ -253,6 +255,8 @@ class BrownianMotion(LevyLaw):
         self.dim = self.mu.shape[0]
         if sigma.shape != (self.dim, self.dim):
             raise LevySpecError("sigma must be square of order dim(mu)")
+        if not (np.all(np.isfinite(self.mu)) and np.all(np.isfinite(sigma))):
+            raise LevySpecError("mu and sigma must be finite")
         self.sigma = 0.5 * (sigma + sigma.T)
         self._factor = psd_factor(self.sigma)
 
@@ -361,6 +365,8 @@ class SubordinatorSpec:
         object.__setattr__(self, "d", d)
         if self.jumps.dim != d.shape[0]:
             raise LevySpecError("jump measure dimension differs from drift")
+        if not np.all(np.isfinite(d)):
+            raise LevySpecError("drift must be finite")
         if np.any(d < 0):
             raise LevySpecError("orthant violation: drift has a negative coordinate")
         if isinstance(self.jumps, AtomicJumps) and np.any(self.jumps.points < 0):

@@ -108,18 +108,10 @@ class StackEmbedding:
     def d(self) -> int:
         return len(self.dims)
 
-    def matrix(self) -> Array:
-        """The d-by-n 0/1 matrix A with T = R A."""
-        a = np.zeros((self.d, self.n))
-        pos = 0
-        for m, nm in enumerate(self.dims):
-            a[m, pos : pos + nm] = 1.0
-            pos += nm
-        return a
-
     def expand(self, r) -> Array:
-        """Map d-dim subordinator values to n-dim: r A (vectorized)."""
-        return np.asarray(r, dtype=float) @ self.matrix()
+        """Map d-dim subordinator values to n-dim: coordinate m of each
+        row repeated dims[m] times (vectorized)."""
+        return np.repeat(np.asarray(r, dtype=float), self.dims, axis=-1)
 
     def block_slices(self):
         pos = 0

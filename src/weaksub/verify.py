@@ -166,19 +166,28 @@ def cf_compare(samples, target, theta_grid, k: float = DEFAULT_K) -> ECFReport:
     `target` is a callable theta -> complex CF value, or an array of
     precomputed values. Per-theta verdict: |ecf - target| <= k*sqrt(2/N).
     """
-    samples = np.asarray(samples, dtype=float)
     theta_grid = np.asarray(theta_grid, dtype=float)
-    if theta_grid.ndim != 2 or theta_grid.shape[0] == 0:
-        raise LevySpecError("theta grid must be a nonempty 2-d array")
-    n = samples.shape[0]
-    if n < 100:
-        raise LevySpecError("need at least 100 samples for a CLT bound")
+    emp, n = _sample_ecf(samples, theta_grid)
     if callable(target):
         tgt = np.array([target(th) for th in theta_grid], dtype=complex)
     else:
         tgt = np.asarray(target, dtype=complex)
-    return _report(theta_grid, ecf_grid(samples, theta_grid), tgt,
-                   clt_bound(n, k), n, k)
+    return _report(theta_grid, emp, tgt, clt_bound(n, k), n, k)
+
+
+def _sample_ecf(samples, theta_grid: Array) -> tuple[Array, int]:
+    """The ECF of `samples` on `theta_grid` and the sample count, after
+    the checks a CLT comparison needs: a nonempty 2-d grid, a 2-d sample
+    array with as many columns as the grid, and at least 100 samples."""
+    samples = np.asarray(samples, dtype=float)
+    if theta_grid.ndim != 2 or theta_grid.shape[0] == 0:
+        raise LevySpecError("theta grid must be a nonempty 2-d array")
+    if samples.ndim != 2 or samples.shape[1] != theta_grid.shape[1]:
+        raise LevySpecError(f"samples have shape {samples.shape}, expected "
+                            f"(N, {theta_grid.shape[1]}) for the theta grid")
+    if samples.shape[0] < 100:
+        raise LevySpecError("need at least 100 samples for a CLT bound")
+    return ecf_grid(samples, theta_grid), samples.shape[0]
 
 
 def _report(theta_grid, emp, target, bound: float, n: int, k: float) -> ECFReport:
@@ -196,12 +205,9 @@ def _two_sample_report(theta_grid, emp_a, na: int, emp_b, nb: int,
 def ecf_two_sample_compare(samples_a, samples_b, theta_grid,
                            k: float = DEFAULT_K) -> ECFReport:
     """Compare the ECFs of two sample sets; bound k*sqrt(2/Na + 2/Nb)."""
-    samples_a = np.asarray(samples_a, dtype=float)
-    samples_b = np.asarray(samples_b, dtype=float)
     theta_grid = np.asarray(theta_grid, dtype=float)
-    return _two_sample_report(theta_grid, ecf_grid(samples_a, theta_grid),
-                              samples_a.shape[0], ecf_grid(samples_b, theta_grid),
-                              samples_b.shape[0], k)
+    return _two_sample_report(theta_grid, *_sample_ecf(samples_a, theta_grid),
+                              *_sample_ecf(samples_b, theta_grid), k)
 
 
 # ---------------------------------------------------------------------------

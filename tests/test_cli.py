@@ -348,6 +348,38 @@ class TestMain:
         data = np.loadtxt(tmp_path / "samples.csv", delimiter=",", skiprows=1)
         assert data.shape == (2, 4)
 
+    def test_run_above_max_run_jumps_exit_2(self, tmp_path, capsys):
+        # 2e6 expected subordinate jumps per replicate x 1000 replicates:
+        # over an hour of sampling, rejected before any draw
+        obj = {"seed": 7, "scenario": "deterministic", "replicates": 1000,
+               "subordinate": {"family": "compound_poisson",
+                               "atoms": [{"point": [1.0, 0.0], "rate": 1e6}]}}
+        cfg = write_config(tmp_path, obj)
+        for command in ("simulate", "verify"):
+            code = main([command, "--config", str(cfg), "--out",
+                         str(tmp_path / command), "--quiet"])
+            assert code == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["details"][0].startswith("replicates: ")
+        assert not (tmp_path / "simulate" / "samples.csv").exists()
+        # exponent draws nothing
+        assert main(["exponent", "--config", str(cfg), "--out",
+                     str(tmp_path / "exponent"), "--quiet"]) == 0
+
+    def test_max_run_jumps_counts_the_replicates_flag_and_verify_twice(
+            self, tmp_path, capsys, monkeypatch):
+        import weaksub.cli as cli
+        # 2 expected subordinate jumps per replicate, 100 replicates
+        monkeypatch.setattr(cli, "MAX_RUN_JUMPS", 300)
+        cfg = write_config(tmp_path, {**MINIMAL, "replicates": 100,
+                                      "subordinate": CPP_2D})
+        args = ["--config", str(cfg), "--out", str(tmp_path), "--quiet"]
+        assert main(["simulate", *args]) == 0
+        assert main(["simulate", *args, "--replicates", "151"]) == 2
+        assert main(["verify", *args]) == 2
+        capsys.readouterr()
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("out, command, obj", [
         ("a_file", "exponent", MINIMAL),
         ("a_file/below", "exponent", MINIMAL),

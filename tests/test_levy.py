@@ -168,6 +168,18 @@ class TestValidateTriplet:
         with pytest.raises(ws.LevySpecError, match="orthant"):
             ws.SubordinatorSpec(np.array([-0.5]), ws.ZeroJumps(1))
 
+    @pytest.mark.parametrize("build", [
+        lambda: ws.AtomicJumps([[np.nan, 1.0]], [1.0]),
+        lambda: ws.AtomicJumps([[1.0, 1.0]], [np.inf]),
+        lambda: ws.SubordinatorSpec(np.array([np.nan, 1.0]), ws.ZeroJumps(2)),
+        lambda: ws.BrownianMotion([np.nan, 0.0], np.eye(2)),
+        lambda: ws.BrownianMotion([0.0, 0.0], [[1.0, np.inf], [0.0, 1.0]]),
+    ], ids=["atom_point_nan", "atom_rate_inf", "drift_nan", "mu_nan",
+            "sigma_inf"])
+    def test_non_finite_field_rejected(self, build):
+        with pytest.raises(ws.LevySpecError, match="finite"):
+            build()
+
 
 @st.composite
 def levy_laws(draw):

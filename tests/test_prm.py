@@ -12,37 +12,6 @@ def correlated_bm():
     return ws.BrownianMotion([0, 0], [[1, 0.5], [0.5, 1]])
 
 
-class TestLaplaceFunctionalAnalytic:
-    def test_zero_functional(self):
-        val = ws.laplace_functional_analytic(2.0, unit_mark(), 1.0,
-                                             ws.ConstantFunctional(0.0))
-        assert val == 1.0
-
-    def test_constant_closed_form(self):
-        val = ws.laplace_functional_analytic(2.0, unit_mark(), 1.0,
-                                             ws.ConstantFunctional(1.0))
-        assert val == pytest.approx(np.exp(-2 * (1 - np.exp(-1))))
-        assert val == pytest.approx(0.28243, abs=5e-5)
-
-    def test_infinite_functional(self):
-        # the product of e^{-f} vanishes whenever any point lands, so the
-        # functional equals the void probability; it tends to 0 with mass
-        val = ws.laplace_functional_analytic(2.0, unit_mark(), 1.0,
-                                             ws.ConstantFunctional(np.inf))
-        assert val == pytest.approx(np.exp(-2.0))
-        big = ws.laplace_functional_analytic(1e6, unit_mark(), 1.0,
-                                             ws.ConstantFunctional(np.inf))
-        assert big == pytest.approx(0.0, abs=1e-12)
-
-    def test_values_in_unit_interval(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            f = ws.ConstantFunctional(rng.uniform(0, 5))
-            val = ws.laplace_functional_analytic(rng.uniform(0, 5), unit_mark(),
-                                                 rng.uniform(0.1, 3), f)
-            assert 0.0 <= val <= 1.0
-
-
 class TestCampbellIdentity:
     def test_zero_functional_exact(self):
         est, se = ws.laplace_functional_mc(2.0, unit_mark(), 1.0,
@@ -69,23 +38,28 @@ class TestCampbellIdentity:
         c = rng.uniform(0.1, 3.0)
         horizon = rng.uniform(0.5, 2.0)
         f = ws.ConstantFunctional(c)
-        target = ws.laplace_functional_analytic(rate, unit_mark(), horizon, f)
+        target = np.exp(-rate * horizon * -np.expm1(-c))
         est, se = ws.laplace_functional_mc(rate, unit_mark(), horizon, f,
                                            4 * 10**4, rng)
         assert abs(est - target) <= 4 * max(se, 1e-12)
 
-    @pytest.mark.parametrize("mark,box", [
-        (ws.UniformBoxMark((0.0, 0.0), (2.0, 1.0)), ((0.5, 0.0), (1.5, 0.5))),
-        (ws.DiagonalGaussianMark((0.0,), (1.0,)), ((-1.0,), (0.5,))),
-        (ws.PointMassMark((0.3,)), ((0.0,), (1.0,))),
-    ])
-    def test_box_indicator_functionals(self, mark, box):
-        rng = np.random.default_rng(7)
-        f = ws.BoxIndicatorFunctional(c=0.8, t_lo=0.2, t_hi=0.9,
-                                      mark_lo=box[0], mark_hi=box[1])
-        target = ws.laplace_functional_analytic(3.0, mark, 1.0, f)
-        est, se = ws.laplace_functional_mc(3.0, mark, 1.0, f, 4 * 10**4, rng)
-        assert abs(est - target) <= 4 * max(se, 1e-12)
+    def test_functional_of_time_and_mark(self):
+        # marks uniform on [0, 1] and f = c on {time <= s, mark <= p}: the
+        # points where f = c form a Poisson count of mean rate * s * p
+        rate, c, s, p = 3.0, 0.8, 0.6, 0.4
+
+        class UniformMark:
+            def sample(self, rng, k):
+                return rng.uniform(0.0, 1.0, size=(k, 1))
+
+        class CornerFunctional:
+            def evaluate(self, times, marks):
+                return np.where((times <= s) & (marks[:, 0] <= p), c, 0.0)
+
+        est, se = ws.laplace_functional_mc(rate, UniformMark(), 1.0,
+                                           CornerFunctional(), 4 * 10**4,
+                                           np.random.default_rng(7))
+        assert abs(est - np.exp(-rate * s * p * -np.expm1(-c))) <= 4 * se
 
     @pytest.mark.parametrize("rate,horizon,reps", [
         (-1.0, 1.0, 100), (np.nan, 1.0, 100), (np.inf, 1.0, 100),
@@ -96,14 +70,6 @@ class TestCampbellIdentity:
             ws.laplace_functional_mc(rate, unit_mark(), horizon,
                                      ws.ConstantFunctional(1.0), reps,
                                      np.random.default_rng(0))
-
-    def test_separable_time_decay_quadrature(self):
-        rng = np.random.default_rng(8)
-        f = ws.ExpTimeDecayFunctional(c=1.2, alpha=0.7)
-        target = ws.laplace_functional_analytic(2.5, unit_mark(), 1.5, f)
-        est, se = ws.laplace_functional_mc(2.5, unit_mark(), 1.5, f,
-                                           4 * 10**4, rng)
-        assert abs(est - target) <= 4 * se
 
 
 class TestMarkedLaplaceCheck:

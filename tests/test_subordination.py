@@ -94,6 +94,13 @@ class TestWeakExponent:
         assert abs(est - exact) <= 4 * se
 
 
+class TestStackEmbedding:
+    def test_expand_repeats_each_block_clock(self):
+        emb = ws.StackEmbedding((1, 2))
+        np.testing.assert_array_equal(emb.expand([[0.5, 2.0], [np.inf, 1.0]]),
+                                      [[0.5, 2.0, 2.0], [np.inf, 1.0, 1.0]])
+
+
 class TestStackedStrongExponent:
     def setup_method(self):
         self.emb = ws.StackEmbedding((1, 1))

@@ -100,6 +100,22 @@ class TestCFCompare:
             ws.cf_compare(np.zeros((50, 2)), lambda th: 1.0,
                           ws.default_theta_grid(2))
 
+    @pytest.mark.parametrize("case", ["empty_grid", "few_samples",
+                                      "column_mismatch", "one_d_grid"])
+    @pytest.mark.parametrize("compare", ["one_sample", "two_sample"])
+    def test_unusable_inputs_rejected(self, compare, case):
+        samples = np.random.default_rng(8).standard_normal((1000, 2))
+        grid = {"empty_grid": np.zeros((0, 2)), "few_samples": np.ones((4, 2)),
+                "column_mismatch": np.ones((4, 3)),
+                "one_d_grid": np.ones(2)}[case]
+        if case == "few_samples":
+            samples = samples[:3]
+        with pytest.raises(ws.LevySpecError):
+            if compare == "one_sample":
+                ws.cf_compare(samples, lambda th: 1.0, grid)
+            else:
+                ws.ecf_two_sample_compare(samples, samples, grid)
+
     def test_report_serializes(self):
         rng = np.random.default_rng(7)
         samples = rng.standard_normal((1000, 2))
