@@ -24,7 +24,6 @@ from .levy import (
     zero_process,
 )
 from .ordered_time import (
-    order_times,
     sample_subordinate_at,
     vector_time_cf,
     vector_time_exponent,

@@ -304,6 +304,10 @@ def parse_config(text: str) -> ExperimentConfig:
     if T.dim != X.dim:
         raise ConfigError([f"subordinator dimension {T.dim} differs from "
                            f"subordinate dimension {X.dim}"])
+    drift_part = config.horizon * float(np.max(T.d, initial=0.0))  # <= T(horizon)
+    if not np.isfinite(drift_part):
+        raise ConfigError([f"horizon: {config.horizon:g} x the subordinator's drift "
+                           f"{np.max(T.d):g} is beyond the floating-point range"])
     t_jumps, x_jumps = expected_jumps(T, X, config.horizon)
     if t_jumps > MAX_ROWS:
         raise ConfigError([f"horizon: {config.horizon:g} x the subordinator's jump "
@@ -328,9 +332,21 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _check_run_jumps(config: ExperimentConfig, draws: int) -> None:
-    """Reject a run of `draws` x replicates draws of (T, Z) that expects
-    more than MAX_RUN_JUMPS jumps of T and X together."""
+def _check_run(config: ExperimentConfig, command: str) -> None:
+    """Rules of a simulate or verify run, checked before --out is made:
+    verify needs a scenario, replicates >= 100 and horizon 1; and the
+    run's draws of (T, Z) may expect at most MAX_RUN_JUMPS jumps."""
+    errors = []
+    if command == "verify":
+        if config.scenario is None:
+            errors.append("verify requires a scenario")
+        if config.replicates < 100:
+            errors.append("verify needs replicates >= 100 for its CLT bound")
+        if config.horizon != 1.0:
+            errors.append("verify compares the laws at time 1, so horizon must be 1")
+    if errors:
+        raise ConfigError(errors)
+    draws = 2 if command == "verify" else 1
     T, X = config.processes()
     total = draws * config.replicates * sum(expected_jumps(T, X, config.horizon))
     if total > MAX_RUN_JUMPS:
@@ -381,26 +397,35 @@ def run_simulate(config: ExperimentConfig, out_dir: Path,
     dumps (one CSV per replicate path)."""
     T, X = config.processes()
     n = T.dim
-    if config.mode == "paths":
-        simulate = {"weak": simulate_weak, "strong": simulate_strong}[kind]
-        out = out_dir / "paths"
-        _make_dir(out)
-        for r in range(config.replicates):
-            path = simulate(T, X, config.horizon, stream(config.seed, "simulate", r),
-                            sample_times=[config.horizon])
-            with (out / f"rep_{r:06d}.csv").open("w") as fp:
-                path.to_csv(fp)
-        return out
-    sample = {"weak": simulate_weak_at, "strong": simulate_strong_at}[kind]
-    out = out_dir / "samples.csv"
-    with out.open("w") as fp:
-        cols = [f"T_{j+1}" for j in range(n)] + [f"Z_{j+1}" for j in range(n)]
-        fp.write(",".join(cols) + "\n")
-        for c, start in enumerate(range(0, config.replicates, TIME_T_CHUNK)):
-            rows = sample(T, X, config.horizon,
-                          min(TIME_T_CHUNK, config.replicates - start),
-                          stream(config.seed, "simulate", c))
-            fp.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+    written: list[Path] = []
+    try:
+        if config.mode == "paths":
+            simulate = {"weak": simulate_weak, "strong": simulate_strong}[kind]
+            out = out_dir / "paths"
+            _make_dir(out)
+            for r in range(config.replicates):
+                path = simulate(T, X, config.horizon,
+                                stream(config.seed, "simulate", r),
+                                sample_times=[config.horizon])
+                written.append(out / f"rep_{r:06d}.csv")
+                with written[-1].open("w") as fp:
+                    path.to_csv(fp)
+            return out
+        sample = {"weak": simulate_weak_at, "strong": simulate_strong_at}[kind]
+        out = out_dir / "samples.csv"
+        written.append(out)
+        with out.open("w") as fp:
+            cols = [f"T_{j+1}" for j in range(n)] + [f"Z_{j+1}" for j in range(n)]
+            fp.write(",".join(cols) + "\n")
+            for c, start in enumerate(range(0, config.replicates, TIME_T_CHUNK)):
+                rows = sample(T, X, config.horizon,
+                              min(TIME_T_CHUNK, config.replicates - start),
+                              stream(config.seed, "simulate", c))
+                fp.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+    except LevySpecError as exc:  # a draw beyond the float range: no partial output
+        for written_file in written:
+            written_file.unlink()
+        raise ConfigError([str(exc)]) from exc
     return out
 
 
@@ -408,24 +433,14 @@ def run_verify(config: ExperimentConfig, out_dir: Path, quiet: bool = False) -> 
     """Run the scenario's equality-in-law suite; write report.json and a
     text summary; exit status 0 iff the suite passed (for the negative
     control, 0 iff the expected mismatch was observed)."""
-    errors = []
-    if config.scenario is None:
-        errors.append("verify requires a scenario")
-    if config.replicates < 100:
-        errors.append("verify needs replicates >= 100 for its CLT bound")
-    if config.horizon != 1.0:
-        errors.append("verify compares the laws at time 1, so horizon must be 1")
-    if errors:
-        raise ConfigError(errors)
     suite_config = SuiteConfig(n_paths=config.replicates, k=config.k,
                                theta_grid=config.theta_grid)
     try:
         report = equality_in_law_suite(config.scenario, suite_config,
                                        stream(config.seed, "verify"),
                                        T=config.subordinator, X=config.subordinate)
-    except LevySpecError as exc:  # a non-finite exact exponent on the grid
-        raise ConfigError([f"theta_grid: {exc}"]) from exc
-    _make_dir(out_dir)
+    except LevySpecError as exc:  # a non-finite exact exponent or draw
+        raise ConfigError([str(exc)]) from exc
     (out_dir / "report.json").write_text(
         json.dumps(report.to_dict(), indent=2, allow_nan=False))
     (out_dir / "summary.txt").write_text(report.summary() + "\n")
@@ -482,7 +497,7 @@ def main(argv=None) -> int:
                 raise ConfigError([f"--replicates must be <= {MAX_ROWS}"])
             config.replicates = args.replicates
         if args.command != "exponent":
-            _check_run_jumps(config, 2 if args.command == "verify" else 1)
+            _check_run(config, args.command)
         _make_dir(args.out)
         if args.command == "exponent":
             out = run_exponent(config, args.out)

@@ -39,7 +39,7 @@ class ConstantFunctional:
     c: float
 
     def __post_init__(self):
-        if self.c < 0:
+        if not self.c >= 0:
             raise LevySpecError("functional values must be nonnegative")
 
     def evaluate(self, times, marks):
@@ -52,8 +52,8 @@ class ConstantFunctional:
 
 
 def _check_window(horizon: float, reps: int) -> None:
-    if not horizon > 0:
-        raise LevySpecError("horizon must be positive")
+    if not 0 < horizon < np.inf:
+        raise LevySpecError("horizon must be positive and finite")
     if reps < 2:
         raise LevySpecError("reps must be at least 2 for a standard error")
 

@@ -268,6 +268,28 @@ def _event_grid(jump_times: Array, horizon: float, sample_times) -> Array:
     return grid[grid > 0.0]
 
 
+def _finite(values: Array) -> Array:
+    """values, checked finite: an overflowed draw is no draw from the law."""
+    if not np.all(np.isfinite(values)):
+        raise LevySpecError("a draw of (T, Z) is beyond the floating-point range; "
+                            "lower the horizon or the jump sizes")
+    return values
+
+
+def _path(T: SubordinatorSpec, horizon: float, rng: np.random.Generator,
+          sample_times, draw_z) -> PathRecord:
+    """One exact path of (T, Z), with Z at the events from draw_z(T's jumps,
+    events, T at the events); an overflowed value is a LevySpecError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sub = simulate_subordinator(T, horizon, rng)
+        events = _event_grid(sub.times, horizon, sample_times)
+        tvals = sub.values_at(events)
+        values = _finite(np.hstack([tvals, draw_z(sub, events, tvals)]))
+    drift_part = np.concatenate([T.d, np.zeros(T.dim)])
+    return PathRecord(event_times=events, values=values,
+                      drift_part=drift_part, horizon=horizon)
+
+
 def simulate_strong(T: SubordinatorSpec, X: LevyLaw, horizon: float,
                     rng: np.random.Generator,
                     sample_times=None) -> PathRecord:
@@ -278,17 +300,13 @@ def simulate_strong(T: SubordinatorSpec, X: LevyLaw, horizon: float,
     union of those clock times, preserving cross-component dependence;
     (X o T)_j(event) is then read off as X_j(T_j(event)).
     """
-    sub = simulate_subordinator(T, horizon, rng)
-    events = _event_grid(sub.times, horizon, sample_times)
-    n = T.dim
-    tvals = sub.values_at(events)                      # (m, n)
-    clock = np.concatenate([[0.0], np.unique(tvals[tvals > 0.0])])
-    steps = X.sample(np.diff(clock), rng, len(clock) - 1)
-    xpath = np.cumsum(np.vstack([np.zeros(n), steps]), axis=0)  # X at clock
-    zvals = xpath[np.searchsorted(clock, tvals), np.arange(n)]
-    drift_part = np.concatenate([T.d, np.zeros(n)])
-    return PathRecord(event_times=events, values=np.hstack([tvals, zvals]),
-                      drift_part=drift_part, horizon=horizon)
+    def draw_z(sub, events, tvals):
+        clock = np.concatenate([[0.0], np.unique(tvals[tvals > 0.0])])
+        steps = X.sample(np.diff(clock), rng, len(clock) - 1)
+        xpath = np.cumsum(np.vstack([np.zeros(T.dim), steps]), axis=0)  # X at clock
+        return xpath[np.searchsorted(clock, tvals), np.arange(T.dim)]
+
+    return _path(T, horizon, rng, sample_times, draw_z)
 
 
 def simulate_weak(T: SubordinatorSpec, X: LevyLaw, horizon: float,
@@ -302,22 +320,17 @@ def simulate_weak(T: SubordinatorSpec, X: LevyLaw, horizon: float,
     whose increment over a gap of length g has the law of X at the
     vector time d*g. The two parts superpose independently.
     """
-    sub = simulate_subordinator(T, horizon, rng)
-    events = _event_grid(sub.times, horizon, sample_times)
-    n = T.dim
-    tvals = sub.values_at(events)
+    def draw_z(sub, events, tvals):
+        marks = sample_subordinate_at(X, sub.sizes, rng)
+        mark_csum = np.vstack([np.zeros(T.dim), np.cumsum(marks, axis=0)])
+        zvals = mark_csum[np.searchsorted(sub.times, events, side="right")]
+        if np.any(T.d > 0):
+            gaps = np.diff(events, prepend=0.0)
+            zvals += np.cumsum(sample_subordinate_at(X, np.outer(gaps, T.d), rng),
+                               axis=0)
+        return zvals
 
-    marks = sample_subordinate_at(X, sub.sizes, rng)
-    mark_csum = np.vstack([np.zeros(n), np.cumsum(marks, axis=0)])
-    zvals = mark_csum[np.searchsorted(sub.times, events, side="right")]
-
-    if np.any(T.d > 0):
-        gaps = np.diff(events, prepend=0.0)
-        zvals += np.cumsum(sample_subordinate_at(X, np.outer(gaps, T.d), rng),
-                           axis=0)
-    drift_part = np.concatenate([T.d, np.zeros(n)])
-    return PathRecord(event_times=events, values=np.hstack([tvals, zvals]),
-                      drift_part=drift_part, horizon=horizon)
+    return _path(T, horizon, rng, sample_times, draw_z)
 
 
 # Rows per batch of the time-t samplers, and (jumps x theta rows) per block
@@ -351,22 +364,27 @@ def _batch_rows(T: SubordinatorSpec, X: LevyLaw, t: float) -> int:
     return max(1, int(MAX_BATCH_JUMPS // per_row))
 
 
-def _clock_at(T: SubordinatorSpec, X: LevyLaw, t: float, out: Array,
-              rng: np.random.Generator):
-    """Fill out[:, :n] with independent draws of T(t), `_batch_rows`
-    rows at a time; per batch, yield its rows of `out`, the jump count
-    of each row and the jumps in row order, for the caller to fill
-    out[:, n:] from X. A row has Poisson(total mass * t) jumps from T's
-    measure, and T(t) = d t + their sum."""
+def _draw_at(T: SubordinatorSpec, X: LevyLaw, t: float, size: int,
+             rng: np.random.Generator, draw_z) -> Array:
+    """`size` independent draws of (T(t), Z(t)), shape (size, 2n), in
+    batches of `_batch_rows` rows: a row has Poisson(total mass * t)
+    jumps from T's measure, T(t) = d t + their sum, and Z(t) comes from
+    draw_z(T(t) rows, jump count per row, jumps in row order). A batch
+    with a value beyond the floating-point range is a LevySpecError."""
     if t <= 0:
         raise LevySpecError("horizon must be positive")
+    n = T.dim
+    out = np.empty((size, 2 * n))
     step = _batch_rows(T, X, t)
-    for start in range(0, out.shape[0], step):
+    for start in range(0, size, step):
         rows = out[start : start + step]
-        counts, jumps = poisson_draws(T.jumps.total_mass * t, T.jumps.sample,
-                                      rows.shape[0], rng)
-        rows[:, : T.dim] = t * T.d + poisson_scatter(counts, jumps)
-        yield rows, counts, jumps
+        with np.errstate(over="ignore", invalid="ignore"):
+            counts, jumps = poisson_draws(T.jumps.total_mass * t, T.jumps.sample,
+                                          rows.shape[0], rng)
+            rows[:, :n] = t * T.d + poisson_scatter(counts, jumps)
+            rows[:, n:] = draw_z(rows[:, :n], counts, jumps)
+        _finite(rows)
+    return out
 
 
 def simulate_strong_at(T: SubordinatorSpec, X: LevyLaw, t: float, size: int,
@@ -375,11 +393,8 @@ def simulate_strong_at(T: SubordinatorSpec, X: LevyLaw, t: float, size: int,
     (size, 2n): given T(t) = tau, (X o T)(t) is X at the vector time
     tau. The law of `simulate_strong`'s value at time t, without a
     per-path loop."""
-    n = T.dim
-    out = np.empty((size, 2 * n))
-    for rows, _, _ in _clock_at(T, X, t, out, rng):
-        rows[:, n:] = sample_subordinate_at(X, rows[:, :n], rng)
-    return out
+    return _draw_at(T, X, t, size, rng,
+                    lambda tau, counts, jumps: sample_subordinate_at(X, tau, rng))
 
 
 def simulate_weak_at(T: SubordinatorSpec, X: LevyLaw, t: float, size: int,
@@ -390,13 +405,13 @@ def simulate_weak_at(T: SubordinatorSpec, X: LevyLaw, t: float, size: int,
     independent X at the vector time d t. The law of `simulate_weak`'s
     value at time t, without a per-path loop; exact for atomic and
     samplable jump measures alike."""
-    n = T.dim
-    out = np.empty((size, 2 * n))
-    for rows, counts, jumps in _clock_at(T, X, t, out, rng):
-        rows[:, n:] = poisson_scatter(counts, sample_subordinate_at(X, jumps, rng))
+    def draw_z(tau, counts, jumps):
+        z = poisson_scatter(counts, sample_subordinate_at(X, jumps, rng))
         if np.any(T.d > 0):
-            rows[:, n:] += sample_subordinate_at(X, t * T.d, rng, size=len(counts))
-    return out
+            z += sample_subordinate_at(X, t * T.d, rng, size=len(counts))
+        return z
+
+    return _draw_at(T, X, t, size, rng, draw_z)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weaksub.cli import (
@@ -246,6 +246,17 @@ BAD_CONFIGS = {
 }
 
 
+# draws of (T, Z) beyond the floating-point range: t x drift, caught when the
+# config is parsed, and two subordinator jumps of 1e308, caught in the draws
+OVERFLOWING = {
+    "drift_times_horizon": {"seed": 1, "scenario": "deterministic",
+                            "horizon": 1e308, "replicates": 3},
+    "atoms_1e308": {"seed": 1, "scenario": "finite_activity_C1", "replicates": 200,
+                    "subordinator": {"drift": [0.0, 0.0], "atoms": [
+                        {"point": [1e308, 1e308], "rate": 2.0}]}},
+}
+
+
 class TestMain:
     @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
     def test_bad_config_exit_2_with_json_error(self, tmp_path, capsys, case):
@@ -255,6 +266,46 @@ class TestMain:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "invalid config"
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING))
+    def test_overflowing_draw_exit_2_without_output(self, tmp_path, capsys,
+                                                    case, command):
+        cfg = write_config(tmp_path, OVERFLOWING[case])
+        code = main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid config"
+        assert "floating-point range" in err["details"][0]
+        assert not (tmp_path / "out" / "samples.csv").exists()
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_overflowing_path_exit_2_without_rep_files(self, tmp_path, capsys):
+        # 20 paths of two expected 1e308 jumps: some paths are finite and
+        # written before one overflows
+        cfg = write_config(tmp_path, {**OVERFLOWING["atoms_1e308"],
+                                      "replicates": 20, "mode": "paths"})
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
+                     "--quiet"])
+        assert code == 2
+        assert "floating-point range" in json.loads(capsys.readouterr().err)[
+            "details"][0]
+        assert list((tmp_path / "paths").glob("rep_*.csv")) == []
+
+    @pytest.mark.parametrize("obj", [
+        {**MINIMAL, "replicates": 50}, {**MINIMAL, "horizon": 5},
+        {"seed": 1, "subordinator": {"drift": [1.0, 1.0]},
+         "subordinate": {"family": "brownian", "mu": [0, 0],
+                         "sigma": [[1, 0], [0, 1]]}}],
+        ids=["replicates_50", "horizon_5", "no_scenario"])
+    def test_verify_rules_checked_before_out_is_made(self, tmp_path, capsys, obj):
+        cfg = write_config(tmp_path, obj)
+        code = main(["verify", "--config", str(cfg), "--out",
+                     str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid config"
+        assert not (tmp_path / "out").exists()
 
     def test_unexpected_error_exit_3_with_json_error(self, tmp_path, capsys,
                                                       monkeypatch):
@@ -458,8 +509,7 @@ def _config_like():
         "mode": st.sampled_from(["time1", "paths"]) | anything})
 
 
-@settings(max_examples=400, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=400)
 @given(_config_like())
 def test_any_json_parses_or_raises_config_error(obj):
     try:

@@ -199,7 +199,7 @@ def levy_laws(draw):
 
 
 class TestExponentProperties:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(levy_laws(), st.integers(0, 2**32 - 1))
     def test_exponent_invariants(self, law, theta_seed):
         theta = np.random.default_rng(theta_seed).standard_normal(law.dim) * 2

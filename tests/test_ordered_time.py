@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import weaksub as ws
 
@@ -22,33 +23,6 @@ def brute_force_bm_at(t, sigma, rng, size):
             if t[j] >= b:
                 out[:, j] = state[:, j]
     return out
-
-
-class TestOrderTimes:
-    def test_basic_sort(self):
-        ot = ws.order_times([2.0, 0.5, 1.0])
-        assert list(ot.perm) == [1, 2, 0]
-        assert np.allclose(ot.deltas, [0.5, 0.5, 1.0])
-
-    def test_stable_tie_break(self):
-        ot = ws.order_times([1.0, 1.0])
-        assert list(ot.perm) == [0, 1]
-        assert np.allclose(ot.deltas, [1.0, 0.0])
-
-    def test_all_zero(self):
-        assert np.allclose(ws.order_times([0.0, 0.0, 0.0]).deltas, 0.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ws.LevySpecError):
-            ws.order_times([1.0, -0.1])
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.floats(0, 100), min_size=1, max_size=6))
-    def test_prefix_sums_reproduce_sorted(self, t):
-        ot = ws.order_times(t)
-        assert np.all(ot.deltas >= 0)
-        assert np.allclose(np.cumsum(ot.deltas), np.sort(t), atol=1e-12)
-        assert sorted(ot.perm) == list(range(len(t)))
 
 
 class TestVectorTimeExponent:
@@ -83,21 +57,72 @@ class TestVectorTimeExponent:
         with pytest.raises(ws.LevySpecError):
             ws.vector_time_exponent(bm, [-1, 2], [1, 1])
 
+    @pytest.mark.parametrize("t", [[-1.0, 2.0], [np.nan, 1.0],
+                                   [[1.0, 1.0], [0.5, -0.0001]],
+                                   [[1.0, 1.0], [np.nan, 0.5]]],
+                             ids=["negative", "nan", "negative_row", "nan_row"])
+    def test_negative_or_nan_time_rejected_by_both(self, t):
+        bm = ws.BrownianMotion([0, 0], np.eye(2))
+        with pytest.raises(ws.LevySpecError, match=">= 0"):
+            ws.vector_time_exponent(bm, t, [1, 1])
+        with pytest.raises(ws.LevySpecError, match=">= 0"):
+            ws.sample_subordinate_at(bm, t, np.random.default_rng(0))
+
+
+def exponent_with_perm(law, t, theta, perm):
+    """Oracle: the ordered-increment sum for one sort-consistent
+    permutation of t, as in A7: gap k restricts theta to perm[k:]."""
+    t = np.asarray(t, dtype=float)
+    deltas = np.diff(t[perm], prepend=0.0)
+    total = 0j
+    for k in range(len(t)):
+        proj = np.zeros(len(t))
+        proj[perm[k:]] = theta[perm[k:]]
+        total += deltas[k] * law.exponent(proj)
+    return total
+
+
+def draw_with_perm(law, t, rng, size, perm):
+    """Oracle: the ordered-increment draw for one sort-consistent
+    permutation of t: the increment over gap k goes to perm[k:]."""
+    deltas = np.diff(t[perm], prepend=0.0)
+    out = np.zeros((size, len(t)))
+    for k, gap in enumerate(deltas):
+        if gap:
+            out[:, perm[k:]] += law.sample(gap, rng, size)[:, perm[k:]]
+    return out
+
+
+def tie_breaks(t):
+    """The sort permutations of t that break ties by ascending and by
+    descending index."""
+    index = np.arange(len(t))
+    return np.lexsort((index, t)), np.lexsort((-index, t))
+
+
+def law_of_dim(n, kind):
+    if kind == "bm":
+        return ws.BrownianMotion(np.linspace(-0.2, 0.2, n),
+                                 0.3 + 0.7 * np.eye(n))
+    points = np.array([[1.0, -0.5, 0.2, 0.7], [0.2, 0.4, -1.0, 0.3]])[:, :n]
+    return ws.CompoundPoisson(ws.AtomicJumps(points, [0.8, 1.2]))
+
+
+@st.composite
+def tied_times_and_thetas(draw):
+    """(kind, t, theta): t of shape (n,) or (m, n) with every coordinate
+    from a pool of at most three values, one of them 0, so that ties and
+    zero times are common; theta of t's shape."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.none() | st.integers(1, 4))
+    shape = (n,) if m is None else (m, n)
+    pool = [0.0, *draw(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=2))]
+    t = draw(hnp.arrays(float, shape, elements=st.sampled_from(pool)))
+    theta = draw(hnp.arrays(float, shape, elements=st.floats(-2.0, 2.0)))
+    return draw(st.sampled_from(["bm", "cpp"])), t, theta
+
 
 class TestTieBreakInvariance:
-    def _exponent_with_perm(self, law, t, theta, perm):
-        # direct evaluation of the ordered-increment sum for a given
-        # sort-consistent permutation
-        t = np.asarray(t, dtype=float)
-        sorted_t = t[perm]
-        deltas = np.diff(sorted_t, prepend=0.0)
-        total = 0j
-        for k in range(len(t)):
-            proj = np.zeros(len(t))
-            proj[perm[k:]] = theta[perm[k:]]
-            total += deltas[k] * law.exponent(proj)
-        return total
-
     def test_reversed_ties_exact(self):
         rng = np.random.default_rng(99)
         bm = ws.BrownianMotion(np.zeros(3), [[1, 0.3, 0], [0.3, 1, 0.2],
@@ -109,11 +134,40 @@ class TestTieBreakInvariance:
             theta = rng.standard_normal(3)
             forward = np.lexsort((np.arange(3), t))
             backward = np.lexsort((-np.arange(3), t))
-            a = self._exponent_with_perm(bm, t, theta, forward)
-            b = self._exponent_with_perm(bm, t, theta, backward)
+            a = exponent_with_perm(bm, t, theta, forward)
+            b = exponent_with_perm(bm, t, theta, backward)
             lib = ws.vector_time_exponent(bm, t, theta)
             assert abs(a - b) <= 1e-12
             assert abs(lib - a) <= 1e-12
+
+    @settings(max_examples=200)
+    @given(tied_times_and_thetas())
+    def test_exponent_matches_either_tie_break(self, case):
+        kind, t, theta = case
+        law = law_of_dim(t.shape[-1], kind)
+        lib = np.atleast_1d(ws.vector_time_exponent(law, t, theta))
+        for row, (t_i, theta_i) in enumerate(zip(np.atleast_2d(t),
+                                                 np.atleast_2d(theta))):
+            for perm in tie_breaks(t_i):
+                reference = exponent_with_perm(law, t_i, theta_i, perm)
+                assert abs(lib[row] - reference) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["bm", "cpp"])
+    @pytest.mark.parametrize("t", [[1.0, 0.0, 1.0], [0.4, 1.3, 0.4, 0.4],
+                                   [2.0, 2.0, 2.0], [0.0, 0.7, 0.0, 0.7]])
+    def test_tied_time_draws_are_either_tie_break(self, kind, t):
+        # one tied time vector drawn size=m times, its rows tiled m times,
+        # and the draw along either sort permutation: the same numbers
+        t = np.array(t)
+        law, m = law_of_dim(len(t), kind), 129
+        a = ws.sample_subordinate_at(law, t, np.random.default_rng(41), size=m)
+        b = ws.sample_subordinate_at(law, np.tile(t, (m, 1)),
+                                     np.random.default_rng(41))
+        assert np.array_equal(a, b)
+        for perm in tie_breaks(t):
+            assert np.array_equal(a, draw_with_perm(
+                law, t, np.random.default_rng(41), m, perm))
+
 
 
 class TestVectorTimeCF:
@@ -130,7 +184,7 @@ class TestVectorTimeCF:
         bm = ws.BrownianMotion([0.5, 0.5], np.eye(2))
         assert ws.vector_time_cf(bm, [0, 0], [3, -2]) == pytest.approx(1.0)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(st.integers(0, 2**32 - 1))
     def test_modulus_at_most_one(self, seed):
         rng = np.random.default_rng(seed)

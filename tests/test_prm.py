@@ -63,13 +63,20 @@ class TestCampbellIdentity:
 
     @pytest.mark.parametrize("rate,horizon,reps", [
         (-1.0, 1.0, 100), (np.nan, 1.0, 100), (np.inf, 1.0, 100),
-        (2.0, 0.0, 100), (2.0, -1.0, 100), (2.0, 1.0, 1), (2.0, 1.0, 0),
+        (2.0, 0.0, 100), (2.0, -1.0, 100), (2.0, np.inf, 100), (2.0, 1.0, 1),
+        (2.0, 1.0, 0),
     ])
     def test_bad_arguments_raise(self, rate, horizon, reps):
         with pytest.raises(ws.LevySpecError):
             ws.laplace_functional_mc(rate, unit_mark(), horizon,
                                      ws.ConstantFunctional(1.0), reps,
                                      np.random.default_rng(0))
+
+    @pytest.mark.parametrize("c", [np.nan, -1.0])
+    def test_constant_functional_rejects_nan_and_negative(self, c):
+        with pytest.raises(ws.LevySpecError):
+            ws.ConstantFunctional(c)
+        assert ws.ConstantFunctional(np.inf).c == np.inf
 
 
 class TestMarkedLaplaceCheck:
@@ -118,7 +125,8 @@ class TestMarkedLaplaceCheck:
             rng=np.random.default_rng(12), inner=2)
         assert (result.lhs, result.lhs_se, result.rhs, result.rhs_se) == (0, 0, 0, 0)
 
-    @pytest.mark.parametrize("horizon,reps", [(0.0, 100), (-1.0, 100), (1.0, 1)])
+    @pytest.mark.parametrize("horizon,reps", [(0.0, 100), (-1.0, 100),
+                                              (np.inf, 100), (1.0, 1)])
     def test_bad_arguments_raise(self, horizon, reps):
         T = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1, 1]], [1.0]))
         with pytest.raises(ws.LevySpecError):

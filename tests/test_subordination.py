@@ -335,6 +335,19 @@ class TestTimeTSamplers:
         with pytest.raises(ws.LevySpecError):
             ws.simulate_strong_at(T, X, 0.0, 10, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("simulate", [
+        lambda T, X, rng: ws.simulate_strong_at(T, X, 1.0, 200, rng),
+        lambda T, X, rng: ws.simulate_weak_at(T, X, 1.0, 200, rng),
+        lambda T, X, rng: [ws.simulate_strong(T, X, 1.0, rng) for _ in range(20)],
+        lambda T, X, rng: [ws.simulate_weak(T, X, 1.0, rng) for _ in range(20)]],
+        ids=["strong_at", "weak_at", "strong", "weak"])
+    def test_overflowing_draw_raises(self, simulate):
+        # two jumps of 1e308 sum beyond the float range: an error, not a
+        # RuntimeWarning (an error under this suite) and inf or NaN values
+        T = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1e308, 1e308]], [2.0]))
+        with pytest.raises(ws.LevySpecError, match="floating-point range"):
+            simulate(T, correlated_bm(), np.random.default_rng(3))
+
 
 class TestBatchRows:
     # a subordinator with drift and one atom over a compound Poisson law

@@ -32,7 +32,7 @@ class TestECF:
         with pytest.raises(ws.LevySpecError):
             ws.ecf(np.zeros((0, 2)), [1, 1])
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(st.integers(0, 2**32 - 1))
     def test_conjugate_symmetry(self, seed):
         rng = np.random.default_rng(seed)
