@@ -40,7 +40,6 @@ from .subordination import (
     choose_truncation_eps,
     simulate_strong,
     simulate_strong_at,
-    simulate_subordinator,
     simulate_weak,
     simulate_weak_at,
     stacked_strong_exponent,

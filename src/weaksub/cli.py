@@ -13,10 +13,12 @@ stream c; `verify` draws from stream 0.
 Exit status: 0 success (for verify, the suite passed); 1 the verify
 suite failed; 2 invalid config or flags, with a JSON error on stderr;
 3 any other error, with a JSON error naming the exception on stderr.
+On exit 2 or 3 the files the run wrote (and a paths directory it made) go.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import traceback
@@ -363,10 +365,10 @@ def _make_dir(path: Path) -> None:
         raise ConfigError([f"--out: {exc}"]) from exc
 
 
-def run_exponent(config: ExperimentConfig, out_dir: Path) -> Path:
+def run_exponent(config: ExperimentConfig, out_dir: Path, written: list[Path]) -> Path:
     """Evaluate the weak-subordination exponent on the theta grid and
     write one CSV row per grid point: theta coords, Re, Im, SE (empty
-    when the value is exact)."""
+    when the value is exact). Appends the file to `written` first."""
     T, X = config.processes()
     n = T.dim
     grid = config.theta_grid.build(2 * n)
@@ -374,76 +376,69 @@ def run_exponent(config: ExperimentConfig, out_dir: Path) -> Path:
     # within TIME_T_CHUNK x n values
     block = max(1, TIME_T_CHUNK // max(1, T.jumps.points.shape[0]))
     out = out_dir / "exponent.csv"
-    try:
-        with out.open("w") as fp:
-            cols = [f"theta_{j+1}" for j in range(2 * n)] + ["re", "im", "se"]
-            fp.write(",".join(cols) + "\n")
-            for start in range(0, grid.shape[0], block):
-                thetas = grid[start : start + block]
-                vals = grid_exponent(T, X, thetas)
-                fp.writelines(
-                    ",".join([*map(_fmt, theta), _fmt(val.real), _fmt(val.imag), ""])
-                    + "\n" for theta, val in zip(thetas, vals))
-    except LevySpecError as exc:  # a non-finite exponent: no partial table
-        out.unlink()
-        raise ConfigError([f"theta_grid: {exc}"]) from exc
+    written.append(out)
+    with out.open("w") as fp:
+        cols = [f"theta_{j+1}" for j in range(2 * n)] + ["re", "im", "se"]
+        fp.write(",".join(cols) + "\n")
+        for start in range(0, grid.shape[0], block):
+            thetas = grid[start : start + block]
+            vals = grid_exponent(T, X, thetas)
+            fp.writelines(
+                ",".join([*map(_fmt, theta), _fmt(val.real), _fmt(val.imag), ""])
+                + "\n" for theta, val in zip(thetas, vals))
     return out
 
 
-def run_simulate(config: ExperimentConfig, out_dir: Path,
+def run_simulate(config: ExperimentConfig, out_dir: Path, written: list[Path],
                  kind: str = "weak") -> Path:
     """Simulate (T, Z); `mode` selects pooled time-horizon samples (one
     CSV, drawn in chunks by the batched samplers) or per-replicate path
-    dumps (one CSV per replicate path)."""
+    dumps (one CSV per replicate path). Appends each file, and the paths
+    directory when it makes it, to `written` first."""
     T, X = config.processes()
     n = T.dim
-    written: list[Path] = []
-    try:
-        if config.mode == "paths":
-            simulate = {"weak": simulate_weak, "strong": simulate_strong}[kind]
-            out = out_dir / "paths"
+    if config.mode == "paths":
+        simulate = {"weak": simulate_weak, "strong": simulate_strong}[kind]
+        out = out_dir / "paths"
+        if not out.is_dir():
             _make_dir(out)
-            for r in range(config.replicates):
-                path = simulate(T, X, config.horizon,
-                                stream(config.seed, "simulate", r),
-                                sample_times=[config.horizon])
-                written.append(out / f"rep_{r:06d}.csv")
-                with written[-1].open("w") as fp:
-                    path.to_csv(fp)
-            return out
-        sample = {"weak": simulate_weak_at, "strong": simulate_strong_at}[kind]
-        out = out_dir / "samples.csv"
-        written.append(out)
-        with out.open("w") as fp:
-            cols = [f"T_{j+1}" for j in range(n)] + [f"Z_{j+1}" for j in range(n)]
-            fp.write(",".join(cols) + "\n")
-            for c, start in enumerate(range(0, config.replicates, TIME_T_CHUNK)):
-                rows = sample(T, X, config.horizon,
-                              min(TIME_T_CHUNK, config.replicates - start),
-                              stream(config.seed, "simulate", c))
-                fp.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
-    except LevySpecError as exc:  # a draw beyond the float range: no partial output
-        for written_file in written:
-            written_file.unlink()
-        raise ConfigError([str(exc)]) from exc
+            written.append(out)
+        for r in range(config.replicates):
+            path = simulate(T, X, config.horizon, stream(config.seed, "simulate", r),
+                            sample_times=[config.horizon])
+            written.append(out / f"rep_{r:06d}.csv")
+            with written[-1].open("w") as fp:
+                path.to_csv(fp)
+        return out
+    sample = {"weak": simulate_weak_at, "strong": simulate_strong_at}[kind]
+    out = out_dir / "samples.csv"
+    written.append(out)
+    with out.open("w") as fp:
+        cols = [f"T_{j+1}" for j in range(n)] + [f"Z_{j+1}" for j in range(n)]
+        fp.write(",".join(cols) + "\n")
+        for c, start in enumerate(range(0, config.replicates, TIME_T_CHUNK)):
+            rows = sample(T, X, config.horizon,
+                          min(TIME_T_CHUNK, config.replicates - start),
+                          stream(config.seed, "simulate", c))
+            fp.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
     return out
 
 
-def run_verify(config: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
+def run_verify(config: ExperimentConfig, out_dir: Path, written: list[Path],
+               quiet: bool = False) -> int:
     """Run the scenario's equality-in-law suite; write report.json and a
-    text summary; exit status 0 iff the suite passed (for the negative
-    control, 0 iff the expected mismatch was observed)."""
+    text summary, each appended to `written` first; exit status 0 iff the
+    suite passed (for the negative control, 0 iff the expected mismatch
+    was observed)."""
     suite_config = SuiteConfig(n_paths=config.replicates, k=config.k,
                                theta_grid=config.theta_grid)
-    try:
-        report = equality_in_law_suite(config.scenario, suite_config,
-                                       stream(config.seed, "verify"),
-                                       T=config.subordinator, X=config.subordinate)
-    except LevySpecError as exc:  # a non-finite exact exponent or draw
-        raise ConfigError([str(exc)]) from exc
-    (out_dir / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, allow_nan=False))
-    (out_dir / "summary.txt").write_text(report.summary() + "\n")
+    report = equality_in_law_suite(config.scenario, suite_config,
+                                   stream(config.seed, "verify"),
+                                   T=config.subordinator, X=config.subordinate)
+    written.append(out_dir / "report.json")
+    written[-1].write_text(json.dumps(report.to_dict(), indent=2, allow_nan=False))
+    written.append(out_dir / "summary.txt")
+    written[-1].write_text(report.summary() + "\n")
     if not quiet:
         print(report.summary())
     return 0 if report.passed else 1
@@ -484,6 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    written: list[Path] = []  # the run's outputs, removed on exit 2 or 3
     try:
         try:
             text = args.config.read_text()
@@ -500,24 +496,29 @@ def main(argv=None) -> int:
             _check_run(config, args.command)
         _make_dir(args.out)
         if args.command == "exponent":
-            out = run_exponent(config, args.out)
+            out = run_exponent(config, args.out, written)
         elif args.command == "simulate":
-            out = run_simulate(config, args.out, kind=args.kind)
+            out = run_simulate(config, args.out, written, kind=args.kind)
         else:
-            return run_verify(config, args.out, quiet=args.quiet)
-    except ConfigError as exc:
-        print(json.dumps({"error": "invalid config", "details": exc.errors}),
+            return run_verify(config, args.out, written, quiet=args.quiet)
+        if not args.quiet:
+            print(out)
+        return 0
+    except (ConfigError, LevySpecError) as exc:  # LevySpecError: a value out of range
+        details = exc.errors if isinstance(exc, ConfigError) else [str(exc)]
+        print(json.dumps({"error": "invalid config", "details": details}),
               file=sys.stderr)
-        return 2
+        code = 2
     except Exception as exc:  # the command's boundary: report, never a bare traceback
         print(json.dumps({"error": "internal error", "type": type(exc).__name__,
                           "details": str(exc),
                           "traceback": traceback.format_exc()}),
               file=sys.stderr)
-        return 3
-    if not args.quiet:
-        print(out)
-    return 0
+        code = 3
+    for path in reversed(written):  # a partial output can look complete
+        with contextlib.suppress(OSError):
+            path.rmdir() if path.is_dir() else path.unlink()
+    return code
 
 
 if __name__ == "__main__":

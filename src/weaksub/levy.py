@@ -17,6 +17,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 PSD_TOL = 1e-10
+# Largest expected point count of one `poisson_draws` call: above the CLI's
+# largest draw, a time-t row expecting MAX_ROWS = 10**7 jumps.
+MAX_POISSON_POINTS = 2**27
 
 Array = np.ndarray
 
@@ -239,7 +242,14 @@ def poisson_draws(mean, sample: Callable[[np.random.Generator, int], Array],
     Poisson(mean) (or Poisson(mean[i]) for `mean` of shape (size,)), then
     all counts.sum() points in one `sample(rng, k)` call, row 0's first.
     So `poisson_scatter(counts, g(points))` sums g over each window.
+    A negative or NaN mean, or more than MAX_POISSON_POINTS expected
+    points in all, is a LevySpecError.
     """
+    with np.errstate(over="ignore"):  # an overflowed expectation is inf
+        expected = np.sum(mean) * (size if np.ndim(mean) == 0 else 1)
+    if not (np.all(mean >= 0) and expected <= MAX_POISSON_POINTS):
+        raise LevySpecError(f"Poisson means must be nonnegative and expect at most "
+                            f"{MAX_POISSON_POINTS} points per draw, not {expected:g}")
     counts = rng.poisson(mean, size=size)
     return counts, sample(rng, int(counts.sum()))
 

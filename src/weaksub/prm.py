@@ -71,9 +71,7 @@ def laplace_functional_mc(rate: float, marks, horizon: float, f, reps: int,
     `marks.sample(rng, k)` draws k marks, and `f.evaluate(times, marks)`
     maps k times and their marks to k nonnegative values.
     """
-    if rate < 0 or not np.isfinite(rate):
-        raise LevySpecError("rate must be finite and nonnegative")
-    _check_window(horizon, reps)
+    _check_window(horizon, reps)  # poisson_draws checks rate x horizon
 
     def f_values(rng, k):  # f at k uniform times with i.i.d. marks
         return f.evaluate(rng.uniform(0.0, horizon, size=k), marks.sample(rng, k))

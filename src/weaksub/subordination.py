@@ -169,10 +169,10 @@ class PathRecord:
 
     values[i] is the post-event state at event_times[i]; the state at
     time 0 is the zero vector. Between events the subordinator block
-    moves linearly with slope drift_part[:n]; the Z block is recorded
-    exactly at event times only (simulators insert all requested sample
-    times as events), and drift_part[n:] is its deterministic slope,
-    zero unless X is deterministic.
+    moves linearly with slope drift_part[:n]; the Z block is exact at
+    event times only (simulators insert all requested sample times as
+    events) and between them holds its value at the last event
+    (drift_part[n:] is zero).
     """
 
     event_times: Array
@@ -207,26 +207,6 @@ class PathRecord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SubordinatorJumps:
-    """Jump times (increasing) and sizes of a subordinator over a window."""
-
-    times: Array       # (m,)
-    sizes: Array       # (m, n)
-    d: Array
-    horizon: float
-
-    def values_at(self, times) -> Array:
-        times = np.asarray(times, dtype=float)
-        out = np.outer(times, self.d)
-        if len(self.times):
-            counts = np.searchsorted(self.times, times, side="right")
-            csum = np.vstack([np.zeros(self.sizes.shape[1]),
-                              np.cumsum(self.sizes, axis=0)])
-            out += csum[counts]
-        return out
-
-
 def _jump_windows(T: SubordinatorSpec, horizon: float, size: int,
                   rng: np.random.Generator) -> tuple[Array, Array, Array]:
     """`size` independent windows (0, horizon] of T's jumps: the jump
@@ -235,28 +215,13 @@ def _jump_windows(T: SubordinatorSpec, horizon: float, size: int,
     all jumps, window 0's first."""
     if horizon <= 0:
         raise LevySpecError("horizon must be positive")
-    mass = T.jumps.total_mass
-    if not np.isfinite(mass):
-        raise LevySpecError("subordinator must have finite activity; "
-                            "truncate small jumps first")
 
     def jumps(rng, k):  # (k, 1 + n): time, then size
         return np.column_stack([rng.uniform(0.0, horizon, size=k),
                                 T.jumps.sample(rng, k)])
 
-    counts, points = poisson_draws(mass * horizon, jumps, size, rng)
+    counts, points = poisson_draws(T.jumps.total_mass * horizon, jumps, size, rng)
     return counts, points[:, 0], points[:, 1:]
-
-
-def simulate_subordinator(T: SubordinatorSpec, horizon: float,
-                          rng: np.random.Generator) -> SubordinatorJumps:
-    """Exact finite-activity simulation: Poisson(total mass * horizon)
-    many jumps at i.i.d. uniform times, sizes i.i.d. from the normalized
-    jump measure, drift d between jumps.
-    """
-    _, times, sizes = _jump_windows(T, horizon, 1, rng)
-    return SubordinatorJumps(times=np.sort(times), sizes=sizes, d=T.d,
-                             horizon=horizon)
 
 
 def _event_grid(jump_times: Array, horizon: float, sample_times) -> Array:
@@ -278,13 +243,17 @@ def _finite(values: Array) -> Array:
 
 def _path(T: SubordinatorSpec, horizon: float, rng: np.random.Generator,
           sample_times, draw_z) -> PathRecord:
-    """One exact path of (T, Z), with Z at the events from draw_z(T's jumps,
-    events, T at the events); an overflowed value is a LevySpecError."""
+    """One exact path of (T, Z): T from one window of its jumps, and Z at the
+    events from draw_z(sorted jump times, jump sizes, events, T at the
+    events); an overflowed value is a LevySpecError."""
     with np.errstate(over="ignore", invalid="ignore"):
-        sub = simulate_subordinator(T, horizon, rng)
-        events = _event_grid(sub.times, horizon, sample_times)
-        tvals = sub.values_at(events)
-        values = _finite(np.hstack([tvals, draw_z(sub, events, tvals)]))
+        _, times, sizes = _jump_windows(T, horizon, 1, rng)
+        times = np.sort(times)
+        events = _event_grid(times, horizon, sample_times)
+        csum = np.vstack([np.zeros(T.dim), np.cumsum(sizes, axis=0)])
+        tvals = (np.outer(events, T.d)
+                 + csum[np.searchsorted(times, events, side="right")])
+        values = _finite(np.hstack([tvals, draw_z(times, sizes, events, tvals)]))
     drift_part = np.concatenate([T.d, np.zeros(T.dim)])
     return PathRecord(event_times=events, values=values,
                       drift_part=drift_part, horizon=horizon)
@@ -300,7 +269,7 @@ def simulate_strong(T: SubordinatorSpec, X: LevyLaw, horizon: float,
     union of those clock times, preserving cross-component dependence;
     (X o T)_j(event) is then read off as X_j(T_j(event)).
     """
-    def draw_z(sub, events, tvals):
+    def draw_z(times, sizes, events, tvals):
         clock = np.concatenate([[0.0], np.unique(tvals[tvals > 0.0])])
         steps = X.sample(np.diff(clock), rng, len(clock) - 1)
         xpath = np.cumsum(np.vstack([np.zeros(T.dim), steps]), axis=0)  # X at clock
@@ -320,10 +289,10 @@ def simulate_weak(T: SubordinatorSpec, X: LevyLaw, horizon: float,
     whose increment over a gap of length g has the law of X at the
     vector time d*g. The two parts superpose independently.
     """
-    def draw_z(sub, events, tvals):
-        marks = sample_subordinate_at(X, sub.sizes, rng)
+    def draw_z(times, sizes, events, tvals):
+        marks = sample_subordinate_at(X, sizes, rng)
         mark_csum = np.vstack([np.zeros(T.dim), np.cumsum(marks, axis=0)])
-        zvals = mark_csum[np.searchsorted(sub.times, events, side="right")]
+        zvals = mark_csum[np.searchsorted(times, events, side="right")]
         if np.any(T.d > 0):
             gaps = np.diff(events, prepend=0.0)
             zvals += np.cumsum(sample_subordinate_at(X, np.outer(gaps, T.d), rng),

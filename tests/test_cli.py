@@ -77,7 +77,7 @@ class TestRunExponent:
     def test_theta_zero_row(self, tmp_path):
         obj = {**MINIMAL, "theta_grid": {"points": [[0, 0, 0, 0]]}}
         cfg = parse_config(json.dumps(obj))
-        out = run_exponent(cfg, tmp_path)
+        out = run_exponent(cfg, tmp_path, [])
         header, row = out.read_text().strip().split("\n")
         assert header.endswith("re,im,se")
         fields = row.split(",")
@@ -92,15 +92,15 @@ class TestRunExponent:
                                "sigma": [[1, 0], [0, 1]]},
                "theta_grid": {"points": [[0, 0, 1, 1]]}}
         cfg = parse_config(json.dumps(obj))
-        out = run_exponent(cfg, tmp_path)
+        out = run_exponent(cfg, tmp_path, [])
         row = out.read_text().strip().split("\n")[1].split(",")
         assert float(row[4]) == pytest.approx(np.exp(-1) - 1, abs=1e-12)
         assert float(row[5]) == pytest.approx(0.0, abs=1e-12)
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = parse_config(json.dumps(MINIMAL))
-        a = run_exponent(cfg, tmp_path).read_bytes()
-        b = run_exponent(cfg, tmp_path).read_bytes()
+        a = run_exponent(cfg, tmp_path, []).read_bytes()
+        b = run_exponent(cfg, tmp_path, []).read_bytes()
         assert a == b
 
     def test_non_finite_exponent_exit_2_without_table(self, tmp_path, capsys):
@@ -123,7 +123,7 @@ class TestRunSimulate:
                                "sigma": [[0, 0], [0, 0]]},
                "replicates": 50}
         cfg = parse_config(json.dumps(obj))
-        out = run_simulate(cfg, tmp_path, kind="strong")
+        out = run_simulate(cfg, tmp_path, [], kind="strong")
         rows = out.read_text().strip().split("\n")[1:]
         assert len(rows) == 50
         for row in rows:
@@ -132,7 +132,7 @@ class TestRunSimulate:
 
     def test_zero_replicates_header_only(self, tmp_path):
         cfg = parse_config(json.dumps({**MINIMAL, "replicates": 0}))
-        out = run_simulate(cfg, tmp_path)
+        out = run_simulate(cfg, tmp_path, [])
         assert out.read_text().strip() == "T_1,T_2,Z_1,Z_2"
 
     def test_identity_time_change_reproduces_subordinate(self, tmp_path):
@@ -142,7 +142,7 @@ class TestRunSimulate:
                                "sigma": [[1, 0.5], [0.5, 1]]},
                "replicates": 4000}
         cfg = parse_config(json.dumps(obj))
-        out = run_simulate(cfg, tmp_path, kind="strong")
+        out = run_simulate(cfg, tmp_path, [], kind="strong")
         data = np.loadtxt(out, delimiter=",", skiprows=1)
         grid = ws.default_theta_grid(2)
         rep = ws.cf_compare(
@@ -154,8 +154,8 @@ class TestRunSimulate:
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = parse_config(json.dumps({**MINIMAL, "replicates": 20}))
-        a = run_simulate(cfg, tmp_path).read_bytes()
-        b = run_simulate(cfg, tmp_path).read_bytes()
+        a = run_simulate(cfg, tmp_path, []).read_bytes()
+        b = run_simulate(cfg, tmp_path, []).read_bytes()
         assert a == b
 
     def test_time1_chunk_c_draws_from_stream_c(self, tmp_path):
@@ -164,7 +164,7 @@ class TestRunSimulate:
         from weaksub.subordination import TIME_T_CHUNK
         n = TIME_T_CHUNK + 5
         cfg = parse_config(json.dumps({**MINIMAL, "replicates": n}))
-        out = run_simulate(cfg, tmp_path, kind="strong")
+        out = run_simulate(cfg, tmp_path, [], kind="strong")
         data = np.loadtxt(out, delimiter=",", skiprows=1)
         T, X = cfg.processes()
         expected = np.vstack([
@@ -175,7 +175,7 @@ class TestRunSimulate:
     def test_paths_mode(self, tmp_path):
         cfg = parse_config(json.dumps({**MINIMAL, "replicates": 3,
                                        "mode": "paths"}))
-        out = run_simulate(cfg, tmp_path)
+        out = run_simulate(cfg, tmp_path, [])
         files = sorted(out.glob("rep_*.csv"))
         assert len(files) == 3
         assert files[0].read_text().startswith("time,T_1,T_2,Z_1,Z_2")
@@ -185,7 +185,7 @@ class TestRunSimulate:
         cfg = parse_config(json.dumps({"seed": 5, "scenario": "finite_activity_C1",
                                        "replicates": 4, "horizon": 3.0,
                                        "mode": "paths"}))
-        runs = [sorted(run_simulate(cfg, tmp_path / str(i), kind).glob("rep_*.csv"))
+        runs = [sorted(run_simulate(cfg, tmp_path / str(i), [], kind).glob("rep_*.csv"))
                 for i in range(2)]
         assert len(runs[0]) == 4
         assert [f.read_bytes() for f in runs[0]] == [f.read_bytes() for f in runs[1]]
@@ -311,7 +311,7 @@ class TestMain:
                                                       monkeypatch):
         import weaksub.cli as cli
 
-        def fail(config, out_dir):
+        def fail(config, out_dir, written):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli, "run_exponent", fail)
@@ -323,6 +323,34 @@ class TestMain:
         assert err["error"] == "internal error"
         assert err["type"] == "RuntimeError" and err["details"] == "boom"
 
+    @pytest.mark.parametrize("case", ["time1", "paths", "verify"])
+    def test_exit_3_leaves_no_output(self, tmp_path, capsys, monkeypatch, case):
+        # each run fails with part of its output written: time1 in its second
+        # chunk, paths in its second replicate, verify in its summary, after
+        # report.json
+        import weaksub.cli as cli
+        import weaksub.verify as verify
+
+        def fail(*args, **kwargs):
+            raise MemoryError("no room")
+
+        if case == "verify":
+            monkeypatch.setattr(verify.SuiteReport, "summary", fail)
+            command, obj = "verify", {**MINIMAL, "replicates": 200}
+        else:
+            name = {"time1": "simulate_weak_at", "paths": "simulate_weak"}[case]
+            draws = [getattr(cli, name), fail]
+            monkeypatch.setattr(cli, name, lambda *a, **k: draws.pop(0)(*a, **k))
+            command, obj = "simulate", {
+                "time1": {**MINIMAL, "replicates": 10_000},
+                "paths": {**MINIMAL, "replicates": 3, "mode": "paths"}}[case]
+        cfg = write_config(tmp_path, obj)
+        out = tmp_path / "out"
+        code = main([command, "--config", str(cfg), "--out", str(out), "--quiet"])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["type"] == "MemoryError"
+        assert list(out.iterdir()) == []
+
     def test_verify_deterministic_exit_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**MINIMAL, "replicates": 2000})
         code = main(["verify", "--config", str(cfg), "--out",
@@ -330,6 +358,17 @@ class TestMain:
         assert code == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["passed"] is True
+
+    @pytest.mark.parametrize("n,code", [(100_000, 0), (2000, 1)])
+    def test_verify_negative_control_exit_code(self, tmp_path, n, code):
+        # exit 0 iff the expected mismatch was observed
+        cfg = write_config(tmp_path, {"seed": 5, "scenario": "negative_control",
+                                      "replicates": n})
+        assert main(["verify", "--config", str(cfg), "--out",
+                     str(tmp_path / "out"), "--quiet"]) == code
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["passed"] is (code == 0)
+        assert report["negative_control_max_ratio"] is not None
 
     def test_verify_rerun_report_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, {"seed": 9, "scenario": "stacked_C3",

@@ -84,6 +84,21 @@ class TestPoissonDraws:
         assert points.shape == (0, 3)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("mean,size", [
+        (np.nan, 2), (-1.0, 2), (np.array([0.5, np.nan]), 2),
+        (np.array([-1.0, 5.0]), 2),
+        # 10 rows expecting 2**27 / 10 + 1 points each: beyond MAX_POISSON_POINTS
+        (2**27 / 10 + 1.0, 10)])
+    def test_bad_or_too_large_mean_raises(self, mean, size):
+        with pytest.raises(ws.LevySpecError, match="expect at most"):
+            poisson_draws(mean, lambda rng, k: rng.uniform(size=k), size,
+                          np.random.default_rng(3))
+
+    def test_compound_poisson_rate_beyond_sampler_raises(self):
+        X = ws.CompoundPoisson(ws.AtomicJumps([[1.0]], [1e300]))
+        with pytest.raises(ws.LevySpecError, match="expect at most"):
+            X.sample(1.0, np.random.default_rng(4), size=10)
+
 
 class TestKacStack:
     def test_two_standard_bms(self):

@@ -65,6 +65,8 @@ class TestCampbellIdentity:
         (-1.0, 1.0, 100), (np.nan, 1.0, 100), (np.inf, 1.0, 100),
         (2.0, 0.0, 100), (2.0, -1.0, 100), (2.0, np.inf, 100), (2.0, 1.0, 1),
         (2.0, 1.0, 0),
+        # rate x horizon beyond numpy's Poisson sampler; 1e12 expected points
+        (1e300, 1e10, 100), (1e10, 1.0, 100),
     ])
     def test_bad_arguments_raise(self, rate, horizon, reps):
         with pytest.raises(ws.LevySpecError):
@@ -132,4 +134,11 @@ class TestMarkedLaplaceCheck:
         with pytest.raises(ws.LevySpecError):
             ws.marked_laplace_check(T, correlated_bm(), lambda *a: 0.0,
                                     horizon=horizon, reps=reps,
+                                    rng=np.random.default_rng(0))
+
+    def test_jump_rate_beyond_poisson_sampler_raises(self):
+        T = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1, 1]], [1e300]))
+        with pytest.raises(ws.LevySpecError, match="expect at most"):
+            ws.marked_laplace_check(T, correlated_bm(), lambda *a: 0.0,
+                                    horizon=1e10, reps=100,
                                     rng=np.random.default_rng(0))

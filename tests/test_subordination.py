@@ -5,12 +5,21 @@ import pytest
 
 import weaksub as ws
 from weaksub import subordination
-from weaksub.subordination import TIME_T_CHUNK, _batch_rows, expected_jumps
+from weaksub.subordination import (TIME_T_CHUNK, _batch_rows, _jump_windows,
+                                   expected_jumps)
 from weaksub.verify import scenario_processes
 
 
 def correlated_bm():
     return ws.BrownianMotion([0, 0], [[1, 0.5], [0.5, 1]])
+
+
+def t_path(T, horizon, rng):
+    """A path of T alone: the T block of a strong path with zero X."""
+    path = ws.simulate_strong(T, ws.zero_process(T.dim), horizon, rng)
+    path.values = path.values[:, :T.dim]
+    path.drift_part = path.drift_part[:T.dim]
+    return path
 
 
 class TestWeakExponent:
@@ -100,6 +109,17 @@ class TestStackEmbedding:
         np.testing.assert_array_equal(emb.expand([[0.5, 2.0], [np.inf, 1.0]]),
                                       [[0.5, 2.0, 2.0], [np.inf, 1.0, 1.0]])
 
+    def test_samplable_clock_draws_equal_coordinates(self):
+        # a sampler-only R: T's jumps are R's draws, repeated per block
+        R = ws.truncated_gamma_subordinator(2.0, 1.5)
+        T = ws.stacked_subordinator(R, ws.StackEmbedding((2,)))
+        assert T.jumps.total_mass == R.jumps.total_mass
+        np.testing.assert_array_equal(T.d, [R.d[0], R.d[0]])
+        jumps = T.jumps.sample(np.random.default_rng(0), 100)
+        r_jumps = R.jumps.sample(np.random.default_rng(0), 100)
+        assert jumps.shape == (100, 2) and np.all(jumps > 0)
+        np.testing.assert_array_equal(jumps, np.hstack([r_jumps, r_jumps]))
+
 
 class TestStackedStrongExponent:
     def setup_method(self):
@@ -158,41 +178,41 @@ class TestStackedStrongExponent:
 class TestSimulateSubordinator:
     def test_pure_drift(self):
         T = ws.pure_drift([1.0, 0.0])
-        sub = ws.simulate_subordinator(T, 5.0, np.random.default_rng(0))
-        assert len(sub.times) == 0
-        assert np.allclose(sub.values_at([2.0]), [[2.0, 0.0]])
+        path = t_path(T, 5.0, np.random.default_rng(0))
+        assert np.array_equal(path.event_times, [5.0])
+        assert np.allclose(path.values_at([2.0]), [[2.0, 0.0]])
 
     def test_poisson_jump_count(self):
         T = ws.SubordinatorSpec(np.zeros(1), ws.AtomicJumps([[1.0]], [1.0]))
         reps = 10**4
-        rng = np.random.default_rng(1)
-        counts = [len(ws.simulate_subordinator(T, 10.0, rng).times)
-                  for _ in range(reps)]
+        counts, _, _ = _jump_windows(T, 10.0, reps, np.random.default_rng(1))
         assert abs(np.mean(counts) - 10.0) <= 4 * np.sqrt(10) / np.sqrt(reps)
 
     def test_nondecreasing_path(self):
         T = ws.SubordinatorSpec(np.array([0.5, 0.0]),
                                 ws.AtomicJumps([[1, 0], [0.2, 0.7]], [2.0, 1.0]))
-        sub = ws.simulate_subordinator(T, 3.0, np.random.default_rng(2))
-        vals = sub.values_at(np.linspace(0, 3, 50))
+        path = t_path(T, 3.0, np.random.default_rng(2))
+        vals = path.values_at(np.linspace(0, 3, 50))
         assert np.all(np.diff(vals, axis=0) >= -1e-12)
 
     def test_times_sorted(self):
+        # unit jumps, no drift: T is 1, 2, ... at the sorted jump times in
+        # (0, 1] and keeps its count at the horizon
         T = ws.SubordinatorSpec(np.zeros(1), ws.AtomicJumps([[1.0]], [20.0]))
-        sub = ws.simulate_subordinator(T, 1.0, np.random.default_rng(2))
-        assert np.all(np.diff(sub.times) >= 0)
-        assert np.all((sub.times > 0) & (sub.times <= 1.0))
+        path = t_path(T, 1.0, np.random.default_rng(2))
+        times, m = path.event_times, len(path.event_times)
+        assert m > 10 and times[-1] == 1.0
+        assert np.all(np.diff(times) > 0) and times[0] > 0
+        assert np.array_equal(path.values[:, 0],
+                              np.minimum(np.arange(1, m + 1), m - 1))
 
     def test_disjoint_window_counts_uncorrelated(self):
         T = ws.SubordinatorSpec(np.zeros(1), ws.AtomicJumps([[1.0]], [3.0]))
-        rng = np.random.default_rng(3)
         reps = 10**4
-        a = np.empty(reps)
-        b = np.empty(reps)
-        for r in range(reps):
-            times = ws.simulate_subordinator(T, 1.0, rng).times
-            a[r] = np.sum(times <= 0.5)
-            b[r] = np.sum(times > 0.5)
+        counts, times, _ = _jump_windows(T, 1.0, reps, np.random.default_rng(3))
+        window = np.repeat(np.arange(reps), counts)
+        a = np.bincount(window[times <= 0.5], minlength=reps)
+        b = np.bincount(window[times > 0.5], minlength=reps)
         prod = (a - a.mean()) * (b - b.mean())
         corr = prod.mean() / (a.std() * b.std())
         corr_se = prod.std(ddof=1) / (a.std() * b.std()) / np.sqrt(reps)
@@ -236,7 +256,7 @@ class TestSimulateStrong:
         rng = np.random.default_rng(6)
         samples = ws.simulate_strong_at(T, X, 1.0, 20_000, rng)
         direct = np.array([
-            ws.simulate_subordinator(T, 1.0, rng).values_at([1.0])[0]
+            t_path(T, 1.0, rng).values_at([1.0])[0]
             for _ in range(20_000)])
         grid = ws.default_theta_grid(2)
         report = ws.ecf_two_sample_compare(samples[:, :2], direct, grid)
@@ -278,7 +298,7 @@ class TestSimulateWeak:
         rng = np.random.default_rng(9)
         samples = ws.simulate_weak_at(T, X, 1.0, 20_000, rng)
         direct = np.array([
-            ws.simulate_subordinator(T, 1.0, rng).values_at([1.0])[0]
+            t_path(T, 1.0, rng).values_at([1.0])[0]
             for _ in range(20_000)])
         grid = ws.default_theta_grid(2)
         report = ws.ecf_two_sample_compare(samples[:, :2], direct, grid)
@@ -347,6 +367,11 @@ class TestTimeTSamplers:
         T = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1e308, 1e308]], [2.0]))
         with pytest.raises(ws.LevySpecError, match="floating-point range"):
             simulate(T, correlated_bm(), np.random.default_rng(3))
+
+    def test_jump_rate_beyond_poisson_sampler_raises(self):
+        T = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1, 1]], [1e300]))
+        with pytest.raises(ws.LevySpecError, match="expect at most"):
+            ws.simulate_weak_at(T, correlated_bm(), 1.0, 100, np.random.default_rng(3))
 
 
 class TestBatchRows:
@@ -444,7 +469,7 @@ class TestTruncation:
         rng = np.random.default_rng(11)
         reps = 4000
         vals = np.array([
-            ws.simulate_subordinator(T, 1.0, rng).values_at([1.0])[0, 0]
+            t_path(T, 1.0, rng).values_at([1.0])[0, 0]
             for _ in range(reps)])
         assert abs(vals.mean() - c / b) <= 4 * vals.std(ddof=1) / np.sqrt(reps)
 

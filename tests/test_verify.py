@@ -189,6 +189,16 @@ class TestEqualityInLawSuite:
         assert rep.weak.passed
         assert rep.notes
 
+    @pytest.mark.parametrize("n,passed", [(100_000, True), (2000, False)])
+    def test_negative_control_verdict(self, n, passed):
+        # the expected mismatch (max |diff|/bound > 2) shows at N = 1e5 and
+        # not at N = 2000
+        rep = equality_in_law_suite("negative_control", SuiteConfig(n_paths=n),
+                                    np.random.default_rng(5))
+        assert rep.passed == passed, rep.summary()
+        assert (rep.negative_control_max_ratio > 2.0) == passed
+        assert "expected mismatch effect size" in rep.summary()
+
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ws.LevySpecError):
             equality_in_law_suite("bogus", SuiteConfig(n_paths=1000),
