@@ -1,10 +1,10 @@
 """Strong and weak subordination of multivariate Lévy processes.
 
 Construction and evaluation of characteristic/Laplace exponents, exact
-path simulation and batched exact time-t sampling for finite-activity
-subordinators, Poisson random
-measure checks, and Monte Carlo verification of the equality-in-law
-results relating the two subordination operations.
+batched sampling of (T, Z) at any finite set of times for
+finite-activity subordinators, Poisson random measure checks, and Monte
+Carlo verification of the equality-in-law results relating the two
+subordination operations.
 """
 
 from .levy import (
@@ -15,6 +15,7 @@ from .levy import (
     JumpMeasure,
     LevyLaw,
     LevySpecError,
+    Lift,
     SamplableJumps,
     SubordinatorSpec,
     ZeroJumps,
@@ -35,12 +36,9 @@ from .prm import (
     marked_laplace_check,
 )
 from .subordination import (
-    PathRecord,
     StackEmbedding,
     choose_truncation_eps,
-    simulate_strong,
     simulate_strong_at,
-    simulate_weak,
     simulate_weak_at,
     stacked_strong_exponent,
     stacked_subordinator,
@@ -60,7 +58,6 @@ from .verify import (
     ecf_grid,
     ecf_two_sample_compare,
     equality_in_law_suite,
-    increment_stationarity_check,
     scenario_processes,
 )
 

@@ -1,19 +1,19 @@
 """Config-driven command line: evaluate exponents on grids, dump
-simulated paths or time-horizon samples to CSV, and run the
+samples of (T, Z) at a list of times to CSV, and run the
 equality-in-law verification suites to JSON reports.
 
 Configs are JSON with a strict schema (unknown keys are errors; so are
 the non-finite literals NaN and Infinity); see the README for the
 documented fields. All runs are deterministic given the seed: stream r
 of purpose p is the generator of SeedSequence(seed, spawn_key=(p, r)).
-`simulate --mode paths` draws replicate r from stream r; `simulate
---mode time1` draws its rows in chunks of TIME_T_CHUNK, chunk c from
+`simulate` draws its rows in chunks of TIME_T_CHUNK, chunk c from
 stream c; `verify` draws from stream 0.
 
 Exit status: 0 success (for verify, the suite passed); 1 the verify
 suite failed; 2 invalid config or flags, with a JSON error on stderr;
 3 any other error, with a JSON error naming the exception on stderr.
-On exit 2 or 3 the files the run wrote (and a paths directory it made) go.
+On exit 2 or 3 the files the run wrote, and the directories it made for
+--out, go.
 """
 from __future__ import annotations
 
@@ -40,9 +40,7 @@ from .levy import (
 from .subordination import (
     TIME_T_CHUNK,
     expected_jumps,
-    simulate_strong,
     simulate_strong_at,
-    simulate_weak,
     simulate_weak_at,
 )
 from .verify import (
@@ -63,6 +61,8 @@ MAX_ROWS = 10_000_000
 # (verify draws its replicates twice, strong and weak): about 70 s of
 # sampling at 68 ns per jump on a 2-vCPU Xeon.
 MAX_RUN_JUMPS = 10**9
+# Most sample times of one simulate run.
+MAX_TIMES = 16
 
 
 class ConfigError(ValueError):
@@ -94,7 +94,7 @@ class ExperimentConfig:
     replicates: int = SuiteConfig.n_paths
     theta_grid: ThetaGridSpec = field(default_factory=ThetaGridSpec)
     k: float = SuiteConfig.k
-    mode: str = "time1"  # simulate output: pooled "time1" samples or "paths"
+    times: tuple[float, ...] | None = None  # simulate's sample times; None: (horizon,)
 
     def processes(self) -> tuple[SubordinatorSpec, LevyLaw]:
         T, X = self.subordinator, self.subordinate
@@ -239,7 +239,7 @@ def _parse_subordinate(obj, errors, where="subordinate") -> LevyLaw | None:
 
 
 TOP_LEVEL_KEYS = {"seed", "scenario", "subordinator", "subordinate", "horizon",
-                  "replicates", "theta_grid", "k", "mode"}
+                  "replicates", "theta_grid", "k", "times"}
 
 
 def _reject_constant(name: str):
@@ -289,16 +289,22 @@ def parse_config(text: str) -> ExperimentConfig:
         points=(None if got.get("points") is None else
                 _numbers(got["points"], 2, errors, "theta_grid.points")))
 
-    mode = raw.get("mode", defaults.mode)
-    if mode not in ("time1", "paths"):
-        errors.append("mode must be time1 or paths")
+    horizon = _number(raw, "horizon", defaults.horizon, errors)
+    times = None
+    if "times" in raw:
+        times = _numbers(raw["times"], 1, errors, "times")
+        if times is not None and not (
+                1 <= times.size <= MAX_TIMES and times[0] > 0
+                and np.all(np.diff(times) > 0) and times[-1] <= horizon):
+            errors.append(f"times must be 1 to {MAX_TIMES} strictly increasing "
+                          f"numbers in (0, horizon]")
+        times = None if times is None else tuple(times.tolist())
     config = ExperimentConfig(
         seed=seed, scenario=scenario, subordinator=subordinator,
-        subordinate=subordinate,
-        horizon=_number(raw, "horizon", defaults.horizon, errors),
+        subordinate=subordinate, horizon=horizon,
         replicates=_number(raw, "replicates", defaults.replicates, errors,
                            minimum=0, maximum=MAX_ROWS),
-        theta_grid=grid, k=_number(raw, "k", defaults.k, errors), mode=mode)
+        theta_grid=grid, k=_number(raw, "k", defaults.k, errors), times=times)
     if errors:
         raise ConfigError(errors)
 
@@ -336,8 +342,9 @@ def _fmt(x: float) -> str:
 
 def _check_run(config: ExperimentConfig, command: str) -> None:
     """Rules of a simulate or verify run, checked before --out is made:
-    verify needs a scenario, replicates >= 100 and horizon 1; and the
-    run's draws of (T, Z) may expect at most MAX_RUN_JUMPS jumps."""
+    verify needs a scenario, replicates >= 100, horizon 1 and no times;
+    and the run's draws of (T, Z) may expect at most MAX_RUN_JUMPS
+    jumps."""
     errors = []
     if command == "verify":
         if config.scenario is None:
@@ -346,6 +353,8 @@ def _check_run(config: ExperimentConfig, command: str) -> None:
             errors.append("verify needs replicates >= 100 for its CLT bound")
         if config.horizon != 1.0:
             errors.append("verify compares the laws at time 1, so horizon must be 1")
+        if config.times is not None:
+            errors.append("verify compares the laws at time 1, so it takes no times")
     if errors:
         raise ConfigError(errors)
     draws = 2 if command == "verify" else 1
@@ -356,11 +365,14 @@ def _check_run(config: ExperimentConfig, command: str) -> None:
                            f"{total:g} jumps, more than {MAX_RUN_JUMPS:g} per run"])
 
 
-def _make_dir(path: Path) -> None:
-    """mkdir -p; a path that cannot be a directory (a file, or a path under
+def _make_dir(path: Path, written: list[Path]) -> None:
+    """mkdir -p, appending each directory it makes, ancestors first, to
+    `written`; a path that cannot be a directory (a file, or a path under
     one) is a bad --out, so a ConfigError."""
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        for missing in [p for p in (*reversed(path.parents), path) if not p.is_dir()]:
+            missing.mkdir()
+            written.append(missing)
     except OSError as exc:
         raise ConfigError([f"--out: {exc}"]) from exc
 
@@ -391,36 +403,24 @@ def run_exponent(config: ExperimentConfig, out_dir: Path, written: list[Path]) -
 
 def run_simulate(config: ExperimentConfig, out_dir: Path, written: list[Path],
                  kind: str = "weak") -> Path:
-    """Simulate (T, Z); `mode` selects pooled time-horizon samples (one
-    CSV, drawn in chunks by the batched samplers) or per-replicate path
-    dumps (one CSV per replicate path). Appends each file, and the paths
-    directory when it makes it, to `written` first."""
+    """Draw (T, Z) at the config's times with the batched samplers and
+    write samples.csv, one row per replicate: columns T_j then Z_j for
+    each time, suffixed @i for the i-th time from the second on. Appends
+    the file to `written` first."""
     T, X = config.processes()
-    n = T.dim
-    if config.mode == "paths":
-        simulate = {"weak": simulate_weak, "strong": simulate_strong}[kind]
-        out = out_dir / "paths"
-        if not out.is_dir():
-            _make_dir(out)
-            written.append(out)
-        for r in range(config.replicates):
-            path = simulate(T, X, config.horizon, stream(config.seed, "simulate", r),
-                            sample_times=[config.horizon])
-            written.append(out / f"rep_{r:06d}.csv")
-            with written[-1].open("w") as fp:
-                path.to_csv(fp)
-        return out
+    times = np.asarray(config.times or (config.horizon,))
     sample = {"weak": simulate_weak_at, "strong": simulate_strong_at}[kind]
     out = out_dir / "samples.csv"
     written.append(out)
     with out.open("w") as fp:
-        cols = [f"T_{j+1}" for j in range(n)] + [f"Z_{j+1}" for j in range(n)]
+        cols = [f"{c}_{j+1}" + (f"@{i+1}" if i else "")
+                for i in range(times.size) for c in "TZ" for j in range(T.dim)]
         fp.write(",".join(cols) + "\n")
         for c, start in enumerate(range(0, config.replicates, TIME_T_CHUNK)):
-            rows = sample(T, X, config.horizon,
-                          min(TIME_T_CHUNK, config.replicates - start),
+            rows = sample(T, X, times, min(TIME_T_CHUNK, config.replicates - start),
                           stream(config.seed, "simulate", c))
-            fp.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+            fp.writelines(",".join(map(_fmt, row)) + "\n"
+                          for row in rows.reshape(len(rows), -1))
     return out
 
 
@@ -459,10 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weaksub",
         description="Subordination of multivariate Lévy processes: exponent "
-                    "grids, exact path simulation, equality-in-law checks.")
+                    "grids, exact samples at a list of times, equality-in-law "
+                    "checks.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_ in (("exponent", "evaluate exponents on a theta grid"),
-                        ("simulate", "simulate paths / time-horizon samples"),
+                        ("simulate", "sample (T, Z) at a list of times"),
                         ("verify", "run an equality-in-law suite")):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", required=True, type=Path)
@@ -494,7 +495,7 @@ def main(argv=None) -> int:
             config.replicates = args.replicates
         if args.command != "exponent":
             _check_run(config, args.command)
-        _make_dir(args.out)
+        _make_dir(args.out, written)
         if args.command == "exponent":
             out = run_exponent(config, args.out, written)
         elif args.command == "simulate":

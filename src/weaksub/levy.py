@@ -18,7 +18,7 @@ import numpy as np
 
 PSD_TOL = 1e-10
 # Largest expected point count of one `poisson_draws` call: above the CLI's
-# largest draw, a time-t row expecting MAX_ROWS = 10**7 jumps.
+# largest draw, a row expecting MAX_ROWS = 10**7 jumps.
 MAX_POISSON_POINTS = 2**27
 
 Array = np.ndarray
@@ -347,6 +347,35 @@ class IndependentStack(LevyLaw):
 
     def __repr__(self):
         return f"IndependentStack({list(self.blocks)!r})"
+
+
+class Lift(LevyLaw):
+    """m copies of one Lévy process X, as the process (X, ..., X) in m n
+    dimensions: its exponent at (theta_1, ..., theta_m) is X's at their
+    sum, and a draw tiles one draw of X m times. At a vector time, block
+    k reads the same path of X at the k-th clock value of each
+    coordinate."""
+
+    def __init__(self, x: LevyLaw, m: int):
+        if m < 1:
+            raise LevySpecError("a lift needs at least one copy")
+        self.x, self.m = x, m
+        self.dim = m * x.dim
+
+    @property
+    def jump_rate(self) -> float:
+        return self.x.jump_rate
+
+    def exponent(self, theta):
+        theta = _theta_rows(theta, self.dim)
+        return self.x.exponent(
+            theta.reshape(theta.shape[:-1] + (self.m, self.x.dim)).sum(axis=-2))
+
+    def sample(self, dt, rng, size=1):
+        return np.tile(self.x.sample(dt, rng, size), self.m)
+
+    def __repr__(self):
+        return f"Lift({self.x!r}, {self.m})"
 
 
 def zero_process(dim: int) -> BrownianMotion:

@@ -1,11 +1,11 @@
 """Strong and weak subordination of multivariate Lévy processes.
 
 Exponent formulas for the joint 2n-dimensional process (T, Z), the
-closed-form exponent for stacked configurations, exact path
-simulators for finite-activity subordinators, and exact batched
-samplers of the time-t value of (T, Z). Z is X evaluated along T
-componentwise (strong) or the Lévy process that jumps with the law of
-X(t) whenever T jumps by t (weak).
+closed-form exponent for stacked configurations, and exact batched
+samplers of (T, Z) at any finite set of times, for finite-activity
+subordinators. Z is X evaluated along T componentwise (strong) or the
+Lévy process that jumps with the law of X(t) whenever T jumps by t
+(weak).
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from .levy import (
     AtomicJumps,
     JumpMeasure,
     LevyLaw,
+    Lift,
     LevySpecError,
     SamplableJumps,
     SubordinatorSpec,
@@ -159,51 +160,7 @@ def stacked_strong_exponent(R: SubordinatorSpec, stack: StackEmbedding,
 
 
 # ---------------------------------------------------------------------------
-# Path records
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PathRecord:
-    """Piecewise sample path of the joint 2n-dimensional process (T, Z).
-
-    values[i] is the post-event state at event_times[i]; the state at
-    time 0 is the zero vector. Between events the subordinator block
-    moves linearly with slope drift_part[:n]; the Z block is exact at
-    event times only (simulators insert all requested sample times as
-    events) and between them holds its value at the last event
-    (drift_part[n:] is zero).
-    """
-
-    event_times: Array
-    values: Array
-    drift_part: Array
-    horizon: float
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1] // 2
-
-    def values_at(self, times) -> Array:
-        """State at each time; exact at event times and before the first
-        event, drift-interpolated in between."""
-        times = np.asarray(times, dtype=float)
-        idx = np.searchsorted(self.event_times, times, side="right")
-        values = np.vstack([np.zeros(self.values.shape[1]), self.values])
-        starts = np.concatenate([[0.0], self.event_times])
-        return values[idx] + np.outer(times - starts[idx], self.drift_part)
-
-    def to_csv(self, fp) -> None:
-        """Write columns time, T_1..T_n, Z_1..Z_n (one row per event)."""
-        n = self.dim
-        header = ["time"] + [f"T_{j+1}" for j in range(n)] + [f"Z_{j+1}" for j in range(n)]
-        fp.write(",".join(header) + "\n")
-        for t, row in zip(self.event_times, self.values):
-            fp.write(",".join(repr(float(v)) for v in [t, *row]) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Simulators
+# Samplers
 # ---------------------------------------------------------------------------
 
 
@@ -224,15 +181,6 @@ def _jump_windows(T: SubordinatorSpec, horizon: float, size: int,
     return counts, points[:, 0], points[:, 1:]
 
 
-def _event_grid(jump_times: Array, horizon: float, sample_times) -> Array:
-    extra = np.asarray([horizon] if sample_times is None else sample_times,
-                       dtype=float)
-    if np.any(extra < 0) or np.any(extra > horizon):
-        raise LevySpecError("sample times must lie in [0, horizon]")
-    grid = np.union1d(jump_times, extra)
-    return grid[grid > 0.0]
-
-
 def _finite(values: Array) -> Array:
     """values, checked finite: an overflowed draw is no draw from the law."""
     if not np.all(np.isfinite(values)):
@@ -241,71 +189,10 @@ def _finite(values: Array) -> Array:
     return values
 
 
-def _path(T: SubordinatorSpec, horizon: float, rng: np.random.Generator,
-          sample_times, draw_z) -> PathRecord:
-    """One exact path of (T, Z): T from one window of its jumps, and Z at the
-    events from draw_z(sorted jump times, jump sizes, events, T at the
-    events); an overflowed value is a LevySpecError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, times, sizes = _jump_windows(T, horizon, 1, rng)
-        times = np.sort(times)
-        events = _event_grid(times, horizon, sample_times)
-        csum = np.vstack([np.zeros(T.dim), np.cumsum(sizes, axis=0)])
-        tvals = (np.outer(events, T.d)
-                 + csum[np.searchsorted(times, events, side="right")])
-        values = _finite(np.hstack([tvals, draw_z(times, sizes, events, tvals)]))
-    drift_part = np.concatenate([T.d, np.zeros(T.dim)])
-    return PathRecord(event_times=events, values=values,
-                      drift_part=drift_part, horizon=horizon)
-
-
-def simulate_strong(T: SubordinatorSpec, X: LevyLaw, horizon: float,
-                    rng: np.random.Generator,
-                    sample_times=None) -> PathRecord:
-    """One exact path of (T, X o T).
-
-    All component evaluation times T_j(event) are collected across
-    events, and one coherent path of X is sampled exactly on the sorted
-    union of those clock times, preserving cross-component dependence;
-    (X o T)_j(event) is then read off as X_j(T_j(event)).
-    """
-    def draw_z(times, sizes, events, tvals):
-        clock = np.concatenate([[0.0], np.unique(tvals[tvals > 0.0])])
-        steps = X.sample(np.diff(clock), rng, len(clock) - 1)
-        xpath = np.cumsum(np.vstack([np.zeros(T.dim), steps]), axis=0)  # X at clock
-        return xpath[np.searchsorted(clock, tvals), np.arange(T.dim)]
-
-    return _path(T, horizon, rng, sample_times, draw_z)
-
-
-def simulate_weak(T: SubordinatorSpec, X: LevyLaw, horizon: float,
-                  rng: np.random.Generator,
-                  sample_times=None) -> PathRecord:
-    """One exact path of (T, X (.) T).
-
-    Jump part: at each subordinator jump of size t, an independent mark
-    with the law of X(t). Drift part: (d t, V(t)) with V an independent
-    Lévy process realized through the ordered-increment construction,
-    whose increment over a gap of length g has the law of X at the
-    vector time d*g. The two parts superpose independently.
-    """
-    def draw_z(times, sizes, events, tvals):
-        marks = sample_subordinate_at(X, sizes, rng)
-        mark_csum = np.vstack([np.zeros(T.dim), np.cumsum(marks, axis=0)])
-        zvals = mark_csum[np.searchsorted(times, events, side="right")]
-        if np.any(T.d > 0):
-            gaps = np.diff(events, prepend=0.0)
-            zvals += np.cumsum(sample_subordinate_at(X, np.outer(gaps, T.d), rng),
-                               axis=0)
-        return zvals
-
-    return _path(T, horizon, rng, sample_times, draw_z)
-
-
-# Rows per batch of the time-t samplers, and (jumps x theta rows) per block
+# Rows per batch of the samplers, and (jumps x theta rows) per block
 # of `weaksub exponent`; bounds their temporaries.
 TIME_T_CHUNK = 8192
-# Expected jumps, T's and X's together, per batch of the time-t samplers: a
+# Expected jumps, T's and X's together, per batch of the samplers: a
 # batch has fewer than TIME_T_CHUNK rows when its rows expect more jumps.
 MAX_BATCH_JUMPS = 2**20
 
@@ -333,54 +220,67 @@ def _batch_rows(T: SubordinatorSpec, X: LevyLaw, t: float) -> int:
     return max(1, int(MAX_BATCH_JUMPS // per_row))
 
 
-def _draw_at(T: SubordinatorSpec, X: LevyLaw, t: float, size: int,
+def _draw_at(T: SubordinatorSpec, X: LevyLaw, times, size: int,
              rng: np.random.Generator, draw_z) -> Array:
-    """`size` independent draws of (T(t), Z(t)), shape (size, 2n), in
-    batches of `_batch_rows` rows: a row has Poisson(total mass * t)
-    jumps from T's measure, T(t) = d t + their sum, and Z(t) comes from
-    draw_z(T(t) rows, jump count per row, jumps in row order). A batch
-    with a value beyond the floating-point range is a LevySpecError."""
-    if t <= 0:
-        raise LevySpecError("horizon must be positive")
-    n = T.dim
-    out = np.empty((size, 2 * n))
-    step = _batch_rows(T, X, t)
-    for start in range(0, size, step):
-        rows = out[start : start + step]
+    """`size` independent draws of (T, Z) at `times`: shape (size, 2n) for
+    a scalar time, (size, m, 2n) for m strictly increasing times. Drawn in
+    batches of `_batch_rows` rows: over each step between times, a row's T
+    moves by drift x step plus Poisson(total mass x step) jumps from T's
+    measure, and T at the times is the cumulative sum; Z comes from
+    draw_z(T, steps, jump count per row and step, jumps in row order).
+    A batch with a value beyond the floating-point range is a
+    LevySpecError."""
+    t = np.atleast_1d(np.asarray(times, dtype=float))
+    steps = np.diff(t, prepend=0.0)
+    if t.ndim != 1 or not t.size or not np.all(steps > 0):
+        raise LevySpecError("times must be positive and strictly increasing")
+    n, m = T.dim, t.size
+    out = np.empty((size, m, 2 * n))
+    batch = _batch_rows(T, X, t[-1])
+    for start in range(0, size, batch):
+        rows = out[start : start + batch]
+        k = rows.shape[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            counts, jumps = poisson_draws(T.jumps.total_mass * t, T.jumps.sample,
-                                          rows.shape[0], rng)
-            rows[:, :n] = t * T.d + poisson_scatter(counts, jumps)
-            rows[:, n:] = draw_z(rows[:, :n], counts, jumps)
+            counts, jumps = poisson_draws(np.tile(T.jumps.total_mass * steps, k),
+                                          T.jumps.sample, k * m, rng)
+            jump_sums = poisson_scatter(counts, jumps).reshape(k, m, n)
+            np.cumsum(jump_sums + np.outer(steps, T.d), axis=1, out=rows[..., :n])
+            rows[..., n:] = draw_z(rows[..., :n], steps, counts, jumps)
         _finite(rows)
-    return out
+    return out if np.ndim(times) else out[:, 0]
 
 
-def simulate_strong_at(T: SubordinatorSpec, X: LevyLaw, t: float, size: int,
+def simulate_strong_at(T: SubordinatorSpec, X: LevyLaw, times, size: int,
                        rng: np.random.Generator) -> Array:
-    """`size` exact independent draws of (T(t), (X o T)(t)), shape
-    (size, 2n): given T(t) = tau, (X o T)(t) is X at the vector time
-    tau. The law of `simulate_strong`'s value at time t, without a
-    per-path loop."""
-    return _draw_at(T, X, t, size, rng,
-                    lambda tau, counts, jumps: sample_subordinate_at(X, tau, rng))
+    """`size` exact independent draws of (T, X o T) at `times`, a scalar
+    (shape (size, 2n)) or m strictly increasing times (shape
+    (size, m, 2n)). Given T at the times, Z is the lift (X, ..., X) at the
+    vector time (T(t_1), ..., T(t_m)): one path of X read at every clock
+    value of the row."""
+    def draw_z(tau, steps, counts, jumps):
+        k, m, n = tau.shape
+        return sample_subordinate_at(Lift(X, m), tau.reshape(k, m * n),
+                                     rng).reshape(k, m, n)
+
+    return _draw_at(T, X, times, size, rng, draw_z)
 
 
-def simulate_weak_at(T: SubordinatorSpec, X: LevyLaw, t: float, size: int,
+def simulate_weak_at(T: SubordinatorSpec, X: LevyLaw, times, size: int,
                      rng: np.random.Generator) -> Array:
-    """`size` exact independent draws of (T(t), (X (.) T)(t)), shape
-    (size, 2n): Z(t) is the sum of one independent mark per subordinator
-    jump, with the law of X at that jump as vector time, plus an
-    independent X at the vector time d t. The law of `simulate_weak`'s
-    value at time t, without a per-path loop; exact for atomic and
-    samplable jump measures alike."""
-    def draw_z(tau, counts, jumps):
+    """`size` exact independent draws of (T, X (.) T) at `times`, shaped as
+    in `simulate_strong_at`. Over each step, Z moves by one independent
+    mark per subordinator jump, with the law of X at that jump as vector
+    time, plus an independent X at the vector time d x step; Z at the
+    times is the cumulative sum. Exact for atomic and samplable jump
+    measures alike."""
+    def draw_z(tau, steps, counts, jumps):
+        k, m, n = tau.shape
         z = poisson_scatter(counts, sample_subordinate_at(X, jumps, rng))
         if np.any(T.d > 0):
-            z += sample_subordinate_at(X, t * T.d, rng, size=len(counts))
-        return z
+            z += sample_subordinate_at(X, np.tile(np.outer(steps, T.d), (k, 1)), rng)
+        return np.cumsum(z.reshape(k, m, n), axis=1)
 
-    return _draw_at(T, X, t, size, rng, draw_z)
+    return _draw_at(T, X, times, size, rng, draw_z)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Statistical verification: empirical characteristic functions with CLT
-bounds, stationarity diagnostics, and the equality-in-law suites
-comparing simulated strong/weak subordination against exact exponents.
+bounds, and the equality-in-law suites comparing simulated strong/weak
+subordination against exact exponents.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from .levy import (
     pure_drift,
 )
 from .subordination import (
-    PathRecord,
     StackEmbedding,
     simulate_strong_at,
     simulate_weak_at,
@@ -208,62 +207,6 @@ def ecf_two_sample_compare(samples_a, samples_b, theta_grid,
     theta_grid = np.asarray(theta_grid, dtype=float)
     return _two_sample_report(theta_grid, *_sample_ecf(samples_a, theta_grid),
                               *_sample_ecf(samples_b, theta_grid), k)
-
-
-# ---------------------------------------------------------------------------
-# Stationarity of increments
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class StationarityReport:
-    lag: float
-    windows: int
-    comparisons: list  # (i, j, ECFReport)
-
-    @property
-    def passed(self) -> bool:
-        return all(rep.passed for _, _, rep in self.comparisons)
-
-    def to_dict(self) -> dict:
-        return {
-            "lag": self.lag,
-            "windows": self.windows,
-            "passed": self.passed,
-            "comparisons": [
-                {"window_a": i, "window_b": j, **rep.to_dict()}
-                for i, j, rep in self.comparisons
-            ],
-        }
-
-
-def increment_stationarity_check(paths: list[PathRecord], lag: float,
-                                 windows: int, theta_grid=None,
-                                 k: float = DEFAULT_K) -> StationarityReport:
-    """Check that increments over successive windows [w*lag, (w+1)*lag]
-    share one law, via pairwise ECF comparison against window 0.
-
-    The window boundaries must have been passed as sample times to the
-    simulators so the recorded values there are exact.
-    """
-    if not paths:
-        raise LevySpecError("no paths supplied")
-    if windows < 2:
-        raise LevySpecError("need at least two windows")
-    if paths[0].horizon < windows * lag - 1e-12:
-        raise LevySpecError("paths too short for the requested windows")
-    boundaries = lag * np.arange(windows + 1)
-    incs = np.empty((windows, len(paths), paths[0].values.shape[1]))
-    for p, path in enumerate(paths):
-        vals = path.values_at(boundaries)
-        incs[:, p, :] = np.diff(vals, axis=0)
-    if theta_grid is None:
-        theta_grid = default_theta_grid(incs.shape[2])
-    comparisons = [
-        (0, w, ecf_two_sample_compare(incs[0], incs[w], theta_grid, k))
-        for w in range(1, windows)
-    ]
-    return StationarityReport(lag=lag, windows=windows, comparisons=comparisons)
 
 
 # ---------------------------------------------------------------------------

@@ -172,23 +172,27 @@ class TestRunSimulate:
             ws.simulate_strong_at(T, X, 1.0, 5, stream(7, "simulate", 1))])
         assert np.array_equal(data, expected)
 
-    def test_paths_mode(self, tmp_path):
-        cfg = parse_config(json.dumps({**MINIMAL, "replicates": 3,
-                                       "mode": "paths"}))
+    def test_times_columns(self, tmp_path):
+        import weaksub as ws
+        from weaksub.cli import stream
+        cfg = parse_config(json.dumps({**MINIMAL, "replicates": 3, "horizon": 2.0,
+                                       "times": [0.5, 2.0]}))
         out = run_simulate(cfg, tmp_path, [])
-        files = sorted(out.glob("rep_*.csv"))
-        assert len(files) == 3
-        assert files[0].read_text().startswith("time,T_1,T_2,Z_1,Z_2")
+        header, *rows = out.read_text().strip().split("\n")
+        assert header == "T_1,T_2,Z_1,Z_2,T_1@2,T_2@2,Z_1@2,Z_2@2"
+        data = np.array([[float(v) for v in row.split(",")] for row in rows])
+        T, X = cfg.processes()
+        expected = ws.simulate_weak_at(T, X, [0.5, 2.0], 3, stream(7, "simulate", 0))
+        assert np.array_equal(data, expected.reshape(3, 8))
 
     @pytest.mark.parametrize("kind", ["weak", "strong"])
-    def test_paths_rerun_byte_identical(self, tmp_path, kind):
+    def test_times_rerun_byte_identical(self, tmp_path, kind):
         cfg = parse_config(json.dumps({"seed": 5, "scenario": "finite_activity_C1",
                                        "replicates": 4, "horizon": 3.0,
-                                       "mode": "paths"}))
-        runs = [sorted(run_simulate(cfg, tmp_path / str(i), [], kind).glob("rep_*.csv"))
-                for i in range(2)]
-        assert len(runs[0]) == 4
-        assert [f.read_bytes() for f in runs[0]] == [f.read_bytes() for f in runs[1]]
+                                       "times": [1.0, 2.0, 3.0]}))
+        a = run_simulate(cfg, tmp_path, [], kind).read_bytes()
+        b = run_simulate(cfg, tmp_path, [], kind).read_bytes()
+        assert len(a.splitlines()) == 5 and a == b
 
 
 BROWNIAN_3D = {"family": "brownian", "mu": [0, 0, 0],
@@ -278,27 +282,28 @@ class TestMain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "invalid config"
         assert "floating-point range" in err["details"][0]
-        assert not (tmp_path / "out" / "samples.csv").exists()
-        assert not (tmp_path / "out" / "report.json").exists()
+        assert not (tmp_path / "out").exists()
 
-    def test_overflowing_path_exit_2_without_rep_files(self, tmp_path, capsys):
-        # 20 paths of two expected 1e308 jumps: some paths are finite and
-        # written before one overflows
-        cfg = write_config(tmp_path, {**OVERFLOWING["atoms_1e308"],
-                                      "replicates": 20, "mode": "paths"})
-        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
-                     "--quiet"])
+    @pytest.mark.parametrize("times", [[], [1.0, 0.5], [0.5, 0.5], [0, 1.0], [1.5],
+                                       [i / 17 for i in range(1, 18)], [0.5, "1"]],
+                             ids=["empty", "unsorted", "repeated", "zero",
+                                  "above_horizon", "17_times", "not_a_number"])
+    def test_bad_times_exit_2_without_output(self, tmp_path, capsys, times):
+        cfg = write_config(tmp_path, {**MINIMAL, "replicates": 10, "times": times})
+        code = main(["simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / "out"), "--quiet"])
         assert code == 2
-        assert "floating-point range" in json.loads(capsys.readouterr().err)[
-            "details"][0]
-        assert list((tmp_path / "paths").glob("rep_*.csv")) == []
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid config" and "times" in err["details"][0]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("obj", [
         {**MINIMAL, "replicates": 50}, {**MINIMAL, "horizon": 5},
         {"seed": 1, "subordinator": {"drift": [1.0, 1.0]},
          "subordinate": {"family": "brownian", "mu": [0, 0],
-                         "sigma": [[1, 0], [0, 1]]}}],
-        ids=["replicates_50", "horizon_5", "no_scenario"])
+                         "sigma": [[1, 0], [0, 1]]}},
+        {**MINIMAL, "replicates": 200, "times": [1.0]}],
+        ids=["replicates_50", "horizon_5", "no_scenario", "times"])
     def test_verify_rules_checked_before_out_is_made(self, tmp_path, capsys, obj):
         cfg = write_config(tmp_path, obj)
         code = main(["verify", "--config", str(cfg), "--out",
@@ -323,11 +328,11 @@ class TestMain:
         assert err["error"] == "internal error"
         assert err["type"] == "RuntimeError" and err["details"] == "boom"
 
-    @pytest.mark.parametrize("case", ["time1", "paths", "verify"])
+    @pytest.mark.parametrize("case", ["time1", "verify"])
     def test_exit_3_leaves_no_output(self, tmp_path, capsys, monkeypatch, case):
         # each run fails with part of its output written: time1 in its second
-        # chunk, paths in its second replicate, verify in its summary, after
-        # report.json
+        # chunk, verify in its summary, after report.json; --out and its
+        # missing parent, made by the run, go too
         import weaksub.cli as cli
         import weaksub.verify as verify
 
@@ -338,18 +343,24 @@ class TestMain:
             monkeypatch.setattr(verify.SuiteReport, "summary", fail)
             command, obj = "verify", {**MINIMAL, "replicates": 200}
         else:
-            name = {"time1": "simulate_weak_at", "paths": "simulate_weak"}[case]
-            draws = [getattr(cli, name), fail]
-            monkeypatch.setattr(cli, name, lambda *a, **k: draws.pop(0)(*a, **k))
-            command, obj = "simulate", {
-                "time1": {**MINIMAL, "replicates": 10_000},
-                "paths": {**MINIMAL, "replicates": 3, "mode": "paths"}}[case]
+            draws = [cli.simulate_weak_at, fail]
+            monkeypatch.setattr(cli, "simulate_weak_at",
+                                lambda *a, **k: draws.pop(0)(*a, **k))
+            command, obj = "simulate", {**MINIMAL, "replicates": 10_000}
         cfg = write_config(tmp_path, obj)
-        out = tmp_path / "out"
+        out = tmp_path / "new" / "out"
         code = main([command, "--config", str(cfg), "--out", str(out), "--quiet"])
         assert code == 3
         assert json.loads(capsys.readouterr().err)["type"] == "MemoryError"
-        assert list(out.iterdir()) == []
+        assert not (tmp_path / "new").exists()
+
+    def test_failed_run_keeps_an_existing_out(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, OVERFLOWING["atoms_1e308"])
+        (tmp_path / "out").mkdir()
+        assert main(["simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 2
+        capsys.readouterr()
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_verify_deterministic_exit_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**MINIMAL, "replicates": 2000})
@@ -472,14 +483,10 @@ class TestMain:
 
     @pytest.mark.parametrize("out, command, obj", [
         ("a_file", "exponent", MINIMAL),
-        ("a_file/below", "exponent", MINIMAL),
-        # --mode paths writes into <out>/paths
-        ("holder", "simulate", {**MINIMAL, "replicates": 2, "mode": "paths"})])
+        ("a_file/below", "exponent", MINIMAL)])
     def test_unusable_out_exit_2_with_json_error(self, tmp_path, capsys, out,
                                                  command, obj):
         (tmp_path / "a_file").write_text("")
-        (tmp_path / "holder").mkdir()
-        (tmp_path / "holder" / "paths").write_text("")
         cfg = write_config(tmp_path, obj)
         code = main([command, "--config", str(cfg), "--out",
                      str(tmp_path / out), "--quiet"])
@@ -545,7 +552,7 @@ def _config_like():
         "subordinate": law, "horizon": num, "replicates": num, "k": num,
         "theta_grid": obj({"size": num, "scale": num, "grid_seed": num,
                            "points": mat}),
-        "mode": st.sampled_from(["time1", "paths"]) | anything})
+        "times": vec})
 
 
 @settings(max_examples=400)

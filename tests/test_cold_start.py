@@ -31,8 +31,8 @@ def test_import_loads_no_scipy(tmp_path):
 CONFIGS = {
     "exponent": {"seed": 1, "scenario": "stacked_C3", "theta_grid": {"size": 8}},
     "simulate_time1": {"seed": 2, "scenario": "finite_activity_C1", "replicates": 50},
-    "simulate_paths": {"seed": 3, "scenario": "finite_activity_C1", "replicates": 3,
-                       "mode": "paths"},
+    "simulate_times": {"seed": 3, "scenario": "finite_activity_C1", "replicates": 3,
+                       "horizon": 2.0, "times": [1.0, 2.0]},
     "verify": {"seed": 4, "scenario": "stacked_C3", "replicates": 2000},
 }
 
@@ -60,6 +60,7 @@ def test_every_command_runs_with_scipy_blocked(tmp_path):
     assert result["codes"] == {name: 0 for name in CONFIGS}
     assert (tmp_path / "exponent" / "exponent.csv").exists()
     assert (tmp_path / "simulate_time1" / "samples.csv").exists()
-    assert len(list((tmp_path / "simulate_paths" / "paths").glob("rep_*.csv"))) == 3
+    times = (tmp_path / "simulate_times" / "samples.csv").read_text().splitlines()
+    assert len(times) == 4 and times[0].endswith(",Z_2@2")
     report = json.loads((tmp_path / "verify" / "report.json").read_text())
     assert report["passed"] and report["exact_exponent_max_diff"] <= 1e-10

@@ -16,9 +16,10 @@ from weaksub.cli import main
 NUMPY_VERSION = "2.4.6"
 
 C1 = {"seed": 7, "scenario": "finite_activity_C1"}
-# T has drift and jumps of unequal coordinates, so strong and weak paths differ
-C3_PATHS = {"seed": 7, "scenario": "stacked_C3", "replicates": 3, "horizon": 3.0,
-            "mode": "paths"}
+# T has drift and jumps of unequal coordinates, so strong and weak draws
+# differ; 9000 rows at three times: two chunks, from streams 0 and 1
+C3_TIMES = {"seed": 7, "scenario": "stacked_C3", "replicates": 9000, "horizon": 3.0,
+            "times": [1.0, 2.0, 3.0]}
 
 # name -> (argv after the config, config, output files under --out)
 CASES = {
@@ -29,10 +30,8 @@ CASES = {
                    ["samples.csv"]),
     "time1_strong": (["simulate", "--kind", "strong"], {**C1, "replicates": 9000},
                      ["samples.csv"]),
-    "paths_weak": (["simulate", "--kind", "weak"], C3_PATHS,
-                   [f"paths/rep_{r:06d}.csv" for r in range(3)]),
-    "paths_strong": (["simulate", "--kind", "strong"], C3_PATHS,
-                     [f"paths/rep_{r:06d}.csv" for r in range(3)]),
+    "times_weak": (["simulate", "--kind", "weak"], C3_TIMES, ["samples.csv"]),
+    "times_strong": (["simulate", "--kind", "strong"], C3_TIMES, ["samples.csv"]),
     "verify_deterministic": (["verify"], {"seed": 7, "scenario": "deterministic",
                                           "replicates": 2000}, ["report.json"]),
     "verify_stacked_C3": (["verify"], {"seed": 7, "scenario": "stacked_C3",
@@ -41,10 +40,10 @@ CASES = {
 
 DIGESTS = {
     "exponent": "69411f933567c6674c8bdb18ed5e726086f240044b8a65ffd0c084f394704a87",
-    "paths_strong": "51a64147f96282316a79b74609afeac6c64235d214f0b0848acc91550d5fc19d",
-    "paths_weak": "a52dcb0b649c3801ff3a35e382e088a268ad67cc8cdacb615d521c7613416943",
     "time1_strong": "328377bfff75bddaacdc298669ea8d331d49dab7a34de423b2278d2e48fca273",
     "time1_weak": "31ed9895eeacadf0909c4790fce1f85433c298208c6bf69176e63b9f1b90bf68",
+    "times_strong": "1cbf95659749fe89368bb82fd2c347c3090839afb4d79d6f063816c8dc001314",
+    "times_weak": "1c68a71e4c9a2661faedbc86446bdd6486358d64a95701fa05120f0829ec5863",
     "verify_deterministic":
         "091edf7b950dcd0e41271ed4d663cf9df4a4c02efef64fa30d02955557ea04c0",
     "verify_stacked_C3":

@@ -1,4 +1,4 @@
-import io
+import itertools
 
 import numpy as np
 import pytest
@@ -14,12 +14,35 @@ def correlated_bm():
     return ws.BrownianMotion([0, 0], [[1, 0.5], [0.5, 1]])
 
 
-def t_path(T, horizon, rng):
-    """A path of T alone: the T block of a strong path with zero X."""
-    path = ws.simulate_strong(T, ws.zero_process(T.dim), horizon, rng)
-    path.values = path.values[:, :T.dim]
-    path.drift_part = path.drift_part[:T.dim]
-    return path
+def t_at(T, times, size, rng):
+    """T alone at the times: the T block of strong draws with zero X,
+    shape (size, len(times), n)."""
+    rows = ws.simulate_strong_at(T, ws.zero_process(T.dim), times, size, rng)
+    return rows[..., :T.dim]
+
+
+def t_cf(T, t, theta):
+    """Exact CF of T(t) at each row of theta: exp(-t Lambda_T(-i theta))."""
+    return np.exp(-t * ws.laplace_exponent(T, -1j * np.asarray(theta)))
+
+
+def strong_cf(T, X, t, grid):
+    """Exact CF of (T(t), (X o T)(t)) for atomic T at each row (theta1,
+    theta2) of grid: the expectation over independent Poisson(rate_j t)
+    atom counts N_j of exp(i<theta1, tau> + Psi_X at the vector time tau)
+    with tau = d t + sum_j N_j x_j, the lattice cut where the omitted
+    mass is below 1e-13."""
+    from scipy.stats import poisson
+    means = T.jumps.rates * t
+    tail = 1e-13 / max(len(means), 1)
+    counts = np.array(list(itertools.product(  # shape (lattice points, atoms)
+        *[range(int(poisson.isf(tail, mu)) + 1) for mu in means])), dtype=float)
+    probs = np.prod(poisson.pmf(counts, means), axis=1)
+    tau = t * T.d + counts @ T.jumps.points
+    n = T.dim
+    vals = np.exp(1j * grid[:, :n] @ tau.T
+                  + ws.vector_time_exponent(X, tau[None], grid[:, None, n:]))
+    return vals @ probs
 
 
 class TestWeakExponent:
@@ -178,9 +201,11 @@ class TestStackedStrongExponent:
 class TestSimulateSubordinator:
     def test_pure_drift(self):
         T = ws.pure_drift([1.0, 0.0])
-        path = t_path(T, 5.0, np.random.default_rng(0))
-        assert np.array_equal(path.event_times, [5.0])
-        assert np.allclose(path.values_at([2.0]), [[2.0, 0.0]])
+        rows = ws.simulate_strong_at(T, correlated_bm(), [2.0, 5.0], 3,
+                                     np.random.default_rng(0))
+        assert rows.shape == (3, 2, 4)
+        assert np.array_equal(rows[..., :2],
+                              np.tile([[2.0, 0.0], [5.0, 0.0]], (3, 1, 1)))
 
     def test_poisson_jump_count(self):
         T = ws.SubordinatorSpec(np.zeros(1), ws.AtomicJumps([[1.0]], [1.0]))
@@ -191,20 +216,24 @@ class TestSimulateSubordinator:
     def test_nondecreasing_path(self):
         T = ws.SubordinatorSpec(np.array([0.5, 0.0]),
                                 ws.AtomicJumps([[1, 0], [0.2, 0.7]], [2.0, 1.0]))
-        path = t_path(T, 3.0, np.random.default_rng(2))
-        vals = path.values_at(np.linspace(0, 3, 50))
-        assert np.all(np.diff(vals, axis=0) >= -1e-12)
+        vals = t_at(T, np.linspace(0, 3, 50)[1:], 200, np.random.default_rng(2))
+        assert np.all(vals >= 0) and np.all(np.diff(vals, axis=1) >= 0)
 
     def test_times_sorted(self):
-        # unit jumps, no drift: T is 1, 2, ... at the sorted jump times in
-        # (0, 1] and keeps its count at the horizon
+        # unit jumps, no drift: at sorted times T is a Poisson counting
+        # path, with mean 20 t; times that are not strictly increasing and
+        # positive are rejected
         T = ws.SubordinatorSpec(np.zeros(1), ws.AtomicJumps([[1.0]], [20.0]))
-        path = t_path(T, 1.0, np.random.default_rng(2))
-        times, m = path.event_times, len(path.event_times)
-        assert m > 10 and times[-1] == 1.0
-        assert np.all(np.diff(times) > 0) and times[0] > 0
-        assert np.array_equal(path.values[:, 0],
-                              np.minimum(np.arange(1, m + 1), m - 1))
+        times = np.array([0.25, 0.5, 0.75, 1.0])
+        reps = 10**4
+        vals = t_at(T, times, reps, np.random.default_rng(2))[..., 0]
+        assert np.array_equal(vals, np.round(vals))
+        assert np.all(np.diff(vals, axis=1) >= 0)
+        se = np.sqrt(20 * times / reps)
+        assert np.all(np.abs(vals.mean(axis=0) - 20 * times) <= 4 * se)
+        for bad in ([], [0.5, 0.25], [0.5, 0.5], [0.0, 1.0], [[0.5, 1.0]]):
+            with pytest.raises(ws.LevySpecError, match="strictly increasing"):
+                t_at(T, bad, 10, np.random.default_rng(2))
 
     def test_disjoint_window_counts_uncorrelated(self):
         T = ws.SubordinatorSpec(np.zeros(1), ws.AtomicJumps([[1.0]], [3.0]))
@@ -234,9 +263,9 @@ class TestSimulateStrong:
     def test_zero_subordinate(self):
         T = ws.SubordinatorSpec(np.array([0.5, 0.5]),
                                 ws.AtomicJumps([[1, 1]], [1.0]))
-        path = ws.simulate_strong(T, ws.zero_process(2), 1.0,
-                                  np.random.default_rng(4))
-        assert np.all(path.values[:, 2:] == 0)
+        rows = ws.simulate_strong_at(T, ws.zero_process(2), [0.5, 1.0, 2.0], 100,
+                                     np.random.default_rng(4))
+        assert np.all(rows[..., 2:] == 0) and np.all(rows[:, -1, :2] >= 1.0)
 
     def test_c1_conditional_variance(self):
         # T = common unit-rate Poisson clock: Var((X o T)_j(1)) =
@@ -252,23 +281,20 @@ class TestSimulateStrong:
     def test_subordinator_marginal_preserved(self):
         T = ws.SubordinatorSpec(np.array([0.1, 0.3]),
                                 ws.AtomicJumps([[1, 0], [0, 2]], [1.0, 0.5]))
-        X = correlated_bm()
-        rng = np.random.default_rng(6)
-        samples = ws.simulate_strong_at(T, X, 1.0, 20_000, rng)
-        direct = np.array([
-            t_path(T, 1.0, rng).values_at([1.0])[0]
-            for _ in range(20_000)])
+        samples = ws.simulate_strong_at(T, correlated_bm(), [0.5, 1.0], 20_000,
+                                        np.random.default_rng(6))
         grid = ws.default_theta_grid(2)
-        report = ws.ecf_two_sample_compare(samples[:, :2], direct, grid)
-        assert report.passed, report.summary()
+        for i, t in enumerate([0.5, 1.0]):
+            report = ws.cf_compare(samples[:, i, :2], t_cf(T, t, grid), grid)
+            assert report.passed, report.summary()
 
 
 class TestSimulateWeak:
     def test_zero_subordinator_constant_path(self):
         T = ws.SubordinatorSpec(np.zeros(2), ws.ZeroJumps(2))
-        path = ws.simulate_weak(T, correlated_bm(), 1.0,
-                                np.random.default_rng(0))
-        assert np.all(path.values == 0)
+        rows = ws.simulate_weak_at(T, correlated_bm(), [0.5, 1.0, 2.0], 100,
+                                   np.random.default_rng(0))
+        assert rows.shape == (100, 3, 4) and np.all(rows == 0)
 
     def test_pure_drift_matches_deterministic_exponent(self):
         T = ws.pure_drift([1.0, 2.0])
@@ -294,21 +320,18 @@ class TestSimulateWeak:
     def test_subordinator_marginal_preserved(self):
         T = ws.SubordinatorSpec(np.array([0.0, 0.2]),
                                 ws.AtomicJumps([[1, 1], [0, 0.5]], [0.6, 0.9]))
-        X = correlated_bm()
-        rng = np.random.default_rng(9)
-        samples = ws.simulate_weak_at(T, X, 1.0, 20_000, rng)
-        direct = np.array([
-            t_path(T, 1.0, rng).values_at([1.0])[0]
-            for _ in range(20_000)])
+        samples = ws.simulate_weak_at(T, correlated_bm(), [0.5, 1.0], 20_000,
+                                      np.random.default_rng(9))
         grid = ws.default_theta_grid(2)
-        report = ws.ecf_two_sample_compare(samples[:, :2], direct, grid)
-        assert report.passed, report.summary()
+        for i, t in enumerate([0.5, 1.0]):
+            report = ws.cf_compare(samples[:, i, :2], t_cf(T, t, grid), grid)
+            assert report.passed, report.summary()
 
 
 def time_t_cases():
-    """(T, X) pairs for the batched-vs-per-path check: the four suite
-    scenarios, a truncated gamma clock (samplable jumps) and a compound
-    Poisson subordinate (one duration per row in its increments)."""
+    """(T, X) pairs for the exact-law checks: the four suite scenarios, a
+    truncated gamma clock (samplable jumps) and a compound Poisson
+    subordinate (one duration per row in its increments)."""
     cases = {name: scenario_processes(name)[:2]
              for name in ("deterministic", "finite_activity_C1", "stacked_C3",
                           "negative_control")}
@@ -324,24 +347,97 @@ def time_t_cases():
 TIME_T_CASES = time_t_cases()
 
 
+def weak_fdd_cf(T, X, times, grid):
+    """Exact CF of the weak (T, Z) at times t1 < t2 on rows (theta_a,
+    theta_b) of grid: exp(t1 Psi(theta_a + theta_b) + (t2 - t1) Psi(theta_b))
+    with Psi the weak exponent, by independent stationary increments."""
+    n = T.dim
+    a, b = grid[:, : 2 * n], grid[:, 2 * n :]
+    psi = lambda th: ws.weak_exponent(T, X, th[:, :n], th[:, n:])
+    return np.exp(times[0] * psi(a + b) + (times[1] - times[0]) * psi(b))
+
+
+FDD_TIMES = (0.5, 1.0)
+# correlated BM along the deterministic clock T(t) = (t, t): the one clock
+# meets the equality-in-law hypothesis, unlike the suite's (t, 2t)
+FDD_CASES = {**{name: case for name, case in TIME_T_CASES.items()
+                if name != "truncated_gamma"},
+             "drift_11": (ws.pure_drift([1.0, 1.0]), correlated_bm())}
+
+
 class TestTimeTSamplers:
-    # the per-path simulators are the reference for the batched samplers
-    N = 2000
+    # exact CFs are the reference for the batched samplers
+    N = 100_000
 
     @pytest.mark.parametrize("kind", ["strong", "weak"])
     @pytest.mark.parametrize("case", sorted(TIME_T_CASES))
-    def test_batched_matches_per_path(self, case, kind):
+    def test_time_t_law_is_exact(self, case, kind):
         T, X = TIME_T_CASES[case]
-        simulate = {"strong": ws.simulate_strong, "weak": ws.simulate_weak}[kind]
-        batched = {"strong": ws.simulate_strong_at, "weak": ws.simulate_weak_at}[kind]
-        rng = np.random.default_rng(40)
-        per_path = np.array([simulate(T, X, 1.0, rng).values[-1]
-                             for _ in range(self.N)])
-        rows = batched(T, X, 1.0, self.N, np.random.default_rng(41))
+        sample = {"strong": ws.simulate_strong_at, "weak": ws.simulate_weak_at}
+        rows = sample[kind](T, X, 1.0, self.N, np.random.default_rng(41))
         assert rows.shape == (self.N, 2 * T.dim)
-        report = ws.ecf_two_sample_compare(rows, per_path,
-                                           ws.default_theta_grid(2 * T.dim), k=4)
+        grid = ws.default_theta_grid(2 * T.dim)
+        if case == "truncated_gamma":
+            # a 1-d clock: strong and weak subordination are equal in law
+            other = sample[{"strong": "weak", "weak": "strong"}[kind]](
+                T, X, 1.0, self.N, np.random.default_rng(42))
+            report = ws.ecf_two_sample_compare(rows, other, grid)
+        elif kind == "weak":
+            report = ws.cf_compare(rows, np.exp(ws.weak_exponent(
+                T, X, grid[:, :T.dim], grid[:, T.dim:])), grid)
+        else:
+            report = ws.cf_compare(rows, strong_cf(T, X, 1.0, grid), grid)
         assert report.passed, report.summary()
+
+    @pytest.mark.parametrize("case", sorted(FDD_CASES))
+    def test_weak_fdd_is_exact(self, case):
+        T, X = FDD_CASES[case]
+        rows = ws.simulate_weak_at(T, X, FDD_TIMES, self.N, np.random.default_rng(43))
+        grid = ws.default_theta_grid(4 * T.dim)
+        report = ws.cf_compare(rows.reshape(self.N, -1),
+                               weak_fdd_cf(T, X, FDD_TIMES, grid), grid)
+        assert report.passed, report.summary()
+
+    @pytest.mark.parametrize("case", ["drift_11", "finite_activity_C1", "stacked_C3"])
+    def test_strong_fdd_meets_weak_target(self, case):
+        # the hypothesis holds, so the processes, not only the marginals,
+        # are equal in law
+        T, X = FDD_CASES[case]
+        rows = ws.simulate_strong_at(T, X, FDD_TIMES, self.N, np.random.default_rng(44))
+        grid = ws.default_theta_grid(4 * T.dim)
+        report = ws.cf_compare(rows.reshape(self.N, -1),
+                               weak_fdd_cf(T, X, FDD_TIMES, grid), grid)
+        assert report.passed, report.summary()
+
+    def test_truncated_gamma_fdds_agree(self):
+        T, X = TIME_T_CASES["truncated_gamma"]
+        strong, weak = (sample(T, X, FDD_TIMES, self.N, np.random.default_rng(seed))
+                        for sample, seed in ((ws.simulate_strong_at, 45),
+                                             (ws.simulate_weak_at, 46)))
+        report = ws.ecf_two_sample_compare(strong.reshape(self.N, -1),
+                                           weak.reshape(self.N, -1),
+                                           ws.default_theta_grid(4))
+        assert report.passed, report.summary()
+
+    def test_deterministic_strong_fdd_is_its_lift(self):
+        # T(t) = (t, 2t): the strong fdd at (t1, t2) is the lift (X, X) at
+        # the vector time (T(t1), T(t2)), whose increments are dependent
+        T, X = FDD_CASES["deterministic"]
+        rows = ws.simulate_strong_at(T, X, FDD_TIMES, self.N, np.random.default_rng(47))
+        grid = ws.default_theta_grid(8)
+        tau = np.concatenate([t * T.d for t in FDD_TIMES])
+        theta1 = np.concatenate([grid[:, :2], grid[:, 4:6]], axis=1)
+        theta2 = np.concatenate([grid[:, 2:4], grid[:, 6:]], axis=1)
+        target = np.exp(1j * theta1 @ tau
+                        + ws.vector_time_exponent(ws.Lift(X, 2), tau, theta2))
+        report = ws.cf_compare(rows.reshape(self.N, -1), target, grid)
+        assert report.passed, report.summary()
+        # Cov(Z_2(1/2), Z_1(1)) is Cov(X_2(1), X_1(1)) = 0.5 under strong
+        # subordination and rho x min(T_1(1/2), T_2(1/2)) = 0.25 under weak
+        weak = ws.simulate_weak_at(T, X, FDD_TIMES, self.N, np.random.default_rng(48))
+        for draws, cov in ((rows, 0.5), (weak, 0.25)):
+            prod = draws[:, 0, 3] * draws[:, 1, 2]
+            assert abs(prod.mean() - cov) <= 4 * prod.std(ddof=1) / np.sqrt(self.N)
 
     def test_chunks_and_edge_sizes(self):
         T, X = TIME_T_CASES["finite_activity_C1"]
@@ -352,15 +448,17 @@ class TestTimeTSamplers:
             rng = np.random.default_rng(1)
             parts = [sample(T, X, 1.0, size, rng) for size in (TIME_T_CHUNK, 3)]
             assert np.array_equal(rows, np.vstack(parts))
+            # one time in a list draws exactly as the scalar time
+            one = sample(T, X, [1.0], TIME_T_CHUNK + 3, np.random.default_rng(1))
+            assert one.shape == (TIME_T_CHUNK + 3, 1, 4)
+            assert np.array_equal(one[:, 0], rows)
         with pytest.raises(ws.LevySpecError):
             ws.simulate_strong_at(T, X, 0.0, 10, np.random.default_rng(0))
 
     @pytest.mark.parametrize("simulate", [
         lambda T, X, rng: ws.simulate_strong_at(T, X, 1.0, 200, rng),
-        lambda T, X, rng: ws.simulate_weak_at(T, X, 1.0, 200, rng),
-        lambda T, X, rng: [ws.simulate_strong(T, X, 1.0, rng) for _ in range(20)],
-        lambda T, X, rng: [ws.simulate_weak(T, X, 1.0, rng) for _ in range(20)]],
-        ids=["strong_at", "weak_at", "strong", "weak"])
+        lambda T, X, rng: ws.simulate_weak_at(T, X, 1.0, 200, rng)],
+        ids=["strong_at", "weak_at"])
     def test_overflowing_draw_raises(self, simulate):
         # two jumps of 1e308 sum beyond the float range: an error, not a
         # RuntimeWarning (an error under this suite) and inf or NaN values
@@ -417,61 +515,16 @@ class TestBatchRows:
         assert report.passed, report.summary()
 
 
-class TestPathRecord:
-    def _make_path(self):
-        T = ws.SubordinatorSpec(np.array([0.5, 0.25]),
-                                ws.AtomicJumps([[1, 1]], [2.0]))
-        return ws.simulate_weak(T, correlated_bm(), 2.0,
-                                np.random.default_rng(1),
-                                sample_times=[0.5, 1.0, 1.5, 2.0])
-
-    def test_event_times_sorted_within_horizon(self):
-        path = self._make_path()
-        assert np.all(np.diff(path.event_times) > 0)
-        assert path.event_times[-1] <= path.horizon
-
-    def test_subordinator_block_nondecreasing(self):
-        path = self._make_path()
-        vals = path.values_at(np.linspace(0, 2, 40))
-        assert np.all(np.diff(vals[:, :2], axis=0) >= -1e-12)
-
-    def test_csv_round_trip_floats(self):
-        path = self._make_path()
-        buf = io.StringIO()
-        path.to_csv(buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "time,T_1,T_2,Z_1,Z_2"
-        row = np.array([float(v) for v in lines[1].split(",")])
-        assert row[0] == path.event_times[0]
-        assert np.all(row[1:] == path.values[0])
-
-    def test_values_at_hand_values(self):
-        # before the first event: drift x t; at an event: its value;
-        # between events: the last value plus drift x elapsed time
-        path = ws.PathRecord(event_times=np.array([1.0, 3.0]),
-                             values=np.array([[1.0, 1.0, 5.0, 6.0],
-                                              [2.0, 4.0, 7.0, 8.0]]),
-                             drift_part=np.array([0.5, 1.0, 0.0, 0.0]),
-                             horizon=4.0)
-        got = path.values_at([0.5, 1.0, 2.0, 3.0, 3.5])
-        assert np.array_equal(got, [[0.25, 0.5, 0.0, 0.0],
-                                    [1.0, 1.0, 5.0, 6.0],
-                                    [1.5, 2.0, 5.0, 6.0],
-                                    [2.0, 4.0, 7.0, 8.0],
-                                    [2.25, 4.5, 7.0, 8.0]])
-
-
 class TestTruncation:
     def test_gamma_truncation_mean_preserved(self):
         # E T(1) = c/b for the gamma subordinator; compensation keeps it
         b, c = 2.0, 1.5
         T = ws.truncated_gamma_subordinator(b, c, eps=0.01)
-        rng = np.random.default_rng(11)
+        times = np.array([0.5, 1.0, 2.0])
         reps = 4000
-        vals = np.array([
-            t_path(T, 1.0, rng).values_at([1.0])[0, 0]
-            for _ in range(reps)])
-        assert abs(vals.mean() - c / b) <= 4 * vals.std(ddof=1) / np.sqrt(reps)
+        vals = t_at(T, times, reps, np.random.default_rng(11))[..., 0]
+        se = vals.std(axis=0, ddof=1) / np.sqrt(reps)
+        assert np.all(np.abs(vals.mean(axis=0) - c * times / b) <= 4 * se)
 
     def test_choose_eps_controls_discarded_mass(self):
         from scipy import integrate

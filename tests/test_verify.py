@@ -7,7 +7,6 @@ import weaksub as ws
 from weaksub.verify import (
     SuiteConfig,
     equality_in_law_suite,
-    increment_stationarity_check,
     scenario_processes,
 )
 
@@ -125,44 +124,6 @@ class TestCFCompare:
         assert d["n_samples"] == 1000
         assert len(d["points"]) == 16
         assert isinstance(rep.summary(), str)
-
-
-class TestStationarity:
-    def _paths(self, T, X, n, seed):
-        rng = np.random.default_rng(seed)
-        boundaries = np.linspace(0.0, 1.0, 5)
-        return [ws.simulate_strong(T, X, 1.0, rng, sample_times=boundaries)
-                for _ in range(n)]
-
-    def test_deterministic_strong_paths_pass(self):
-        T = ws.pure_drift([1.0, 2.0])
-        X = ws.BrownianMotion([0, 0], [[1, 0.5], [0.5, 1]])
-        paths = self._paths(T, X, 3000, 8)
-        rep = increment_stationarity_check(paths, lag=0.25, windows=4)
-        assert rep.passed
-
-    def test_weak_paths_pass(self):
-        T = ws.SubordinatorSpec(np.array([0.2, 0.2]),
-                                ws.AtomicJumps([[1, 1]], [1.0]))
-        X = ws.BrownianMotion([0, 0], [[1, 0.5], [0.5, 1]])
-        rng = np.random.default_rng(9)
-        boundaries = np.linspace(0.0, 1.0, 5)
-        paths = [ws.simulate_weak(T, X, 1.0, rng, sample_times=boundaries)
-                 for _ in range(3000)]
-        rep = increment_stationarity_check(paths, lag=0.25, windows=4)
-        assert rep.passed
-
-    def test_constant_paths_pass(self):
-        T = ws.SubordinatorSpec(np.zeros(2), ws.ZeroJumps(2))
-        paths = self._paths(T, ws.zero_process(2), 500, 10)
-        rep = increment_stationarity_check(paths, lag=0.25, windows=4)
-        assert rep.passed
-
-    def test_too_short_paths_rejected(self):
-        T = ws.pure_drift([1.0, 1.0])
-        paths = self._paths(T, ws.zero_process(2), 200, 11)
-        with pytest.raises(ws.LevySpecError):
-            increment_stationarity_check(paths, lag=0.6, windows=4)
 
 
 class TestEqualityInLawSuite:
