@@ -1,8 +1,8 @@
 """Strong and weak subordination of multivariate Lévy processes.
 
 Construction and evaluation of characteristic/Laplace exponents, exact
-batched sampling of (T, Z) at any finite set of times for
-finite-activity subordinators, Poisson random measure checks, and Monte
+batched sampling of (T, Z) at any finite set of times for subordinators
+with atomic or gamma-ray jumps, Poisson random measure checks, and Monte
 Carlo verification of the equality-in-law results relating the two
 subordination operations.
 """
@@ -11,16 +11,15 @@ from .levy import (
     AtomicJumps,
     BrownianMotion,
     CompoundPoisson,
+    GammaRays,
     IndependentStack,
     JumpMeasure,
     LevyLaw,
     LevySpecError,
     Lift,
-    SamplableJumps,
     SubordinatorSpec,
     ZeroJumps,
     laplace_exponent,
-    laplace_exponent_mc,
     pure_drift,
     zero_process,
 )
@@ -37,15 +36,11 @@ from .prm import (
 )
 from .subordination import (
     StackEmbedding,
-    choose_truncation_eps,
     simulate_strong_at,
     simulate_weak_at,
     stacked_strong_exponent,
     stacked_subordinator,
-    truncate_jump_density,
-    truncated_gamma_subordinator,
     weak_exponent,
-    weak_exponent_mc,
 )
 from .verify import (
     ECFReport,

@@ -379,12 +379,13 @@ def _make_dir(path: Path, written: list[Path]) -> None:
 
 def run_exponent(config: ExperimentConfig, out_dir: Path, written: list[Path]) -> Path:
     """Evaluate the weak-subordination exponent on the theta grid and
-    write one CSV row per grid point: theta coords, Re, Im, SE (empty
-    when the value is exact). Appends the file to `written` first."""
+    write one CSV row per grid point: theta coords, Re, Im, SE. Every
+    value is exact, so SE is always empty; the column stays so the CSV
+    format stays stable. Appends the file to `written` first."""
     T, X = config.processes()
     n = T.dim
     grid = config.theta_grid.build(2 * n)
-    # rows per block: each block's (jumps x rows x n) temporaries stay
+    # rows per block: each block's (points x rows x n) temporaries stay
     # within TIME_T_CHUNK x n values
     block = max(1, TIME_T_CHUNK // max(1, T.jumps.points.shape[0]))
     out = out_dir / "exponent.csv"

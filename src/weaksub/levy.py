@@ -1,13 +1,13 @@
 """Lévy laws as characteristic triplets, and their exponents.
 
 A Lévy law is represented by its drift, Gaussian covariance and jump
-measure. All jump measures here have finite total mass, so the
-uncompensated form of the jump integral
-
-    sum_j rate_j * (exp(i<theta, x_j>) - 1)
-
-is always finite and is the internal convention: the drift field is the
-total drift of the continuous part.
+measure. A jump measure is a finite sum of rays: ray j is a nonzero
+point a_j carrying a 1-d Lévy measure nu_j on r > 0, with the closed-form
+Laplace exponent Lambda_j(w) = integral of (1 - exp(-r w)) nu_j(dr). An
+atom is a ray with nu_j = rate_j delta_1 (finite activity), a gamma ray
+has nu_j(dr) = c_j exp(-b_j r) / r dr (infinite activity). Jump integrals
+are uncompensated, so the drift field is the total drift of the
+continuous part.
 """
 from __future__ import annotations
 
@@ -29,65 +29,97 @@ class LevySpecError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Jump measure specifications
+# Jump measures
 # ---------------------------------------------------------------------------
 
 
-class JumpMeasure:
-    """Base class for finite-activity jump measure specifications."""
+def _rays(points, **weights) -> tuple[Array, ...]:
+    """points as a (k, dim) array and each named weight as a (k,) array,
+    checked: all finite, every weight positive and no point zero."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    weights = {name: np.asarray(w, dtype=float) for name, w in weights.items()}
+    if points.ndim != 2 or any(w.shape != (points.shape[0],)
+                               for w in weights.values()):
+        raise LevySpecError(f"need one point per row and one each of "
+                            f"{', '.join(weights)} per point")
+    for name, a in {"points": points, **weights}.items():
+        if not np.all(np.isfinite(a)):
+            raise LevySpecError(f"jump {name} must be finite")
+        if name != "points" and np.any(a <= 0):
+            raise LevySpecError(f"jump {name} must be positive")
+    if np.any(np.all(points == 0.0, axis=1)):
+        raise LevySpecError("jump points must be nonzero")
+    return (points, *weights.values())
 
+
+class JumpMeasure:
+    """A finite sum of rays (see the module docstring): `points` holds one
+    ray per row, shape (k, dim)."""
+
+    points: Array
     dim: int
 
     @property
-    def total_mass(self) -> float:
+    def mean_rate(self) -> float:
+        """Sum over the rays of integral r nu_j(dr): a subordinator with
+        these jumps grows in each coordinate at most this times the
+        largest coordinate of `points` per unit time, in mean."""
         raise NotImplementedError
 
-    @property
-    def largest_coordinate(self) -> float:
-        """Largest coordinate of any jump; inf when only a sampler knows
-        the jumps."""
-        return np.inf
-
-    def sample(self, rng: np.random.Generator, size: int) -> Array:
-        """Draw `size` i.i.d. jumps from the normalized measure."""
+    def laplace(self, w) -> Array:
+        """Sum over the rays of Lambda_j(w[..., j]), for w of shape (..., k)
+        with Re w >= 0: shape (...)."""
         raise NotImplementedError
 
-    def integrate(self, g: Callable[[Array], Array], rng=None, samples=10_000):
-        """(value, standard error) of the integral of g against the measure.
+    def expected_draws(self, t: float) -> float:
+        """Expected number of jumps `window_draws` makes for one window of
+        length t."""
+        raise NotImplementedError
 
-        g maps a (k, dim) array of jump points to values of shape
-        (..., k), the jump axis last; value and standard error then have
-        shape (...), one per leading index (e.g. one per theta row)."""
+    def window_draws(self, steps: Array, rng: np.random.Generator) -> tuple[Array, Array]:
+        """Independent windows of lengths `steps`, shape (size,): the
+        number of jumps drawn in each, and all of the jumps, window 0's
+        first, so `poisson_scatter(counts, jumps)` holds each window's
+        total and g summed over a window's jumps has the law of g summed
+        over the measure's jumps in it, for g additive along each ray."""
+        raise NotImplementedError
+
+    def with_points(self, points) -> JumpMeasure:
+        """The same ray laws on other points, one per ray."""
         raise NotImplementedError
 
 
 class AtomicJumps(JumpMeasure):
-    """Finite sum of weighted atoms: measure = sum_j rate_j * delta_{x_j}."""
+    """Finite sum of weighted atoms: measure = sum_j rate_j * delta_{x_j};
+    Lambda_j(w) = rate_j (1 - exp(-w))."""
 
     def __init__(self, points, rates):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        rates = np.asarray(rates, dtype=float)
-        if points.ndim != 2 or rates.shape != (points.shape[0],):
-            raise LevySpecError("need one rate per atom and one point per row")
-        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(rates))):
-            raise LevySpecError("atom points and rates must be finite")
-        if np.any(rates <= 0):
-            raise LevySpecError("atom rates must be positive")
-        if np.any(np.all(points == 0.0, axis=1)):
-            raise LevySpecError("atoms must be nonzero points")
-        self.points = points
-        self.rates = rates
-        self.dim = points.shape[1]
+        self.points, self.rates = _rays(points, rates=rates)
+        self.dim = self.points.shape[1]
 
     @property
     def total_mass(self) -> float:
         return float(self.rates.sum())
 
     @property
-    def largest_coordinate(self) -> float:
-        return float(np.max(self.points, initial=0.0))
+    def mean_rate(self) -> float:
+        return self.total_mass
+
+    def laplace(self, w) -> Array:
+        return (1.0 - np.exp(-w)) @ self.rates
+
+    def expected_draws(self, t: float) -> float:
+        return self.total_mass * t
+
+    def window_draws(self, steps, rng):
+        """A Poisson(total mass x step) count per window of i.i.d. atoms."""
+        return poisson_draws(self.total_mass * steps, self.sample, steps.size, rng)
+
+    def with_points(self, points) -> AtomicJumps:
+        return AtomicJumps(points, self.rates)
 
     def sample(self, rng: np.random.Generator, size: int) -> Array:
+        """Draw `size` i.i.d. jumps from the normalized measure."""
         if not self.rates.size:
             if size > 0:
                 raise LevySpecError("cannot sample jumps from the zero measure")
@@ -95,11 +127,6 @@ class AtomicJumps(JumpMeasure):
         probs = self.rates / self.rates.sum()
         idx = rng.choice(len(self.rates), size=size, p=probs)
         return self.points[idx]
-
-    def integrate(self, g, rng=None, samples=10_000):
-        """Exact: sum_j rate_j g(x_j), with standard error 0."""
-        value = g(self.points) @ self.rates
-        return value, (np.zeros(value.shape) if np.ndim(value) else 0.0)
 
     def __repr__(self):
         return f"AtomicJumps(points={self.points!r}, rates={self.rates!r})"
@@ -112,43 +139,40 @@ class ZeroJumps(AtomicJumps):
         super().__init__(np.zeros((0, dim)), np.zeros(0))
 
 
-@dataclass(frozen=True)
-class SamplableJumps(JumpMeasure):
-    """Jump measure known only through a sampler of its normalization.
+class GammaRays(JumpMeasure):
+    """Sum of gamma rays: ray j is a direction a_j >= 0, a_j != 0, carrying
+    the Lévy density c_j exp(-b_j r) / r on r > 0, so Lambda_j(w) =
+    c_j log1p(w / b_j). Its total over a window of length s is R_j a_j
+    with R_j ~ Gamma(shape c_j s, scale 1 / b_j), drawn exactly."""
 
-    The total mass must be declared explicitly; integrals against the
-    measure are then Monte Carlo estimates (total_mass times the sample
-    mean), reported with standard errors.
-    """
-
-    dim: int
-    total_mass_value: float
-    sampler: Callable[[np.random.Generator, int], Array]
-
-    def __post_init__(self):
-        if self.total_mass_value <= 0 or not np.isfinite(self.total_mass_value):
-            raise LevySpecError("samplable measure needs finite positive total mass")
+    def __init__(self, directions, c, b):
+        self.points, self.c, self.b = _rays(directions, c=c, b=b)
+        if np.any(self.points < 0):
+            raise LevySpecError("gamma ray directions must be nonnegative")
+        self.dim = self.points.shape[1]
 
     @property
-    def total_mass(self) -> float:
-        return self.total_mass_value
+    def mean_rate(self) -> float:
+        return float(np.sum(self.c / self.b))
 
-    def sample(self, rng: np.random.Generator, size: int) -> Array:
-        out = np.asarray(self.sampler(rng, size), dtype=float)
-        return out.reshape(size, self.dim)
+    def laplace(self, w) -> Array:
+        return np.log1p(w / self.b) @ self.c
 
-    def integrate(self, g, rng=None, samples=10_000):
-        """Monte Carlo over `samples` draws, shared by every leading index
-        of g's values: total mass times the sample mean of g, with its
-        standard error."""
-        if rng is None:
-            raise LevySpecError("an integral against a samplable jump measure "
-                                "is a Monte Carlo estimate and needs an rng")
-        vals = g(self.sample(rng, samples))
-        mass = self.total_mass
-        se = mass * np.sqrt((np.var(vals.real, axis=-1)
-                             + np.var(vals.imag, axis=-1)) / samples)
-        return mass * vals.mean(axis=-1), (se if np.ndim(se) else float(se))
+    def expected_draws(self, t: float) -> float:
+        return float(self.points.shape[0])
+
+    def window_draws(self, steps, rng):
+        """One jump per ray and window: its total R_j a_j."""
+        k = self.points.shape[0]
+        r = rng.gamma(np.multiply.outer(steps, self.c), 1.0 / self.b)
+        return (np.full(steps.size, k),
+                (r[..., None] * self.points).reshape(-1, self.dim))
+
+    def with_points(self, points) -> GammaRays:
+        return GammaRays(points, self.c, self.b)
+
+    def __repr__(self):
+        return f"GammaRays(directions={self.points!r}, c={self.c!r}, b={self.b!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +236,15 @@ class LevyLaw:
 
 
 def _durations(dt, size: int):
-    """Check durations: a scalar dt is returned as is, else an array of
-    shape (size,) with one duration per row."""
-    if np.ndim(dt) == 0:
-        if dt < 0:
-            raise LevySpecError("negative duration")
-        return dt
-    dt = np.asarray(dt, dtype=float)
-    if dt.shape != (size,):
-        raise LevySpecError(f"durations have shape {dt.shape}, expected ({size},)")
-    if np.any(dt < 0):
-        raise LevySpecError("negative duration")
+    """Check durations, finite and >= 0 (so not NaN): a scalar dt is
+    returned as is, else an array of shape (size,) with one duration per
+    row."""
+    if np.ndim(dt) != 0:
+        dt = np.asarray(dt, dtype=float)
+        if dt.shape != (size,):
+            raise LevySpecError(f"durations have shape {dt.shape}, expected ({size},)")
+    if not np.all((dt >= 0) & (dt < np.inf)):
+        raise LevySpecError("durations must be finite and >= 0")
     return dt
 
 
@@ -293,9 +315,11 @@ class BrownianMotion(LevyLaw):
 
 
 class CompoundPoisson(LevyLaw):
-    """Compound Poisson process given by an atomic (or samplable) jump measure."""
+    """Compound Poisson process given by an atomic jump measure."""
 
-    def __init__(self, jumps: JumpMeasure):
+    def __init__(self, jumps: AtomicJumps):
+        if not isinstance(jumps, AtomicJumps):
+            raise LevySpecError("compound Poisson needs an atomic jump measure")
         if jumps.total_mass <= 0:
             raise LevySpecError("compound Poisson needs a nonzero jump measure")
         self.jumps = jumps
@@ -308,8 +332,9 @@ class CompoundPoisson(LevyLaw):
     def exponent(self, theta):
         """Uncompensated: sum_j rate_j (exp(i<theta, x_j>) - 1)."""
         theta = _theta_rows(theta, self.dim)
-        value, _ = self.jumps.integrate(lambda x: np.exp(1j * (theta @ x.T)) - 1.0)
-        return _per_row(value, theta)
+        jumps = self.jumps
+        return _per_row((np.exp(1j * (theta @ jumps.points.T)) - 1.0) @ jumps.rates,
+                        theta)
 
     def sample(self, dt, rng, size=1):
         mean = self.jumps.total_mass * _durations(dt, size)
@@ -390,10 +415,10 @@ def zero_process(dim: int) -> BrownianMotion:
 
 @dataclass(frozen=True)
 class SubordinatorSpec:
-    """Nonnegative drift plus a finite-activity jump measure on the
-    nonnegative orthant. A negative drift coordinate or an atom outside
-    the orthant is an orthant violation (LevySpecError); the atoms of a
-    samplable measure cannot be checked.
+    """Nonnegative drift plus a jump measure on the nonnegative orthant:
+    atoms (finite activity) or gamma rays (infinite activity). A negative
+    drift coordinate, or a point of the measure outside the orthant, is an
+    orthant violation (LevySpecError).
     """
 
     d: Array
@@ -408,8 +433,8 @@ class SubordinatorSpec:
             raise LevySpecError("drift must be finite")
         if np.any(d < 0):
             raise LevySpecError("orthant violation: drift has a negative coordinate")
-        if isinstance(self.jumps, AtomicJumps) and np.any(self.jumps.points < 0):
-            raise LevySpecError("orthant violation: jump atom outside the "
+        if np.any(self.jumps.points < 0):
+            raise LevySpecError("orthant violation: jump point outside the "
                                 "nonnegative orthant")
 
     @property
@@ -423,25 +448,12 @@ def pure_drift(d) -> SubordinatorSpec:
 
 
 def laplace_exponent(T: SubordinatorSpec, z):
-    """Extended Laplace exponent <d, z> + sum_j rate_j (1 - exp(-<z, t_j>)),
-    for Re z >= 0 coordinatewise: a complex for z of shape (n,), one
-    value per row for (..., n). Exact; atomic specs only (use
-    laplace_exponent_mc for samplable measures).
-    """
-    return laplace_exponent_mc(T, z, None)[0]
-
-
-def laplace_exponent_mc(T: SubordinatorSpec, z, rng: np.random.Generator | None,
-                        samples: int = 10_000):
-    """Laplace exponent with the jump integral from `T.jumps.integrate`:
-    exact for atomic specs, Monte Carlo over `samples` draws otherwise.
-
-    Returns (estimate, standard error of the jump-integral part): a
-    complex and a float for z of shape (n,); for (..., n), one estimate
-    and one standard error per row, all rows sharing the same draws.
+    """Extended Laplace exponent <d, z> + sum_j Lambda_j(<z, a_j>) over the
+    rays a_j of T's jump measure (for atoms, rate_j (1 - exp(-<z, t_j>))),
+    for finite z with Re z >= 0 coordinatewise: a complex for z of shape
+    (n,), one value per row for (..., n). Exact.
     """
     z = _theta_rows(z, T.dim, dtype=complex)
-    if np.any(z.real < 0):
-        raise LevySpecError("laplace_exponent requires Re(z) >= 0")
-    jump, se = T.jumps.integrate(lambda t: 1.0 - np.exp(-(z @ t.T)), rng, samples)
-    return _per_row(z @ T.d + jump, z), se
+    if not (np.all(np.isfinite(z)) and np.all(z.real >= 0)):
+        raise LevySpecError("laplace_exponent requires finite z with Re(z) >= 0")
+    return _per_row(z @ T.d + T.jumps.laplace(z @ T.jumps.points.T), z)

@@ -116,7 +116,8 @@ def marked_laplace_check(T: SubordinatorSpec, X: LevyLaw, f, horizon: float,
     f is called as f(time, jump_vector, mark_vector) -> nonnegative float,
     once per point; vectorized over leading axes is not required. Each
     side draws the jumps of all `reps` windows at once and all their
-    marks in one `sample_subordinate_at` call.
+    marks in one `sample_subordinate_at` call. T's jumps must be atomic:
+    gamma rays have no single jump times (LevySpecError).
     """
     _check_window(horizon, reps)
 

@@ -2,10 +2,10 @@
 
 Exponent formulas for the joint 2n-dimensional process (T, Z), the
 closed-form exponent for stacked configurations, and exact batched
-samplers of (T, Z) at any finite set of times, for finite-activity
-subordinators. Z is X evaluated along T componentwise (strong) or the
-Lévy process that jumps with the law of X(t) whenever T jumps by t
-(weak).
+samplers of (T, Z) at any finite set of times, for subordinators with
+atomic (finite-activity) or gamma-ray (infinite-activity) jumps. Z is X
+evaluated along T componentwise (strong) or the Lévy process that jumps
+with the law of X(t) whenever T jumps by t (weak).
 """
 from __future__ import annotations
 
@@ -15,11 +15,9 @@ import numpy as np
 
 from .levy import (
     AtomicJumps,
-    JumpMeasure,
     LevyLaw,
     Lift,
     LevySpecError,
-    SamplableJumps,
     SubordinatorSpec,
     _per_row,
     _theta_rows,
@@ -40,14 +38,26 @@ Array = np.ndarray
 def weak_exponent(T: SubordinatorSpec, X: LevyLaw, theta1, theta2):
     """Exponent of the joint weakly subordinated process (T, X(.)T):
 
-    i<d, theta1> + (d (*) Psi_X)(theta2)
-        + sum_j rate_j (exp(i<theta1, t_j>) * CF_{X(t_j)}(theta2) - 1).
+    i<d, theta1> + (d (*) Psi_X)(theta2) + sum_j -Lambda_j(-u_j),
+    u_j = i<theta1, a_j> + (a_j (*) Psi_X)(theta2)
+
+    over the rays a_j of T's jump measure; for atoms the jump term is
+    rate_j (exp(i<theta1, t_j>) * CF_{X(t_j)}(theta2) - 1). Exact, as the
+    vector-time exponent is linear along a ray.
 
     theta1 and theta2 of shape (n,) give a complex; of shape (..., n)
-    (broadcast against each other) one value per row. Exact; atomic
-    jump measures only (use weak_exponent_mc otherwise).
+    (broadcast against each other) one value per row. Every ray is
+    evaluated against every row in one `vector_time_exponent` call, so
+    temporaries hold rays x rows x n values: pass a large grid in blocks
+    of rows.
     """
-    return weak_exponent_mc(T, X, theta1, theta2, None)[0]
+    if X.dim != T.dim:
+        raise LevySpecError("theta1, theta2, T and X dimensions disagree")
+    theta1, theta2 = _theta_pair(T.dim, theta1, theta2)
+    a = T.jumps.points
+    u = 1j * (theta1 @ a.T) + vector_time_exponent(X, a, theta2[..., None, :])
+    drift = 1j * (theta1 @ T.d) + vector_time_exponent(X, T.d, theta2)
+    return _per_row(drift - T.jumps.laplace(-u), theta1)
 
 
 def _theta_pair(n: int, theta1, theta2) -> tuple[Array, Array]:
@@ -57,35 +67,6 @@ def _theta_pair(n: int, theta1, theta2) -> tuple[Array, Array]:
         return np.broadcast_arrays(theta1, theta2)
     except ValueError as exc:
         raise LevySpecError(f"theta1 and theta2 rows do not broadcast: {exc}") from exc
-
-
-def weak_exponent_mc(T: SubordinatorSpec, X: LevyLaw, theta1, theta2,
-                     rng: np.random.Generator | None,
-                     samples: int = 10_000):
-    """Weak exponent with the jump integral from `T.jumps.integrate`:
-    exact for atomic jump measures, Monte Carlo over `samples` draws
-    otherwise.
-
-    Returns (estimate, standard error of the jump-integral part): a
-    complex and a float for theta of shape (n,); for (..., n), one
-    estimate and one standard error per row, all rows sharing the same
-    draws (so row i equals the single-theta call with an rng in the
-    same state). Every jump is evaluated against every row in one
-    `vector_time_exponent` call, so temporaries hold jumps x rows x n
-    values (`samples` jumps for a Monte Carlo estimate): pass a large
-    grid in blocks of rows.
-    """
-    if X.dim != T.dim:
-        raise LevySpecError("theta1, theta2, T and X dimensions disagree")
-    theta1, theta2 = _theta_pair(T.dim, theta1, theta2)
-
-    def jump_term(t):  # (k, n) jumps -> (..., k)
-        psi = vector_time_exponent(X, t, theta2[..., None, :])
-        return np.exp(1j * (theta1 @ t.T) + psi) - 1.0
-
-    jump, se = T.jumps.integrate(jump_term, rng, samples)
-    drift = 1j * (theta1 @ T.d) + vector_time_exponent(X, T.d, theta2)
-    return _per_row(drift + jump, theta1), se
 
 
 @dataclass(frozen=True)
@@ -125,15 +106,8 @@ def stacked_subordinator(R: SubordinatorSpec, stack: StackEmbedding) -> Subordin
     """The n-dimensional subordinator T = R A induced by the embedding."""
     if R.dim != stack.d:
         raise LevySpecError("subordinator dimension differs from block count")
-    d = stack.expand(R.d)
-    if isinstance(R.jumps, AtomicJumps):
-        jumps: JumpMeasure = AtomicJumps(stack.expand(R.jumps.points), R.jumps.rates)
-    else:
-        base = R.jumps
-        jumps = SamplableJumps(
-            stack.n, base.total_mass,
-            lambda rng, size: stack.expand(base.sample(rng, size)))
-    return SubordinatorSpec(d, jumps)
+    return SubordinatorSpec(stack.expand(R.d),
+                            R.jumps.with_points(stack.expand(R.jumps.points)))
 
 
 def stacked_strong_exponent(R: SubordinatorSpec, stack: StackEmbedding,
@@ -169,7 +143,10 @@ def _jump_windows(T: SubordinatorSpec, horizon: float, size: int,
     """`size` independent windows (0, horizon] of T's jumps: the jump
     count of each, Poisson(total mass * horizon), then the times (i.i.d.
     uniform, unsorted) and sizes (i.i.d. from the normalized measure) of
-    all jumps, window 0's first."""
+    all jumps, window 0's first. Atomic jumps only: gamma rays have
+    infinitely many jumps in every window."""
+    if not isinstance(T.jumps, AtomicJumps):
+        raise LevySpecError("single jump times need an atomic jump measure")
     if horizon <= 0:
         raise LevySpecError("horizon must be positive")
 
@@ -199,16 +176,16 @@ MAX_BATCH_JUMPS = 2**20
 
 def expected_jumps(T: SubordinatorSpec, X: LevyLaw, t: float) -> tuple[float, float]:
     """Upper bounds on the expected jumps in one draw of (T(t), Z(t)),
-    strong or weak: T's, total mass x t, and X's along T, its jump rate
-    x t x T's reach (largest drift coordinate + total mass x largest
-    jump coordinate). Python floats, so a product beyond the float range
-    is inf; X's is inf when it jumps and T's jumps are known only
-    through a sampler."""
+    strong or weak: T's, the jumps its sampler draws (total mass x t for
+    atoms, one per gamma ray), and X's along T, its jump rate x t x T's
+    reach (largest drift coordinate + the measure's mean rate x largest
+    coordinate, a bound on the mean growth rate of T). Python floats, so
+    a product beyond the float range is inf."""
     t = float(t)
     rate = X.jump_rate
     reach = (float(np.max(T.d, initial=0.0))
-             + T.jumps.total_mass * T.jumps.largest_coordinate)
-    return T.jumps.total_mass * t, (rate * t * reach if rate > 0 else 0.0)
+             + T.jumps.mean_rate * float(np.max(T.jumps.points, initial=0.0)))
+    return T.jumps.expected_draws(t), (rate * t * reach if rate > 0 else 0.0)
 
 
 def _batch_rows(T: SubordinatorSpec, X: LevyLaw, t: float) -> int:
@@ -225,8 +202,9 @@ def _draw_at(T: SubordinatorSpec, X: LevyLaw, times, size: int,
     """`size` independent draws of (T, Z) at `times`: shape (size, 2n) for
     a scalar time, (size, m, 2n) for m strictly increasing times. Drawn in
     batches of `_batch_rows` rows: over each step between times, a row's T
-    moves by drift x step plus Poisson(total mass x step) jumps from T's
-    measure, and T at the times is the cumulative sum; Z comes from
+    moves by drift x step plus the jumps `T.jumps.window_draws` draws for
+    the step (Poisson(total mass x step) atoms, or one total per gamma
+    ray), and T at the times is the cumulative sum; Z comes from
     draw_z(T, steps, jump count per row and step, jumps in row order).
     A batch with a value beyond the floating-point range is a
     LevySpecError."""
@@ -241,10 +219,10 @@ def _draw_at(T: SubordinatorSpec, X: LevyLaw, times, size: int,
         rows = out[start : start + batch]
         k = rows.shape[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            counts, jumps = poisson_draws(np.tile(T.jumps.total_mass * steps, k),
-                                          T.jumps.sample, k * m, rng)
+            counts, jumps = T.jumps.window_draws(np.tile(steps, k), rng)
             jump_sums = poisson_scatter(counts, jumps).reshape(k, m, n)
             np.cumsum(jump_sums + np.outer(steps, T.d), axis=1, out=rows[..., :n])
+            _finite(rows[..., :n])
             rows[..., n:] = draw_z(rows[..., :n], steps, counts, jumps)
         _finite(rows)
     return out if np.ndim(times) else out[:, 0]
@@ -269,10 +247,11 @@ def simulate_weak_at(T: SubordinatorSpec, X: LevyLaw, times, size: int,
                      rng: np.random.Generator) -> Array:
     """`size` exact independent draws of (T, X (.) T) at `times`, shaped as
     in `simulate_strong_at`. Over each step, Z moves by one independent
-    mark per subordinator jump, with the law of X at that jump as vector
-    time, plus an independent X at the vector time d x step; Z at the
-    times is the cumulative sum. Exact for atomic and samplable jump
-    measures alike."""
+    mark per drawn jump, with the law of X at that jump as vector time,
+    plus an independent X at the vector time d x step; Z at the times is
+    the cumulative sum. Exact for gamma rays too: a ray's total R a over
+    the step is one jump, and X at the vector time R a has the law of the
+    sum of the marks of the ray's jumps in the step."""
     def draw_z(tau, steps, counts, jumps):
         k, m, n = tau.shape
         z = poisson_scatter(counts, sample_subordinate_at(X, jumps, rng))
@@ -281,77 +260,3 @@ def simulate_weak_at(T: SubordinatorSpec, X: LevyLaw, times, size: int,
         return np.cumsum(z.reshape(k, m, n), axis=1)
 
     return _draw_at(T, X, times, size, rng, draw_z)
-
-
-# ---------------------------------------------------------------------------
-# Truncation of infinite-activity 1-d subordinators
-# ---------------------------------------------------------------------------
-
-
-def truncate_jump_density(density, eps: float, upper: float = np.inf,
-                          grid_size: int = 4096) -> tuple[SamplableJumps, float]:
-    """Finite-activity approximation of a 1-d subordinator Lévy density.
-
-    Keeps jumps in (eps, upper), returning a samplable measure (inverse
-    CDF on a log grid) and the compensating drift: the expected time
-    mass of the discarded jumps, integral of t*density(t) over (0, eps],
-    to be added to the subordinator drift. The bias in higher moments is
-    not compensated.
-    """
-    from scipy import integrate  # loaded here, so importing weaksub needs no scipy
-
-    if eps <= 0:
-        raise LevySpecError("truncation level must be positive")
-    mass, _ = integrate.quad(density, eps, upper)
-    comp, _ = integrate.quad(lambda t: t * density(t), 0.0, eps)
-    hi = upper
-    if not np.isfinite(hi):
-        # extend until the tail mass is negligible relative to the kept mass
-        hi = max(10.0 * eps, 1.0)
-        while integrate.quad(density, hi, np.inf)[0] > 1e-12 * mass:
-            hi *= 2.0
-    grid = np.geomspace(eps, hi, grid_size)
-    dens = np.array([density(t) for t in grid])
-    cdf = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
-    cdf /= cdf[-1]
-
-    def sampler(rng, size, _grid=grid, _cdf=cdf):
-        u = rng.uniform(size=size)
-        return np.interp(u, _cdf, _grid).reshape(size, 1)
-
-    return SamplableJumps(1, float(mass), sampler), float(comp)
-
-
-def choose_truncation_eps(density, target: float = 1e-3) -> float:
-    """Smallest-jump cutoff at which the discarded expected-time mass
-    (integral of t*density over (0, eps]) stays below `target` per unit
-    time."""
-    from scipy import integrate, optimize
-
-    def discarded(eps):
-        return integrate.quad(lambda t: t * density(t), 0.0, eps)[0] - target
-
-    lo, hi = 1e-12, 1.0
-    while discarded(hi) < 0 and hi < 1e6:
-        hi *= 10.0
-    if discarded(hi) < 0:
-        return hi
-    return float(optimize.brentq(discarded, lo, hi))
-
-
-def truncated_gamma_subordinator(b: float, c: float,
-                                 eps: float | None = None) -> SubordinatorSpec:
-    """Finite-activity approximation of the gamma subordinator with Lévy
-    density c exp(-b t)/t, t > 0; compensating drift absorbs the
-    discarded small-jump time mass.
-    """
-    if b <= 0 or c <= 0:
-        raise LevySpecError("gamma subordinator needs b > 0 and c > 0")
-
-    def density(t):
-        return c * np.exp(-b * t) / t
-
-    if eps is None:
-        eps = choose_truncation_eps(density)
-    jumps, comp = truncate_jump_density(density, eps)
-    return SubordinatorSpec(np.array([comp]), jumps)

@@ -49,10 +49,10 @@ def subordinator():
                                               [0.6, 0.9, 0.3]))
 
 
-def samplable_subordinator():
-    jumps = ws.SamplableJumps(
-        N, 1.5, lambda rng, size: rng.exponential(size=(size, N)))
-    return ws.SubordinatorSpec(np.array([0.1, 0.0, 0.3]), jumps)
+def gamma_subordinator():
+    return ws.SubordinatorSpec(np.array([0.1, 0.0, 0.3]),
+                               ws.GammaRays([[1.0, 0.0, 0.5], [0.2, 1.5, 1.0]],
+                                            [1.5, 0.7], [2.0, 1.0]))
 
 
 def assert_rows(batched, scalars):
@@ -96,7 +96,8 @@ class TestLawRows:
     def test_weak_exponent(self, name):
         X = LAWS[name]
         th1, th2 = thetas(4), thetas(5)
-        for T in (subordinator(), ws.pure_drift([0.3, 1.0, 0.6])):
+        for T in (subordinator(), gamma_subordinator(),
+                  ws.pure_drift([0.3, 1.0, 0.6])):
             single = [ws.weak_exponent(T, X, a, b) for a, b in zip(th1, th2)]
             assert all(type(v) is complex for v in single)
             assert_rows(ws.weak_exponent(T, X, th1, th2), single)
@@ -124,58 +125,16 @@ class TestStackedAndLaplaceRows:
         assert np.max(np.abs(batched - ws.weak_exponent(T, X, th1, th2))) <= 1e-10
 
     def test_laplace_exponent(self):
-        T = subordinator()
         z = np.abs(thetas(8)) + 1j * thetas(9)
-        single = [ws.laplace_exponent(T, row) for row in z]
-        assert all(type(v) is complex for v in single)
-        assert_rows(ws.laplace_exponent(T, z), single)
-        est, se = ws.laplace_exponent_mc(T, z, np.random.default_rng(0))
-        assert_rows(est, single)
-        assert se.shape == (M,) and np.all(se == 0)
+        for T in (subordinator(), gamma_subordinator()):
+            single = [ws.laplace_exponent(T, row) for row in z]
+            assert all(type(v) is complex for v in single)
+            assert_rows(ws.laplace_exponent(T, z), single)
 
     def test_exponent_cpp_and_stack_free_functions(self):
         th = thetas(10)
         for law in (LAWS["cpp"], LAWS["stack"], LAWS["bm"]):
             assert_rows(law.exponent(th), [law.exponent(row) for row in th])
-
-
-class TestMonteCarloRows:
-    SEED = 11
-    SAMPLES = 2000
-
-    def test_weak_exponent_mc_rows_match_fresh_single_calls(self):
-        T, X = samplable_subordinator(), LAWS["bm"]
-        th1, th2 = thetas(12), thetas(13)
-        est, se = ws.weak_exponent_mc(T, X, th1, th2,
-                                      np.random.default_rng(self.SEED),
-                                      samples=self.SAMPLES)
-        assert est.shape == se.shape == (M,)
-        for i in range(M):
-            e, s = ws.weak_exponent_mc(T, X, th1[i], th2[i],
-                                       np.random.default_rng(self.SEED),
-                                       samples=self.SAMPLES)
-            assert type(e) is complex and type(s) is float
-            assert abs(est[i] - e) <= TOL and abs(se[i] - s) <= TOL
-
-    def test_laplace_exponent_mc_rows_match_fresh_single_calls(self):
-        T = samplable_subordinator()
-        z = np.abs(thetas(14)) + 1j * thetas(15)
-        est, se = ws.laplace_exponent_mc(T, z, np.random.default_rng(self.SEED),
-                                         samples=self.SAMPLES)
-        for i in range(M):
-            e, s = ws.laplace_exponent_mc(T, z[i], np.random.default_rng(self.SEED),
-                                          samples=self.SAMPLES)
-            assert abs(est[i] - e) <= TOL and abs(se[i] - s) <= TOL
-
-    def test_single_theta_draws_only_the_jump_sample(self):
-        # a single-theta call consumes exactly one draw of `samples` jumps
-        T, X = samplable_subordinator(), LAWS["cpp"]
-        rng = np.random.default_rng(self.SEED)
-        ws.weak_exponent_mc(T, X, thetas(16)[0], thetas(17)[0], rng,
-                            samples=self.SAMPLES)
-        ref = np.random.default_rng(self.SEED)
-        T.jumps.sample(ref, self.SAMPLES)
-        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestShapeErrors:

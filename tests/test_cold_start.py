@@ -1,5 +1,5 @@
-"""Start-up cost: importing weaksub and running any CLI command loads no
-scipy. Each check runs in a fresh interpreter, since this test process
+"""Start-up cost: importing weaksub, running any CLI command and using
+gamma-ray subordinators load no scipy. Each check runs in a fresh interpreter, since this test process
 may already have imported scipy for other tests."""
 import json
 import os
@@ -64,3 +64,27 @@ def test_every_command_runs_with_scipy_blocked(tmp_path):
     assert len(times) == 4 and times[0].endswith(",Z_2@2")
     report = json.loads((tmp_path / "verify" / "report.json").read_text())
     assert report["passed"] and report["exact_exponent_max_diff"] <= 1e-10
+
+
+GAMMA_RUN = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+import weaksub as ws
+T = ws.SubordinatorSpec(np.array([0.2, 0.1]),
+                        ws.GammaRays([[1, 0], [0, 1], [1, 1]], [1.5, 1.5, 0.5],
+                                     [1.0, 1.0, 1.0]))
+X = ws.BrownianMotion([0.3, -0.2], [[1, 0.8], [0.8, 1]])
+values = [ws.laplace_exponent(T, [0.5, 0.5]),
+          ws.weak_exponent(T, X, [0.1, 0.2], [0.3, 0.4])]
+rng = np.random.default_rng(0)
+draws = [sample(T, X, [0.5, 1.0], 10, rng)
+         for sample in (ws.simulate_strong_at, ws.simulate_weak_at)]
+print(all(np.isfinite(values)), [d.shape for d in draws])
+"""
+
+
+def test_gamma_rays_run_with_scipy_blocked(tmp_path):
+    out = run_python(GAMMA_RUN, tmp_path)
+    assert out.strip() == "True [(10, 2, 4), (10, 2, 4)]"
+

@@ -50,7 +50,7 @@ class TestExponentCPP:
         assert val == pytest.approx(-4.0 + 0j, abs=1e-12)
 
     def test_zero_measure(self):
-        assert ws.ZeroJumps(2).integrate(lambda x: x[:, 0] + 1.0) == (0, 0.0)
+        assert np.array_equal(ws.ZeroJumps(2).laplace(np.ones((3, 0))), np.zeros(3))
         rng = np.random.default_rng(0)
         assert ws.ZeroJumps(2).sample(rng, 0).shape == (0, 2)
         with pytest.raises(ws.LevySpecError):
@@ -131,9 +131,6 @@ class TestLaplaceExponent:
     def test_unit_poisson(self):
         T = ws.SubordinatorSpec(np.zeros(1), ws.AtomicJumps([[1.0]], [1.0]))
         assert ws.laplace_exponent(T, [1.0]) == pytest.approx(1 - np.exp(-1))
-        # an atomic measure is integrated exactly whatever the rng
-        assert ws.laplace_exponent_mc(T, [1.0], np.random.default_rng(0)) == (
-            ws.laplace_exponent(T, [1.0]), 0.0)
 
     def test_unit_poisson_mc_oracle(self):
         # cross-check E exp(-T(1)) for a unit-rate Poisson directly
@@ -159,19 +156,25 @@ class TestLaplaceExponent:
         lam = ws.laplace_exponent(T, -1j * np.array([0.9, -0.4]))
         assert abs(lam + psi) < 1e-10
 
-    def test_samplable_requires_mc(self):
-        jumps = ws.SamplableJumps(1, 2.0, lambda rng, size: rng.exponential(
-            size=(size, 1)))
-        T = ws.SubordinatorSpec(np.zeros(1), jumps)
-        with pytest.raises(ws.LevySpecError):
-            ws.laplace_exponent(T, [1.0])
-        with pytest.raises(ws.LevySpecError):
-            jumps.integrate(lambda t: t[:, 0])
-        rng = np.random.default_rng(3)
-        est, se = ws.laplace_exponent_mc(T, [1.0], rng, samples=200_000)
-        # E jump ~ Exp(1): exact value 2*(1 - E e^{-t}) = 2*(1 - 1/2) = 1
-        assert se > 0
-        assert abs(est - 1.0) <= 4 * se
+    def test_gamma_rays(self):
+        # E exp(-z G) = (1 + z / b)^(-c) for G ~ Gamma(c, 1 / b): ray (1, 2)
+        # at z gives c log1p(<z, (1, 2)> / b), plus the drift term
+        T = ws.SubordinatorSpec(np.array([0.5, 0.0]),
+                                ws.GammaRays([[1.0, 2.0]], [1.5], [2.0]))
+        z = np.array([0.3 + 1j, 0.2 - 0.5j])
+        expected = 0.5 * z[0] + 1.5 * np.log(1 + (z[0] + 2 * z[1]) / 2.0)
+        assert abs(ws.laplace_exponent(T, z) - expected) <= 1e-14
+        # against gamma draws: at z = (0, 0.5), <z, (1, 2)> = 1
+        vals = np.exp(-np.random.default_rng(4).gamma(1.5, 0.5, 10**6))
+        exact = np.exp(-ws.laplace_exponent(T, [0.0, 0.5]))
+        assert abs(vals.mean() - exact) <= 4 * vals.std() / 1e3
+
+    @pytest.mark.parametrize("z", [[np.nan, 0.5], [0.5, np.inf], [complex(0, np.nan), 0.5]],
+                             ids=["nan", "inf", "nan_imag"])
+    def test_non_finite_argument_rejected(self, z):
+        T = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1, 2]], [1.0]))
+        with pytest.raises(ws.LevySpecError, match="finite"):
+            ws.laplace_exponent(T, z)
 
 
 class TestValidateTriplet:
@@ -194,6 +197,43 @@ class TestValidateTriplet:
     def test_non_finite_field_rejected(self, build):
         with pytest.raises(ws.LevySpecError, match="finite"):
             build()
+
+    @pytest.mark.parametrize("field,value", [
+        (f, v) for f in ("c", "b", "direction")
+        for v in (0.0, -1.0, np.nan, np.inf) if (f, v) != ("direction", 0.0)]
+        + [("direction", "zero_row")], ids=str)
+    def test_bad_gamma_ray_rejected(self, field, value):
+        # a direction may have zero entries, not be zero; c and b are > 0
+        args = {"directions": [[1.0, 0.0], [0.5, 2.0]], "c": [1.0, 2.0],
+                "b": [1.5, 0.5]}
+        if value == "zero_row":
+            args["directions"][1] = [0.0, 0.0]
+        elif field == "direction":
+            args["directions"][1][0] = value
+        else:
+            args[field][1] = value
+        with pytest.raises(ws.LevySpecError):
+            ws.GammaRays(**args)
+
+    def test_compound_poisson_needs_atoms(self):
+        # gamma rays have infinite activity: no compound Poisson law, so
+        # valid rays are rejected too
+        with pytest.raises(ws.LevySpecError, match="atomic"):
+            ws.CompoundPoisson(ws.GammaRays([[1.0]], [1.0], [1.0]))
+
+
+class TestDurations:
+    LAWS = {"bm": ws.BrownianMotion([0.0], [[1.0]]),
+            "cpp": ws.CompoundPoisson(ws.AtomicJumps([[1.0]], [2.0])),
+            "stack": ws.IndependentStack([ws.BrownianMotion([0.0], [[1.0]]),
+                                          ws.CompoundPoisson(ws.AtomicJumps([[1.0]], [2.0]))])}
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, [0.5, np.nan], [np.inf, 0.5]],
+                             ids=["nan", "inf", "row_nan", "row_inf"])
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_bad_duration_rejected(self, law, dt):
+        with pytest.raises(ws.LevySpecError, match="duration"):
+            self.LAWS[law].sample(dt, np.random.default_rng(0), 2)
 
 
 @st.composite

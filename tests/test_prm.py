@@ -142,3 +142,11 @@ class TestMarkedLaplaceCheck:
             ws.marked_laplace_check(T, correlated_bm(), lambda *a: 0.0,
                                     horizon=1e10, reps=100,
                                     rng=np.random.default_rng(0))
+
+    def test_gamma_rays_rejected(self):
+        # gamma rays jump infinitely often in every window: no single jumps
+        T = ws.SubordinatorSpec(np.zeros(2), ws.GammaRays([[1, 1]], [1.0], [1.0]))
+        with pytest.raises(ws.LevySpecError, match="atomic"):
+            ws.marked_laplace_check(T, correlated_bm(), lambda *a: 0.0,
+                                    horizon=1.0, reps=100,
+                                    rng=np.random.default_rng(0))

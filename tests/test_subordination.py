@@ -55,9 +55,6 @@ class TestWeakExponent:
         bm = ws.BrownianMotion([0, 0], np.eye(2))
         val = ws.weak_exponent(T, bm, [0, 0], [1, 1])
         assert val == pytest.approx(np.exp(-1) - 1)
-        # an atomic measure is integrated exactly whatever the rng
-        assert ws.weak_exponent_mc(T, bm, [0, 0], [1, 1],
-                                   np.random.default_rng(0)) == (val, 0.0)
 
     def test_pure_drift_reduction(self):
         T = ws.pure_drift([1, 2])
@@ -101,29 +98,19 @@ class TestWeakExponent:
             th = rng.standard_normal(4) * 2
             assert ws.weak_exponent(T, X, th[:2], th[2:]).real <= 1e-10
 
-    def test_samplable_needs_mc(self):
-        jumps = ws.SamplableJumps(
-            2, 1.0, lambda rng, size: rng.exponential(size=(size, 2)))
-        T = ws.SubordinatorSpec(np.zeros(2), jumps)
+    def test_gamma_ray_matches_quadrature(self):
+        # a ray a with density c e^{-b r} / r: the jump term is the integral
+        # of (exp(r u) - 1) c e^{-b r} / r dr with u = i<theta1, a> +
+        # (a (*) Psi_X)(theta2); with x = b r, a 60-node Gauss-Laguerre rule
+        # over x of c (exp(x u / b) - 1) / x, which is smooth at x = 0
+        a, c, b = np.array([1.0, 0.5]), 1.5, 2.0
+        T = ws.SubordinatorSpec(np.zeros(2), ws.GammaRays([a], [c], [b]))
         X = correlated_bm()
-        with pytest.raises(ws.LevySpecError):
-            ws.weak_exponent(T, X, [0, 0], [1, 1])
-        est, se = ws.weak_exponent_mc(T, X, [0.0, 0.0], [1.0, 1.0],
-                                      np.random.default_rng(5), samples=5000)
-        assert se > 0
-        # oracle: quadrature of the atomic integrand over the exponential
-        # law. The integrand has a kink at t1 = t2 and is smooth on either
-        # side; on the side t_a <= t_b write t_a = x / 2, t_b = t_a + y,
-        # whose density is e^{-x} e^{-y} / 2, and use a tensor
-        # Gauss-Laguerre rule in (x, y), all nodes in one array call.
         x, w = np.polynomial.laguerre.laggauss(60)
-        lo = np.repeat(x / 2, x.size)
-        hi = lo + np.tile(x, x.size)
-        nodes = np.vstack([np.column_stack([lo, hi]), np.column_stack([hi, lo])])
-        weights = np.tile(np.outer(w, w).ravel() / 2, 2)
-        vals = np.exp(ws.vector_time_exponent(X, nodes, [1.0, 1.0])).real - 1.0
-        exact = weights @ vals
-        assert abs(est - exact) <= 4 * se
+        for th in np.random.default_rng(5).standard_normal((20, 4)) * 0.5:
+            u = 1j * th[:2] @ a + ws.vector_time_exponent(X, a, th[2:])
+            exact = w @ (c * np.expm1(x * u / b) / x)
+            assert abs(ws.weak_exponent(T, X, th[:2], th[2:]) - exact) <= 1e-8
 
 
 class TestStackEmbedding:
@@ -132,14 +119,15 @@ class TestStackEmbedding:
         np.testing.assert_array_equal(emb.expand([[0.5, 2.0], [np.inf, 1.0]]),
                                       [[0.5, 2.0, 2.0], [np.inf, 1.0, 1.0]])
 
-    def test_samplable_clock_draws_equal_coordinates(self):
-        # a sampler-only R: T's jumps are R's draws, repeated per block
-        R = ws.truncated_gamma_subordinator(2.0, 1.5)
+    def test_gamma_clock_draws_equal_coordinates(self):
+        # a gamma-ray R: T's jumps are R's draws, repeated per block
+        R = ws.SubordinatorSpec(np.array([0.3]), ws.GammaRays([[1.0]], [1.5], [2.0]))
         T = ws.stacked_subordinator(R, ws.StackEmbedding((2,)))
-        assert T.jumps.total_mass == R.jumps.total_mass
         np.testing.assert_array_equal(T.d, [R.d[0], R.d[0]])
-        jumps = T.jumps.sample(np.random.default_rng(0), 100)
-        r_jumps = R.jumps.sample(np.random.default_rng(0), 100)
+        steps = np.full(100, 0.5)
+        counts, jumps = T.jumps.window_draws(steps, np.random.default_rng(0))
+        r_counts, r_jumps = R.jumps.window_draws(steps, np.random.default_rng(0))
+        assert np.array_equal(counts, r_counts)
         assert jumps.shape == (100, 2) and np.all(jumps > 0)
         np.testing.assert_array_equal(jumps, np.hstack([r_jumps, r_jumps]))
 
@@ -196,6 +184,15 @@ class TestStackedStrongExponent:
         with pytest.raises(ws.LevySpecError):
             ws.stacked_strong_exponent(R, self.emb, self.blocks, [0, 0, 0],
                                        [1, 1])
+
+    def test_stacked_gamma_agrees_with_weak_exponent(self):
+        # A3 for the variance-gamma stack, on 100 frequencies
+        R, emb, blocks = STACKED_GAMMA
+        T, X = TIME_T_CASES["stacked_gamma"]
+        th = np.random.default_rng(11).standard_normal((100, 2 * emb.n))
+        exact = ws.stacked_strong_exponent(R, emb, blocks, th[:, :emb.n], th[:, emb.n:])
+        weak = ws.weak_exponent(T, X, th[:, :emb.n], th[:, emb.n:])
+        assert np.max(np.abs(exact - weak)) <= 1e-10
 
 
 class TestSimulateSubordinator:
@@ -328,15 +325,33 @@ class TestSimulateWeak:
             assert report.passed, report.summary()
 
 
+# a variance-gamma stack: R has gamma rays e_1, e_2 and (1, 1) and a drift;
+# block 2 is a correlated BM on one clock
+STACKED_GAMMA = (
+    ws.SubordinatorSpec(np.array([0.2, 0.0]),
+                        ws.GammaRays([[1, 0], [0, 1], [1, 1]], [1.0, 0.5, 1.5],
+                                     [2.0, 1.0, 1.5])),
+    ws.StackEmbedding((1, 2)),
+    [ws.BrownianMotion([0.3], [[1.0]]),
+     ws.BrownianMotion([-0.2, 0.1], [[0.6, 0.3], [0.3, 1.0]])])
+
+
 def time_t_cases():
     """(T, X) pairs for the exact-law checks: the four suite scenarios, a
-    truncated gamma clock (samplable jumps) and a compound Poisson
-    subordinate (one duration per row in its increments)."""
+    gamma-ray clock with drift that is not a stack, the variance-gamma
+    stack and a compound Poisson subordinate (one duration per row in its
+    increments)."""
     cases = {name: scenario_processes(name)[:2]
              for name in ("deterministic", "finite_activity_C1", "stacked_C3",
                           "negative_control")}
-    cases["truncated_gamma"] = (ws.truncated_gamma_subordinator(2.0, 1.5),
-                                ws.BrownianMotion([0.3], [[1.0]]))
+    cases["gamma_rays"] = (
+        ws.SubordinatorSpec(np.array([0.2, 0.1]),
+                            ws.GammaRays([[1, 0], [0, 1], [1, 1]], [1.5, 1.5, 0.5],
+                                         [1.0, 1.0, 1.0])),
+        ws.BrownianMotion([0.3, -0.2], [[1, 0.8], [0.8, 1]]))
+    R, emb, blocks = STACKED_GAMMA
+    cases["stacked_gamma"] = (ws.stacked_subordinator(R, emb),
+                              ws.IndependentStack(blocks))
     cases["compound_poisson"] = (
         ws.SubordinatorSpec(np.array([0.4, 0.1]),
                             ws.AtomicJumps([[1, 0.5], [0.2, 1.5]], [0.7, 0.6])),
@@ -360,34 +375,50 @@ def weak_fdd_cf(T, X, times, grid):
 FDD_TIMES = (0.5, 1.0)
 # correlated BM along the deterministic clock T(t) = (t, t): the one clock
 # meets the equality-in-law hypothesis, unlike the suite's (t, 2t)
-FDD_CASES = {**{name: case for name, case in TIME_T_CASES.items()
-                if name != "truncated_gamma"},
-             "drift_11": (ws.pure_drift([1.0, 1.0]), correlated_bm())}
+FDD_CASES = {**TIME_T_CASES, "drift_11": (ws.pure_drift([1.0, 1.0]), correlated_bm())}
+
+
+def strong_target(case, T, X, grid):
+    """Exact CF of the strong (T(1), Z(1)) on the grid: the closed form of
+    the variance-gamma stack, else `strong_cf` of an atomic clock."""
+    if case == "stacked_gamma":
+        R, emb, blocks = STACKED_GAMMA
+        return np.exp(ws.stacked_strong_exponent(R, emb, blocks, grid[:, :emb.n],
+                                                 grid[:, emb.n:]))
+    return strong_cf(T, X, 1.0, grid)
 
 
 class TestTimeTSamplers:
     # exact CFs are the reference for the batched samplers
     N = 100_000
 
-    @pytest.mark.parametrize("kind", ["strong", "weak"])
-    @pytest.mark.parametrize("case", sorted(TIME_T_CASES))
+    # the strong law of the gamma_rays clock has no closed form here;
+    # test_gamma_rays_strong_misses_weak_target checks its draw
+    @pytest.mark.parametrize("case,kind", [
+        (case, kind) for case in sorted(TIME_T_CASES) for kind in ("strong", "weak")
+        if (case, kind) != ("gamma_rays", "strong")])
     def test_time_t_law_is_exact(self, case, kind):
         T, X = TIME_T_CASES[case]
         sample = {"strong": ws.simulate_strong_at, "weak": ws.simulate_weak_at}
         rows = sample[kind](T, X, 1.0, self.N, np.random.default_rng(41))
         assert rows.shape == (self.N, 2 * T.dim)
         grid = ws.default_theta_grid(2 * T.dim)
-        if case == "truncated_gamma":
-            # a 1-d clock: strong and weak subordination are equal in law
-            other = sample[{"strong": "weak", "weak": "strong"}[kind]](
-                T, X, 1.0, self.N, np.random.default_rng(42))
-            report = ws.ecf_two_sample_compare(rows, other, grid)
-        elif kind == "weak":
-            report = ws.cf_compare(rows, np.exp(ws.weak_exponent(
-                T, X, grid[:, :T.dim], grid[:, T.dim:])), grid)
+        if kind == "weak":
+            target = np.exp(ws.weak_exponent(T, X, grid[:, :T.dim], grid[:, T.dim:]))
         else:
-            report = ws.cf_compare(rows, strong_cf(T, X, 1.0, grid), grid)
+            target = strong_target(case, T, X, grid)
+        report = ws.cf_compare(rows, target, grid)
         assert report.passed, report.summary()
+
+    def test_gamma_rays_strong_misses_weak_target(self):
+        # not a stack: the strong draw, exact for its own law, is flagged
+        # against the weak closed form (max ratio about 6.5)
+        T, X = TIME_T_CASES["gamma_rays"]
+        rows = ws.simulate_strong_at(T, X, 1.0, self.N, np.random.default_rng(42))
+        grid = ws.default_theta_grid(4)
+        report = ws.cf_compare(rows, np.exp(ws.weak_exponent(
+            T, X, grid[:, :2], grid[:, 2:])), grid)
+        assert report.max_ratio > 2, report.summary()
 
     @pytest.mark.parametrize("case", sorted(FDD_CASES))
     def test_weak_fdd_is_exact(self, case):
@@ -398,7 +429,8 @@ class TestTimeTSamplers:
                                weak_fdd_cf(T, X, FDD_TIMES, grid), grid)
         assert report.passed, report.summary()
 
-    @pytest.mark.parametrize("case", ["drift_11", "finite_activity_C1", "stacked_C3"])
+    @pytest.mark.parametrize("case", ["drift_11", "finite_activity_C1", "stacked_C3",
+                                      "stacked_gamma"])
     def test_strong_fdd_meets_weak_target(self, case):
         # the hypothesis holds, so the processes, not only the marginals,
         # are equal in law
@@ -407,16 +439,6 @@ class TestTimeTSamplers:
         grid = ws.default_theta_grid(4 * T.dim)
         report = ws.cf_compare(rows.reshape(self.N, -1),
                                weak_fdd_cf(T, X, FDD_TIMES, grid), grid)
-        assert report.passed, report.summary()
-
-    def test_truncated_gamma_fdds_agree(self):
-        T, X = TIME_T_CASES["truncated_gamma"]
-        strong, weak = (sample(T, X, FDD_TIMES, self.N, np.random.default_rng(seed))
-                        for sample, seed in ((ws.simulate_strong_at, 45),
-                                             (ws.simulate_weak_at, 46)))
-        report = ws.ecf_two_sample_compare(strong.reshape(self.N, -1),
-                                           weak.reshape(self.N, -1),
-                                           ws.default_theta_grid(4))
         assert report.passed, report.summary()
 
     def test_deterministic_strong_fdd_is_its_lift(self):
@@ -481,13 +503,13 @@ class TestBatchRows:
         # T: mass 1 x t; X: rate 50 x t x (drift 1.0 + mass 1 x coordinate 2.0)
         assert expected_jumps(self.T, self.X, 2.0) == (2.0, 300.0)
         assert expected_jumps(self.T, correlated_bm(), 2.0) == (2.0, 0.0)
-        gamma = ws.truncated_gamma_subordinator(2.0, 1.5)
-        cpp = ws.CompoundPoisson(ws.AtomicJumps([[1.0]], [1.0]))
-        # a sampled jump measure: its largest jump is unknown
-        assert expected_jumps(gamma, cpp, 1.0)[1] == np.inf
-        assert _batch_rows(gamma, cpp, 1.0) == 1
-        bm = ws.BrownianMotion([0.0], [[1.0]])
-        assert _batch_rows(gamma, bm, 1.0) == TIME_T_CHUNK
+        # gamma rays: one draw per ray, and X's along T's mean growth,
+        # drift 0.5 + (1.5/2 + 1/4) x largest coordinate 2
+        gamma = ws.SubordinatorSpec(np.array([0.5, 0.0]),
+                                    ws.GammaRays([[1, 0], [1, 2]], [1.5, 1.0], [2.0, 4.0]))
+        cpp = ws.CompoundPoisson(ws.AtomicJumps([[1.0, 0.0]], [1.0]))
+        assert expected_jumps(gamma, cpp, 2.0) == (2.0, 5.0)
+        assert _batch_rows(gamma, cpp, 1.0) == TIME_T_CHUNK
 
     def test_suite_scenarios_keep_full_batches(self):
         for name in ("deterministic", "finite_activity_C1", "stacked_C3",
@@ -515,25 +537,13 @@ class TestBatchRows:
         assert report.passed, report.summary()
 
 
-class TestTruncation:
-    def test_gamma_truncation_mean_preserved(self):
-        # E T(1) = c/b for the gamma subordinator; compensation keeps it
-        b, c = 2.0, 1.5
-        T = ws.truncated_gamma_subordinator(b, c, eps=0.01)
+class TestGammaRays:
+    def test_mean_growth(self):
+        # E T(t) = t (d + sum_j c_j / b_j a_j), at three times of one path
+        T, _ = TIME_T_CASES["gamma_rays"]
         times = np.array([0.5, 1.0, 2.0])
         reps = 4000
-        vals = t_at(T, times, reps, np.random.default_rng(11))[..., 0]
+        vals = t_at(T, times, reps, np.random.default_rng(11))
+        mean = T.d + (T.jumps.c / T.jumps.b) @ T.jumps.points
         se = vals.std(axis=0, ddof=1) / np.sqrt(reps)
-        assert np.all(np.abs(vals.mean(axis=0) - c * times / b) <= 4 * se)
-
-    def test_choose_eps_controls_discarded_mass(self):
-        from scipy import integrate
-        b, c = 1.0, 1.0
-        density = lambda t: c * np.exp(-b * t) / t
-        eps = ws.choose_truncation_eps(density, target=1e-3)
-        discarded, _ = integrate.quad(lambda t: t * density(t), 0, eps)
-        assert discarded <= 1e-3 + 1e-9
-
-    def test_infinite_total_mass_rejected(self):
-        with pytest.raises(ws.LevySpecError):
-            ws.SamplableJumps(1, np.inf, lambda rng, size: None)
+        assert np.all(np.abs(vals.mean(axis=0) - np.outer(times, mean)) <= 4 * se)
