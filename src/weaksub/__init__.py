@@ -35,7 +35,6 @@ from .prm import (
     marked_laplace_check,
 )
 from .subordination import (
-    StackEmbedding,
     simulate_strong_at,
     simulate_weak_at,
     stacked_strong_exponent,
@@ -44,7 +43,6 @@ from .subordination import (
 )
 from .verify import (
     ECFReport,
-    SuiteConfig,
     ThetaGridSpec,
     cf_compare,
     clt_bound,

@@ -22,7 +22,7 @@ import contextlib
 import json
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +44,9 @@ from .subordination import (
     simulate_weak_at,
 )
 from .verify import (
+    DEFAULT_K,
+    DEFAULT_N_PATHS,
     SCENARIOS,
-    SuiteConfig,
     ThetaGridSpec,
     equality_in_law_suite,
     grid_exponent,
@@ -61,6 +62,13 @@ MAX_ROWS = 10_000_000
 # (verify draws its replicates twice, strong and weak): about 70 s of
 # sampling at 68 ns per jump on a 2-vCPU Xeon.
 MAX_RUN_JUMPS = 10**9
+# Largest ECF terms of a verify run, 2 x replicates x theta grid points:
+# 30-65 s at the 55-130 ns per term ecf_grid takes on a 2-vCPU Xeon.
+MAX_ECF_TERMS = 5 * 10**8
+# Most theta grid points of a verify run: writing report.json takes about
+# 9 KB of memory per point (134 MB peak RSS at 10 000 points, 978 MB at
+# 100 000).
+MAX_REPORT_POINTS = 10_000
 # Most sample times of one simulate run.
 MAX_TIMES = 16
 
@@ -91,9 +99,9 @@ class ExperimentConfig:
     subordinator: SubordinatorSpec | None = None
     subordinate: LevyLaw | None = None
     horizon: float = 1.0
-    replicates: int = SuiteConfig.n_paths
-    theta_grid: ThetaGridSpec = field(default_factory=ThetaGridSpec)
-    k: float = SuiteConfig.k
+    replicates: int = DEFAULT_N_PATHS
+    theta_grid: ThetaGridSpec = ThetaGridSpec()
+    k: float = DEFAULT_K
     times: tuple[float, ...] | None = None  # simulate's sample times; None: (horizon,)
 
     def processes(self) -> tuple[SubordinatorSpec, LevyLaw]:
@@ -312,19 +320,6 @@ def parse_config(text: str) -> ExperimentConfig:
     if T.dim != X.dim:
         raise ConfigError([f"subordinator dimension {T.dim} differs from "
                            f"subordinate dimension {X.dim}"])
-    drift_part = config.horizon * float(np.max(T.d, initial=0.0))  # <= T(horizon)
-    if not np.isfinite(drift_part):
-        raise ConfigError([f"horizon: {config.horizon:g} x the subordinator's drift "
-                           f"{np.max(T.d):g} is beyond the floating-point range"])
-    t_jumps, x_jumps = expected_jumps(T, X, config.horizon)
-    if t_jumps > MAX_ROWS:
-        raise ConfigError([f"horizon: {config.horizon:g} x the subordinator's jump "
-                           f"rate {T.jumps.total_mass:g} expects more than "
-                           f"{MAX_ROWS} jumps per replicate"])
-    if x_jumps > MAX_ROWS:
-        raise ConfigError([f"subordinate: jump rate {X.jump_rate:g} x horizon x the "
-                           f"subordinator's reach expects {x_jumps:g} jumps per "
-                           f"replicate, more than {MAX_ROWS}"])
     if grid.points is not None and grid.points.shape[1] != 2 * T.dim:
         raise ConfigError([f"theta_grid: theta grid points must have "
                            f"{2 * T.dim} columns"])
@@ -342,9 +337,26 @@ def _fmt(x: float) -> str:
 
 def _check_run(config: ExperimentConfig, command: str) -> None:
     """Rules of a simulate or verify run, checked before --out is made:
-    verify needs a scenario, replicates >= 100, horizon 1 and no times;
+    T(horizon) is within the floating-point range and one replicate
+    expects at most MAX_ROWS jumps of T and of X; verify needs a
+    scenario, replicates >= 100, horizon 1 and no times, at most
+    MAX_ECF_TERMS ECF terms and at most MAX_REPORT_POINTS grid points;
     and the run's draws of (T, Z) may expect at most MAX_RUN_JUMPS
     jumps."""
+    T, X = config.processes()
+    drift_part = config.horizon * float(np.max(T.d, initial=0.0))  # <= T(horizon)
+    if not np.isfinite(drift_part):
+        raise ConfigError([f"horizon: {config.horizon:g} x the subordinator's drift "
+                           f"{np.max(T.d):g} is beyond the floating-point range"])
+    t_jumps, x_jumps = expected_jumps(T, X, config.horizon)
+    if t_jumps > MAX_ROWS:
+        raise ConfigError([f"horizon: {config.horizon:g} x the subordinator's jump "
+                           f"rate {T.jumps.total_mass:g} expects more than "
+                           f"{MAX_ROWS} jumps per replicate"])
+    if x_jumps > MAX_ROWS:
+        raise ConfigError([f"subordinate: jump rate {X.jump_rate:g} x horizon x the "
+                           f"subordinator's reach expects {x_jumps:g} jumps per "
+                           f"replicate, more than {MAX_ROWS}"])
     errors = []
     if command == "verify":
         if config.scenario is None:
@@ -355,11 +367,18 @@ def _check_run(config: ExperimentConfig, command: str) -> None:
             errors.append("verify compares the laws at time 1, so horizon must be 1")
         if config.times is not None:
             errors.append("verify compares the laws at time 1, so it takes no times")
+        grid = config.theta_grid
+        points = grid.size if grid.points is None else len(grid.points)
+        if 2 * config.replicates * points > MAX_ECF_TERMS:
+            errors.append(f"theta_grid: 2 x {config.replicates} replicates x {points} "
+                          f"grid points make more than {MAX_ECF_TERMS:g} ECF terms")
+        if points > MAX_REPORT_POINTS:
+            errors.append(f"theta_grid: verify reports every grid point, so it "
+                          f"takes at most {MAX_REPORT_POINTS} points")
     if errors:
         raise ConfigError(errors)
     draws = 2 if command == "verify" else 1
-    T, X = config.processes()
-    total = draws * config.replicates * sum(expected_jumps(T, X, config.horizon))
+    total = draws * config.replicates * (t_jumps + x_jumps)
     if total > MAX_RUN_JUMPS:
         raise ConfigError([f"replicates: {draws} x {config.replicates} draws expect "
                            f"{total:g} jumps, more than {MAX_RUN_JUMPS:g} per run"])
@@ -385,20 +404,14 @@ def run_exponent(config: ExperimentConfig, out_dir: Path, written: list[Path]) -
     T, X = config.processes()
     n = T.dim
     grid = config.theta_grid.build(2 * n)
-    # rows per block: each block's (points x rows x n) temporaries stay
-    # within TIME_T_CHUNK x n values
-    block = max(1, TIME_T_CHUNK // max(1, T.jumps.points.shape[0]))
+    values = grid_exponent(T, X, grid)
     out = out_dir / "exponent.csv"
     written.append(out)
     with out.open("w") as fp:
         cols = [f"theta_{j+1}" for j in range(2 * n)] + ["re", "im", "se"]
         fp.write(",".join(cols) + "\n")
-        for start in range(0, grid.shape[0], block):
-            thetas = grid[start : start + block]
-            vals = grid_exponent(T, X, thetas)
-            fp.writelines(
-                ",".join([*map(_fmt, theta), _fmt(val.real), _fmt(val.imag), ""])
-                + "\n" for theta, val in zip(thetas, vals))
+        fp.writelines(",".join([*map(_fmt, theta), _fmt(val.real), _fmt(val.imag), ""])
+                      + "\n" for theta, val in zip(grid, values))
     return out
 
 
@@ -429,12 +442,10 @@ def run_verify(config: ExperimentConfig, out_dir: Path, written: list[Path],
                quiet: bool = False) -> int:
     """Run the scenario's equality-in-law suite; write report.json and a
     text summary, each appended to `written` first; exit status 0 iff the
-    suite passed (for the negative control, 0 iff the expected mismatch
-    was observed)."""
-    suite_config = SuiteConfig(n_paths=config.replicates, k=config.k,
-                               theta_grid=config.theta_grid)
-    report = equality_in_law_suite(config.scenario, suite_config,
-                                   stream(config.seed, "verify"),
+    suite passed (for a scenario outside the equality-in-law conditions,
+    0 iff the expected mismatch was observed)."""
+    report = equality_in_law_suite(config.scenario, stream(config.seed, "verify"),
+                                   config.replicates, config.k, config.theta_grid,
                                    T=config.subordinator, X=config.subordinate)
     written.append(out_dir / "report.json")
     written[-1].write_text(json.dumps(report.to_dict(), indent=2, allow_nan=False))

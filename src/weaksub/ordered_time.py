@@ -20,8 +20,8 @@ def _alive_gaps(t: np.ndarray):
     """For each order statistic t_(k) of t (sorted along the last axis)
     whose gap t_(k) - t_(k-1) is nonzero in some row, yield the gap of
     each row and the alive mask t >= t_(k)."""
-    if not np.all(t >= 0):
-        raise LevySpecError("time vector must be coordinatewise >= 0")
+    if not np.all((t >= 0) & (t < np.inf)):
+        raise LevySpecError("time vector must be finite and coordinatewise >= 0")
     sorted_t = np.sort(t, axis=-1)
     gaps = np.diff(sorted_t, axis=-1, prepend=0.0)
     for k in range(t.shape[-1]):

@@ -9,8 +9,6 @@ with the law of X(t) whenever T jumps by t (weak).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .levy import (
@@ -69,64 +67,38 @@ def _theta_pair(n: int, theta1, theta2) -> tuple[Array, Array]:
         raise LevySpecError(f"theta1 and theta2 rows do not broadcast: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class StackEmbedding:
-    """Block structure mapping a d-dimensional subordinator R to the
-    n-dimensional T = (R_1 e_1, ..., R_d e_d), with block m of size
-    dims[m] sharing the single clock R_m.
-    """
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(m <= 0 for m in self.dims):
-            raise LevySpecError("block dimensions must be positive")
-
-    @property
-    def n(self) -> int:
-        return sum(self.dims)
-
-    @property
-    def d(self) -> int:
-        return len(self.dims)
-
-    def expand(self, r) -> Array:
-        """Map d-dim subordinator values to n-dim: coordinate m of each
-        row repeated dims[m] times (vectorized)."""
-        return np.repeat(np.asarray(r, dtype=float), self.dims, axis=-1)
-
-    def block_slices(self):
-        pos = 0
-        for nm in self.dims:
-            yield slice(pos, pos + nm)
-            pos += nm
+def _check_blocks(R: SubordinatorSpec, dims) -> None:
+    if len(dims) != R.dim or any(m <= 0 for m in dims):
+        raise LevySpecError("block sizes must be positive, one per coordinate "
+                            "of the subordinator")
 
 
-def stacked_subordinator(R: SubordinatorSpec, stack: StackEmbedding) -> SubordinatorSpec:
-    """The n-dimensional subordinator T = R A induced by the embedding."""
-    if R.dim != stack.d:
-        raise LevySpecError("subordinator dimension differs from block count")
-    return SubordinatorSpec(stack.expand(R.d),
-                            R.jumps.with_points(stack.expand(R.jumps.points)))
+def stacked_subordinator(R: SubordinatorSpec, dims) -> SubordinatorSpec:
+    """The n-dimensional subordinator T = (R_1 e_1, ..., R_d e_d): block m,
+    of dims[m] coordinates, shares the single clock R_m."""
+    _check_blocks(R, dims)
+    return SubordinatorSpec(np.repeat(R.d, dims),
+                            R.jumps.with_points(np.repeat(R.jumps.points, dims, axis=-1)))
 
 
-def stacked_strong_exponent(R: SubordinatorSpec, stack: StackEmbedding,
-                            Y: list[LevyLaw], theta1, theta2):
+def stacked_strong_exponent(R: SubordinatorSpec, dims,
+                            Y: tuple[LevyLaw, ...] | list[LevyLaw], theta1, theta2):
     """Closed-form exponent of (T, X o T) under stacked univariate
-    subordination: -Lambda_R(z) with
+    subordination, T = stacked_subordinator(R, dims) and X the stack of
+    the block laws Y: -Lambda_R(z) with
     z_m = -i <theta1 block m, ones> - Psi_{Y_m}(theta2 block m).
 
     theta1 and theta2 of shape (n,) give a complex; of shape (..., n)
     one value per row.
     """
-    if R.dim != stack.d or len(Y) != stack.d:
-        raise LevySpecError("embedding, subordinator and block list disagree")
-    theta1, theta2 = _theta_pair(stack.n, theta1, theta2)
-    z = np.empty(theta1.shape[:-1] + (stack.d,), dtype=complex)
-    for m, sl in enumerate(stack.block_slices()):
-        if Y[m].dim != stack.dims[m]:
-            raise LevySpecError(f"block {m} law has wrong dimension")
-        z[..., m] = -1j * theta1[..., sl].sum(axis=-1) - Y[m].exponent(theta2[..., sl])
+    _check_blocks(R, dims)
+    if [y.dim for y in Y] != list(dims):
+        raise LevySpecError("block laws and block sizes disagree")
+    theta1, theta2 = _theta_pair(sum(dims), theta1, theta2)
+    cuts = np.cumsum(dims)[:-1]
+    z = np.stack([-1j * a.sum(axis=-1) - y.exponent(b) for y, a, b in
+                  zip(Y, np.split(theta1, cuts, axis=-1), np.split(theta2, cuts, axis=-1))],
+                 axis=-1)
     if np.any(z.real < -1e-12):
         raise LevySpecError("Re(z) < 0; block exponent has positive real part")
     z.real = np.clip(z.real, 0.0, None)

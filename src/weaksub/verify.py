@@ -18,7 +18,7 @@ from .levy import (
     pure_drift,
 )
 from .subordination import (
-    StackEmbedding,
+    TIME_T_CHUNK,
     simulate_strong_at,
     simulate_weak_at,
     stacked_strong_exponent,
@@ -29,6 +29,7 @@ from .subordination import (
 Array = np.ndarray
 
 DEFAULT_K = 4.0
+DEFAULT_N_PATHS = 100_000  # samples per suite run, strong and weak each
 EXACT_CHECK_THETAS = 100  # A3: frequencies of the stacked closed-form check
 ECF_CHUNK = 8192  # sample rows per block of the ECF sum; bounds its temporaries
 
@@ -50,16 +51,19 @@ def ecf_grid(samples, theta_grid) -> Array:
     """Empirical CF on a grid of frequencies, shape (grid_size,).
 
     The phases <theta, x> are formed as reals before the complex
-    exponential, and summed over blocks of ECF_CHUNK samples.
+    exponential, and summed over blocks of samples: ECF_CHUNK rows for a
+    grid of at most 16 points, fewer beyond, so a block holds at most
+    16 x ECF_CHUNK phases.
     """
     samples = np.asarray(samples, dtype=float)
     theta_grid = np.asarray(theta_grid, dtype=float)
     n = samples.shape[0]
     if n == 0:
         raise LevySpecError("empirical CF of an empty sample")
+    rows = max(1, 16 * ECF_CHUNK // max(16, theta_grid.shape[0]))
     total = np.zeros(theta_grid.shape[0], dtype=complex)
-    for start in range(0, n, ECF_CHUNK):
-        phase = samples[start : start + ECF_CHUNK] @ theta_grid.T
+    for start in range(0, n, rows):
+        phase = samples[start : start + rows] @ theta_grid.T
         total += np.exp(1j * phase).sum(axis=0)
     return total / n
 
@@ -69,7 +73,7 @@ def clt_bound(n: int, k: float = DEFAULT_K) -> float:
     return k * np.sqrt(2.0 / n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThetaGridSpec:
     """An ECF frequency grid: explicit `points`, or else `size` standard
     normal rows from the stream `grid_seed`, times `scale`. The default
@@ -91,11 +95,16 @@ class ThetaGridSpec:
 
 
 def grid_exponent(T: SubordinatorSpec, X: LevyLaw, grid) -> Array:
-    """weak_exponent at each row (theta1, theta2) of an (m, 2n) grid. A
-    value that is not finite, from a grid too large for floating point,
-    is a LevySpecError, so no NaN reaches a table or a report."""
+    """weak_exponent at each row (theta1, theta2) of an (m, 2n) grid, in
+    blocks of rows whose (rays x rows x n) temporaries stay within
+    TIME_T_CHUNK x n values. A value that is not finite, from a grid too
+    large for floating point, is a LevySpecError, so no NaN reaches a
+    table or a report."""
+    block = max(1, TIME_T_CHUNK // max(1, T.jumps.points.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):
-        psi = weak_exponent(T, X, grid[:, : T.dim], grid[:, T.dim :])
+        psi = np.concatenate([
+            weak_exponent(T, X, rows[:, : T.dim], rows[:, T.dim :])
+            for rows in np.split(grid, range(block, len(grid), block))])
     bad = ~np.isfinite(psi)
     if np.any(bad):
         raise LevySpecError(f"the exact exponent is not finite at {bad.sum()} of "
@@ -213,43 +222,54 @@ def ecf_two_sample_compare(samples_a, samples_b, theta_grid,
 # Equality-in-law suites
 # ---------------------------------------------------------------------------
 
-SCENARIOS = ("deterministic", "finite_activity_C1", "stacked_C3",
-             "negative_control")
+@dataclass(frozen=True)
+class Scenario:
+    """One suite scenario: the processes T and X; whether the paper makes
+    strong and weak subordination of X by T equal in law (if not, the
+    suite expects the two to differ); and for a stack the (R, block
+    sizes, block laws) of the A3 closed form."""
+
+    T: SubordinatorSpec
+    X: LevyLaw
+    equal_in_law: bool = True
+    stack: tuple[SubordinatorSpec, tuple[int, ...], tuple[LevyLaw, ...]] | None = None
 
 
-@dataclass
-class SuiteConfig:
-    """Knobs for an equality-in-law run; defaults match the acceptance
-    configurations."""
-
-    n_paths: int = 100_000
-    k: float = DEFAULT_K
-    theta_grid: ThetaGridSpec = field(default_factory=ThetaGridSpec)
+def _stack(R: SubordinatorSpec, dims: tuple[int, ...], blocks: tuple) -> Scenario:
+    return Scenario(stacked_subordinator(R, dims), IndependentStack(blocks),
+                    stack=(R, dims, blocks))
 
 
-def _acceptance_bm() -> BrownianMotion:
-    return BrownianMotion([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]])
+_BM = BrownianMotion([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]])
+_SCENARIO_TABLE = {
+    "deterministic": Scenario(pure_drift([1.0, 2.0]), _BM),
+    "finite_activity_C1": Scenario(
+        SubordinatorSpec(np.zeros(2), AtomicJumps([[1.0, 1.0]], [1.0])), _BM),
+    "stacked_C3": _stack(
+        SubordinatorSpec(np.array([0.5, 0.5]), AtomicJumps([[1.0, 2.0]], [1.0])),
+        (1, 1), (BrownianMotion([0.0], [[1.0]]), BrownianMotion([0.0], [[1.0]]))),
+    "negative_control": Scenario(
+        SubordinatorSpec(np.zeros(2), AtomicJumps([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])),
+        _BM, equal_in_law=False),
+}
+SCENARIOS = tuple(_SCENARIO_TABLE)
 
 
-def scenario_processes(scenario: str):
-    """Default (T, X, extras) for each suite scenario."""
-    if scenario == "deterministic":
-        return pure_drift([1.0, 2.0]), _acceptance_bm(), {}
-    if scenario == "finite_activity_C1":
-        T = SubordinatorSpec(np.zeros(2), AtomicJumps([[1.0, 1.0]], [1.0]))
-        return T, _acceptance_bm(), {}
-    if scenario == "stacked_C3":
-        R = SubordinatorSpec(np.array([0.5, 0.5]),
-                             AtomicJumps([[1.0, 2.0]], [1.0]))
-        embedding = StackEmbedding((1, 1))
-        blocks = [BrownianMotion([0.0], [[1.0]]), BrownianMotion([0.0], [[1.0]])]
-        return (stacked_subordinator(R, embedding), IndependentStack(blocks),
-                {"R": R, "embedding": embedding, "blocks": blocks})
-    if scenario == "negative_control":
-        T = SubordinatorSpec(np.zeros(2),
-                             AtomicJumps([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0]))
-        return T, _acceptance_bm(), {}
-    raise LevySpecError(f"unknown scenario {scenario!r}")
+def scenario_record(name: str) -> Scenario:
+    """The record of the suite scenario `name`."""
+    if name not in _SCENARIO_TABLE:
+        raise LevySpecError(f"unknown scenario {name!r}")
+    return _SCENARIO_TABLE[name]
+
+
+def scenario_processes(name: str):
+    """(T, X, extras) of a suite scenario; for a stack, extras holds the
+    "R", "embedding" (block sizes) and "blocks" of its A3 closed form, in
+    the order `stacked_strong_exponent` takes them, else it is empty."""
+    record = scenario_record(name)
+    extras = ({} if record.stack is None else
+              dict(zip(("R", "embedding", "blocks"), record.stack)))
+    return record.T, record.X, extras
 
 
 @dataclass
@@ -259,17 +279,15 @@ class SuiteReport:
     strong: ECFReport
     weak: ECFReport
     strong_vs_weak: ECFReport
+    equal_in_law: bool
     exact_exponent_max_diff: float | None = None
-    negative_control_max_ratio: float | None = None
     notes: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        if self.scenario == "negative_control":
+        if not self.equal_in_law:
             # mismatch is the expected outcome: >= 1 theta beyond 2x bound
-            return (self.negative_control_max_ratio is not None
-                    and self.negative_control_max_ratio > 2.0
-                    and self.weak.passed)
+            return self.strong.max_ratio > 2.0 and self.weak.passed
         ok = self.strong.passed and self.weak.passed and self.strong_vs_weak.passed
         if self.exact_exponent_max_diff is not None:
             ok = ok and self.exact_exponent_max_diff <= 1e-10
@@ -284,7 +302,8 @@ class SuiteReport:
             "weak_ecf": self.weak.to_dict(),
             "strong_vs_weak": self.strong_vs_weak.to_dict(),
             "exact_exponent_max_diff": self.exact_exponent_max_diff,
-            "negative_control_max_ratio": self.negative_control_max_ratio,
+            "negative_control_max_ratio": (None if self.equal_in_law
+                                           else self.strong.max_ratio),
             "notes": self.notes,
         }
 
@@ -297,61 +316,60 @@ class SuiteReport:
         if self.exact_exponent_max_diff is not None:
             lines.append(f"  exact exponent agreement: max |diff| = "
                          f"{self.exact_exponent_max_diff:.3e}")
-        if self.negative_control_max_ratio is not None:
+        if not self.equal_in_law:
             lines.append(f"  expected mismatch effect size: max |diff|/bound = "
-                         f"{self.negative_control_max_ratio:.2f} "
+                         f"{self.strong.max_ratio:.2f} "
                          f"(reported, not theorem-backed)")
         lines.extend(f"  note: {n}" for n in self.notes)
         return "\n".join(lines)
 
 
-def equality_in_law_suite(scenario: str, config: SuiteConfig,
-                          rng: np.random.Generator,
+def equality_in_law_suite(name: str, rng: np.random.Generator,
+                          n_paths: int = DEFAULT_N_PATHS, k: float = DEFAULT_K,
+                          theta_grid: ThetaGridSpec = ThetaGridSpec(),
                           T: SubordinatorSpec | None = None,
                           X: LevyLaw | None = None) -> SuiteReport:
-    """Run one equality-in-law scenario: draw time-1 samples of (T, Z)
-    under strong and weak subordination, compare their ECFs against the
-    exact weak exponent and against each other, and (stacked scenario)
-    check the closed-form strong exponent against the weak one exactly.
-    That closed form is the scenario's own, so the exact check runs only
-    when neither T nor X is given. Each sample set's ECF is computed
-    once, as is the exact target.
+    """Run one equality-in-law scenario: draw n_paths time-1 samples of
+    (T, Z) under strong and weak subordination, compare their ECFs on
+    the theta grid against the exact weak exponent and against each
+    other with CLT bounds of width k, and (a stack) check the closed-form
+    strong exponent against the weak one exactly. That closed form is
+    the scenario's own, so the exact check runs only when neither T nor
+    X is given. Each sample set's ECF is computed once, as is the exact
+    target.
     """
-    if scenario not in SCENARIOS:
-        raise LevySpecError(f"unknown scenario {scenario!r}")
-    default_T, default_X, extras = scenario_processes(scenario)
+    record = scenario_record(name)
     own_processes = T is None and X is None
-    T = default_T if T is None else T
-    X = default_X if X is None else X
+    T = record.T if T is None else T
+    X = record.X if X is None else X
     n = T.dim
-    grid = config.theta_grid.build(2 * n)
+    grid = theta_grid.build(2 * n)
 
     target = np.exp(grid_exponent(T, X, grid))
-    strong_samples = simulate_strong_at(T, X, 1.0, config.n_paths, rng)
-    weak_samples = simulate_weak_at(T, X, 1.0, config.n_paths, rng)
-    strong_rep = cf_compare(strong_samples, target, grid, config.k)
-    weak_rep = cf_compare(weak_samples, target, grid, config.k)
-    cross = _two_sample_report(grid, strong_rep.ecf, config.n_paths,
-                               weak_rep.ecf, config.n_paths, config.k)
+    strong_samples = simulate_strong_at(T, X, 1.0, n_paths, rng)
+    weak_samples = simulate_weak_at(T, X, 1.0, n_paths, rng)
+    strong_rep = cf_compare(strong_samples, target, grid, k)
+    weak_rep = cf_compare(weak_samples, target, grid, k)
+    cross = _two_sample_report(grid, strong_rep.ecf, n_paths, weak_rep.ecf,
+                               n_paths, k)
 
-    report = SuiteReport(scenario=scenario, n_paths=config.n_paths,
-                         strong=strong_rep, weak=weak_rep, strong_vs_weak=cross)
+    report = SuiteReport(scenario=name, n_paths=n_paths, strong=strong_rep,
+                         weak=weak_rep, strong_vs_weak=cross,
+                         equal_in_law=record.equal_in_law)
 
-    if extras and not own_processes:
+    if record.stack is not None and not own_processes:
         report.notes.append(
             "exact exponent check skipped: the stacked closed form is that of "
             "the scenario's own processes, and another subordinator or "
             "subordinate was given")
-    elif extras:
-        theta_rng = np.random.default_rng(config.theta_grid.grid_seed + 1)
+    elif record.stack is not None:
+        theta_rng = np.random.default_rng(theta_grid.grid_seed + 1)
         th = theta_rng.standard_normal((EXACT_CHECK_THETAS, 2 * n))
-        exact = stacked_strong_exponent(extras["R"], extras["embedding"],
-                                        extras["blocks"], th[:, :n], th[:, n:])
+        exact = stacked_strong_exponent(*record.stack, th[:, :n], th[:, n:])
         weak = weak_exponent(T, X, th[:, :n], th[:, n:])
         report.exact_exponent_max_diff = float(np.abs(exact - weak).max())
 
-    if scenario == "negative_control":
-        report.negative_control_max_ratio = strong_rep.max_ratio
+    if not record.equal_in_law:
         report.notes.append(
             "strong subordination is outside the equality-in-law conditions "
             "here; a deviation beyond 2x the CLT bound is the expected "

@@ -108,19 +108,19 @@ class TestLawRows:
 
 class TestStackedAndLaplaceRows:
     def test_stacked_strong_exponent(self):
-        emb = ws.StackEmbedding((1, 2))
+        dims = (1, 2)
         blocks = [LAWS["stack"].blocks[0], ws.BrownianMotion(
             [0.0, 0.1], [[1.0, 0.3], [0.3, 0.5]])]
         R = ws.SubordinatorSpec(np.array([0.4, 0.1]),
                                 ws.AtomicJumps([[1.0, 2.0], [0.5, 0.1]], [1.0, 0.3]))
         th1, th2 = thetas(6), thetas(7)
-        single = [ws.stacked_strong_exponent(R, emb, blocks, a, b)
+        single = [ws.stacked_strong_exponent(R, dims, blocks, a, b)
                   for a, b in zip(th1, th2)]
         assert all(type(v) is complex for v in single)
-        batched = ws.stacked_strong_exponent(R, emb, blocks, th1, th2)
+        batched = ws.stacked_strong_exponent(R, dims, blocks, th1, th2)
         assert_rows(batched, single)
         # A3: the closed form equals the weak exponent row by row
-        T = ws.stacked_subordinator(R, emb)
+        T = ws.stacked_subordinator(R, dims)
         X = ws.IndependentStack(blocks)
         assert np.max(np.abs(batched - ws.weak_exponent(T, X, th1, th2))) <= 1e-10
 
@@ -159,11 +159,10 @@ class TestShapeErrors:
             ws.weak_exponent(T, X, thetas(0), thetas(1, (M, N + 1)))
 
     def test_stacked_and_laplace_wrong_width(self):
-        emb = ws.StackEmbedding((1, 1))
         blocks = [ws.BrownianMotion([0.0], [[1.0]])] * 2
         R = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1, 2]], [1.0]))
         with pytest.raises(ws.LevySpecError):
-            ws.stacked_strong_exponent(R, emb, blocks, np.zeros((3, 2)),
+            ws.stacked_strong_exponent(R, (1, 1), blocks, np.zeros((3, 2)),
                                        np.zeros((4, 2)))
         with pytest.raises(ws.LevySpecError):
             ws.laplace_exponent(R, np.ones((3, 3)))

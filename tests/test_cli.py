@@ -467,6 +467,71 @@ class TestMain:
         assert main(["exponent", "--config", str(cfg), "--out",
                      str(tmp_path / "exponent"), "--quiet"]) == 0
 
+    @pytest.mark.parametrize("subordinator, horizon, message", [
+        ({"drift": [0.0, 0.0], "atoms": [{"point": [1.0, 1.0], "rate": 2e7}]}, 1.0,
+         "jumps per replicate"),
+        ({"drift": [0.0, 0.0], "atoms": [{"point": [1.0, 1.0], "rate": 2.0}]}, 1e7,
+         "jumps per replicate"),
+        ({"drift": [10.0, 0.0]}, 1e308, "floating-point range")],
+        ids=["rate_2e7", "horizon_1e7", "drift_times_horizon"])
+    def test_per_replicate_rules_bind_only_draws(self, tmp_path, capsys,
+                                                  subordinator, horizon, message):
+        cfg = write_config(tmp_path, {**MINIMAL, "subordinator": subordinator,
+                                      "horizon": horizon})
+        # exponent draws nothing and reads neither horizon nor replicates
+        assert main(["exponent", "--config", str(cfg), "--out",
+                     str(tmp_path / "exponent"), "--quiet"]) == 0
+        assert (tmp_path / "exponent" / "exponent.csv").exists()
+        assert main(["simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / "simulate"), "--quiet"]) == 2
+        assert message in json.loads(capsys.readouterr().err)["details"][0]
+        assert not (tmp_path / "simulate").exists()
+
+    @pytest.mark.parametrize("replicates, size", [(100_000, 200_000), (100, 10**7)])
+    def test_verify_above_max_ecf_terms_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                replicates, size):
+        # 4e10 and 2e9 ECF terms, rejected before the suite draws anything
+        # (and above MAX_REPORT_POINTS too)
+        import weaksub.cli as cli
+
+        def suite(*args, **kwargs):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(cli, "equality_in_law_suite", suite)
+        cfg = write_config(tmp_path, {"seed": 1, "scenario": "finite_activity_C1",
+                                      "replicates": replicates,
+                                      "theta_grid": {"size": size}})
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 2
+        assert "ECF terms" in json.loads(capsys.readouterr().err)["details"][0]
+        assert not (tmp_path / "out").exists()
+
+    def test_verify_above_max_report_points_exit_2(self, tmp_path, capsys, monkeypatch):
+        # 2e6 ECF terms, but a report of 10 001 points
+        import weaksub.cli as cli
+
+        def suite(*args, **kwargs):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(cli, "equality_in_law_suite", suite)
+        cfg = write_config(tmp_path, {**MINIMAL, "replicates": 100,
+                                      "theta_grid": {"size": 10_001}})
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 2
+        assert "at most 10000 points" in json.loads(capsys.readouterr().err)["details"][0]
+        assert not (tmp_path / "out").exists()
+
+    def test_max_ecf_terms_counts_explicit_points(self, tmp_path, capsys, monkeypatch):
+        import weaksub.cli as cli
+        monkeypatch.setattr(cli, "MAX_ECF_TERMS", 1000)
+        points = [[0.1 * i, 0.0, 0.0, 0.1] for i in range(1, 6)]
+        cfg = write_config(tmp_path, {**MINIMAL, "replicates": 100,
+                                      "theta_grid": {"points": points}})
+        args = ["verify", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]
+        assert main(args) in (0, 1)  # 2 x 100 x 5 = 1000 terms
+        assert main([*args, "--replicates", "101"]) == 2
+        assert "ECF terms" in json.loads(capsys.readouterr().err)["details"][0]
+
     def test_max_run_jumps_counts_the_replicates_flag_and_verify_twice(
             self, tmp_path, capsys, monkeypatch):
         import weaksub.cli as cli

@@ -59,8 +59,11 @@ class TestVectorTimeExponent:
 
     @pytest.mark.parametrize("t", [[-1.0, 2.0], [np.nan, 1.0],
                                    [[1.0, 1.0], [0.5, -0.0001]],
-                                   [[1.0, 1.0], [np.nan, 0.5]]],
-                             ids=["negative", "nan", "negative_row", "nan_row"])
+                                   [[1.0, 1.0], [np.nan, 0.5]],
+                                   [np.inf, 1.0], [[1.0, 1.0], [0.5, np.inf]]],
+                             ids=["negative", "nan", "negative_row", "nan_row",
+                                  "inf", "inf_row"])
+    @pytest.mark.filterwarnings("error")
     def test_negative_or_nan_time_rejected_by_both(self, t):
         bm = ws.BrownianMotion([0, 0], np.eye(2))
         with pytest.raises(ws.LevySpecError, match=">= 0"):

@@ -79,8 +79,7 @@ class TestWeakExponent:
         rng = np.random.default_rng(3)
         S = ws.SubordinatorSpec(np.array([0.2]),
                                 ws.AtomicJumps([[0.7], [1.4]], [1.0, 0.5]))
-        emb = ws.StackEmbedding((2,))
-        T = ws.stacked_subordinator(S, emb)
+        T = ws.stacked_subordinator(S, (2,))
         X = correlated_bm()
         for _ in range(50):
             th = rng.standard_normal(4)
@@ -113,16 +112,29 @@ class TestWeakExponent:
             assert abs(ws.weak_exponent(T, X, th[:2], th[2:]) - exact) <= 1e-8
 
 
-class TestStackEmbedding:
-    def test_expand_repeats_each_block_clock(self):
-        emb = ws.StackEmbedding((1, 2))
-        np.testing.assert_array_equal(emb.expand([[0.5, 2.0], [np.inf, 1.0]]),
-                                      [[0.5, 2.0, 2.0], [np.inf, 1.0, 1.0]])
+class TestStackedSubordinator:
+    def test_repeats_each_block_clock(self):
+        R = ws.SubordinatorSpec(np.array([0.5, 2.0]),
+                                ws.AtomicJumps([[1.0, 0.5], [0.0, 3.0]], [1.0, 2.0]))
+        T = ws.stacked_subordinator(R, (1, 2))
+        np.testing.assert_array_equal(T.d, [0.5, 2.0, 2.0])
+        np.testing.assert_array_equal(T.jumps.points, [[1.0, 0.5, 0.5], [0.0, 3.0, 3.0]])
+        np.testing.assert_array_equal(T.jumps.rates, R.jumps.rates)
+
+    @pytest.mark.parametrize("dims", [(1,), (1, 1, 1), (0, 2), (-1, 2)],
+                             ids=["too_few", "too_many", "zero", "negative"])
+    def test_bad_block_sizes_rejected(self, dims):
+        R = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1.0, 2.0]], [1.0]))
+        blocks = [ws.BrownianMotion([0.0], [[1.0]])] * len(dims)
+        with pytest.raises(ws.LevySpecError, match="block sizes"):
+            ws.stacked_subordinator(R, dims)
+        with pytest.raises(ws.LevySpecError, match="block sizes"):
+            ws.stacked_strong_exponent(R, dims, blocks, np.zeros(2), np.zeros(2))
 
     def test_gamma_clock_draws_equal_coordinates(self):
         # a gamma-ray R: T's jumps are R's draws, repeated per block
         R = ws.SubordinatorSpec(np.array([0.3]), ws.GammaRays([[1.0]], [1.5], [2.0]))
-        T = ws.stacked_subordinator(R, ws.StackEmbedding((2,)))
+        T = ws.stacked_subordinator(R, (2,))
         np.testing.assert_array_equal(T.d, [R.d[0], R.d[0]])
         steps = np.full(100, 0.5)
         counts, jumps = T.jumps.window_draws(steps, np.random.default_rng(0))
@@ -134,24 +146,24 @@ class TestStackEmbedding:
 
 class TestStackedStrongExponent:
     def setup_method(self):
-        self.emb = ws.StackEmbedding((1, 1))
+        self.dims = (1, 1)
         self.blocks = [ws.BrownianMotion([0.0], [[1.0]]),
                        ws.BrownianMotion([0.0], [[1.0]])]
 
     def test_origin(self):
         R = ws.SubordinatorSpec(np.array([1.0, 2.0]), ws.ZeroJumps(2))
-        assert ws.stacked_strong_exponent(R, self.emb, self.blocks,
+        assert ws.stacked_strong_exponent(R, self.dims, self.blocks,
                                           [0, 0], [0, 0]) == 0
 
     def test_deterministic_stack(self):
         R = ws.SubordinatorSpec(np.array([1.0, 2.0]), ws.ZeroJumps(2))
-        val = ws.stacked_strong_exponent(R, self.emb, self.blocks,
+        val = ws.stacked_strong_exponent(R, self.dims, self.blocks,
                                          [0, 0], [1, 1])
         assert val == pytest.approx(-1.5)
 
     def test_common_jump_stack(self):
         R = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1, 2]], [1.0]))
-        val = ws.stacked_strong_exponent(R, self.emb, self.blocks,
+        val = ws.stacked_strong_exponent(R, self.dims, self.blocks,
                                          [0, 0], [1, 1])
         assert val == pytest.approx(-(1 - np.exp(-1.5)))
 
@@ -160,8 +172,7 @@ class TestStackedStrongExponent:
         rng = np.random.default_rng(10)
         for trial in range(20):
             dims = tuple(rng.integers(1, 3, size=rng.integers(1, 4)))
-            emb = ws.StackEmbedding(tuple(int(v) for v in dims))
-            d = emb.d
+            d = len(dims)
             blocks = []
             for nm in dims:
                 a = rng.standard_normal((nm, nm))
@@ -170,28 +181,33 @@ class TestStackedStrongExponent:
             atoms = rng.uniform(0, 2, size=(2, d))
             R = ws.SubordinatorSpec(rng.uniform(0, 1, d),
                                     ws.AtomicJumps(atoms, rng.uniform(0.1, 2, 2)))
-            T = ws.stacked_subordinator(R, emb)
+            T = ws.stacked_subordinator(R, dims)
             X = ws.IndependentStack(blocks)
-            n = emb.n
+            n = sum(dims)
             for _ in range(5):
                 th = rng.standard_normal(2 * n)
-                a_val = ws.stacked_strong_exponent(R, emb, blocks, th[:n], th[n:])
+                a_val = ws.stacked_strong_exponent(R, dims, blocks, th[:n], th[n:])
                 b_val = ws.weak_exponent(T, X, th[:n], th[n:])
                 assert abs(a_val - b_val) <= 1e-10
 
     def test_dim_mismatch(self):
         R = ws.SubordinatorSpec(np.zeros(2), ws.ZeroJumps(2))
         with pytest.raises(ws.LevySpecError):
-            ws.stacked_strong_exponent(R, self.emb, self.blocks, [0, 0, 0],
+            ws.stacked_strong_exponent(R, self.dims, self.blocks, [0, 0, 0],
                                        [1, 1])
+        # a block law whose dimension is not its block size
+        blocks = [self.blocks[0], ws.BrownianMotion([0.0, 0.0], np.eye(2))]
+        with pytest.raises(ws.LevySpecError, match="block laws"):
+            ws.stacked_strong_exponent(R, self.dims, blocks, [0, 0], [1, 1])
 
     def test_stacked_gamma_agrees_with_weak_exponent(self):
         # A3 for the variance-gamma stack, on 100 frequencies
-        R, emb, blocks = STACKED_GAMMA
+        R, dims, blocks = STACKED_GAMMA
         T, X = TIME_T_CASES["stacked_gamma"]
-        th = np.random.default_rng(11).standard_normal((100, 2 * emb.n))
-        exact = ws.stacked_strong_exponent(R, emb, blocks, th[:, :emb.n], th[:, emb.n:])
-        weak = ws.weak_exponent(T, X, th[:, :emb.n], th[:, emb.n:])
+        n = sum(dims)
+        th = np.random.default_rng(11).standard_normal((100, 2 * n))
+        exact = ws.stacked_strong_exponent(R, dims, blocks, th[:, :n], th[:, n:])
+        weak = ws.weak_exponent(T, X, th[:, :n], th[:, n:])
         assert np.max(np.abs(exact - weak)) <= 1e-10
 
 
@@ -331,7 +347,7 @@ STACKED_GAMMA = (
     ws.SubordinatorSpec(np.array([0.2, 0.0]),
                         ws.GammaRays([[1, 0], [0, 1], [1, 1]], [1.0, 0.5, 1.5],
                                      [2.0, 1.0, 1.5])),
-    ws.StackEmbedding((1, 2)),
+    (1, 2),
     [ws.BrownianMotion([0.3], [[1.0]]),
      ws.BrownianMotion([-0.2, 0.1], [[0.6, 0.3], [0.3, 1.0]])])
 
@@ -349,8 +365,8 @@ def time_t_cases():
                             ws.GammaRays([[1, 0], [0, 1], [1, 1]], [1.5, 1.5, 0.5],
                                          [1.0, 1.0, 1.0])),
         ws.BrownianMotion([0.3, -0.2], [[1, 0.8], [0.8, 1]]))
-    R, emb, blocks = STACKED_GAMMA
-    cases["stacked_gamma"] = (ws.stacked_subordinator(R, emb),
+    R, dims, blocks = STACKED_GAMMA
+    cases["stacked_gamma"] = (ws.stacked_subordinator(R, dims),
                               ws.IndependentStack(blocks))
     cases["compound_poisson"] = (
         ws.SubordinatorSpec(np.array([0.4, 0.1]),
@@ -382,9 +398,10 @@ def strong_target(case, T, X, grid):
     """Exact CF of the strong (T(1), Z(1)) on the grid: the closed form of
     the variance-gamma stack, else `strong_cf` of an atomic clock."""
     if case == "stacked_gamma":
-        R, emb, blocks = STACKED_GAMMA
-        return np.exp(ws.stacked_strong_exponent(R, emb, blocks, grid[:, :emb.n],
-                                                 grid[:, emb.n:]))
+        R, dims, blocks = STACKED_GAMMA
+        n = sum(dims)
+        return np.exp(ws.stacked_strong_exponent(R, dims, blocks, grid[:, :n],
+                                                 grid[:, n:]))
     return strong_cf(T, X, 1.0, grid)
 
 

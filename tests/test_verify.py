@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weaksub as ws
+from weaksub import verify
 from weaksub.verify import (
-    SuiteConfig,
     equality_in_law_suite,
     scenario_processes,
+    scenario_record,
 )
 
 
@@ -26,6 +27,13 @@ class TestECF:
         rng = np.random.default_rng(1)
         x = rng.standard_normal(10**6)
         assert abs(ws.ecf(x, [1.0]) - np.exp(-0.5)) <= 4 * np.sqrt(2 / 10**6)
+
+    def test_blocked_sum_matches_one_block(self):
+        # a 64-point grid sums blocks of 2048 sample rows
+        rng = np.random.default_rng(19)
+        samples, grid = rng.standard_normal((20_000, 4)), rng.standard_normal((64, 4))
+        one_block = np.exp(1j * samples @ grid.T).mean(axis=0)
+        assert np.max(np.abs(ws.ecf_grid(samples, grid) - one_block)) <= 1e-12
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ws.LevySpecError):
@@ -130,23 +138,22 @@ class TestEqualityInLawSuite:
     # reduced N here; the full acceptance runs live in test_acceptance.py
 
     def test_deterministic_scenario_passes(self):
-        rep = equality_in_law_suite("deterministic", SuiteConfig(n_paths=10_000),
-                                    np.random.default_rng(12))
+        rep = equality_in_law_suite("deterministic", np.random.default_rng(12),
+                                    n_paths=10_000)
         assert rep.passed, rep.summary()
 
     def test_stacked_scenario_passes(self):
-        rep = equality_in_law_suite("stacked_C3", SuiteConfig(n_paths=10_000),
-                                    np.random.default_rng(13))
+        rep = equality_in_law_suite("stacked_C3", np.random.default_rng(13),
+                                    n_paths=10_000)
         assert rep.passed, rep.summary()
         assert rep.exact_exponent_max_diff <= 1e-10
 
     def test_negative_control_reports_mismatch(self):
-        rep = equality_in_law_suite("negative_control",
-                                    SuiteConfig(n_paths=10_000),
-                                    np.random.default_rng(14))
+        rep = equality_in_law_suite("negative_control", np.random.default_rng(14),
+                                    n_paths=10_000)
         # at this N only the effect size is meaningful, not the verdict
-        assert rep.negative_control_max_ratio is not None
-        assert rep.negative_control_max_ratio > 0.5
+        ratio = rep.to_dict()["negative_control_max_ratio"]
+        assert ratio == rep.strong.max_ratio > 0.5
         assert rep.weak.passed
         assert rep.notes
 
@@ -154,23 +161,37 @@ class TestEqualityInLawSuite:
     def test_negative_control_verdict(self, n, passed):
         # the expected mismatch (max |diff|/bound > 2) shows at N = 1e5 and
         # not at N = 2000
-        rep = equality_in_law_suite("negative_control", SuiteConfig(n_paths=n),
-                                    np.random.default_rng(5))
+        rep = equality_in_law_suite("negative_control", np.random.default_rng(5),
+                                    n_paths=n)
         assert rep.passed == passed, rep.summary()
-        assert (rep.negative_control_max_ratio > 2.0) == passed
+        assert (rep.to_dict()["negative_control_max_ratio"] > 2.0) == passed
         assert "expected mismatch effect size" in rep.summary()
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ws.LevySpecError):
-            equality_in_law_suite("bogus", SuiteConfig(n_paths=1000),
-                                  np.random.default_rng(0))
+            equality_in_law_suite("bogus", np.random.default_rng(0), n_paths=1000)
 
     def test_report_serializes(self):
-        rep = equality_in_law_suite("deterministic", SuiteConfig(n_paths=2000),
-                                    np.random.default_rng(15))
+        rep = equality_in_law_suite("deterministic", np.random.default_rng(15),
+                                    n_paths=2000)
         d = rep.to_dict()
         assert d["scenario"] == "deterministic"
         assert "strong_ecf" in d and "weak_ecf" in d
+        assert d["negative_control_max_ratio"] is None
+
+    @pytest.mark.parametrize("source", ["negative_control", "stacked_C3"])
+    def test_suite_follows_the_record_not_the_name(self, monkeypatch, source):
+        # a scenario under a new name behaves as its record says: the
+        # expected-mismatch rule for a control, the A3 check for a stack
+        record = scenario_record(source)
+        monkeypatch.setitem(verify._SCENARIO_TABLE, "renamed", record)
+        rep = equality_in_law_suite("renamed", np.random.default_rng(17), n_paths=2000)
+        twin = equality_in_law_suite(source, np.random.default_rng(17), n_paths=2000)
+        assert rep.to_dict() == {**twin.to_dict(), "scenario": "renamed"}
+        assert rep.summary() == twin.summary().replace(source, "renamed", 1)
+        d = rep.to_dict()
+        assert (d["negative_control_max_ratio"] is None) == record.equal_in_law
+        assert (d["exact_exponent_max_diff"] is None) == (record.stack is None)
 
 
 class TestScenarioProcesses:
