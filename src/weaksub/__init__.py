@@ -25,7 +25,6 @@ from .levy import (
 )
 from .ordered_time import (
     sample_subordinate_at,
-    vector_time_cf,
     vector_time_exponent,
 )
 from .prm import (
@@ -47,7 +46,6 @@ from .verify import (
     cf_compare,
     clt_bound,
     default_theta_grid,
-    ecf,
     ecf_grid,
     ecf_two_sample_compare,
     equality_in_law_suite,

@@ -71,9 +71,9 @@ class JumpMeasure:
         with Re w >= 0: shape (...)."""
         raise NotImplementedError
 
-    def expected_draws(self, t: float) -> float:
-        """Expected number of jumps `window_draws` makes for one window of
-        length t."""
+    def expected_draws(self, steps) -> float:
+        """Expected number of jumps `window_draws` makes for windows of
+        lengths `steps` (a scalar or an array), in all."""
         raise NotImplementedError
 
     def window_draws(self, steps: Array, rng: np.random.Generator) -> tuple[Array, Array]:
@@ -108,8 +108,8 @@ class AtomicJumps(JumpMeasure):
     def laplace(self, w) -> Array:
         return (1.0 - np.exp(-w)) @ self.rates
 
-    def expected_draws(self, t: float) -> float:
-        return self.total_mass * t
+    def expected_draws(self, steps) -> float:
+        return self.total_mass * float(np.sum(steps))
 
     def window_draws(self, steps, rng):
         """A Poisson(total mass x step) count per window of i.i.d. atoms."""
@@ -158,8 +158,8 @@ class GammaRays(JumpMeasure):
     def laplace(self, w) -> Array:
         return np.log1p(w / self.b) @ self.c
 
-    def expected_draws(self, t: float) -> float:
-        return float(self.points.shape[0])
+    def expected_draws(self, steps) -> float:
+        return float(self.points.shape[0] * np.size(steps))
 
     def window_draws(self, steps, rng):
         """One jump per ray and window: its total R_j a_j."""
@@ -203,12 +203,6 @@ def _theta_rows(theta, dim: int, dtype=float) -> Array:
     return theta
 
 
-def _per_row(value, theta: Array):
-    """An exponent value as returned for theta: a Python complex when
-    theta is one vector, else the array of one value per row."""
-    return complex(value) if theta.ndim == 1 else value
-
-
 class LevyLaw:
     """A Lévy law that can evaluate its exponent and sample increments.
 
@@ -224,8 +218,8 @@ class LevyLaw:
         raise NotImplementedError
 
     def exponent(self, theta):
-        """Characteristic exponent at frequency theta: a complex for theta
-        of shape (dim,), an array of one value per row for (..., dim)."""
+        """Characteristic exponent at the frequencies theta, shape
+        (..., dim): shape (...)."""
         raise NotImplementedError
 
     def sample(self, dt, rng: np.random.Generator, size: int = 1) -> Array:
@@ -301,7 +295,7 @@ class BrownianMotion(LevyLaw):
         checked PSD once, in __init__."""
         theta = _theta_rows(theta, self.dim)
         quad = np.sum((theta @ self.sigma) * theta, axis=-1)
-        return _per_row(1j * (theta @ self.mu) - 0.5 * quad, theta)
+        return 1j * (theta @ self.mu) - 0.5 * quad
 
     def sample(self, dt, rng, size=1):
         dt = _durations(dt, size)
@@ -330,15 +324,14 @@ class CompoundPoisson(LevyLaw):
         return self.jumps.total_mass
 
     def exponent(self, theta):
-        """Uncompensated: sum_j rate_j (exp(i<theta, x_j>) - 1)."""
+        """Uncompensated: sum_j rate_j (exp(i<theta, x_j>) - 1), which is
+        minus the jump measure's Laplace exponent at w_j = -i<theta, x_j>."""
         theta = _theta_rows(theta, self.dim)
-        jumps = self.jumps
-        return _per_row((np.exp(1j * (theta @ jumps.points.T)) - 1.0) @ jumps.rates,
-                        theta)
+        return -self.jumps.laplace(-1j * (theta @ self.jumps.points.T))
 
     def sample(self, dt, rng, size=1):
-        mean = self.jumps.total_mass * _durations(dt, size)
-        return poisson_scatter(*poisson_draws(mean, self.jumps.sample, size, rng))
+        steps = np.broadcast_to(_durations(dt, size), (size,))
+        return poisson_scatter(*self.jumps.window_draws(steps, rng))
 
     def __repr__(self):
         return f"CompoundPoisson({self.jumps!r})"
@@ -360,12 +353,9 @@ class IndependentStack(LevyLaw):
     def exponent(self, theta):
         """Sum of the block exponents on the matching theta blocks."""
         theta = _theta_rows(theta, self.dim)
-        total = 0.0 + 0.0j
-        pos = 0
-        for block in self.blocks:
-            total += block.exponent(theta[..., pos : pos + block.dim])
-            pos += block.dim
-        return _per_row(total, theta)
+        cuts = np.cumsum([b.dim for b in self.blocks])[:-1]
+        return sum(b.exponent(part) for b, part
+                   in zip(self.blocks, np.split(theta, cuts, axis=-1)))
 
     def sample(self, dt, rng, size=1):
         return np.hstack([b.sample(dt, rng, size) for b in self.blocks])
@@ -450,10 +440,10 @@ def pure_drift(d) -> SubordinatorSpec:
 def laplace_exponent(T: SubordinatorSpec, z):
     """Extended Laplace exponent <d, z> + sum_j Lambda_j(<z, a_j>) over the
     rays a_j of T's jump measure (for atoms, rate_j (1 - exp(-<z, t_j>))),
-    for finite z with Re z >= 0 coordinatewise: a complex for z of shape
-    (n,), one value per row for (..., n). Exact.
+    for finite z with Re z >= 0 coordinatewise, shape (..., n): shape
+    (...). Exact.
     """
     z = _theta_rows(z, T.dim, dtype=complex)
     if not (np.all(np.isfinite(z)) and np.all(z.real >= 0)):
         raise LevySpecError("laplace_exponent requires finite z with Re(z) >= 0")
-    return _per_row(z @ T.d + T.jumps.laplace(z @ T.jumps.points.T), z)
+    return z @ T.d + T.jumps.laplace(z @ T.jumps.points.T)

@@ -35,15 +35,14 @@ def vector_time_exponent(psi: LevyLaw, t, theta):
     sum_k (t_(k) - t_(k-1)) * Psi(theta restricted to the coordinates
     j with t_j >= t_(k)).
 
-    t and theta have shape (..., n) and broadcast against each other:
-    one (n,) pair gives a complex, else the result holds one value per
-    broadcast row. Each nonzero gap is one call of psi.exponent over
-    every row.
+    t and theta have shape (..., n) and broadcast against each other;
+    the result has the broadcast shape without its last axis. Each
+    nonzero gap is one call of psi.exponent over every row.
     """
     t = np.asarray(t, dtype=float)
     n = psi.dim
     theta = _theta_rows(theta, n)
-    if t.shape[-1] != n:
+    if t.shape[-1:] != (n,):
         raise LevySpecError("theta, t and process dimensions disagree")
     try:
         shape = np.broadcast_shapes(t.shape, theta.shape)
@@ -52,41 +51,21 @@ def vector_time_exponent(psi: LevyLaw, t, theta):
     total = np.zeros(shape[:-1], dtype=complex)
     for gap, alive in _alive_gaps(t):
         total += gap * psi.exponent(np.where(alive, theta, 0.0))
-    return complex(total) if len(shape) == 1 else total
+    return total[()]
 
 
-def vector_time_cf(psi: LevyLaw, t, theta):
-    """Characteristic function of X at the vector time t; modulus <= 1.
-    Shapes as in `vector_time_exponent`."""
-    value = np.exp(vector_time_exponent(psi, t, theta))
-    return complex(value) if np.ndim(value) == 0 else value
-
-
-def sample_subordinate_at(x: LevyLaw, t, rng: np.random.Generator,
-                          size: int | None = None) -> np.ndarray:
-    """Exact draw from the law of (X_1(t_1), ..., X_n(t_n)).
-
-    t is one time vector, shape (n,): the result has shape (n,) when
-    size is None, else (size, n). Or t holds one time vector per row,
-    shape (m, n): the result has shape (m, n), and size must be None or
-    m. Each gap is drawn as one batch over all rows, with row i's own
-    gap as its duration, and skipped only when it is zero in every row;
-    so a single time vector and its rows tiled m times consume the same
-    draws.
+def sample_subordinate_at(x: LevyLaw, t, rng: np.random.Generator) -> np.ndarray:
+    """Exact draw from the law of (X_1(t_1), ..., X_n(t_n)) at each time
+    vector of t, shape (..., n): the draw has t's shape, one independent
+    draw per vector. Each gap is drawn as one batch over all vectors,
+    with each vector's own gap as its duration, and skipped only when it
+    is zero in every vector.
     """
     t = np.asarray(t, dtype=float)
-    if t.ndim not in (1, 2):
-        raise LevySpecError("time vectors must have shape (n,) or (m, n)")
-    n = t.shape[-1]
-    if x.dim != n:
+    if t.shape[-1:] != (x.dim,):
         raise LevySpecError("process dimension differs from time vector")
-    if t.ndim == 2:
-        if size not in (None, t.shape[0]):
-            raise LevySpecError("size differs from the number of time vectors")
-        m = t.shape[0]
-    else:
-        m = 1 if size is None else size
-    out = np.zeros((m, n))
-    for gap, alive in _alive_gaps(t):
-        np.add(out, x.sample(gap, rng, m), out=out, where=alive)
-    return out[0] if t.ndim == 1 and size is None else out
+    rows = t.reshape(-1, x.dim)
+    out = np.zeros(rows.shape)
+    for gap, alive in _alive_gaps(rows):
+        np.add(out, x.sample(gap, rng, len(rows)), out=out, where=alive)
+    return out.reshape(t.shape)

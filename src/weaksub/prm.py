@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levy import (LevyLaw, LevySpecError, SubordinatorSpec, poisson_draws,
-                   poisson_scatter)
+from .levy import (AtomicJumps, LevyLaw, LevySpecError, SubordinatorSpec,
+                   poisson_draws, poisson_scatter)
 from .ordered_time import sample_subordinate_at
-from .subordination import _jump_windows
 
 Array = np.ndarray
 
@@ -62,6 +61,20 @@ def _mean_se(vals: Array) -> tuple[float, float]:
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
 
 
+def _windows(rate: float, marks, horizon: float, size: int,
+             rng: np.random.Generator, g) -> tuple[Array, Array]:
+    """`size` independent windows (0, horizon] of a Poisson process of
+    rate `rate` with i.i.d. marks: the point count of each, Poisson(rate
+    * horizon), and g(times, marks) over all points, window 0's first,
+    for the times (i.i.d. uniform, unsorted) and marks
+    (`marks.sample(rng, k)`) of the points. g is called as soon as the
+    points are drawn, so it may draw from rng too."""
+    def points(rng, k):
+        return g(rng.uniform(0.0, horizon, size=k), marks.sample(rng, k))
+
+    return poisson_draws(rate * horizon, points, size, rng)
+
+
 def laplace_functional_mc(rate: float, marks, horizon: float, f, reps: int,
                           rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo mean of the product of e^{-f} over the points of
@@ -72,11 +85,7 @@ def laplace_functional_mc(rate: float, marks, horizon: float, f, reps: int,
     maps k times and their marks to k nonnegative values.
     """
     _check_window(horizon, reps)  # poisson_draws checks rate x horizon
-
-    def f_values(rng, k):  # f at k uniform times with i.i.d. marks
-        return f.evaluate(rng.uniform(0.0, horizon, size=k), marks.sample(rng, k))
-
-    sums = poisson_scatter(*poisson_draws(rate * horizon, f_values, reps, rng))
+    sums = poisson_scatter(*_windows(rate, marks, horizon, reps, rng, f.evaluate))
     return _mean_se(np.exp(-sums))
 
 
@@ -120,20 +129,23 @@ def marked_laplace_check(T: SubordinatorSpec, X: LevyLaw, f, horizon: float,
     gamma rays have no single jump times (LevySpecError).
     """
     _check_window(horizon, reps)
+    if not isinstance(T.jumps, AtomicJumps):
+        raise LevySpecError("single jump times need an atomic jump measure")
 
-    def f_at(times, jumps, marks):
+    def f_at(times, jumps):  # f at each point, marked by X at its jump
+        marks = sample_subordinate_at(X, jumps, rng)
         return np.array([f(s, jump, mark) for s, jump, mark
                          in zip(times, jumps, marks)], dtype=float)
 
-    counts, times, jumps = _jump_windows(T, horizon, reps, rng)
-    sums = poisson_scatter(counts, f_at(times, jumps,
-                                        sample_subordinate_at(X, jumps, rng)))
-    lhs = _mean_se(np.exp(-sums))
+    def inner_means(times, jumps):
+        values = np.exp(-f_at(np.repeat(times, inner), np.repeat(jumps, inner, axis=0)))
+        return values.reshape(-1, inner).mean(axis=1)
 
-    counts, times, jumps = _jump_windows(T, horizon, reps, rng)
-    times, jumps = np.repeat(times, inner), np.repeat(jumps, inner, axis=0)
-    inner_means = np.exp(-f_at(times, jumps, sample_subordinate_at(X, jumps, rng)))
-    inner_means = inner_means.reshape(-1, inner).mean(axis=1)
+    sums = poisson_scatter(*_windows(T.jumps.total_mass, T.jumps, horizon, reps,
+                                     rng, f_at))
+    lhs = _mean_se(np.exp(-sums))
+    counts, means = _windows(T.jumps.total_mass, T.jumps, horizon, reps, rng,
+                             inner_means)
     with np.errstate(divide="ignore"):  # a zero mean makes the product 0
-        rhs = _mean_se(np.exp(poisson_scatter(counts, np.log(inner_means))))
+        rhs = _mean_se(np.exp(poisson_scatter(counts, np.log(means))))
     return MarkedCheckResult(*lhs, *rhs)

@@ -12,15 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from .levy import (
-    AtomicJumps,
     LevyLaw,
     Lift,
     LevySpecError,
     SubordinatorSpec,
-    _per_row,
     _theta_rows,
     laplace_exponent,
-    poisson_draws,
     poisson_scatter,
 )
 from .ordered_time import sample_subordinate_at, vector_time_exponent
@@ -43,11 +40,11 @@ def weak_exponent(T: SubordinatorSpec, X: LevyLaw, theta1, theta2):
     rate_j (exp(i<theta1, t_j>) * CF_{X(t_j)}(theta2) - 1). Exact, as the
     vector-time exponent is linear along a ray.
 
-    theta1 and theta2 of shape (n,) give a complex; of shape (..., n)
-    (broadcast against each other) one value per row. Every ray is
-    evaluated against every row in one `vector_time_exponent` call, so
-    temporaries hold rays x rows x n values: pass a large grid in blocks
-    of rows.
+    theta1 and theta2 have shape (..., n) and broadcast against each
+    other; the result has the broadcast shape without its last axis.
+    Every ray is evaluated against every row in one
+    `vector_time_exponent` call, so temporaries hold rays x rows x n
+    values: pass a large grid in blocks of rows.
     """
     if X.dim != T.dim:
         raise LevySpecError("theta1, theta2, T and X dimensions disagree")
@@ -55,7 +52,7 @@ def weak_exponent(T: SubordinatorSpec, X: LevyLaw, theta1, theta2):
     a = T.jumps.points
     u = 1j * (theta1 @ a.T) + vector_time_exponent(X, a, theta2[..., None, :])
     drift = 1j * (theta1 @ T.d) + vector_time_exponent(X, T.d, theta2)
-    return _per_row(drift - T.jumps.laplace(-u), theta1)
+    return drift - T.jumps.laplace(-u)
 
 
 def _theta_pair(n: int, theta1, theta2) -> tuple[Array, Array]:
@@ -87,9 +84,7 @@ def stacked_strong_exponent(R: SubordinatorSpec, dims,
     subordination, T = stacked_subordinator(R, dims) and X the stack of
     the block laws Y: -Lambda_R(z) with
     z_m = -i <theta1 block m, ones> - Psi_{Y_m}(theta2 block m).
-
-    theta1 and theta2 of shape (n,) give a complex; of shape (..., n)
-    one value per row.
+    Shapes as in `weak_exponent`.
     """
     _check_blocks(R, dims)
     if [y.dim for y in Y] != list(dims):
@@ -110,26 +105,6 @@ def stacked_strong_exponent(R: SubordinatorSpec, dims,
 # ---------------------------------------------------------------------------
 
 
-def _jump_windows(T: SubordinatorSpec, horizon: float, size: int,
-                  rng: np.random.Generator) -> tuple[Array, Array, Array]:
-    """`size` independent windows (0, horizon] of T's jumps: the jump
-    count of each, Poisson(total mass * horizon), then the times (i.i.d.
-    uniform, unsorted) and sizes (i.i.d. from the normalized measure) of
-    all jumps, window 0's first. Atomic jumps only: gamma rays have
-    infinitely many jumps in every window."""
-    if not isinstance(T.jumps, AtomicJumps):
-        raise LevySpecError("single jump times need an atomic jump measure")
-    if horizon <= 0:
-        raise LevySpecError("horizon must be positive")
-
-    def jumps(rng, k):  # (k, 1 + n): time, then size
-        return np.column_stack([rng.uniform(0.0, horizon, size=k),
-                                T.jumps.sample(rng, k)])
-
-    counts, points = poisson_draws(T.jumps.total_mass * horizon, jumps, size, rng)
-    return counts, points[:, 0], points[:, 1:]
-
-
 def _finite(values: Array) -> Array:
     """values, checked finite: an overflowed draw is no draw from the law."""
     if not np.all(np.isfinite(values)):
@@ -146,24 +121,27 @@ TIME_T_CHUNK = 8192
 MAX_BATCH_JUMPS = 2**20
 
 
-def expected_jumps(T: SubordinatorSpec, X: LevyLaw, t: float) -> tuple[float, float]:
-    """Upper bounds on the expected jumps in one draw of (T(t), Z(t)),
-    strong or weak: T's, the jumps its sampler draws (total mass x t for
-    atoms, one per gamma ray), and X's along T, its jump rate x t x T's
-    reach (largest drift coordinate + the measure's mean rate x largest
-    coordinate, a bound on the mean growth rate of T). Python floats, so
-    a product beyond the float range is inf."""
-    t = float(t)
+def expected_jumps(T: SubordinatorSpec, X: LevyLaw, times) -> tuple[float, float]:
+    """Upper bounds on the expected jumps in one draw of (T, Z) at
+    `times`, a scalar or increasing times, strong or weak: T's, the
+    jumps its sampler draws over the steps between times (total mass x
+    the last time for atoms, one per gamma ray and step), and X's along
+    T, its jump rate x the last time x T's reach (largest drift
+    coordinate + the measure's mean rate x largest coordinate, a bound
+    on the mean growth rate of T). Python floats, so a product beyond
+    the float range is inf."""
+    t = np.atleast_1d(np.asarray(times, dtype=float))
     rate = X.jump_rate
     reach = (float(np.max(T.d, initial=0.0))
              + T.jumps.mean_rate * float(np.max(T.jumps.points, initial=0.0)))
-    return T.jumps.expected_draws(t), (rate * t * reach if rate > 0 else 0.0)
+    return (T.jumps.expected_draws(np.diff(t, prepend=0.0)),
+            rate * float(t[-1]) * reach if rate > 0 else 0.0)
 
 
-def _batch_rows(T: SubordinatorSpec, X: LevyLaw, t: float) -> int:
+def _batch_rows(T: SubordinatorSpec, X: LevyLaw, times) -> int:
     """TIME_T_CHUNK, or fewer rows (one at least) when that many rows
-    expect more than MAX_BATCH_JUMPS jumps."""
-    per_row = sum(expected_jumps(T, X, t))
+    at `times` expect more than MAX_BATCH_JUMPS jumps."""
+    per_row = sum(expected_jumps(T, X, times))
     if per_row * TIME_T_CHUNK <= MAX_BATCH_JUMPS:
         return TIME_T_CHUNK
     return max(1, int(MAX_BATCH_JUMPS // per_row))
@@ -186,7 +164,7 @@ def _draw_at(T: SubordinatorSpec, X: LevyLaw, times, size: int,
         raise LevySpecError("times must be positive and strictly increasing")
     n, m = T.dim, t.size
     out = np.empty((size, m, 2 * n))
-    batch = _batch_rows(T, X, t[-1])
+    batch = _batch_rows(T, X, t)
     for start in range(0, size, batch):
         rows = out[start : start + batch]
         k = rows.shape[0]

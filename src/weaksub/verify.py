@@ -39,33 +39,31 @@ ECF_CHUNK = 8192  # sample rows per block of the ECF sum; bounds its temporaries
 # ---------------------------------------------------------------------------
 
 
-def ecf(samples, theta) -> complex:
-    """Empirical CF: mean of exp(i <theta, x>) over the samples."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 1:
-        samples = samples[:, None]
-    return complex(ecf_grid(samples, np.asarray(theta, dtype=float)[None, :])[0])
-
-
-def ecf_grid(samples, theta_grid) -> Array:
-    """Empirical CF on a grid of frequencies, shape (grid_size,).
+def ecf_grid(samples, theta) -> Array:
+    """Empirical CF of samples, shape (N, d), at the frequencies theta,
+    shape (..., d): the mean of exp(i <theta, x>) over the samples,
+    shape (...).
 
     The phases <theta, x> are formed as reals before the complex
-    exponential, and summed over blocks of samples: ECF_CHUNK rows for a
-    grid of at most 16 points, fewer beyond, so a block holds at most
+    exponential, and summed over blocks of samples: ECF_CHUNK rows for
+    at most 16 frequencies, fewer beyond, so a block holds at most
     16 x ECF_CHUNK phases.
     """
     samples = np.asarray(samples, dtype=float)
-    theta_grid = np.asarray(theta_grid, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if samples.ndim != 2 or theta.shape[-1:] != samples.shape[1:]:
+        raise LevySpecError(f"samples have shape {samples.shape} and theta "
+                            f"{theta.shape}, expected (N, d) and (..., d)")
     n = samples.shape[0]
     if n == 0:
         raise LevySpecError("empirical CF of an empty sample")
-    rows = max(1, 16 * ECF_CHUNK // max(16, theta_grid.shape[0]))
-    total = np.zeros(theta_grid.shape[0], dtype=complex)
+    grid = theta.reshape(-1, samples.shape[1])
+    rows = max(1, 16 * ECF_CHUNK // max(16, grid.shape[0]))
+    total = np.zeros(grid.shape[0], dtype=complex)
     for start in range(0, n, rows):
-        phase = samples[start : start + rows] @ theta_grid.T
+        phase = samples[start : start + rows] @ grid.T
         total += np.exp(1j * phase).sum(axis=0)
-    return total / n
+    return (total / n).reshape(theta.shape[:-1])[()]
 
 
 def clt_bound(n: int, k: float = DEFAULT_K) -> float:
@@ -169,18 +167,17 @@ class ECFReport:
 
 
 def cf_compare(samples, target, theta_grid, k: float = DEFAULT_K) -> ECFReport:
-    """Compare the ECF of the samples against an analytic CF on a grid.
-
-    `target` is a callable theta -> complex CF value, or an array of
-    precomputed values. Per-theta verdict: |ecf - target| <= k*sqrt(2/N).
+    """Compare the ECF of the samples against the exact CF values
+    `target`, one per grid point. Per-theta verdict:
+    |ecf - target| <= k*sqrt(2/N).
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     emp, n = _sample_ecf(samples, theta_grid)
-    if callable(target):
-        tgt = np.array([target(th) for th in theta_grid], dtype=complex)
-    else:
-        tgt = np.asarray(target, dtype=complex)
-    return _report(theta_grid, emp, tgt, clt_bound(n, k), n, k)
+    target = np.asarray(target, dtype=complex)
+    if target.shape != emp.shape:
+        raise LevySpecError(f"target has shape {target.shape}, expected one "
+                            f"value per grid point, {emp.shape}")
+    return _report(theta_grid, emp, target, clt_bound(n, k), n, k)
 
 
 def _sample_ecf(samples, theta_grid: Array) -> tuple[Array, int]:

@@ -1,6 +1,6 @@
-"""Array-valued exponents: theta of shape (m, n) gives one value per row,
-equal to the stacked single-theta calls, and a single theta still gives a
-Python complex."""
+"""Array-valued exponents: theta of shape (..., n) gives shape (...), each
+value equal to the single-theta call, and a single theta of shape (n,)
+gives a complex scalar."""
 import numpy as np
 import pytest
 
@@ -55,6 +55,10 @@ def gamma_subordinator():
                                             [1.5, 0.7], [2.0, 1.0]))
 
 
+# one vector, rows, and rows of rows
+SHAPES = [(N,), (M, N), (2, 3, N)]
+
+
 def assert_rows(batched, scalars):
     assert batched.shape == (len(scalars),)
     assert np.max(np.abs(batched - np.array(scalars))) <= TOL
@@ -66,7 +70,7 @@ class TestLawRows:
         law = LAWS[name]
         th = thetas(1)
         single = [law.exponent(row) for row in th]
-        assert all(type(v) is complex for v in single)
+        assert all(isinstance(v, complex) for v in single)
         assert_rows(law.exponent(th), single)
         # any leading shape
         block = thetas(2, (2, 3, N))
@@ -79,7 +83,7 @@ class TestLawRows:
         th = thetas(3)
         single = [ws.vector_time_exponent(law, t, row)
                   for t, row in zip(TIMES, th)]
-        assert all(type(v) is complex for v in single)
+        assert all(isinstance(v, complex) for v in single)
         assert_rows(ws.vector_time_exponent(law, TIMES, th), single)
         # one time vector against many thetas, and many against one theta
         assert_rows(ws.vector_time_exponent(law, TIMES[0], th),
@@ -90,8 +94,24 @@ class TestLawRows:
         grid = ws.vector_time_exponent(law, TIMES[:, None, :], th[:4])
         assert grid.shape == (M, 4)
         assert abs(grid[2, 3] - ws.vector_time_exponent(law, TIMES[2], th[3])) <= TOL
-        cf = ws.vector_time_cf(law, TIMES, th)
-        assert np.max(np.abs(cf - np.exp(np.array(single)))) <= TOL
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["n", "m_n", "a_b_n"])
+    def test_shape_follows_input(self, name, shape):
+        law = LAWS[name]
+        th = thetas(11, shape)
+        t = np.abs(thetas(12, shape))
+        flat = th.reshape(-1, N)
+        for value, rows in [
+                (law.exponent(th), [law.exponent(row) for row in flat]),
+                (ws.vector_time_exponent(law, t, th),
+                 [ws.vector_time_exponent(law, a, b)
+                  for a, b in zip(t.reshape(-1, N), flat)]),
+                (ws.weak_exponent(subordinator(), law, th, -th),
+                 [ws.weak_exponent(subordinator(), law, row, -row)
+                  for row in flat])]:
+            assert np.shape(value) == shape[:-1]
+            assert isinstance(value, complex) == (len(shape) == 1)
+            assert_rows(np.reshape(value, -1), rows)
 
     def test_weak_exponent(self, name):
         X = LAWS[name]
@@ -99,7 +119,7 @@ class TestLawRows:
         for T in (subordinator(), gamma_subordinator(),
                   ws.pure_drift([0.3, 1.0, 0.6])):
             single = [ws.weak_exponent(T, X, a, b) for a, b in zip(th1, th2)]
-            assert all(type(v) is complex for v in single)
+            assert all(isinstance(v, complex) for v in single)
             assert_rows(ws.weak_exponent(T, X, th1, th2), single)
             # theta1 and theta2 broadcast against each other
             assert_rows(ws.weak_exponent(T, X, th1[0], th2),
@@ -116,7 +136,7 @@ class TestStackedAndLaplaceRows:
         th1, th2 = thetas(6), thetas(7)
         single = [ws.stacked_strong_exponent(R, dims, blocks, a, b)
                   for a, b in zip(th1, th2)]
-        assert all(type(v) is complex for v in single)
+        assert all(isinstance(v, complex) for v in single)
         batched = ws.stacked_strong_exponent(R, dims, blocks, th1, th2)
         assert_rows(batched, single)
         # A3: the closed form equals the weak exponent row by row
@@ -128,7 +148,7 @@ class TestStackedAndLaplaceRows:
         z = np.abs(thetas(8)) + 1j * thetas(9)
         for T in (subordinator(), gamma_subordinator()):
             single = [ws.laplace_exponent(T, row) for row in z]
-            assert all(type(v) is complex for v in single)
+            assert all(isinstance(v, complex) for v in single)
             assert_rows(ws.laplace_exponent(T, z), single)
 
     def test_exponent_cpp_and_stack_free_functions(self):

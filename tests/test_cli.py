@@ -147,8 +147,7 @@ class TestRunSimulate:
         grid = ws.default_theta_grid(2)
         rep = ws.cf_compare(
             data[:, 2:],
-            lambda th: np.exp(ws.BrownianMotion([0, 0], [[1, 0.5], [0.5, 1]])
-                              .exponent(th)),
+            np.exp(ws.BrownianMotion([0, 0], [[1, 0.5], [0.5, 1]]).exponent(grid)),
             grid)
         assert rep.passed, rep.summary()
 

@@ -159,14 +159,12 @@ class TestTieBreakInvariance:
     @pytest.mark.parametrize("t", [[1.0, 0.0, 1.0], [0.4, 1.3, 0.4, 0.4],
                                    [2.0, 2.0, 2.0], [0.0, 0.7, 0.0, 0.7]])
     def test_tied_time_draws_are_either_tie_break(self, kind, t):
-        # one tied time vector drawn size=m times, its rows tiled m times,
-        # and the draw along either sort permutation: the same numbers
+        # one tied time vector in m rows, and the draw along either sort
+        # permutation: the same numbers
         t = np.array(t)
         law, m = law_of_dim(len(t), kind), 129
-        a = ws.sample_subordinate_at(law, t, np.random.default_rng(41), size=m)
-        b = ws.sample_subordinate_at(law, np.tile(t, (m, 1)),
+        a = ws.sample_subordinate_at(law, np.broadcast_to(t, (m, len(t))),
                                      np.random.default_rng(41))
-        assert np.array_equal(a, b)
         for perm in tie_breaks(t):
             assert np.array_equal(a, draw_with_perm(
                 law, t, np.random.default_rng(41), m, perm))
@@ -176,16 +174,16 @@ class TestTieBreakInvariance:
 class TestVectorTimeCF:
     def test_at_origin(self):
         bm = ws.BrownianMotion([0, 0], np.eye(2))
-        assert ws.vector_time_cf(bm, [1, 2], [0, 0]) == pytest.approx(1.0)
+        assert np.exp(ws.vector_time_exponent(bm, [1, 2], [0, 0])) == pytest.approx(1.0)
 
     def test_exp_of_exponent(self):
         bm = ws.BrownianMotion([0, 0], np.eye(2))
-        assert ws.vector_time_cf(bm, [1, 2], [1, 1]) == pytest.approx(
+        assert np.exp(ws.vector_time_exponent(bm, [1, 2], [1, 1])) == pytest.approx(
             np.exp(-1.5))
 
     def test_zero_time(self):
         bm = ws.BrownianMotion([0.5, 0.5], np.eye(2))
-        assert ws.vector_time_cf(bm, [0, 0], [3, -2]) == pytest.approx(1.0)
+        assert np.exp(ws.vector_time_exponent(bm, [0, 0], [3, -2])) == pytest.approx(1.0)
 
     @settings(max_examples=50)
     @given(st.integers(0, 2**32 - 1))
@@ -194,7 +192,7 @@ class TestVectorTimeCF:
         bm = ws.BrownianMotion(rng.standard_normal(2), np.eye(2))
         t = rng.uniform(0, 5, 2)
         theta = rng.standard_normal(2)
-        assert abs(ws.vector_time_cf(bm, t, theta)) <= 1 + 1e-12
+        assert abs(np.exp(ws.vector_time_exponent(bm, t, theta))) <= 1 + 1e-12
 
 
 class TestSampleSubordinateAt:
@@ -207,7 +205,7 @@ class TestSampleSubordinateAt:
         rho, n = 0.5, 10**5
         bm = ws.BrownianMotion([0, 0], [[1, rho], [rho, 1]])
         rng = np.random.default_rng(5)
-        x = ws.sample_subordinate_at(bm, [1.0, 2.0], rng, size=n)
+        x = ws.sample_subordinate_at(bm, np.broadcast_to([1.0, 2.0], (n, 2)), rng)
         # Cov(X1(1), X2(2)) = rho * min(1,2) = rho
         prods = x[:, 0] * x[:, 1]
         cov, cov_se = prods.mean(), prods.std(ddof=1) / np.sqrt(n)
@@ -221,7 +219,7 @@ class TestSampleSubordinateAt:
         sigma = np.array([[1, 0.4], [0.4, 2]])
         bm = ws.BrownianMotion([0, 0], sigma)
         rng = np.random.default_rng(6)
-        x = ws.sample_subordinate_at(bm, [s, s], rng, size=n)
+        x = ws.sample_subordinate_at(bm, np.full((n, 2), s), rng)
         emp = (x[:, :, None] * x[:, None, :]).mean(axis=0)
         se = (x[:, :, None] * x[:, None, :]).std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(emp - s * sigma) <= 4 * se)
@@ -231,9 +229,9 @@ class TestSampleSubordinateAt:
         t = np.array([0.5, 1.5])
         rng = np.random.default_rng(7)
         n = 10**5
-        x = ws.sample_subordinate_at(bm, t, rng, size=n)
+        x = ws.sample_subordinate_at(bm, np.broadcast_to(t, (n, 2)), rng)
         grid = ws.default_theta_grid(2)
-        report = ws.cf_compare(x, lambda th: ws.vector_time_cf(bm, t, th), grid)
+        report = ws.cf_compare(x, np.exp(ws.vector_time_exponent(bm, t, grid)), grid)
         assert report.passed, report.summary()
 
     def test_cpp_ecf_matches(self):
@@ -241,9 +239,9 @@ class TestSampleSubordinateAt:
                                                 [0.8, 1.2]))
         t = np.array([2.0, 0.7])
         rng = np.random.default_rng(8)
-        x = ws.sample_subordinate_at(law, t, rng, size=4 * 10**4)
+        x = ws.sample_subordinate_at(law, np.broadcast_to(t, (4 * 10**4, 2)), rng)
         grid = ws.default_theta_grid(2)
-        report = ws.cf_compare(x, lambda th: ws.vector_time_cf(law, t, th), grid)
+        report = ws.cf_compare(x, np.exp(ws.vector_time_exponent(law, t, grid)), grid)
         assert report.passed, report.summary()
 
 
@@ -273,17 +271,33 @@ class TestSampleSubordinateAtRows:
         grid = ws.default_theta_grid(3)
         for p, t in enumerate(patterns):
             report = ws.cf_compare(
-                x[which == p], lambda th: ws.vector_time_cf(STACK_3D, t, th), grid)
+                x[which == p], np.exp(ws.vector_time_exponent(STACK_3D, t, grid)), grid)
             assert report.passed, (t, report.summary())
 
     @pytest.mark.parametrize("name", sorted(LAWS_3D))
     def test_tiled_rows_use_the_same_draws(self, name):
+        # the leading axes of t only shape the draw: rows of rows draw the
+        # numbers of the flat rows
         law = LAWS_3D[name]
         for t in ([1.0, 0.0, 1.0], [0.5, 2.0, 1.2], [0.0, 0.0, 0.0]):
-            a = ws.sample_subordinate_at(law, t, np.random.default_rng(31), size=257)
-            b = ws.sample_subordinate_at(law, np.tile(t, (257, 1)),
+            a = ws.sample_subordinate_at(law, np.broadcast_to(t, (257, 3)),
                                          np.random.default_rng(31))
-            assert np.array_equal(a, b)
+            b = ws.sample_subordinate_at(law, np.tile(t, (257, 1, 1)),
+                                         np.random.default_rng(31))
+            assert b.shape == (257, 1, 3)
+            assert np.array_equal(a, b[:, 0])
+
+    @pytest.mark.parametrize("name", sorted(LAWS_3D))
+    @pytest.mark.parametrize("shape", [(3,), (5, 3), (2, 4, 3)],
+                             ids=["n", "m_n", "a_b_n"])
+    def test_draw_has_the_shape_of_t(self, name, shape):
+        law = LAWS_3D[name]
+        t = np.random.default_rng(32).uniform(0.0, 2.0, shape)
+        x = ws.sample_subordinate_at(law, t, np.random.default_rng(33))
+        assert x.shape == shape
+        flat = ws.sample_subordinate_at(law, t.reshape(-1, 3),
+                                        np.random.default_rng(33))
+        assert np.array_equal(x.reshape(-1, 3), flat)
 
     def test_shapes_checked(self):
         bm = LAWS_3D["bm"]
@@ -293,7 +307,7 @@ class TestSampleSubordinateAtRows:
         with pytest.raises(ws.LevySpecError):
             bm.sample(np.array([1.0, -1.0]), rng, 2)
         with pytest.raises(ws.LevySpecError):
-            ws.sample_subordinate_at(bm, np.ones((3, 3)), rng, size=4)
+            ws.sample_subordinate_at(bm, np.ones((3, 2)), rng)
         with pytest.raises(ws.LevySpecError):
-            ws.sample_subordinate_at(bm, np.ones((2, 3, 3)), rng)
+            ws.sample_subordinate_at(bm, 1.0, rng)
         assert ws.sample_subordinate_at(bm, np.ones((0, 3)), rng).shape == (0, 3)

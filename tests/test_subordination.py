@@ -5,8 +5,8 @@ import pytest
 
 import weaksub as ws
 from weaksub import subordination
-from weaksub.subordination import (TIME_T_CHUNK, _batch_rows, _jump_windows,
-                                   expected_jumps)
+from weaksub.prm import _windows
+from weaksub.subordination import TIME_T_CHUNK, _batch_rows, expected_jumps
 from weaksub.verify import scenario_processes
 
 
@@ -223,7 +223,8 @@ class TestSimulateSubordinator:
     def test_poisson_jump_count(self):
         T = ws.SubordinatorSpec(np.zeros(1), ws.AtomicJumps([[1.0]], [1.0]))
         reps = 10**4
-        counts, _, _ = _jump_windows(T, 10.0, reps, np.random.default_rng(1))
+        counts, _ = _windows(T.jumps.total_mass, T.jumps, 10.0, reps,
+                             np.random.default_rng(1), lambda s, x: s)
         assert abs(np.mean(counts) - 10.0) <= 4 * np.sqrt(10) / np.sqrt(reps)
 
     def test_nondecreasing_path(self):
@@ -251,7 +252,8 @@ class TestSimulateSubordinator:
     def test_disjoint_window_counts_uncorrelated(self):
         T = ws.SubordinatorSpec(np.zeros(1), ws.AtomicJumps([[1.0]], [3.0]))
         reps = 10**4
-        counts, times, _ = _jump_windows(T, 1.0, reps, np.random.default_rng(3))
+        counts, times = _windows(T.jumps.total_mass, T.jumps, 1.0, reps,
+                                 np.random.default_rng(3), lambda s, x: s)
         window = np.repeat(np.arange(reps), counts)
         a = np.bincount(window[times <= 0.5], minlength=reps)
         b = np.bincount(window[times > 0.5], minlength=reps)
@@ -269,8 +271,7 @@ class TestSimulateStrong:
         rng = np.random.default_rng(3)
         samples = ws.simulate_strong_at(T, X, 1.0, 20_000, rng)
         grid = ws.default_theta_grid(2)
-        report = ws.cf_compare(samples[:, 2:],
-                               lambda th: np.exp(X.exponent(th)), grid)
+        report = ws.cf_compare(samples[:, 2:], np.exp(X.exponent(grid)), grid)
         assert report.passed, report.summary()
 
     def test_zero_subordinate(self):
@@ -317,7 +318,7 @@ class TestSimulateWeak:
         grid = ws.default_theta_grid(4)
         report = ws.cf_compare(
             samples,
-            lambda th: np.exp(ws.weak_exponent(T, X, th[:2], th[2:])), grid)
+            np.exp(ws.weak_exponent(T, X, grid[:, :2], grid[:, 2:])), grid)
         assert report.passed, report.summary()
 
     def test_single_atom_cf_value(self):
@@ -327,7 +328,7 @@ class TestSimulateWeak:
         rng = np.random.default_rng(8)
         n = 30_000
         samples = ws.simulate_weak_at(T, X, 1.0, n, rng)
-        emp = ws.ecf(samples, [0, 0, 1, 1])
+        emp = ws.ecf_grid(samples, [0, 0, 1, 1])
         assert abs(emp - np.exp(np.exp(-1) - 1)) <= ws.clt_bound(n)
 
     def test_subordinator_marginal_preserved(self):
@@ -527,6 +528,25 @@ class TestBatchRows:
         cpp = ws.CompoundPoisson(ws.AtomicJumps([[1.0, 0.0]], [1.0]))
         assert expected_jumps(gamma, cpp, 2.0) == (2.0, 5.0)
         assert _batch_rows(gamma, cpp, 1.0) == TIME_T_CHUNK
+
+    def test_gamma_batches_count_a_draw_per_ray_and_step(self, monkeypatch):
+        # a gamma ray draws one total per step, so a row at m times makes
+        # k x m draws: 300 rays at 16 times expect 4800 per row
+        def rays(k):
+            return ws.SubordinatorSpec(np.zeros(2), ws.GammaRays(
+                np.ones((k, 2)), np.ones(k), np.ones(k)))
+        times, X = np.arange(1.0, 17.0), ws.zero_process(2)
+        assert expected_jumps(rays(300), X, times) == (4800.0, 0.0)
+        assert _batch_rows(rays(300), X, times) == subordination.MAX_BATCH_JUMPS // 4800
+        # 10 rays: 160 draws per row, so a cap of 2000 makes batches of 12
+        T, cap, sizes = rays(10), 2000, []
+        monkeypatch.setattr(subordination, "MAX_BATCH_JUMPS", cap)
+        draw = T.jumps.window_draws
+        monkeypatch.setattr(T.jumps, "window_draws", lambda steps, rng: (
+            sizes.append(10 * steps.size), draw(steps, rng))[1])
+        rows = ws.simulate_weak_at(T, X, times, 50, np.random.default_rng(14))
+        assert rows.shape == (50, 16, 4)
+        assert sum(sizes) == 50 * 160 and max(sizes) <= cap
 
     def test_suite_scenarios_keep_full_batches(self):
         for name in ("deterministic", "finite_activity_C1", "stacked_C3",

@@ -16,17 +16,17 @@ class TestECF:
     def test_constant_samples(self):
         samples = np.tile([1.0, 2.0], (500, 1))
         theta = np.array([0.3, -0.7])
-        assert ws.ecf(samples, theta) == pytest.approx(
+        assert ws.ecf_grid(samples, theta) == pytest.approx(
             np.exp(1j * (0.3 - 1.4)))
 
     def test_theta_zero(self):
         rng = np.random.default_rng(0)
-        assert ws.ecf(rng.standard_normal((100, 2)), [0, 0]) == pytest.approx(1.0)
+        assert ws.ecf_grid(rng.standard_normal((100, 2)), [0, 0]) == pytest.approx(1.0)
 
     def test_gaussian_cf(self):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal(10**6)
-        assert abs(ws.ecf(x, [1.0]) - np.exp(-0.5)) <= 4 * np.sqrt(2 / 10**6)
+        x = rng.standard_normal((10**6, 1))
+        assert abs(ws.ecf_grid(x, [1.0]) - np.exp(-0.5)) <= 4 * np.sqrt(2 / 10**6)
 
     def test_blocked_sum_matches_one_block(self):
         # a 64-point grid sums blocks of 2048 sample rows
@@ -37,7 +37,7 @@ class TestECF:
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ws.LevySpecError):
-            ws.ecf(np.zeros((0, 2)), [1, 1])
+            ws.ecf_grid(np.zeros((0, 2)), [1, 1])
 
     @settings(max_examples=50)
     @given(st.integers(0, 2**32 - 1))
@@ -45,7 +45,7 @@ class TestECF:
         rng = np.random.default_rng(seed)
         samples = rng.standard_normal((200, 2))
         theta = rng.standard_normal(2)
-        assert ws.ecf(samples, -theta) == np.conj(ws.ecf(samples, theta))
+        assert ws.ecf_grid(samples, -theta) == np.conj(ws.ecf_grid(samples, theta))
 
     def test_ecf_is_a_row_of_ecf_grid(self):
         # more rows than one ECF block, so the blocked sum is exercised
@@ -56,7 +56,25 @@ class TestECF:
         reference = np.exp(1j * samples @ grid.T).mean(axis=0)
         assert np.all(np.abs(row - reference) <= 1e-12)
         for i in (0, 7, 15):
-            assert abs(ws.ecf(samples, grid[i]) - row[i]) <= 1e-12
+            assert abs(ws.ecf_grid(samples, grid[i]) - row[i]) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(3,), (16, 3), (2, 8, 3)],
+                             ids=["d", "m_d", "a_b_d"])
+    def test_shape_follows_theta(self, shape):
+        # one frequency vector gives one complex scalar, not one per coordinate
+        rng = np.random.default_rng(18)
+        samples, theta = rng.standard_normal((500, 3)), rng.standard_normal(shape)
+        value = ws.ecf_grid(samples, theta)
+        assert np.shape(value) == shape[:-1]
+        assert isinstance(value, complex) == (len(shape) == 1)
+        reference = np.exp(1j * samples @ theta.reshape(-1, 3).T).mean(axis=0)
+        assert np.max(np.abs(np.reshape(value, -1) - reference)) <= 1e-12
+
+    def test_theta_width_checked(self):
+        samples = np.zeros((10, 3))
+        for theta in (np.ones(2), np.ones((4, 2)), 1.0):
+            with pytest.raises(ws.LevySpecError):
+                ws.ecf_grid(samples, theta)
 
     def test_modulus_at_most_one(self):
         rng = np.random.default_rng(2)
@@ -70,8 +88,7 @@ class TestCFCompare:
         rng = np.random.default_rng(3)
         samples = rng.standard_normal((50_000, 2))
         grid = ws.default_theta_grid(2)
-        rep = ws.cf_compare(samples,
-                            lambda th: np.exp(-0.5 * th @ th), grid)
+        rep = ws.cf_compare(samples, np.exp(-0.5 * np.sum(grid**2, axis=1)), grid)
         assert rep.passed, rep.summary()
 
     def test_shifted_target_fails_at_pi(self):
@@ -82,7 +99,7 @@ class TestCFCompare:
         # target law shifted by 1 in coordinate 1: CF picks up e^{i pi} = -1
         rep = ws.cf_compare(
             samples,
-            lambda th: np.exp(1j * th[0] - 0.5 * scale**2 * th @ th), grid)
+            np.exp(1j * grid[:, 0] - 0.5 * scale**2 * np.sum(grid**2, axis=1)), grid)
         assert not rep.passed
 
     def test_self_comparison_passes(self):
@@ -96,16 +113,14 @@ class TestCFCompare:
         rng = np.random.default_rng(6)
         samples = rng.standard_normal((1000, 2))
         grid = ws.default_theta_grid(2)
-        rep_a = ws.cf_compare(samples, lambda th: np.exp(-0.5 * th @ th), grid)
-        rep_b = ws.cf_compare(samples[::-1],
-                              lambda th: np.exp(-0.5 * th @ th), grid[::-1])
+        rep_a = ws.cf_compare(samples, np.exp(-0.5 * np.sum(grid**2, axis=1)), grid)
+        rep_b = ws.cf_compare(samples[::-1], np.exp(-0.5 * np.sum(grid**2, axis=1))[::-1], grid[::-1])
         assert rep_a.passed == rep_b.passed
         assert np.allclose(sorted(rep_a.abs_diff), sorted(rep_b.abs_diff))
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ws.LevySpecError):
-            ws.cf_compare(np.zeros((50, 2)), lambda th: 1.0,
-                          ws.default_theta_grid(2))
+            ws.cf_compare(np.zeros((50, 2)), np.ones(16), ws.default_theta_grid(2))
 
     @pytest.mark.parametrize("case", ["empty_grid", "few_samples",
                                       "column_mismatch", "one_d_grid"])
@@ -119,15 +134,22 @@ class TestCFCompare:
             samples = samples[:3]
         with pytest.raises(ws.LevySpecError):
             if compare == "one_sample":
-                ws.cf_compare(samples, lambda th: 1.0, grid)
+                ws.cf_compare(samples, np.ones(len(grid)), grid)
             else:
                 ws.ecf_two_sample_compare(samples, samples, grid)
+
+    def test_target_needs_one_value_per_grid_point(self):
+        samples = np.random.default_rng(8).standard_normal((1000, 2))
+        grid = ws.default_theta_grid(2)
+        for target in (np.ones(15), np.ones((16, 1)), 1.0):
+            with pytest.raises(ws.LevySpecError, match="target"):
+                ws.cf_compare(samples, target, grid)
 
     def test_report_serializes(self):
         rng = np.random.default_rng(7)
         samples = rng.standard_normal((1000, 2))
-        rep = ws.cf_compare(samples, lambda th: np.exp(-0.5 * th @ th),
-                            ws.default_theta_grid(2))
+        grid = ws.default_theta_grid(2)
+        rep = ws.cf_compare(samples, np.exp(-0.5 * np.sum(grid**2, axis=1)), grid)
         d = rep.to_dict()
         assert d["n_samples"] == 1000
         assert len(d["points"]) == 16
