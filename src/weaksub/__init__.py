@@ -45,7 +45,6 @@ from .verify import (
     ThetaGridSpec,
     cf_compare,
     clt_bound,
-    default_theta_grid,
     ecf_grid,
     ecf_two_sample_compare,
     equality_in_law_suite,

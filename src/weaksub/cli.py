@@ -10,10 +10,10 @@ of purpose p is the generator of SeedSequence(seed, spawn_key=(p, r)).
 stream c; `verify` draws from stream 0.
 
 Exit status: 0 success (for verify, the suite passed); 1 the verify
-suite failed; 2 invalid config or flags, with a JSON error on stderr;
-3 any other error, with a JSON error naming the exception on stderr.
-On exit 2 or 3 the files the run wrote, and the directories it made for
---out, go.
+suite failed; 2 invalid config, with a JSON error on stderr, or invalid
+flags, with argparse's usage error; 3 any other error, with a JSON error
+naming the exception on stderr. On exit 2 or 3, or an interrupt, the
+files the run wrote, and the directories it made for --out, go.
 """
 from __future__ import annotations
 
@@ -492,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    written: list[Path] = []  # the run's outputs, removed on exit 2 or 3
+    written: list[Path] = []  # the run's outputs
+    code = 3  # until the command ends, so an interrupt removes them too
     try:
         try:
             text = args.config.read_text()
@@ -508,15 +509,16 @@ def main(argv=None) -> int:
         if args.command != "exponent":
             _check_run(config, args.command)
         _make_dir(args.out, written)
-        if args.command == "exponent":
-            out = run_exponent(config, args.out, written)
-        elif args.command == "simulate":
-            out = run_simulate(config, args.out, written, kind=args.kind)
+        if args.command == "verify":
+            code = run_verify(config, args.out, written, quiet=args.quiet)
         else:
-            return run_verify(config, args.out, written, quiet=args.quiet)
-        if not args.quiet:
-            print(out)
-        return 0
+            if args.command == "exponent":
+                out = run_exponent(config, args.out, written)
+            else:
+                out = run_simulate(config, args.out, written, kind=args.kind)
+            if not args.quiet:
+                print(out)
+            code = 0
     except (ConfigError, LevySpecError) as exc:  # LevySpecError: a value out of range
         details = exc.errors if isinstance(exc, ConfigError) else [str(exc)]
         print(json.dumps({"error": "invalid config", "details": details}),
@@ -528,9 +530,11 @@ def main(argv=None) -> int:
                           "traceback": traceback.format_exc()}),
               file=sys.stderr)
         code = 3
-    for path in reversed(written):  # a partial output can look complete
-        with contextlib.suppress(OSError):
-            path.rmdir() if path.is_dir() else path.unlink()
+    finally:
+        if code > 1:  # a partial output can look complete
+            for path in reversed(written):
+                with contextlib.suppress(OSError):
+                    path.rmdir() if path.is_dir() else path.unlink()
     return code
 
 

@@ -12,12 +12,12 @@ continuous part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 PSD_TOL = 1e-10
-# Largest expected point count of one `poisson_draws` call: above the CLI's
+# Largest expected point count of one `poisson_counts` call: above the CLI's
 # largest draw, a row expecting MAX_ROWS = 10**7 jumps.
 MAX_POISSON_POINTS = 2**27
 
@@ -113,7 +113,8 @@ class AtomicJumps(JumpMeasure):
 
     def window_draws(self, steps, rng):
         """A Poisson(total mass x step) count per window of i.i.d. atoms."""
-        return poisson_draws(self.total_mass * steps, self.sample, steps.size, rng)
+        counts = poisson_counts(self.total_mass * steps, steps.size, rng)
+        return counts, self.sample(rng, int(counts.sum()))
 
     def with_points(self, points) -> AtomicJumps:
         return AtomicJumps(points, self.rates)
@@ -180,20 +181,6 @@ class GammaRays(JumpMeasure):
 # ---------------------------------------------------------------------------
 
 
-def psd_factor(sigma: Array, tol: float = PSD_TOL) -> Array:
-    """Factor B with B B' = sigma, for symmetric PSD sigma.
-
-    Symmetrizes first; eigenvalues in [-tol, 0) are clipped to 0, anything
-    below -tol is an error.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    sym = 0.5 * (sigma + sigma.T)
-    vals, vecs = np.linalg.eigh(sym)
-    if np.any(vals < -tol):
-        raise LevySpecError(f"covariance not PSD: min eigenvalue {vals.min():g}")
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))
-
-
 def _theta_rows(theta, dim: int, dtype=float) -> Array:
     """theta as an array of shape (..., dim): one frequency vector, or one
     per row. Any other shape is a LevySpecError."""
@@ -222,21 +209,18 @@ class LevyLaw:
         (..., dim): shape (...)."""
         raise NotImplementedError
 
-    def sample(self, dt, rng: np.random.Generator, size: int = 1) -> Array:
-        """Draw `size` independent increments, shape (size, dim): all over
-        the duration dt, or row i over dt[i] when dt has shape (size,).
-        """
+    def sample(self, dt, rng: np.random.Generator) -> Array:
+        """Independent increments, row i over the duration dt[i], for dt of
+        shape (size,): shape (size, dim)."""
         raise NotImplementedError
 
 
-def _durations(dt, size: int):
-    """Check durations, finite and >= 0 (so not NaN): a scalar dt is
-    returned as is, else an array of shape (size,) with one duration per
-    row."""
-    if np.ndim(dt) != 0:
-        dt = np.asarray(dt, dtype=float)
-        if dt.shape != (size,):
-            raise LevySpecError(f"durations have shape {dt.shape}, expected ({size},)")
+def _durations(dt) -> Array:
+    """dt as an array of shape (size,), one duration per row, checked
+    finite and >= 0 (so not NaN)."""
+    dt = np.asarray(dt, dtype=float)
+    if dt.ndim != 1:
+        raise LevySpecError(f"durations have shape {dt.shape}, expected (size,)")
     if not np.all((dt >= 0) & (dt < np.inf)):
         raise LevySpecError("durations must be finite and >= 0")
     return dt
@@ -252,22 +236,19 @@ def poisson_scatter(counts: Array, values: Array) -> Array:
     return out
 
 
-def poisson_draws(mean, sample: Callable[[np.random.Generator, int], Array],
-                  size: int, rng: np.random.Generator) -> tuple[Array, Array]:
-    """`size` independent Poisson windows: counts of shape (size,), row i
-    Poisson(mean) (or Poisson(mean[i]) for `mean` of shape (size,)), then
-    all counts.sum() points in one `sample(rng, k)` call, row 0's first.
-    So `poisson_scatter(counts, g(points))` sums g over each window.
-    A negative or NaN mean, or more than MAX_POISSON_POINTS expected
-    points in all, is a LevySpecError.
+def poisson_counts(mean, size: int, rng: np.random.Generator) -> Array:
+    """`size` independent Poisson counts, shape (size,): row i Poisson(mean),
+    or Poisson(mean[i]) for `mean` of shape (size,). A window's points are
+    drawn after all counts, row 0's first, so `poisson_scatter(counts,
+    g(points))` sums g over each window. A negative or NaN mean, or more
+    than MAX_POISSON_POINTS expected points in all, is a LevySpecError.
     """
     with np.errstate(over="ignore"):  # an overflowed expectation is inf
         expected = np.sum(mean) * (size if np.ndim(mean) == 0 else 1)
     if not (np.all(mean >= 0) and expected <= MAX_POISSON_POINTS):
         raise LevySpecError(f"Poisson means must be nonnegative and expect at most "
                             f"{MAX_POISSON_POINTS} points per draw, not {expected:g}")
-    counts = rng.poisson(mean, size=size)
-    return counts, sample(rng, int(counts.sum()))
+    return rng.poisson(mean, size=size)
 
 
 class BrownianMotion(LevyLaw):
@@ -284,7 +265,10 @@ class BrownianMotion(LevyLaw):
         if not (np.all(np.isfinite(self.mu)) and np.all(np.isfinite(sigma))):
             raise LevySpecError("mu and sigma must be finite")
         self.sigma = 0.5 * (sigma + sigma.T)
-        self._factor = psd_factor(self.sigma)
+        vals, vecs = np.linalg.eigh(self.sigma)  # eigenvalues in [-PSD_TOL, 0) clip to 0
+        if np.any(vals < -PSD_TOL):
+            raise LevySpecError(f"covariance not PSD: min eigenvalue {vals.min():g}")
+        self._factor = vecs * np.sqrt(np.clip(vals, 0.0, None))  # B B' = sigma
 
     @property
     def jump_rate(self) -> float:
@@ -297,11 +281,9 @@ class BrownianMotion(LevyLaw):
         quad = np.sum((theta @ self.sigma) * theta, axis=-1)
         return 1j * (theta @ self.mu) - 0.5 * quad
 
-    def sample(self, dt, rng, size=1):
-        dt = _durations(dt, size)
-        if np.ndim(dt):
-            dt = dt[:, None]
-        z = rng.standard_normal((size, self.dim))
+    def sample(self, dt, rng):
+        dt = _durations(dt)[:, None]
+        z = rng.standard_normal((len(dt), self.dim))
         return dt * self.mu + np.sqrt(dt) * (z @ self._factor.T)
 
     def __repr__(self):
@@ -329,9 +311,8 @@ class CompoundPoisson(LevyLaw):
         theta = _theta_rows(theta, self.dim)
         return -self.jumps.laplace(-1j * (theta @ self.jumps.points.T))
 
-    def sample(self, dt, rng, size=1):
-        steps = np.broadcast_to(_durations(dt, size), (size,))
-        return poisson_scatter(*self.jumps.window_draws(steps, rng))
+    def sample(self, dt, rng):
+        return poisson_scatter(*self.jumps.window_draws(_durations(dt), rng))
 
     def __repr__(self):
         return f"CompoundPoisson({self.jumps!r})"
@@ -357,8 +338,8 @@ class IndependentStack(LevyLaw):
         return sum(b.exponent(part) for b, part
                    in zip(self.blocks, np.split(theta, cuts, axis=-1)))
 
-    def sample(self, dt, rng, size=1):
-        return np.hstack([b.sample(dt, rng, size) for b in self.blocks])
+    def sample(self, dt, rng):
+        return np.hstack([b.sample(dt, rng) for b in self.blocks])
 
     def __repr__(self):
         return f"IndependentStack({list(self.blocks)!r})"
@@ -386,8 +367,8 @@ class Lift(LevyLaw):
         return self.x.exponent(
             theta.reshape(theta.shape[:-1] + (self.m, self.x.dim)).sum(axis=-2))
 
-    def sample(self, dt, rng, size=1):
-        return np.tile(self.x.sample(dt, rng, size), self.m)
+    def sample(self, dt, rng):
+        return np.tile(self.x.sample(dt, rng), self.m)
 
     def __repr__(self):
         return f"Lift({self.x!r}, {self.m})"

@@ -67,5 +67,5 @@ def sample_subordinate_at(x: LevyLaw, t, rng: np.random.Generator) -> np.ndarray
     rows = t.reshape(-1, x.dim)
     out = np.zeros(rows.shape)
     for gap, alive in _alive_gaps(rows):
-        np.add(out, x.sample(gap, rng, len(rows)), out=out, where=alive)
+        np.add(out, x.sample(gap, rng), out=out, where=alive)
     return out.reshape(t.shape)

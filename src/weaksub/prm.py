@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .levy import (AtomicJumps, LevyLaw, LevySpecError, SubordinatorSpec,
-                   poisson_draws, poisson_scatter)
+                   poisson_counts, poisson_scatter)
 from .ordered_time import sample_subordinate_at
 
 Array = np.ndarray
@@ -69,10 +69,9 @@ def _windows(rate: float, marks, horizon: float, size: int,
     for the times (i.i.d. uniform, unsorted) and marks
     (`marks.sample(rng, k)`) of the points. g is called as soon as the
     points are drawn, so it may draw from rng too."""
-    def points(rng, k):
-        return g(rng.uniform(0.0, horizon, size=k), marks.sample(rng, k))
-
-    return poisson_draws(rate * horizon, points, size, rng)
+    counts = poisson_counts(rate * horizon, size, rng)
+    k = int(counts.sum())
+    return counts, g(rng.uniform(0.0, horizon, size=k), marks.sample(rng, k))
 
 
 def laplace_functional_mc(rate: float, marks, horizon: float, f, reps: int,
@@ -84,7 +83,7 @@ def laplace_functional_mc(rate: float, marks, horizon: float, f, reps: int,
     `marks.sample(rng, k)` draws k marks, and `f.evaluate(times, marks)`
     maps k times and their marks to k nonnegative values.
     """
-    _check_window(horizon, reps)  # poisson_draws checks rate x horizon
+    _check_window(horizon, reps)  # poisson_counts checks rate x horizon
     sums = poisson_scatter(*_windows(rate, marks, horizon, reps, rng, f.evaluate))
     return _mean_se(np.exp(-sums))
 

@@ -31,7 +31,6 @@ Array = np.ndarray
 DEFAULT_K = 4.0
 DEFAULT_N_PATHS = 100_000  # samples per suite run, strong and weak each
 EXACT_CHECK_THETAS = 100  # A3: frequencies of the stacked closed-form check
-ECF_CHUNK = 8192  # sample rows per block of the ECF sum; bounds its temporaries
 
 
 # ---------------------------------------------------------------------------
@@ -45,9 +44,10 @@ def ecf_grid(samples, theta) -> Array:
     shape (...).
 
     The phases <theta, x> are formed as reals before the complex
-    exponential, and summed over blocks of samples: ECF_CHUNK rows for
-    at most 16 frequencies, fewer beyond, so a block holds at most
-    16 x ECF_CHUNK phases.
+    exponential, and summed over blocks of samples: TIME_T_CHUNK rows
+    for at most 16 frequencies, fewer beyond, so a block holds at most
+    16 x TIME_T_CHUNK phases. A phase beyond the floating-point range
+    leaves the ECF not finite, which is a LevySpecError.
     """
     samples = np.asarray(samples, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -58,11 +58,17 @@ def ecf_grid(samples, theta) -> Array:
     if n == 0:
         raise LevySpecError("empirical CF of an empty sample")
     grid = theta.reshape(-1, samples.shape[1])
-    rows = max(1, 16 * ECF_CHUNK // max(16, grid.shape[0]))
+    rows = max(1, 16 * TIME_T_CHUNK // max(16, grid.shape[0]))
     total = np.zeros(grid.shape[0], dtype=complex)
-    for start in range(0, n, rows):
-        phase = samples[start : start + rows] @ grid.T
-        total += np.exp(1j * phase).sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, rows):
+            phase = samples[start : start + rows] @ grid.T
+            total += np.exp(1j * phase).sum(axis=0)
+    bad = ~np.isfinite(total)
+    if np.any(bad):
+        raise LevySpecError(f"the empirical CF is not finite at {bad.sum()} of "
+                            f"{len(total)} theta grid points: a phase <theta, x> "
+                            f"is beyond the floating-point range")
     return (total / n).reshape(theta.shape[:-1])[()]
 
 
@@ -110,20 +116,18 @@ def grid_exponent(T: SubordinatorSpec, X: LevyLaw, grid) -> Array:
     return psi
 
 
-def default_theta_grid(dim: int) -> Array:
-    """The default ECF grid in `dim` dimensions."""
-    return ThetaGridSpec().build(dim)
-
-
 @dataclass
 class ECFReport:
     theta_grid: Array
     ecf: Array
     target: Array
-    bound: Array
-    verdicts: Array
+    bound: Array  # one per grid point
     n_samples: int
     k: float
+
+    @property
+    def verdicts(self) -> Array:
+        return self.abs_diff <= self.bound
 
     @property
     def passed(self) -> bool:
@@ -177,7 +181,8 @@ def cf_compare(samples, target, theta_grid, k: float = DEFAULT_K) -> ECFReport:
     if target.shape != emp.shape:
         raise LevySpecError(f"target has shape {target.shape}, expected one "
                             f"value per grid point, {emp.shape}")
-    return _report(theta_grid, emp, target, clt_bound(n, k), n, k)
+    return ECFReport(theta_grid, emp, target, np.full(len(theta_grid), clt_bound(n, k)),
+                     n, k)
 
 
 def _sample_ecf(samples, theta_grid: Array) -> tuple[Array, int]:
@@ -195,16 +200,11 @@ def _sample_ecf(samples, theta_grid: Array) -> tuple[Array, int]:
     return ecf_grid(samples, theta_grid), samples.shape[0]
 
 
-def _report(theta_grid, emp, target, bound: float, n: int, k: float) -> ECFReport:
-    bound = np.full(len(theta_grid), bound)
-    return ECFReport(theta_grid=theta_grid, ecf=emp, target=target, bound=bound,
-                     verdicts=np.abs(emp - target) <= bound, n_samples=n, k=k)
-
-
 def _two_sample_report(theta_grid, emp_a, na: int, emp_b, nb: int,
                        k: float) -> ECFReport:
-    return _report(theta_grid, emp_a, emp_b, k * np.sqrt(2.0 / na + 2.0 / nb),
-                   min(na, nb), k)
+    bound = k * np.sqrt(2.0 / na + 2.0 / nb)
+    return ECFReport(theta_grid, emp_a, emp_b, np.full(len(theta_grid), bound),
+                     min(na, nb), k)
 
 
 def ecf_two_sample_compare(samples_a, samples_b, theta_grid,

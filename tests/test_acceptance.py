@@ -27,7 +27,7 @@ def weak_cf_target(T, X, grid):
 class TestAcceptance:
     def test_a1_deterministic_subordinator(self):
         T, X, _ = scenario_processes("deterministic")
-        grid = ws.default_theta_grid(4)
+        grid = ws.ThetaGridSpec().build(4)
         rng = np.random.default_rng(101)
         start = time.monotonic()
         samples = ws.simulate_strong_at(T, X, 1.0, N, rng)
@@ -40,7 +40,7 @@ class TestAcceptance:
 
     def test_a2_finite_activity_common_jumps(self):
         T, X, _ = scenario_processes("finite_activity_C1")
-        grid = ws.default_theta_grid(4)
+        grid = ws.ThetaGridSpec().build(4)
         rng = np.random.default_rng(102)
         strong = ws.simulate_strong_at(T, X, 1.0, N, rng)
         weak = ws.simulate_weak_at(T, X, 1.0, N, rng)
@@ -67,7 +67,7 @@ class TestAcceptance:
             max_diff = max(max_diff, abs(exact - weak))
         rng = np.random.default_rng(104)
         samples = ws.simulate_strong_at(T, X, 1.0, N, rng)
-        grid = ws.default_theta_grid(4)
+        grid = ws.ThetaGridSpec().build(4)
         report = ws.cf_compare(samples, weak_cf_target(T, X, grid), grid)
         ok = max_diff <= 1e-10 and report.passed
         announce("A3 stacked subordination", ok,
@@ -103,7 +103,7 @@ class TestAcceptance:
 
     def test_a6_negative_control(self):
         T, X, _ = scenario_processes("negative_control")
-        grid = ws.default_theta_grid(4)
+        grid = ws.ThetaGridSpec().build(4)
         rng = np.random.default_rng(106)
         strong = ws.simulate_strong_at(T, X, 1.0, N, rng)
         weak = ws.simulate_weak_at(T, X, 1.0, N, rng)

@@ -144,7 +144,7 @@ class TestRunSimulate:
         cfg = parse_config(json.dumps(obj))
         out = run_simulate(cfg, tmp_path, [], kind="strong")
         data = np.loadtxt(out, delimiter=",", skiprows=1)
-        grid = ws.default_theta_grid(2)
+        grid = ws.ThetaGridSpec().build(2)
         rep = ws.cf_compare(
             data[:, 2:],
             np.exp(ws.BrownianMotion([0, 0], [[1, 0.5], [0.5, 1]]).exponent(grid)),
@@ -352,6 +352,41 @@ class TestMain:
         assert code == 3
         assert json.loads(capsys.readouterr().err)["type"] == "MemoryError"
         assert not (tmp_path / "new").exists()
+
+    def test_interrupt_leaves_no_output(self, tmp_path, monkeypatch):
+        # interrupted in its second chunk, with the first chunk's rows
+        # written: samples.csv and --out go, and the interrupt goes on
+        import weaksub.cli as cli
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        draws = [cli.simulate_weak_at, interrupt]
+        monkeypatch.setattr(cli, "simulate_weak_at",
+                            lambda *a, **k: draws.pop(0)(*a, **k))
+        cfg = write_config(tmp_path, {"seed": 7, "scenario": "finite_activity_C1",
+                                      "replicates": 9000})
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"])
+        assert not draws and not out.exists()
+
+    def test_ecf_overflow_exit_2_without_output(self, tmp_path, capsys):
+        # a compound Poisson CF is bounded, so the exact target is finite,
+        # but the ECF phases at the first grid point overflow
+        cfg = write_config(tmp_path, {
+            "seed": 1, "scenario": "deterministic", "replicates": 200,
+            "subordinate": {"family": "compound_poisson",
+                            "atoms": [{"point": [1, 1], "rate": 1}]},
+            "theta_grid": {"points": [[0, 0, 1e308, -1e308], [0.1, 0.1, 0.1, 0.1]]}})
+        code = main(["verify", "--config", str(cfg), "--out",
+                     str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "invalid config"
+        assert "empirical CF is not finite" in json.loads(err[0])["details"][0]
+        assert not (tmp_path / "out").exists()
 
     def test_failed_run_keeps_an_existing_out(self, tmp_path, capsys):
         cfg = write_config(tmp_path, OVERFLOWING["atoms_1e308"])

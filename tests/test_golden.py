@@ -36,6 +36,12 @@ CASES = {
                                           "replicates": 2000}, ["report.json"]),
     "verify_stacked_C3": (["verify"], {"seed": 7, "scenario": "stacked_C3",
                                        "replicates": 2000}, ["report.json"]),
+    "verify_finite_activity_C1": (["verify"], {**C1, "replicates": 2000},
+                                  ["report.json"]),
+    # at 2000 replicates the expected mismatch is too small to show, so the
+    # suite fails (exit 1); the report is pinned all the same
+    "verify_negative_control": (["verify"], {"seed": 7, "scenario": "negative_control",
+                                             "replicates": 2000}, ["report.json"]),
 }
 
 DIGESTS = {
@@ -48,6 +54,10 @@ DIGESTS = {
         "091edf7b950dcd0e41271ed4d663cf9df4a4c02efef64fa30d02955557ea04c0",
     "verify_stacked_C3":
         "36545988004766e3ba3b27de360159bd3930b43e896a99c8d9572211b4abe18a",
+    "verify_finite_activity_C1":
+        "108bb91ec689611a414ec809aa7d4cbd13aa5669eae73013e6f31b13864e2de7",
+    "verify_negative_control":
+        "294e0c050a44172fd1cda364cce07cce66705c2475e0144ac1dafe118eacdd80",
 }
 
 

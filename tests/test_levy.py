@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weaksub as ws
-from weaksub.levy import poisson_draws, poisson_scatter
+from weaksub.levy import poisson_counts, poisson_scatter
 
 
 class TestExponentBM:
@@ -59,9 +59,10 @@ class TestExponentCPP:
 
 class TestPoissonDraws:
     def test_shapes_and_one_point_per_count(self):
+        # total mass 4, so windows of length 0.625 expect 2.5 atoms each
         jumps = ws.AtomicJumps([[1.0, 0.0], [0.0, 2.0]], [1.0, 3.0])
-        counts, points = poisson_draws(2.5, jumps.sample, 100,
-                                       np.random.default_rng(0))
+        counts, points = jumps.window_draws(np.full(100, 0.625),
+                                            np.random.default_rng(0))
         assert counts.shape == (100,)
         assert points.shape == (counts.sum(), 2)
         assert counts.sum() > 0
@@ -71,17 +72,17 @@ class TestPoissonDraws:
 
     def test_per_row_mean(self):
         mean = np.array([0.0, 5.0, 50.0])
-        counts, points = poisson_draws(mean, lambda rng, k: rng.uniform(size=k),
-                                       3, np.random.default_rng(1))
+        counts = poisson_counts(mean, 3, np.random.default_rng(1))
+        assert counts.shape == (3,)
         assert counts[0] == 0 and counts[2] > counts[1] > 0
-        assert points.shape == (counts.sum(),)
 
     def test_zero_mean_draws_nothing(self):
         rng = np.random.default_rng(2)
         state = rng.bit_generator.state
-        counts, points = poisson_draws(0.0, ws.ZeroJumps(3).sample, 10, rng)
+        counts, points = ws.ZeroJumps(3).window_draws(np.ones(10), rng)
         assert np.array_equal(counts, np.zeros(10))
         assert points.shape == (0, 3)
+        assert np.array_equal(poisson_counts(0.0, 10, rng), np.zeros(10))
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("mean,size", [
@@ -91,13 +92,12 @@ class TestPoissonDraws:
         (2**27 / 10 + 1.0, 10)])
     def test_bad_or_too_large_mean_raises(self, mean, size):
         with pytest.raises(ws.LevySpecError, match="expect at most"):
-            poisson_draws(mean, lambda rng, k: rng.uniform(size=k), size,
-                          np.random.default_rng(3))
+            poisson_counts(mean, size, np.random.default_rng(3))
 
     def test_compound_poisson_rate_beyond_sampler_raises(self):
         X = ws.CompoundPoisson(ws.AtomicJumps([[1.0]], [1e300]))
         with pytest.raises(ws.LevySpecError, match="expect at most"):
-            X.sample(1.0, np.random.default_rng(4), size=10)
+            X.sample(np.ones(10), np.random.default_rng(4))
 
 
 class TestKacStack:
@@ -226,14 +226,24 @@ class TestDurations:
     LAWS = {"bm": ws.BrownianMotion([0.0], [[1.0]]),
             "cpp": ws.CompoundPoisson(ws.AtomicJumps([[1.0]], [2.0])),
             "stack": ws.IndependentStack([ws.BrownianMotion([0.0], [[1.0]]),
-                                          ws.CompoundPoisson(ws.AtomicJumps([[1.0]], [2.0]))])}
+                                          ws.CompoundPoisson(ws.AtomicJumps([[1.0]], [2.0]))]),
+            "lift": ws.Lift(ws.CompoundPoisson(ws.AtomicJumps([[1.0]], [2.0])), 2)}
 
-    @pytest.mark.parametrize("dt", [np.nan, np.inf, [0.5, np.nan], [np.inf, 0.5]],
-                             ids=["nan", "inf", "row_nan", "row_inf"])
+    # a scalar or 2-d dt is rejected too: a draw takes one duration per row
+    @pytest.mark.parametrize("dt", [[np.nan], [np.inf], [0.5, np.nan], [np.inf, 0.5],
+                                    [0.5, -1.0], 0.5, [[0.5], [0.5]]],
+                             ids=["nan", "inf", "row_nan", "row_inf", "row_negative",
+                                  "scalar", "2d"])
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_bad_duration_rejected(self, law, dt):
         with pytest.raises(ws.LevySpecError, match="duration"):
-            self.LAWS[law].sample(dt, np.random.default_rng(0), 2)
+            self.LAWS[law].sample(dt, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_one_row_per_duration(self, law):
+        x = self.LAWS[law].sample(np.array([0.0, 0.5, 2.0]), np.random.default_rng(0))
+        assert x.shape == (3, self.LAWS[law].dim)
+        assert np.array_equal(x[0], np.zeros(self.LAWS[law].dim))
 
 
 @st.composite

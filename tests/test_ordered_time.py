@@ -92,7 +92,7 @@ def draw_with_perm(law, t, rng, size, perm):
     out = np.zeros((size, len(t)))
     for k, gap in enumerate(deltas):
         if gap:
-            out[:, perm[k:]] += law.sample(gap, rng, size)[:, perm[k:]]
+            out[:, perm[k:]] += law.sample(np.full(size, gap), rng)[:, perm[k:]]
     return out
 
 
@@ -230,7 +230,7 @@ class TestSampleSubordinateAt:
         rng = np.random.default_rng(7)
         n = 10**5
         x = ws.sample_subordinate_at(bm, np.broadcast_to(t, (n, 2)), rng)
-        grid = ws.default_theta_grid(2)
+        grid = ws.ThetaGridSpec().build(2)
         report = ws.cf_compare(x, np.exp(ws.vector_time_exponent(bm, t, grid)), grid)
         assert report.passed, report.summary()
 
@@ -240,7 +240,7 @@ class TestSampleSubordinateAt:
         t = np.array([2.0, 0.7])
         rng = np.random.default_rng(8)
         x = ws.sample_subordinate_at(law, np.broadcast_to(t, (4 * 10**4, 2)), rng)
-        grid = ws.default_theta_grid(2)
+        grid = ws.ThetaGridSpec().build(2)
         report = ws.cf_compare(x, np.exp(ws.vector_time_exponent(law, t, grid)), grid)
         assert report.passed, report.summary()
 
@@ -268,7 +268,7 @@ class TestSampleSubordinateAtRows:
         rng.shuffle(which)
         x = ws.sample_subordinate_at(STACK_3D, patterns[which], rng)
         assert x.shape == (len(which), 3)
-        grid = ws.default_theta_grid(3)
+        grid = ws.ThetaGridSpec().build(3)
         for p, t in enumerate(patterns):
             report = ws.cf_compare(
                 x[which == p], np.exp(ws.vector_time_exponent(STACK_3D, t, grid)), grid)
@@ -303,9 +303,9 @@ class TestSampleSubordinateAtRows:
         bm = LAWS_3D["bm"]
         rng = np.random.default_rng(0)
         with pytest.raises(ws.LevySpecError):
-            bm.sample(np.ones(3), rng, 4)
+            bm.sample(np.ones((4, 3)), rng)
         with pytest.raises(ws.LevySpecError):
-            bm.sample(np.array([1.0, -1.0]), rng, 2)
+            bm.sample(np.array([1.0, -1.0]), rng)
         with pytest.raises(ws.LevySpecError):
             ws.sample_subordinate_at(bm, np.ones((3, 2)), rng)
         with pytest.raises(ws.LevySpecError):

@@ -270,7 +270,7 @@ class TestSimulateStrong:
         X = correlated_bm()
         rng = np.random.default_rng(3)
         samples = ws.simulate_strong_at(T, X, 1.0, 20_000, rng)
-        grid = ws.default_theta_grid(2)
+        grid = ws.ThetaGridSpec().build(2)
         report = ws.cf_compare(samples[:, 2:], np.exp(X.exponent(grid)), grid)
         assert report.passed, report.summary()
 
@@ -297,7 +297,7 @@ class TestSimulateStrong:
                                 ws.AtomicJumps([[1, 0], [0, 2]], [1.0, 0.5]))
         samples = ws.simulate_strong_at(T, correlated_bm(), [0.5, 1.0], 20_000,
                                         np.random.default_rng(6))
-        grid = ws.default_theta_grid(2)
+        grid = ws.ThetaGridSpec().build(2)
         for i, t in enumerate([0.5, 1.0]):
             report = ws.cf_compare(samples[:, i, :2], t_cf(T, t, grid), grid)
             assert report.passed, report.summary()
@@ -315,7 +315,7 @@ class TestSimulateWeak:
         X = correlated_bm()
         rng = np.random.default_rng(7)
         samples = ws.simulate_weak_at(T, X, 1.0, 20_000, rng)
-        grid = ws.default_theta_grid(4)
+        grid = ws.ThetaGridSpec().build(4)
         report = ws.cf_compare(
             samples,
             np.exp(ws.weak_exponent(T, X, grid[:, :2], grid[:, 2:])), grid)
@@ -336,7 +336,7 @@ class TestSimulateWeak:
                                 ws.AtomicJumps([[1, 1], [0, 0.5]], [0.6, 0.9]))
         samples = ws.simulate_weak_at(T, correlated_bm(), [0.5, 1.0], 20_000,
                                       np.random.default_rng(9))
-        grid = ws.default_theta_grid(2)
+        grid = ws.ThetaGridSpec().build(2)
         for i, t in enumerate([0.5, 1.0]):
             report = ws.cf_compare(samples[:, i, :2], t_cf(T, t, grid), grid)
             assert report.passed, report.summary()
@@ -420,7 +420,7 @@ class TestTimeTSamplers:
         sample = {"strong": ws.simulate_strong_at, "weak": ws.simulate_weak_at}
         rows = sample[kind](T, X, 1.0, self.N, np.random.default_rng(41))
         assert rows.shape == (self.N, 2 * T.dim)
-        grid = ws.default_theta_grid(2 * T.dim)
+        grid = ws.ThetaGridSpec().build(2 * T.dim)
         if kind == "weak":
             target = np.exp(ws.weak_exponent(T, X, grid[:, :T.dim], grid[:, T.dim:]))
         else:
@@ -433,7 +433,7 @@ class TestTimeTSamplers:
         # against the weak closed form (max ratio about 6.5)
         T, X = TIME_T_CASES["gamma_rays"]
         rows = ws.simulate_strong_at(T, X, 1.0, self.N, np.random.default_rng(42))
-        grid = ws.default_theta_grid(4)
+        grid = ws.ThetaGridSpec().build(4)
         report = ws.cf_compare(rows, np.exp(ws.weak_exponent(
             T, X, grid[:, :2], grid[:, 2:])), grid)
         assert report.max_ratio > 2, report.summary()
@@ -442,7 +442,7 @@ class TestTimeTSamplers:
     def test_weak_fdd_is_exact(self, case):
         T, X = FDD_CASES[case]
         rows = ws.simulate_weak_at(T, X, FDD_TIMES, self.N, np.random.default_rng(43))
-        grid = ws.default_theta_grid(4 * T.dim)
+        grid = ws.ThetaGridSpec().build(4 * T.dim)
         report = ws.cf_compare(rows.reshape(self.N, -1),
                                weak_fdd_cf(T, X, FDD_TIMES, grid), grid)
         assert report.passed, report.summary()
@@ -454,7 +454,7 @@ class TestTimeTSamplers:
         # are equal in law
         T, X = FDD_CASES[case]
         rows = ws.simulate_strong_at(T, X, FDD_TIMES, self.N, np.random.default_rng(44))
-        grid = ws.default_theta_grid(4 * T.dim)
+        grid = ws.ThetaGridSpec().build(4 * T.dim)
         report = ws.cf_compare(rows.reshape(self.N, -1),
                                weak_fdd_cf(T, X, FDD_TIMES, grid), grid)
         assert report.passed, report.summary()
@@ -464,7 +464,7 @@ class TestTimeTSamplers:
         # the vector time (T(t1), T(t2)), whose increments are dependent
         T, X = FDD_CASES["deterministic"]
         rows = ws.simulate_strong_at(T, X, FDD_TIMES, self.N, np.random.default_rng(47))
-        grid = ws.default_theta_grid(8)
+        grid = ws.ThetaGridSpec().build(8)
         tau = np.concatenate([t * T.d for t in FDD_TIMES])
         theta1 = np.concatenate([grid[:, :2], grid[:, 4:6]], axis=1)
         theta2 = np.concatenate([grid[:, 2:4], grid[:, 6:]], axis=1)
@@ -570,7 +570,8 @@ class TestBatchRows:
         assert rows.shape == (2000, 4)
         assert len(sizes) >= 200 and max(sizes) <= cap
         # smaller batches draw differently, from the same law as one batch
-        report = ws.ecf_two_sample_compare(rows, full, ws.default_theta_grid(4))
+        report = ws.ecf_two_sample_compare(rows, full,
+                                           ws.ThetaGridSpec().build(4))
         assert report.passed, report.summary()
 
 

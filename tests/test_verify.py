@@ -39,6 +39,12 @@ class TestECF:
         with pytest.raises(ws.LevySpecError):
             ws.ecf_grid(np.zeros((0, 2)), [1, 1])
 
+    def test_overflowing_phase_rejected(self):
+        # <theta, x> = 2e308 - 1e308 overflows to inf, and exp(i inf) is NaN
+        samples = np.array([[2.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ws.LevySpecError, match="not finite at 1 of 2"):
+            ws.ecf_grid(samples, [[1e308, -1e308], [0.1, 0.1]])
+
     @settings(max_examples=50)
     @given(st.integers(0, 2**32 - 1))
     def test_conjugate_symmetry(self, seed):
@@ -51,7 +57,7 @@ class TestECF:
         # more rows than one ECF block, so the blocked sum is exercised
         rng = np.random.default_rng(17)
         samples = rng.standard_normal((20_000, 3))
-        grid = ws.default_theta_grid(3)
+        grid = ws.ThetaGridSpec().build(3)
         row = ws.ecf_grid(samples, grid)
         reference = np.exp(1j * samples @ grid.T).mean(axis=0)
         assert np.all(np.abs(row - reference) <= 1e-12)
@@ -79,7 +85,7 @@ class TestECF:
     def test_modulus_at_most_one(self):
         rng = np.random.default_rng(2)
         samples = rng.standard_normal((1000, 3)) * 5
-        grid = ws.default_theta_grid(3)
+        grid = ws.ThetaGridSpec().build(3)
         assert np.all(np.abs(ws.ecf_grid(samples, grid)) <= 1 + 1e-12)
 
 
@@ -87,7 +93,7 @@ class TestCFCompare:
     def test_matching_law_passes(self):
         rng = np.random.default_rng(3)
         samples = rng.standard_normal((50_000, 2))
-        grid = ws.default_theta_grid(2)
+        grid = ws.ThetaGridSpec().build(2)
         rep = ws.cf_compare(samples, np.exp(-0.5 * np.sum(grid**2, axis=1)), grid)
         assert rep.passed, rep.summary()
 
@@ -105,14 +111,14 @@ class TestCFCompare:
     def test_self_comparison_passes(self):
         rng = np.random.default_rng(5)
         samples = rng.standard_normal((500, 2))
-        grid = ws.default_theta_grid(2)
+        grid = ws.ThetaGridSpec().build(2)
         rep = ws.cf_compare(samples, ws.ecf_grid(samples, grid), grid)
         assert rep.passed
 
     def test_invariant_under_reordering(self):
         rng = np.random.default_rng(6)
         samples = rng.standard_normal((1000, 2))
-        grid = ws.default_theta_grid(2)
+        grid = ws.ThetaGridSpec().build(2)
         rep_a = ws.cf_compare(samples, np.exp(-0.5 * np.sum(grid**2, axis=1)), grid)
         rep_b = ws.cf_compare(samples[::-1], np.exp(-0.5 * np.sum(grid**2, axis=1))[::-1], grid[::-1])
         assert rep_a.passed == rep_b.passed
@@ -120,7 +126,8 @@ class TestCFCompare:
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ws.LevySpecError):
-            ws.cf_compare(np.zeros((50, 2)), np.ones(16), ws.default_theta_grid(2))
+            ws.cf_compare(np.zeros((50, 2)), np.ones(16),
+                          ws.ThetaGridSpec().build(2))
 
     @pytest.mark.parametrize("case", ["empty_grid", "few_samples",
                                       "column_mismatch", "one_d_grid"])
@@ -140,7 +147,7 @@ class TestCFCompare:
 
     def test_target_needs_one_value_per_grid_point(self):
         samples = np.random.default_rng(8).standard_normal((1000, 2))
-        grid = ws.default_theta_grid(2)
+        grid = ws.ThetaGridSpec().build(2)
         for target in (np.ones(15), np.ones((16, 1)), 1.0):
             with pytest.raises(ws.LevySpecError, match="target"):
                 ws.cf_compare(samples, target, grid)
@@ -148,7 +155,7 @@ class TestCFCompare:
     def test_report_serializes(self):
         rng = np.random.default_rng(7)
         samples = rng.standard_normal((1000, 2))
-        grid = ws.default_theta_grid(2)
+        grid = ws.ThetaGridSpec().build(2)
         rep = ws.cf_compare(samples, np.exp(-0.5 * np.sum(grid**2, axis=1)), grid)
         d = rep.to_dict()
         assert d["n_samples"] == 1000
@@ -228,5 +235,5 @@ class TestScenarioProcesses:
     def test_time1_ecf_modulus(self):
         T, X, _ = scenario_processes("finite_activity_C1")
         samples = ws.simulate_weak_at(T, X, 1.0, 2000, np.random.default_rng(16))
-        grid = ws.default_theta_grid(4)
+        grid = ws.ThetaGridSpec().build(4)
         assert np.all(np.abs(ws.ecf_grid(samples, grid)) <= 1 + 1e-12)
