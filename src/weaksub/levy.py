@@ -11,6 +11,7 @@ continuous part.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -230,10 +231,15 @@ def poisson_scatter(counts: Array, values: Array) -> Array:
     """Compound sums: row i of the result is the sum of the counts[i]
     consecutive rows of `values` that follow those of rows 0..i-1, so
     values has counts.sum() rows. Shape (len(counts),) + values.shape[1:].
+    One np.bincount per column adds each window's values in order from
+    0.0, so the sums equal a scatter-add into zeros bit for bit.
     """
-    out = np.zeros((counts.shape[0],) + values.shape[1:])
-    np.add.at(out, np.repeat(np.arange(counts.shape[0]), counts), values)
-    return out
+    index = np.repeat(np.arange(len(counts)), counts)
+    columns = values.reshape(len(values), math.prod(values.shape[1:]))
+    out = np.empty((len(counts), columns.shape[1]))
+    for j in range(columns.shape[1]):
+        out[:, j] = np.bincount(index, weights=columns[:, j], minlength=len(counts))
+    return out.reshape(out.shape[:1] + values.shape[1:])
 
 
 def poisson_counts(mean, size: int, rng: np.random.Generator) -> Array:

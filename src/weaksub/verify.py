@@ -43,8 +43,9 @@ def ecf_grid(samples, theta) -> Array:
     shape (..., d): the mean of exp(i <theta, x>) over the samples,
     shape (...).
 
-    The phases <theta, x> are formed as reals before the complex
-    exponential, and summed over blocks of samples: TIME_T_CHUNK rows
+    The phases <theta, x> are formed as reals; their cosines and sines
+    are summed into two real totals, bit for bit the sum of the complex
+    exponential. The sums run over blocks of samples: TIME_T_CHUNK rows
     for at most 16 frequencies, fewer beyond, so a block holds at most
     16 x TIME_T_CHUNK phases. A phase beyond the floating-point range
     leaves the ECF not finite, which is a LevySpecError.
@@ -59,11 +60,13 @@ def ecf_grid(samples, theta) -> Array:
         raise LevySpecError("empirical CF of an empty sample")
     grid = theta.reshape(-1, samples.shape[1])
     rows = max(1, 16 * TIME_T_CHUNK // max(16, grid.shape[0]))
-    total = np.zeros(grid.shape[0], dtype=complex)
+    re, im = np.zeros(grid.shape[0]), np.zeros(grid.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, rows):
             phase = samples[start : start + rows] @ grid.T
-            total += np.exp(1j * phase).sum(axis=0)
+            re += np.cos(phase).sum(axis=0)
+            im += np.sin(phase).sum(axis=0)
+    total = re + 1j * im
     bad = ~np.isfinite(total)
     if np.any(bad):
         raise LevySpecError(f"the empirical CF is not finite at {bad.sum()} of "

@@ -100,6 +100,42 @@ class TestPoissonDraws:
             X.sample(np.ones(10), np.random.default_rng(4))
 
 
+def add_at_scatter(counts, values):
+    """The compound sum by np.add.at: the reference poisson_scatter must
+    equal bit for bit."""
+    out = np.zeros((counts.shape[0],) + values.shape[1:])
+    np.add.at(out, np.repeat(np.arange(counts.shape[0]), counts), values)
+    return out
+
+
+class TestPoissonScatter:
+    @pytest.mark.parametrize("tail", [(), (2,), (3, 4)])
+    def test_equals_add_at_bit_for_bit(self, tail):
+        rng = np.random.default_rng(31)
+        counts = rng.poisson(1.5, 500)
+        values = rng.standard_normal((counts.sum(),) + tail)
+        out = poisson_scatter(counts, values)
+        assert out.shape == (500,) + tail
+        assert out.tobytes() == add_at_scatter(counts, values).tobytes()
+
+    @pytest.mark.parametrize("counts,values", [
+        # zero-jump batches draw (0, n) values: the reshape must not need -1
+        (np.zeros(4, dtype=int), np.zeros((0, 2))),
+        (np.zeros(0, dtype=int), np.zeros(0)),
+        (np.zeros(0, dtype=int), np.zeros((0, 3))),
+        # a window of -0.0 sums to 0.0, as adding to 0.0 does
+        (np.array([2, 0, 1]), np.array([-0.0, -0.0, -0.0])),
+        # prm scatters log(means), and a mean can be 0
+        (np.array([1, 2, 0, 1]), np.array([-np.inf, -np.inf, 1.0, 2.0])),
+        (np.array([1, 1]), np.array([[-np.inf, -0.0], [np.inf, 3.0]])),
+    ])
+    def test_edge_cases_equal_add_at(self, counts, values):
+        out = poisson_scatter(counts, values)
+        reference = add_at_scatter(counts, values)
+        assert out.shape == reference.shape
+        assert out.tobytes() == reference.tobytes()
+
+
 class TestKacStack:
     def test_two_standard_bms(self):
         stack = ws.IndependentStack([ws.BrownianMotion([0.0], [[1.0]])

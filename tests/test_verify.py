@@ -39,8 +39,23 @@ class TestECF:
         with pytest.raises(ws.LevySpecError):
             ws.ecf_grid(np.zeros((0, 2)), [1, 1])
 
+    @pytest.mark.parametrize("points", [16, 64])
+    def test_equals_blocked_complex_exponential_bit_for_bit(self, points):
+        # 16 points sum blocks of TIME_T_CHUNK rows, 64 points blocks of a
+        # quarter of that; 20 000 rows span more than one block either way
+        rng = np.random.default_rng(23)
+        samples = 3.0 * rng.standard_normal((20_000, 4))
+        grid = rng.standard_normal((points, 4))
+        rows = 16 * verify.TIME_T_CHUNK // points
+        total = np.zeros(points, dtype=complex)
+        for start in range(0, len(samples), rows):
+            total += np.exp(1j * (samples[start : start + rows] @ grid.T)).sum(axis=0)
+        reference = total / len(samples)
+        assert ws.ecf_grid(samples, grid).tobytes() == reference.tobytes()
+
     def test_overflowing_phase_rejected(self):
-        # <theta, x> = 2e308 - 1e308 overflows to inf, and exp(i inf) is NaN
+        # <theta, x> = 2e308 - 1e308 overflows to inf, and cos(inf) and
+        # sin(inf) are NaN
         samples = np.array([[2.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ws.LevySpecError, match="not finite at 1 of 2"):
             ws.ecf_grid(samples, [[1e308, -1e308], [0.1, 0.1]])
