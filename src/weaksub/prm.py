@@ -6,7 +6,7 @@ point sets, to be compared with exp(-integral of (1 - e^{-f}) against
 the intensity) computed by the caller; for a constant f = c on a window
 of rate r and length h that is exp(-r h (1 - e^{-c})).
 `marked_laplace_check` estimates the Laplace functional of the
-weak-subordination jump point process by two Monte Carlo routes.
+weak-subordination jump point process by two such estimates.
 """
 from __future__ import annotations
 
@@ -61,19 +61,6 @@ def _mean_se(vals: Array) -> tuple[float, float]:
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
 
 
-def _windows(rate: float, marks, horizon: float, size: int,
-             rng: np.random.Generator, g) -> tuple[Array, Array]:
-    """`size` independent windows (0, horizon] of a Poisson process of
-    rate `rate` with i.i.d. marks: the point count of each, Poisson(rate
-    * horizon), and g(times, marks) over all points, window 0's first,
-    for the times (i.i.d. uniform, unsorted) and marks
-    (`marks.sample(rng, k)`) of the points. g is called as soon as the
-    points are drawn, so it may draw from rng too."""
-    counts = poisson_counts(rate * horizon, size, rng)
-    k = int(counts.sum())
-    return counts, g(rng.uniform(0.0, horizon, size=k), marks.sample(rng, k))
-
-
 def laplace_functional_mc(rate: float, marks, horizon: float, f, reps: int,
                           rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo mean of the product of e^{-f} over the points of
@@ -81,16 +68,37 @@ def laplace_functional_mc(rate: float, marks, horizon: float, f, reps: int,
     and marks i.i.d.; returns (estimate, standard error).
 
     `marks.sample(rng, k)` draws k marks, and `f.evaluate(times, marks)`
-    maps k times and their marks to k nonnegative values.
+    maps k times and their marks to k nonnegative values. It runs after
+    all counts, times and marks are drawn, so it may draw from rng.
     """
     _check_window(horizon, reps)  # poisson_counts checks rate x horizon
-    sums = poisson_scatter(*_windows(rate, marks, horizon, reps, rng, f.evaluate))
-    return _mean_se(np.exp(-sums))
+    counts = poisson_counts(rate * horizon, reps, rng)
+    k = int(counts.sum())
+    values = f.evaluate(rng.uniform(0.0, horizon, size=k), marks.sample(rng, k))
+    return _mean_se(np.exp(-poisson_scatter(counts, values)))
 
 
 # ---------------------------------------------------------------------------
 # Marked-point-process identity for weak subordination
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _MarkAverage:
+    """-log of the mean of e^{-f(time, jump, mark)} over k marks per point,
+    drawn from the law of X at its jump in one call; f runs once per mark."""
+
+    f: object
+    X: LevyLaw
+    k: int
+    rng: np.random.Generator
+
+    def evaluate(self, times, jumps):
+        times, jumps = np.repeat(times, self.k), np.repeat(jumps, self.k, axis=0)
+        marks = sample_subordinate_at(self.X, jumps, self.rng)
+        values = np.array([self.f(*p) for p in zip(times, jumps, marks)], dtype=float)
+        with np.errstate(divide="ignore"):  # a zero mean makes the product 0
+            return -np.log(np.exp(-values).reshape(-1, self.k).mean(axis=1))
 
 
 @dataclass
@@ -112,39 +120,20 @@ def marked_laplace_check(T: SubordinatorSpec, X: LevyLaw, f, horizon: float,
                          reps: int, rng: np.random.Generator,
                          inner: int = 32) -> MarkedCheckResult:
     """Two Monte Carlo routes to the Laplace functional of the weak-
-    subordination jump point process.
-
-    Left: simulate the marked process directly, mark at each subordinator
-    jump of size t drawn from the law of X(t), average the product of
-    e^{-f(time, jump, mark)}. Right: simulate the subordinator jumps only
-    and integrate out each mark with a fresh inner Monte Carlo sample
-    from the same kernel; the product of per-point inner means stays
-    unbiased because marks are conditionally independent given the jumps.
-
-    f is called as f(time, jump_vector, mark_vector) -> nonnegative float,
-    once per point; vectorized over leading axes is not required. Each
-    side draws the jumps of all `reps` windows at once and all their
-    marks in one `sample_subordinate_at` call. T's jumps must be atomic:
-    gamma rays have no single jump times (LevySpecError).
+    subordination jump point process, each a `laplace_functional_mc`
+    estimate over T's jumps, which must be atomic (gamma rays have no
+    single jump times). Left: mark each jump of size t with one draw from
+    the law of X(t). Right: replace each point's e^{-f} by its mean over
+    `inner` (an integer >= 1) fresh marks from the same kernel; this is
+    unbiased as marks are conditionally independent given the jumps. f is
+    called as f(time, jump_vector, mark_vector) -> nonnegative float, once
+    per mark.
     """
-    _check_window(horizon, reps)
+    if not (isinstance(inner, (int, np.integer)) and inner >= 1):
+        raise LevySpecError(f"inner must be an integer >= 1, not {inner!r}")
     if not isinstance(T.jumps, AtomicJumps):
         raise LevySpecError("single jump times need an atomic jump measure")
-
-    def f_at(times, jumps):  # f at each point, marked by X at its jump
-        marks = sample_subordinate_at(X, jumps, rng)
-        return np.array([f(s, jump, mark) for s, jump, mark
-                         in zip(times, jumps, marks)], dtype=float)
-
-    def inner_means(times, jumps):
-        values = np.exp(-f_at(np.repeat(times, inner), np.repeat(jumps, inner, axis=0)))
-        return values.reshape(-1, inner).mean(axis=1)
-
-    sums = poisson_scatter(*_windows(T.jumps.total_mass, T.jumps, horizon, reps,
-                                     rng, f_at))
-    lhs = _mean_se(np.exp(-sums))
-    counts, means = _windows(T.jumps.total_mass, T.jumps, horizon, reps, rng,
-                             inner_means)
-    with np.errstate(divide="ignore"):  # a zero mean makes the product 0
-        rhs = _mean_se(np.exp(poisson_scatter(counts, np.log(means))))
+    lhs, rhs = (laplace_functional_mc(T.jumps.total_mass, T.jumps, horizon,
+                                      _MarkAverage(f, X, k, rng), reps, rng)
+                for k in (1, inner))
     return MarkedCheckResult(*lhs, *rhs)

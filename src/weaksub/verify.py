@@ -77,7 +77,14 @@ def ecf_grid(samples, theta) -> Array:
 
 def clt_bound(n: int, k: float = DEFAULT_K) -> float:
     """Comparison tolerance k * sqrt(2/n) for |ECF - CF|."""
-    return k * np.sqrt(2.0 / n)
+    return _clt_width(k, n)
+
+
+def _clt_width(k: float, *sizes: int) -> float:
+    """k * sqrt(sum of 2/n over the sample sizes); k must be finite and > 0."""
+    if not 0 < k < np.inf:
+        raise LevySpecError(f"the CLT width k must be finite and > 0, not {k!r}")
+    return k * np.sqrt(sum(2.0 / n for n in sizes))
 
 
 @dataclass(frozen=True)
@@ -93,11 +100,13 @@ class ThetaGridSpec:
 
     def build(self, dim: int) -> Array:
         if self.points is None:
+            if not 0 < self.scale < np.inf:
+                raise LevySpecError("theta grid scale must be finite and > 0")
             grid_rng = np.random.default_rng(self.grid_seed)
             return self.scale * grid_rng.standard_normal((self.size, dim))
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != dim:
-            raise LevySpecError(f"theta grid points must have {dim} columns")
+        if pts.ndim != 2 or pts.shape[1] != dim or not np.all(np.isfinite(pts)):
+            raise LevySpecError(f"theta grid points must be finite, in {dim} columns")
         return pts
 
 
@@ -205,9 +214,8 @@ def _sample_ecf(samples, theta_grid: Array) -> tuple[Array, int]:
 
 def _two_sample_report(theta_grid, emp_a, na: int, emp_b, nb: int,
                        k: float) -> ECFReport:
-    bound = k * np.sqrt(2.0 / na + 2.0 / nb)
-    return ECFReport(theta_grid, emp_a, emp_b, np.full(len(theta_grid), bound),
-                     min(na, nb), k)
+    return ECFReport(theta_grid, emp_a, emp_b,
+                     np.full(len(theta_grid), _clt_width(k, na, nb)), min(na, nb), k)
 
 
 def ecf_two_sample_compare(samples_a, samples_b, theta_grid,
@@ -344,6 +352,7 @@ def equality_in_law_suite(name: str, rng: np.random.Generator,
     X = record.X if X is None else X
     n = T.dim
     grid = theta_grid.build(2 * n)
+    _clt_width(k)  # checks k before any simulation
 
     target = np.exp(grid_exponent(T, X, grid))
     strong_samples = simulate_strong_at(T, X, 1.0, n_paths, rng)

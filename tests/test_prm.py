@@ -127,14 +127,18 @@ class TestMarkedLaplaceCheck:
             rng=np.random.default_rng(12), inner=2)
         assert (result.lhs, result.lhs_se, result.rhs, result.rhs_se) == (0, 0, 0, 0)
 
-    @pytest.mark.parametrize("horizon,reps", [(0.0, 100), (-1.0, 100),
-                                              (np.inf, 100), (1.0, 1)])
-    def test_bad_arguments_raise(self, horizon, reps):
+    @pytest.mark.parametrize(
+        "horizon,reps,inner",
+        [(0.0, 100, 32), (-1.0, 100, 32), (np.inf, 100, 32), (1.0, 1, 32),
+         (1.0, 100, 0), (1.0, 100, -1), (1.0, 100, 2.5)],
+        ids=["0.0-100", "-1.0-100", "inf-100", "1.0-1",
+             "inner_0", "inner_-1", "inner_2.5"])
+    def test_bad_arguments_raise(self, horizon, reps, inner):
         T = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1, 1]], [1.0]))
         with pytest.raises(ws.LevySpecError):
             ws.marked_laplace_check(T, correlated_bm(), lambda *a: 0.0,
                                     horizon=horizon, reps=reps,
-                                    rng=np.random.default_rng(0))
+                                    rng=np.random.default_rng(0), inner=inner)
 
     def test_jump_rate_beyond_poisson_sampler_raises(self):
         T = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1, 1]], [1e300]))

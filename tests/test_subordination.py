@@ -5,7 +5,6 @@ import pytest
 
 import weaksub as ws
 from weaksub import subordination
-from weaksub.prm import _windows
 from weaksub.subordination import TIME_T_CHUNK, _batch_rows, expected_jumps
 from weaksub.verify import scenario_processes
 
@@ -221,10 +220,10 @@ class TestSimulateSubordinator:
                               np.tile([[2.0, 0.0], [5.0, 0.0]], (3, 1, 1)))
 
     def test_poisson_jump_count(self):
+        # unit jumps, no drift: T(10) counts the jumps in (0, 10]
         T = ws.SubordinatorSpec(np.zeros(1), ws.AtomicJumps([[1.0]], [1.0]))
         reps = 10**4
-        counts, _ = _windows(T.jumps.total_mass, T.jumps, 10.0, reps,
-                             np.random.default_rng(1), lambda s, x: s)
+        counts = t_at(T, [10.0], reps, np.random.default_rng(1))[:, 0, 0]
         assert abs(np.mean(counts) - 10.0) <= 4 * np.sqrt(10) / np.sqrt(reps)
 
     def test_nondecreasing_path(self):
@@ -250,13 +249,12 @@ class TestSimulateSubordinator:
                 t_at(T, bad, 10, np.random.default_rng(2))
 
     def test_disjoint_window_counts_uncorrelated(self):
+        # unit jumps: the counts in (0, 0.5] and (0.5, 1] are T(0.5) and
+        # T(1) - T(0.5)
         T = ws.SubordinatorSpec(np.zeros(1), ws.AtomicJumps([[1.0]], [3.0]))
         reps = 10**4
-        counts, times = _windows(T.jumps.total_mass, T.jumps, 1.0, reps,
-                                 np.random.default_rng(3), lambda s, x: s)
-        window = np.repeat(np.arange(reps), counts)
-        a = np.bincount(window[times <= 0.5], minlength=reps)
-        b = np.bincount(window[times > 0.5], minlength=reps)
+        vals = t_at(T, [0.5, 1.0], reps, np.random.default_rng(3))[..., 0]
+        a, b = vals[:, 0], vals[:, 1] - vals[:, 0]
         prod = (a - a.mean()) * (b - b.mean())
         corr = prod.mean() / (a.std() * b.std())
         corr_se = prod.std(ddof=1) / (a.std() * b.std()) / np.sqrt(reps)

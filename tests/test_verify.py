@@ -178,6 +178,49 @@ class TestCFCompare:
         assert isinstance(rep.summary(), str)
 
 
+class TestCLTWidth:
+    @pytest.mark.parametrize("k", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("call", ["clt_bound", "cf_compare", "two_sample",
+                                      "suite"])
+    def test_bad_k_rejected(self, monkeypatch, call, k):
+        samples = np.random.default_rng(8).standard_normal((1000, 2))
+        grid = ws.ThetaGridSpec().build(2)
+
+        def no_simulation(*args):
+            raise AssertionError("the suite simulated before checking k")
+
+        monkeypatch.setattr(verify, "simulate_strong_at", no_simulation)
+        with pytest.raises(ws.LevySpecError, match="CLT width k"):
+            if call == "clt_bound":
+                ws.clt_bound(200, k)
+            elif call == "cf_compare":
+                ws.cf_compare(samples, np.ones(len(grid)), grid, k)
+            elif call == "two_sample":
+                ws.ecf_two_sample_compare(samples, samples, grid, k)
+            else:
+                equality_in_law_suite("deterministic", np.random.default_rng(0),
+                                      n_paths=1000, k=k)
+
+
+class TestThetaGridSpec:
+    @pytest.mark.parametrize("points", [[[np.nan] * 4], [[0.0, np.inf, 0.0, 1.0]],
+                                        [[0.5] * 4, [0.0, 0.0, -np.inf, 0.0]]])
+    def test_non_finite_points_rejected(self, points):
+        with pytest.raises(ws.LevySpecError, match="points must be finite"):
+            ws.ThetaGridSpec(points=points).build(4)
+
+    @pytest.mark.parametrize("scale", [0.0, -0.5, np.nan, np.inf])
+    def test_bad_scale_rejected(self, scale):
+        with pytest.raises(ws.LevySpecError, match="scale"):
+            ws.ThetaGridSpec(scale=scale).build(4)
+
+    def test_suite_names_a_non_finite_grid(self):
+        grid = ws.ThetaGridSpec(points=[[np.nan] * 4])
+        with pytest.raises(ws.LevySpecError, match="points must be finite"):
+            equality_in_law_suite("deterministic", np.random.default_rng(0),
+                                  n_paths=1000, theta_grid=grid)
+
+
 class TestEqualityInLawSuite:
     # reduced N here; the full acceptance runs live in test_acceptance.py
 
