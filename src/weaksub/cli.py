@@ -63,7 +63,7 @@ MAX_ROWS = 10_000_000
 # sampling at 68 ns per jump on a 2-vCPU Xeon.
 MAX_RUN_JUMPS = 10**9
 # Largest ECF terms of a verify run, 2 x replicates x theta grid points:
-# 30-65 s at the 55-130 ns per term ecf_grid takes on a 2-vCPU Xeon.
+# 15-25 s at the 31-47 ns per term ecf_grid takes on a 2-vCPU Xeon.
 MAX_ECF_TERMS = 5 * 10**8
 # Most theta grid points of a verify run: writing report.json takes about
 # 9 KB of memory per point (134 MB peak RSS at 10 000 points, 978 MB at

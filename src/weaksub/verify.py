@@ -31,6 +31,7 @@ Array = np.ndarray
 DEFAULT_K = 4.0
 DEFAULT_N_PATHS = 100_000  # samples per suite run, strong and weak each
 EXACT_CHECK_THETAS = 100  # A3: frequencies of the stacked closed-form check
+PHASE_PRODUCT = 2**16  # multiply-adds per ECF phase product: OpenBLAS stays on one thread
 
 
 # ---------------------------------------------------------------------------
@@ -40,15 +41,14 @@ EXACT_CHECK_THETAS = 100  # A3: frequencies of the stacked closed-form check
 
 def ecf_grid(samples, theta) -> Array:
     """Empirical CF of samples, shape (N, d), at the frequencies theta,
-    shape (..., d): the mean of exp(i <theta, x>) over the samples,
-    shape (...).
+    shape (..., d): the mean of exp(i <theta, x>) over the samples, shape (...).
 
-    The phases <theta, x> are formed as reals; their cosines and sines
-    are summed into two real totals, bit for bit the sum of the complex
-    exponential. The sums run over blocks of samples: TIME_T_CHUNK rows
-    for at most 16 frequencies, fewer beyond, so a block holds at most
-    16 x TIME_T_CHUNK phases. A phase beyond the floating-point range
-    leaves the ECF not finite, which is a LevySpecError.
+    Cosines and sines of the real phases <theta, x> are summed (bit for bit
+    the complex exponential) over blocks of TIME_T_CHUNK samples for at most
+    16 frequencies, fewer beyond. Phases are formed in row sub-blocks of at
+    most PHASE_PRODUCT multiply-adds, which OpenBLAS runs on the calling
+    thread; on the default grid they are bit for bit one product per block.
+    A phase beyond the floating-point range is a LevySpecError.
     """
     samples = np.asarray(samples, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -60,10 +60,15 @@ def ecf_grid(samples, theta) -> Array:
         raise LevySpecError("empirical CF of an empty sample")
     grid = theta.reshape(-1, samples.shape[1])
     rows = max(1, 16 * TIME_T_CHUNK // max(16, grid.shape[0]))
+    sub = max(2, PHASE_PRODUCT // max(1, grid.size))
+    buffer = np.empty((min(rows, n), grid.shape[0]))
     re, im = np.zeros(grid.shape[0]), np.zeros(grid.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, rows):
-            phase = samples[start : start + rows] @ grid.T
+            phase = buffer[: min(rows, n - start)]
+            cuts = [0, *range(sub, len(phase) - 1, sub), len(phase)]  # no 1-row tail
+            for a, b in zip(cuts, cuts[1:]):
+                np.matmul(samples[start + a : start + b], grid.T, out=phase[a:b])
             re += np.cos(phase).sum(axis=0)
             im += np.sin(phase).sum(axis=0)
     total = re + 1j * im
@@ -81,9 +86,10 @@ def clt_bound(n: int, k: float = DEFAULT_K) -> float:
 
 
 def _clt_width(k: float, *sizes: int) -> float:
-    """k * sqrt(sum of 2/n over the sample sizes); k must be finite and > 0."""
-    if not 0 < k < np.inf:
-        raise LevySpecError(f"the CLT width k must be finite and > 0, not {k!r}")
+    """k * sqrt(sum of 2/n over the sample sizes), for k finite > 0 and sizes >= 1."""
+    if not (0 < k < np.inf and min(sizes, default=1) >= 1):
+        raise LevySpecError(f"the CLT width k must be finite and > 0, and each sample "
+                            f"size >= 1, not k = {k!r} and sizes {sizes}")
     return k * np.sqrt(sum(2.0 / n for n in sizes))
 
 
@@ -100,8 +106,10 @@ class ThetaGridSpec:
 
     def build(self, dim: int) -> Array:
         if self.points is None:
-            if not 0 < self.scale < np.inf:
-                raise LevySpecError("theta grid scale must be finite and > 0")
+            if not (isinstance(self.size, (int, np.integer)) and self.size >= 1
+                    and 0 < self.scale < np.inf):
+                raise LevySpecError("theta grid size must be an integer >= 1 and "
+                                    "scale finite and > 0")
             grid_rng = np.random.default_rng(self.grid_seed)
             return self.scale * grid_rng.standard_normal((self.size, dim))
         pts = np.asarray(self.points, dtype=float)
@@ -352,6 +360,8 @@ def equality_in_law_suite(name: str, rng: np.random.Generator,
     X = record.X if X is None else X
     n = T.dim
     grid = theta_grid.build(2 * n)
+    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 100):
+        raise LevySpecError(f"n_paths must be an integer >= 100, not {n_paths!r}")
     _clt_width(k)  # checks k before any simulation
 
     target = np.exp(grid_exponent(T, X, grid))

@@ -40,12 +40,18 @@ class TestECF:
             ws.ecf_grid(np.zeros((0, 2)), [1, 1])
 
     @pytest.mark.parametrize("points", [16, 64])
-    def test_equals_blocked_complex_exponential_bit_for_bit(self, points):
+    @pytest.mark.parametrize("n", [20_000, 9217, 1025])
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_equals_blocked_complex_exponential_bit_for_bit(self, d, n, points):
         # 16 points sum blocks of TIME_T_CHUNK rows, 64 points blocks of a
-        # quarter of that; 20 000 rows span more than one block either way
+        # quarter of that; 20 000 and 9217 rows span more than one block
+        # either way. Phases are formed in sub-blocks of PHASE_PRODUCT
+        # multiply-adds (1024, 512, 256 or 128 rows here), and 1025 and
+        # 9217 rows leave a 1-row tail, which a 1-row product would round
+        # differently
         rng = np.random.default_rng(23)
-        samples = 3.0 * rng.standard_normal((20_000, 4))
-        grid = rng.standard_normal((points, 4))
+        samples = 3.0 * rng.standard_normal((n, d))
+        grid = rng.standard_normal((points, d))
         rows = 16 * verify.TIME_T_CHUNK // points
         total = np.zeros(points, dtype=complex)
         for start in range(0, len(samples), rows):
@@ -201,6 +207,21 @@ class TestCLTWidth:
                 equality_in_law_suite("deterministic", np.random.default_rng(0),
                                       n_paths=1000, k=k)
 
+    @pytest.mark.parametrize("call,n", [("clt_bound", 0), ("clt_bound", -3),
+                                        ("suite", -5), ("suite", 2.5), ("suite", 50)])
+    def test_bad_sample_size_rejected(self, monkeypatch, call, n):
+        def no_simulation(*args):
+            raise AssertionError("the suite simulated before checking n_paths")
+
+        monkeypatch.setattr(verify, "simulate_strong_at", no_simulation)
+        if call == "clt_bound":
+            with pytest.raises(ws.LevySpecError, match="each sample size >= 1"):
+                ws.clt_bound(n)
+        else:
+            with pytest.raises(ws.LevySpecError, match="n_paths must be an integer"):
+                equality_in_law_suite("deterministic", np.random.default_rng(0),
+                                      n_paths=n)
+
 
 class TestThetaGridSpec:
     @pytest.mark.parametrize("points", [[[np.nan] * 4], [[0.0, np.inf, 0.0, 1.0]],
@@ -213,6 +234,11 @@ class TestThetaGridSpec:
     def test_bad_scale_rejected(self, scale):
         with pytest.raises(ws.LevySpecError, match="scale"):
             ws.ThetaGridSpec(scale=scale).build(4)
+
+    @pytest.mark.parametrize("size", [0, -1, 2.5])
+    def test_bad_size_rejected(self, size):
+        with pytest.raises(ws.LevySpecError, match="size must be an integer >= 1"):
+            ws.ThetaGridSpec(size=size).build(4)
 
     def test_suite_names_a_non_finite_grid(self):
         grid = ws.ThetaGridSpec(points=[[np.nan] * 4])
