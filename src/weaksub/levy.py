@@ -128,7 +128,7 @@ class AtomicJumps(JumpMeasure):
             return self.points
         probs = self.rates / self.rates.sum()
         idx = rng.choice(len(self.rates), size=size, p=probs)
-        return self.points[idx]
+        return self.points.take(idx, axis=0)
 
     def __repr__(self):
         return f"AtomicJumps(points={self.points!r}, rates={self.rates!r})"
@@ -289,8 +289,9 @@ class BrownianMotion(LevyLaw):
 
     def sample(self, dt, rng):
         dt = _durations(dt)[:, None]
-        z = rng.standard_normal((len(dt), self.dim))
-        return dt * self.mu + np.sqrt(dt) * (z @ self._factor.T)
+        out = rng.standard_normal((len(dt), self.dim)) @ self._factor.T
+        out *= np.sqrt(dt)
+        return np.add(out, dt * self.mu, out=out)
 
     def __repr__(self):
         return f"BrownianMotion(mu={self.mu!r}, sigma={self.sigma!r})"

@@ -23,10 +23,10 @@ def _alive_gaps(t: np.ndarray):
     if not np.all((t >= 0) & (t < np.inf)):
         raise LevySpecError("time vector must be finite and coordinatewise >= 0")
     sorted_t = np.sort(t, axis=-1)
-    gaps = np.diff(sorted_t, axis=-1, prepend=0.0)
     for k in range(t.shape[-1]):
-        if np.count_nonzero(gaps[..., k]):
-            yield gaps[..., k], t >= sorted_t[..., k, None]
+        gap = sorted_t[..., k] - (sorted_t[..., k - 1] if k else 0.0)
+        if np.count_nonzero(gap):
+            yield gap, t >= sorted_t[..., k, None]
 
 
 def vector_time_exponent(psi: LevyLaw, t, theta):

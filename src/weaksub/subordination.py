@@ -171,7 +171,9 @@ def _draw_at(T: SubordinatorSpec, X: LevyLaw, times, size: int,
         with np.errstate(over="ignore", invalid="ignore"):
             counts, jumps = T.jumps.window_draws(np.tile(steps, k), rng)
             jump_sums = poisson_scatter(counts, jumps).reshape(k, m, n)
-            np.cumsum(jump_sums + np.outer(steps, T.d), axis=1, out=rows[..., :n])
+            np.add(jump_sums, np.outer(steps, T.d), out=rows[..., :n])
+            for j in range(1, m):  # np.cumsum's additions, in place
+                rows[:, j, :n] += rows[:, j - 1, :n]
             _finite(rows[..., :n])
             rows[..., n:] = draw_z(rows[..., :n], steps, counts, jumps)
         _finite(rows)
@@ -207,6 +209,9 @@ def simulate_weak_at(T: SubordinatorSpec, X: LevyLaw, times, size: int,
         z = poisson_scatter(counts, sample_subordinate_at(X, jumps, rng))
         if np.any(T.d > 0):
             z += sample_subordinate_at(X, np.tile(np.outer(steps, T.d), (k, 1)), rng)
-        return np.cumsum(z.reshape(k, m, n), axis=1)
+        z = z.reshape(k, m, n)
+        for j in range(1, m):  # np.cumsum's additions, in place
+            z[:, j] += z[:, j - 1]
+        return z
 
     return _draw_at(T, X, times, size, rng, draw_z)

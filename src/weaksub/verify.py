@@ -4,6 +4,8 @@ subordination against exact exponents.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +50,8 @@ def ecf_grid(samples, theta) -> Array:
     16 frequencies, fewer beyond. Phases are formed in row sub-blocks of at
     most PHASE_PRODUCT multiply-adds, which OpenBLAS runs on the calling
     thread; on the default grid they are bit for bit one product per block.
+    With two usable CPUs the cosine sum runs on a worker thread, joined before
+    return, and the sine sum on the calling thread: the same bits as on one.
     A phase beyond the floating-point range is a LevySpecError.
     """
     samples = np.asarray(samples, dtype=float)
@@ -61,16 +65,36 @@ def ecf_grid(samples, theta) -> Array:
     grid = theta.reshape(-1, samples.shape[1])
     rows = max(1, 16 * TIME_T_CHUNK // max(16, grid.shape[0]))
     sub = max(2, PHASE_PRODUCT // max(1, grid.size))
-    buffer = np.empty((min(rows, n), grid.shape[0]))
-    re, im = np.zeros(grid.shape[0]), np.zeros(grid.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, rows):
-            phase = buffer[: min(rows, n - start)]
-            cuts = [0, *range(sub, len(phase) - 1, sub), len(phase)]  # no 1-row tail
-            for a, b in zip(cuts, cuts[1:]):
-                np.matmul(samples[start + a : start + b], grid.T, out=phase[a:b])
-            re += np.cos(phase).sum(axis=0)
-            im += np.sin(phase).sum(axis=0)
+    buffers = np.empty((2, min(rows, n), grid.shape[0]))
+    re, im = sums = np.zeros((2, grid.shape[0]))
+    errors = []
+
+    def add(part: slice, trigs) -> None:  # sums[part] += the sums of trigs(phases)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for start in range(0, n, rows):
+                    block = buffers[part, : n - start]
+                    phase = block[0]  # trigs[0] overwrites it in place, so runs last
+                    # products of >= 2 rows: a 1-row product rounds differently
+                    cuts = [0, *range(sub, len(phase) - 1, sub), len(phase)]
+                    for a, b in zip(cuts, cuts[1:]):
+                        np.matmul(samples[start + a : start + b], grid.T, out=phase[a:b])
+                    for trig, out, acc in reversed([*zip(trigs, block, sums[part])]):
+                        acc += trig(phase, out=out).sum(axis=0)
+        except BaseException as exc:  # raised on the calling thread, after the join
+            errors.append(exc)
+
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if cpus < 2:
+        add(slice(0, 2), (np.cos, np.sin))
+    else:
+        worker = threading.Thread(target=add, args=(slice(0, 1), (np.cos,)))
+        worker.start()
+        add(slice(1, 2), (np.sin,))
+        worker.join()
+    if errors:
+        raise errors[0]
     total = re + 1j * im
     bad = ~np.isfinite(total)
     if np.any(bad):

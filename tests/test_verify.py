@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,32 @@ from weaksub.verify import (
     scenario_processes,
     scenario_record,
 )
+
+
+def _calling_thread_ecf(samples, grid):
+    """ecf_grid's sums on the calling thread, as formed before the cosines
+    moved to a worker: per summation block of 8192 rows (fewer beyond 16
+    points), phases in sub-blocks of at most 2**16 multiply-adds (a 1-row
+    tail folded into the one before), then the sums of their cosines and
+    sines. The sizes are literals, so a change to TIME_T_CHUNK or
+    PHASE_PRODUCT that moves the bits of a large grid fails here."""
+    n = len(samples)
+    rows = max(1, 16 * 8192 // max(16, grid.shape[0]))
+    sub = max(2, 2**16 // max(1, grid.size))
+    buffer = np.empty((min(rows, n), grid.shape[0]))
+    re, im = np.zeros(grid.shape[0]), np.zeros(grid.shape[0])
+    for start in range(0, n, rows):
+        phase = buffer[: min(rows, n - start)]
+        cuts = [0, *range(sub, len(phase) - 1, sub), len(phase)]
+        for a, b in zip(cuts, cuts[1:]):
+            np.matmul(samples[start + a : start + b], grid.T, out=phase[a:b])
+        re += np.cos(phase).sum(axis=0)
+        im += np.sin(phase).sum(axis=0)
+    return (re + 1j * im) / n
+
+
+def _usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
 
 
 class TestECF:
@@ -58,6 +87,49 @@ class TestECF:
             total += np.exp(1j * (samples[start : start + rows] @ grid.T)).sum(axis=0)
         reference = total / len(samples)
         assert ws.ecf_grid(samples, grid).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("points", [16, 300])
+    @pytest.mark.parametrize("n", [1, 1025, 9217, 60_000])
+    @pytest.mark.parametrize("d", [4, 40])
+    def test_two_threads_equal_calling_thread_bit_for_bit(self, d, n, points):
+        # the cosine sum runs on a worker thread when two CPUs are usable;
+        # each thread forms the same phase products as one thread did, so
+        # the bits hold beyond 192 points and 32 columns too, where
+        # OpenBLAS rounds a product by its row count
+        rng = np.random.default_rng(29)
+        samples = 3.0 * rng.standard_normal((n, d))
+        grid = rng.standard_normal((points, d))
+        reference = _calling_thread_ecf(samples, grid)
+        assert ws.ecf_grid(samples, grid).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("n", [1025, 60_000])
+    def test_one_cpu_starts_no_thread(self, monkeypatch, n):
+        rng = np.random.default_rng(31)
+        samples, grid = rng.standard_normal((n, 4)), rng.standard_normal((16, 4))
+        reference = _calling_thread_ecf(samples, grid)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("ecf_grid started a thread on one CPU")
+
+        _usable_cpus(monkeypatch, {0})
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        assert ws.ecf_grid(samples, grid).tobytes() == reference.tobytes()
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        raised_on = []
+
+        def failing_cos(phase, out):
+            raised_on.append(threading.current_thread())
+            raise FloatingPointError("cosine failed")
+
+        _usable_cpus(monkeypatch, {0, 1})
+        monkeypatch.setattr(np, "cos", failing_cos)
+        threads = threading.active_count()
+        rng = np.random.default_rng(37)
+        with pytest.raises(FloatingPointError, match="cosine failed"):
+            ws.ecf_grid(rng.standard_normal((20_000, 4)), rng.standard_normal((16, 4)))
+        assert raised_on and raised_on[0] is not threading.main_thread()
+        assert threading.active_count() == threads  # the worker was joined
 
     def test_overflowing_phase_rejected(self):
         # <theta, x> = 2e308 - 1e308 overflows to inf, and cos(inf) and
