@@ -50,8 +50,8 @@ def ecf_grid(samples, theta) -> Array:
     16 frequencies, fewer beyond. Phases are formed in row sub-blocks of at
     most PHASE_PRODUCT multiply-adds, which OpenBLAS runs on the calling
     thread; on the default grid they are bit for bit one product per block.
-    With two usable CPUs the cosine sum runs on a worker thread, joined before
-    return, and the sine sum on the calling thread: the same bits as on one.
+    Over more than one block and with two usable CPUs, a worker thread sums
+    the cosines and the calling thread the sines: the same bits as on one.
     A phase beyond the floating-point range is a LevySpecError.
     """
     samples = np.asarray(samples, dtype=float)
@@ -67,7 +67,7 @@ def ecf_grid(samples, theta) -> Array:
     sub = max(2, PHASE_PRODUCT // max(1, grid.size))
     buffers = np.empty((2, min(rows, n), grid.shape[0]))
     re, im = sums = np.zeros((2, grid.shape[0]))
-    errors = []
+    errors = {}
 
     def add(part: slice, trigs) -> None:  # sums[part] += the sums of trigs(phases)
         try:
@@ -82,19 +82,19 @@ def ecf_grid(samples, theta) -> Array:
                     for trig, out, acc in reversed([*zip(trigs, block, sums[part])]):
                         acc += trig(phase, out=out).sum(axis=0)
         except BaseException as exc:  # raised on the calling thread, after the join
-            errors.append(exc)
+            errors[part.start] = exc
 
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    if cpus < 2:
+    if cpus < 2 or n <= rows:  # one block: a thread would cost more than it saves
         add(slice(0, 2), (np.cos, np.sin))
     else:
         worker = threading.Thread(target=add, args=(slice(0, 1), (np.cos,)))
         worker.start()
         add(slice(1, 2), (np.sin,))
         worker.join()
-    if errors:
-        raise errors[0]
+    if errors:  # the calling thread's own error first
+        raise errors[max(errors)]
     total = re + 1j * im
     bad = ~np.isfinite(total)
     if np.any(bad):

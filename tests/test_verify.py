@@ -69,15 +69,16 @@ class TestECF:
             ws.ecf_grid(np.zeros((0, 2)), [1, 1])
 
     @pytest.mark.parametrize("points", [16, 64])
-    @pytest.mark.parametrize("n", [20_000, 9217, 1025])
+    @pytest.mark.parametrize("n", [20_000, 9217, 1025, 1, 60_000])
     @pytest.mark.parametrize("d", [4, 8])
     def test_equals_blocked_complex_exponential_bit_for_bit(self, d, n, points):
         # 16 points sum blocks of TIME_T_CHUNK rows, 64 points blocks of a
-        # quarter of that; 20 000 and 9217 rows span more than one block
-        # either way. Phases are formed in sub-blocks of PHASE_PRODUCT
-        # multiply-adds (1024, 512, 256 or 128 rows here), and 1025 and
-        # 9217 rows leave a 1-row tail, which a 1-row product would round
-        # differently
+        # quarter of that; 20 000, 9217 and 60 000 rows span more than one
+        # block either way, so with two CPUs a worker sums the cosines.
+        # Phases are formed in sub-blocks of PHASE_PRODUCT multiply-adds
+        # (1024, 512, 256 or 128 rows here), and 1025 and 9217 rows leave a
+        # 1-row tail, which a 1-row product would round differently; 1 row
+        # is a 1-row product on both sides
         rng = np.random.default_rng(23)
         samples = 3.0 * rng.standard_normal((n, d))
         grid = rng.standard_normal((points, d))
@@ -88,47 +89,57 @@ class TestECF:
         reference = total / len(samples)
         assert ws.ecf_grid(samples, grid).tobytes() == reference.tobytes()
 
-    @pytest.mark.parametrize("points", [16, 300])
+    @pytest.mark.parametrize("d, points", [(40, 16), (4, 300), (40, 300)])
     @pytest.mark.parametrize("n", [1, 1025, 9217, 60_000])
-    @pytest.mark.parametrize("d", [4, 40])
-    def test_two_threads_equal_calling_thread_bit_for_bit(self, d, n, points):
-        # the cosine sum runs on a worker thread when two CPUs are usable;
-        # each thread forms the same phase products as one thread did, so
-        # the bits hold beyond 192 points and 32 columns too, where
-        # OpenBLAS rounds a product by its row count
+    def test_two_threads_equal_calling_thread_bit_for_bit(self, monkeypatch, d, n, points):
+        # the cosine sum runs on a worker thread when two CPUs are usable and
+        # the sums span more than one block; each thread forms the same phase
+        # products as one thread did, so the bits hold on the grids that
+        # test_equals_blocked_complex_exponential_bit_for_bit cannot pin:
+        # beyond 192 points and 32 columns OpenBLAS rounds a product by its
+        # row count, so one product per block is not the reference there
+        _usable_cpus(monkeypatch, {0, 1})
         rng = np.random.default_rng(29)
         samples = 3.0 * rng.standard_normal((n, d))
         grid = rng.standard_normal((points, d))
         reference = _calling_thread_ecf(samples, grid)
         assert ws.ecf_grid(samples, grid).tobytes() == reference.tobytes()
 
-    @pytest.mark.parametrize("n", [1025, 60_000])
-    def test_one_cpu_starts_no_thread(self, monkeypatch, n):
+    @pytest.mark.parametrize("cpus, n", [({0}, 1025), ({0}, 60_000), ({0, 1}, 1), ({0, 1}, 8192)])
+    def test_one_cpu_or_one_block_starts_no_thread(self, monkeypatch, cpus, n):
+        # 8192 rows at 16 points are one summation block
         rng = np.random.default_rng(31)
         samples, grid = rng.standard_normal((n, 4)), rng.standard_normal((16, 4))
         reference = _calling_thread_ecf(samples, grid)
 
         def no_thread(*args, **kwargs):
-            raise AssertionError("ecf_grid started a thread on one CPU")
+            raise AssertionError("ecf_grid started a thread")
 
-        _usable_cpus(monkeypatch, {0})
+        _usable_cpus(monkeypatch, cpus)
         monkeypatch.setattr(threading, "Thread", no_thread)
         assert ws.ecf_grid(samples, grid).tobytes() == reference.tobytes()
 
-    def test_worker_error_reaches_caller(self, monkeypatch):
-        raised_on = []
+    @pytest.mark.parametrize("failing, raised", [(("cos",), "cos"), (("cos", "sin"), "sin")])
+    def test_worker_error_reaches_caller(self, monkeypatch, failing, raised):
+        # the worker sums the cosines and the calling thread the sines; when
+        # both fail, the calling thread's own error is the one raised
+        raised_on = {}
 
-        def failing_cos(phase, out):
-            raised_on.append(threading.current_thread())
-            raise FloatingPointError("cosine failed")
+        def failing_trig(name):
+            def trig(phase, out):
+                raised_on[name] = threading.current_thread()
+                raise FloatingPointError(f"{name} failed")
+            return trig
 
         _usable_cpus(monkeypatch, {0, 1})
-        monkeypatch.setattr(np, "cos", failing_cos)
+        for name in failing:
+            monkeypatch.setattr(np, name, failing_trig(name))
         threads = threading.active_count()
         rng = np.random.default_rng(37)
-        with pytest.raises(FloatingPointError, match="cosine failed"):
+        with pytest.raises(FloatingPointError, match=f"{raised} failed"):
             ws.ecf_grid(rng.standard_normal((20_000, 4)), rng.standard_normal((16, 4)))
-        assert raised_on and raised_on[0] is not threading.main_thread()
+        assert raised_on["cos"] is not threading.main_thread()
+        assert raised_on.get("sin", threading.main_thread()) is threading.main_thread()
         assert threading.active_count() == threads  # the worker was joined
 
     def test_overflowing_phase_rejected(self):
