@@ -171,10 +171,10 @@ def _numbers(value, ndim: int, errors: list[str], where: str) -> np.ndarray | No
 
 def _parse_jumps(obj, errors, where) -> AtomicJumps | None:
     atoms = obj.get("atoms", [])
-    if not atoms:
-        return None
     if not isinstance(atoms, list):
         errors.append(f"{where}.atoms must be a list")
+        return None
+    if not atoms:
         return None
     points, rates = [], []
     for i, atom in enumerate(atoms):

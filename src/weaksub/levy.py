@@ -29,6 +29,13 @@ class LevySpecError(ValueError):
     """Raised when a process specification violates its invariants."""
 
 
+def _check_count(value, minimum: int, name: str) -> None:
+    """A LevySpecError unless `value` is an integer >= `minimum` (a bool is not)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise LevySpecError(f"{name} must be an integer >= {minimum}, not {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Jump measures
 # ---------------------------------------------------------------------------

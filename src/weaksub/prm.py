@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .levy import (AtomicJumps, LevyLaw, LevySpecError, SubordinatorSpec,
-                   poisson_counts, poisson_scatter)
+                   _check_count, poisson_counts, poisson_scatter)
 from .ordered_time import sample_subordinate_at
 
 Array = np.ndarray
@@ -53,8 +53,7 @@ class ConstantFunctional:
 def _check_window(horizon: float, reps: int) -> None:
     if not 0 < horizon < np.inf:
         raise LevySpecError("horizon must be positive and finite")
-    if reps < 2:
-        raise LevySpecError("reps must be at least 2 for a standard error")
+    _check_count(reps, 2, "reps")
 
 
 def _mean_se(vals: Array) -> tuple[float, float]:
@@ -129,8 +128,7 @@ def marked_laplace_check(T: SubordinatorSpec, X: LevyLaw, f, horizon: float,
     called as f(time, jump_vector, mark_vector) -> nonnegative float, once
     per mark.
     """
-    if not (isinstance(inner, (int, np.integer)) and inner >= 1):
-        raise LevySpecError(f"inner must be an integer >= 1, not {inner!r}")
+    _check_count(inner, 1, "inner")
     if not isinstance(T.jumps, AtomicJumps):
         raise LevySpecError("single jump times need an atomic jump measure")
     lhs, rhs = (laplace_functional_mc(T.jumps.total_mass, T.jumps, horizon,

@@ -16,6 +16,7 @@ from .levy import (
     Lift,
     LevySpecError,
     SubordinatorSpec,
+    _check_count,
     _theta_rows,
     laplace_exponent,
     poisson_scatter,
@@ -156,8 +157,9 @@ def _draw_at(T: SubordinatorSpec, X: LevyLaw, times, size: int,
     the step (Poisson(total mass x step) atoms, or one total per gamma
     ray), and T at the times is the cumulative sum; Z comes from
     draw_z(T, steps, jump count per row and step, jumps in row order).
-    A batch with a value beyond the floating-point range is a
-    LevySpecError."""
+    A `size` that is not an integer >= 0, or a batch with a value beyond
+    the floating-point range, is a LevySpecError."""
+    _check_count(size, 0, "size")
     t = np.atleast_1d(np.asarray(times, dtype=float))
     steps = np.diff(t, prepend=0.0)
     if t.ndim != 1 or not t.size or not np.all(steps > 0):

@@ -4,7 +4,6 @@ subordination against exact exponents.
 """
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 
@@ -17,6 +16,7 @@ from .levy import (
     LevyLaw,
     LevySpecError,
     SubordinatorSpec,
+    _check_count,
     pure_drift,
 )
 from .subordination import (
@@ -50,9 +50,9 @@ def ecf_grid(samples, theta) -> Array:
     16 frequencies, fewer beyond. Phases are formed in row sub-blocks of at
     most PHASE_PRODUCT multiply-adds, which OpenBLAS runs on the calling
     thread; on the default grid they are bit for bit one product per block.
-    Over more than one block and with two usable CPUs, a worker thread sums
-    the cosines and the calling thread the sines: the same bits as on one.
-    A phase beyond the floating-point range is a LevySpecError.
+    A worker thread sums the cosines and the calling thread the sines, each
+    forming its own phases. A phase beyond the floating-point range is a
+    LevySpecError.
     """
     samples = np.asarray(samples, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -69,30 +69,23 @@ def ecf_grid(samples, theta) -> Array:
     re, im = sums = np.zeros((2, grid.shape[0]))
     errors = {}
 
-    def add(part: slice, trigs) -> None:  # sums[part] += the sums of trigs(phases)
+    def add(i: int) -> None:  # sums[i] += the sums of (cos, sin)[i] of the phases
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 for start in range(0, n, rows):
-                    block = buffers[part, : n - start]
-                    phase = block[0]  # trigs[0] overwrites it in place, so runs last
+                    phase = buffers[i, : n - start]
                     # products of >= 2 rows: a 1-row product rounds differently
                     cuts = [0, *range(sub, len(phase) - 1, sub), len(phase)]
                     for a, b in zip(cuts, cuts[1:]):
                         np.matmul(samples[start + a : start + b], grid.T, out=phase[a:b])
-                    for trig, out, acc in reversed([*zip(trigs, block, sums[part])]):
-                        acc += trig(phase, out=out).sum(axis=0)
+                    sums[i] += (np.cos, np.sin)[i](phase, out=phase).sum(axis=0)
         except BaseException as exc:  # raised on the calling thread, after the join
-            errors[part.start] = exc
+            errors[i] = exc
 
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    if cpus < 2 or n <= rows:  # one block: a thread would cost more than it saves
-        add(slice(0, 2), (np.cos, np.sin))
-    else:
-        worker = threading.Thread(target=add, args=(slice(0, 1), (np.cos,)))
-        worker.start()
-        add(slice(1, 2), (np.sin,))
-        worker.join()
+    worker = threading.Thread(target=add, args=(0,))
+    worker.start()
+    add(1)
+    worker.join()
     if errors:  # the calling thread's own error first
         raise errors[max(errors)]
     total = re + 1j * im
@@ -104,13 +97,10 @@ def ecf_grid(samples, theta) -> Array:
     return (total / n).reshape(theta.shape[:-1])[()]
 
 
-def clt_bound(n: int, k: float = DEFAULT_K) -> float:
-    """Comparison tolerance k * sqrt(2/n) for |ECF - CF|."""
-    return _clt_width(k, n)
-
-
-def _clt_width(k: float, *sizes: int) -> float:
-    """k * sqrt(sum of 2/n over the sample sizes), for k finite > 0 and sizes >= 1."""
+def clt_bound(*sizes: int, k: float = DEFAULT_K) -> float:
+    """Comparison tolerance k * sqrt(sum of 2/n over the sample sizes): for
+    |ECF - CF| on one sample, for |ECF_a - ECF_b| on two. k must be finite
+    and > 0, and each size >= 1."""
     if not (0 < k < np.inf and min(sizes, default=1) >= 1):
         raise LevySpecError(f"the CLT width k must be finite and > 0, and each sample "
                             f"size >= 1, not k = {k!r} and sizes {sizes}")
@@ -130,10 +120,10 @@ class ThetaGridSpec:
 
     def build(self, dim: int) -> Array:
         if self.points is None:
-            if not (isinstance(self.size, (int, np.integer)) and self.size >= 1
-                    and 0 < self.scale < np.inf):
-                raise LevySpecError("theta grid size must be an integer >= 1 and "
-                                    "scale finite and > 0")
+            _check_count(self.size, 1, "theta grid size")
+            if not 0 < self.scale < np.inf:
+                raise LevySpecError(f"theta grid scale must be finite and > 0, "
+                                    f"not {self.scale!r}")
             grid_rng = np.random.default_rng(self.grid_seed)
             return self.scale * grid_rng.standard_normal((self.size, dim))
         pts = np.asarray(self.points, dtype=float)
@@ -225,7 +215,7 @@ def cf_compare(samples, target, theta_grid, k: float = DEFAULT_K) -> ECFReport:
     if target.shape != emp.shape:
         raise LevySpecError(f"target has shape {target.shape}, expected one "
                             f"value per grid point, {emp.shape}")
-    return ECFReport(theta_grid, emp, target, np.full(len(theta_grid), clt_bound(n, k)),
+    return ECFReport(theta_grid, emp, target, np.full(len(theta_grid), clt_bound(n, k=k)),
                      n, k)
 
 
@@ -244,18 +234,14 @@ def _sample_ecf(samples, theta_grid: Array) -> tuple[Array, int]:
     return ecf_grid(samples, theta_grid), samples.shape[0]
 
 
-def _two_sample_report(theta_grid, emp_a, na: int, emp_b, nb: int,
-                       k: float) -> ECFReport:
-    return ECFReport(theta_grid, emp_a, emp_b,
-                     np.full(len(theta_grid), _clt_width(k, na, nb)), min(na, nb), k)
-
-
 def ecf_two_sample_compare(samples_a, samples_b, theta_grid,
                            k: float = DEFAULT_K) -> ECFReport:
     """Compare the ECFs of two sample sets; bound k*sqrt(2/Na + 2/Nb)."""
     theta_grid = np.asarray(theta_grid, dtype=float)
-    return _two_sample_report(theta_grid, *_sample_ecf(samples_a, theta_grid),
-                              *_sample_ecf(samples_b, theta_grid), k)
+    emp_a, na = _sample_ecf(samples_a, theta_grid)
+    emp_b, nb = _sample_ecf(samples_b, theta_grid)
+    return ECFReport(theta_grid, emp_a, emp_b,
+                     np.full(len(theta_grid), clt_bound(na, nb, k=k)), min(na, nb), k)
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +370,16 @@ def equality_in_law_suite(name: str, rng: np.random.Generator,
     X = record.X if X is None else X
     n = T.dim
     grid = theta_grid.build(2 * n)
-    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 100):
-        raise LevySpecError(f"n_paths must be an integer >= 100, not {n_paths!r}")
-    _clt_width(k)  # checks k before any simulation
+    _check_count(n_paths, 100, "n_paths")
+    clt_bound(k=k)  # checks k before any simulation
 
     target = np.exp(grid_exponent(T, X, grid))
     strong_samples = simulate_strong_at(T, X, 1.0, n_paths, rng)
     weak_samples = simulate_weak_at(T, X, 1.0, n_paths, rng)
     strong_rep = cf_compare(strong_samples, target, grid, k)
     weak_rep = cf_compare(weak_samples, target, grid, k)
-    cross = _two_sample_report(grid, strong_rep.ecf, n_paths, weak_rep.ecf,
-                               n_paths, k)
+    cross = ECFReport(grid, strong_rep.ecf, weak_rep.ecf,
+                      np.full(len(grid), clt_bound(n_paths, n_paths, k=k)), n_paths, k)
 
     report = SuiteReport(scenario=name, n_paths=n_paths, strong=strong_rep,
                          weak=weak_rep, strong_vs_weak=cross,

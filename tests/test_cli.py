@@ -246,6 +246,21 @@ BAD_CONFIGS = {
         "family": "compound_poisson", "atoms": [{"point": [1.0, 0.0], "rate": 1e9}]}},
     # the exact exponent overflows on this grid
     "grid_scale_1e200": {**MINIMAL, "theta_grid": {"scale": 1e200}},
+    # atoms must be a list: only a missing key or [] means no atoms
+    **{f"atoms_{name}": {**MINIMAL, "subordinator": {"drift": [1, 1], "atoms": atoms}}
+       for name, atoms in [("0", 0), ("false", False), ("empty_text", ""),
+                           ("empty_object", {}), ("null", None), ("5", 5)]},
+    "sigma_ragged": {**MINIMAL, "subordinate": {
+        "family": "brownian", "mu": [0, 0], "sigma": [[1, 0], [0]]}},
+    # AtomicJumps and BrownianMotion reject these themselves
+    "rate_negative": {**MINIMAL, "subordinator": {
+        "drift": [0, 0], "atoms": [{"point": [1, 1], "rate": -1}]}},
+    "point_zero": {**MINIMAL, "subordinator": {
+        "drift": [0, 0], "atoms": [{"point": [0, 0], "rate": 1}]}},
+    "sigma_2x3": {**MINIMAL, "subordinate": {
+        "family": "brownian", "mu": [0, 0], "sigma": [[1, 0, 0], [0, 1, 0]]}},
+    "sigma_not_psd": {**MINIMAL, "subordinate": {
+        "family": "brownian", "mu": [0, 0], "sigma": [[1, 2], [2, 1]]}},
 }
 
 

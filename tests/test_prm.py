@@ -65,6 +65,8 @@ class TestCampbellIdentity:
         (-1.0, 1.0, 100), (np.nan, 1.0, 100), (np.inf, 1.0, 100),
         (2.0, 0.0, 100), (2.0, -1.0, 100), (2.0, np.inf, 100), (2.0, 1.0, 1),
         (2.0, 1.0, 0),
+        # reps that are not integers
+        (2.0, 1.0, 2.5), (2.0, 1.0, np.float64(3)), (2.0, 1.0, "5"),
         # rate x horizon beyond numpy's Poisson sampler; 1e12 expected points
         (1e300, 1e10, 100), (1e10, 1.0, 100),
     ])
@@ -130,9 +132,11 @@ class TestMarkedLaplaceCheck:
     @pytest.mark.parametrize(
         "horizon,reps,inner",
         [(0.0, 100, 32), (-1.0, 100, 32), (np.inf, 100, 32), (1.0, 1, 32),
-         (1.0, 100, 0), (1.0, 100, -1), (1.0, 100, 2.5)],
+         (1.0, 100, 0), (1.0, 100, -1), (1.0, 100, 2.5),
+         (1.0, 2.5, 32), (1.0, np.float64(3), 32), (1.0, "5", 32)],
         ids=["0.0-100", "-1.0-100", "inf-100", "1.0-1",
-             "inner_0", "inner_-1", "inner_2.5"])
+             "inner_0", "inner_-1", "inner_2.5",
+             "reps_2.5", "reps_float64", "reps_text"])
     def test_bad_arguments_raise(self, horizon, reps, inner):
         T = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1, 1]], [1.0]))
         with pytest.raises(ws.LevySpecError):

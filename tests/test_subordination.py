@@ -493,6 +493,14 @@ class TestTimeTSamplers:
         with pytest.raises(ws.LevySpecError):
             ws.simulate_strong_at(T, X, 0.0, 10, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("size", [-1, 2.5])
+    @pytest.mark.parametrize("kind", ["strong", "weak"])
+    def test_bad_size_rejected(self, kind, size):
+        T, X = TIME_T_CASES["finite_activity_C1"]
+        sample = {"strong": ws.simulate_strong_at, "weak": ws.simulate_weak_at}[kind]
+        with pytest.raises(ws.LevySpecError, match="size must be an integer >= 0"):
+            sample(T, X, 1.0, size, np.random.default_rng(0))
+
     @pytest.mark.parametrize("simulate", [
         lambda T, X, rng: ws.simulate_strong_at(T, X, 1.0, 200, rng),
         lambda T, X, rng: ws.simulate_weak_at(T, X, 1.0, 200, rng)],

@@ -1,4 +1,3 @@
-import os
 import threading
 
 import numpy as np
@@ -37,10 +36,6 @@ def _calling_thread_ecf(samples, grid):
     return (re + 1j * im) / n
 
 
-def _usable_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
-
-
 class TestECF:
     def test_constant_samples(self):
         samples = np.tile([1.0, 2.0], (500, 1))
@@ -74,8 +69,7 @@ class TestECF:
     def test_equals_blocked_complex_exponential_bit_for_bit(self, d, n, points):
         # 16 points sum blocks of TIME_T_CHUNK rows, 64 points blocks of a
         # quarter of that; 20 000, 9217 and 60 000 rows span more than one
-        # block either way, so with two CPUs a worker sums the cosines.
-        # Phases are formed in sub-blocks of PHASE_PRODUCT multiply-adds
+        # block either way. Phases are formed in sub-blocks of PHASE_PRODUCT multiply-adds
         # (1024, 512, 256 or 128 rows here), and 1025 and 9217 rows leave a
         # 1-row tail, which a 1-row product would round differently; 1 row
         # is a 1-row product on both sides
@@ -91,32 +85,17 @@ class TestECF:
 
     @pytest.mark.parametrize("d, points", [(40, 16), (4, 300), (40, 300)])
     @pytest.mark.parametrize("n", [1, 1025, 9217, 60_000])
-    def test_two_threads_equal_calling_thread_bit_for_bit(self, monkeypatch, d, n, points):
-        # the cosine sum runs on a worker thread when two CPUs are usable and
-        # the sums span more than one block; each thread forms the same phase
-        # products as one thread did, so the bits hold on the grids that
+    def test_two_threads_equal_calling_thread_bit_for_bit(self, d, n, points):
+        # the cosine sum runs on a worker thread and the sine sum on the
+        # calling thread; each forms the same phase products as one thread
+        # did, so the bits hold on the grids that
         # test_equals_blocked_complex_exponential_bit_for_bit cannot pin:
         # beyond 192 points and 32 columns OpenBLAS rounds a product by its
         # row count, so one product per block is not the reference there
-        _usable_cpus(monkeypatch, {0, 1})
         rng = np.random.default_rng(29)
         samples = 3.0 * rng.standard_normal((n, d))
         grid = rng.standard_normal((points, d))
         reference = _calling_thread_ecf(samples, grid)
-        assert ws.ecf_grid(samples, grid).tobytes() == reference.tobytes()
-
-    @pytest.mark.parametrize("cpus, n", [({0}, 1025), ({0}, 60_000), ({0, 1}, 1), ({0, 1}, 8192)])
-    def test_one_cpu_or_one_block_starts_no_thread(self, monkeypatch, cpus, n):
-        # 8192 rows at 16 points are one summation block
-        rng = np.random.default_rng(31)
-        samples, grid = rng.standard_normal((n, 4)), rng.standard_normal((16, 4))
-        reference = _calling_thread_ecf(samples, grid)
-
-        def no_thread(*args, **kwargs):
-            raise AssertionError("ecf_grid started a thread")
-
-        _usable_cpus(monkeypatch, cpus)
-        monkeypatch.setattr(threading, "Thread", no_thread)
         assert ws.ecf_grid(samples, grid).tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("failing, raised", [(("cos",), "cos"), (("cos", "sin"), "sin")])
@@ -131,7 +110,6 @@ class TestECF:
                 raise FloatingPointError(f"{name} failed")
             return trig
 
-        _usable_cpus(monkeypatch, {0, 1})
         for name in failing:
             monkeypatch.setattr(np, name, failing_trig(name))
         threads = threading.active_count()
@@ -281,7 +259,7 @@ class TestCLTWidth:
         monkeypatch.setattr(verify, "simulate_strong_at", no_simulation)
         with pytest.raises(ws.LevySpecError, match="CLT width k"):
             if call == "clt_bound":
-                ws.clt_bound(200, k)
+                ws.clt_bound(200, k=k)
             elif call == "cf_compare":
                 ws.cf_compare(samples, np.ones(len(grid)), grid, k)
             elif call == "two_sample":
