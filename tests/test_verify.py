@@ -69,10 +69,10 @@ class TestECF:
     def test_equals_blocked_complex_exponential_bit_for_bit(self, d, n, points):
         # 16 points sum blocks of TIME_T_CHUNK rows, 64 points blocks of a
         # quarter of that; 20 000, 9217 and 60 000 rows span more than one
-        # block either way. Phases are formed in sub-blocks of PHASE_PRODUCT multiply-adds
-        # (1024, 512, 256 or 128 rows here), and 1025 and 9217 rows leave a
-        # 1-row tail, which a 1-row product would round differently; 1 row
-        # is a 1-row product on both sides
+        # block either way. Phases are formed in sub-blocks of PHASE_PRODUCT
+        # multiply-adds (1024, 512, 256 or 128 rows here), and 1025 and 9217
+        # rows leave a 1-row tail, which a 1-row product would round
+        # differently; 1 row is a 1-row product on both sides
         rng = np.random.default_rng(23)
         samples = 3.0 * rng.standard_normal((n, d))
         grid = rng.standard_normal((points, d))
