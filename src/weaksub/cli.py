@@ -50,7 +50,7 @@ from .verify import (
     ThetaGridSpec,
     equality_in_law_suite,
     grid_exponent,
-    scenario_processes,
+    scenario_record,
 )
 
 PURPOSES = {"exponent": 0, "simulate": 1, "verify": 2}
@@ -110,9 +110,9 @@ class ExperimentConfig:
             if self.scenario is None:
                 raise ConfigError(["either a scenario or both subordinator "
                                    "and subordinate must be given"])
-            dT, dX, _ = scenario_processes(self.scenario)
-            T = dT if T is None else T
-            X = dX if X is None else X
+            record = scenario_record(self.scenario)
+            T = record.T if T is None else T
+            X = record.X if X is None else X
         return T, X
 
 

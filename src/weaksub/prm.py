@@ -17,6 +17,7 @@ import numpy as np
 from .levy import (AtomicJumps, LevyLaw, LevySpecError, SubordinatorSpec,
                    _check_count, poisson_counts, poisson_scatter)
 from .ordered_time import sample_subordinate_at
+from .verify import clt_bound
 
 Array = np.ndarray
 
@@ -112,6 +113,7 @@ class MarkedCheckResult:
         return float(np.sqrt(self.lhs_se**2 + self.rhs_se**2))
 
     def within(self, k: float = 4.0) -> bool:
+        clt_bound(k=k)  # a k that is not finite and > 0 is a LevySpecError
         return abs(self.lhs - self.rhs) <= k * self.combined_se
 
 

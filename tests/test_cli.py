@@ -428,7 +428,8 @@ class TestMain:
                      str(tmp_path / "out"), "--quiet"]) == code
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["passed"] is (code == 0)
-        assert report["negative_control_max_ratio"] is not None
+        assert report["strong_ecf"]["expect"] == "differ"
+        assert report["strong_ecf"]["met"] is (code == 0)
 
     def test_verify_rerun_report_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, {"seed": 9, "scenario": "stacked_C3",
@@ -620,8 +621,7 @@ class TestMain:
                      str(tmp_path / "out"), "--quiet"])
         assert code == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["passed"] and report["exact_exponent_max_diff"] is None
-        assert "exact exponent check skipped" in report["notes"][0]
+        assert report["passed"] and "exact_exponent" not in report
 
     def test_exponent_subcommand(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)

@@ -63,7 +63,7 @@ def test_every_command_runs_with_scipy_blocked(tmp_path):
     times = (tmp_path / "simulate_times" / "samples.csv").read_text().splitlines()
     assert len(times) == 4 and times[0].endswith(",Z_2@2")
     report = json.loads((tmp_path / "verify" / "report.json").read_text())
-    assert report["passed"] and report["exact_exponent_max_diff"] <= 1e-10
+    assert report["passed"] and report["exact_exponent"]["max_abs_diff"] <= 1e-10
 
 
 GAMMA_RUN = """

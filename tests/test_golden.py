@@ -51,13 +51,13 @@ DIGESTS = {
     "times_strong": "1cbf95659749fe89368bb82fd2c347c3090839afb4d79d6f063816c8dc001314",
     "times_weak": "1c68a71e4c9a2661faedbc86446bdd6486358d64a95701fa05120f0829ec5863",
     "verify_deterministic":
-        "091edf7b950dcd0e41271ed4d663cf9df4a4c02efef64fa30d02955557ea04c0",
+        "f4c28ba74792c19f571dc480856bb7c528ad30058ca2a847861e42b19925561e",
     "verify_stacked_C3":
-        "36545988004766e3ba3b27de360159bd3930b43e896a99c8d9572211b4abe18a",
+        "45f3fbae4fc89360e61019d59e731d2cfa58814ef8d6384f684e57f2cbc865da",
     "verify_finite_activity_C1":
-        "108bb91ec689611a414ec809aa7d4cbd13aa5669eae73013e6f31b13864e2de7",
+        "2978560fd21c1952057eb7e10acf639d7ffe3eb9a856e10fb9808894cc7e8ca4",
     "verify_negative_control":
-        "294e0c050a44172fd1cda364cce07cce66705c2475e0144ac1dafe118eacdd80",
+        "30bc3a17084e7b4e8d488cfa92be24dab590c85401c539a57a8e17a4e3209996",
 }
 
 

@@ -144,6 +144,14 @@ class TestMarkedLaplaceCheck:
                                     horizon=horizon, reps=reps,
                                     rng=np.random.default_rng(0), inner=inner)
 
+    @pytest.mark.parametrize("k", [np.inf, np.nan, 0.0, -1.0])
+    def test_within_rejects_a_bad_width(self, k):
+        # 28 SE apart: an infinite width must not call these equal, and a
+        # NaN, zero or negative one must not call them different
+        result = ws.prm.MarkedCheckResult(0.5, 0.01, 0.9, 0.01)
+        with pytest.raises(ws.LevySpecError, match="CLT width k must be finite"):
+            result.within(k)
+
     def test_jump_rate_beyond_poisson_sampler_raises(self):
         T = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1, 1]], [1e300]))
         with pytest.raises(ws.LevySpecError, match="expect at most"):

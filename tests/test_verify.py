@@ -320,16 +320,18 @@ class TestEqualityInLawSuite:
         rep = equality_in_law_suite("stacked_C3", np.random.default_rng(13),
                                     n_paths=10_000)
         assert rep.passed, rep.summary()
-        assert rep.exact_exponent_max_diff <= 1e-10
+        assert _checks(rep)["exact_exponent"].compares <= 1e-10
 
     def test_negative_control_reports_mismatch(self):
         rep = equality_in_law_suite("negative_control", np.random.default_rng(14),
                                     n_paths=10_000)
         # at this N only the effect size is meaningful, not the verdict
-        ratio = rep.to_dict()["negative_control_max_ratio"]
-        assert ratio == rep.strong.max_ratio > 0.5
-        assert rep.weak.passed
-        assert rep.notes
+        checks = _checks(rep)
+        assert checks["strong_ecf"].expect == "differ"
+        assert rep.to_dict()["strong_ecf"]["max_ratio"] == (
+            checks["strong_ecf"].compares.max_ratio) > 0.5
+        assert checks["weak_ecf"].met and checks["weak_ecf"].compares.passed
+        assert checks["strong_vs_weak"].expect is None
 
     @pytest.mark.parametrize("n,passed", [(100_000, True), (2000, False)])
     def test_negative_control_verdict(self, n, passed):
@@ -338,8 +340,36 @@ class TestEqualityInLawSuite:
         rep = equality_in_law_suite("negative_control", np.random.default_rng(5),
                                     n_paths=n)
         assert rep.passed == passed, rep.summary()
-        assert (rep.to_dict()["negative_control_max_ratio"] > 2.0) == passed
-        assert "expected mismatch effect size" in rep.summary()
+        assert (rep.to_dict()["strong_ecf"]["max_ratio"] > 2.0) == passed
+        assert f"strong_ecf: expect differ, {'met' if passed else 'NOT met'}" in (
+            rep.summary())
+        # strong vs weak is reported, not gated: at N = 1e5 the two differ
+        # beyond their bound (max |diff|/bound about 2.3) and the control
+        # passes all the same
+        cross = _checks(rep)["strong_vs_weak"]
+        assert cross.expect is None and cross.met
+        assert cross.compares.passed != passed
+
+    @pytest.mark.parametrize("name", verify.SCENARIOS)
+    def test_passed_is_every_check_met(self, name):
+        rep = equality_in_law_suite(name, np.random.default_rng(18), n_paths=2000)
+        assert rep.passed == all(check.met for check in rep.checks)
+        # the rule as it was written before the check list, branch by branch
+        got = {c.name: c.compares for c in rep.checks}
+        if scenario_record(name).equal_in_law:
+            rule = (got["strong_ecf"].passed and got["weak_ecf"].passed
+                    and got["strong_vs_weak"].passed
+                    and got.get("exact_exponent", 0.0) <= 1e-10)
+        else:
+            rule = got["strong_ecf"].max_ratio > 2.0 and got["weak_ecf"].passed
+        assert rep.passed == rule
+        assert [c.name for c in rep.checks] == [
+            "strong_ecf", "weak_ecf", "strong_vs_weak",
+            *(["exact_exponent"] if scenario_record(name).stack else [])]
+        d = rep.to_dict()
+        assert d["passed"] == rep.passed
+        assert all(d[c.name]["met"] == c.met and d[c.name]["expect"] == c.expect
+                   for c in rep.checks)
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ws.LevySpecError):
@@ -350,8 +380,10 @@ class TestEqualityInLawSuite:
                                     n_paths=2000)
         d = rep.to_dict()
         assert d["scenario"] == "deterministic"
-        assert "strong_ecf" in d and "weak_ecf" in d
-        assert d["negative_control_max_ratio"] is None
+        assert set(d) == {"scenario", "n_paths", "passed",
+                          "strong_ecf", "weak_ecf", "strong_vs_weak"}
+        assert all(d[name]["expect"] == "equal"
+                   for name in ("strong_ecf", "weak_ecf", "strong_vs_weak"))
 
     @pytest.mark.parametrize("source", ["negative_control", "stacked_C3"])
     def test_suite_follows_the_record_not_the_name(self, monkeypatch, source):
@@ -364,8 +396,12 @@ class TestEqualityInLawSuite:
         assert rep.to_dict() == {**twin.to_dict(), "scenario": "renamed"}
         assert rep.summary() == twin.summary().replace(source, "renamed", 1)
         d = rep.to_dict()
-        assert (d["negative_control_max_ratio"] is None) == record.equal_in_law
-        assert (d["exact_exponent_max_diff"] is None) == (record.stack is None)
+        assert (d["strong_ecf"]["expect"] == "differ") == (not record.equal_in_law)
+        assert ("exact_exponent" in d) == (record.stack is not None)
+
+
+def _checks(rep) -> dict:
+    return {check.name: check for check in rep.checks}
 
 
 class TestScenarioProcesses:
