@@ -21,7 +21,6 @@ from .levy import (
     ZeroJumps,
     laplace_exponent,
     pure_drift,
-    zero_process,
 )
 from .ordered_time import (
     sample_subordinate_at,
@@ -46,7 +45,6 @@ from .verify import (
     cf_compare,
     clt_bound,
     ecf_grid,
-    ecf_two_sample_compare,
     equality_in_law_suite,
     scenario_processes,
 )

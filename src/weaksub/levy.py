@@ -104,10 +104,10 @@ class AtomicJumps(JumpMeasure):
     def __init__(self, points, rates):
         self.points, self.rates = _rays(points, rates=rates)
         self.dim = self.points.shape[1]
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.rates.sum())
+        with np.errstate(over="ignore"):
+            self.total_mass = float(self.rates.sum())
+        if self.total_mass == np.inf:
+            raise LevySpecError("jump rates must sum to a finite total mass")
 
     @property
     def mean_rate(self) -> float:
@@ -133,7 +133,7 @@ class AtomicJumps(JumpMeasure):
             if size > 0:
                 raise LevySpecError("cannot sample jumps from the zero measure")
             return self.points
-        probs = self.rates / self.rates.sum()
+        probs = self.rates / self.total_mass
         idx = rng.choice(len(self.rates), size=size, p=probs)
         return self.points.take(idx, axis=0)
 
@@ -386,11 +386,6 @@ class Lift(LevyLaw):
 
     def __repr__(self):
         return f"Lift({self.x!r}, {self.m})"
-
-
-def zero_process(dim: int) -> BrownianMotion:
-    """The constant-zero process in `dim` dimensions."""
-    return BrownianMotion(np.zeros(dim), np.zeros((dim, dim)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from .levy import (AtomicJumps, LevyLaw, LevySpecError, SubordinatorSpec,
                    _check_count, poisson_counts, poisson_scatter)
 from .ordered_time import sample_subordinate_at
-from .verify import clt_bound
+from .verify import DEFAULT_K, clt_bound
 
 Array = np.ndarray
 
@@ -39,8 +39,7 @@ class ConstantFunctional:
     c: float
 
     def __post_init__(self):
-        if not self.c >= 0:
-            raise LevySpecError("functional values must be nonnegative")
+        _nonnegative(self.c)
 
     def evaluate(self, times, marks):
         return np.full(times.shape[0], self.c)
@@ -49,6 +48,13 @@ class ConstantFunctional:
 # ---------------------------------------------------------------------------
 # Laplace functionals
 # ---------------------------------------------------------------------------
+
+
+def _nonnegative(values):
+    """values, checked >= 0 (inf is allowed, NaN is not)."""
+    if not np.all(np.asarray(values) >= 0):
+        raise LevySpecError("functional values must be nonnegative, not NaN")
+    return values
 
 
 def _check_window(horizon: float, reps: int) -> None:
@@ -68,13 +74,15 @@ def laplace_functional_mc(rate: float, marks, horizon: float, f, reps: int,
     and marks i.i.d.; returns (estimate, standard error).
 
     `marks.sample(rng, k)` draws k marks, and `f.evaluate(times, marks)`
-    maps k times and their marks to k nonnegative values. It runs after
-    all counts, times and marks are drawn, so it may draw from rng.
+    maps k times and their marks to k nonnegative values (a NaN or
+    negative value is a LevySpecError). It runs after all counts, times
+    and marks are drawn, so it may draw from rng.
     """
     _check_window(horizon, reps)  # poisson_counts checks rate x horizon
     counts = poisson_counts(rate * horizon, reps, rng)
     k = int(counts.sum())
-    values = f.evaluate(rng.uniform(0.0, horizon, size=k), marks.sample(rng, k))
+    values = _nonnegative(f.evaluate(rng.uniform(0.0, horizon, size=k),
+                                     marks.sample(rng, k)))
     return _mean_se(np.exp(-poisson_scatter(counts, values)))
 
 
@@ -96,7 +104,8 @@ class _MarkAverage:
     def evaluate(self, times, jumps):
         times, jumps = np.repeat(times, self.k), np.repeat(jumps, self.k, axis=0)
         marks = sample_subordinate_at(self.X, jumps, self.rng)
-        values = np.array([self.f(*p) for p in zip(times, jumps, marks)], dtype=float)
+        values = _nonnegative(np.array([self.f(*p) for p in zip(times, jumps, marks)],
+                                       dtype=float))
         with np.errstate(divide="ignore"):  # a zero mean makes the product 0
             return -np.log(np.exp(-values).reshape(-1, self.k).mean(axis=1))
 
@@ -112,7 +121,7 @@ class MarkedCheckResult:
     def combined_se(self) -> float:
         return float(np.sqrt(self.lhs_se**2 + self.rhs_se**2))
 
-    def within(self, k: float = 4.0) -> bool:
+    def within(self, k: float = DEFAULT_K) -> bool:
         clt_bound(k=k)  # a k that is not finite and > 0 is a LevySpecError
         return abs(self.lhs - self.rhs) <= k * self.combined_se
 
@@ -128,7 +137,7 @@ def marked_laplace_check(T: SubordinatorSpec, X: LevyLaw, f, horizon: float,
     `inner` (an integer >= 1) fresh marks from the same kernel; this is
     unbiased as marks are conditionally independent given the jumps. f is
     called as f(time, jump_vector, mark_vector) -> nonnegative float, once
-    per mark.
+    per mark; a NaN or negative value is a LevySpecError.
     """
     _check_count(inner, 1, "inner")
     if not isinstance(T.jumps, AtomicJumps):

@@ -129,14 +129,15 @@ def expected_jumps(T: SubordinatorSpec, X: LevyLaw, times) -> tuple[float, float
     the last time for atoms, one per gamma ray and step), and X's along
     T, its jump rate x the last time x T's reach (largest drift
     coordinate + the measure's mean rate x largest coordinate, a bound
-    on the mean growth rate of T). Python floats, so a product beyond
-    the float range is inf."""
+    on the mean growth rate of T; 0 when the reach is 0, as X is then
+    never run). Python floats, so a product beyond the float range is
+    inf."""
     t = np.atleast_1d(np.asarray(times, dtype=float))
     rate = X.jump_rate
     reach = (float(np.max(T.d, initial=0.0))
              + T.jumps.mean_rate * float(np.max(T.jumps.points, initial=0.0)))
     return (T.jumps.expected_draws(np.diff(t, prepend=0.0)),
-            rate * float(t[-1]) * reach if rate > 0 else 0.0)
+            rate * float(t[-1]) * reach if rate > 0 and reach > 0 else 0.0)
 
 
 def _batch_rows(T: SubordinatorSpec, X: LevyLaw, times) -> int:

@@ -207,43 +207,21 @@ class ECFReport:
 
 
 def cf_compare(samples, target, theta_grid, k: float = DEFAULT_K) -> ECFReport:
-    """Compare the ECF of the samples against the exact CF values
-    `target`, one per grid point. Per-theta verdict:
-    |ecf - target| <= k*sqrt(2/N).
+    """Compare the ECF of the samples, shape (N, d) with N >= 100, against
+    the exact CF values `target`, one per row of the nonempty (m, d)
+    `theta_grid`. Per-theta verdict: |ecf - target| <= k*sqrt(2/N).
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
-    emp, n = _sample_ecf(samples, theta_grid)
     target = np.asarray(target, dtype=complex)
-    if target.shape != emp.shape:
-        raise LevySpecError(f"target has shape {target.shape}, expected one "
-                            f"value per grid point, {emp.shape}")
+    if theta_grid.ndim != 2 or not len(theta_grid) or target.shape != theta_grid.shape[:1]:
+        raise LevySpecError(f"need a nonempty 2-d theta grid and one target value per "
+                            f"grid point, not shapes {theta_grid.shape} and {target.shape}")
+    emp = ecf_grid(samples, theta_grid)  # checks the samples' shape
+    n = len(samples)
+    if n < 100:
+        raise LevySpecError("need at least 100 samples for a CLT bound")
     return ECFReport(theta_grid, emp, target, np.full(len(theta_grid), clt_bound(n, k=k)),
                      n, k)
-
-
-def _sample_ecf(samples, theta_grid: Array) -> tuple[Array, int]:
-    """The ECF of `samples` on `theta_grid` and the sample count, after
-    the checks a CLT comparison needs: a nonempty 2-d grid, a 2-d sample
-    array with as many columns as the grid, and at least 100 samples."""
-    samples = np.asarray(samples, dtype=float)
-    if theta_grid.ndim != 2 or theta_grid.shape[0] == 0:
-        raise LevySpecError("theta grid must be a nonempty 2-d array")
-    if samples.ndim != 2 or samples.shape[1] != theta_grid.shape[1]:
-        raise LevySpecError(f"samples have shape {samples.shape}, expected "
-                            f"(N, {theta_grid.shape[1]}) for the theta grid")
-    if samples.shape[0] < 100:
-        raise LevySpecError("need at least 100 samples for a CLT bound")
-    return ecf_grid(samples, theta_grid), samples.shape[0]
-
-
-def ecf_two_sample_compare(samples_a, samples_b, theta_grid,
-                           k: float = DEFAULT_K) -> ECFReport:
-    """Compare the ECFs of two sample sets; bound k*sqrt(2/Na + 2/Nb)."""
-    theta_grid = np.asarray(theta_grid, dtype=float)
-    emp_a, na = _sample_ecf(samples_a, theta_grid)
-    emp_b, nb = _sample_ecf(samples_b, theta_grid)
-    return ECFReport(theta_grid, emp_a, emp_b,
-                     np.full(len(theta_grid), clt_bound(na, nb, k=k)), min(na, nb), k)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import weaksub as ws
-from weaksub.verify import scenario_processes
+from weaksub.verify import scenario_record
 
 N = 100_000
 BOUND = 4 * np.sqrt(2 / N)  # ~0.0179
@@ -26,7 +26,8 @@ def weak_cf_target(T, X, grid):
 
 class TestAcceptance:
     def test_a1_deterministic_subordinator(self):
-        T, X, _ = scenario_processes("deterministic")
+        record = scenario_record("deterministic")
+        T, X = record.T, record.X
         grid = ws.ThetaGridSpec().build(4)
         rng = np.random.default_rng(101)
         start = time.monotonic()
@@ -39,7 +40,8 @@ class TestAcceptance:
                  f"runtime={elapsed:.1f}s <= 60s")
 
     def test_a2_finite_activity_common_jumps(self):
-        T, X, _ = scenario_processes("finite_activity_C1")
+        record = scenario_record("finite_activity_C1")
+        T, X = record.T, record.X
         grid = ws.ThetaGridSpec().build(4)
         rng = np.random.default_rng(102)
         strong = ws.simulate_strong_at(T, X, 1.0, N, rng)
@@ -55,14 +57,13 @@ class TestAcceptance:
                  f"cross max {cross.max():.4f} <= {2 * BOUND:.4f}")
 
     def test_a3_stacked_subordination(self):
-        T, X, extras = scenario_processes("stacked_C3")
+        record = scenario_record("stacked_C3")
+        T, X = record.T, record.X
         theta_rng = np.random.default_rng(103)
         max_diff = 0.0
         for _ in range(100):
             th = theta_rng.standard_normal(4)
-            exact = ws.stacked_strong_exponent(
-                extras["R"], extras["embedding"], extras["blocks"],
-                th[:2], th[2:])
+            exact = ws.stacked_strong_exponent(*record.stack, th[:2], th[2:])
             weak = ws.weak_exponent(T, X, th[:2], th[2:])
             max_diff = max(max_diff, abs(exact - weak))
         rng = np.random.default_rng(104)
@@ -89,7 +90,8 @@ class TestAcceptance:
                  f"|{est:.5f} - {target:.5f}| <= 4*SE={4 * se:.5f}")
 
     def test_a5_marked_ppp_laplace_functional(self):
-        T, X, _ = scenario_processes("finite_activity_C1")
+        record = scenario_record("finite_activity_C1")
+        T, X = record.T, record.X
 
         def f(time, jump, mark):
             inside = (time <= 0.75) and np.all(np.abs(mark) <= 1.2)
@@ -102,7 +104,8 @@ class TestAcceptance:
                  f"4*SE={4 * result.combined_se:.5f}")
 
     def test_a6_negative_control(self):
-        T, X, _ = scenario_processes("negative_control")
+        record = scenario_record("negative_control")
+        T, X = record.T, record.X
         grid = ws.ThetaGridSpec().build(4)
         rng = np.random.default_rng(106)
         strong = ws.simulate_strong_at(T, X, 1.0, N, rng)

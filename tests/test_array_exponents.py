@@ -22,7 +22,7 @@ def laws():
             ws.BrownianMotion([0.1], [[0.7]]),
             ws.CompoundPoisson(ws.AtomicJumps([[0.5, -1.0], [1.5, 0.2]],
                                               [0.4, 0.8]))]),
-        "zero": ws.zero_process(N),
+        "zero": ws.BrownianMotion(np.zeros(N), np.zeros((N, N))),
     }
 
 

@@ -261,6 +261,10 @@ BAD_CONFIGS = {
         "family": "brownian", "mu": [0, 0], "sigma": [[1, 0, 0], [0, 1, 0]]}},
     "sigma_not_psd": {**MINIMAL, "subordinate": {
         "family": "brownian", "mu": [0, 0], "sigma": [[1, 2], [2, 1]]}},
+    # rates whose sum is beyond the floating-point range
+    "atom_rates_sum_inf": {**MINIMAL, "subordinate": {
+        "family": "compound_poisson", "atoms": [{"point": [1, 0], "rate": 1e308},
+                                                {"point": [0, 1], "rate": 1e308}]}},
 }
 
 
@@ -275,7 +279,36 @@ OVERFLOWING = {
 }
 
 
+# a zero subordinator under subordinates of jump rate 1e308: rate x horizon
+# overflows, but X never runs, so every draw is zero
+ZERO_CLOCK = {"seed": 1, "horizon": 10, "replicates": 200,
+              "subordinator": {"drift": [0, 0]}}
+RATE_1e308 = {"family": "compound_poisson",
+              "atoms": [{"point": [1], "rate": 1e308}]}
+HUGE_RATES = {
+    "one_atom": {**ZERO_CLOCK, "subordinate": {
+        "family": "compound_poisson", "atoms": [{"point": [1, 0], "rate": 1e308}]}},
+    "stack": {**ZERO_CLOCK, "subordinate": {
+        "family": "stack", "blocks": [RATE_1e308, RATE_1e308]}},
+}
+
+
 class TestMain:
+    @pytest.mark.parametrize("case", ["one_atom", "stack"])
+    def test_zero_subordinator_over_a_huge_rate_draws_zeros(self, tmp_path, capsys,
+                                                            case):
+        cfg = write_config(tmp_path, HUGE_RATES[case])
+        assert main(["simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 0
+        data = np.loadtxt(tmp_path / "out" / "samples.csv", delimiter=",", skiprows=1)
+        assert data.shape == (200, 4) and np.all(data == 0)
+        if case == "stack":
+            cfg = write_config(tmp_path, {**HUGE_RATES[case], "scenario": "deterministic",
+                                          "horizon": 1})
+            assert main(["verify", "--config", str(cfg), "--out",
+                         str(tmp_path / "verify"), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
     def test_bad_config_exit_2_with_json_error(self, tmp_path, capsys, case):
         cfg = write_config(tmp_path, BAD_CONFIGS[case])

@@ -225,11 +225,12 @@ class TestValidateTriplet:
     @pytest.mark.parametrize("build", [
         lambda: ws.AtomicJumps([[np.nan, 1.0]], [1.0]),
         lambda: ws.AtomicJumps([[1.0, 1.0]], [np.inf]),
+        lambda: ws.AtomicJumps([[1.0, 0.0], [0.0, 1.0]], [1e308, 1e308]),
         lambda: ws.SubordinatorSpec(np.array([np.nan, 1.0]), ws.ZeroJumps(2)),
         lambda: ws.BrownianMotion([np.nan, 0.0], np.eye(2)),
         lambda: ws.BrownianMotion([0.0, 0.0], [[1.0, np.inf], [0.0, 1.0]]),
-    ], ids=["atom_point_nan", "atom_rate_inf", "drift_nan", "mu_nan",
-            "sigma_inf"])
+    ], ids=["atom_point_nan", "atom_rate_inf", "atom_rates_sum_inf", "drift_nan",
+            "mu_nan", "sigma_inf"])
     def test_non_finite_field_rejected(self, build):
         with pytest.raises(ws.LevySpecError, match="finite"):
             build()

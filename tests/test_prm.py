@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,16 @@ class TestCampbellIdentity:
             ws.ConstantFunctional(c)
         assert ws.ConstantFunctional(np.inf).c == np.inf
 
+    @pytest.mark.parametrize("value", [np.nan, -1.0])
+    def test_bad_functional_values_raise(self, value):
+        class BadFunctional:
+            def evaluate(self, times, marks):
+                return np.where(times < 0.5, value, 1.0)
+
+        with pytest.raises(ws.LevySpecError, match="nonnegative"):
+            ws.laplace_functional_mc(2.0, unit_mark(), 1.0, BadFunctional(), 100,
+                                     np.random.default_rng(0))
+
 
 class TestMarkedLaplaceCheck:
     def test_weak_subordination_kernel_identity(self):
@@ -143,6 +155,22 @@ class TestMarkedLaplaceCheck:
             ws.marked_laplace_check(T, correlated_bm(), lambda *a: 0.0,
                                     horizon=horizon, reps=reps,
                                     rng=np.random.default_rng(0), inner=inner)
+
+    @pytest.mark.parametrize("value", [np.nan, -1.0])
+    def test_bad_mark_values_raise(self, value):
+        # a negative f made estimates of 6.86 and 5.46 for a functional <= 1
+        T = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1, 1]], [1.0]))
+        with pytest.raises(ws.LevySpecError, match="nonnegative"):
+            ws.marked_laplace_check(T, correlated_bm(), lambda *a: value,
+                                    horizon=1.0, reps=200,
+                                    rng=np.random.default_rng(0))
+
+    def test_within_default_width_is_the_suites(self):
+        within = inspect.signature(ws.prm.MarkedCheckResult.within)
+        assert within.parameters["k"].default is ws.verify.DEFAULT_K
+        # 3.5 combined SE apart: within k = 4, not within k = 3
+        result = ws.prm.MarkedCheckResult(0.5, 0.1 / np.sqrt(2), 0.85, 0.1 / np.sqrt(2))
+        assert result.within() and not result.within(3.0)
 
     @pytest.mark.parametrize("k", [np.inf, np.nan, 0.0, -1.0])
     def test_within_rejects_a_bad_width(self, k):

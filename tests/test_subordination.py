@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,17 +7,22 @@ import pytest
 import weaksub as ws
 from weaksub import subordination
 from weaksub.subordination import TIME_T_CHUNK, _batch_rows, expected_jumps
-from weaksub.verify import scenario_processes
+from weaksub.verify import scenario_record
 
 
 def correlated_bm():
     return ws.BrownianMotion([0, 0], [[1, 0.5], [0.5, 1]])
 
 
+def zero_bm(n):
+    """The constant-zero process in n dimensions."""
+    return ws.BrownianMotion(np.zeros(n), np.zeros((n, n)))
+
+
 def t_at(T, times, size, rng):
     """T alone at the times: the T block of strong draws with zero X,
     shape (size, len(times), n)."""
-    rows = ws.simulate_strong_at(T, ws.zero_process(T.dim), times, size, rng)
+    rows = ws.simulate_strong_at(T, zero_bm(T.dim), times, size, rng)
     return rows[..., :T.dim]
 
 
@@ -275,7 +281,7 @@ class TestSimulateStrong:
     def test_zero_subordinate(self):
         T = ws.SubordinatorSpec(np.array([0.5, 0.5]),
                                 ws.AtomicJumps([[1, 1]], [1.0]))
-        rows = ws.simulate_strong_at(T, ws.zero_process(2), [0.5, 1.0, 2.0], 100,
+        rows = ws.simulate_strong_at(T, zero_bm(2), [0.5, 1.0, 2.0], 100,
                                      np.random.default_rng(4))
         assert np.all(rows[..., 2:] == 0) and np.all(rows[:, -1, :2] >= 1.0)
 
@@ -356,7 +362,7 @@ def time_t_cases():
     gamma-ray clock with drift that is not a stack, the variance-gamma
     stack and a compound Poisson subordinate (one duration per row in its
     increments)."""
-    cases = {name: scenario_processes(name)[:2]
+    cases = {name: (scenario_record(name).T, scenario_record(name).X)
              for name in ("deterministic", "finite_activity_C1", "stacked_C3",
                           "negative_control")}
     cases["gamma_rays"] = (
@@ -518,6 +524,17 @@ class TestTimeTSamplers:
             ws.simulate_weak_at(T, correlated_bm(), 1.0, 100, np.random.default_rng(3))
 
 
+def strong_cf_one_atom(T, X, grid, terms=40):
+    """Exact CF of strong (T, X o T)(1) at each row of grid, for T = drift d
+    plus one atom a of rate r: given the atom count p ~ Poisson(r), T(1) is
+    d + p a and Z(1) is X at that vector time."""
+    n, (a,), (r,) = T.dim, T.jumps.points, T.jumps.rates
+    return sum(math.exp(-r) * r**p / math.factorial(p)
+               * np.exp(1j * (grid[:, :n] @ (T.d + p * a))
+                        + ws.vector_time_exponent(X, T.d + p * a, grid[:, n:]))
+               for p in range(terms))
+
+
 class TestBatchRows:
     # a subordinator with drift and one atom over a compound Poisson law
     T = ws.SubordinatorSpec(np.array([0.5, 1.0]), ws.AtomicJumps([[1.0, 2.0]], [1.0]))
@@ -534,6 +551,10 @@ class TestBatchRows:
         cpp = ws.CompoundPoisson(ws.AtomicJumps([[1.0, 0.0]], [1.0]))
         assert expected_jumps(gamma, cpp, 2.0) == (2.0, 5.0)
         assert _batch_rows(gamma, cpp, 1.0) == TIME_T_CHUNK
+        # a zero subordinator never runs X, however large rate x time is
+        huge = ws.CompoundPoisson(ws.AtomicJumps([[1.0, 0.0]], [1e308]))
+        assert expected_jumps(ws.pure_drift([0, 0]), huge, 10.0) == (0.0, 0.0)
+        assert _batch_rows(ws.pure_drift([0, 0]), huge, 10.0) == TIME_T_CHUNK
 
     def test_gamma_batches_count_a_draw_per_ray_and_step(self, monkeypatch):
         # a gamma ray draws one total per step, so a row at m times makes
@@ -541,7 +562,7 @@ class TestBatchRows:
         def rays(k):
             return ws.SubordinatorSpec(np.zeros(2), ws.GammaRays(
                 np.ones((k, 2)), np.ones(k), np.ones(k)))
-        times, X = np.arange(1.0, 17.0), ws.zero_process(2)
+        times, X = np.arange(1.0, 17.0), zero_bm(2)
         assert expected_jumps(rays(300), X, times) == (4800.0, 0.0)
         assert _batch_rows(rays(300), X, times) == subordination.MAX_BATCH_JUMPS // 4800
         # 10 rays: 160 draws per row, so a cap of 2000 makes batches of 12
@@ -557,7 +578,8 @@ class TestBatchRows:
     def test_suite_scenarios_keep_full_batches(self):
         for name in ("deterministic", "finite_activity_C1", "stacked_C3",
                      "negative_control"):
-            assert _batch_rows(*scenario_processes(name)[:2], 1.0) == TIME_T_CHUNK
+            record = scenario_record(name)
+            assert _batch_rows(record.T, record.X, 1.0) == TIME_T_CHUNK
 
     @pytest.mark.parametrize("kind", ["strong", "weak"])
     def test_no_draw_exceeds_the_cap(self, monkeypatch, kind):
@@ -576,9 +598,12 @@ class TestBatchRows:
         assert rows.shape == (2000, 4)
         assert len(sizes) >= 200 and max(sizes) <= cap
         # smaller batches draw differently, from the same law as one batch
-        report = ws.ecf_two_sample_compare(rows, full,
-                                           ws.ThetaGridSpec().build(4))
-        assert report.passed, report.summary()
+        grid = ws.ThetaGridSpec().build(4)
+        exact = (strong_cf_one_atom(self.T, self.X, grid) if kind == "strong" else
+                 np.exp(ws.weak_exponent(self.T, self.X, grid[:, :2], grid[:, 2:])))
+        for draw in (full, rows):
+            report = ws.cf_compare(draw, exact, grid)
+            assert report.passed, report.summary()
 
 
 class TestGammaRays:

@@ -9,7 +9,6 @@ import weaksub as ws
 from weaksub import verify
 from weaksub.verify import (
     equality_in_law_suite,
-    scenario_processes,
     scenario_record,
 )
 
@@ -213,7 +212,7 @@ class TestCFCompare:
 
     @pytest.mark.parametrize("case", ["empty_grid", "few_samples",
                                       "column_mismatch", "one_d_grid"])
-    @pytest.mark.parametrize("compare", ["one_sample", "two_sample"])
+    @pytest.mark.parametrize("compare", ["one_sample"])  # keeps the test ids
     def test_unusable_inputs_rejected(self, compare, case):
         samples = np.random.default_rng(8).standard_normal((1000, 2))
         grid = {"empty_grid": np.zeros((0, 2)), "few_samples": np.ones((4, 2)),
@@ -222,10 +221,7 @@ class TestCFCompare:
         if case == "few_samples":
             samples = samples[:3]
         with pytest.raises(ws.LevySpecError):
-            if compare == "one_sample":
-                ws.cf_compare(samples, np.ones(len(grid)), grid)
-            else:
-                ws.ecf_two_sample_compare(samples, samples, grid)
+            ws.cf_compare(samples, np.ones(len(grid)), grid)
 
     def test_target_needs_one_value_per_grid_point(self):
         samples = np.random.default_rng(8).standard_normal((1000, 2))
@@ -247,8 +243,7 @@ class TestCFCompare:
 
 class TestCLTWidth:
     @pytest.mark.parametrize("k", [0.0, -1.0, np.nan, np.inf])
-    @pytest.mark.parametrize("call", ["clt_bound", "cf_compare", "two_sample",
-                                      "suite"])
+    @pytest.mark.parametrize("call", ["clt_bound", "cf_compare", "suite"])
     def test_bad_k_rejected(self, monkeypatch, call, k):
         samples = np.random.default_rng(8).standard_normal((1000, 2))
         grid = ws.ThetaGridSpec().build(2)
@@ -262,8 +257,6 @@ class TestCLTWidth:
                 ws.clt_bound(200, k=k)
             elif call == "cf_compare":
                 ws.cf_compare(samples, np.ones(len(grid)), grid, k)
-            elif call == "two_sample":
-                ws.ecf_two_sample_compare(samples, samples, grid, k)
             else:
                 equality_in_law_suite("deterministic", np.random.default_rng(0),
                                       n_paths=1000, k=k)
@@ -332,6 +325,25 @@ class TestEqualityInLawSuite:
             checks["strong_ecf"].compares.max_ratio) > 0.5
         assert checks["weak_ecf"].met and checks["weak_ecf"].compares.passed
         assert checks["strong_vs_weak"].expect is None
+
+    def test_strong_vs_weak_compares_the_two_ecfs(self):
+        # the one two-sample comparison: the strong draw's ECF against the
+        # weak draw's, with bound clt_bound(N, N, k=k)
+        n, k = 2000, 3.0
+        rep = equality_in_law_suite("finite_activity_C1", np.random.default_rng(18),
+                                    n_paths=n, k=k)
+        record, grid = scenario_record("finite_activity_C1"), ws.ThetaGridSpec().build(4)
+        rng = np.random.default_rng(18)
+        strong = ws.simulate_strong_at(record.T, record.X, 1.0, n, rng)
+        weak = ws.simulate_weak_at(record.T, record.X, 1.0, n, rng)
+        cross = _checks(rep)["strong_vs_weak"].compares
+        assert np.array_equal(cross.theta_grid, grid)
+        assert np.array_equal(cross.ecf, ws.ecf_grid(strong, grid))
+        assert np.array_equal(cross.target, ws.ecf_grid(weak, grid))
+        assert np.array_equal(cross.ecf, _checks(rep)["strong_ecf"].compares.ecf)
+        assert np.array_equal(cross.target, _checks(rep)["weak_ecf"].compares.ecf)
+        assert np.all(cross.bound == ws.clt_bound(n, n, k=k))
+        assert (cross.n_samples, cross.k) == (n, k)
 
     @pytest.mark.parametrize("n,passed", [(100_000, True), (2000, False)])
     def test_negative_control_verdict(self, n, passed):
@@ -408,13 +420,14 @@ class TestScenarioProcesses:
     @pytest.mark.parametrize("name", ["deterministic", "finite_activity_C1",
                                       "stacked_C3", "negative_control"])
     def test_specs_valid(self, name):
-        T, X, _ = scenario_processes(name)
+        T, X = scenario_record(name).T, scenario_record(name).X
         # the constructor raises on an orthant violation
         ws.SubordinatorSpec(T.d, T.jumps)
         assert X.dim == T.dim
 
     def test_time1_ecf_modulus(self):
-        T, X, _ = scenario_processes("finite_activity_C1")
-        samples = ws.simulate_weak_at(T, X, 1.0, 2000, np.random.default_rng(16))
+        record = scenario_record("finite_activity_C1")
+        samples = ws.simulate_weak_at(record.T, record.X, 1.0, 2000,
+                                      np.random.default_rng(16))
         grid = ws.ThetaGridSpec().build(4)
         assert np.all(np.abs(ws.ecf_grid(samples, grid)) <= 1 + 1e-12)
