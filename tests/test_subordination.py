@@ -524,15 +524,16 @@ class TestTimeTSamplers:
             ws.simulate_weak_at(T, correlated_bm(), 1.0, 100, np.random.default_rng(3))
 
 
-def strong_cf_one_atom(T, X, grid, terms=40):
+def strong_cf_one_atom(T, X, grid):
     """Exact CF of strong (T, X o T)(1) at each row of grid, for T = drift d
     plus one atom a of rate r: given the atom count p ~ Poisson(r), T(1) is
-    d + p a and Z(1) is X at that vector time."""
+    d + p a and Z(1) is X at that vector time. Counts from 40 up are
+    dropped: at rate 1 their mass is below 1e-40."""
     n, (a,), (r,) = T.dim, T.jumps.points, T.jumps.rates
     return sum(math.exp(-r) * r**p / math.factorial(p)
                * np.exp(1j * (grid[:, :n] @ (T.d + p * a))
                         + ws.vector_time_exponent(X, T.d + p * a, grid[:, n:]))
-               for p in range(terms))
+               for p in range(40))
 
 
 class TestBatchRows:
