@@ -116,7 +116,7 @@ class ExperimentConfig:
         return T, X
 
 
-def _take(obj, allowed: dict, errors: list[str], where: str) -> dict:
+def _take(obj, allowed: tuple[str, ...], errors: list[str], where: str) -> dict:
     if not isinstance(obj, dict):
         errors.append(f"{where} must be a JSON object")
         return {}
@@ -179,7 +179,7 @@ def _parse_jumps(obj, errors, where) -> AtomicJumps | None:
     points, rates = [], []
     for i, atom in enumerate(atoms):
         here = f"{where}.atoms[{i}]"
-        got = _take(atom, {"point": None, "rate": None}, errors, here)
+        got = _take(atom, ("point", "rate"), errors, here)
         if "point" not in got or "rate" not in got:
             errors.append(f"{here} needs point and rate")
             return None
@@ -195,7 +195,7 @@ def _parse_jumps(obj, errors, where) -> AtomicJumps | None:
 
 
 def _parse_subordinator(obj, errors) -> SubordinatorSpec | None:
-    got = _take(obj, {"drift": None, "atoms": None}, errors, "subordinator")
+    got = _take(obj, ("drift", "atoms"), errors, "subordinator")
     if "drift" not in got:
         errors.append("subordinator.drift required")
         return None
@@ -213,7 +213,7 @@ def _parse_subordinator(obj, errors) -> SubordinatorSpec | None:
 def _parse_subordinate(obj, errors, where="subordinate") -> LevyLaw | None:
     family = obj.get("family") if isinstance(obj, dict) else None
     if family == "brownian":
-        got = _take(obj, {"family": None, "mu": None, "sigma": None}, errors, where)
+        got = _take(obj, ("family", "mu", "sigma"), errors, where)
         if "mu" not in got or "sigma" not in got:
             errors.append(f"{where}: brownian needs mu and sigma")
             return None
@@ -227,14 +227,14 @@ def _parse_subordinate(obj, errors, where="subordinate") -> LevyLaw | None:
             errors.append(f"{where}: {exc}")
             return None
     if family == "compound_poisson":
-        got = _take(obj, {"family": None, "atoms": None}, errors, where)
-        jumps = _parse_jumps(got, errors, where)
-        if jumps is None:
+        got = _take(obj, ("family", "atoms"), errors, where)
+        if got.get("atoms") in (None, []):
             errors.append(f"{where}: compound_poisson needs atoms")
             return None
-        return CompoundPoisson(jumps)
+        jumps = _parse_jumps(got, errors, where)
+        return None if jumps is None else CompoundPoisson(jumps)
     if family == "stack":
-        got = _take(obj, {"family": None, "blocks": None}, errors, where)
+        got = _take(obj, ("family", "blocks"), errors, where)
         blocks = got.get("blocks", [])
         blocks = [_parse_subordinate(b, errors, f"{where}.blocks[{i}]")
                   for i, b in enumerate(blocks if isinstance(blocks, list) else [])]
@@ -246,26 +246,26 @@ def _parse_subordinate(obj, errors, where="subordinate") -> LevyLaw | None:
     return None
 
 
-TOP_LEVEL_KEYS = {"seed", "scenario", "subordinator", "subordinate", "horizon",
-                  "replicates", "theta_grid", "k", "times"}
+TOP_LEVEL_KEYS = ("seed", "scenario", "subordinator", "subordinate", "horizon",
+                  "replicates", "theta_grid", "k", "times")
 
 
 def _reject_constant(name: str):
     raise ConfigError([f"not valid JSON: {name} is not a finite number"])
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON experiment config (strict schema)."""
+def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
+    """Parse and validate a JSON experiment config (strict schema). The
+    `overrides` (the CLI's --seed and --replicates) replace those keys
+    before validation, so the same rules check them."""
     errors: list[str] = []
     try:
         raw = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise ConfigError([f"not valid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
-    for key in raw:
-        if key not in TOP_LEVEL_KEYS:
-            errors.append(f"unknown key {key!r}")
+    raw = {**_take(raw, TOP_LEVEL_KEYS, errors, "config"), **(overrides or {})}
 
     if "seed" not in raw:
         errors.append("seed required")
@@ -285,7 +285,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     defaults = ExperimentConfig(seed=0)
     got = _take(raw.get("theta_grid", {}),
-                {"size": None, "scale": None, "grid_seed": None, "points": None},
+                ("size", "scale", "grid_seed", "points"),
                 errors, "theta_grid")
     grid = ThetaGridSpec(
         size=_number(got, "size", defaults.theta_grid.size, errors,
@@ -344,20 +344,25 @@ def _check_run(config: ExperimentConfig, command: str) -> None:
     and the run's draws of (T, Z) may expect at most MAX_RUN_JUMPS
     jumps."""
     T, X = config.processes()
+    errors = []
     drift_part = config.horizon * float(np.max(T.d, initial=0.0))  # <= T(horizon)
     if not np.isfinite(drift_part):
-        raise ConfigError([f"horizon: {config.horizon:g} x the subordinator's drift "
-                           f"{np.max(T.d):g} is beyond the floating-point range"])
+        errors.append(f"horizon: {config.horizon:g} x the subordinator's drift "
+                      f"{np.max(T.d):g} is beyond the floating-point range")
     t_jumps, x_jumps = expected_jumps(T, X, config.horizon)
     if t_jumps > MAX_ROWS:
-        raise ConfigError([f"horizon: {config.horizon:g} x the subordinator's jump "
-                           f"rate {T.jumps.total_mass:g} expects more than "
-                           f"{MAX_ROWS} jumps per replicate"])
-    if x_jumps > MAX_ROWS:
-        raise ConfigError([f"subordinate: jump rate {X.jump_rate:g} x horizon x the "
-                           f"subordinator's reach expects {x_jumps:g} jumps per "
-                           f"replicate, more than {MAX_ROWS}"])
-    errors = []
+        errors.append(f"horizon: {config.horizon:g} x the subordinator's jump "
+                      f"rate {T.jumps.total_mass:g} expects more than "
+                      f"{MAX_ROWS} jumps per replicate")
+    if x_jumps > MAX_ROWS and np.isfinite(drift_part):  # else the drift overflows it
+        errors.append(f"subordinate: jump rate {X.jump_rate:g} x horizon x the "
+                      f"subordinator's reach expects {x_jumps:g} jumps per "
+                      f"replicate, more than {MAX_ROWS}")
+    draws = 2 if command == "verify" else 1
+    total = draws * config.replicates * (t_jumps + x_jumps)
+    if total > MAX_RUN_JUMPS and not errors:  # else a per-replicate rule names the fault
+        errors.append(f"replicates: {draws} x {config.replicates} draws expect "
+                      f"{total:g} jumps, more than {MAX_RUN_JUMPS:g} per run")
     if command == "verify":
         if config.scenario is None:
             errors.append("verify requires a scenario")
@@ -377,11 +382,6 @@ def _check_run(config: ExperimentConfig, command: str) -> None:
                           f"takes at most {MAX_REPORT_POINTS} points")
     if errors:
         raise ConfigError(errors)
-    draws = 2 if command == "verify" else 1
-    total = draws * config.replicates * (t_jumps + x_jumps)
-    if total > MAX_RUN_JUMPS:
-        raise ConfigError([f"replicates: {draws} x {config.replicates} draws expect "
-                           f"{total:g} jumps, more than {MAX_RUN_JUMPS:g} per run"])
 
 
 def _make_dir(path: Path, written: list[Path]) -> None:
@@ -496,16 +496,11 @@ def main(argv=None) -> int:
     code = 3  # until the command ends, so an interrupt removes them too
     try:
         try:
-            text = args.config.read_text()
-        except OSError as exc:
+            text = args.config.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError([str(exc)]) from exc
-        config = parse_config(text)
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.replicates is not None:
-            if args.replicates > MAX_ROWS:
-                raise ConfigError([f"--replicates must be <= {MAX_ROWS}"])
-            config.replicates = args.replicates
+        flags = {"seed": args.seed, "replicates": args.replicates}
+        config = parse_config(text, {k: v for k, v in flags.items() if v is not None})
         if args.command != "exponent":
             _check_run(config, args.command)
         _make_dir(args.out, written)

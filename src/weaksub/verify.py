@@ -47,14 +47,13 @@ def ecf_grid(samples, theta) -> Array:
     """Empirical CF of samples, shape (N, d), at the frequencies theta,
     shape (..., d): the mean of exp(i <theta, x>) over the samples, shape (...).
 
-    Cosines and sines of the real phases <theta, x> are summed (bit for bit
-    the complex exponential) over blocks of TIME_T_CHUNK samples for at most
-    16 frequencies, fewer beyond. Phases are formed in row sub-blocks of at
-    most PHASE_PRODUCT multiply-adds, which OpenBLAS runs on the calling
-    thread; on the default grid they are bit for bit one product per block.
-    A worker thread sums the cosines and the calling thread the sines, each
-    forming its own phases. A phase beyond the floating-point range is a
-    LevySpecError.
+    Cosines and sines of the real phases <theta, x> are summed over blocks
+    of max(2, PHASE_PRODUCT // theta's size) samples, one phase product per
+    block, which OpenBLAS runs on the calling thread; on a grid of two or
+    more points this is bit for bit the blocked sum of the complex
+    exponential. A worker thread sums the cosines and the calling thread
+    the sines, each forming its own phases. A phase beyond the
+    floating-point range is a LevySpecError.
     """
     samples = np.asarray(samples, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -65,8 +64,7 @@ def ecf_grid(samples, theta) -> Array:
     if n == 0:
         raise LevySpecError("empirical CF of an empty sample")
     grid = theta.reshape(-1, samples.shape[1])
-    rows = max(1, 16 * TIME_T_CHUNK // max(16, grid.shape[0]))
-    sub = max(2, PHASE_PRODUCT // max(1, grid.size))
+    rows = max(2, PHASE_PRODUCT // max(1, grid.size))
     buffers = np.empty((2, min(rows, n), grid.shape[0]))
     re, im = sums = np.zeros((2, grid.shape[0]))
     errors = {}
@@ -75,11 +73,8 @@ def ecf_grid(samples, theta) -> Array:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 for start in range(0, n, rows):
-                    phase = buffers[i, : n - start]
-                    # products of >= 2 rows: a 1-row product rounds differently
-                    cuts = [0, *range(sub, len(phase) - 1, sub), len(phase)]
-                    for a, b in zip(cuts, cuts[1:]):
-                        np.matmul(samples[start + a : start + b], grid.T, out=phase[a:b])
+                    phase = np.matmul(samples[start : start + rows], grid.T,
+                                      out=buffers[i, : n - start])
                     sums[i] += (np.cos, np.sin)[i](phase, out=phase).sum(axis=0)
         except BaseException as exc:  # raised on the calling thread, after the join
             errors[i] = exc

@@ -482,6 +482,52 @@ class TestMain:
         err = capsys.readouterr().err
         assert json.loads(err)["error"] == "invalid config"
 
+    @pytest.mark.parametrize("text", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                             ids=["not_utf8", "nested_too_deep"])
+    def test_unreadable_config_exit_2_without_output(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(text)
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "invalid config"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rates", [[1e308, 1e308], [-1]], ids=["sum_inf", "negative"])
+    def test_bad_compound_poisson_atoms_are_one_detail(self, tmp_path, capsys, rates):
+        atoms = [{"point": [1, i], "rate": rate} for i, rate in enumerate(rates)]
+        cfg = write_config(tmp_path, {**MINIMAL, "subordinate": {
+            "family": "compound_poisson", "atoms": atoms}})
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        details = json.loads(capsys.readouterr().err)["details"]
+        assert len(details) == 1 and "rate" in details[0]
+
+    def test_seed_flag_completes_a_seedless_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"scenario": "deterministic", "replicates": 10})
+        args = ["simulate", "--config", str(cfg), "--quiet"]
+        assert main([*args, "--out", str(tmp_path / "a")]) == 2
+        assert json.loads(capsys.readouterr().err)["details"] == ["seed required"]
+        assert main([*args, "--out", str(tmp_path / "a"), "--seed", "7"]) == 0
+        seeded = write_config(tmp_path, {**MINIMAL, "replicates": 10}, "seeded.json")
+        assert main(["simulate", "--config", str(seeded), "--out", str(tmp_path / "b"),
+                     "--quiet"]) == 0
+        samples = [(tmp_path / out / "samples.csv").read_bytes() for out in "ab"]
+        assert samples[0] == samples[1]
+
+    def test_run_rules_list_every_violation(self, tmp_path, capsys):
+        # T(10) overflows through the drift, and the atoms expect 2e8 jumps;
+        # the drift's overflow makes X's expected jumps inf too, not a third fault
+        cfg = write_config(tmp_path, {**MINIMAL, "horizon": 10, "subordinate": CPP_2D,
+                                      "subordinator": {"drift": [1e308, 0], "atoms": [
+                                          {"point": [1, 1], "rate": 2e7}]}})
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        details = json.loads(capsys.readouterr().err)["details"]
+        assert len(details) == 2
+        assert "floating-point range" in details[0] and "per replicate" in details[1]
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_nonzero_exit(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**MINIMAL, "bogus": True})
         code = main(["exponent", "--config", str(cfg), "--out", str(tmp_path)])

@@ -51,13 +51,13 @@ DIGESTS = {
     "times_strong": "1cbf95659749fe89368bb82fd2c347c3090839afb4d79d6f063816c8dc001314",
     "times_weak": "1c68a71e4c9a2661faedbc86446bdd6486358d64a95701fa05120f0829ec5863",
     "verify_deterministic":
-        "f4c28ba74792c19f571dc480856bb7c528ad30058ca2a847861e42b19925561e",
+        "d303ae0622f90e997618f896bb0e1c6443b707ee4640a70884c2b07f6bdaceaf",
     "verify_stacked_C3":
-        "45f3fbae4fc89360e61019d59e731d2cfa58814ef8d6384f684e57f2cbc865da",
+        "0b95a524880365ca2e5bbf4fa19c994b3cce8bdb732c072094136c7e31cf1142",
     "verify_finite_activity_C1":
-        "2978560fd21c1952057eb7e10acf639d7ffe3eb9a856e10fb9808894cc7e8ca4",
+        "553ac89a31ba78ab3b86796dca5f0b227195bea5bad3572ea278193ccca0f22e",
     "verify_negative_control":
-        "30bc3a17084e7b4e8d488cfa92be24dab590c85401c539a57a8e17a4e3209996",
+        "e43a016e6a0c9d68913c31468ff7f304ac27b4c4f1088191bdcc217b38b205aa",
 }
 
 

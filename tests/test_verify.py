@@ -13,28 +13,6 @@ from weaksub.verify import (
 )
 
 
-def _calling_thread_ecf(samples, grid):
-    """ecf_grid's sums on the calling thread, as formed before the cosines
-    moved to a worker: per summation block of 8192 rows (fewer beyond 16
-    points), phases in sub-blocks of at most 2**16 multiply-adds (a 1-row
-    tail folded into the one before), then the sums of their cosines and
-    sines. The sizes are literals, so a change to TIME_T_CHUNK or
-    PHASE_PRODUCT that moves the bits of a large grid fails here."""
-    n = len(samples)
-    rows = max(1, 16 * 8192 // max(16, grid.shape[0]))
-    sub = max(2, 2**16 // max(1, grid.size))
-    buffer = np.empty((min(rows, n), grid.shape[0]))
-    re, im = np.zeros(grid.shape[0]), np.zeros(grid.shape[0])
-    for start in range(0, n, rows):
-        phase = buffer[: min(rows, n - start)]
-        cuts = [0, *range(sub, len(phase) - 1, sub), len(phase)]
-        for a, b in zip(cuts, cuts[1:]):
-            np.matmul(samples[start + a : start + b], grid.T, out=phase[a:b])
-        re += np.cos(phase).sum(axis=0)
-        im += np.sin(phase).sum(axis=0)
-    return (re + 1j * im) / n
-
-
 class TestECF:
     def test_constant_samples(self):
         samples = np.tile([1.0, 2.0], (500, 1))
@@ -52,7 +30,7 @@ class TestECF:
         assert abs(ws.ecf_grid(x, [1.0]) - np.exp(-0.5)) <= 4 * np.sqrt(2 / 10**6)
 
     def test_blocked_sum_matches_one_block(self):
-        # a 64-point grid sums blocks of 2048 sample rows
+        # a 64-point grid on 4 columns sums blocks of 256 sample rows
         rng = np.random.default_rng(19)
         samples, grid = rng.standard_normal((20_000, 4)), rng.standard_normal((64, 4))
         one_block = np.exp(1j * samples @ grid.T).mean(axis=0)
@@ -62,40 +40,34 @@ class TestECF:
         with pytest.raises(ws.LevySpecError):
             ws.ecf_grid(np.zeros((0, 2)), [1, 1])
 
-    @pytest.mark.parametrize("points", [16, 64])
-    @pytest.mark.parametrize("n", [20_000, 9217, 1025, 1, 60_000])
-    @pytest.mark.parametrize("d", [4, 8])
+    @pytest.mark.parametrize("d, n, points", [
+        (d, n, points) for d, points in
+        [(4, 16), (4, 64), (8, 16), (8, 64), (40, 16), (4, 300), (40, 300)]
+        for n in [20_000, 9217, 1025, 1, 60_000]])
     def test_equals_blocked_complex_exponential_bit_for_bit(self, d, n, points):
-        # 16 points sum blocks of TIME_T_CHUNK rows, 64 points blocks of a
-        # quarter of that; 20 000, 9217 and 60 000 rows span more than one
-        # block either way. Phases are formed in sub-blocks of PHASE_PRODUCT
-        # multiply-adds (1024, 512, 256 or 128 rows here), and 1025 and 9217
-        # rows leave a 1-row tail, which a 1-row product would round
-        # differently; 1 row is a 1-row product on both sides
+        # blocks of max(2, 2**16 // grid size) rows, one phase product each:
+        # 1024 to 5 rows here, so every n but 1 spans more than one block, and
+        # 1025 and 9217 rows leave a 1-row tail on some grids. The block size
+        # is a literal, so a change to PHASE_PRODUCT that moves the bits
+        # fails here; the cosine and sine sums run on two threads
         rng = np.random.default_rng(23)
         samples = 3.0 * rng.standard_normal((n, d))
         grid = rng.standard_normal((points, d))
-        rows = 16 * verify.TIME_T_CHUNK // points
+        rows = max(2, 2**16 // grid.size)
         total = np.zeros(points, dtype=complex)
         for start in range(0, len(samples), rows):
             total += np.exp(1j * (samples[start : start + rows] @ grid.T)).sum(axis=0)
         reference = total / len(samples)
         assert ws.ecf_grid(samples, grid).tobytes() == reference.tobytes()
 
-    @pytest.mark.parametrize("d, points", [(40, 16), (4, 300), (40, 300)])
-    @pytest.mark.parametrize("n", [1, 1025, 9217, 60_000])
-    def test_two_threads_equal_calling_thread_bit_for_bit(self, d, n, points):
-        # the cosine sum runs on a worker thread and the sine sum on the
-        # calling thread; each forms the same phase products as one thread
-        # did, so the bits hold on the grids that
-        # test_equals_blocked_complex_exponential_bit_for_bit cannot pin:
-        # beyond 192 points and 32 columns OpenBLAS rounds a product by its
-        # row count, so one product per block is not the reference there
-        rng = np.random.default_rng(29)
-        samples = 3.0 * rng.standard_normal((n, d))
-        grid = rng.standard_normal((points, d))
-        reference = _calling_thread_ecf(samples, grid)
-        assert ws.ecf_grid(samples, grid).tobytes() == reference.tobytes()
+    def test_independent_of_sampler_batch(self, monkeypatch):
+        # the ECF's blocks follow PHASE_PRODUCT alone, so retuning the
+        # samplers' TIME_T_CHUNK cannot move a bit
+        rng = np.random.default_rng(31)
+        samples, grid = rng.standard_normal((20_000, 4)), ws.ThetaGridSpec().build(4)
+        before = ws.ecf_grid(samples, grid).tobytes()
+        monkeypatch.setattr(verify, "TIME_T_CHUNK", 100)
+        assert ws.ecf_grid(samples, grid).tobytes() == before
 
     @pytest.mark.parametrize("failing, raised", [(("cos",), "cos"), (("cos", "sin"), "sin")])
     def test_worker_error_reaches_caller(self, monkeypatch, failing, raised):
