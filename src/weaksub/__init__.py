@@ -18,9 +18,7 @@ from .levy import (
     LevySpecError,
     Lift,
     SubordinatorSpec,
-    ZeroJumps,
     laplace_exponent,
-    pure_drift,
 )
 from .ordered_time import (
     sample_subordinate_at,
@@ -46,7 +44,6 @@ from .verify import (
     clt_bound,
     ecf_grid,
     equality_in_law_suite,
-    scenario_processes,
 )
 
 __version__ = "0.1.0"

@@ -35,7 +35,6 @@ from .levy import (
     LevyLaw,
     LevySpecError,
     SubordinatorSpec,
-    ZeroJumps,
 )
 from .subordination import (
     TIME_T_CHUNK,
@@ -202,9 +201,8 @@ def _parse_subordinator(obj, errors) -> SubordinatorSpec | None:
     d = _numbers(got["drift"], 1, errors, "subordinator.drift")
     if d is None:
         return None
-    jumps = _parse_jumps(got, errors, "subordinator")
     try:
-        return SubordinatorSpec(d, ZeroJumps(d.shape[0]) if jumps is None else jumps)
+        return SubordinatorSpec(d, _parse_jumps(got, errors, "subordinator"))
     except ValueError as exc:
         errors.append(f"subordinator: {exc}")
         return None
@@ -297,13 +295,16 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         points=(None if got.get("points") is None else
                 _numbers(got["points"], 2, errors, "theta_grid.points")))
 
+    known = len(errors)
     horizon = _number(raw, "horizon", defaults.horizon, errors)
+    horizon_ok = len(errors) == known  # else times are not judged against it
     times = None
     if "times" in raw:
         times = _numbers(raw["times"], 1, errors, "times")
         if times is not None and not (
                 1 <= times.size <= MAX_TIMES and times[0] > 0
-                and np.all(np.diff(times) > 0) and times[-1] <= horizon):
+                and np.all(np.diff(times) > 0)
+                and (times[-1] <= horizon or not horizon_ok)):
             errors.append(f"times must be 1 to {MAX_TIMES} strictly increasing "
                           f"numbers in (0, horizon]")
         times = None if times is None else tuple(times.tolist())

@@ -36,6 +36,17 @@ def _check_count(value, minimum: int, name: str) -> None:
         raise LevySpecError(f"{name} must be an integer >= {minimum}, not {value!r}")
 
 
+def _finite(values: Array, what: str, unit: str) -> Array:
+    """values, checked finite: a LevySpecError naming how many of its rows
+    (its `unit`) hold an inf or NaN, a result beyond the floating-point
+    range, so none reaches a draw, a table or a report."""
+    bad = ~np.all(np.isfinite(values), axis=tuple(range(1, np.ndim(values))))
+    if np.any(bad):
+        raise LevySpecError(f"{what} is not finite at {bad.sum()} of {len(values)} "
+                            f"{unit}: beyond the floating-point range")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # Jump measures
 # ---------------------------------------------------------------------------
@@ -139,13 +150,6 @@ class AtomicJumps(JumpMeasure):
 
     def __repr__(self):
         return f"AtomicJumps(points={self.points!r}, rates={self.rates!r})"
-
-
-class ZeroJumps(AtomicJumps):
-    """The zero measure: no atoms, so every jump integral is 0."""
-
-    def __init__(self, dim: int):
-        super().__init__(np.zeros((0, dim)), np.zeros(0))
 
 
 class GammaRays(JumpMeasure):
@@ -277,9 +281,12 @@ class BrownianMotion(LevyLaw):
             raise LevySpecError("sigma must be square of order dim(mu)")
         if not (np.all(np.isfinite(self.mu)) and np.all(np.isfinite(sigma))):
             raise LevySpecError("mu and sigma must be finite")
-        self.sigma = 0.5 * (sigma + sigma.T)
-        vals, vecs = np.linalg.eigh(self.sigma)  # eigenvalues in [-PSD_TOL, 0) clip to 0
-        if np.any(vals < -PSD_TOL):
+        with np.errstate(over="ignore"):
+            self.sigma = _finite(0.5 * (sigma + sigma.T), "the symmetrised sigma", "rows")
+        vals, vecs = np.linalg.eigh(self.sigma)
+        # rounding leaves eigenvalues down to -PSD_TOL x the largest |eigenvalue|,
+        # which clip to 0
+        if np.any(vals < -PSD_TOL * np.max(np.abs(vals), initial=0.0)):
             raise LevySpecError(f"covariance not PSD: min eigenvalue {vals.min():g}")
         self._factor = vecs * np.sqrt(np.clip(vals, 0.0, None))  # B B' = sigma
 
@@ -396,17 +403,20 @@ class Lift(LevyLaw):
 @dataclass(frozen=True)
 class SubordinatorSpec:
     """Nonnegative drift plus a jump measure on the nonnegative orthant:
-    atoms (finite activity) or gamma rays (infinite activity). A negative
+    atoms (finite activity) or gamma rays (infinite activity); with no
+    measure, the atomic one with no atoms, so a pure drift. A negative
     drift coordinate, or a point of the measure outside the orthant, is an
     orthant violation (LevySpecError).
     """
 
     d: Array
-    jumps: JumpMeasure
+    jumps: JumpMeasure | None = None
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=float)
         object.__setattr__(self, "d", d)
+        if self.jumps is None:
+            object.__setattr__(self, "jumps", AtomicJumps(np.zeros((0, d.size)), []))
         if self.jumps.dim != d.shape[0]:
             raise LevySpecError("jump measure dimension differs from drift")
         if not np.all(np.isfinite(d)):
@@ -420,11 +430,6 @@ class SubordinatorSpec:
     @property
     def dim(self) -> int:
         return self.d.shape[0]
-
-
-def pure_drift(d) -> SubordinatorSpec:
-    d = np.asarray(d, dtype=float)
-    return SubordinatorSpec(d, ZeroJumps(d.shape[0]))
 
 
 def laplace_exponent(T: SubordinatorSpec, z):

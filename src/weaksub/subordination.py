@@ -17,6 +17,7 @@ from .levy import (
     LevySpecError,
     SubordinatorSpec,
     _check_count,
+    _finite,
     _theta_rows,
     laplace_exponent,
     poisson_scatter,
@@ -106,14 +107,6 @@ def stacked_strong_exponent(R: SubordinatorSpec, dims,
 # ---------------------------------------------------------------------------
 
 
-def _finite(values: Array) -> Array:
-    """values, checked finite: an overflowed draw is no draw from the law."""
-    if not np.all(np.isfinite(values)):
-        raise LevySpecError("a draw of (T, Z) is beyond the floating-point range; "
-                            "lower the horizon or the jump sizes")
-    return values
-
-
 # Rows per batch of the samplers, and (jumps x theta rows) per block
 # of `weaksub exponent`; bounds their temporaries.
 TIME_T_CHUNK = 8192
@@ -177,9 +170,9 @@ def _draw_at(T: SubordinatorSpec, X: LevyLaw, times, size: int,
             np.add(jump_sums, np.outer(steps, T.d), out=rows[..., :n])
             for j in range(1, m):  # np.cumsum's additions, in place
                 rows[:, j, :n] += rows[:, j - 1, :n]
-            _finite(rows[..., :n])
+            _finite(rows[..., :n], "a draw of T", "rows of its batch")
             rows[..., n:] = draw_z(rows[..., :n], steps, counts, jumps)
-        _finite(rows)
+        _finite(rows, "a draw of (T, Z)", "rows of its batch")
     return out if np.ndim(times) else out[:, 0]
 
 

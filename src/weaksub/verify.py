@@ -4,6 +4,7 @@ subordination against exact exponents.
 """
 from __future__ import annotations
 
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ from .levy import (
     LevySpecError,
     SubordinatorSpec,
     _check_count,
-    pure_drift,
+    _finite,
 )
 from .subordination import (
     TIME_T_CHUNK,
@@ -85,23 +86,24 @@ def ecf_grid(samples, theta) -> Array:
     worker.join()
     if errors:  # the calling thread's own error first
         raise errors[max(errors)]
-    total = re + 1j * im
-    bad = ~np.isfinite(total)
-    if np.any(bad):
-        raise LevySpecError(f"the empirical CF is not finite at {bad.sum()} of "
-                            f"{len(total)} theta grid points: a phase <theta, x> "
-                            f"is beyond the floating-point range")
+    total = _finite(re + 1j * im, "the empirical CF", "theta grid points")
     return (total / n).reshape(theta.shape[:-1])[()]
 
 
 def clt_bound(*sizes: int, k: float = DEFAULT_K) -> float:
     """Comparison tolerance k * sqrt(sum of 2/n over the sample sizes): for
     |ECF - CF| on one sample, for |ECF_a - ECF_b| on two. k must be finite
-    and > 0, and each size >= 1."""
+    and > 0, each size >= 1, and the bound of one or more sizes at least
+    the smallest normal float, so |diff| / bound stays finite; with no
+    sizes, this checks k alone."""
     if not (0 < k < np.inf and min(sizes, default=1) >= 1):
         raise LevySpecError(f"the CLT width k must be finite and > 0, and each sample "
                             f"size >= 1, not k = {k!r} and sizes {sizes}")
-    return k * np.sqrt(sum(2.0 / n for n in sizes))
+    bound = k * np.sqrt(sum(2.0 / n for n in sizes))
+    if sizes and not bound >= sys.float_info.min:
+        raise LevySpecError(f"the CLT width k = {k!r} makes the bound for sizes {sizes} "
+                            f"{bound:g}, below the smallest normal float")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -140,11 +142,7 @@ def grid_exponent(T: SubordinatorSpec, X: LevyLaw, grid) -> Array:
         psi = np.concatenate([
             weak_exponent(T, X, rows[:, : T.dim], rows[:, T.dim :])
             for rows in np.split(grid, range(block, len(grid), block))])
-    bad = ~np.isfinite(psi)
-    if np.any(bad):
-        raise LevySpecError(f"the exact exponent is not finite at {bad.sum()} of "
-                            f"{len(psi)} theta grid points")
-    return psi
+    return _finite(psi, "the exact exponent", "theta grid points")
 
 
 @dataclass
@@ -243,7 +241,7 @@ def _stack(R: SubordinatorSpec, dims: tuple[int, ...], blocks: tuple) -> Scenari
 
 _BM = BrownianMotion([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]])
 _SCENARIO_TABLE = {
-    "deterministic": Scenario(pure_drift([1.0, 2.0]), _BM),
+    "deterministic": Scenario(SubordinatorSpec([1.0, 2.0]), _BM),
     "finite_activity_C1": Scenario(
         SubordinatorSpec(np.zeros(2), AtomicJumps([[1.0, 1.0]], [1.0])), _BM),
     "stacked_C3": _stack(
@@ -349,7 +347,7 @@ def equality_in_law_suite(name: str, rng: np.random.Generator,
     n = T.dim
     grid = theta_grid.build(2 * n)
     _check_count(n_paths, 100, "n_paths")
-    clt_bound(k=k)  # checks k before any simulation
+    clt_bound(n_paths, k=k)  # checks k, and its bound, before any simulation
 
     target = np.exp(grid_exponent(T, X, grid))
     strong = cf_compare(simulate_strong_at(T, X, 1.0, n_paths, rng), target, grid, k)

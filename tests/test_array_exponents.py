@@ -117,7 +117,7 @@ class TestLawRows:
         X = LAWS[name]
         th1, th2 = thetas(4), thetas(5)
         for T in (subordinator(), gamma_subordinator(),
-                  ws.pure_drift([0.3, 1.0, 0.6])):
+                  ws.SubordinatorSpec([0.3, 1.0, 0.6])):
             single = [ws.weak_exponent(T, X, a, b) for a, b in zip(th1, th2)]
             assert all(isinstance(v, complex) for v in single)
             assert_rows(ws.weak_exponent(T, X, th1, th2), single)

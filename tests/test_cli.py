@@ -202,6 +202,9 @@ BAD_CONFIGS = {
     "seed_negative": {**MINIMAL, "seed": -1},
     "k_negative": {**MINIMAL, "k": -1},
     "k_text": {**MINIMAL, "k": "four"},
+    # finite and > 0, but k sqrt(2 / replicates) is subnormal or 0
+    "k_1e-310": {**MINIMAL, "k": 1e-310},
+    "k_5e-324": {**MINIMAL, "k": 5e-324},
     "horizon_text": {**MINIMAL, "horizon": "abc"},
     "replicates_text": {**MINIMAL, "replicates": "many"},
     "size_text": {**MINIMAL, "theta_grid": {"size": "big"}},
@@ -261,6 +264,9 @@ BAD_CONFIGS = {
         "family": "brownian", "mu": [0, 0], "sigma": [[1, 0, 0], [0, 1, 0]]}},
     "sigma_not_psd": {**MINIMAL, "subordinate": {
         "family": "brownian", "mu": [0, 0], "sigma": [[1, 2], [2, 1]]}},
+    # (sigma + sigma') / 2 is beyond the floating-point range
+    "sigma_1e308": {**MINIMAL, "subordinate": {
+        "family": "brownian", "mu": [0, 0], "sigma": [[1e308, 0], [0, 1e308]]}},
     # rates whose sum is beyond the floating-point range
     "atom_rates_sum_inf": {**MINIMAL, "subordinate": {
         "family": "compound_poisson", "atoms": [{"point": [1, 0], "rate": 1e308},
@@ -435,6 +441,13 @@ class TestMain:
         assert json.loads(err[0])["error"] == "invalid config"
         assert "empirical CF is not finite" in json.loads(err[0])["details"][0]
         assert not (tmp_path / "out").exists()
+
+    def test_bad_horizon_is_one_detail(self, tmp_path, capsys):
+        # times are not judged against the default that replaced a bad horizon
+        cfg = write_config(tmp_path, {**MINIMAL, "horizon": "abc", "times": [2.0]})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        details = json.loads(capsys.readouterr().err)["details"]
+        assert details == ["horizon must be a finite number > 0"]
 
     def test_failed_run_keeps_an_existing_out(self, tmp_path, capsys):
         cfg = write_config(tmp_path, OVERFLOWING["atoms_1e308"])

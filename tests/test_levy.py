@@ -36,6 +36,19 @@ class TestExponentBM:
         with pytest.raises(ws.LevySpecError):
             ws.BrownianMotion([0, 0], [[1, 2], [2, 1]])
 
+    @pytest.mark.parametrize("scale", [1e6, 1e12])
+    def test_psd_tolerance_scales_with_sigma(self, scale):
+        # a rank-2 L L' has a zero eigenvalue that rounding moves by about
+        # 1e-16 x scale, below any absolute tolerance at a large scale
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            chol = rng.standard_normal((3, 2))
+            ws.BrownianMotion(np.zeros(3), scale * (chol @ chol.T))
+
+    def test_small_indefinite_sigma_rejected(self):
+        with pytest.raises(ws.LevySpecError, match="not PSD"):
+            ws.BrownianMotion([0, 0], [[1e-12, 0], [0, -5e-11]])
+
 
 class TestExponentCPP:
     def test_origin(self):
@@ -50,11 +63,12 @@ class TestExponentCPP:
         assert val == pytest.approx(-4.0 + 0j, abs=1e-12)
 
     def test_zero_measure(self):
-        assert np.array_equal(ws.ZeroJumps(2).laplace(np.ones((3, 0))), np.zeros(3))
+        zero = ws.AtomicJumps(np.zeros((0, 2)), [])
+        assert np.array_equal(zero.laplace(np.ones((3, 0))), np.zeros(3))
         rng = np.random.default_rng(0)
-        assert ws.ZeroJumps(2).sample(rng, 0).shape == (0, 2)
+        assert zero.sample(rng, 0).shape == (0, 2)
         with pytest.raises(ws.LevySpecError):
-            ws.ZeroJumps(2).sample(rng, 1)
+            zero.sample(rng, 1)
 
 
 class TestPoissonDraws:
@@ -79,7 +93,8 @@ class TestPoissonDraws:
     def test_zero_mean_draws_nothing(self):
         rng = np.random.default_rng(2)
         state = rng.bit_generator.state
-        counts, points = ws.ZeroJumps(3).window_draws(np.ones(10), rng)
+        zero = ws.AtomicJumps(np.zeros((0, 3)), [])
+        counts, points = zero.window_draws(np.ones(10), rng)
         assert np.array_equal(counts, np.zeros(10))
         assert points.shape == (0, 3)
         assert np.array_equal(poisson_counts(0.0, 10, rng), np.zeros(10))
@@ -175,13 +190,13 @@ class TestLaplaceExponent:
         assert emp == pytest.approx(np.exp(-(1 - np.exp(-1))), abs=4e-4)
 
     def test_pure_drift(self):
-        T = ws.pure_drift([2.0])
+        T = ws.SubordinatorSpec([2.0])
         z = 0.7 + 0.3j
         assert ws.laplace_exponent(T, [z]) == pytest.approx(2 * z)
 
     def test_negative_real_part_rejected(self):
         with pytest.raises(ws.LevySpecError):
-            ws.laplace_exponent(ws.pure_drift([1.0]), [-0.1])
+            ws.laplace_exponent(ws.SubordinatorSpec([1.0]), [-0.1])
 
     def test_imaginary_argument_matches_char_exponent(self):
         # Lambda(-i theta) == -Psi_T(theta) for atomic subordinators
@@ -220,17 +235,18 @@ class TestValidateTriplet:
 
     def test_negative_drift_reported(self):
         with pytest.raises(ws.LevySpecError, match="orthant"):
-            ws.SubordinatorSpec(np.array([-0.5]), ws.ZeroJumps(1))
+            ws.SubordinatorSpec(np.array([-0.5]))
 
     @pytest.mark.parametrize("build", [
         lambda: ws.AtomicJumps([[np.nan, 1.0]], [1.0]),
         lambda: ws.AtomicJumps([[1.0, 1.0]], [np.inf]),
         lambda: ws.AtomicJumps([[1.0, 0.0], [0.0, 1.0]], [1e308, 1e308]),
-        lambda: ws.SubordinatorSpec(np.array([np.nan, 1.0]), ws.ZeroJumps(2)),
+        lambda: ws.SubordinatorSpec(np.array([np.nan, 1.0])),
         lambda: ws.BrownianMotion([np.nan, 0.0], np.eye(2)),
         lambda: ws.BrownianMotion([0.0, 0.0], [[1.0, np.inf], [0.0, 1.0]]),
+        lambda: ws.BrownianMotion([0.0, 0.0], np.diag([1e308, 1e308])),
     ], ids=["atom_point_nan", "atom_rate_inf", "atom_rates_sum_inf", "drift_nan",
-            "mu_nan", "sigma_inf"])
+            "mu_nan", "sigma_inf", "sigma_sum_inf"])
     def test_non_finite_field_rejected(self, build):
         with pytest.raises(ws.LevySpecError, match="finite"):
             build()

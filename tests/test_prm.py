@@ -112,7 +112,7 @@ class TestMarkedLaplaceCheck:
 
     def test_pure_drift_has_no_jumps(self):
         # no rep has a jump, so both products are empty: exactly 1, se 0
-        T = ws.pure_drift([1.0, 0.5])
+        T = ws.SubordinatorSpec([1.0, 0.5])
         result = ws.marked_laplace_check(T, correlated_bm(), lambda *a: 1.0,
                                          horizon=1.0, reps=50,
                                          rng=np.random.default_rng(10))

@@ -62,14 +62,14 @@ class TestWeakExponent:
         assert val == pytest.approx(np.exp(-1) - 1)
 
     def test_pure_drift_reduction(self):
-        T = ws.pure_drift([1, 2])
+        T = ws.SubordinatorSpec([1, 2])
         bm = ws.BrownianMotion([0, 0], np.eye(2))
         assert ws.weak_exponent(T, bm, [0, 0], [1, 1]) == pytest.approx(-1.5)
 
     def test_deterministic_reduction_is_exact(self):
         # jump-free T: exponent is exactly i<d,theta1> + (d (*) Psi)(theta2)
         rng = np.random.default_rng(2)
-        T = ws.pure_drift([0.3, 1.7])
+        T = ws.SubordinatorSpec([0.3, 1.7])
         X = correlated_bm()
         for _ in range(50):
             th = rng.standard_normal(4)
@@ -156,12 +156,12 @@ class TestStackedStrongExponent:
                        ws.BrownianMotion([0.0], [[1.0]])]
 
     def test_origin(self):
-        R = ws.SubordinatorSpec(np.array([1.0, 2.0]), ws.ZeroJumps(2))
+        R = ws.SubordinatorSpec(np.array([1.0, 2.0]))
         assert ws.stacked_strong_exponent(R, self.dims, self.blocks,
                                           [0, 0], [0, 0]) == 0
 
     def test_deterministic_stack(self):
-        R = ws.SubordinatorSpec(np.array([1.0, 2.0]), ws.ZeroJumps(2))
+        R = ws.SubordinatorSpec(np.array([1.0, 2.0]))
         val = ws.stacked_strong_exponent(R, self.dims, self.blocks,
                                          [0, 0], [1, 1])
         assert val == pytest.approx(-1.5)
@@ -196,7 +196,7 @@ class TestStackedStrongExponent:
                 assert abs(a_val - b_val) <= 1e-10
 
     def test_dim_mismatch(self):
-        R = ws.SubordinatorSpec(np.zeros(2), ws.ZeroJumps(2))
+        R = ws.SubordinatorSpec(np.zeros(2))
         with pytest.raises(ws.LevySpecError):
             ws.stacked_strong_exponent(R, self.dims, self.blocks, [0, 0, 0],
                                        [1, 1])
@@ -218,7 +218,7 @@ class TestStackedStrongExponent:
 
 class TestSimulateSubordinator:
     def test_pure_drift(self):
-        T = ws.pure_drift([1.0, 0.0])
+        T = ws.SubordinatorSpec([1.0, 0.0])
         rows = ws.simulate_strong_at(T, correlated_bm(), [2.0, 5.0], 3,
                                      np.random.default_rng(0))
         assert rows.shape == (3, 2, 4)
@@ -270,7 +270,7 @@ class TestSimulateSubordinator:
 class TestSimulateStrong:
     def test_identity_time_change(self):
         # T = identity drift: X o T == X in law; ECF at t=1 vs CF of X(e)
-        T = ws.pure_drift([1.0, 1.0])
+        T = ws.SubordinatorSpec([1.0, 1.0])
         X = correlated_bm()
         rng = np.random.default_rng(3)
         samples = ws.simulate_strong_at(T, X, 1.0, 20_000, rng)
@@ -309,13 +309,13 @@ class TestSimulateStrong:
 
 class TestSimulateWeak:
     def test_zero_subordinator_constant_path(self):
-        T = ws.SubordinatorSpec(np.zeros(2), ws.ZeroJumps(2))
+        T = ws.SubordinatorSpec(np.zeros(2))
         rows = ws.simulate_weak_at(T, correlated_bm(), [0.5, 1.0, 2.0], 100,
                                    np.random.default_rng(0))
         assert rows.shape == (100, 3, 4) and np.all(rows == 0)
 
     def test_pure_drift_matches_deterministic_exponent(self):
-        T = ws.pure_drift([1.0, 2.0])
+        T = ws.SubordinatorSpec([1.0, 2.0])
         X = correlated_bm()
         rng = np.random.default_rng(7)
         samples = ws.simulate_weak_at(T, X, 1.0, 20_000, rng)
@@ -396,7 +396,7 @@ def weak_fdd_cf(T, X, times, grid):
 FDD_TIMES = (0.5, 1.0)
 # correlated BM along the deterministic clock T(t) = (t, t): the one clock
 # meets the equality-in-law hypothesis, unlike the suite's (t, 2t)
-FDD_CASES = {**TIME_T_CASES, "drift_11": (ws.pure_drift([1.0, 1.0]), correlated_bm())}
+FDD_CASES = {**TIME_T_CASES, "drift_11": (ws.SubordinatorSpec([1.0, 1.0]), correlated_bm())}
 
 
 def strong_target(case, T, X, grid):
@@ -554,8 +554,8 @@ class TestBatchRows:
         assert _batch_rows(gamma, cpp, 1.0) == TIME_T_CHUNK
         # a zero subordinator never runs X, however large rate x time is
         huge = ws.CompoundPoisson(ws.AtomicJumps([[1.0, 0.0]], [1e308]))
-        assert expected_jumps(ws.pure_drift([0, 0]), huge, 10.0) == (0.0, 0.0)
-        assert _batch_rows(ws.pure_drift([0, 0]), huge, 10.0) == TIME_T_CHUNK
+        assert expected_jumps(ws.SubordinatorSpec([0, 0]), huge, 10.0) == (0.0, 0.0)
+        assert _batch_rows(ws.SubordinatorSpec([0, 0]), huge, 10.0) == TIME_T_CHUNK
 
     def test_gamma_batches_count_a_draw_per_ray_and_step(self, monkeypatch):
         # a gamma ray draws one total per step, so a row at m times makes

@@ -214,7 +214,9 @@ class TestCFCompare:
 
 
 class TestCLTWidth:
-    @pytest.mark.parametrize("k", [0.0, -1.0, np.nan, np.inf])
+    # 1e-310 to 5e-324 are finite and > 0, but make k sqrt(2 / N) subnormal
+    # or 0, so |diff| / bound would not be finite
+    @pytest.mark.parametrize("k", [0.0, -1.0, np.nan, np.inf, 1e-310, 1e-320, 5e-324])
     @pytest.mark.parametrize("call", ["clt_bound", "cf_compare", "suite"])
     def test_bad_k_rejected(self, monkeypatch, call, k):
         samples = np.random.default_rng(8).standard_normal((1000, 2))
@@ -232,6 +234,10 @@ class TestCLTWidth:
             else:
                 equality_in_law_suite("deterministic", np.random.default_rng(0),
                                       n_paths=1000, k=k)
+
+    def test_k_alone_has_no_bound_floor(self):
+        # prm checks k with no sample sizes, and a bound of 0
+        assert ws.clt_bound(k=5e-324) == 0.0
 
     @pytest.mark.parametrize("call,n", [("clt_bound", 0), ("clt_bound", -3),
                                         ("suite", -5), ("suite", 2.5), ("suite", 50)])
