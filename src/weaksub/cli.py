@@ -332,10 +332,6 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _check_run(config: ExperimentConfig, command: str) -> None:
     """Rules of a simulate or verify run, checked before --out is made:
     T(horizon) is within the floating-point range and one replicate
@@ -411,8 +407,8 @@ def run_exponent(config: ExperimentConfig, out_dir: Path, written: list[Path]) -
     with out.open("w") as fp:
         cols = [f"theta_{j+1}" for j in range(2 * n)] + ["re", "im", "se"]
         fp.write(",".join(cols) + "\n")
-        fp.writelines(",".join([*map(_fmt, theta), _fmt(val.real), _fmt(val.imag), ""])
-                      + "\n" for theta, val in zip(grid, values))
+        table = np.column_stack([grid, values.real, values.imag]).tolist()
+        fp.writelines(",".join(map(repr, row)) + ",\n" for row in table)
     return out
 
 
@@ -434,8 +430,8 @@ def run_simulate(config: ExperimentConfig, out_dir: Path, written: list[Path],
         for c, start in enumerate(range(0, config.replicates, TIME_T_CHUNK)):
             rows = sample(T, X, times, min(TIME_T_CHUNK, config.replicates - start),
                           stream(config.seed, "simulate", c))
-            fp.writelines(",".join(map(_fmt, row)) + "\n"
-                          for row in rows.reshape(len(rows), -1))
+            fp.writelines(",".join(map(repr, row)) + "\n"
+                          for row in rows.reshape(len(rows), -1).tolist())
     return out
 
 

@@ -39,9 +39,10 @@ def _check_count(value, minimum: int, name: str) -> None:
 def _finite(values: Array, what: str, unit: str) -> Array:
     """values, checked finite: a LevySpecError naming how many of its rows
     (its `unit`) hold an inf or NaN, a result beyond the floating-point
-    range, so none reaches a draw, a table or a report."""
-    bad = ~np.all(np.isfinite(values), axis=tuple(range(1, np.ndim(values))))
-    if np.any(bad):
+    range, so none reaches a draw, a table or a report. One flat check;
+    the rows are counted only when it fails."""
+    if not np.isfinite(values).all():
+        bad = ~np.all(np.isfinite(values), axis=tuple(range(1, np.ndim(values))))
         raise LevySpecError(f"{what} is not finite at {bad.sum()} of {len(values)} "
                             f"{unit}: beyond the floating-point range")
     return values
@@ -302,10 +303,13 @@ class BrownianMotion(LevyLaw):
         return 1j * (theta @ self.mu) - 0.5 * quad
 
     def sample(self, dt, rng):
-        dt = _durations(dt)[:, None]
+        dt = _durations(dt)
         out = rng.standard_normal((len(dt), self.dim)) @ self._factor.T
-        out *= np.sqrt(dt)
-        return np.add(out, dt * self.mu, out=out)
+        scale = np.sqrt(dt)
+        for column, mu in zip(out.T, self.mu):  # in place, a column at a time
+            column *= scale
+            column += dt * mu
+        return out
 
     def __repr__(self):
         return f"BrownianMotion(mu={self.mu!r}, sigma={self.sigma!r})"

@@ -19,14 +19,25 @@ from .levy import LevyLaw, LevySpecError, _theta_rows
 def _alive_gaps(t: np.ndarray):
     """For each order statistic t_(k) of t (sorted along the last axis)
     whose gap t_(k) - t_(k-1) is nonzero in some row, yield the gap of
-    each row and the alive mask t >= t_(k)."""
+    each row and the alive mask t >= t_(k). Only rows of three or more
+    times pay for np.sort: one time is its own order statistic, and two
+    have their np.minimum and np.maximum. (A tie of +0 and -0 may then
+    take the other zero's sign than np.sort gives it; its gaps are zeros
+    either way, and a zero adds nothing to sums that start at +0, so no
+    draw or exponent moves.)"""
     if not np.all((t >= 0) & (t < np.inf)):
         raise LevySpecError("time vector must be finite and coordinatewise >= 0")
-    sorted_t = np.sort(t, axis=-1)
-    for k in range(t.shape[-1]):
-        gap = sorted_t[..., k] - (sorted_t[..., k - 1] if k else 0.0)
+    n = t.shape[-1]
+    if n == 2:
+        ordered = (np.minimum(t[..., 0], t[..., 1]), np.maximum(t[..., 0], t[..., 1]))
+    else:
+        ordered = np.moveaxis(t if n == 1 else np.sort(t, axis=-1), -1, 0)
+    previous = 0.0
+    for current in ordered:
+        gap = current - previous
         if np.count_nonzero(gap):
-            yield gap, t >= sorted_t[..., k, None]
+            yield gap, t >= current[..., None]
+        previous = current
 
 
 def vector_time_exponent(psi: LevyLaw, t, theta):
@@ -67,5 +78,7 @@ def sample_subordinate_at(x: LevyLaw, t, rng: np.random.Generator) -> np.ndarray
     rows = t.reshape(-1, x.dim)
     out = np.zeros(rows.shape)
     for gap, alive in _alive_gaps(rows):
-        np.add(out, x.sample(gap, rng), out=out, where=alive)
+        # out starts at +0.0 and so never holds -0.0: adding +0.0 to a dead
+        # coordinate leaves it as it was, bit for bit
+        out += np.where(alive, x.sample(gap, rng), 0.0)
     return out.reshape(t.shape)

@@ -93,16 +93,18 @@ def ecf_grid(samples, theta) -> Array:
 def clt_bound(*sizes: int, k: float = DEFAULT_K) -> float:
     """Comparison tolerance k * sqrt(sum of 2/n over the sample sizes): for
     |ECF - CF| on one sample, for |ECF_a - ECF_b| on two. k must be finite
-    and > 0, each size >= 1, and the bound of one or more sizes at least
-    the smallest normal float, so |diff| / bound stays finite; with no
-    sizes, this checks k alone."""
+    and > 0, each size >= 1, and the bound of one or more sizes finite and
+    at least the smallest normal float, so |diff| / bound stays finite
+    and no diff passes for an inf bound; with no sizes, this checks k
+    alone."""
     if not (0 < k < np.inf and min(sizes, default=1) >= 1):
         raise LevySpecError(f"the CLT width k must be finite and > 0, and each sample "
                             f"size >= 1, not k = {k!r} and sizes {sizes}")
-    bound = k * np.sqrt(sum(2.0 / n for n in sizes))
-    if sizes and not bound >= sys.float_info.min:
+    with np.errstate(over="ignore"):  # an overflowed bound is inf
+        bound = k * np.sqrt(sum(2.0 / n for n in sizes))
+    if sizes and not sys.float_info.min <= bound < np.inf:
         raise LevySpecError(f"the CLT width k = {k!r} makes the bound for sizes {sizes} "
-                            f"{bound:g}, below the smallest normal float")
+                            f"{bound:g}, outside the normal floating-point range")
     return bound
 
 

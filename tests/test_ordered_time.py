@@ -311,3 +311,103 @@ class TestSampleSubordinateAtRows:
         with pytest.raises(ws.LevySpecError):
             ws.sample_subordinate_at(bm, 1.0, rng)
         assert ws.sample_subordinate_at(bm, np.ones((0, 3)), rng).shape == (0, 3)
+
+
+# The earlier forms of the vector-time kernels, kept as a bit-for-bit
+# reference: np.sort for the order statistics, a masked np.add for the
+# alive coordinates and Brownian motion's step as one (N, 1) x (d,)
+# broadcast. OpenBLAS forms BM's product, so this also runs on one BLAS
+# thread and one CPU in CI.
+def reference_sample(law, dt, rng):
+    if isinstance(law, ws.BrownianMotion):
+        dt = dt[:, None]
+        out = rng.standard_normal((len(dt), law.dim)) @ law._factor.T
+        out *= np.sqrt(dt)
+        return np.add(out, dt * law.mu, out=out)
+    if isinstance(law, ws.IndependentStack):
+        return np.hstack([reference_sample(b, dt, rng) for b in law.blocks])
+    if isinstance(law, ws.Lift):
+        return np.tile(reference_sample(law.x, dt, rng), law.m)
+    return law.sample(dt, rng)
+
+
+def reference_gaps(t):
+    sorted_t = np.sort(t, axis=-1)
+    for k in range(t.shape[-1]):
+        gap = sorted_t[..., k] - (sorted_t[..., k - 1] if k else 0.0)
+        if np.count_nonzero(gap):
+            yield gap, t >= sorted_t[..., k, None]
+
+
+def reference_sample_at(law, t, rng):
+    rows = t.reshape(-1, law.dim)
+    out = np.zeros(rows.shape)
+    for gap, alive in reference_gaps(rows):
+        np.add(out, reference_sample(law, gap, rng), out=out, where=alive)
+    return out.reshape(t.shape)
+
+
+def reference_exponent(law, t, theta):
+    total = np.zeros(np.broadcast_shapes(t.shape, theta.shape)[:-1], dtype=complex)
+    for gap, alive in reference_gaps(t):
+        total += gap * law.exponent(np.where(alive, theta, 0.0))
+    return total
+
+
+def reference_laws(n):
+    """BM with nonzero mu and a correlated sigma, compound Poisson, an
+    independent stack and a lift, each of dimension n."""
+    a = np.random.default_rng(n).standard_normal((n, n))
+    bm = ws.BrownianMotion(np.linspace(-0.7, 1.3, n), a @ a.T + 0.1 * np.eye(n))
+    cpp = ws.CompoundPoisson(ws.AtomicJumps(np.arange(1.0, 2 * n + 1).reshape(2, n)
+                                            * [[1.0], [-0.5]], [0.8, 1.7]))
+    bm1 = ws.BrownianMotion([0.4], [[2.0]])
+    cpp1 = ws.CompoundPoisson(ws.AtomicJumps([[1.5]], [1.2]))
+    stack = ws.IndependentStack([bm1] if n == 1 else
+                                [ws.BrownianMotion(np.full(n - 1, -0.3), np.eye(n - 1)
+                                                   + 0.5), cpp1])
+    return {"bm": bm, "cpp": cpp, "stack": stack, "lift": ws.Lift(bm1, n)}
+
+
+def reference_times(n, rows=3000):
+    """Rows of n times: ties, zero gaps and signed zeros from a small
+    pool, then continuous rows; every pairing of +0 and -0 is in it."""
+    rng = np.random.default_rng(50 + n)
+    pool = np.array([0.0, -0.0, 0.5, 0.5, 1.25, 2.0])
+    t = np.concatenate([rng.choice(pool, (rows // 2, n)),
+                        rng.uniform(0.0, 3.0, (rows - rows // 2, n))])
+    signed = np.array(np.meshgrid(*[[0.0, -0.0, 1.0]] * n)).reshape(n, -1).T
+    return np.concatenate([signed, t])
+
+
+class TestSameBitsAsReferenceForms:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["bm", "cpp", "stack", "lift"])
+    def test_draws(self, n, name):
+        law, t = reference_laws(n)[name], reference_times(n)
+        for times in (t, t[:7], np.zeros((5, n)), np.full((4, n), -0.0), t[None]):
+            got = ws.sample_subordinate_at(law, times, np.random.default_rng(60))
+            want = reference_sample_at(law, times, np.random.default_rng(60))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["bm", "cpp", "stack", "lift"])
+    def test_exponent(self, n, name):
+        law, t = reference_laws(n)[name], reference_times(n)
+        theta = np.random.default_rng(70).uniform(-2.0, 2.0, t.shape)
+        theta[::5] *= -0.0
+        for times, thetas in ((t, theta), (t, theta[:1]), (t[:1], theta),
+                              (np.full((3, n), -0.0), theta[:3])):
+            got = ws.vector_time_exponent(law, times, thetas)
+            assert got.tobytes() == reference_exponent(law, times, thetas).tobytes()
+
+    def test_dead_coordinate_keeps_its_value_beside_an_overflow(self):
+        # over (0.5, 3] only coordinate 1 is alive; the increment overflows
+        # in both, and coordinate 0 keeps its finite value
+        law = ws.BrownianMotion([1e308, 1e308], np.eye(2))
+        t = np.tile([0.5, 3.0], (64, 1))
+        with np.errstate(over="ignore"):
+            got = ws.sample_subordinate_at(law, t, np.random.default_rng(80))
+            want = reference_sample_at(law, t, np.random.default_rng(80))
+        assert np.all(np.isfinite(got[:, 0])) and np.all(got[:, 1] == np.inf)
+        assert got.tobytes() == want.tobytes()

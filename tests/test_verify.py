@@ -235,6 +235,14 @@ class TestCLTWidth:
                 equality_in_law_suite("deterministic", np.random.default_rng(0),
                                       n_paths=1000, k=k)
 
+    # k sqrt(2) and k sqrt(4) are beyond the floating-point range
+    @pytest.mark.parametrize("sizes", [(1,), (1, 1)])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_bound_rejected(self, sizes):
+        with pytest.raises(ws.LevySpecError, match="CLT width k .* outside the normal"):
+            ws.clt_bound(*sizes, k=1.7e308)
+        assert ws.clt_bound(*sizes, k=1e307) < np.inf
+
     def test_k_alone_has_no_bound_floor(self):
         # prm checks k with no sample sizes, and a bound of 0
         assert ws.clt_bound(k=5e-324) == 0.0
