@@ -19,19 +19,18 @@ from .levy import LevyLaw, LevySpecError, _theta_rows
 def _alive_gaps(t: np.ndarray):
     """For each order statistic t_(k) of t (sorted along the last axis)
     whose gap t_(k) - t_(k-1) is nonzero in some row, yield the gap of
-    each row and the alive mask t >= t_(k). Only rows of three or more
-    times pay for np.sort: one time is its own order statistic, and two
-    have their np.minimum and np.maximum. (A tie of +0 and -0 may then
-    take the other zero's sign than np.sort gives it; its gaps are zeros
-    either way, and a zero adds nothing to sums that start at +0, so no
-    draw or exponent moves.)"""
+    each row and the alive mask t >= t_(k). A row of two times has its
+    np.minimum and np.maximum as order statistics. (A tie of +0 and -0
+    may then take the other zero's sign than np.sort gives it; its gaps
+    are zeros either way, and a zero adds nothing to sums that start at
+    +0, so no draw or exponent moves.)"""
     if not np.all((t >= 0) & (t < np.inf)):
         raise LevySpecError("time vector must be finite and coordinatewise >= 0")
     n = t.shape[-1]
     if n == 2:
         ordered = (np.minimum(t[..., 0], t[..., 1]), np.maximum(t[..., 0], t[..., 1]))
     else:
-        ordered = np.moveaxis(t if n == 1 else np.sort(t, axis=-1), -1, 0)
+        ordered = np.moveaxis(np.sort(t, axis=-1), -1, 0)
     previous = 0.0
     for current in ordered:
         gap = current - previous

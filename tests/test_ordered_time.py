@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import weaksub as ws
+from weaksub.levy import BM_COLUMNWISE_MAX_DIM
 
 
 def brute_force_bm_at(t, sigma, rng, size):
@@ -400,6 +401,14 @@ class TestSameBitsAsReferenceForms:
                               (np.full((3, n), -0.0), theta[:3])):
             got = ws.vector_time_exponent(law, times, thetas)
             assert got.tobytes() == reference_exponent(law, times, thetas).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, BM_COLUMNWISE_MAX_DIM, BM_COLUMNWISE_MAX_DIM + 1, 16])
+    def test_brownian_step_either_side_of_the_column_cut(self, d):
+        a = np.random.default_rng(d).standard_normal((d, d))
+        law = ws.BrownianMotion(np.linspace(-1.1, 0.9, d), a @ a.T)
+        dt = np.concatenate([[0.0, 0.5], np.random.default_rng(90).exponential(size=500)])
+        got = law.sample(dt, np.random.default_rng(91))
+        assert got.tobytes() == reference_sample(law, dt, np.random.default_rng(91)).tobytes()
 
     def test_dead_coordinate_keeps_its_value_beside_an_overflow(self):
         # over (0.5, 3] only coordinate 1 is alive; the increment overflows
