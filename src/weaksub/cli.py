@@ -45,6 +45,7 @@ from .subordination import (
 from .verify import (
     DEFAULT_K,
     DEFAULT_N_PATHS,
+    MIN_SAMPLES,
     SCENARIOS,
     ThetaGridSpec,
     equality_in_law_suite,
@@ -336,7 +337,7 @@ def _check_run(config: ExperimentConfig, command: str) -> None:
     """Rules of a simulate or verify run, checked before --out is made:
     T(horizon) is within the floating-point range and one replicate
     expects at most MAX_ROWS jumps of T and of X; verify needs a
-    scenario, replicates >= 100, horizon 1 and no times, at most
+    scenario, replicates >= MIN_SAMPLES, horizon 1 and no times, at most
     MAX_ECF_TERMS ECF terms and at most MAX_REPORT_POINTS grid points;
     and the run's draws of (T, Z) may expect at most MAX_RUN_JUMPS
     jumps."""
@@ -363,8 +364,8 @@ def _check_run(config: ExperimentConfig, command: str) -> None:
     if command == "verify":
         if config.scenario is None:
             errors.append("verify requires a scenario")
-        if config.replicates < 100:
-            errors.append("verify needs replicates >= 100 for its CLT bound")
+        if config.replicates < MIN_SAMPLES:
+            errors.append(f"verify needs replicates >= {MIN_SAMPLES} for its CLT bound")
         if config.horizon != 1.0:
             errors.append("verify compares the laws at time 1, so horizon must be 1")
         if config.times is not None:

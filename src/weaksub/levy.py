@@ -302,10 +302,10 @@ class BrownianMotion(LevyLaw):
         return 0.0
 
     def exponent(self, theta):
-        """i<mu, theta> - theta sigma theta' / 2; sigma was symmetrised and
-        checked PSD once, in __init__."""
+        """i<mu, theta> - theta sigma theta' / 2, the quadratic form clipped
+        at 0 as __init__ clips sigma's eigenvalues, so Re psi <= 0."""
         theta = _theta_rows(theta, self.dim)
-        quad = np.sum((theta @ self.sigma) * theta, axis=-1)
+        quad = np.maximum(np.sum((theta @ self.sigma) * theta, axis=-1), 0.0)
         return 1j * (theta @ self.mu) - 0.5 * quad
 
     def sample(self, dt, rng):
@@ -387,8 +387,7 @@ class Lift(LevyLaw):
     coordinate."""
 
     def __init__(self, x: LevyLaw, m: int):
-        if m < 1:
-            raise LevySpecError("a lift needs at least one copy")
+        _check_count(m, 1, "lift copies")
         self.x, self.m = x, m
         self.dim = m * x.dim
 

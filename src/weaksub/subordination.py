@@ -67,9 +67,10 @@ def _theta_pair(n: int, theta1, theta2) -> tuple[Array, Array]:
 
 
 def _check_blocks(R: SubordinatorSpec, dims) -> None:
-    if len(dims) != R.dim or any(m <= 0 for m in dims):
-        raise LevySpecError("block sizes must be positive, one per coordinate "
-                            "of the subordinator")
+    if len(dims) != R.dim:
+        raise LevySpecError("block sizes must be one per coordinate of the subordinator")
+    for m in dims:
+        _check_count(m, 1, "block sizes")
 
 
 def stacked_subordinator(R: SubordinatorSpec, dims) -> SubordinatorSpec:
@@ -86,7 +87,8 @@ def stacked_strong_exponent(R: SubordinatorSpec, dims,
     subordination, T = stacked_subordinator(R, dims) and X the stack of
     the block laws Y: -Lambda_R(z) with
     z_m = -i <theta1 block m, ones> - Psi_{Y_m}(theta2 block m).
-    Shapes as in `weak_exponent`.
+    Shapes as in `weak_exponent`; a block law with Re Psi > 0 makes
+    Re z < 0, which `laplace_exponent` rejects.
     """
     _check_blocks(R, dims)
     if [y.dim for y in Y] != list(dims):
@@ -96,9 +98,6 @@ def stacked_strong_exponent(R: SubordinatorSpec, dims,
     z = np.stack([-1j * a.sum(axis=-1) - y.exponent(b) for y, a, b in
                   zip(Y, np.split(theta1, cuts, axis=-1), np.split(theta2, cuts, axis=-1))],
                  axis=-1)
-    if np.any(z.real < -1e-12):
-        raise LevySpecError("Re(z) < 0; block exponent has positive real part")
-    z.real = np.clip(z.real, 0.0, None)
     return -laplace_exponent(R, z)
 
 

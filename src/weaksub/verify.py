@@ -33,6 +33,7 @@ Array = np.ndarray
 
 DEFAULT_K = 4.0
 DEFAULT_N_PATHS = 100_000  # samples per suite run, strong and weak each
+MIN_SAMPLES = 100  # fewest samples of an ECF compared with a CLT bound
 EXACT_CHECK_THETAS = 100  # A3: frequencies of the stacked closed-form check
 EXACT_TOL = 1e-10  # A3: largest |psi_strong - psi_weak| of an "equal" exact check
 DIFFER_RATIO = 2.0  # a "differ" check needs max |diff|/bound above this
@@ -110,9 +111,9 @@ def clt_bound(*sizes: int, k: float = DEFAULT_K) -> float:
 
 @dataclass(frozen=True)
 class ThetaGridSpec:
-    """An ECF frequency grid: explicit `points`, or else `size` standard
-    normal rows from the stream `grid_seed`, times `scale`. The default
-    scale keeps |CF| well away from zero for the supported test laws."""
+    """An ECF frequency grid: explicit `points`, or else `size` standard normal
+    rows from the stream `grid_seed` (an integer >= 0 either way: A3 reads it),
+    times `scale`, whose default keeps |CF| well away from zero for test laws."""
 
     size: int = 16
     scale: float = 0.5
@@ -120,6 +121,7 @@ class ThetaGridSpec:
     points: Array | None = None
 
     def build(self, dim: int) -> Array:
+        _check_count(self.grid_seed, 0, "theta grid seed")
         if self.points is None:
             _check_count(self.size, 1, "theta grid size")
             if not 0 < self.scale < np.inf:
@@ -152,7 +154,7 @@ class ECFReport:
     theta_grid: Array
     ecf: Array
     target: Array
-    bound: Array  # one per grid point
+    bound: float  # the CLT bound of every grid point
     n_samples: int
     k: float
 
@@ -185,12 +187,11 @@ class ECFReport:
                     "ecf": [float(e.real), float(e.imag)],
                     "target": [float(t.real), float(t.imag)],
                     "abs_diff": float(d),
-                    "bound": float(b),
+                    "bound": float(self.bound),
                     "pass": bool(v),
                 }
-                for th, e, t, d, b, v in zip(
-                    self.theta_grid, self.ecf, self.target,
-                    self.abs_diff, self.bound, self.verdicts)
+                for th, e, t, d, v in zip(
+                    self.theta_grid, self.ecf, self.target, self.abs_diff, self.verdicts)
             ],
         }
 
@@ -202,7 +203,7 @@ class ECFReport:
 
 
 def cf_compare(samples, target, theta_grid, k: float = DEFAULT_K) -> ECFReport:
-    """Compare the ECF of the samples, shape (N, d) with N >= 100, against
+    """Compare the ECF of the samples, shape (N, d) with N >= MIN_SAMPLES, against
     the exact CF values `target`, one per row of the nonempty (m, d)
     `theta_grid`. Per-theta verdict: |ecf - target| <= k*sqrt(2/N).
     """
@@ -213,10 +214,9 @@ def cf_compare(samples, target, theta_grid, k: float = DEFAULT_K) -> ECFReport:
                             f"grid point, not shapes {theta_grid.shape} and {target.shape}")
     emp = ecf_grid(samples, theta_grid)  # checks the samples' shape
     n = len(samples)
-    if n < 100:
-        raise LevySpecError("need at least 100 samples for a CLT bound")
-    return ECFReport(theta_grid, emp, target, np.full(len(theta_grid), clt_bound(n, k=k)),
-                     n, k)
+    if n < MIN_SAMPLES:
+        raise LevySpecError(f"need at least {MIN_SAMPLES} samples for a CLT bound")
+    return ECFReport(theta_grid, emp, target, clt_bound(n, k=k), n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -348,21 +348,20 @@ def equality_in_law_suite(name: str, rng: np.random.Generator,
     X = record.X if X is None else X
     n = T.dim
     grid = theta_grid.build(2 * n)
-    _check_count(n_paths, 100, "n_paths")
+    _check_count(n_paths, MIN_SAMPLES, "n_paths")
     clt_bound(n_paths, k=k)  # checks k, and its bound, before any simulation
 
     target = np.exp(grid_exponent(T, X, grid))
     strong = cf_compare(simulate_strong_at(T, X, 1.0, n_paths, rng), target, grid, k)
     weak = cf_compare(simulate_weak_at(T, X, 1.0, n_paths, rng), target, grid, k)
-    cross = ECFReport(grid, strong.ecf, weak.ecf,
-                      np.full(len(grid), clt_bound(n_paths, n_paths, k=k)), n_paths, k)
+    cross = ECFReport(grid, strong.ecf, weak.ecf, clt_bound(n_paths, n_paths, k=k),
+                      n_paths, k)
     equal = record.equal_in_law
     checks = [Check("strong_ecf", strong, "equal" if equal else "differ"),
               Check("weak_ecf", weak, "equal"),
               Check("strong_vs_weak", cross, "equal" if equal else None)]
     if stack is not None:
-        theta_rng = np.random.default_rng(theta_grid.grid_seed + 1)
-        th = theta_rng.standard_normal((EXACT_CHECK_THETAS, 2 * n))
+        th = ThetaGridSpec(EXACT_CHECK_THETAS, 1.0, theta_grid.grid_seed + 1).build(2 * n)
         diff = stacked_strong_exponent(*stack, th[:, :n], th[:, n:]) - weak_exponent(
             T, X, th[:, :n], th[:, n:])
         checks.append(Check("exact_exponent", float(np.abs(diff).max()), "equal"))

@@ -274,6 +274,11 @@ class TestValidateTriplet:
         with pytest.raises(ws.LevySpecError, match="atomic"):
             ws.CompoundPoisson(ws.GammaRays([[1.0]], [1.0], [1.0]))
 
+    @pytest.mark.parametrize("m", [0, 2.5, True])
+    def test_bad_lift_copies_rejected(self, m):
+        with pytest.raises(ws.LevySpecError, match="lift copies must be an integer >= 1"):
+            ws.Lift(ws.BrownianMotion([0.0], [[1.0]]), m)
+
 
 class TestDurations:
     LAWS = {"bm": ws.BrownianMotion([0.0], [[1.0]]),
@@ -322,6 +327,17 @@ class TestExponentProperties:
     def test_exponent_invariants(self, law, theta_seed):
         theta = np.random.default_rng(theta_seed).standard_normal(law.dim) * 2
         psi = law.exponent(theta)
-        assert psi.real <= 1e-10
+        assert psi.real <= 0
         assert law.exponent(np.zeros(law.dim)) == 0
         assert law.exponent(-theta) == pytest.approx(np.conj(psi), abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e12])
+    def test_rank_deficient_brownian_real_part(self, scale):
+        # sigma = scale B B' of rank 2 in 3 dimensions; on the null direction
+        # of B' the quadratic form rounds to either sign, and Re psi stays <= 0
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            b = rng.standard_normal((3, 2))
+            theta = np.linalg.svd(b.T)[2][-1]
+            bm = ws.BrownianMotion(rng.standard_normal(3), scale * b @ b.T)
+            assert bm.exponent(np.stack([theta, 2 * theta])).real.max() <= 0

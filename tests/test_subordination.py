@@ -126,8 +126,10 @@ class TestStackedSubordinator:
         np.testing.assert_array_equal(T.jumps.points, [[1.0, 0.5, 0.5], [0.0, 3.0, 3.0]])
         np.testing.assert_array_equal(T.jumps.rates, R.jumps.rates)
 
-    @pytest.mark.parametrize("dims", [(1,), (1, 1, 1), (0, 2), (-1, 2)],
-                             ids=["too_few", "too_many", "zero", "negative"])
+    @pytest.mark.parametrize("dims", [(1,), (1, 1, 1), (0, 2), (-1, 2), (1.5, 0.5),
+                                      (True, 1)],
+                             ids=["too_few", "too_many", "zero", "negative", "fractional",
+                                  "bool"])
     def test_bad_block_sizes_rejected(self, dims):
         R = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1.0, 2.0]], [1.0]))
         blocks = [ws.BrownianMotion([0.0], [[1.0]])] * len(dims)
@@ -194,6 +196,34 @@ class TestStackedStrongExponent:
                 a_val = ws.stacked_strong_exponent(R, dims, blocks, th[:n], th[n:])
                 b_val = ws.weak_exponent(T, X, th[:n], th[n:])
                 assert abs(a_val - b_val) <= 1e-10
+
+    def test_rank_deficient_block_agrees_with_weak_exponent(self):
+        # sigma = 1e6 B B' of rank 2 in one 3-d block, theta2 on the null
+        # direction of B': the Brownian exponent's real part is 0 or a
+        # rounding below it, never above, so the closed form takes every stack
+        R = ws.SubordinatorSpec([0.5], ws.AtomicJumps([[1.0]], [1.0]))
+        T = ws.stacked_subordinator(R, (3,))
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            b = rng.standard_normal((3, 2))
+            bm = ws.BrownianMotion(np.zeros(3), 1e6 * b @ b.T)
+            th1, th2 = rng.standard_normal(3), np.linalg.svd(b.T)[2][-1]
+            psi = ws.weak_exponent(T, bm, th1, th2)
+            exact = ws.stacked_strong_exponent(R, (3,), (bm,), th1, th2)
+            assert abs(exact - psi) <= 1e-12 * max(1.0, abs(psi))
+
+    def test_block_law_with_positive_real_part_rejected(self):
+        # Re psi <= 0 is checked once, by laplace_exponent, for a law
+        # the library does not build too
+        class Growing(ws.LevyLaw):
+            dim = 1
+
+            def exponent(self, theta):
+                return np.full(np.shape(theta)[:-1], 1e-3 + 0.5j)
+
+        R = ws.SubordinatorSpec([0.5], ws.AtomicJumps([[1.0]], [1.0]))
+        with pytest.raises(ws.LevySpecError, match="Re"):
+            ws.stacked_strong_exponent(R, (1,), (Growing(),), [0.0], [1.0])
 
     def test_dim_mismatch(self):
         R = ws.SubordinatorSpec(np.zeros(2))

@@ -280,6 +280,13 @@ class TestThetaGridSpec:
         with pytest.raises(ws.LevySpecError, match="size must be an integer >= 1"):
             ws.ThetaGridSpec(size=size).build(4)
 
+    @pytest.mark.parametrize("grid_seed", [-1, 2.5, True])
+    def test_bad_grid_seed_rejected(self, grid_seed):
+        # with explicit points too: the suite's A3 frequencies come from the seed
+        for points in (None, [[0.5] * 4]):
+            with pytest.raises(ws.LevySpecError, match="seed must be an integer >= 0"):
+                ws.ThetaGridSpec(grid_seed=grid_seed, points=points).build(4)
+
     def test_suite_names_a_non_finite_grid(self):
         grid = ws.ThetaGridSpec(points=[[np.nan] * 4])
         with pytest.raises(ws.LevySpecError, match="points must be finite"):
@@ -328,7 +335,7 @@ class TestEqualityInLawSuite:
         assert np.array_equal(cross.target, ws.ecf_grid(weak, grid))
         assert np.array_equal(cross.ecf, _checks(rep)["strong_ecf"].compares.ecf)
         assert np.array_equal(cross.target, _checks(rep)["weak_ecf"].compares.ecf)
-        assert np.all(cross.bound == ws.clt_bound(n, n, k=k))
+        assert cross.bound == ws.clt_bound(n, n, k=k)
         assert (cross.n_samples, cross.k) == (n, k)
 
     @pytest.mark.parametrize("n,passed", [(100_000, True), (2000, False)])
