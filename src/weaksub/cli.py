@@ -7,7 +7,8 @@ the non-finite literals NaN and Infinity); see the README for the
 documented fields. All runs are deterministic given the seed: stream r
 of purpose p is the generator of SeedSequence(seed, spawn_key=(p, r)).
 `simulate` draws its rows in chunks of TIME_T_CHUNK, chunk c from
-stream c; `verify` draws from stream 0.
+stream c; `verify` splits stream 0 with Generator.spawn(2), the strong
+draws from the first child and the weak from the second.
 
 Exit status: 0 success (for verify, the suite passed); 1 the verify
 suite failed; 2 invalid config, with a JSON error on stderr, or invalid
@@ -55,8 +56,9 @@ from .verify import (
 
 PURPOSES = {"exponent": 0, "simulate": 1, "verify": 2}
 # Largest theta_grid.size and replicates, and expected subordinator and
-# subordinate jumps per replicate: verify holds 2 x replicates x 2n floats,
-# and exponent builds its whole grid before evaluating it in blocks.
+# subordinate jumps per replicate: exponent builds its whole grid before
+# evaluating it in blocks, while simulate and verify hold a chunk or batch
+# of rows at a time, whatever the replicates.
 MAX_ROWS = 10_000_000
 # Largest expected jumps of T and X over a whole simulate or verify run
 # (verify draws its replicates twice, strong and weak): about 70 s of

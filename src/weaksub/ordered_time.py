@@ -19,11 +19,12 @@ from .levy import LevyLaw, LevySpecError, _theta_rows
 def _alive_gaps(t: np.ndarray):
     """For each order statistic t_(k) of t (sorted along the last axis)
     whose gap t_(k) - t_(k-1) is nonzero in some row, yield the gap of
-    each row and the alive mask t >= t_(k). A row of two times has its
-    np.minimum and np.maximum as order statistics. (A tie of +0 and -0
-    may then take the other zero's sign than np.sort gives it; its gaps
-    are zeros either way, and a zero adds nothing to sums that start at
-    +0, so no draw or exponent moves.)"""
+    each row and the alive mask t >= t_(k), or None for t_(1), where every
+    coordinate is alive. A row of two times has its np.minimum and
+    np.maximum as order statistics. (A tie of +0 and -0 may then take the
+    other zero's sign than np.sort gives it; its gaps are zeros either
+    way, and a zero adds nothing to sums that start at +0, so no draw or
+    exponent moves.)"""
     if not np.all((t >= 0) & (t < np.inf)):
         raise LevySpecError("time vector must be finite and coordinatewise >= 0")
     n = t.shape[-1]
@@ -32,10 +33,10 @@ def _alive_gaps(t: np.ndarray):
     else:
         ordered = np.moveaxis(np.sort(t, axis=-1), -1, 0)
     previous = 0.0
-    for current in ordered:
+    for k, current in enumerate(ordered):
         gap = current - previous
         if np.count_nonzero(gap):
-            yield gap, t >= current[..., None]
+            yield gap, (t >= current[..., None]) if k else None
         previous = current
 
 
@@ -59,8 +60,13 @@ def vector_time_exponent(psi: LevyLaw, t, theta):
     except ValueError as exc:
         raise LevySpecError(f"time and theta rows do not broadcast: {exc}") from exc
     total = np.zeros(shape[:-1], dtype=complex)
+    # theta broadcast to every row and laid out as np.where lays out its
+    # result, with no copy when theta already is: the first gap reads it
+    # as it is, and each row's exponent keeps its bits, which can depend
+    # on how many rows one call holds
+    theta = np.ascontiguousarray(np.broadcast_to(theta, shape))
     for gap, alive in _alive_gaps(t):
-        total += gap * psi.exponent(np.where(alive, theta, 0.0))
+        total += gap * psi.exponent(theta if alive is None else np.where(alive, theta, 0.0))
     return total[()]
 
 
@@ -79,5 +85,6 @@ def sample_subordinate_at(x: LevyLaw, t, rng: np.random.Generator) -> np.ndarray
     for gap, alive in _alive_gaps(rows):
         # out starts at +0.0 and so never holds -0.0: adding +0.0 to a dead
         # coordinate leaves it as it was, bit for bit
-        out += np.where(alive, x.sample(gap, rng), 0.0)
+        draw = x.sample(gap, rng)
+        out += draw if alive is None else np.where(alive, draw, 0.0)
     return out.reshape(t.shape)

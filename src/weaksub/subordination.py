@@ -141,38 +141,72 @@ def _batch_rows(T: SubordinatorSpec, X: LevyLaw, times) -> int:
     return max(1, int(MAX_BATCH_JUMPS // per_row))
 
 
-def _draw_at(T: SubordinatorSpec, X: LevyLaw, times, size: int,
-             rng: np.random.Generator, draw_z) -> Array:
-    """`size` independent draws of (T, Z) at `times`: shape (size, 2n) for
-    a scalar time, (size, m, 2n) for m strictly increasing times. Drawn in
-    batches of `_batch_rows` rows: over each step between times, a row's T
-    moves by drift x step plus the jumps `T.jumps.window_draws` draws for
-    the step (Poisson(total mass x step) atoms, or one total per gamma
-    ray), and T at the times is the cumulative sum; Z comes from
-    draw_z(T, steps, jump count per row and step, jumps in row order).
-    A `size` that is not an integer >= 0, or a batch with a value beyond
-    the floating-point range, is a LevySpecError."""
+def _draw_batches(T: SubordinatorSpec, X: LevyLaw, times, size: int,
+                  rng: np.random.Generator, draw_z, out: Array | None = None):
+    """Yield `size` independent draws of (T, Z) at `times` in batches of
+    `_batch_rows` rows, each of shape (k, 2n) for a scalar time and
+    (k, m, 2n) for m strictly increasing times, written to the rows of
+    `out`, shape (size, m, 2n), when it is given, and otherwise to one
+    buffer that each batch overwrites: use a batch before drawing the
+    next. Over each step between times, a row's T moves by drift x
+    step plus the jumps `T.jumps.window_draws` draws for the step
+    (Poisson(total mass x step) atoms, or one total per gamma ray), and T
+    at the times is the cumulative sum; Z comes from draw_z(T, X, rng,
+    T's rows, steps, jump count per row and step, jumps in row order). A
+    `size` that is not an integer >= 0, or a batch with a value beyond the
+    floating-point range, is a LevySpecError."""
     _check_count(size, 0, "size")
     t = np.atleast_1d(np.asarray(times, dtype=float))
     steps = np.diff(t, prepend=0.0)
     if t.ndim != 1 or not t.size or not np.all(steps > 0):
         raise LevySpecError("times must be positive and strictly increasing")
     n, m = T.dim, t.size
-    out = np.empty((size, m, 2 * n))
     batch = _batch_rows(T, X, t)
+    if out is None:
+        buffer = np.empty((min(batch, size), m, 2 * n))
     for start in range(0, size, batch):
-        rows = out[start : start + batch]
-        k = rows.shape[0]
+        k = min(batch, size - start)
+        rows = buffer[:k] if out is None else out[start : start + k]
         with np.errstate(over="ignore", invalid="ignore"):
             counts, jumps = T.jumps.window_draws(np.tile(steps, k), rng)
-            jump_sums = poisson_scatter(counts, jumps).reshape(k, m, n)
-            np.add(jump_sums, np.outer(steps, T.d), out=rows[..., :n])
+            np.add(poisson_scatter(counts, jumps).reshape(k, m, n), np.outer(steps, T.d),
+                   out=rows[..., :n])
             for j in range(1, m):  # np.cumsum's additions, in place
                 rows[:, j, :n] += rows[:, j - 1, :n]
             _finite(rows[..., :n], "a draw of T", "rows of its batch")
-            rows[..., n:] = draw_z(rows[..., :n], steps, counts, jumps)
+            rows[..., n:] = draw_z(T, X, rng, rows[..., :n], steps, counts, jumps)
         _finite(rows, "a draw of (T, Z)", "rows of its batch")
+        del counts, jumps  # so the caller's use of the batch does not hold them
+        yield rows if np.ndim(times) else rows[:, 0]
+
+
+def _draw_at(T: SubordinatorSpec, X: LevyLaw, times, size: int,
+             rng: np.random.Generator, draw_z) -> Array:
+    """All of `_draw_batches`' draws in one array: shape (size, 2n) for a
+    scalar time, (size, m, 2n) for m times."""
+    _check_count(size, 0, "size")
+    out = np.empty((size, np.size(times), 2 * T.dim))
+    for _ in _draw_batches(T, X, times, size, rng, draw_z, out):
+        pass
     return out if np.ndim(times) else out[:, 0]
+
+
+def _strong_z(T, X, rng, tau, steps, counts, jumps) -> Array:
+    """Z of `simulate_strong_at` given T's rows tau, shape (k, m, n)."""
+    k, m, n = tau.shape
+    return sample_subordinate_at(Lift(X, m), tau.reshape(k, m * n), rng).reshape(k, m, n)
+
+
+def _weak_z(T, X, rng, tau, steps, counts, jumps) -> Array:
+    """Z of `simulate_weak_at` given T's rows tau, shape (k, m, n)."""
+    k, m, n = tau.shape
+    z = poisson_scatter(counts, sample_subordinate_at(X, jumps, rng))
+    if np.any(T.d > 0):
+        z += sample_subordinate_at(X, np.tile(np.outer(steps, T.d), (k, 1)), rng)
+    z = z.reshape(k, m, n)
+    for j in range(1, m):  # np.cumsum's additions, in place
+        z[:, j] += z[:, j - 1]
+    return z
 
 
 def simulate_strong_at(T: SubordinatorSpec, X: LevyLaw, times, size: int,
@@ -182,12 +216,7 @@ def simulate_strong_at(T: SubordinatorSpec, X: LevyLaw, times, size: int,
     (size, m, 2n)). Given T at the times, Z is the lift (X, ..., X) at the
     vector time (T(t_1), ..., T(t_m)): one path of X read at every clock
     value of the row."""
-    def draw_z(tau, steps, counts, jumps):
-        k, m, n = tau.shape
-        return sample_subordinate_at(Lift(X, m), tau.reshape(k, m * n),
-                                     rng).reshape(k, m, n)
-
-    return _draw_at(T, X, times, size, rng, draw_z)
+    return _draw_at(T, X, times, size, rng, _strong_z)
 
 
 def simulate_weak_at(T: SubordinatorSpec, X: LevyLaw, times, size: int,
@@ -199,14 +228,4 @@ def simulate_weak_at(T: SubordinatorSpec, X: LevyLaw, times, size: int,
     the cumulative sum. Exact for gamma rays too: a ray's total R a over
     the step is one jump, and X at the vector time R a has the law of the
     sum of the marks of the ray's jumps in the step."""
-    def draw_z(tau, steps, counts, jumps):
-        k, m, n = tau.shape
-        z = poisson_scatter(counts, sample_subordinate_at(X, jumps, rng))
-        if np.any(T.d > 0):
-            z += sample_subordinate_at(X, np.tile(np.outer(steps, T.d), (k, 1)), rng)
-        z = z.reshape(k, m, n)
-        for j in range(1, m):  # np.cumsum's additions, in place
-            z[:, j] += z[:, j - 1]
-        return z
-
-    return _draw_at(T, X, times, size, rng, draw_z)
+    return _draw_at(T, X, times, size, rng, _weak_z)

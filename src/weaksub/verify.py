@@ -22,8 +22,9 @@ from .levy import (
 )
 from .subordination import (
     TIME_T_CHUNK,
-    simulate_strong_at,
-    simulate_weak_at,
+    _draw_batches,
+    _strong_z,
+    _weak_z,
     stacked_strong_exponent,
     stacked_subordinator,
     weak_exponent,
@@ -45,6 +46,53 @@ PHASE_PRODUCT = 2**16  # multiply-adds per ECF phase product: OpenBLAS stays on 
 # ---------------------------------------------------------------------------
 
 
+class _ECFSums:
+    """Running sums of cos <theta, x> and sin <theta, x> over samples, shape
+    (k, d), fed to `add` in pieces of any size, at the frequencies `grid`,
+    shape (m, d). The sums run over blocks of max(2, PHASE_PRODUCT //
+    grid size) samples, carried across pieces, one phase product per
+    block, which OpenBLAS runs on the calling thread; so `ecf` is bit for
+    bit the same however the samples were split."""
+
+    def __init__(self, grid: Array):
+        self.grid = grid
+        self.rows = max(2, PHASE_PRODUCT // max(1, grid.size))
+        self.n = 0
+        self.sums = np.zeros((2, grid.shape[0]))
+        self.carry = np.empty((0, grid.shape[1]))  # fewer than `rows` samples
+        self.buffers = np.empty((2, 0, grid.shape[0]))
+
+    def add(self, samples: Array) -> None:
+        self.n += len(samples)
+        if len(self.carry):
+            samples = np.concatenate([self.carry, samples])
+        end = len(samples) // self.rows * self.rows
+        for start in range(0, end, self.rows):
+            self._block(samples[start : start + self.rows])
+        self.carry = samples[end:].copy()
+
+    def _block(self, x: Array) -> None:
+        if self.buffers.shape[1] < len(x):
+            self.buffers = np.empty((2, len(x), self.grid.shape[0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = np.matmul(x, self.grid.T, out=self.buffers[0, : len(x)])
+            self.sums[0] += np.cos(phase, out=self.buffers[1, : len(x)]).sum(axis=0)
+            self.sums[1] += np.sin(phase, out=phase).sum(axis=0)
+
+    def ecf(self) -> Array:
+        """The mean of exp(i <theta, x>) over every sample added, shape (m,),
+        after summing the last, partial block. An empty sample, or an ECF
+        that is not finite, from a phase beyond the floating-point range, is
+        a LevySpecError."""
+        if not self.n:
+            raise LevySpecError("empirical CF of an empty sample")
+        if len(self.carry):
+            self._block(self.carry)
+            self.carry = self.carry[:0]
+        re, im = self.sums
+        return _finite(re + 1j * im, "the empirical CF", "theta grid points") / self.n
+
+
 def ecf_grid(samples, theta) -> Array:
     """Empirical CF of samples, shape (N, d), at the frequencies theta,
     shape (..., d): the mean of exp(i <theta, x>) over the samples, shape (...).
@@ -53,42 +101,17 @@ def ecf_grid(samples, theta) -> Array:
     of max(2, PHASE_PRODUCT // theta's size) samples, one phase product per
     block, which OpenBLAS runs on the calling thread; on a grid of two or
     more points this is bit for bit the blocked sum of the complex
-    exponential. A worker thread sums the cosines and the calling thread
-    the sines, each forming its own phases. A phase beyond the
-    floating-point range is a LevySpecError.
+    exponential. A phase beyond the floating-point range is a
+    LevySpecError.
     """
     samples = np.asarray(samples, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if samples.ndim != 2 or theta.shape[-1:] != samples.shape[1:]:
         raise LevySpecError(f"samples have shape {samples.shape} and theta "
                             f"{theta.shape}, expected (N, d) and (..., d)")
-    n = samples.shape[0]
-    if n == 0:
-        raise LevySpecError("empirical CF of an empty sample")
-    grid = theta.reshape(-1, samples.shape[1])
-    rows = max(2, PHASE_PRODUCT // max(1, grid.size))
-    buffers = np.empty((2, min(rows, n), grid.shape[0]))
-    re, im = sums = np.zeros((2, grid.shape[0]))
-    errors = {}
-
-    def add(i: int) -> None:  # sums[i] += the sums of (cos, sin)[i] of the phases
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                for start in range(0, n, rows):
-                    phase = np.matmul(samples[start : start + rows], grid.T,
-                                      out=buffers[i, : n - start])
-                    sums[i] += (np.cos, np.sin)[i](phase, out=phase).sum(axis=0)
-        except BaseException as exc:  # raised on the calling thread, after the join
-            errors[i] = exc
-
-    worker = threading.Thread(target=add, args=(0,))
-    worker.start()
-    add(1)
-    worker.join()
-    if errors:  # the calling thread's own error first
-        raise errors[max(errors)]
-    total = _finite(re + 1j * im, "the empirical CF", "theta grid points")
-    return (total / n).reshape(theta.shape[:-1])[()]
+    sums = _ECFSums(theta.reshape(-1, samples.shape[1]))
+    sums.add(samples)
+    return sums.ecf().reshape(theta.shape[:-1])[()]
 
 
 def clt_bound(*sizes: int, k: float = DEFAULT_K) -> float:
@@ -326,6 +349,49 @@ class SuiteReport:
                           *(check.summary() for check in self.checks)])
 
 
+def _strong_and_weak_ecfs(T: SubordinatorSpec, X: LevyLaw, n: int,
+                          rng: np.random.Generator, grid: Array) -> tuple[Array, Array]:
+    """The ECFs on grid of n strong and n weak time-1 draws of (T, Z), from
+    the first and the second of rng.spawn(2): each bit for bit
+    `ecf_grid(simulate_*_at(T, X, 1.0, n, child), grid)`, with no more than
+    a batch of rows held at a time. The strong side runs on a worker thread
+    and the weak side on the calling thread. A worker error is raised to the
+    caller, the calling thread's own error first when both fail, and the
+    worker is joined before this returns or raises (after an error on the
+    calling thread it stops at its next batch), unless an interrupt
+    arrives during the join, when it finishes its own side alone."""
+    strong_rng, weak_rng = rng.spawn(2)
+    stop = threading.Event()  # set on an error of the calling thread
+    strong = {}
+
+    def side_ecf(child: np.random.Generator, draw_z) -> Array | None:
+        sums = _ECFSums(grid)
+        for batch in _draw_batches(T, X, 1.0, n, child, draw_z):
+            if stop.is_set():
+                return None
+            sums.add(batch)
+        return sums.ecf()
+
+    def strong_side() -> None:
+        try:
+            strong["ecf"] = side_ecf(strong_rng, _strong_z)
+        except BaseException as exc:  # raised on the calling thread, after the join
+            strong["error"] = exc
+
+    worker = threading.Thread(target=strong_side)
+    worker.start()
+    try:
+        weak = side_ecf(weak_rng, _weak_z)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        worker.join()
+    if "error" in strong:
+        raise strong["error"]
+    return strong["ecf"], weak
+
+
 def equality_in_law_suite(name: str, rng: np.random.Generator,
                           n_paths: int = DEFAULT_N_PATHS, k: float = DEFAULT_K,
                           theta_grid: ThetaGridSpec = ThetaGridSpec(),
@@ -339,8 +405,8 @@ def equality_in_law_suite(name: str, rng: np.random.Generator,
     the scenario's own, so A3 runs only when neither T nor X is given.
     A scenario equal in law expects every check "equal"; otherwise strong
     is expected to differ from the target, and strong vs weak is
-    reported only. Each sample set's ECF is computed once, as is the
-    exact target.
+    reported only. Each side's ECF is computed once, as its rows are
+    drawn (see `_strong_and_weak_ecfs`), as is the exact target.
     """
     record = scenario_record(name)
     stack = record.stack if T is None and X is None else None
@@ -352,9 +418,11 @@ def equality_in_law_suite(name: str, rng: np.random.Generator,
     clt_bound(n_paths, k=k)  # checks k, and its bound, before any simulation
 
     target = np.exp(grid_exponent(T, X, grid))
-    strong = cf_compare(simulate_strong_at(T, X, 1.0, n_paths, rng), target, grid, k)
-    weak = cf_compare(simulate_weak_at(T, X, 1.0, n_paths, rng), target, grid, k)
-    cross = ECFReport(grid, strong.ecf, weak.ecf, clt_bound(n_paths, n_paths, k=k),
+    strong_ecf, weak_ecf = _strong_and_weak_ecfs(T, X, n_paths, rng, grid)
+    bound = clt_bound(n_paths, k=k)
+    strong = ECFReport(grid, strong_ecf, target, bound, n_paths, k)
+    weak = ECFReport(grid, weak_ecf, target, bound, n_paths, k)
+    cross = ECFReport(grid, strong_ecf, weak_ecf, clt_bound(n_paths, n_paths, k=k),
                       n_paths, k)
     equal = record.equal_in_law
     checks = [Check("strong_ecf", strong, "equal" if equal else "differ"),

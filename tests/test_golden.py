@@ -51,13 +51,13 @@ DIGESTS = {
     "times_strong": "1cbf95659749fe89368bb82fd2c347c3090839afb4d79d6f063816c8dc001314",
     "times_weak": "1c68a71e4c9a2661faedbc86446bdd6486358d64a95701fa05120f0829ec5863",
     "verify_deterministic":
-        "d303ae0622f90e997618f896bb0e1c6443b707ee4640a70884c2b07f6bdaceaf",
+        "6d1403868b9ca1aa24114adeef00f8007bcd5f524fb00ef7a098b593ecfcda31",
     "verify_stacked_C3":
-        "0b95a524880365ca2e5bbf4fa19c994b3cce8bdb732c072094136c7e31cf1142",
+        "e5718b5f3f3fbaf9043e476a801f8ca7731e2924110fe935feff2383eec86d1d",
     "verify_finite_activity_C1":
-        "553ac89a31ba78ab3b86796dca5f0b227195bea5bad3572ea278193ccca0f22e",
+        "1f8f22a40237d08d2fcff9a781aba44fa0d952dea8d5410462bf1bd9d84700cf",
     "verify_negative_control":
-        "e43a016e6a0c9d68913c31468ff7f304ac27b4c4f1088191bdcc217b38b205aa",
+        "c220ec8ae45f4e2df2c927c793ed799c16b0a56328927e197d2314e8e09336ed",
 }
 
 

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,27 +70,18 @@ class TestECF:
         monkeypatch.setattr(verify, "TIME_T_CHUNK", 100)
         assert ws.ecf_grid(samples, grid).tobytes() == before
 
-    @pytest.mark.parametrize("failing, raised", [(("cos",), "cos"), (("cos", "sin"), "sin")])
-    def test_worker_error_reaches_caller(self, monkeypatch, failing, raised):
-        # the worker sums the cosines and the calling thread the sines; when
-        # both fail, the calling thread's own error is the one raised
-        raised_on = {}
-
-        def failing_trig(name):
-            def trig(phase, out):
-                raised_on[name] = threading.current_thread()
-                raise FloatingPointError(f"{name} failed")
-            return trig
-
-        for name in failing:
-            monkeypatch.setattr(np, name, failing_trig(name))
-        threads = threading.active_count()
-        rng = np.random.default_rng(37)
-        with pytest.raises(FloatingPointError, match=f"{raised} failed"):
-            ws.ecf_grid(rng.standard_normal((20_000, 4)), rng.standard_normal((16, 4)))
-        assert raised_on["cos"] is not threading.main_thread()
-        assert raised_on.get("sin", threading.main_thread()) is threading.main_thread()
-        assert threading.active_count() == threads  # the worker was joined
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 6000), max_size=8), st.sampled_from([1, 3, 16, 300]))
+    def test_streamed_sums_equal_ecf_grid(self, cuts, points):
+        # samples fed in pieces of any size, empty ones too, give the bits of
+        # one ecf_grid call: the blocks of 16384, 5461, 1024 or 54 rows are
+        # carried across the pieces
+        rng = np.random.default_rng(43)
+        samples, grid = 3.0 * rng.standard_normal((6000, 4)), rng.standard_normal((points, 4))
+        sums = verify._ECFSums(grid)
+        for piece in np.split(samples, sorted(cuts)):
+            sums.add(piece)
+        assert sums.ecf().tobytes() == ws.ecf_grid(samples, grid).tobytes()
 
     def test_overflowing_phase_rejected(self):
         # <theta, x> = 2e308 - 1e308 overflows to inf, and cos(inf) and
@@ -225,7 +217,7 @@ class TestCLTWidth:
         def no_simulation(*args):
             raise AssertionError("the suite simulated before checking k")
 
-        monkeypatch.setattr(verify, "simulate_strong_at", no_simulation)
+        monkeypatch.setattr(verify, "_draw_batches", no_simulation)
         with pytest.raises(ws.LevySpecError, match="CLT width k"):
             if call == "clt_bound":
                 ws.clt_bound(200, k=k)
@@ -253,7 +245,7 @@ class TestCLTWidth:
         def no_simulation(*args):
             raise AssertionError("the suite simulated before checking n_paths")
 
-        monkeypatch.setattr(verify, "simulate_strong_at", no_simulation)
+        monkeypatch.setattr(verify, "_draw_batches", no_simulation)
         if call == "clt_bound":
             with pytest.raises(ws.LevySpecError, match="each sample size >= 1"):
                 ws.clt_bound(n)
@@ -321,14 +313,15 @@ class TestEqualityInLawSuite:
 
     def test_strong_vs_weak_compares_the_two_ecfs(self):
         # the one two-sample comparison: the strong draw's ECF against the
-        # weak draw's, with bound clt_bound(N, N, k=k)
+        # weak draw's, each from its own child of the suite's generator, with
+        # bound clt_bound(N, N, k=k)
         n, k = 2000, 3.0
         rep = equality_in_law_suite("finite_activity_C1", np.random.default_rng(18),
                                     n_paths=n, k=k)
         record, grid = scenario_record("finite_activity_C1"), ws.ThetaGridSpec().build(4)
-        rng = np.random.default_rng(18)
-        strong = ws.simulate_strong_at(record.T, record.X, 1.0, n, rng)
-        weak = ws.simulate_weak_at(record.T, record.X, 1.0, n, rng)
+        strong_rng, weak_rng = np.random.default_rng(18).spawn(2)
+        strong = ws.simulate_strong_at(record.T, record.X, 1.0, n, strong_rng)
+        weak = ws.simulate_weak_at(record.T, record.X, 1.0, n, weak_rng)
         cross = _checks(rep)["strong_vs_weak"].compares
         assert np.array_equal(cross.theta_grid, grid)
         assert np.array_equal(cross.ecf, ws.ecf_grid(strong, grid))
@@ -337,6 +330,73 @@ class TestEqualityInLawSuite:
         assert np.array_equal(cross.target, _checks(rep)["weak_ecf"].compares.ecf)
         assert cross.bound == ws.clt_bound(n, n, k=k)
         assert (cross.n_samples, cross.k) == (n, k)
+
+    @pytest.mark.parametrize("n, size", [(9000, 16), (20_000, 3)])
+    @pytest.mark.parametrize("name", verify.SCENARIOS)
+    def test_ecfs_are_ecf_grid_of_one_draw_per_child(self, name, n, size):
+        # each side's streamed ECF has the bits of ecf_grid on one n-row draw
+        # from its child of rng.spawn(2), strong from the first: 9000 rows are
+        # an 8192-row batch and a short one, and the 3-point grid's 5461-row
+        # ECF blocks straddle the batches
+        spec = ws.ThetaGridSpec(size=size)
+        rep = equality_in_law_suite(name, np.random.default_rng(41), n_paths=n,
+                                    theta_grid=spec)
+        record = scenario_record(name)
+        grid = spec.build(2 * record.T.dim)
+        strong_rng, weak_rng = np.random.default_rng(41).spawn(2)
+        strong = ws.simulate_strong_at(record.T, record.X, 1.0, n, strong_rng)
+        weak = ws.simulate_weak_at(record.T, record.X, 1.0, n, weak_rng)
+        checks = _checks(rep)
+        assert checks["strong_ecf"].compares.ecf.tobytes() == (
+            ws.ecf_grid(strong, grid).tobytes())
+        assert checks["weak_ecf"].compares.ecf.tobytes() == ws.ecf_grid(weak, grid).tobytes()
+
+    @pytest.mark.parametrize("failing, raised", [(("strong",), "strong"), (("weak",), "weak"),
+                                                 (("strong", "weak"), "weak")],
+                             ids=["strong", "weak", "both"])
+    def test_worker_error_reaches_caller(self, monkeypatch, failing, raised):
+        # the strong side runs on the suite's worker thread and the weak side
+        # on the calling thread; when both fail, the calling thread's own
+        # error is the one raised, and after a weak error the worker stops at
+        # its next batch, before drawing all 49 of them
+        threads_of, batches = {}, {"strong": 0, "weak": 0}
+
+        def side_z(side, draw_z):
+            def z(*args):
+                threads_of[side] = threading.current_thread()
+                batches[side] += 1
+                if side in failing:
+                    raise FloatingPointError(f"{side} failed")
+                return draw_z(*args)
+            return z
+
+        for side in ("strong", "weak"):
+            monkeypatch.setattr(verify, f"_{side}_z",
+                                side_z(side, getattr(verify, f"_{side}_z")))
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match=f"{raised} failed"):
+            equality_in_law_suite("finite_activity_C1", np.random.default_rng(37),
+                                  n_paths=400_000)
+        assert threads_of["strong"] is not threading.main_thread()
+        assert threads_of["weak"] is threading.main_thread()
+        assert threading.active_count() == threads  # the worker was joined
+        if "weak" in failing:
+            assert batches["strong"] < 400_000 // 8192 + 1
+
+    def test_memory_does_not_grow_with_n(self):
+        # each side holds one batch of rows and its running sums, never its
+        # (N, 2n) draws (when the sides held their draws, the peak grew from
+        # about 2.3 MB to 7 MB)
+        peaks = []
+        for n in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                equality_in_law_suite("finite_activity_C1", np.random.default_rng(47),
+                                      n_paths=n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 2**20, peaks
 
     @pytest.mark.parametrize("n,passed", [(100_000, True), (2000, False)])
     def test_negative_control_verdict(self, n, passed):
