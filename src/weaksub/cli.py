@@ -23,7 +23,7 @@ import contextlib
 import json
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -247,8 +247,7 @@ def _parse_subordinate(obj, errors, where="subordinate") -> LevyLaw | None:
     return None
 
 
-TOP_LEVEL_KEYS = ("seed", "scenario", "subordinator", "subordinate", "horizon",
-                  "replicates", "theta_grid", "k", "times")
+TOP_LEVEL_KEYS = tuple(field.name for field in fields(ExperimentConfig))
 
 
 def _reject_constant(name: str):
@@ -286,8 +285,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
 
     defaults = ExperimentConfig(seed=0)
     got = _take(raw.get("theta_grid", {}),
-                ("size", "scale", "grid_seed", "points"),
-                errors, "theta_grid")
+                tuple(field.name for field in fields(ThetaGridSpec)), errors, "theta_grid")
     grid = ThetaGridSpec(
         size=_number(got, "size", defaults.theta_grid.size, errors,
                      "theta_grid.", minimum=1, maximum=MAX_ROWS),

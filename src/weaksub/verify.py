@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -355,41 +356,30 @@ def _strong_and_weak_ecfs(T: SubordinatorSpec, X: LevyLaw, n: int,
     the first and the second of rng.spawn(2): each bit for bit
     `ecf_grid(simulate_*_at(T, X, 1.0, n, child), grid)`, with no more than
     a batch of rows held at a time. The strong side runs on a worker thread
-    and the weak side on the calling thread. A worker error is raised to the
-    caller, the calling thread's own error first when both fail, and the
-    worker is joined before this returns or raises (after an error on the
-    calling thread it stops at its next batch), unless an interrupt
-    arrives during the join, when it finishes its own side alone."""
-    strong_rng, weak_rng = rng.spawn(2)
-    stop = threading.Event()  # set on an error of the calling thread
-    strong = {}
+    and the weak side on the calling thread. A side that fails stops the
+    other at its next batch, and its error reaches the caller, the calling
+    thread's first when both fail. The worker is joined before this returns
+    or raises, unless an interrupt arrives during the join, when it
+    finishes its own side alone."""
+    stop = threading.Event()  # set by whichever side fails
 
     def side_ecf(child: np.random.Generator, draw_z) -> Array | None:
-        sums = _ECFSums(grid)
-        for batch in _draw_batches(T, X, 1.0, n, child, draw_z):
-            if stop.is_set():
-                return None
-            sums.add(batch)
-        return sums.ecf()
-
-    def strong_side() -> None:
         try:
-            strong["ecf"] = side_ecf(strong_rng, _strong_z)
-        except BaseException as exc:  # raised on the calling thread, after the join
-            strong["error"] = exc
+            sums = _ECFSums(grid)
+            for batch in _draw_batches(T, X, 1.0, n, child, draw_z):
+                if stop.is_set():
+                    return None
+                sums.add(batch)
+            return sums.ecf()
+        except BaseException:
+            stop.set()
+            raise
 
-    worker = threading.Thread(target=strong_side)
-    worker.start()
-    try:
+    strong_rng, weak_rng = rng.spawn(2)
+    with ThreadPoolExecutor(1) as worker:
+        strong = worker.submit(side_ecf, strong_rng, _strong_z)
         weak = side_ecf(weak_rng, _weak_z)
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        worker.join()
-    if "error" in strong:
-        raise strong["error"]
-    return strong["ecf"], weak
+    return strong.result(), weak
 
 
 def equality_in_law_suite(name: str, rng: np.random.Generator,
@@ -405,8 +395,9 @@ def equality_in_law_suite(name: str, rng: np.random.Generator,
     the scenario's own, so A3 runs only when neither T nor X is given.
     A scenario equal in law expects every check "equal"; otherwise strong
     is expected to differ from the target, and strong vs weak is
-    reported only. Each side's ECF is computed once, as its rows are
-    drawn (see `_strong_and_weak_ecfs`), as is the exact target.
+    reported only. The exact target and the CLT bound are computed once,
+    before the two sides run at once, each summing its ECF as its rows are
+    drawn; a side that fails stops the other (see `_strong_and_weak_ecfs`).
     """
     record = scenario_record(name)
     stack = record.stack if T is None and X is None else None
@@ -415,11 +406,10 @@ def equality_in_law_suite(name: str, rng: np.random.Generator,
     n = T.dim
     grid = theta_grid.build(2 * n)
     _check_count(n_paths, MIN_SAMPLES, "n_paths")
-    clt_bound(n_paths, k=k)  # checks k, and its bound, before any simulation
+    bound = clt_bound(n_paths, k=k)  # checks k, and the bound, before any simulation
 
     target = np.exp(grid_exponent(T, X, grid))
     strong_ecf, weak_ecf = _strong_and_weak_ecfs(T, X, n_paths, rng, grid)
-    bound = clt_bound(n_paths, k=k)
     strong = ECFReport(grid, strong_ecf, target, bound, n_paths, k)
     weak = ECFReport(grid, weak_ecf, target, bound, n_paths, k)
     cross = ECFReport(grid, strong_ecf, weak_ecf, clt_bound(n_paths, n_paths, k=k),

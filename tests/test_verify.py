@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weaksub as ws
-from weaksub import verify
+from weaksub import subordination, verify
 from weaksub.verify import (
     equality_in_law_suite,
     scenario_record,
@@ -62,13 +62,11 @@ class TestECF:
         assert ws.ecf_grid(samples, grid).tobytes() == reference.tobytes()
 
     def test_independent_of_sampler_batch(self, monkeypatch):
-        # the ECF's blocks follow PHASE_PRODUCT alone, so retuning the
-        # samplers' TIME_T_CHUNK cannot move a bit
-        rng = np.random.default_rng(31)
-        samples, grid = rng.standard_normal((20_000, 4)), ws.ThetaGridSpec().build(4)
-        before = ws.ecf_grid(samples, grid).tobytes()
-        monkeypatch.setattr(verify, "TIME_T_CHUNK", 100)
-        assert ws.ecf_grid(samples, grid).tobytes() == before
+        # the ECF's blocks follow PHASE_PRODUCT alone: with 1000-row sampler
+        # batches, which do not divide the default grid's 1024-row blocks,
+        # each side's streamed ECF still has the bits of ecf_grid on its draw
+        monkeypatch.setattr(subordination, "TIME_T_CHUNK", 1000)
+        _assert_ecfs_of_one_draw_per_child("stacked_C3", 31, 9000, ws.ThetaGridSpec())
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 6000), max_size=8), st.sampled_from([1, 3, 16, 300]))
@@ -338,18 +336,7 @@ class TestEqualityInLawSuite:
         # from its child of rng.spawn(2), strong from the first: 9000 rows are
         # an 8192-row batch and a short one, and the 3-point grid's 5461-row
         # ECF blocks straddle the batches
-        spec = ws.ThetaGridSpec(size=size)
-        rep = equality_in_law_suite(name, np.random.default_rng(41), n_paths=n,
-                                    theta_grid=spec)
-        record = scenario_record(name)
-        grid = spec.build(2 * record.T.dim)
-        strong_rng, weak_rng = np.random.default_rng(41).spawn(2)
-        strong = ws.simulate_strong_at(record.T, record.X, 1.0, n, strong_rng)
-        weak = ws.simulate_weak_at(record.T, record.X, 1.0, n, weak_rng)
-        checks = _checks(rep)
-        assert checks["strong_ecf"].compares.ecf.tobytes() == (
-            ws.ecf_grid(strong, grid).tobytes())
-        assert checks["weak_ecf"].compares.ecf.tobytes() == ws.ecf_grid(weak, grid).tobytes()
+        _assert_ecfs_of_one_draw_per_child(name, 41, n, ws.ThetaGridSpec(size=size))
 
     @pytest.mark.parametrize("failing, raised", [(("strong",), "strong"), (("weak",), "weak"),
                                                  (("strong", "weak"), "weak")],
@@ -357,8 +344,8 @@ class TestEqualityInLawSuite:
     def test_worker_error_reaches_caller(self, monkeypatch, failing, raised):
         # the strong side runs on the suite's worker thread and the weak side
         # on the calling thread; when both fail, the calling thread's own
-        # error is the one raised, and after a weak error the worker stops at
-        # its next batch, before drawing all 49 of them
+        # error is the one raised, and after one side's error the other stops
+        # at its next batch, before drawing all 49 of them
         threads_of, batches = {}, {"strong": 0, "weak": 0}
 
         def side_z(side, draw_z):
@@ -380,8 +367,9 @@ class TestEqualityInLawSuite:
         assert threads_of["strong"] is not threading.main_thread()
         assert threads_of["weak"] is threading.main_thread()
         assert threading.active_count() == threads  # the worker was joined
-        if "weak" in failing:
-            assert batches["strong"] < 400_000 // 8192 + 1
+        for side, other in (("strong", "weak"), ("weak", "strong")):
+            if side in failing:
+                assert batches[other] < 400_000 // 8192 + 1
 
     def test_memory_does_not_grow_with_n(self):
         # each side holds one batch of rows and its running sums, never its
@@ -467,6 +455,19 @@ class TestEqualityInLawSuite:
 
 def _checks(rep) -> dict:
     return {check.name: check for check in rep.checks}
+
+
+def _assert_ecfs_of_one_draw_per_child(name, seed, n, spec):
+    rep = equality_in_law_suite(name, np.random.default_rng(seed), n_paths=n,
+                                theta_grid=spec)
+    record = scenario_record(name)
+    grid = spec.build(2 * record.T.dim)
+    strong_rng, weak_rng = np.random.default_rng(seed).spawn(2)
+    strong = ws.simulate_strong_at(record.T, record.X, 1.0, n, strong_rng)
+    weak = ws.simulate_weak_at(record.T, record.X, 1.0, n, weak_rng)
+    checks = _checks(rep)
+    assert checks["strong_ecf"].compares.ecf.tobytes() == ws.ecf_grid(strong, grid).tobytes()
+    assert checks["weak_ecf"].compares.ecf.tobytes() == ws.ecf_grid(weak, grid).tobytes()
 
 
 class TestScenarioProcesses:
