@@ -102,12 +102,14 @@ class JumpMeasure:
         lengths `steps` (a scalar or an array), in all."""
         raise NotImplementedError
 
-    def window_draws(self, steps: Array, rng: np.random.Generator) -> tuple[Array, Array]:
-        """Independent windows of lengths `steps`, shape (size,): the
-        number of jumps drawn in each, and all of the jumps, window 0's
-        first, so `poisson_scatter(counts, jumps)` holds each window's
-        total and g summed over a window's jumps has the law of g summed
-        over the measure's jumps in it, for g additive along each ray."""
+    def window_draws(self, steps: Array, rows: int,
+                     rng: np.random.Generator) -> tuple[Array, Array]:
+        """Independent windows, `rows` copies of the lengths `steps`, shape
+        (m,), window row m + j of length steps[j]: each drawn jump's window
+        label and the jumps, shape (jumps, dim), in no window's order, so
+        `window_sums(window, jumps, rows * m)` holds each window's total
+        and g summed over a window's jumps has the law of g summed over
+        the measure's jumps in it, for g additive along each ray."""
         raise NotImplementedError
 
     def with_points(self, points) -> JumpMeasure:
@@ -137,10 +139,16 @@ class AtomicJumps(JumpMeasure):
     def expected_draws(self, steps) -> float:
         return self.total_mass * float(np.sum(steps))
 
-    def window_draws(self, steps, rng):
-        """A Poisson(total mass x step) count per window of i.i.d. atoms."""
-        counts = poisson_counts(self.total_mass * steps, steps.size, rng)
-        return counts, self.sample(rng, int(counts.sum()))
+    def window_draws(self, steps, rows, rng):
+        """One Poisson(rate x step x rows) total per step and atom, each of
+        its points in a uniform row: so each window holds independent
+        Poisson(rate x step) counts of the atoms (Poisson colouring)."""
+        m, k = steps.size, self.rates.size
+        counts = poisson_counts(np.multiply.outer(rows * steps, self.rates).ravel(),
+                                m * k, rng)
+        step, atom = np.divmod(np.repeat(np.arange(m * k), counts), k)
+        return (rng.integers(0, rows, size=step.size) * m + step,
+                self.points.take(atom, axis=0))
 
     def with_points(self, points) -> AtomicJumps:
         return AtomicJumps(points, self.rates)
@@ -181,11 +189,12 @@ class GammaRays(JumpMeasure):
     def expected_draws(self, steps) -> float:
         return float(self.points.shape[0] * np.size(steps))
 
-    def window_draws(self, steps, rng):
+    def window_draws(self, steps, rows, rng):
         """One jump per ray and window: its total R_j a_j."""
         k = self.points.shape[0]
-        r = rng.gamma(np.multiply.outer(steps, self.c), 1.0 / self.b)
-        return (np.full(steps.size, k),
+        r = rng.gamma(np.multiply.outer(steps, self.c), 1.0 / self.b,
+                      size=(rows, steps.size, k))
+        return (np.repeat(np.arange(rows * steps.size), k),
                 (r[..., None] * self.points).reshape(-1, self.dim))
 
     def with_points(self, points) -> GammaRays:
@@ -245,27 +254,28 @@ def _durations(dt) -> Array:
     return dt
 
 
-def poisson_scatter(counts: Array, values: Array) -> Array:
-    """Compound sums: row i of the result is the sum of the counts[i]
-    consecutive rows of `values` that follow those of rows 0..i-1, so
-    values has counts.sum() rows. Shape (len(counts),) + values.shape[1:].
-    One np.bincount per column adds each window's values in order from
-    0.0, so the sums equal a scatter-add into zeros bit for bit.
+def window_sums(window: Array, values: Array, windows: int) -> Array:
+    """Sums by window label: row w of the result sums the rows i of
+    `values` with window[i] = w, for labels in [0, windows), so
+    `window_sums(window, g(points), windows)` sums g over each window. Shape
+    (windows,) + values.shape[1:]. One np.bincount per column adds each
+    window's values in label order from 0.0, so the sums equal a
+    scatter-add into zeros bit for bit.
     """
-    index = np.repeat(np.arange(len(counts)), counts)
     columns = values.reshape(len(values), math.prod(values.shape[1:]))
-    out = np.empty((len(counts), columns.shape[1]))
+    out = np.empty((windows, columns.shape[1]))
     for j in range(columns.shape[1]):
-        out[:, j] = np.bincount(index, weights=columns[:, j], minlength=len(counts))
+        out[:, j] = np.bincount(window, weights=columns[:, j], minlength=windows)
     return out.reshape(out.shape[:1] + values.shape[1:])
 
 
 def poisson_counts(mean, size: int, rng: np.random.Generator) -> Array:
     """`size` independent Poisson counts, shape (size,): row i Poisson(mean),
-    or Poisson(mean[i]) for `mean` of shape (size,). A window's points are
-    drawn after all counts, row 0's first, so `poisson_scatter(counts,
-    g(points))` sums g over each window. A negative or NaN mean, or more
-    than MAX_POISSON_POINTS expected points in all, is a LevySpecError.
+    or Poisson(mean[i]) for `mean` of shape (size,). A count may be the
+    total of equal windows: its points, drawn after all counts, each get a
+    uniform window label, which splits it into independent Poisson window
+    counts. A negative or NaN mean, or more than MAX_POISSON_POINTS
+    expected points in all, is a LevySpecError.
     """
     with np.errstate(over="ignore"):  # an overflowed expectation is inf
         expected = np.sum(mean) * (size if np.ndim(mean) == 0 else 1)
@@ -346,7 +356,8 @@ class CompoundPoisson(LevyLaw):
         return -self.jumps.laplace(-1j * (theta @ self.jumps.points.T))
 
     def sample(self, dt, rng):
-        return poisson_scatter(*self.jumps.window_draws(_durations(dt), rng))
+        dt = _durations(dt)
+        return window_sums(*self.jumps.window_draws(dt, 1, rng), dt.size)
 
     def __repr__(self):
         return f"CompoundPoisson({self.jumps!r})"

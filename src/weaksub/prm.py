@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .levy import (AtomicJumps, LevyLaw, LevySpecError, SubordinatorSpec,
-                   _check_count, poisson_counts, poisson_scatter)
+                   _check_count, poisson_counts, window_sums)
 from .ordered_time import sample_subordinate_at
 from .verify import DEFAULT_K, clt_bound
 
@@ -71,19 +71,21 @@ def laplace_functional_mc(rate: float, marks, horizon: float, f, reps: int,
                           rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo mean of the product of e^{-f} over the points of
     `reps` independent Poisson(rate * horizon) windows, times uniform
-    and marks i.i.d.; returns (estimate, standard error).
+    and marks i.i.d.; returns (estimate, standard error). The windows'
+    points are one Poisson(rate * horizon * reps) total, each point in a
+    uniform window.
 
     `marks.sample(rng, k)` draws k marks, and `f.evaluate(times, marks)`
     maps k times and their marks to k nonnegative values (a NaN or
-    negative value is a LevySpecError). It runs after all counts, times
-    and marks are drawn, so it may draw from rng.
+    negative value is a LevySpecError). It runs after the total, times
+    and marks are drawn, so it may draw from rng; the window labels are
+    drawn after it returns.
     """
-    _check_window(horizon, reps)  # poisson_counts checks rate x horizon
-    counts = poisson_counts(rate * horizon, reps, rng)
-    k = int(counts.sum())
+    _check_window(horizon, reps)  # poisson_counts checks rate x horizon x reps
+    k = int(poisson_counts(rate * horizon * reps, 1, rng)[0])
     values = _nonnegative(f.evaluate(rng.uniform(0.0, horizon, size=k),
                                      marks.sample(rng, k)))
-    return _mean_se(np.exp(-poisson_scatter(counts, values)))
+    return _mean_se(np.exp(-window_sums(rng.integers(0, reps, size=k), values, reps)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .levy import (
     _finite,
     _theta_rows,
     laplace_exponent,
-    poisson_scatter,
+    window_sums,
 )
 from .ordered_time import sample_subordinate_at, vector_time_exponent
 
@@ -149,12 +149,13 @@ def _draw_batches(T: SubordinatorSpec, X: LevyLaw, times, size: int,
     `out`, shape (size, m, 2n), when it is given, and otherwise to one
     buffer that each batch overwrites: use a batch before drawing the
     next. Over each step between times, a row's T moves by drift x
-    step plus the jumps `T.jumps.window_draws` draws for the step
-    (Poisson(total mass x step) atoms, or one total per gamma ray), and T
-    at the times is the cumulative sum; Z comes from draw_z(T, X, rng,
-    T's rows, steps, jump count per row and step, jumps in row order). A
-    `size` that is not an integer >= 0, or a batch with a value beyond the
-    floating-point range, is a LevySpecError."""
+    step plus the jumps `T.jumps.window_draws` draws for the step (one
+    Poisson total of each atom per step over the batch's rows, its points
+    in uniform rows, or one total per gamma ray and window), and T at the
+    times is the cumulative sum; Z comes from draw_z(T, X, rng, T's rows,
+    steps, each jump's window label, jumps), window row m + j holding
+    step j of the row. A `size` that is not an integer >= 0, or a batch
+    with a value beyond the floating-point range, is a LevySpecError."""
     _check_count(size, 0, "size")
     t = np.atleast_1d(np.asarray(times, dtype=float))
     steps = np.diff(t, prepend=0.0)
@@ -168,15 +169,16 @@ def _draw_batches(T: SubordinatorSpec, X: LevyLaw, times, size: int,
         k = min(batch, size - start)
         rows = buffer[:k] if out is None else out[start : start + k]
         with np.errstate(over="ignore", invalid="ignore"):
-            counts, jumps = T.jumps.window_draws(np.tile(steps, k), rng)
-            np.add(poisson_scatter(counts, jumps).reshape(k, m, n), np.outer(steps, T.d),
+            window, jumps = T.jumps.window_draws(steps, k, rng)
+            np.add(window_sums(window, jumps, k * m).reshape(k, m, n), np.outer(steps, T.d),
                    out=rows[..., :n])
             for j in range(1, m):  # np.cumsum's additions, in place
                 rows[:, j, :n] += rows[:, j - 1, :n]
-            _finite(rows[..., :n], "a draw of T", "rows of its batch")
-            rows[..., n:] = draw_z(T, X, rng, rows[..., :n], steps, counts, jumps)
-        _finite(rows, "a draw of (T, Z)", "rows of its batch")
-        del counts, jumps  # so the caller's use of the batch does not hold them
+            # T's block first, so draw_z never reads an inf clock
+            _finite(rows[..., :n], "a draw of (T, Z)", "rows of its batch")
+            rows[..., n:] = draw_z(T, X, rng, rows[..., :n], steps, window, jumps)
+            _finite(rows[..., n:], "a draw of (T, Z)", "rows of its batch")
+        del window, jumps  # so the caller's use of the batch does not hold them
         yield rows if np.ndim(times) else rows[:, 0]
 
 
@@ -191,16 +193,16 @@ def _draw_at(T: SubordinatorSpec, X: LevyLaw, times, size: int,
     return out if np.ndim(times) else out[:, 0]
 
 
-def _strong_z(T, X, rng, tau, steps, counts, jumps) -> Array:
+def _strong_z(T, X, rng, tau, steps, window, jumps) -> Array:
     """Z of `simulate_strong_at` given T's rows tau, shape (k, m, n)."""
     k, m, n = tau.shape
     return sample_subordinate_at(Lift(X, m), tau.reshape(k, m * n), rng).reshape(k, m, n)
 
 
-def _weak_z(T, X, rng, tau, steps, counts, jumps) -> Array:
+def _weak_z(T, X, rng, tau, steps, window, jumps) -> Array:
     """Z of `simulate_weak_at` given T's rows tau, shape (k, m, n)."""
     k, m, n = tau.shape
-    z = poisson_scatter(counts, sample_subordinate_at(X, jumps, rng))
+    z = window_sums(window, sample_subordinate_at(X, jumps, rng), k * m)
     if np.any(T.d > 0):
         z += sample_subordinate_at(X, np.tile(np.outer(steps, T.d), (k, 1)), rng)
     z = z.reshape(k, m, n)
@@ -223,7 +225,8 @@ def simulate_weak_at(T: SubordinatorSpec, X: LevyLaw, times, size: int,
                      rng: np.random.Generator) -> Array:
     """`size` exact independent draws of (T, X (.) T) at `times`, shaped as
     in `simulate_strong_at`. Over each step, Z moves by one independent
-    mark per drawn jump, with the law of X at that jump as vector time,
+    mark per jump drawn in the row's window for the step, with the law of
+    X at that jump as vector time, summed by the jumps' window labels,
     plus an independent X at the vector time d x step; Z at the times is
     the cumulative sum. Exact for gamma rays too: a ray's total R a over
     the step is one jump, and X at the vector time R a has the law of the

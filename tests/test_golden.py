@@ -46,18 +46,18 @@ CASES = {
 
 DIGESTS = {
     "exponent": "69411f933567c6674c8bdb18ed5e726086f240044b8a65ffd0c084f394704a87",
-    "time1_strong": "328377bfff75bddaacdc298669ea8d331d49dab7a34de423b2278d2e48fca273",
-    "time1_weak": "31ed9895eeacadf0909c4790fce1f85433c298208c6bf69176e63b9f1b90bf68",
-    "times_strong": "1cbf95659749fe89368bb82fd2c347c3090839afb4d79d6f063816c8dc001314",
-    "times_weak": "1c68a71e4c9a2661faedbc86446bdd6486358d64a95701fa05120f0829ec5863",
+    "time1_strong": "378f7a6810510154f3dcec88d0a2fecdfae46b088a14526db15665d173977410",
+    "time1_weak": "f9b220c9dd03cd6ba3efdb91fcf9c398c7a8634741cbd4792bfa89dc6ecaa5d3",
+    "times_strong": "3b0028a462fdd5c3c024e64c7878f706e8ca29337d7b698750cc50fdc413f709",
+    "times_weak": "5af068343e1630c0657ec8b4d61709400276e0f4a1db791af8801c5c8684a292",
     "verify_deterministic":
         "6d1403868b9ca1aa24114adeef00f8007bcd5f524fb00ef7a098b593ecfcda31",
     "verify_stacked_C3":
-        "e5718b5f3f3fbaf9043e476a801f8ca7731e2924110fe935feff2383eec86d1d",
+        "7a1e45c55806059572759cee409fca35e9248ec3eff5c4a51d4a5f3b33567fe0",
     "verify_finite_activity_C1":
-        "1f8f22a40237d08d2fcff9a781aba44fa0d952dea8d5410462bf1bd9d84700cf",
+        "8cb9a59b635598294b07ef12ec1c81c1067541abd0d76dd35629e690cb6a4cb5",
     "verify_negative_control":
-        "c220ec8ae45f4e2df2c927c793ed799c16b0a56328927e197d2314e8e09336ed",
+        "99213dd25a2c233d29557643a8b49fb0777676f2ffbbf8050a35b21223beceb6",
 }
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weaksub as ws
-from weaksub.levy import poisson_counts, poisson_scatter
+from weaksub.levy import poisson_counts, window_sums
 
 
 class TestExponentBM:
@@ -71,18 +71,62 @@ class TestExponentCPP:
             zero.sample(rng, 1)
 
 
+def atom_counts(jumps, steps, rows, seed):
+    """Each (row, step, atom) count of one `window_draws` call, shape
+    (rows, m, atoms), for atoms at the unit vectors."""
+    m, k = steps.size, jumps.rates.size
+    window, points = jumps.window_draws(steps, rows, np.random.default_rng(seed))
+    atom = np.argmax(points, axis=1)
+    return np.bincount(window * k + atom, minlength=rows * m * k).reshape(rows, m, k)
+
+
 class TestPoissonDraws:
     def test_shapes_and_one_point_per_count(self):
         # total mass 4, so windows of length 0.625 expect 2.5 atoms each
         jumps = ws.AtomicJumps([[1.0, 0.0], [0.0, 2.0]], [1.0, 3.0])
-        counts, points = jumps.window_draws(np.full(100, 0.625),
+        window, points = jumps.window_draws(np.array([0.625, 0.625]), 50,
                                             np.random.default_rng(0))
-        assert counts.shape == (100,)
-        assert points.shape == (counts.sum(), 2)
-        assert counts.sum() > 0
-        # scattering g(points) sums g over each window
-        sums = poisson_scatter(counts, np.ones(len(points)))
-        assert np.array_equal(sums, counts)
+        assert window.shape == (len(points),) and points.shape[1] == 2
+        assert len(points) > 0 and np.all((window >= 0) & (window < 100))
+        # every point is an atom, and summing g(points) sums g over each window
+        assert np.all(np.all(points == [1.0, 0.0], axis=1)
+                      | np.all(points == [0.0, 2.0], axis=1))
+        sums = window_sums(window, np.ones(len(points)), 100)
+        assert np.array_equal(sums, np.bincount(window, minlength=100))
+
+    def test_counts_have_the_poisson_law(self):
+        # each (row, step, atom) count is Poisson(rate x step), and the
+        # atoms' counts in a window are uncorrelated
+        rates, steps, rows = np.array([0.5, 2.0]), np.array([0.25, 1.0, 1.5]), 20_000
+        jumps = ws.AtomicJumps(np.eye(2), rates)
+        counts = atom_counts(jumps, steps, rows, seed=5)
+        for j, step in enumerate(steps):
+            for a, rate in enumerate(rates):
+                c, lam = counts[:, j, a], rate * step
+                assert abs(c.mean() - lam) <= 4 * np.sqrt(lam / rows)
+                var_se = np.sqrt((lam + 2 * lam**2) / rows)
+                assert abs(c.var(ddof=1) - lam) <= 4 * var_se
+                p0 = np.exp(-lam)
+                assert abs(np.mean(c == 0) - p0) <= 4 * np.sqrt(p0 * (1 - p0) / rows)
+            r = np.corrcoef(counts[:, j, 0], counts[:, j, 1])[0, 1]
+            assert abs(r) <= 4 / np.sqrt(rows)
+
+    def test_step_points_land_in_their_steps_windows(self):
+        # step 1 has length 0, so no label row m + 1 is drawn; the others
+        # expect rows x total mass x step points
+        jumps = ws.AtomicJumps(np.eye(2), [1.0, 3.0])
+        window, _ = jumps.window_draws(np.array([0.5, 0.0, 2.0]), 400,
+                                       np.random.default_rng(6))
+        step = window % 3
+        assert np.all((window >= 0) & (window < 1200)) and not np.any(step == 1)
+        for j, mean in ((0, 400 * 4 * 0.5), (2, 400 * 4 * 2.0)):
+            assert abs(np.sum(step == j) - mean) <= 4 * np.sqrt(mean)
+        # gamma rays: one total per ray in every window, labelled in order
+        rays = ws.GammaRays([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0], [1.0, 1.0])
+        window, points = rays.window_draws(np.array([0.5, 1.0]), 3,
+                                           np.random.default_rng(6))
+        assert np.array_equal(window, np.repeat(np.arange(6), 2))
+        assert points.shape == (12, 2)
 
     def test_per_row_mean(self):
         mean = np.array([0.0, 5.0, 50.0])
@@ -91,12 +135,13 @@ class TestPoissonDraws:
         assert counts[0] == 0 and counts[2] > counts[1] > 0
 
     def test_zero_mean_draws_nothing(self):
+        # the zero measure draws nothing and leaves the generator as it was
         rng = np.random.default_rng(2)
         state = rng.bit_generator.state
         zero = ws.AtomicJumps(np.zeros((0, 3)), [])
-        counts, points = zero.window_draws(np.ones(10), rng)
-        assert np.array_equal(counts, np.zeros(10))
-        assert points.shape == (0, 3)
+        window, points = zero.window_draws(np.ones(10), 7, rng)
+        assert window.shape == (0,) and points.shape == (0, 3)
+        assert np.array_equal(window_sums(window, points, 70), np.zeros((70, 3)))
         assert np.array_equal(poisson_counts(0.0, 10, rng), np.zeros(10))
         assert rng.bit_generator.state == state
 
@@ -115,23 +160,29 @@ class TestPoissonDraws:
             X.sample(np.ones(10), np.random.default_rng(4))
 
 
-def add_at_scatter(counts, values):
-    """The compound sum by np.add.at: the reference poisson_scatter must
-    equal bit for bit."""
-    out = np.zeros((counts.shape[0],) + values.shape[1:])
-    np.add.at(out, np.repeat(np.arange(counts.shape[0]), counts), values)
+def shuffled_labels(counts, rng):
+    """counts[w] labels w per window, in a random order."""
+    return rng.permutation(np.repeat(np.arange(len(counts)), counts))
+
+
+def add_at_sums(window, values, windows):
+    """The window sums by np.add.at: window_sums must equal them bit for bit."""
+    out = np.zeros((windows,) + values.shape[1:])
+    np.add.at(out, window, values)
     return out
 
 
 class TestPoissonScatter:
+    """window_sums scatters each point's value into its window."""
+
     @pytest.mark.parametrize("tail", [(), (2,), (3, 4)])
     def test_equals_add_at_bit_for_bit(self, tail):
         rng = np.random.default_rng(31)
-        counts = rng.poisson(1.5, 500)
-        values = rng.standard_normal((counts.sum(),) + tail)
-        out = poisson_scatter(counts, values)
+        window = rng.integers(0, 500, size=750)
+        values = rng.standard_normal((750,) + tail)
+        out = window_sums(window, values, 500)
         assert out.shape == (500,) + tail
-        assert out.tobytes() == add_at_scatter(counts, values).tobytes()
+        assert out.tobytes() == add_at_sums(window, values, 500).tobytes()
 
     @pytest.mark.parametrize("counts,values", [
         # zero-jump batches draw (0, n) values: the reshape must not need -1
@@ -140,13 +191,14 @@ class TestPoissonScatter:
         (np.zeros(0, dtype=int), np.zeros((0, 3))),
         # a window of -0.0 sums to 0.0, as adding to 0.0 does
         (np.array([2, 0, 1]), np.array([-0.0, -0.0, -0.0])),
-        # prm scatters log(means), and a mean can be 0
+        # prm sums log(means), and a mean can be 0
         (np.array([1, 2, 0, 1]), np.array([-np.inf, -np.inf, 1.0, 2.0])),
         (np.array([1, 1]), np.array([[-np.inf, -0.0], [np.inf, 3.0]])),
     ])
     def test_edge_cases_equal_add_at(self, counts, values):
-        out = poisson_scatter(counts, values)
-        reference = add_at_scatter(counts, values)
+        window = shuffled_labels(counts, np.random.default_rng(32))
+        out = window_sums(window, values, len(counts))
+        reference = add_at_sums(window, values, len(counts))
         assert out.shape == reference.shape
         assert out.tobytes() == reference.tobytes()
 

@@ -63,6 +63,36 @@ class TestCampbellIdentity:
                                            np.random.default_rng(7))
         assert abs(est - np.exp(-rate * s * p * -np.expm1(-c))) <= 4 * se
 
+    def test_functional_runs_after_every_draw_and_may_draw(self):
+        # f draws one uniform per point, as _MarkAverage draws marks, and
+        # is c where it is <= p: those points are a Poisson count of mean
+        # rate x horizon x p. f runs once the total, the times and the
+        # marks are drawn, and the window labels come after it returns
+        rate, horizon, c, p, reps, seed = 2.0, 1.5, 0.8, 0.3, 4 * 10**4, 8
+        rng = np.random.default_rng(seed)
+        states = []
+
+        class UniformMark:
+            def sample(self, rng, k):
+                return rng.uniform(0.0, 1.0, size=(k, 1))
+
+        class DrawingFunctional:
+            def evaluate(self, times, marks):
+                states.append(rng.bit_generator.state)
+                return np.where(rng.uniform(size=len(times)) <= p, c, 0.0)
+
+        est, se = ws.laplace_functional_mc(rate, UniformMark(), horizon,
+                                           DrawingFunctional(), reps, rng)
+        assert abs(est - np.exp(-rate * horizon * p * -np.expm1(-c))) <= 4 * se
+        twin = np.random.default_rng(seed)
+        k = twin.poisson(rate * horizon * reps, size=1)[0]
+        twin.uniform(0.0, horizon, size=k)
+        twin.uniform(0.0, 1.0, size=(k, 1))
+        assert states == [twin.bit_generator.state]
+        twin.uniform(size=k)
+        twin.integers(0, reps, size=k)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     @pytest.mark.parametrize("rate,horizon,reps", [
         (-1.0, 1.0, 100), (np.nan, 1.0, 100), (np.inf, 1.0, 100),
         (2.0, 0.0, 100), (2.0, -1.0, 100), (2.0, np.inf, 100), (2.0, 1.0, 1),

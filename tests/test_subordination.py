@@ -143,10 +143,10 @@ class TestStackedSubordinator:
         R = ws.SubordinatorSpec(np.array([0.3]), ws.GammaRays([[1.0]], [1.5], [2.0]))
         T = ws.stacked_subordinator(R, (2,))
         np.testing.assert_array_equal(T.d, [R.d[0], R.d[0]])
-        steps = np.full(100, 0.5)
-        counts, jumps = T.jumps.window_draws(steps, np.random.default_rng(0))
-        r_counts, r_jumps = R.jumps.window_draws(steps, np.random.default_rng(0))
-        assert np.array_equal(counts, r_counts)
+        steps = np.array([0.25, 0.5])
+        window, jumps = T.jumps.window_draws(steps, 50, np.random.default_rng(0))
+        r_window, r_jumps = R.jumps.window_draws(steps, 50, np.random.default_rng(0))
+        assert np.array_equal(window, r_window)
         assert jumps.shape == (100, 2) and np.all(jumps > 0)
         np.testing.assert_array_equal(jumps, np.hstack([r_jumps, r_jumps]))
 
@@ -600,8 +600,8 @@ class TestBatchRows:
         T, cap, sizes = rays(10), 2000, []
         monkeypatch.setattr(subordination, "MAX_BATCH_JUMPS", cap)
         draw = T.jumps.window_draws
-        monkeypatch.setattr(T.jumps, "window_draws", lambda steps, rng: (
-            sizes.append(10 * steps.size), draw(steps, rng))[1])
+        monkeypatch.setattr(T.jumps, "window_draws", lambda steps, rows, rng: (
+            sizes.append(10 * rows * steps.size), draw(steps, rows, rng))[1])
         rows = ws.simulate_weak_at(T, X, times, 50, np.random.default_rng(14))
         assert rows.shape == (50, 16, 4)
         assert sum(sizes) == 50 * 160 and max(sizes) <= cap
@@ -623,8 +623,14 @@ class TestBatchRows:
         assert _batch_rows(self.T, self.X, 1.0) == 10
         sizes = []  # points per jump draw of X; a law of its own records them
         X = ws.CompoundPoisson(ws.AtomicJumps([[1.0, -0.5]], [50.0]))
-        draw = X.jumps.sample
-        X.jumps.sample = lambda rng, k: (sizes.append(k), draw(rng, k))[1]
+        window_draws = X.jumps.window_draws
+
+        def draw(steps, rows, rng):
+            window, jumps = window_draws(steps, rows, rng)
+            sizes.append(len(jumps))
+            return window, jumps
+
+        X.jumps.window_draws = draw
         rows = sample(self.T, X, 1.0, 2000, np.random.default_rng(12))
         assert rows.shape == (2000, 4)
         assert len(sizes) >= 200 and max(sizes) <= cap
