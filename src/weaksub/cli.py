@@ -62,7 +62,7 @@ PURPOSES = {"exponent": 0, "simulate": 1, "verify": 2}
 MAX_ROWS = 10_000_000
 # Largest expected jumps of T and X over a whole simulate or verify run
 # (verify draws its replicates twice, strong and weak): about 30 s of
-# sampling at 31-32 ns of CPU time per jump on a 2-vCPU Xeon (simulate
+# sampling at 26-31 ns of CPU time per jump on a 2-vCPU Xeon (simulate
 # under a compound Poisson subordinate of rate 1e6, 6e7 jumps).
 MAX_RUN_JUMPS = 10**9
 # Largest ECF terms of a verify run, 2 x replicates x theta grid points:

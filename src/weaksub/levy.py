@@ -140,28 +140,36 @@ class AtomicJumps(JumpMeasure):
         return self.total_mass * float(np.sum(steps))
 
     def window_draws(self, steps, rows, rng):
-        """One Poisson(rate x step x rows) total per step and atom, each of
-        its points in a uniform row: so each window holds independent
-        Poisson(rate x step) counts of the atoms (Poisson colouring)."""
-        m, k = steps.size, self.rates.size
-        counts = poisson_counts(np.multiply.outer(rows * steps, self.rates).ravel(),
-                                m * k, rng)
-        step, atom = np.divmod(np.repeat(np.arange(m * k), counts), k)
+        """One Poisson(total mass x step x rows) total per step, each of its
+        points a `sample` atom in a uniform row: so each window holds
+        independent Poisson(rate x step) counts of the atoms (Poisson
+        colouring). Work and memory grow with the points and steps, not
+        with the atoms."""
+        m = steps.size
+        with np.errstate(over="ignore"):  # poisson_counts rejects an inf mean
+            mean = self.total_mass * rows * steps
+        step = np.repeat(np.arange(m), poisson_counts(mean, m, rng))
         return (rng.integers(0, rows, size=step.size) * m + step,
-                self.points.take(atom, axis=0))
+                self.sample(rng, step.size))
 
     def with_points(self, points) -> AtomicJumps:
         return AtomicJumps(points, self.rates)
 
     def sample(self, rng: np.random.Generator, size: int) -> Array:
-        """Draw `size` i.i.d. jumps from the normalized measure."""
+        """Draw `size` i.i.d. jumps from the normalized measure: atom j with
+        probability rate_j / total mass, by one uniform per jump (a lone
+        atom draws none)."""
         if not self.rates.size:
             if size > 0:
                 raise LevySpecError("cannot sample jumps from the zero measure")
             return self.points
-        probs = self.rates / self.total_mass
-        idx = rng.choice(len(self.rates), size=size, p=probs)
-        return self.points.take(idx, axis=0)
+        if self.rates.size == 1:
+            return self.points.take(np.zeros(size, dtype=np.intp), axis=0)
+        # a uniform in [cdf[j-1], cdf[j]) picks atom j, as rng.choice does
+        cdf = np.cumsum(self.rates / self.total_mass)
+        cdf /= cdf[-1]
+        atom = cdf.searchsorted(rng.random(size), side="right")
+        return self.points.take(atom, axis=0)
 
     def __repr__(self):
         return f"AtomicJumps(points={self.points!r}, rates={self.rates!r})"

@@ -81,8 +81,10 @@ def laplace_functional_mc(rate: float, marks, horizon: float, f, reps: int,
     and marks are drawn, so it may draw from rng; the window labels are
     drawn after it returns.
     """
-    _check_window(horizon, reps)  # poisson_counts checks rate x horizon x reps
-    k = int(poisson_counts(rate * horizon * reps, 1, rng)[0])
+    _check_window(horizon, reps)
+    with np.errstate(over="ignore"):  # poisson_counts rejects an inf mean
+        mean = rate * horizon * reps
+    k = int(poisson_counts(mean, 1, rng)[0])
     values = _nonnegative(f.evaluate(rng.uniform(0.0, horizon, size=k),
                                      marks.sample(rng, k)))
     return _mean_se(np.exp(-window_sums(rng.integers(0, reps, size=k), values, reps)))

@@ -150,8 +150,9 @@ def _draw_batches(T: SubordinatorSpec, X: LevyLaw, times, size: int,
     buffer that each batch overwrites: use a batch before drawing the
     next. Over each step between times, a row's T moves by drift x
     step plus the jumps `T.jumps.window_draws` draws for the step (one
-    Poisson total of each atom per step over the batch's rows, its points
-    in uniform rows, or one total per gamma ray and window), and T at the
+    Poisson(total mass x step) total per step over the batch's rows, each
+    point an atom drawn by its rate in a uniform row, or one total per
+    gamma ray and window), and T at the
     times is the cumulative sum; Z comes from draw_z(T, X, rng, T's rows,
     steps, each jump's window label, jumps), window row m + j holding
     step j of the row. A `size` that is not an integer >= 0, or a batch

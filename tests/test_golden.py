@@ -57,7 +57,7 @@ DIGESTS = {
     "verify_finite_activity_C1":
         "8cb9a59b635598294b07ef12ec1c81c1067541abd0d76dd35629e690cb6a4cb5",
     "verify_negative_control":
-        "99213dd25a2c233d29557643a8b49fb0777676f2ffbbf8050a35b21223beceb6",
+        "45b9cfc78cad52df3044053adf210153ff9e1f67ebcb40b6fb6c9f78dc614f31",
 }
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +160,28 @@ class TestPoissonDraws:
         X = ws.CompoundPoisson(ws.AtomicJumps([[1.0]], [1e300]))
         with pytest.raises(ws.LevySpecError, match="expect at most"):
             X.sample(np.ones(10), np.random.default_rng(4))
+
+    def test_compound_poisson_mean_overflow_raises_without_warning(self):
+        # total mass x duration beyond the floating-point range
+        X = ws.CompoundPoisson(ws.AtomicJumps([[1.0], [2.0]], [1e300, 1e300]))
+        with pytest.raises(ws.LevySpecError, match="expect at most"):
+            X.sample(np.array([1.0, 1e10]), np.random.default_rng(4))
+
+    def test_compound_poisson_memory_grows_with_points_not_atoms(self):
+        # 500 atoms of total mass 1e-3 over 4000 unequal windows expect 2
+        # jumps: the draw needs a few arrays of one entry per window, where
+        # one count per (window, atom) takes 2e6 entries, 16 MB an array
+        X = ws.CompoundPoisson(ws.AtomicJumps(np.arange(1.0, 501.0)[:, None],
+                                              np.full(500, 2e-6)))
+        dt = np.random.default_rng(7).uniform(0.0, 1.0, 4000)
+        tracemalloc.start()
+        try:
+            out = X.sample(dt, np.random.default_rng(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (4000, 1)
+        assert peak < 2**20
 
 
 def shuffled_labels(counts, rng):

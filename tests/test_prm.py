@@ -101,6 +101,8 @@ class TestCampbellIdentity:
         (2.0, 1.0, 2.5), (2.0, 1.0, np.float64(3)), (2.0, 1.0, "5"),
         # rate x horizon beyond numpy's Poisson sampler; 1e12 expected points
         (1e300, 1e10, 100), (1e10, 1.0, 100),
+        # a numpy rate whose mean overflows only once multiplied by reps
+        (np.float64(1e300), 1.0, 10**10),
     ])
     def test_bad_arguments_raise(self, rate, horizon, reps):
         with pytest.raises(ws.LevySpecError):
