@@ -61,8 +61,13 @@ def _finite(values: Array, what: str, unit: str) -> Array:
 
 def _rays(points, **weights) -> tuple[Array, ...]:
     """points as a (k, dim) array and each named weight as a (k,) array,
-    checked: all finite, every weight positive and no point zero."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    checked: rows of one length, all finite, every weight positive and no
+    point zero."""
+    try:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+    except ValueError as exc:  # numpy's error for ragged rows
+        raise LevySpecError("jump points must be rows of numbers, all of one "
+                            "length") from exc
     weights = {name: np.asarray(w, dtype=float) for name, w in weights.items()}
     if points.ndim != 2 or any(w.shape != (points.shape[0],)
                                for w in weights.values()):
@@ -445,6 +450,8 @@ class SubordinatorSpec:
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=float)
+        if d.ndim != 1:
+            raise LevySpecError("drift must be a vector")
         object.__setattr__(self, "d", d)
         if self.jumps is None:
             object.__setattr__(self, "jumps", AtomicJumps(np.zeros((0, d.size)), []))

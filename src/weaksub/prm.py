@@ -19,8 +19,6 @@ from .levy import (AtomicJumps, LevyLaw, LevySpecError, SubordinatorSpec,
 from .ordered_time import sample_subordinate_at
 from .verify import DEFAULT_K, clt_bound
 
-Array = np.ndarray
-
 
 @dataclass(frozen=True)
 class PointMassMark:
@@ -57,16 +55,6 @@ def _nonnegative(values):
     return values
 
 
-def _check_window(horizon: float, reps: int) -> None:
-    if not 0 < horizon < np.inf:
-        raise LevySpecError("horizon must be positive and finite")
-    _check_count(reps, 2, "reps")
-
-
-def _mean_se(vals: Array) -> tuple[float, float]:
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
-
-
 def laplace_functional_mc(rate: float, marks, horizon: float, f, reps: int,
                           rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo mean of the product of e^{-f} over the points of
@@ -81,13 +69,16 @@ def laplace_functional_mc(rate: float, marks, horizon: float, f, reps: int,
     and marks are drawn, so it may draw from rng; the window labels are
     drawn after it returns.
     """
-    _check_window(horizon, reps)
+    if not 0 < horizon < np.inf:
+        raise LevySpecError("horizon must be positive and finite")
+    _check_count(reps, 2, "reps")
     with np.errstate(over="ignore"):  # poisson_counts rejects an inf mean
         mean = rate * horizon * reps
     k = int(poisson_counts(mean, 1, rng)[0])
     values = _nonnegative(f.evaluate(rng.uniform(0.0, horizon, size=k),
                                      marks.sample(rng, k)))
-    return _mean_se(np.exp(-window_sums(rng.integers(0, reps, size=k), values, reps)))
+    vals = np.exp(-window_sums(rng.integers(0, reps, size=k), values, reps))
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
 
 
 # ---------------------------------------------------------------------------

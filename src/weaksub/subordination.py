@@ -160,8 +160,8 @@ def _draw_batches(T: SubordinatorSpec, X: LevyLaw, times, size: int,
     _check_count(size, 0, "size")
     t = np.atleast_1d(np.asarray(times, dtype=float))
     steps = np.diff(t, prepend=0.0)
-    if t.ndim != 1 or not t.size or not np.all(steps > 0):
-        raise LevySpecError("times must be positive and strictly increasing")
+    if t.ndim != 1 or not t.size or not (np.all(steps > 0) and t[-1] < np.inf):
+        raise LevySpecError("times must be positive, finite and strictly increasing")
     n, m = T.dim, t.size
     batch = _batch_rows(T, X, t)
     if out is None:

@@ -27,7 +27,6 @@ from .subordination import (
     _strong_z,
     _weak_z,
     stacked_strong_exponent,
-    stacked_subordinator,
     weak_exponent,
 )
 
@@ -249,20 +248,41 @@ def cf_compare(samples, target, theta_grid, k: float = DEFAULT_K) -> ECFReport:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One suite scenario: the processes T and X; whether the paper makes
-    strong and weak subordination of X by T equal in law (if not, the
-    suite expects the two to differ); and for a stack the (R, block
-    sizes, block laws) of the A3 closed form."""
+    """One suite scenario: the processes T and X, from which the rest is
+    worked out. X's blocks are those of an `IndependentStack`; any other X
+    is one block."""
 
     T: SubordinatorSpec
     X: LevyLaw
-    equal_in_law: bool = True
-    stack: tuple[SubordinatorSpec, tuple[int, ...], tuple[LevyLaw, ...]] | None = None
 
+    @property
+    def _constant_on_blocks(self) -> bool:
+        """Theorem 1's hypothesis: T's drift and every jump point (atom or
+        gamma-ray direction) are constant on each of X's blocks."""
+        blocks = self.X.blocks if isinstance(self.X, IndependentStack) else (self.X,)
+        rows = np.column_stack([self.T.d, self.T.jumps.points.T])
+        return all(np.all(part == part[0]) for part in
+                   np.split(rows, np.cumsum([b.dim for b in blocks])[:-1]))
 
-def _stack(R: SubordinatorSpec, dims: tuple[int, ...], blocks: tuple) -> Scenario:
-    return Scenario(stacked_subordinator(R, dims), IndependentStack(blocks),
-                    stack=(R, dims, blocks))
+    @property
+    def equal_in_law(self) -> bool:
+        """Whether the paper makes strong and weak subordination of X by T
+        equal in law: T has no jumps (the time-1 marginals then agree for
+        every X), or Theorem 1's hypothesis holds."""
+        return not len(self.T.jumps.points) or self._constant_on_blocks
+
+    @property
+    def stack(self) -> tuple[SubordinatorSpec, tuple[int, ...], tuple[LevyLaw, ...]] | None:
+        """A3's (R, block sizes, block laws), T = stacked_subordinator(R,
+        block sizes), when X is an `IndependentStack` and Theorem 1's
+        hypothesis holds; else None."""
+        if not (isinstance(self.X, IndependentStack) and self._constant_on_blocks):
+            return None
+        dims = tuple(b.dim for b in self.X.blocks)
+        first = np.cumsum((0,) + dims[:-1])
+        R = SubordinatorSpec(self.T.d[first],
+                             self.T.jumps.with_points(self.T.jumps.points[:, first]))
+        return R, dims, self.X.blocks
 
 
 _BM = BrownianMotion([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]])
@@ -270,12 +290,12 @@ _SCENARIO_TABLE = {
     "deterministic": Scenario(SubordinatorSpec([1.0, 2.0]), _BM),
     "finite_activity_C1": Scenario(
         SubordinatorSpec(np.zeros(2), AtomicJumps([[1.0, 1.0]], [1.0])), _BM),
-    "stacked_C3": _stack(
+    "stacked_C3": Scenario(
         SubordinatorSpec(np.array([0.5, 0.5]), AtomicJumps([[1.0, 2.0]], [1.0])),
-        (1, 1), (BrownianMotion([0.0], [[1.0]]), BrownianMotion([0.0], [[1.0]]))),
+        IndependentStack((BrownianMotion([0.0], [[1.0]]), BrownianMotion([0.0], [[1.0]])))),
     "negative_control": Scenario(
         SubordinatorSpec(np.zeros(2), AtomicJumps([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])),
-        _BM, equal_in_law=False),
+        _BM),
 }
 SCENARIOS = tuple(_SCENARIO_TABLE)
 
@@ -393,14 +413,16 @@ def equality_in_law_suite(name: str, rng: np.random.Generator,
     with CLT bounds of width k; for a stack, compare its closed-form
     strong exponent with the weak one exactly (A3). That closed form is
     the scenario's own, so A3 runs only when neither T nor X is given.
-    A scenario equal in law expects every check "equal"; otherwise strong
-    is expected to differ from the target, and strong vs weak is
-    reported only. The exact target and the CLT bound are computed once,
-    before the two sides run at once, each summing its ECF as its rows are
-    drawn; a side that fails stops the other (see `_strong_and_weak_ecfs`).
+    Every check expects "equal" where `Scenario(T, X).equal_in_law`;
+    otherwise weak still expects "equal", strong vs weak is reported
+    only, and strong is expected to differ on a record's own processes (a
+    named control) and reported only when T or X is given. The exact target
+    and the CLT bound are computed once, before the two sides run at once,
+    each summing its ECF as its rows are drawn; a side that fails stops
+    the other (see `_strong_and_weak_ecfs`).
     """
     record = scenario_record(name)
-    stack = record.stack if T is None and X is None else None
+    own = T is None and X is None
     T = record.T if T is None else T
     X = record.X if X is None else X
     n = T.dim
@@ -414,11 +436,12 @@ def equality_in_law_suite(name: str, rng: np.random.Generator,
     weak = ECFReport(grid, weak_ecf, target, bound, n_paths, k)
     cross = ECFReport(grid, strong_ecf, weak_ecf, clt_bound(n_paths, n_paths, k=k),
                       n_paths, k)
-    equal = record.equal_in_law
-    checks = [Check("strong_ecf", strong, "equal" if equal else "differ"),
+    drawn = Scenario(T, X)
+    equal = drawn.equal_in_law
+    checks = [Check("strong_ecf", strong, "equal" if equal else "differ" if own else None),
               Check("weak_ecf", weak, "equal"),
               Check("strong_vs_weak", cross, "equal" if equal else None)]
-    if stack is not None:
+    if own and (stack := drawn.stack) is not None:
         th = ThetaGridSpec(EXACT_CHECK_THETAS, 1.0, theta_grid.grid_seed + 1).build(2 * n)
         diff = stacked_strong_exponent(*stack, th[:, :n], th[:, n:]) - weak_exponent(
             T, X, th[:, :n], th[:, n:])

@@ -232,6 +232,9 @@ BAD_CONFIGS = {
         "family": "brownian", "mu": {}, "sigma": [[1, 0], [0, 1]]}},
     "point_object": {**MINIMAL, "subordinator": {
         "drift": [0, 0], "atoms": [{"point": {}, "rate": 1.0}]}},
+    "points_unequal_length": {**MINIMAL, "subordinator": {
+        "drift": [0, 0], "atoms": [{"point": [1, 0], "rate": 1.0},
+                                   {"point": [1], "rate": 1.0}]}},
     # row counts above MAX_ROWS
     "size_too_large": {**MINIMAL, "theta_grid": {"size": 10**12}},
     "replicates_too_large": {**MINIMAL, "replicates": 10**12},
@@ -515,6 +518,12 @@ class TestMain:
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         details = json.loads(capsys.readouterr().err)["details"]
         assert len(details) == 1 and "rate" in details[0]
+
+    def test_unequal_atom_points_are_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BAD_CONFIGS["points_unequal_length"])
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["details"] == [
+            "subordinator: jump points must be rows of numbers, all of one length"]
 
     def test_seed_flag_completes_a_seedless_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scenario": "deterministic", "replicates": 10})

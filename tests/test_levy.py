@@ -344,6 +344,19 @@ class TestValidateTriplet:
         with pytest.raises(ws.LevySpecError):
             ws.GammaRays(**args)
 
+    @pytest.mark.parametrize("d", [1.0, [[1.0, 2.0]]], ids=["scalar", "matrix"])
+    def test_drift_not_a_vector_rejected(self, d):
+        with pytest.raises(ws.LevySpecError, match="drift must be a vector"):
+            ws.SubordinatorSpec(d)
+
+    @pytest.mark.parametrize("build", [
+        lambda: ws.AtomicJumps([[1.0, 0.0], [1.0]], [1.0, 1.0]),
+        lambda: ws.GammaRays([[1.0, 0.0], [1.0]], [1.0, 1.0], [1.0, 1.0]),
+    ], ids=["atoms", "gamma_rays"])
+    def test_points_of_unequal_length_rejected(self, build):
+        with pytest.raises(ws.LevySpecError, match="jump points must be rows of numbers"):
+            build()
+
     def test_compound_poisson_needs_atoms(self):
         # gamma rays have infinite activity: no compound Poisson law, so
         # valid rays are rejected too

@@ -270,8 +270,9 @@ class TestSimulateSubordinator:
 
     def test_times_sorted(self):
         # unit jumps, no drift: at sorted times T is a Poisson counting
-        # path, with mean 20 t; times that are not strictly increasing and
-        # positive are rejected
+        # path, with mean 20 t; times that are not strictly increasing,
+        # positive and finite are rejected, also under a jump-free clock,
+        # whose 0 expected jumps x inf would be NaN
         T = ws.SubordinatorSpec(np.zeros(1), ws.AtomicJumps([[1.0]], [20.0]))
         times = np.array([0.25, 0.5, 0.75, 1.0])
         reps = 10**4
@@ -280,9 +281,12 @@ class TestSimulateSubordinator:
         assert np.all(np.diff(vals, axis=1) >= 0)
         se = np.sqrt(20 * times / reps)
         assert np.all(np.abs(vals.mean(axis=0) - 20 * times) <= 4 * se)
-        for bad in ([], [0.5, 0.25], [0.5, 0.5], [0.0, 1.0], [[0.5, 1.0]]):
+        for bad in ([], [0.5, 0.25], [0.5, 0.5], [0.0, 1.0], [[0.5, 1.0]], [0.5, np.inf]):
             with pytest.raises(ws.LevySpecError, match="strictly increasing"):
                 t_at(T, bad, 10, np.random.default_rng(2))
+        with pytest.raises(ws.LevySpecError, match="strictly increasing"):
+            ws.simulate_weak_at(ws.SubordinatorSpec([1.0]), ws.BrownianMotion([0.0], [[1.0]]),
+                                np.inf, 10, np.random.default_rng(2))
 
     def test_disjoint_window_counts_uncorrelated(self):
         # unit jumps: the counts in (0, 0.5] and (0.5, 1] are T(0.5) and

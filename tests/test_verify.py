@@ -485,3 +485,92 @@ class TestScenarioProcesses:
                                       np.random.default_rng(16))
         grid = ws.ThetaGridSpec().build(4)
         assert np.all(np.abs(ws.ecf_grid(samples, grid)) <= 1 + 1e-12)
+
+
+_CORRELATED = ws.BrownianMotion([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]])
+_ATOMS = {"one_atom": ws.AtomicJumps([[1.0, 1.0]], [1.0]),
+          "control": ws.AtomicJumps([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])}
+
+
+def _gamma_stack(directions):
+    # blocks of sizes 2 and 1: a correlated Brownian motion and a compound
+    # Poisson law, under a gamma-ray clock with drift (0.3, 0.3, 0.7)
+    T = ws.SubordinatorSpec([0.3, 0.3, 0.7], ws.GammaRays(directions, [1.0, 2.0], [1.5, 0.5]))
+    blocks = (_CORRELATED, ws.CompoundPoisson(ws.AtomicJumps([[1.0]], [2.0])))
+    return T, ws.IndependentStack(blocks)
+
+
+class TestScenarioRule:
+    # equal_in_law and stack are worked out from (T, X) by Theorem 1's rule
+    @pytest.mark.parametrize("T, equal", [
+        (ws.SubordinatorSpec([1.0, 2.0]), True),
+        (ws.SubordinatorSpec(np.zeros(2), _ATOMS["one_atom"]), True),
+        (ws.SubordinatorSpec(np.zeros(2), _ATOMS["control"]), False),
+    ], ids=["jump_free", "one_atom", "control_atoms"])
+    def test_one_block(self, T, equal):
+        scenario = verify.Scenario(T, _CORRELATED)
+        assert scenario.equal_in_law is equal
+        assert scenario.stack is None
+
+    def test_stack_constant_on_blocks(self):
+        T, X = _gamma_stack([[1.0, 1.0, 2.0], [0.5, 0.5, 0.0]])
+        scenario = verify.Scenario(T, X)
+        assert scenario.equal_in_law
+        R, dims, blocks = scenario.stack
+        assert np.array_equal(R.d, [0.3, 0.7])
+        assert isinstance(R.jumps, ws.GammaRays)
+        assert np.array_equal(R.jumps.points, [[1.0, 2.0], [0.5, 0.0]])
+        assert np.array_equal(R.jumps.c, T.jumps.c) and np.array_equal(R.jumps.b, T.jumps.b)
+        assert dims == (2, 1) and blocks == X.blocks
+        rebuilt = ws.stacked_subordinator(R, dims)
+        assert np.array_equal(rebuilt.d, T.d)
+        assert np.array_equal(rebuilt.jumps.points, T.jumps.points)
+
+    def test_stack_varying_inside_a_block(self):
+        T, X = _gamma_stack([[1.0, 1.0, 2.0], [0.5, 0.6, 0.0]])
+        scenario = verify.Scenario(T, X)
+        assert not scenario.equal_in_law
+        assert scenario.stack is None
+
+    def test_table_records_keep_their_values(self):
+        # the values the records declared by hand before the rule
+        bm1 = ws.BrownianMotion([0.0], [[1.0]])
+        R = ws.SubordinatorSpec(np.array([0.5, 0.5]), ws.AtomicJumps([[1.0, 2.0]], [1.0]))
+        declared = {
+            "deterministic": (ws.SubordinatorSpec([1.0, 2.0]), _CORRELATED, True, None),
+            "finite_activity_C1": (ws.SubordinatorSpec(np.zeros(2), _ATOMS["one_atom"]),
+                                   _CORRELATED, True, None),
+            "stacked_C3": (ws.stacked_subordinator(R, (1, 1)),
+                           ws.IndependentStack((bm1, bm1)), True, (R, (1, 1), (bm1, bm1))),
+            "negative_control": (ws.SubordinatorSpec(np.zeros(2), _ATOMS["control"]),
+                                 _CORRELATED, False, None),
+        }
+        assert set(declared) == set(verify.SCENARIOS)
+        for name, (T, X, equal, stack) in declared.items():
+            record = scenario_record(name)
+            assert record.equal_in_law is equal
+            assert repr(record.stack) == repr(stack)
+            got_T, got_X, extras = verify.scenario_processes(name)
+            assert repr((got_T, got_X)) == repr((T, X))
+            assert repr(extras) == repr(
+                {} if stack is None else dict(zip(("R", "embedding", "blocks"), stack)))
+
+    def test_override_outside_the_rule_is_reported_not_gated(self):
+        # C1 over the control's clock: the paper claims nothing, so strong's
+        # mismatch (beyond its bound at N = 1e5) is reported, not gated
+        T = ws.SubordinatorSpec(np.zeros(2), _ATOMS["control"])
+        rep = equality_in_law_suite("finite_activity_C1", np.random.default_rng(3),
+                                    n_paths=100_000, T=T)
+        checks = _checks(rep)
+        assert [checks[c].expect for c in ("strong_ecf", "weak_ecf", "strong_vs_weak")] == [
+            None, "equal", None]
+        assert not checks["strong_ecf"].compares.passed
+        assert rep.passed, rep.summary()
+
+    def test_control_over_a_clock_inside_the_rule_expects_equal(self):
+        T = ws.SubordinatorSpec(np.zeros(2), _ATOMS["one_atom"])
+        rep = equality_in_law_suite("negative_control", np.random.default_rng(3),
+                                    n_paths=20_000, T=T)
+        assert all(check.expect == "equal" for check in rep.checks)
+        assert [c.name for c in rep.checks] == ["strong_ecf", "weak_ecf", "strong_vs_weak"]
+        assert rep.passed, rep.summary()
