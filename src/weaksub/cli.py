@@ -4,11 +4,11 @@ equality-in-law verification suites to JSON reports.
 
 Configs are JSON with a strict schema (unknown keys are errors; so are
 the non-finite literals NaN and Infinity); see the README for the
-documented fields. All runs are deterministic given the seed: stream r
-of purpose p is the generator of SeedSequence(seed, spawn_key=(p, r)).
-`simulate` draws its rows in chunks of TIME_T_CHUNK, chunk c from
-stream c; `verify` splits stream 0 with Generator.spawn(2), the strong
-draws from the first child and the weak from the second.
+documented fields. All runs are deterministic given the seed: simulate
+and verify each read one generator, `stream(seed, command)`. `simulate`
+writes the rows of one `simulate_*_at` call on it, a batch at a time;
+`verify` splits it with Generator.spawn(2), the strong draws from the
+first child and the weak from the second.
 
 Exit status: 0 success (for verify, the suite passed); 1 the verify
 suite failed; 2 invalid config, with a JSON error on stderr, or invalid
@@ -37,12 +37,7 @@ from .levy import (
     LevySpecError,
     SubordinatorSpec,
 )
-from .subordination import (
-    TIME_T_CHUNK,
-    expected_jumps,
-    simulate_strong_at,
-    simulate_weak_at,
-)
+from .subordination import _draw_batches, _strong_z, _weak_z, expected_jumps
 from .verify import (
     DEFAULT_K,
     DEFAULT_N_PATHS,
@@ -54,11 +49,11 @@ from .verify import (
     scenario_record,
 )
 
-PURPOSES = {"exponent": 0, "simulate": 1, "verify": 2}
+PURPOSES = {"simulate": 1, "verify": 2}
 # Largest theta_grid.size and replicates, and expected subordinator and
 # subordinate jumps per replicate: exponent builds its whole grid before
-# evaluating it in blocks, while simulate and verify hold a chunk or batch
-# of rows at a time, whatever the replicates.
+# evaluating it in blocks, while simulate and verify hold a batch of rows
+# at a time, whatever the replicates.
 MAX_ROWS = 10_000_000
 # Largest expected jumps of T and X over a whole simulate or verify run
 # (verify draws its replicates twice, strong and weak): about 30 s of
@@ -84,10 +79,10 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-def stream(seed: int, purpose: str, replicate: int = 0) -> np.random.Generator:
-    """Independent RNG stream for (seed, replicate index, purpose tag)."""
+def stream(seed: int, purpose: str) -> np.random.Generator:
+    """Independent RNG stream for (seed, purpose tag)."""
     return np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(PURPOSES[purpose], replicate)))
+        np.random.SeedSequence(seed, spawn_key=(PURPOSES[purpose], 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +96,10 @@ class ExperimentConfig:
     scenario: str | None = None
     subordinator: SubordinatorSpec | None = None
     subordinate: LevyLaw | None = None
-    horizon: float = 1.0
     replicates: int = DEFAULT_N_PATHS
     theta_grid: ThetaGridSpec = ThetaGridSpec()
     k: float = DEFAULT_K
-    times: tuple[float, ...] | None = None  # simulate's sample times; None: (horizon,)
+    times: tuple[float, ...] = (1.0,)  # when simulate and verify draw
 
     def processes(self) -> tuple[SubordinatorSpec, LevyLaw]:
         T, X = self.subordinator, self.subordinate
@@ -297,22 +291,17 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         points=(None if got.get("points") is None else
                 _numbers(got["points"], 2, errors, "theta_grid.points")))
 
-    known = len(errors)
-    horizon = _number(raw, "horizon", defaults.horizon, errors)
-    horizon_ok = len(errors) == known  # else times are not judged against it
-    times = None
+    times = defaults.times
     if "times" in raw:
-        times = _numbers(raw["times"], 1, errors, "times")
-        if times is not None and not (
-                1 <= times.size <= MAX_TIMES and times[0] > 0
-                and np.all(np.diff(times) > 0)
-                and (times[-1] <= horizon or not horizon_ok)):
+        got = _numbers(raw["times"], 1, errors, "times")
+        if got is not None and not (1 <= got.size <= MAX_TIMES and got[0] > 0
+                                    and np.all(np.diff(got) > 0)):
             errors.append(f"times must be 1 to {MAX_TIMES} strictly increasing "
-                          f"numbers in (0, horizon]")
-        times = None if times is None else tuple(times.tolist())
+                          f"numbers > 0")
+        times = times if got is None else tuple(got.tolist())
     config = ExperimentConfig(
         seed=seed, scenario=scenario, subordinator=subordinator,
-        subordinate=subordinate, horizon=horizon,
+        subordinate=subordinate,
         replicates=_number(raw, "replicates", defaults.replicates, errors,
                            minimum=0, maximum=MAX_ROWS),
         theta_grid=grid, k=_number(raw, "k", defaults.k, errors), times=times)
@@ -336,25 +325,26 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
 
 def _check_run(config: ExperimentConfig, command: str) -> None:
     """Rules of a simulate or verify run, checked before --out is made:
-    T(horizon) is within the floating-point range and one replicate
-    expects at most MAX_ROWS jumps of T and of X; verify needs a
-    scenario, replicates >= MIN_SAMPLES, horizon 1 and no times, at most
+    T at the last time is within the floating-point range and one
+    replicate expects at most MAX_ROWS jumps of T and of X; verify needs
+    a scenario, replicates >= MIN_SAMPLES, times [1], at most
     MAX_ECF_TERMS ECF terms and at most MAX_REPORT_POINTS grid points;
     and the run's draws of (T, Z) may expect at most MAX_RUN_JUMPS
     jumps."""
     T, X = config.processes()
     errors = []
-    drift_part = config.horizon * float(np.max(T.d, initial=0.0))  # <= T(horizon)
+    last = config.times[-1]
+    drift_part = last * float(np.max(T.d, initial=0.0))  # <= T(last)
     if not np.isfinite(drift_part):
-        errors.append(f"horizon: {config.horizon:g} x the subordinator's drift "
+        errors.append(f"times: the last time {last:g} x the subordinator's drift "
                       f"{np.max(T.d):g} is beyond the floating-point range")
-    t_jumps, x_jumps = expected_jumps(T, X, config.horizon)
+    t_jumps, x_jumps = expected_jumps(T, X, config.times)
     if t_jumps > MAX_ROWS:
-        errors.append(f"horizon: {config.horizon:g} x the subordinator's jump "
+        errors.append(f"times: the last time {last:g} x the subordinator's jump "
                       f"rate {T.jumps.total_mass:g} expects more than "
                       f"{MAX_ROWS} jumps per replicate")
     if x_jumps > MAX_ROWS and np.isfinite(drift_part):  # else the drift overflows it
-        errors.append(f"subordinate: jump rate {X.jump_rate:g} x horizon x the "
+        errors.append(f"subordinate: jump rate {X.jump_rate:g} x the last time x the "
                       f"subordinator's reach expects {x_jumps:g} jumps per "
                       f"replicate, more than {MAX_ROWS}")
     draws = 2 if command == "verify" else 1
@@ -367,10 +357,8 @@ def _check_run(config: ExperimentConfig, command: str) -> None:
             errors.append("verify requires a scenario")
         if config.replicates < MIN_SAMPLES:
             errors.append(f"verify needs replicates >= {MIN_SAMPLES} for its CLT bound")
-        if config.horizon != 1.0:
-            errors.append("verify compares the laws at time 1, so horizon must be 1")
-        if config.times is not None:
-            errors.append("verify compares the laws at time 1, so it takes no times")
+        if config.times != (1.0,):
+            errors.append("verify compares the laws at time 1, so its times must be [1]")
         grid = config.theta_grid
         points = grid.size if grid.points is None else len(grid.points)
         if 2 * config.replicates * points > MAX_ECF_TERMS:
@@ -416,22 +404,21 @@ def run_exponent(config: ExperimentConfig, out_dir: Path, written: list[Path]) -
 
 def run_simulate(config: ExperimentConfig, out_dir: Path, written: list[Path],
                  kind: str = "weak") -> Path:
-    """Draw (T, Z) at the config's times with the batched samplers and
-    write samples.csv, one row per replicate: columns T_j then Z_j for
-    each time, suffixed @i for the i-th time from the second on. Appends
-    the file to `written` first."""
+    """Draw (T, Z) at the config's times and write samples.csv, one row
+    per replicate, a sampler batch at a time: the rows of
+    `simulate_{kind}_at(T, X, times, replicates, stream(seed, "simulate"))`.
+    Columns T_j then Z_j for each time, suffixed @i for the i-th time
+    from the second on. Appends the file to `written` first."""
     T, X = config.processes()
-    times = np.asarray(config.times or (config.horizon,))
-    sample = {"weak": simulate_weak_at, "strong": simulate_strong_at}[kind]
+    draw_z = {"weak": _weak_z, "strong": _strong_z}[kind]
     out = out_dir / "samples.csv"
     written.append(out)
     with out.open("w") as fp:
         cols = [f"{c}_{j+1}" + (f"@{i+1}" if i else "")
-                for i in range(times.size) for c in "TZ" for j in range(T.dim)]
+                for i in range(len(config.times)) for c in "TZ" for j in range(T.dim)]
         fp.write(",".join(cols) + "\n")
-        for c, start in enumerate(range(0, config.replicates, TIME_T_CHUNK)):
-            rows = sample(T, X, times, min(TIME_T_CHUNK, config.replicates - start),
-                          stream(config.seed, "simulate", c))
+        for rows in _draw_batches(T, X, config.times, config.replicates,
+                                  stream(config.seed, "simulate"), draw_z):
             fp.writelines(",".join(map(repr, row)) + "\n"
                           for row in rows.reshape(len(rows), -1).tolist())
     return out

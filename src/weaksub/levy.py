@@ -54,6 +54,15 @@ def _finite(values: Array, what: str, unit: str) -> Array:
     return values
 
 
+def _floats(value, name: str) -> Array:
+    """value as a float array; numpy's error for ragged rows or values that
+    are not numbers becomes a LevySpecError naming the argument."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise LevySpecError(f"{name} must be rows of numbers, all of one length") from exc
+
+
 # ---------------------------------------------------------------------------
 # Jump measures
 # ---------------------------------------------------------------------------
@@ -63,12 +72,8 @@ def _rays(points, **weights) -> tuple[Array, ...]:
     """points as a (k, dim) array and each named weight as a (k,) array,
     checked: rows of one length, all finite, every weight positive and no
     point zero."""
-    try:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-    except ValueError as exc:  # numpy's error for ragged rows
-        raise LevySpecError("jump points must be rows of numbers, all of one "
-                            "length") from exc
-    weights = {name: np.asarray(w, dtype=float) for name, w in weights.items()}
+    points = np.atleast_2d(_floats(points, "jump points"))
+    weights = {name: _floats(w, f"jump {name}") for name, w in weights.items()}
     if points.ndim != 2 or any(w.shape != (points.shape[0],)
                                for w in weights.values()):
         raise LevySpecError(f"need one point per row and one each of "
@@ -302,8 +307,8 @@ class BrownianMotion(LevyLaw):
     """Brownian motion with drift mu and covariance sigma (per unit time)."""
 
     def __init__(self, mu, sigma):
-        self.mu = np.asarray(mu, dtype=float)
-        sigma = np.asarray(sigma, dtype=float)
+        self.mu = _floats(mu, "mu")
+        sigma = _floats(sigma, "sigma")
         if self.mu.ndim != 1:
             raise LevySpecError("mu must be a vector")
         self.dim = self.mu.shape[0]
@@ -449,7 +454,7 @@ class SubordinatorSpec:
     jumps: JumpMeasure | None = None
 
     def __post_init__(self):
-        d = np.asarray(self.d, dtype=float)
+        d = _floats(self.d, "drift")
         if d.ndim != 1:
             raise LevySpecError("drift must be a vector")
         object.__setattr__(self, "d", d)

@@ -20,6 +20,7 @@ from .levy import (
     SubordinatorSpec,
     _check_count,
     _finite,
+    _floats,
 )
 from .subordination import (
     TIME_T_CHUNK,
@@ -152,7 +153,7 @@ class ThetaGridSpec:
                                     f"not {self.scale!r}")
             grid_rng = np.random.default_rng(self.grid_seed)
             return self.scale * grid_rng.standard_normal((self.size, dim))
-        pts = np.asarray(self.points, dtype=float)
+        pts = _floats(self.points, "theta grid points")
         if pts.ndim != 2 or pts.shape[1] != dim or not np.all(np.isfinite(pts)):
             raise LevySpecError(f"theta grid points must be finite, in {dim} columns")
         return pts

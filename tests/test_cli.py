@@ -30,7 +30,7 @@ class TestParseConfig:
     def test_minimal_with_defaults(self):
         cfg = parse_config(json.dumps(MINIMAL))
         assert cfg.seed == 7
-        assert cfg.horizon == 1.0
+        assert cfg.times == (1.0,)
         assert cfg.replicates == 100_000
         assert cfg.theta_grid.size == 16
 
@@ -57,7 +57,7 @@ class TestParseConfig:
                    {"family": "brownian", "mu": [0], "sigma": [[1]]},
                    {"family": "compound_poisson",
                     "atoms": [{"point": [1], "rate": 0.5}]}]},
-               "horizon": 2.0, "replicates": 500,
+               "times": [2.0], "replicates": 500,
                "theta_grid": {"size": 8, "scale": 0.3}}
         cfg = parse_config(json.dumps(obj))
         T, X = cfg.processes()
@@ -157,37 +157,40 @@ class TestRunSimulate:
         b = run_simulate(cfg, tmp_path, []).read_bytes()
         assert a == b
 
-    def test_time1_chunk_c_draws_from_stream_c(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["weak", "strong"])
+    @pytest.mark.parametrize("times", [[1.0], [0.5, 1.0, 2.0]], ids=["one", "three"])
+    def test_samples_are_one_library_call(self, tmp_path, times, kind):
+        # more rows than a sampler batch, all from the one simulate stream
         import weaksub as ws
         from weaksub.cli import stream
         from weaksub.subordination import TIME_T_CHUNK
         n = TIME_T_CHUNK + 5
-        cfg = parse_config(json.dumps({**MINIMAL, "replicates": n}))
-        out = run_simulate(cfg, tmp_path, [], kind="strong")
+        cfg = parse_config(json.dumps({"seed": 7, "scenario": "stacked_C3",
+                                       "replicates": n, "times": times}))
+        out = run_simulate(cfg, tmp_path, [], kind=kind)
         data = np.loadtxt(out, delimiter=",", skiprows=1)
         T, X = cfg.processes()
-        expected = np.vstack([
-            ws.simulate_strong_at(T, X, 1.0, TIME_T_CHUNK, stream(7, "simulate", 0)),
-            ws.simulate_strong_at(T, X, 1.0, 5, stream(7, "simulate", 1))])
-        assert np.array_equal(data, expected)
+        sample = {"weak": ws.simulate_weak_at, "strong": ws.simulate_strong_at}[kind]
+        expected = sample(T, X, times, n, stream(7, "simulate"))
+        assert np.array_equal(data, expected.reshape(n, -1))
 
     def test_times_columns(self, tmp_path):
         import weaksub as ws
         from weaksub.cli import stream
-        cfg = parse_config(json.dumps({**MINIMAL, "replicates": 3, "horizon": 2.0,
+        cfg = parse_config(json.dumps({**MINIMAL, "replicates": 3,
                                        "times": [0.5, 2.0]}))
         out = run_simulate(cfg, tmp_path, [])
         header, *rows = out.read_text().strip().split("\n")
         assert header == "T_1,T_2,Z_1,Z_2,T_1@2,T_2@2,Z_1@2,Z_2@2"
         data = np.array([[float(v) for v in row.split(",")] for row in rows])
         T, X = cfg.processes()
-        expected = ws.simulate_weak_at(T, X, [0.5, 2.0], 3, stream(7, "simulate", 0))
+        expected = ws.simulate_weak_at(T, X, [0.5, 2.0], 3, stream(7, "simulate"))
         assert np.array_equal(data, expected.reshape(3, 8))
 
     @pytest.mark.parametrize("kind", ["weak", "strong"])
     def test_times_rerun_byte_identical(self, tmp_path, kind):
         cfg = parse_config(json.dumps({"seed": 5, "scenario": "finite_activity_C1",
-                                       "replicates": 4, "horizon": 3.0,
+                                       "replicates": 4,
                                        "times": [1.0, 2.0, 3.0]}))
         a = run_simulate(cfg, tmp_path, [], kind).read_bytes()
         b = run_simulate(cfg, tmp_path, [], kind).read_bytes()
@@ -197,6 +200,7 @@ class TestRunSimulate:
 BROWNIAN_3D = {"family": "brownian", "mu": [0, 0, 0],
                "sigma": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
 CPP_2D = {"family": "compound_poisson", "atoms": [{"point": [1.0, 0.0], "rate": 1.0}]}
+# a case's "horizon" is the last of its times
 BAD_CONFIGS = {
     "seed_bool": {**MINIMAL, "seed": True},
     "seed_negative": {**MINIMAL, "seed": -1},
@@ -205,7 +209,7 @@ BAD_CONFIGS = {
     # finite and > 0, but k sqrt(2 / replicates) is subnormal or 0
     "k_1e-310": {**MINIMAL, "k": 1e-310},
     "k_5e-324": {**MINIMAL, "k": 5e-324},
-    "horizon_text": {**MINIMAL, "horizon": "abc"},
+    "horizon_text": {**MINIMAL, "times": "abc"},
     "replicates_text": {**MINIMAL, "replicates": "many"},
     "size_text": {**MINIMAL, "theta_grid": {"size": "big"}},
     "scale_text": {**MINIMAL, "theta_grid": {"scale": "wide"}},
@@ -218,7 +222,7 @@ BAD_CONFIGS = {
     "dimension_mismatch": {**MINIMAL, "subordinate": BROWNIAN_3D},
     # verify compares at t = 1 with a CLT bound that needs N >= 100
     "replicates_below_100": {**MINIMAL, "replicates": 99},
-    "horizon_not_1": {**MINIMAL, "horizon": 5},
+    "horizon_not_1": {**MINIMAL, "times": [5]},
     # the JSON literals NaN, Infinity and -Infinity are not numbers here
     "points_nan": {**MINIMAL, "theta_grid": {"points": [[0, float("nan"), 0, 0]]}},
     "drift_infinity": {**MINIMAL, "subordinator": {"drift": [float("inf"), 0.0]}},
@@ -240,7 +244,7 @@ BAD_CONFIGS = {
     "replicates_too_large": {**MINIMAL, "replicates": 10**12},
     # more than MAX_ROWS expected subordinator jumps per replicate
     "horizon_too_large": {"seed": 1, "scenario": "finite_activity_C1",
-                          "horizon": 1e300, "replicates": 10},
+                          "times": [1e300], "replicates": 10},
     # more than MAX_ROWS expected subordinate jumps per replicate
     "subordinator_drift_too_large": {**MINIMAL, "subordinate": CPP_2D,
                                      "subordinator": {"drift": [1e300, 0.0]}},
@@ -281,16 +285,16 @@ BAD_CONFIGS = {
 # config is parsed, and two subordinator jumps of 1e308, caught in the draws
 OVERFLOWING = {
     "drift_times_horizon": {"seed": 1, "scenario": "deterministic",
-                            "horizon": 1e308, "replicates": 3},
+                            "times": [1e308], "replicates": 3},
     "atoms_1e308": {"seed": 1, "scenario": "finite_activity_C1", "replicates": 200,
                     "subordinator": {"drift": [0.0, 0.0], "atoms": [
                         {"point": [1e308, 1e308], "rate": 2.0}]}},
 }
 
 
-# a zero subordinator under subordinates of jump rate 1e308: rate x horizon
-# overflows, but X never runs, so every draw is zero
-ZERO_CLOCK = {"seed": 1, "horizon": 10, "replicates": 200,
+# a zero subordinator under subordinates of jump rate 1e308: rate x the
+# last time overflows, but X never runs, so every draw is zero
+ZERO_CLOCK = {"seed": 1, "times": [10], "replicates": 200,
               "subordinator": {"drift": [0, 0]}}
 RATE_1e308 = {"family": "compound_poisson",
               "atoms": [{"point": [1], "rate": 1e308}]}
@@ -313,7 +317,7 @@ class TestMain:
         assert data.shape == (200, 4) and np.all(data == 0)
         if case == "stack":
             cfg = write_config(tmp_path, {**HUGE_RATES[case], "scenario": "deterministic",
-                                          "horizon": 1})
+                                          "times": [1]})
             assert main(["verify", "--config", str(cfg), "--out",
                          str(tmp_path / "verify"), "--quiet"]) == 0
         assert capsys.readouterr().err == ""
@@ -340,10 +344,10 @@ class TestMain:
         assert "floating-point range" in err["details"][0]
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("times", [[], [1.0, 0.5], [0.5, 0.5], [0, 1.0], [1.5],
+    @pytest.mark.parametrize("times", [[], [1.0, 0.5], [0.5, 0.5], [0, 1.0],
                                        [i / 17 for i in range(1, 18)], [0.5, "1"]],
                              ids=["empty", "unsorted", "repeated", "zero",
-                                  "above_horizon", "17_times", "not_a_number"])
+                                  "17_times", "not_a_number"])
     def test_bad_times_exit_2_without_output(self, tmp_path, capsys, times):
         cfg = write_config(tmp_path, {**MINIMAL, "replicates": 10, "times": times})
         code = main(["simulate", "--config", str(cfg), "--out",
@@ -354,11 +358,11 @@ class TestMain:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("obj", [
-        {**MINIMAL, "replicates": 50}, {**MINIMAL, "horizon": 5},
+        {**MINIMAL, "replicates": 50}, {**MINIMAL, "times": [5]},
         {"seed": 1, "subordinator": {"drift": [1.0, 1.0]},
          "subordinate": {"family": "brownian", "mu": [0, 0],
                          "sigma": [[1, 0], [0, 1]]}},
-        {**MINIMAL, "replicates": 200, "times": [1.0]}],
+        {**MINIMAL, "replicates": 200, "times": [0.5, 1.0]}],
         ids=["replicates_50", "horizon_5", "no_scenario", "times"])
     def test_verify_rules_checked_before_out_is_made(self, tmp_path, capsys, obj):
         cfg = write_config(tmp_path, obj)
@@ -387,7 +391,7 @@ class TestMain:
     @pytest.mark.parametrize("case", ["time1", "verify"])
     def test_exit_3_leaves_no_output(self, tmp_path, capsys, monkeypatch, case):
         # each run fails with part of its output written: time1 in its second
-        # chunk, verify in its summary, after report.json; --out and its
+        # batch, verify in its summary, after report.json; --out and its
         # missing parent, made by the run, go too
         import weaksub.cli as cli
         import weaksub.verify as verify
@@ -399,9 +403,8 @@ class TestMain:
             monkeypatch.setattr(verify.SuiteReport, "summary", fail)
             command, obj = "verify", {**MINIMAL, "replicates": 200}
         else:
-            draws = [cli.simulate_weak_at, fail]
-            monkeypatch.setattr(cli, "simulate_weak_at",
-                                lambda *a, **k: draws.pop(0)(*a, **k))
+            draws = [cli._weak_z, fail]
+            monkeypatch.setattr(cli, "_weak_z", lambda *a, **k: draws.pop(0)(*a, **k))
             command, obj = "simulate", {**MINIMAL, "replicates": 10_000}
         cfg = write_config(tmp_path, obj)
         out = tmp_path / "new" / "out"
@@ -411,16 +414,15 @@ class TestMain:
         assert not (tmp_path / "new").exists()
 
     def test_interrupt_leaves_no_output(self, tmp_path, monkeypatch):
-        # interrupted in its second chunk, with the first chunk's rows
+        # interrupted in its second batch, with the first batch's rows
         # written: samples.csv and --out go, and the interrupt goes on
         import weaksub.cli as cli
 
         def interrupt(*args, **kwargs):
             raise KeyboardInterrupt
 
-        draws = [cli.simulate_weak_at, interrupt]
-        monkeypatch.setattr(cli, "simulate_weak_at",
-                            lambda *a, **k: draws.pop(0)(*a, **k))
+        draws = [cli._weak_z, interrupt]
+        monkeypatch.setattr(cli, "_weak_z", lambda *a, **k: draws.pop(0)(*a, **k))
         cfg = write_config(tmp_path, {"seed": 7, "scenario": "finite_activity_C1",
                                       "replicates": 9000})
         out = tmp_path / "out"
@@ -445,12 +447,21 @@ class TestMain:
         assert "empirical CF is not finite" in json.loads(err[0])["details"][0]
         assert not (tmp_path / "out").exists()
 
-    def test_bad_horizon_is_one_detail(self, tmp_path, capsys):
-        # times are not judged against the default that replaced a bad horizon
-        cfg = write_config(tmp_path, {**MINIMAL, "horizon": "abc", "times": [2.0]})
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    def test_horizon_is_an_unknown_key(self, tmp_path, capsys):
+        # {"horizon": h} is written {"times": [h]}
+        cfg = write_config(tmp_path, {**MINIMAL, "horizon": 1.0})
+        assert main(["simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 2
         details = json.loads(capsys.readouterr().err)["details"]
-        assert details == ["horizon must be a finite number > 0"]
+        assert details == ["unknown key 'horizon' in config"]
+        assert not (tmp_path / "out").exists()
+
+    def test_verify_takes_times_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**MINIMAL, "replicates": 200, "times": [1.0]})
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["passed"]
 
     def test_failed_run_keeps_an_existing_out(self, tmp_path, capsys):
         cfg = write_config(tmp_path, OVERFLOWING["atoms_1e308"])
@@ -540,7 +551,7 @@ class TestMain:
     def test_run_rules_list_every_violation(self, tmp_path, capsys):
         # T(10) overflows through the drift, and the atoms expect 2e8 jumps;
         # the drift's overflow makes X's expected jumps inf too, not a third fault
-        cfg = write_config(tmp_path, {**MINIMAL, "horizon": 10, "subordinate": CPP_2D,
+        cfg = write_config(tmp_path, {**MINIMAL, "times": [10], "subordinate": CPP_2D,
                                       "subordinator": {"drift": [1e308, 0], "atoms": [
                                           {"point": [1, 1], "rate": 2e7}]}})
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -582,23 +593,28 @@ class TestMain:
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
                      "--quiet"])
         assert code == 2
-        assert "horizon" in json.loads(capsys.readouterr().err)["details"][0]
+        assert "times" in json.loads(capsys.readouterr().err)["details"][0]
         assert not (tmp_path / "samples.csv").exists()
 
     def test_simulate_subordinate_rate_1e6_draws_a_row_per_batch(self, tmp_path):
         # 2e6 expected subordinate jumps per replicate pass parse_config; a
         # batch of TIME_T_CHUNK such rows would ask for ~16e9 jumps at once
+        import weaksub as ws
+        from weaksub.cli import stream
         from weaksub.subordination import _batch_rows
         obj = {"seed": 7, "scenario": "deterministic", "replicates": 2,
                "subordinate": {"family": "compound_poisson",
                                "atoms": [{"point": [1.0, 0.0], "rate": 1e6}]}}
-        assert _batch_rows(*parse_config(json.dumps(obj)).processes(), 1.0) == 1
+        T, X = parse_config(json.dumps(obj)).processes()
+        assert _batch_rows(T, X, 1.0) == 1
         cfg = write_config(tmp_path, obj)
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
                      "--quiet"])
         assert code == 0
         data = np.loadtxt(tmp_path / "samples.csv", delimiter=",", skiprows=1)
         assert data.shape == (2, 4)
+        expected = ws.simulate_weak_at(T, X, [1.0], 2, stream(7, "simulate"))
+        assert np.array_equal(data, expected.reshape(2, 4))
 
     def test_run_above_max_run_jumps_exit_2(self, tmp_path, capsys):
         # 2e6 expected subordinate jumps per replicate x 1000 replicates:
@@ -628,8 +644,8 @@ class TestMain:
     def test_per_replicate_rules_bind_only_draws(self, tmp_path, capsys,
                                                   subordinator, horizon, message):
         cfg = write_config(tmp_path, {**MINIMAL, "subordinator": subordinator,
-                                      "horizon": horizon})
-        # exponent draws nothing and reads neither horizon nor replicates
+                                      "times": [horizon]})
+        # exponent draws nothing and reads neither times nor replicates
         assert main(["exponent", "--config", str(cfg), "--out",
                      str(tmp_path / "exponent"), "--quiet"]) == 0
         assert (tmp_path / "exponent" / "exponent.csv").exists()
@@ -764,7 +780,7 @@ def _config_like():
     return obj({
         "seed": num, "scenario": st.sampled_from(SCENARIOS) | anything,
         "subordinator": obj({"drift": vec, "atoms": atoms}),
-        "subordinate": law, "horizon": num, "replicates": num, "k": num,
+        "subordinate": law, "replicates": num, "k": num,
         "theta_grid": obj({"size": num, "scale": num, "grid_seed": num,
                            "points": mat}),
         "times": vec})

@@ -32,7 +32,7 @@ CONFIGS = {
     "exponent": {"seed": 1, "scenario": "stacked_C3", "theta_grid": {"size": 8}},
     "simulate_time1": {"seed": 2, "scenario": "finite_activity_C1", "replicates": 50},
     "simulate_times": {"seed": 3, "scenario": "finite_activity_C1", "replicates": 3,
-                       "horizon": 2.0, "times": [1.0, 2.0]},
+                       "times": [1.0, 2.0]},
     "verify": {"seed": 4, "scenario": "stacked_C3", "replicates": 2000},
 }
 

@@ -17,15 +17,15 @@ NUMPY_VERSION = "2.4.6"
 
 C1 = {"seed": 7, "scenario": "finite_activity_C1"}
 # T has drift and jumps of unequal coordinates, so strong and weak draws
-# differ; 9000 rows at three times: two chunks, from streams 0 and 1
-C3_TIMES = {"seed": 7, "scenario": "stacked_C3", "replicates": 9000, "horizon": 3.0,
+# differ; 9000 rows at three times: two sampler batches, from one stream
+C3_TIMES = {"seed": 7, "scenario": "stacked_C3", "replicates": 9000,
             "times": [1.0, 2.0, 3.0]}
 
 # name -> (argv after the config, config, output files under --out)
 CASES = {
     "exponent": (["exponent"], {**C1, "theta_grid": {"size": 64}},
                  ["exponent.csv"]),
-    # 9000 rows: two chunks, from streams 0 and 1
+    # 9000 rows: two sampler batches, from one stream
     "time1_weak": (["simulate", "--kind", "weak"], {**C1, "replicates": 9000},
                    ["samples.csv"]),
     "time1_strong": (["simulate", "--kind", "strong"], {**C1, "replicates": 9000},
@@ -46,10 +46,10 @@ CASES = {
 
 DIGESTS = {
     "exponent": "69411f933567c6674c8bdb18ed5e726086f240044b8a65ffd0c084f394704a87",
-    "time1_strong": "378f7a6810510154f3dcec88d0a2fecdfae46b088a14526db15665d173977410",
-    "time1_weak": "f9b220c9dd03cd6ba3efdb91fcf9c398c7a8634741cbd4792bfa89dc6ecaa5d3",
-    "times_strong": "3b0028a462fdd5c3c024e64c7878f706e8ca29337d7b698750cc50fdc413f709",
-    "times_weak": "5af068343e1630c0657ec8b4d61709400276e0f4a1db791af8801c5c8684a292",
+    "time1_strong": "e4e0aeeb66604c549348ae87dc1c85cd35ebee373071effc83243da94a70462e",
+    "time1_weak": "133ecf2315ef415f7535d5cc4868b05a263a5684a62aaa4fe7d7aa73e2418382",
+    "times_strong": "847c81c1a4e3e2cd34fdac3ad75e65393f1081096525eb675b1427987ecce79d",
+    "times_weak": "62b91e52a7bb71768d67d8077dc33b89587c22b483c1e8be82a69d4877213f21",
     "verify_deterministic":
         "6d1403868b9ca1aa24114adeef00f8007bcd5f524fb00ef7a098b593ecfcda31",
     "verify_stacked_C3":

@@ -357,6 +357,21 @@ class TestValidateTriplet:
         with pytest.raises(ws.LevySpecError, match="jump points must be rows of numbers"):
             build()
 
+    @pytest.mark.parametrize("build, name", [
+        (lambda: ws.AtomicJumps([[1, 0], [0, 1]], [[1.0], [1.0, 2.0]]), "jump rates"),
+        (lambda: ws.GammaRays([[1, 0], [0, 1]], [[1.0], [1.0, 2.0]], [1.0, 1.0]),
+         "jump c"),
+        (lambda: ws.BrownianMotion([[0.0], [0.0, 1.0]], np.eye(2)), "mu"),
+        (lambda: ws.BrownianMotion([0.0, 0.0], [[1.0, 0.0], [1.0]]), "sigma"),
+        (lambda: ws.SubordinatorSpec([[1.0], [1.0, 2.0]]), "drift"),
+        (lambda: ws.AtomicJumps([[1, 0]], ["a"]), "jump rates"),
+    ], ids=["atom_rates", "gamma_c", "mu", "sigma", "drift", "rate_text"])
+    def test_ragged_or_non_numeric_argument_named(self, build, name):
+        # numpy's own ValueError would not say which argument is at fault
+        with pytest.raises(ws.LevySpecError,
+                           match=f"^{name} must be rows of numbers, all of one length$"):
+            build()
+
     def test_compound_poisson_needs_atoms(self):
         # gamma rays have infinite activity: no compound Poisson law, so
         # valid rays are rejected too

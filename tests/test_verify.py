@@ -260,6 +260,13 @@ class TestThetaGridSpec:
         with pytest.raises(ws.LevySpecError, match="points must be finite"):
             ws.ThetaGridSpec(points=points).build(4)
 
+    @pytest.mark.parametrize("points", [[[1.0, 0, 0, 0], [1.0]], [["a"] * 4]],
+                             ids=["ragged", "text"])
+    def test_ragged_or_non_numeric_points_named(self, points):
+        with pytest.raises(ws.LevySpecError, match="theta grid points must be rows of "
+                                                   "numbers, all of one length"):
+            ws.ThetaGridSpec(points=points).build(4)
+
     @pytest.mark.parametrize("scale", [0.0, -0.5, np.nan, np.inf])
     def test_bad_scale_rejected(self, scale):
         with pytest.raises(ws.LevySpecError, match="scale"):
