@@ -6,7 +6,9 @@ point sets, to be compared with exp(-integral of (1 - e^{-f}) against
 the intensity) computed by the caller; for a constant f = c on a window
 of rate r and length h that is exp(-r h (1 - e^{-c})).
 `marked_laplace_check` estimates the Laplace functional of the
-weak-subordination jump point process by two such estimates.
+weak-subordination jump point process by two such estimates. Both draw
+and sum their points one block of TIME_T_CHUNK at a time, so their
+memory does not grow with the number of points.
 """
 from __future__ import annotations
 
@@ -15,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .levy import (AtomicJumps, LevyLaw, LevySpecError, SubordinatorSpec,
-                   _check_count, poisson_counts, window_sums)
+                   _check_count, poisson_counts)
 from .ordered_time import sample_subordinate_at
+from .subordination import TIME_T_CHUNK
 from .verify import DEFAULT_K, clt_bound
 
 
@@ -61,13 +64,16 @@ def laplace_functional_mc(rate: float, marks, horizon: float, f, reps: int,
     `reps` independent Poisson(rate * horizon) windows, times uniform
     and marks i.i.d.; returns (estimate, standard error). The windows'
     points are one Poisson(rate * horizon * reps) total, each point in a
-    uniform window.
+    uniform window, drawn and summed into the windows' running sums of f
+    one block of at most TIME_T_CHUNK points at a time, so the call
+    holds one block's points and the `reps` sums, however many points.
 
     `marks.sample(rng, k)` draws k marks, and `f.evaluate(times, marks)`
-    maps k times and their marks to k nonnegative values (a NaN or
-    negative value is a LevySpecError). It runs after the total, times
-    and marks are drawn, so it may draw from rng; the window labels are
-    drawn after it returns.
+    maps k times and their marks to k nonnegative values, shape (k,) (any
+    other shape, or a NaN or negative value, is a LevySpecError). It is
+    called once per block, after the block's times and marks are drawn,
+    so it may draw from rng; the block's window labels are drawn after
+    it returns.
     """
     if not 0 < horizon < np.inf:
         raise LevySpecError("horizon must be positive and finite")
@@ -75,10 +81,18 @@ def laplace_functional_mc(rate: float, marks, horizon: float, f, reps: int,
     with np.errstate(over="ignore"):  # poisson_counts rejects an inf mean
         mean = rate * horizon * reps
     k = int(poisson_counts(mean, 1, rng)[0])
-    values = _nonnegative(f.evaluate(rng.uniform(0.0, horizon, size=k),
-                                     marks.sample(rng, k)))
-    vals = np.exp(-window_sums(rng.integers(0, reps, size=k), values, reps))
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
+    sums = np.zeros(reps)  # after the checks: a huge reps is a LevySpecError
+    for start in range(0, k, TIME_T_CHUNK):
+        b = min(TIME_T_CHUNK, k - start)
+        values = _nonnegative(f.evaluate(rng.uniform(0.0, horizon, size=b),
+                                         marks.sample(rng, b)))
+        if np.shape(values) != (b,):  # np.add.at would broadcast it
+            raise LevySpecError(f"f must return one value per point, shape "
+                                f"({b},), not {np.shape(values)}")
+        # in point order, as one np.bincount over all points adds them
+        np.add.at(sums, rng.integers(0, reps, size=b), values)
+    vals = np.exp(np.negative(sums, out=sums), out=sums)
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(reps))
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +103,8 @@ def laplace_functional_mc(rate: float, marks, horizon: float, f, reps: int,
 @dataclass(frozen=True)
 class _MarkAverage:
     """-log of the mean of e^{-f(time, jump, mark)} over k marks per point,
-    drawn from the law of X at its jump in one call; f runs once per mark."""
+    drawn from the law of X at its jump in one call per block of points;
+    f runs once per mark."""
 
     f: object
     X: LevyLaw
@@ -127,7 +142,8 @@ def marked_laplace_check(T: SubordinatorSpec, X: LevyLaw, f, horizon: float,
     """Two Monte Carlo routes to the Laplace functional of the weak-
     subordination jump point process, each a `laplace_functional_mc`
     estimate over T's jumps, which must be atomic (gamma rays have no
-    single jump times). Left: mark each jump of size t with one draw from
+    single jump times); each holds one block of jumps and their marks at
+    a time. Left: mark each jump of size t with one draw from
     the law of X(t). Right: replace each point's e^{-f} by its mean over
     `inner` (an integer >= 1) fresh marks from the same kernel; this is
     unbiased as marks are conditionally independent given the jumps. f is

@@ -106,8 +106,9 @@ def stacked_strong_exponent(R: SubordinatorSpec, dims,
 # ---------------------------------------------------------------------------
 
 
-# Rows per batch of the samplers, and (jumps x theta rows) per block
-# of `weaksub exponent`; bounds their temporaries.
+# Rows per batch of the samplers, (jumps x theta rows) per block of
+# `weaksub exponent`, and points per block of prm's Poisson-window
+# estimates; bounds their temporaries.
 TIME_T_CHUNK = 8192
 # Expected jumps, T's and X's together, per batch of the samplers: a
 # batch has fewer than TIME_T_CHUNK rows when its rows expect more jumps.

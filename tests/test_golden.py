@@ -1,4 +1,5 @@
-"""Golden outputs: SHA-256 digests of CLI outputs for small fixed configs.
+"""Golden outputs: SHA-256 digests of CLI outputs for small fixed configs,
+and the bits of two `weaksub.prm` estimates, which no CLI command writes.
 
 A change that moves a single draw or a single digit of any output fails
 here, so it has to say so and record new digests. Generator streams are
@@ -11,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+import weaksub as ws
 from weaksub.cli import main
 
 NUMPY_VERSION = "2.4.6"
@@ -61,9 +63,13 @@ DIGESTS = {
 }
 
 
-@pytest.mark.skipif(np.__version__ != NUMPY_VERSION,
-                    reason=f"digests were recorded with numpy {NUMPY_VERSION}, "
-                           "and Generator streams are promised only per version")
+same_numpy = pytest.mark.skipif(
+    np.__version__ != NUMPY_VERSION,
+    reason=f"digests were recorded with numpy {NUMPY_VERSION}, "
+           "and Generator streams are promised only per version")
+
+
+@same_numpy
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_digest(tmp_path, case):
     argv, config, files = CASES[case]
@@ -75,3 +81,24 @@ def test_cli_output_digest(tmp_path, case):
     for name in files:
         digest.update((out / name).read_bytes())
     assert digest.hexdigest() == DIGESTS[case]
+
+
+@same_numpy
+def test_prm_estimate_bits():
+    # an A4-shaped Campbell estimate over 2e4 points (three blocks) and an
+    # A5-shaped marked check over 1e4 jumps per side (two blocks)
+    est, se = ws.laplace_functional_mc(2.0, ws.PointMassMark((0.0,)), 1.0,
+                                       ws.ConstantFunctional(0.7), 10**4,
+                                       np.random.default_rng(7))
+    assert [est.hex(), se.hex()] == ["0x1.7600851a9553bp-2", "0x1.859a2ebf6c3e6p-9"]
+
+    def f(time, jump, mark):
+        return 0.9 if time <= 0.8 and np.all(np.abs(mark) <= 1.0) else 0.0
+
+    T = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1, 1]], [1.0]))
+    X = ws.BrownianMotion([0, 0], [[1, 0.5], [0.5, 1]])
+    r = ws.marked_laplace_check(T, X, f, horizon=1.0, reps=10**4,
+                                rng=np.random.default_rng(7), inner=2)
+    assert [v.hex() for v in (r.lhs, r.lhs_se, r.rhs, r.rhs_se)] == [
+        "0x1.93847d9b4bd00p-1", "0x1.928943cb100b4p-9",
+        "0x1.93c24920d4539p-1", "0x1.599aea3e852fcp-9"]

@@ -1,9 +1,12 @@
 import inspect
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import weaksub as ws
+from weaksub.subordination import TIME_T_CHUNK
 
 
 def unit_mark():
@@ -12,6 +15,23 @@ def unit_mark():
 
 def correlated_bm():
     return ws.BrownianMotion([0, 0], [[1, 0.5], [0.5, 1]])
+
+
+def traced_peak(call):
+    """The tracemalloc peak of call(), in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class UniformMark:
+    """Marks uniform on [0, 1]."""
+
+    def sample(self, rng, k):
+        return rng.uniform(0.0, 1.0, size=(k, 1))
 
 
 class TestCampbellIdentity:
@@ -50,10 +70,6 @@ class TestCampbellIdentity:
         # points where f = c form a Poisson count of mean rate * s * p
         rate, c, s, p = 3.0, 0.8, 0.6, 0.4
 
-        class UniformMark:
-            def sample(self, rng, k):
-                return rng.uniform(0.0, 1.0, size=(k, 1))
-
         class CornerFunctional:
             def evaluate(self, times, marks):
                 return np.where((times <= s) & (marks[:, 0] <= p), c, 0.0)
@@ -66,15 +82,13 @@ class TestCampbellIdentity:
     def test_functional_runs_after_every_draw_and_may_draw(self):
         # f draws one uniform per point, as _MarkAverage draws marks, and
         # is c where it is <= p: those points are a Poisson count of mean
-        # rate x horizon x p. f runs once the total, the times and the
-        # marks are drawn, and the window labels come after it returns
+        # rate x horizon x p. The points come in blocks of TIME_T_CHUNK:
+        # f runs once per block, after the total and the block's times and
+        # marks are drawn, and the block's window labels come after it
+        # returns
         rate, horizon, c, p, reps, seed = 2.0, 1.5, 0.8, 0.3, 4 * 10**4, 8
         rng = np.random.default_rng(seed)
         states = []
-
-        class UniformMark:
-            def sample(self, rng, k):
-                return rng.uniform(0.0, 1.0, size=(k, 1))
 
         class DrawingFunctional:
             def evaluate(self, times, marks):
@@ -86,12 +100,59 @@ class TestCampbellIdentity:
         assert abs(est - np.exp(-rate * horizon * p * -np.expm1(-c))) <= 4 * se
         twin = np.random.default_rng(seed)
         k = twin.poisson(rate * horizon * reps, size=1)[0]
-        twin.uniform(0.0, horizon, size=k)
-        twin.uniform(0.0, 1.0, size=(k, 1))
-        assert states == [twin.bit_generator.state]
-        twin.uniform(size=k)
-        twin.integers(0, reps, size=k)
+        assert k > 3 * TIME_T_CHUNK and k % TIME_T_CHUNK  # a partial last block
+        expected = []
+        for start in range(0, k, TIME_T_CHUNK):
+            b = min(TIME_T_CHUNK, k - start)
+            twin.uniform(0.0, horizon, size=b)
+            twin.uniform(0.0, 1.0, size=(b, 1))
+            expected.append(twin.bit_generator.state)
+            twin.uniform(size=b)
+            twin.integers(0, reps, size=b)
+        assert states == expected
         assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_whole_blocks_sum_as_one_bincount(self):
+        # a total of exactly two blocks: f sees two full blocks and no empty
+        # third, and the running sums equal one np.bincount over all points
+        # bit for bit, as they add each point in the same order from 0.0
+        reps, k = 2 * TIME_T_CHUNK, 2 * TIME_T_CHUNK
+        seed = next(s for s in itertools.count()
+                    if np.random.default_rng(s).poisson(reps, size=1)[0] == k)
+        sizes = []
+
+        class ProductFunctional:
+            def evaluate(self, times, marks):
+                sizes.append(len(times))
+                return times * marks[:, 0]
+
+        est, se = ws.laplace_functional_mc(1.0, UniformMark(), 1.0,
+                                           ProductFunctional(), reps,
+                                           np.random.default_rng(seed))
+        assert sizes == [TIME_T_CHUNK, TIME_T_CHUNK]
+        twin = np.random.default_rng(seed)
+        twin.poisson(reps, size=1)
+        values, labels = [], []
+        for b in sizes:
+            times = twin.uniform(0.0, 1.0, size=b)
+            values.append(times * twin.uniform(0.0, 1.0, size=(b, 1))[:, 0])
+            labels.append(twin.integers(0, reps, size=b))
+        vals = np.exp(-np.bincount(np.concatenate(labels),
+                                   weights=np.concatenate(values), minlength=reps))
+        assert (est, se) == (vals.mean(), vals.std(ddof=1) / np.sqrt(reps))
+
+    def test_memory_does_not_grow_with_the_points(self):
+        # 5e5 and 5e6 expected points (61 and 611 blocks) into the same 1e5
+        # windows: the call holds one block and the windows' sums, so the
+        # tracemalloc peaks differ by less than 1 MiB (they were 12 and
+        # 114 MiB when every point was held at once)
+        def peak(rate):
+            return traced_peak(lambda: ws.laplace_functional_mc(
+                rate, unit_mark(), 1.0, ws.ConstantFunctional(1.0), 10**5,
+                np.random.default_rng(3)))
+
+        peak(5.0)  # first-call allocations are not the points'
+        assert peak(50.0) <= peak(5.0) + 2**20
 
     @pytest.mark.parametrize("rate,horizon,reps", [
         (-1.0, 1.0, 100), (np.nan, 1.0, 100), (np.inf, 1.0, 100),
@@ -125,6 +186,34 @@ class TestCampbellIdentity:
         with pytest.raises(ws.LevySpecError, match="nonnegative"):
             ws.laplace_functional_mc(2.0, unit_mark(), 1.0, BadFunctional(), 100,
                                      np.random.default_rng(0))
+
+    @pytest.mark.parametrize("values", [
+        lambda t: 1.0, lambda t: np.ones(1), lambda t: np.ones(len(t) - 1),
+        lambda t: np.ones((len(t), 2))], ids=["scalar", "one", "short", "columns"])
+    def test_functional_values_of_another_shape_raise(self, values):
+        # np.add.at would broadcast a scalar or a single value to every
+        # point, and the columns were once summed and averaged as windows
+        class Functional:
+            def evaluate(self, times, marks):
+                return values(times)
+
+        with pytest.raises(ws.LevySpecError, match="one value per point"):
+            ws.laplace_functional_mc(2.0, unit_mark(), 1.0, Functional(), 100,
+                                     np.random.default_rng(0))
+
+    @pytest.mark.parametrize("value", [np.nan, -1.0])
+    def test_bad_values_past_the_first_block_raise(self, value):
+        calls = []
+
+        class LateBadFunctional:
+            def evaluate(self, times, marks):
+                calls.append(len(times))
+                return np.full(len(times), value if len(calls) == 3 else 1.0)
+
+        with pytest.raises(ws.LevySpecError, match="nonnegative"):
+            ws.laplace_functional_mc(1.0, unit_mark(), 1.0, LateBadFunctional(),
+                                     4 * TIME_T_CHUNK, np.random.default_rng(0))
+        assert calls == [TIME_T_CHUNK] * 3
 
 
 class TestMarkedLaplaceCheck:
@@ -172,6 +261,21 @@ class TestMarkedLaplaceCheck:
             correlated_bm(), lambda *a: np.inf, horizon=1.0, reps=20,
             rng=np.random.default_rng(12), inner=2)
         assert (result.lhs, result.lhs_se, result.rhs, result.rhs_se) == (0, 0, 0, 0)
+
+    def test_memory_does_not_grow_with_the_points(self):
+        # about 7700 jumps per side (one block) and 40000 (five blocks):
+        # each side holds one block x inner marks and the windows' sums, so
+        # the tracemalloc peaks differ by less than 1 MiB (the second was
+        # about 6 MiB more when every point was held at once)
+        T = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1, 1]], [1.0]))
+
+        def peak(reps):
+            return traced_peak(lambda: ws.marked_laplace_check(
+                T, correlated_bm(), lambda *a: 0.5, horizon=1.0, reps=reps,
+                rng=np.random.default_rng(4), inner=2))
+
+        peak(100)  # first-call allocations are not the points'
+        assert peak(40000) <= peak(7700) + 2**20
 
     @pytest.mark.parametrize(
         "horizon,reps,inner",
