@@ -40,11 +40,26 @@ EXACT_CHECK_THETAS = 100  # A3: frequencies of the stacked closed-form check
 EXACT_TOL = 1e-10  # A3: largest |psi_strong - psi_weak| of an "equal" exact check
 DIFFER_RATIO = 2.0  # a "differ" check needs max |diff|/bound above this
 PHASE_PRODUCT = 2**16  # multiply-adds per ECF phase product: OpenBLAS stays on one thread
+TABLE_REACH = 64  # largest |phase| whose cosine and sine the ECF's tables serve
 
 
 # ---------------------------------------------------------------------------
 # Empirical characteristic functions
 # ---------------------------------------------------------------------------
+
+
+def _trig_table(trig, odd: bool) -> Array:
+    """trig(j / 2**7) at index j + 2**7 * TABLE_REACH, for each integer
+    |j| <= 2**7 * TABLE_REACH; the entries of j < 0 mirror those of j > 0,
+    negated for an odd trig, so the table is exactly even or odd."""
+    half = trig(np.arange(2**7 * TABLE_REACH + 1) * 2**-7)
+    table = np.concatenate([-half[:0:-1] if odd else half[:0:-1], half])
+    table.flags.writeable = False
+    return table
+
+
+_COS_TABLE = _trig_table(np.cos, odd=False)
+_SIN_TABLE = _trig_table(np.sin, odd=True)
 
 
 class _ECFSums:
@@ -53,7 +68,19 @@ class _ECFSums:
     shape (m, d). The sums run over blocks of max(2, PHASE_PRODUCT //
     grid size) samples, carried across pieces, one phase product per
     block, which OpenBLAS runs on the calling thread; so `ecf` is bit for
-    bit the same however the samples were split."""
+    bit the same however the samples were split.
+
+    A block whose phases all lie within +-TABLE_REACH is summed from the
+    tables (Tang's table-driven method): phase = j / 2**7 + lo exactly,
+    with |lo| <= 2**-8, and cos(j / 2**7 + lo) = C cos lo - S sin lo,
+    sin(...) = S cos lo + C sin lo, where C and S are the table's cos and
+    sin of j / 2**7, and cos lo = 1 - z (1/2 - z/24), sin lo = lo (1 - z
+    (1/6 - z/120)), z = lo**2, truncated below 1e-17. Each term is within
+    4.5e-16 of libm's cosine and sine. The sums are sum(C cos lo) -
+    sum(S sin lo) and sum(S cos lo) + sum(C sin lo), each a sum over the
+    block's rows in order, on a grid of two or more points. Any other
+    block (a phase beyond the reach, inf or NaN) sums libm's cosines and
+    sines."""
 
     def __init__(self, grid: Array):
         self.grid = grid
@@ -61,24 +88,61 @@ class _ECFSums:
         self.n = 0
         self.sums = np.zeros((2, grid.shape[0]))
         self.carry = np.empty((0, grid.shape[1]))  # fewer than `rows` samples
-        self.buffers = np.empty((2, 0, grid.shape[0]))
+        self.buffers = np.empty((3, 0, grid.shape[0]))
+        self.index = np.empty((0, grid.shape[0]), dtype=np.intp)
 
     def add(self, samples: Array) -> None:
         self.n += len(samples)
-        if len(self.carry):
-            samples = np.concatenate([self.carry, samples])
-        end = len(samples) // self.rows * self.rows
-        for start in range(0, end, self.rows):
-            self._block(samples[start : start + self.rows])
+        start = 0
+        if len(self.carry):  # top the carry up to one block
+            start = min(len(samples), self.rows - len(self.carry))
+            self.carry = np.concatenate([self.carry, samples[:start]])
+            if len(self.carry) < self.rows:
+                return
+            self._block(self.carry)
+            self.carry = self.carry[:0]
+        end = start + (len(samples) - start) // self.rows * self.rows
+        for first in range(start, end, self.rows):
+            self._block(samples[first : first + self.rows])
         self.carry = samples[end:].copy()
 
     def _block(self, x: Array) -> None:
         if self.buffers.shape[1] < len(x):
-            self.buffers = np.empty((2, len(x), self.grid.shape[0]))
+            self.buffers = np.empty((3, len(x), self.grid.shape[0]))
+            self.index = np.empty((len(x), self.grid.shape[0]), dtype=np.intp)
+        phase, a, b = self.buffers[:, : len(x)]
         with np.errstate(over="ignore", invalid="ignore"):
-            phase = np.matmul(x, self.grid.T, out=self.buffers[0, : len(x)])
-            self.sums[0] += np.cos(phase, out=self.buffers[1, : len(x)]).sum(axis=0)
-            self.sums[1] += np.sin(phase, out=phase).sum(axis=0)
+            np.matmul(x, self.grid.T, out=phase)
+            if -TABLE_REACH <= phase.min() and phase.max() <= TABLE_REACH:
+                self._table_sums(phase, a, b, self.index[: len(x)])
+            else:
+                self.sums[0] += np.cos(phase, out=a).sum(axis=0)
+                self.sums[1] += np.sin(phase, out=phase).sum(axis=0)
+
+    def _table_sums(self, phase: Array, lo: Array, sin_lo: Array, j: Array) -> None:
+        """Add the table-driven sums of one block's phases, all within
+        +-TABLE_REACH; every argument is overwritten."""
+        k = np.rint(np.multiply(phase, 2**7, out=lo), out=lo)
+        np.add(k, 2**7 * TABLE_REACH, out=j, casting="unsafe")  # the tables' index
+        np.subtract(phase, np.multiply(k, 2**-7, out=lo), out=lo)
+        z = np.multiply(lo, lo, out=phase)
+        np.multiply(z, 1 / 120, out=sin_lo)
+        np.subtract(1 / 6, sin_lo, out=sin_lo)
+        sin_lo *= z
+        np.subtract(1, sin_lo, out=sin_lo)
+        sin_lo *= lo
+        cos_lo = np.multiply(z, 1 / 24, out=lo)
+        np.subtract(0.5, cos_lo, out=cos_lo)
+        cos_lo *= z
+        np.subtract(1, cos_lo, out=cos_lo)
+        # mode="clip" reads j as it is (all in range); "raise" would copy the output
+        # einsum, not optimized, runs no BLAS; on two or more columns it adds
+        # each column's products row by row
+        table = np.take(_COS_TABLE, j, out=phase, mode="clip")
+        re, im = np.einsum("ij,ij->j", table, cos_lo), np.einsum("ij,ij->j", table, sin_lo)
+        table = np.take(_SIN_TABLE, j, out=phase, mode="clip")
+        self.sums[0] += re - np.einsum("ij,ij->j", table, sin_lo)
+        self.sums[1] += im + np.einsum("ij,ij->j", table, cos_lo)
 
     def ecf(self) -> Array:
         """The mean of exp(i <theta, x>) over every sample added, shape (m,),
@@ -100,10 +164,10 @@ def ecf_grid(samples, theta) -> Array:
 
     Cosines and sines of the real phases <theta, x> are summed over blocks
     of max(2, PHASE_PRODUCT // theta's size) samples, one phase product per
-    block, which OpenBLAS runs on the calling thread; on a grid of two or
-    more points this is bit for bit the blocked sum of the complex
-    exponential. A phase beyond the floating-point range is a
-    LevySpecError.
+    block, which OpenBLAS runs on the calling thread: from tables where a
+    block's phases lie within +-TABLE_REACH, each term within 4.5e-16 of
+    libm's, and from libm's cosines and sines elsewhere (see `_ECFSums`).
+    A phase beyond the floating-point range is a LevySpecError.
     """
     samples = np.asarray(samples, dtype=float)
     theta = np.asarray(theta, dtype=float)

@@ -1,5 +1,6 @@
-"""Golden outputs: SHA-256 digests of CLI outputs for small fixed configs,
-and the bits of two `weaksub.prm` estimates, which no CLI command writes.
+"""Golden outputs: SHA-256 digests of CLI outputs for small fixed configs
+and of one `ecf_grid`, and the bits of two `weaksub.prm` estimates, which
+no CLI command writes.
 
 A change that moves a single draw or a single digit of any output fails
 here, so it has to say so and record new digests. Generator streams are
@@ -53,13 +54,13 @@ DIGESTS = {
     "times_strong": "847c81c1a4e3e2cd34fdac3ad75e65393f1081096525eb675b1427987ecce79d",
     "times_weak": "62b91e52a7bb71768d67d8077dc33b89587c22b483c1e8be82a69d4877213f21",
     "verify_deterministic":
-        "6d1403868b9ca1aa24114adeef00f8007bcd5f524fb00ef7a098b593ecfcda31",
+        "4b865ab60736bd833b8c39b8cec181eaf4cba2d848116e4e44523daab2829db1",
     "verify_stacked_C3":
-        "7a1e45c55806059572759cee409fca35e9248ec3eff5c4a51d4a5f3b33567fe0",
+        "5e707ad8232bacffa110d9146235fa00c7b745db779bd0c0fdf74e87f4b6588f",
     "verify_finite_activity_C1":
-        "8cb9a59b635598294b07ef12ec1c81c1067541abd0d76dd35629e690cb6a4cb5",
+        "0d3192e644a7db8cb45a80b28733bde78366adf1809f122e08d5417f599b1534",
     "verify_negative_control":
-        "45b9cfc78cad52df3044053adf210153ff9e1f67ebcb40b6fb6c9f78dc614f31",
+        "907e0c0b71ab5b845fb82b65fa70605b598b4c6f779ebafd9a0d5cc35b43b412",
 }
 
 
@@ -81,6 +82,16 @@ def test_cli_output_digest(tmp_path, case):
     for name in files:
         digest.update((out / name).read_bytes())
     assert digest.hexdigest() == DIGESTS[case]
+
+
+@same_numpy
+def test_ecf_grid_bytes():
+    # 3000 rows on the default grid: three blocks of the cosine and sine
+    # tables, the last one partial
+    rng = np.random.default_rng(7)
+    ecf = ws.ecf_grid(2.0 * rng.standard_normal((3000, 4)), ws.ThetaGridSpec().build(4))
+    assert hashlib.sha256(ecf.tobytes()).hexdigest() == (
+        "0f6440314cec82bbd63edebd9cc58f50c8b3ee24790abc55b73a7922f5ed1ea3")
 
 
 @same_numpy

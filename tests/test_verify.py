@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,43 @@ from weaksub.verify import (
     equality_in_law_suite,
     scenario_record,
 )
+
+SRC = str(Path(ws.__file__).resolve().parents[1])
+
+
+def _table_terms(phase):
+    """Sums over the rows of phase, in order, of the table formula's cosines
+    and sines: phase = k / 2**7 + lo, with libm's cos and sin of k / 2**7
+    (odd in k for sin) and the polynomials' cos lo and sin lo."""
+    k = np.rint(phase * 2**7)
+    lo = phase - k * 2**-7
+    c = np.cos(np.abs(k) * 2**-7)
+    s = np.where(k < 0, -1.0, 1.0) * np.sin(np.abs(k) * 2**-7)
+    z = lo * lo
+    cos_lo = 1 - z * (0.5 - z * (1 / 24))
+    sin_lo = lo * (1 - z * (1 / 6 - z * (1 / 120)))
+
+    def row_sum(terms):
+        return np.cumsum(terms, axis=0)[-1]
+
+    return [row_sum(c * cos_lo) - row_sum(s * sin_lo),
+            row_sum(s * cos_lo) + row_sum(c * sin_lo)]
+
+
+def _reference_sums(samples, grid):
+    """The cosine and sine sums of an ECF on a grid of two or more points:
+    blocks of max(2, 2**16 // grid size) rows, one phase product each, by
+    the table formula where every |phase| <= 64 and by libm elsewhere."""
+    rows = max(2, 2**16 // grid.size)
+    sums = np.zeros((2, len(grid)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start in range(0, len(samples), rows):
+            phase = samples[start : start + rows] @ grid.T
+            if np.all(np.abs(phase) <= 64):
+                sums += _table_terms(phase)
+            else:
+                sums += [np.cos(phase).sum(axis=0), np.sin(phase).sum(axis=0)]
+    return sums
 
 
 class TestECF:
@@ -43,23 +84,100 @@ class TestECF:
 
     @pytest.mark.parametrize("d, n, points", [
         (d, n, points) for d, points in
+        [(4, 16), (4, 64), (8, 16), (40, 16), (4, 300), (40, 300)]
+        for n in [20_000, 9217, 1025, 1]])
+    def test_in_reach_blocks_equal_the_table_formula_bit_for_bit(self, d, n, points):
+        # blocks of 1024 to 5 rows here, so every n but 1 spans more than
+        # one block, and 1025 and 9217 rows leave a 1-row tail on some
+        # grids; every phase is within the tables' reach
+        rng = np.random.default_rng(23)
+        samples, grid = rng.standard_normal((n, d)), rng.standard_normal((points, d))
+        assert np.abs(samples @ grid.T).max() <= 64
+        re, im = _reference_sums(samples, grid)
+        assert ws.ecf_grid(samples, grid).tobytes() == ((re + 1j * im) / n).tobytes()
+
+    @pytest.mark.parametrize("d, n, points", [
+        (d, n, points) for d, points in
         [(4, 16), (4, 64), (8, 16), (8, 64), (40, 16), (4, 300), (40, 300)]
         for n in [20_000, 9217, 1025, 1, 60_000]])
     def test_equals_blocked_complex_exponential_bit_for_bit(self, d, n, points):
-        # blocks of max(2, 2**16 // grid size) rows, one phase product each:
-        # 1024 to 5 rows here, so every n but 1 spans more than one block, and
-        # 1025 and 9217 rows leave a 1-row tail on some grids. The block size
-        # is a literal, so a change to PHASE_PRODUCT that moves the bits
-        # fails here; the cosine and sine sums run on two threads
+        # beyond the tables' reach: every block here holds a phase above 64,
+        # so the ECF sums libm's cosines and sines, blocked as before the
+        # tables. Blocks of max(2, 2**16 // grid size) rows, one phase
+        # product each: 1024 to 5 rows here, so every n but 1 spans more
+        # than one block, and 1025 and 9217 rows leave a 1-row tail on some
+        # grids. The block size is a literal, so a change to PHASE_PRODUCT
+        # that moves the bits fails here
         rng = np.random.default_rng(23)
-        samples = 3.0 * rng.standard_normal((n, d))
+        samples = 300.0 * rng.standard_normal((n, d))
         grid = rng.standard_normal((points, d))
         rows = max(2, 2**16 // grid.size)
         total = np.zeros(points, dtype=complex)
         for start in range(0, len(samples), rows):
-            total += np.exp(1j * (samples[start : start + rows] @ grid.T)).sum(axis=0)
+            phase = samples[start : start + rows] @ grid.T
+            assert np.abs(phase).max() > 64
+            total += np.exp(1j * phase).sum(axis=0)
         reference = total / len(samples)
         assert ws.ecf_grid(samples, grid).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nextafter(64.0, np.inf), 64.0, 1e300, np.inf,
+                                       np.nan, -np.nextafter(64.0, np.inf)])
+    def test_out_of_reach_blocks_sum_libm_bit_for_bit(self, value):
+        # one phase in the middle block of three (1024 rows each) is value;
+        # the other blocks stay in the tables' reach, and so does 64 itself
+        rng = np.random.default_rng(29)
+        samples, grid = rng.standard_normal((3000, 4)), rng.standard_normal((16, 4))
+        grid[0] = [1.0, 0.0, 0.0, 0.0]
+        samples[1500, 0] = value
+        sums = verify._ECFSums(grid)
+        sums.add(samples)
+        if np.isfinite(value):
+            re, im = _reference_sums(samples, grid)
+            assert sums.ecf().tobytes() == ((re + 1j * im) / 3000).tobytes()
+        else:
+            with pytest.raises(ws.LevySpecError, match="not finite"):
+                sums.ecf()
+        assert sums.sums.tobytes() == _reference_sums(samples, grid).tobytes()
+
+    def test_table_terms_close_to_libm(self):
+        # one sample x = 1 on a one-column grid: each grid point's ECF is the
+        # single term exp(i theta), all in one block; the edges are +-64,
+        # +-0, tiny phases and the rint ties, odd multiples of 2**-8
+        rng = np.random.default_rng(37)
+        phases = np.concatenate([rng.uniform(-64, 64, 100_000),
+                                 [64.0, -64.0, 0.0, -0.0, 1e-300, -1e-300],
+                                 np.arange(-2**13, 2**13) * 2**-7 + 2**-8])
+        assert np.abs(phases).max() == 64  # one block, in the tables' reach
+        grid = phases[:, None]
+        terms = ws.ecf_grid([[1.0]], grid)
+        re, im = _reference_sums(np.ones((1, 1)), grid)
+        assert terms.tobytes() == (re + 1j * im).tobytes()
+        assert np.abs(terms.real - np.cos(phases)).max() <= 4.5e-16
+        assert np.abs(terms.imag - np.sin(phases)).max() <= 4.5e-16
+
+    def test_same_bits_with_numpy_dispatch_disabled(self, tmp_path):
+        # numpy picks SIMD loops at run time (__cpu_dispatch__); with every
+        # target this CPU has switched off, an ECF keeps its bits
+        try:
+            from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        except ImportError:  # numpy 1.x
+            from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        targets = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+        if not targets:
+            pytest.skip("numpy dispatches no SIMD targets on this CPU")
+        rng = np.random.default_rng(41)
+        samples = 2.0 * rng.standard_normal((5000, 4))
+        np.save(tmp_path / "samples.npy", samples)
+        code = ("import sys, numpy as np, weaksub as ws\n"
+                "s = np.load(sys.argv[1])\n"
+                "sys.stdout.write(ws.ecf_grid(s, ws.ThetaGridSpec().build(4)).tobytes().hex())")
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "samples.npy")],
+            env={**os.environ, "PYTHONPATH": SRC, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)},
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        ecf = ws.ecf_grid(samples, ws.ThetaGridSpec().build(4))
+        assert done.stdout == ecf.tobytes().hex()
 
     def test_independent_of_sampler_batch(self, monkeypatch):
         # the ECF's blocks follow PHASE_PRODUCT alone: with 1000-row sampler
@@ -91,6 +209,7 @@ class TestECF:
     @settings(max_examples=50)
     @given(st.integers(0, 2**32 - 1))
     def test_conjugate_symmetry(self, seed):
+        # exact: the cosine table is even and the sine table odd, bit for bit
         rng = np.random.default_rng(seed)
         samples = rng.standard_normal((200, 2))
         theta = rng.standard_normal(2)
