@@ -93,17 +93,11 @@ class _ECFSums:
 
     def add(self, samples: Array) -> None:
         self.n += len(samples)
-        start = 0
-        if len(self.carry):  # top the carry up to one block
-            start = min(len(samples), self.rows - len(self.carry))
-            self.carry = np.concatenate([self.carry, samples[:start]])
-            if len(self.carry) < self.rows:
-                return
-            self._block(self.carry)
-            self.carry = self.carry[:0]
-        end = start + (len(samples) - start) // self.rows * self.rows
-        for first in range(start, end, self.rows):
-            self._block(samples[first : first + self.rows])
+        if len(self.carry):
+            samples = np.concatenate([self.carry, samples])
+        end = len(samples) // self.rows * self.rows
+        for start in range(0, end, self.rows):
+            self._block(samples[start : start + self.rows])
         self.carry = samples[end:].copy()
 
     def _block(self, x: Array) -> None:
@@ -135,14 +129,18 @@ class _ECFSums:
         np.subtract(0.5, cos_lo, out=cos_lo)
         cos_lo *= z
         np.subtract(1, cos_lo, out=cos_lo)
-        # mode="clip" reads j as it is (all in range); "raise" would copy the output
-        # einsum, not optimized, runs no BLAS; on two or more columns it adds
-        # each column's products row by row
+        # mode="clip" reads j as it is (all in range); "raise" would copy the
+        # output. Each product is rounded into a buffer, then summed over the
+        # rows in order (on two or more columns): no BLAS, no fused
+        # multiply-add. The cosines are read twice, as the three buffers hold
+        # them, cos lo and sin lo
         table = np.take(_COS_TABLE, j, out=phase, mode="clip")
-        re, im = np.einsum("ij,ij->j", table, cos_lo), np.einsum("ij,ij->j", table, sin_lo)
+        re = np.multiply(table, cos_lo, out=table).sum(axis=0)
+        table = np.take(_COS_TABLE, j, out=phase, mode="clip")
+        im = np.multiply(table, sin_lo, out=table).sum(axis=0)
         table = np.take(_SIN_TABLE, j, out=phase, mode="clip")
-        self.sums[0] += re - np.einsum("ij,ij->j", table, sin_lo)
-        self.sums[1] += im + np.einsum("ij,ij->j", table, cos_lo)
+        self.sums[0] += re - np.multiply(sin_lo, table, out=sin_lo).sum(axis=0)
+        self.sums[1] += im + np.multiply(cos_lo, table, out=cos_lo).sum(axis=0)
 
     def ecf(self) -> Array:
         """The mean of exp(i <theta, x>) over every sample added, shape (m,),

@@ -122,13 +122,23 @@ class TestECF:
 
     @pytest.mark.parametrize("value", [np.nextafter(64.0, np.inf), 64.0, 1e300, np.inf,
                                        np.nan, -np.nextafter(64.0, np.inf)])
-    def test_out_of_reach_blocks_sum_libm_bit_for_bit(self, value):
-        # one phase in the middle block of three (1024 rows each) is value;
-        # the other blocks stay in the tables' reach, and so does 64 itself
+    def test_out_of_reach_blocks_sum_libm_bit_for_bit(self, monkeypatch, value):
+        # sample 1500, in the middle block of three (1024 rows each), is
+        # (value, 0, 0, 0), and grid point 0 is (1, 0, 0, 0): its largest
+        # |phase| is |value|, as every |theta_0| <= 1. The other samples'
+        # phases stay far within the tables' reach, and so does 64 itself
         rng = np.random.default_rng(29)
-        samples, grid = rng.standard_normal((3000, 4)), rng.standard_normal((16, 4))
+        samples, grid = rng.standard_normal((3000, 4)), rng.uniform(-1, 1, (16, 4))
         grid[0] = [1.0, 0.0, 0.0, 0.0]
-        samples[1500, 0] = value
+        samples[1500] = [value, 0.0, 0.0, 0.0]
+        with np.errstate(invalid="ignore"):
+            middle = np.abs(samples[1024:2048] @ grid.T)
+        assert np.delete(middle, 1500 - 1024, axis=0).max() < 32
+        assert middle[1500 - 1024, 0] == abs(value) or np.isnan(value)
+        table_blocks = []
+        table_sums = verify._ECFSums._table_sums
+        monkeypatch.setattr(verify._ECFSums, "_table_sums", lambda self, phase, *buffers: (
+            table_blocks.append(len(phase)), table_sums(self, phase, *buffers)))
         sums = verify._ECFSums(grid)
         sums.add(samples)
         if np.isfinite(value):
@@ -137,6 +147,7 @@ class TestECF:
         else:
             with pytest.raises(ws.LevySpecError, match="not finite"):
                 sums.ecf()
+        assert table_blocks == ([1024, 1024, 952] if value == 64 else [1024, 952])
         assert sums.sums.tobytes() == _reference_sums(samples, grid).tobytes()
 
     def test_table_terms_close_to_libm(self):
