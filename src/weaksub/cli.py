@@ -61,7 +61,8 @@ MAX_ROWS = 10_000_000
 # under a compound Poisson subordinate of rate 1e6, 6e7 jumps).
 MAX_RUN_JUMPS = 10**9
 # Largest ECF terms of a verify run, 2 x replicates x theta grid points:
-# 15-25 s at the 31-47 ns per term ecf_grid takes on a 2-vCPU Xeon.
+# on a 2-vCPU Xeon, 8-14 s at the 17-28 ns per term of blocks within the
+# ECF tables' reach, 15-25 s at the 31-47 ns of libm's cosines and sines.
 MAX_ECF_TERMS = 5 * 10**8
 # Most theta grid points of a verify run: writing report.json takes about
 # 9 KB of memory per point (134 MB peak RSS at 10 000 points, 978 MB at

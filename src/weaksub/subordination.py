@@ -143,12 +143,11 @@ def _batch_rows(T: SubordinatorSpec, X: LevyLaw, times) -> int:
 
 
 def _draw_batches(T: SubordinatorSpec, X: LevyLaw, times, size: int,
-                  rng: np.random.Generator, draw_z, out: Array | None = None):
-    """Yield `size` independent draws of (T, Z) at `times` in batches of
-    `_batch_rows` rows, each of shape (k, 2n) for a scalar time and
-    (k, m, 2n) for m strictly increasing times, written to the rows of
-    `out`, shape (size, m, 2n), when it is given, and otherwise to one
-    buffer that each batch overwrites: use a batch before drawing the
+                  rng: np.random.Generator, draw_z):
+    """Yield `size` independent draws of (T, Z) at `times`, a scalar or m
+    strictly increasing times, in batches of `_batch_rows` rows, each of
+    shape (k, m, 2n), m = 1 for a scalar time: the first k rows of one
+    buffer that each batch overwrites, so use a batch before drawing the
     next. Over each step between times, a row's T moves by drift x
     step plus the jumps `T.jumps.window_draws` draws for the step (one
     Poisson(total mass x step) total per step over the batch's rows, each
@@ -165,11 +164,10 @@ def _draw_batches(T: SubordinatorSpec, X: LevyLaw, times, size: int,
         raise LevySpecError("times must be positive, finite and strictly increasing")
     n, m = T.dim, t.size
     batch = _batch_rows(T, X, t)
-    if out is None:
-        buffer = np.empty((min(batch, size), m, 2 * n))
+    buffer = np.empty((min(batch, size), m, 2 * n))
     for start in range(0, size, batch):
         k = min(batch, size - start)
-        rows = buffer[:k] if out is None else out[start : start + k]
+        rows = buffer[:k]
         with np.errstate(over="ignore", invalid="ignore"):
             window, jumps = T.jumps.window_draws(steps, k, rng)
             np.add(window_sums(window, jumps, k * m).reshape(k, m, n), np.outer(steps, T.d),
@@ -181,17 +179,19 @@ def _draw_batches(T: SubordinatorSpec, X: LevyLaw, times, size: int,
             rows[..., n:] = draw_z(T, X, rng, rows[..., :n], steps, window, jumps)
             _finite(rows[..., n:], "a draw of (T, Z)", "rows of its batch")
         del window, jumps  # so the caller's use of the batch does not hold them
-        yield rows if np.ndim(times) else rows[:, 0]
+        yield rows
 
 
 def _draw_at(T: SubordinatorSpec, X: LevyLaw, times, size: int,
              rng: np.random.Generator, draw_z) -> Array:
-    """All of `_draw_batches`' draws in one array: shape (size, 2n) for a
-    scalar time, (size, m, 2n) for m times."""
+    """All of `_draw_batches`' batches, copied in order into one array of
+    shape (size, m, 2n), squeezed to (size, 2n) for a scalar time."""
     _check_count(size, 0, "size")
     out = np.empty((size, np.size(times), 2 * T.dim))
-    for _ in _draw_batches(T, X, times, size, rng, draw_z, out):
-        pass
+    start = 0
+    for rows in _draw_batches(T, X, times, size, rng, draw_z):
+        out[start : start + len(rows)] = rows
+        start += len(rows)
     return out if np.ndim(times) else out[:, 0]
 
 

@@ -65,10 +65,11 @@ _SIN_TABLE = _trig_table(np.sin, odd=True)
 class _ECFSums:
     """Running sums of cos <theta, x> and sin <theta, x> over samples, shape
     (k, d), fed to `add` in pieces of any size, at the frequencies `grid`,
-    shape (m, d). The sums run over blocks of max(2, PHASE_PRODUCT //
-    grid size) samples, carried across pieces, one phase product per
+    shape (m, d). The sums run over blocks of `rows` = max(2, PHASE_PRODUCT
+    // grid size) samples, carried across pieces, one phase product per
     block, which OpenBLAS runs on the calling thread; so `ecf` is bit for
-    bit the same however the samples were split.
+    bit the same however the samples were split. Every block is formed in
+    the same three (rows, m) buffers and (rows, m) index, built here.
 
     A block whose phases all lie within +-TABLE_REACH is summed from the
     tables (Tang's table-driven method): phase = j / 2**7 + lo exactly,
@@ -88,8 +89,8 @@ class _ECFSums:
         self.n = 0
         self.sums = np.zeros((2, grid.shape[0]))
         self.carry = np.empty((0, grid.shape[1]))  # fewer than `rows` samples
-        self.buffers = np.empty((3, 0, grid.shape[0]))
-        self.index = np.empty((0, grid.shape[0]), dtype=np.intp)
+        self.buffers = np.empty((3, self.rows, grid.shape[0]))
+        self.index = np.empty((self.rows, grid.shape[0]), dtype=np.intp)
 
     def add(self, samples: Array) -> None:
         self.n += len(samples)
@@ -101,13 +102,12 @@ class _ECFSums:
         self.carry = samples[end:].copy()
 
     def _block(self, x: Array) -> None:
-        if self.buffers.shape[1] < len(x):
-            self.buffers = np.empty((3, len(x), self.grid.shape[0]))
-            self.index = np.empty((len(x), self.grid.shape[0]), dtype=np.intp)
         phase, a, b = self.buffers[:, : len(x)]
         with np.errstate(over="ignore", invalid="ignore"):
             np.matmul(x, self.grid.T, out=phase)
-            if -TABLE_REACH <= phase.min() and phase.max() <= TABLE_REACH:
+            # initial=0.0 lies within the reach: a grid of no points has no phases
+            if (-TABLE_REACH <= phase.min(initial=0.0)
+                    and phase.max(initial=0.0) <= TABLE_REACH):
                 self._table_sums(phase, a, b, self.index[: len(x)])
             else:
                 self.sums[0] += np.cos(phase, out=a).sum(axis=0)
@@ -216,8 +216,10 @@ class ThetaGridSpec:
             grid_rng = np.random.default_rng(self.grid_seed)
             return self.scale * grid_rng.standard_normal((self.size, dim))
         pts = _floats(self.points, "theta grid points")
-        if pts.ndim != 2 or pts.shape[1] != dim or not np.all(np.isfinite(pts)):
-            raise LevySpecError(f"theta grid points must be finite, in {dim} columns")
+        if (pts.ndim != 2 or pts.shape[1] != dim or not len(pts)
+                or not np.all(np.isfinite(pts))):
+            raise LevySpecError(f"theta grid points must be finite, in {dim} columns "
+                                f"and one or more rows")
         return pts
 
 
@@ -452,7 +454,7 @@ def _strong_and_weak_ecfs(T: SubordinatorSpec, X: LevyLaw, n: int,
             for batch in _draw_batches(T, X, 1.0, n, child, draw_z):
                 if stop.is_set():
                     return None
-                sums.add(batch)
+                sums.add(batch.reshape(len(batch), -1))
             return sums.ecf()
         except BaseException:
             stop.set()

@@ -519,8 +519,9 @@ class TestTimeTSamplers:
 
     def test_chunks_and_edge_sizes(self):
         T, X = TIME_T_CASES["finite_activity_C1"]
-        assert ws.simulate_weak_at(T, X, 1.0, 0, np.random.default_rng(0)).shape == (0, 4)
         for sample in (ws.simulate_strong_at, ws.simulate_weak_at):
+            assert sample(T, X, 1.0, 0, np.random.default_rng(0)).shape == (0, 4)
+            assert sample(T, X, [0.5, 1.0], 0, np.random.default_rng(0)).shape == (0, 2, 4)
             # rows come in chunks drawn one after another from the one rng
             rows = sample(T, X, 1.0, TIME_T_CHUNK + 3, np.random.default_rng(1))
             rng = np.random.default_rng(1)
@@ -532,6 +533,18 @@ class TestTimeTSamplers:
             assert np.array_equal(one[:, 0], rows)
         with pytest.raises(ws.LevySpecError):
             ws.simulate_strong_at(T, X, 0.0, 10, np.random.default_rng(0))
+
+    def test_batches_keep_the_time_axis(self):
+        # a scalar time yields (k, 1, 2n) batches too, each the first k rows
+        # of one buffer, and simulate_weak_at is their copies in order
+        T, X = TIME_T_CASES["finite_activity_C1"]
+        batches = subordination._draw_batches(T, X, 1.0, TIME_T_CHUNK + 3,
+                                              np.random.default_rng(1), subordination._weak_z)
+        copies, bases = zip(*((batch.copy(), batch.base) for batch in batches))
+        assert [c.shape for c in copies] == [(TIME_T_CHUNK, 1, 4), (3, 1, 4)]
+        assert bases[0] is bases[1]
+        rows = ws.simulate_weak_at(T, X, 1.0, TIME_T_CHUNK + 3, np.random.default_rng(1))
+        assert np.array_equal(np.concatenate(copies)[:, 0], rows)
 
     @pytest.mark.parametrize("size", [-1, 2.5])
     @pytest.mark.parametrize("kind", ["strong", "weak"])

@@ -82,6 +82,13 @@ class TestECF:
         with pytest.raises(ws.LevySpecError):
             ws.ecf_grid(np.zeros((0, 2)), [1, 1])
 
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0, 4)])
+    def test_empty_theta_gives_empty_ecf(self, shape):
+        # a grid of no points has no phases, and an ECF of shape theta.shape[:-1]
+        samples = np.random.default_rng(47).standard_normal((100, 4))
+        ecf = ws.ecf_grid(samples, np.zeros(shape))
+        assert ecf.shape == shape[:-1] and ecf.dtype == complex
+
     @pytest.mark.parametrize("d, n, points", [
         (d, n, points) for d, points in
         [(4, 16), (4, 64), (8, 16), (40, 16), (4, 300), (40, 300)]
@@ -413,6 +420,19 @@ class TestThetaGridSpec:
         for points in (None, [[0.5] * 4]):
             with pytest.raises(ws.LevySpecError, match="seed must be an integer >= 0"):
                 ws.ThetaGridSpec(grid_seed=grid_seed, points=points).build(4)
+
+    def test_no_points_rejected(self, monkeypatch):
+        # a grid of no points would make every ECF check pass vacuously
+        def no_simulation(*args):
+            raise AssertionError("the suite simulated before checking the grid")
+
+        monkeypatch.setattr(verify, "_draw_batches", no_simulation)
+        grid = ws.ThetaGridSpec(points=np.empty((0, 4)))
+        with pytest.raises(ws.LevySpecError, match="one or more rows"):
+            grid.build(4)
+        with pytest.raises(ws.LevySpecError, match="one or more rows"):
+            equality_in_law_suite("deterministic", np.random.default_rng(0),
+                                  n_paths=1000, theta_grid=grid)
 
     def test_suite_names_a_non_finite_grid(self):
         grid = ws.ThetaGridSpec(points=[[np.nan] * 4])
