@@ -62,7 +62,9 @@ MAX_ROWS = 10_000_000
 MAX_RUN_JUMPS = 10**9
 # Largest ECF terms of a verify run, 2 x replicates x theta grid points:
 # on a 2-vCPU Xeon, 8-14 s at the 17-28 ns per term of blocks within the
-# ECF tables' reach, 15-25 s at the 31-47 ns of libm's cosines and sines.
+# ECF tables' reach (20-26 ns in a slower stretch of the machine), 21-24 s
+# at the 41-47 ns of libm's cosines and sines of phases just beyond it
+# (33-35 s at 65-70 ns for phases in the hundreds).
 MAX_ECF_TERMS = 5 * 10**8
 # Most theta grid points of a verify run: writing report.json takes about
 # 9 KB of memory per point (134 MB peak RSS at 10 000 points, 978 MB at

@@ -40,6 +40,7 @@ EXACT_CHECK_THETAS = 100  # A3: frequencies of the stacked closed-form check
 EXACT_TOL = 1e-10  # A3: largest |psi_strong - psi_weak| of an "equal" exact check
 DIFFER_RATIO = 2.0  # a "differ" check needs max |diff|/bound above this
 PHASE_PRODUCT = 2**16  # multiply-adds per ECF phase product: OpenBLAS stays on one thread
+BLOCK_PHASES = 2**16  # phases per ECF block, summed in about 30 numpy calls, each a GIL release
 TABLE_REACH = 64  # largest |phase| whose cosine and sine the ECF's tables serve
 
 
@@ -65,11 +66,13 @@ _SIN_TABLE = _trig_table(np.sin, odd=True)
 class _ECFSums:
     """Running sums of cos <theta, x> and sin <theta, x> over samples, shape
     (k, d), fed to `add` in pieces of any size, at the frequencies `grid`,
-    shape (m, d). The sums run over blocks of `rows` = max(2, PHASE_PRODUCT
-    // grid size) samples, carried across pieces, one phase product per
-    block, which OpenBLAS runs on the calling thread; so `ecf` is bit for
-    bit the same however the samples were split. Every block is formed in
-    the same three (rows, m) buffers and (rows, m) index, built here.
+    shape (m, d). The sums run over blocks of `rows` = max(2, BLOCK_PHASES
+    // m) samples, carried across pieces. A block's phases are formed in
+    row sub-products of `sub_rows` = max(1, PHASE_PRODUCT // grid size)
+    samples, which OpenBLAS runs on the calling thread; so `ecf` is bit
+    for bit the same however the samples were split. Every block is formed
+    in three (rows, m) buffers and a (rows, m) index that live only while
+    `add` sums its blocks or `ecf` sums the last one.
 
     A block whose phases all lie within +-TABLE_REACH is summed from the
     tables (Tang's table-driven method): phase = j / 2**7 + lo exactly,
@@ -85,30 +88,38 @@ class _ECFSums:
 
     def __init__(self, grid: Array):
         self.grid = grid
-        self.rows = max(2, PHASE_PRODUCT // max(1, grid.size))
+        self.rows = max(2, BLOCK_PHASES // max(1, grid.shape[0]))
+        self.sub_rows = max(1, PHASE_PRODUCT // max(1, grid.size))
         self.n = 0
         self.sums = np.zeros((2, grid.shape[0]))
         self.carry = np.empty((0, grid.shape[1]))  # fewer than `rows` samples
-        self.buffers = np.empty((3, self.rows, grid.shape[0]))
-        self.index = np.empty((self.rows, grid.shape[0]), dtype=np.intp)
 
     def add(self, samples: Array) -> None:
         self.n += len(samples)
         if len(self.carry):
             samples = np.concatenate([self.carry, samples])
         end = len(samples) // self.rows * self.rows
-        for start in range(0, end, self.rows):
-            self._block(samples[start : start + self.rows])
+        self._blocks(samples[:end])
         self.carry = samples[end:].copy()
 
-    def _block(self, x: Array) -> None:
-        phase, a, b = self.buffers[:, : len(x)]
+    def _blocks(self, x: Array) -> None:
+        """Add the sums of x's blocks of `rows` samples, the last one
+        possibly shorter, formed in buffers freed on return."""
+        buffers = np.empty((3, min(self.rows, len(x)), self.grid.shape[0]))
+        index = np.empty(buffers.shape[1:], dtype=np.intp)
+        for start in range(0, len(x), self.rows):
+            self._block(x[start : start + self.rows], buffers, index)
+
+    def _block(self, x: Array, buffers: Array, index: Array) -> None:
+        phase, a, b = buffers[:, : len(x)]
         with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(x, self.grid.T, out=phase)
+            for start in range(0, len(x), self.sub_rows):
+                part = slice(start, start + self.sub_rows)
+                np.matmul(x[part], self.grid.T, out=phase[part])
             # initial=0.0 lies within the reach: a grid of no points has no phases
             if (-TABLE_REACH <= phase.min(initial=0.0)
                     and phase.max(initial=0.0) <= TABLE_REACH):
-                self._table_sums(phase, a, b, self.index[: len(x)])
+                self._table_sums(phase, a, b, index[: len(x)])
             else:
                 self.sums[0] += np.cos(phase, out=a).sum(axis=0)
                 self.sums[1] += np.sin(phase, out=phase).sum(axis=0)
@@ -149,9 +160,8 @@ class _ECFSums:
         a LevySpecError."""
         if not self.n:
             raise LevySpecError("empirical CF of an empty sample")
-        if len(self.carry):
-            self._block(self.carry)
-            self.carry = self.carry[:0]
+        self._blocks(self.carry)
+        self.carry = self.carry[:0]
         re, im = self.sums
         return _finite(re + 1j * im, "the empirical CF", "theta grid points") / self.n
 
@@ -161,8 +171,9 @@ def ecf_grid(samples, theta) -> Array:
     shape (..., d): the mean of exp(i <theta, x>) over the samples, shape (...).
 
     Cosines and sines of the real phases <theta, x> are summed over blocks
-    of max(2, PHASE_PRODUCT // theta's size) samples, one phase product per
-    block, which OpenBLAS runs on the calling thread: from tables where a
+    of max(2, BLOCK_PHASES // theta's points) samples, each block's phases
+    formed in products of at most PHASE_PRODUCT multiply-adds, which
+    OpenBLAS runs on the calling thread: from tables where a
     block's phases lie within +-TABLE_REACH, each term within 4.5e-16 of
     libm's, and from libm's cosines and sines elsewhere (see `_ECFSums`).
     A phase beyond the floating-point range is a LevySpecError.

@@ -54,13 +54,13 @@ DIGESTS = {
     "times_strong": "847c81c1a4e3e2cd34fdac3ad75e65393f1081096525eb675b1427987ecce79d",
     "times_weak": "62b91e52a7bb71768d67d8077dc33b89587c22b483c1e8be82a69d4877213f21",
     "verify_deterministic":
-        "4b865ab60736bd833b8c39b8cec181eaf4cba2d848116e4e44523daab2829db1",
+        "caeb2e7a1693819a68b0854e6cac5e2417a4c566ce949710383f161db0a21a2c",
     "verify_stacked_C3":
-        "5e707ad8232bacffa110d9146235fa00c7b745db779bd0c0fdf74e87f4b6588f",
+        "b7de4a6c5a09a14976b6b813175d92a12c35dc918d068c9847be1447677e9991",
     "verify_finite_activity_C1":
-        "0d3192e644a7db8cb45a80b28733bde78366adf1809f122e08d5417f599b1534",
+        "8ef75fa61aaf70c6ca8bd8149ba98e02624d61114edd9767e8f6b872b7858ff5",
     "verify_negative_control":
-        "907e0c0b71ab5b845fb82b65fa70605b598b4c6f779ebafd9a0d5cc35b43b412",
+        "ed54ee3d3b34507dfd6025abb70c9c80d215f42d1ee4695af9e7663aa7ea3f37",
 }
 
 
@@ -86,12 +86,12 @@ def test_cli_output_digest(tmp_path, case):
 
 @same_numpy
 def test_ecf_grid_bytes():
-    # 3000 rows on the default grid: three blocks of the cosine and sine
+    # 12000 rows on the default grid: three blocks of the cosine and sine
     # tables, the last one partial
     rng = np.random.default_rng(7)
-    ecf = ws.ecf_grid(2.0 * rng.standard_normal((3000, 4)), ws.ThetaGridSpec().build(4))
+    ecf = ws.ecf_grid(2.0 * rng.standard_normal((12_000, 4)), ws.ThetaGridSpec().build(4))
     assert hashlib.sha256(ecf.tobytes()).hexdigest() == (
-        "0f6440314cec82bbd63edebd9cc58f50c8b3ee24790abc55b73a7922f5ed1ea3")
+        "569bff3de2ad8498eda14fb99e6b6cdc99d40e06af16cddc1b9699e4893d35ed")
 
 
 @same_numpy

@@ -39,15 +39,23 @@ def _table_terms(phase):
             row_sum(s * cos_lo) + row_sum(c * sin_lo)]
 
 
+def _phases(x, grid):
+    """x @ grid.T in row sub-products of max(1, 2**16 // grid size) rows."""
+    rows = max(1, 2**16 // grid.size)
+    return np.concatenate([x[start : start + rows] @ grid.T
+                           for start in range(0, len(x), rows)])
+
+
 def _reference_sums(samples, grid):
     """The cosine and sine sums of an ECF on a grid of two or more points:
-    blocks of max(2, 2**16 // grid size) rows, one phase product each, by
-    the table formula where every |phase| <= 64 and by libm elsewhere."""
-    rows = max(2, 2**16 // grid.size)
+    blocks of max(2, 2**16 // grid points) rows, their phases formed by
+    `_phases`, by the table formula where every |phase| <= 64 and by libm
+    elsewhere."""
+    rows = max(2, 2**16 // len(grid))
     sums = np.zeros((2, len(grid)))
     with np.errstate(invalid="ignore", over="ignore"):
         for start in range(0, len(samples), rows):
-            phase = samples[start : start + rows] @ grid.T
+            phase = _phases(samples[start : start + rows], grid)
             if np.all(np.abs(phase) <= 64):
                 sums += _table_terms(phase)
             else:
@@ -72,7 +80,7 @@ class TestECF:
         assert abs(ws.ecf_grid(x, [1.0]) - np.exp(-0.5)) <= 4 * np.sqrt(2 / 10**6)
 
     def test_blocked_sum_matches_one_block(self):
-        # a 64-point grid on 4 columns sums blocks of 256 sample rows
+        # a 64-point grid sums blocks of 1024 sample rows
         rng = np.random.default_rng(19)
         samples, grid = rng.standard_normal((20_000, 4)), rng.standard_normal((64, 4))
         one_block = np.exp(1j * samples @ grid.T).mean(axis=0)
@@ -92,11 +100,12 @@ class TestECF:
     @pytest.mark.parametrize("d, n, points", [
         (d, n, points) for d, points in
         [(4, 16), (4, 64), (8, 16), (40, 16), (4, 300), (40, 300)]
-        for n in [20_000, 9217, 1025, 1]])
+        for n in [20_000, 9217, 4097, 1025, 1]])
     def test_in_reach_blocks_equal_the_table_formula_bit_for_bit(self, d, n, points):
-        # blocks of 1024 to 5 rows here, so every n but 1 spans more than
-        # one block, and 1025 and 9217 rows leave a 1-row tail on some
-        # grids; every phase is within the tables' reach
+        # blocks of 4096 to 218 rows here, each formed in sub-products of
+        # 1024 to 5 rows, so every n but 1 spans more than one block on
+        # some grids, and 1025, 4097 and 9217 rows leave a 1-row tail on
+        # some grids; every phase is within the tables' reach
         rng = np.random.default_rng(23)
         samples, grid = rng.standard_normal((n, d)), rng.standard_normal((points, d))
         assert np.abs(samples @ grid.T).max() <= 64
@@ -106,22 +115,23 @@ class TestECF:
     @pytest.mark.parametrize("d, n, points", [
         (d, n, points) for d, points in
         [(4, 16), (4, 64), (8, 16), (8, 64), (40, 16), (4, 300), (40, 300)]
-        for n in [20_000, 9217, 1025, 1, 60_000]])
+        for n in [20_000, 9217, 4097, 1025, 1, 60_000]])
     def test_equals_blocked_complex_exponential_bit_for_bit(self, d, n, points):
         # beyond the tables' reach: every block here holds a phase above 64,
         # so the ECF sums libm's cosines and sines, blocked as before the
-        # tables. Blocks of max(2, 2**16 // grid size) rows, one phase
-        # product each: 1024 to 5 rows here, so every n but 1 spans more
-        # than one block, and 1025 and 9217 rows leave a 1-row tail on some
-        # grids. The block size is a literal, so a change to PHASE_PRODUCT
-        # that moves the bits fails here
+        # tables. Blocks of max(2, 2**16 // grid points) rows, their phases
+        # formed in sub-products of max(1, 2**16 // grid size) rows: blocks
+        # of 4096 to 218 rows here, so every n but 1 spans more than one
+        # block on some grids, and 1025, 4097 and 9217 rows leave a 1-row
+        # tail on some grids. The sizes are literals, so a change to
+        # BLOCK_PHASES or PHASE_PRODUCT that moves the bits fails here
         rng = np.random.default_rng(23)
         samples = 300.0 * rng.standard_normal((n, d))
         grid = rng.standard_normal((points, d))
-        rows = max(2, 2**16 // grid.size)
+        rows = max(2, 2**16 // points)
         total = np.zeros(points, dtype=complex)
         for start in range(0, len(samples), rows):
-            phase = samples[start : start + rows] @ grid.T
+            phase = _phases(samples[start : start + rows], grid)
             assert np.abs(phase).max() > 64
             total += np.exp(1j * phase).sum(axis=0)
         reference = total / len(samples)
@@ -130,18 +140,19 @@ class TestECF:
     @pytest.mark.parametrize("value", [np.nextafter(64.0, np.inf), 64.0, 1e300, np.inf,
                                        np.nan, -np.nextafter(64.0, np.inf)])
     def test_out_of_reach_blocks_sum_libm_bit_for_bit(self, monkeypatch, value):
-        # sample 1500, in the middle block of three (1024 rows each), is
-        # (value, 0, 0, 0), and grid point 0 is (1, 0, 0, 0): its largest
-        # |phase| is |value|, as every |theta_0| <= 1. The other samples'
-        # phases stay far within the tables' reach, and so does 64 itself
+        # sample 6000, in the middle block of three (4096 rows each, the
+        # last one partial), is (value, 0, 0, 0), and grid point 0 is
+        # (1, 0, 0, 0): its largest |phase| is |value|, as every
+        # |theta_0| <= 1. The other samples' phases stay far within the
+        # tables' reach, and so does 64 itself
         rng = np.random.default_rng(29)
-        samples, grid = rng.standard_normal((3000, 4)), rng.uniform(-1, 1, (16, 4))
+        samples, grid = rng.standard_normal((12_000, 4)), rng.uniform(-1, 1, (16, 4))
         grid[0] = [1.0, 0.0, 0.0, 0.0]
-        samples[1500] = [value, 0.0, 0.0, 0.0]
+        samples[6000] = [value, 0.0, 0.0, 0.0]
         with np.errstate(invalid="ignore"):
-            middle = np.abs(samples[1024:2048] @ grid.T)
-        assert np.delete(middle, 1500 - 1024, axis=0).max() < 32
-        assert middle[1500 - 1024, 0] == abs(value) or np.isnan(value)
+            middle = np.abs(samples[4096:8192] @ grid.T)
+        assert np.delete(middle, 6000 - 4096, axis=0).max() < 32
+        assert middle[6000 - 4096, 0] == abs(value) or np.isnan(value)
         table_blocks = []
         table_sums = verify._ECFSums._table_sums
         monkeypatch.setattr(verify._ECFSums, "_table_sums", lambda self, phase, *buffers: (
@@ -150,11 +161,11 @@ class TestECF:
         sums.add(samples)
         if np.isfinite(value):
             re, im = _reference_sums(samples, grid)
-            assert sums.ecf().tobytes() == ((re + 1j * im) / 3000).tobytes()
+            assert sums.ecf().tobytes() == ((re + 1j * im) / 12_000).tobytes()
         else:
             with pytest.raises(ws.LevySpecError, match="not finite"):
                 sums.ecf()
-        assert table_blocks == ([1024, 1024, 952] if value == 64 else [1024, 952])
+        assert table_blocks == ([4096, 4096, 3808] if value == 64 else [4096, 3808])
         assert sums.sums.tobytes() == _reference_sums(samples, grid).tobytes()
 
     def test_table_terms_close_to_libm(self):
@@ -198,8 +209,8 @@ class TestECF:
         assert done.stdout == ecf.tobytes().hex()
 
     def test_independent_of_sampler_batch(self, monkeypatch):
-        # the ECF's blocks follow PHASE_PRODUCT alone: with 1000-row sampler
-        # batches, which do not divide the default grid's 1024-row blocks,
+        # the ECF's blocks follow BLOCK_PHASES alone: with 1000-row sampler
+        # batches, which do not divide the default grid's 4096-row blocks,
         # each side's streamed ECF still has the bits of ecf_grid on its draw
         monkeypatch.setattr(subordination, "TIME_T_CHUNK", 1000)
         _assert_ecfs_of_one_draw_per_child("stacked_C3", 31, 9000, ws.ThetaGridSpec())
@@ -208,14 +219,55 @@ class TestECF:
     @given(st.lists(st.integers(0, 6000), max_size=8), st.sampled_from([1, 3, 16, 300]))
     def test_streamed_sums_equal_ecf_grid(self, cuts, points):
         # samples fed in pieces of any size, empty ones too, give the bits of
-        # one ecf_grid call: the blocks of 16384, 5461, 1024 or 54 rows are
-        # carried across the pieces
+        # one ecf_grid call: the blocks of 65536, 21845, 4096 or 218 rows
+        # are carried across the pieces
         rng = np.random.default_rng(43)
         samples, grid = 3.0 * rng.standard_normal((6000, 4)), rng.standard_normal((points, 4))
         sums = verify._ECFSums(grid)
         for piece in np.split(samples, sorted(cuts)):
             sums.add(piece)
         assert sums.ecf().tobytes() == ws.ecf_grid(samples, grid).tobytes()
+
+    @pytest.mark.parametrize("d, points", [(4, 16), (4, 3), (8, 64), (40, 300)])
+    def test_phase_products_within_phase_product(self, monkeypatch, d, points):
+        # OpenBLAS stays on one thread for a product of at most PHASE_PRODUCT
+        # multiply-adds, so every block (4096 rows on the default grid) is
+        # formed in row sub-products, streamed or not, and each row's
+        # phases come from exactly one of them
+        products = []
+        matmul = np.matmul
+        monkeypatch.setattr(verify.np, "matmul", lambda x, grid, **kw: (
+            products.append((*x.shape, grid.shape[1])), matmul(x, grid, **kw))[1])
+        rng = np.random.default_rng(53)
+        samples, grid = rng.standard_normal((30_000, d)), rng.standard_normal((points, d))
+        sums = verify._ECFSums(grid)
+        for piece in np.split(samples, [5000, 13_000, 13_001]):
+            sums.add(piece)
+        sums.ecf()
+        ws.ecf_grid(samples, grid)
+        assert max(rows * cols * m for rows, cols, m in products) <= verify.PHASE_PRODUCT
+        assert sum(rows for rows, _, _ in products) == 2 * len(samples)
+
+    def test_no_block_buffers_held_between_pieces(self):
+        # a block's three float buffers and index (2 MB at 4096 rows on the
+        # default grid) live only while `add` sums: between pieces an
+        # _ECFSums holds its sums and a carry of fewer than 4096 rows
+        # (128 KB), however many blocks it has summed
+        rng = np.random.default_rng(59)
+        samples, grid = rng.standard_normal((60_000, 4)), ws.ThetaGridSpec().build(4)
+        sums = verify._ECFSums(grid)
+        held = []
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for piece in np.split(samples, range(7000, 60_000, 7000)):
+                sums.add(piece)
+                held.append(tracemalloc.get_traced_memory()[0] - before)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert max(held) <= 4096 * 4 * 8 + 2**14, held
+        assert peak >= 4 * 4096 * 16 * 8  # the buffers were there while add summed
 
     def test_overflowing_phase_rejected(self):
         # <theta, x> = 2e308 - 1e308 overflows to inf, and cos(inf) and
@@ -486,13 +538,14 @@ class TestEqualityInLawSuite:
         assert cross.bound == ws.clt_bound(n, n, k=k)
         assert (cross.n_samples, cross.k) == (n, k)
 
-    @pytest.mark.parametrize("n, size", [(9000, 16), (20_000, 3)])
+    @pytest.mark.parametrize("n, size", [(9000, 16), (20_000, 3), (20_000, 5)])
     @pytest.mark.parametrize("name", verify.SCENARIOS)
     def test_ecfs_are_ecf_grid_of_one_draw_per_child(self, name, n, size):
         # each side's streamed ECF has the bits of ecf_grid on one n-row draw
         # from its child of rng.spawn(2), strong from the first: 9000 rows are
-        # an 8192-row batch and a short one, and the 3-point grid's 5461-row
-        # ECF blocks straddle the batches
+        # an 8192-row batch and a short one, the 5-point grid's 13107-row
+        # ECF blocks straddle the batches, and the 3-point grid's one
+        # 21845-row block holds every row and is summed by `ecf`
         _assert_ecfs_of_one_draw_per_child(name, 41, n, ws.ThetaGridSpec(size=size))
 
     @pytest.mark.parametrize("failing, raised", [(("strong",), "strong"), (("weak",), "weak"),
