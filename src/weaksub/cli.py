@@ -37,7 +37,7 @@ from .levy import (
     LevySpecError,
     SubordinatorSpec,
 )
-from .subordination import _draw_batches, _strong_z, _weak_z, expected_jumps
+from .subordination import TIME_T_CHUNK, _draw_batches, _strong_z, _weak_z, expected_jumps
 from .verify import (
     DEFAULT_K,
     DEFAULT_N_PATHS,
@@ -51,9 +51,9 @@ from .verify import (
 
 PURPOSES = {"simulate": 1, "verify": 2}
 # Largest theta_grid.size and replicates, and expected subordinator and
-# subordinate jumps per replicate: exponent builds its whole grid before
-# evaluating it in blocks, while simulate and verify hold a batch of rows
-# at a time, whatever the replicates.
+# subordinate jumps per replicate: exponent holds its whole grid and its
+# exponent values (writing them a block of rows at a time), while simulate
+# and verify hold a batch of rows at a time, whatever the replicates.
 MAX_ROWS = 10_000_000
 # Largest expected jumps of T and X over a whole simulate or verify run
 # (verify draws its replicates twice, strong and weak): about 30 s of
@@ -386,23 +386,31 @@ def _make_dir(path: Path, written: list[Path]) -> None:
         raise ConfigError([f"--out: {exc}"]) from exc
 
 
-def run_exponent(config: ExperimentConfig, out_dir: Path, written: list[Path]) -> Path:
-    """Evaluate the weak-subordination exponent on the theta grid and
-    write one CSV row per grid point: theta coords, Re, Im, SE. Every
-    value is exact, so SE is always empty; the column stays so the CSV
-    format stays stable. Appends the file to `written` first."""
-    T, X = config.processes()
-    n = T.dim
-    grid = config.theta_grid.build(2 * n)
-    values = grid_exponent(T, X, grid)
-    out = out_dir / "exponent.csv"
+def _write_csv(out: Path, cols, blocks, written: list[Path], end="\n") -> Path:
+    """Add `out` to `written`, then write the header and each block's rows by repr."""
     written.append(out)
     with out.open("w") as fp:
-        cols = [f"theta_{j+1}" for j in range(2 * n)] + ["re", "im", "se"]
         fp.write(",".join(cols) + "\n")
-        table = np.column_stack([grid, values.real, values.imag]).tolist()
-        fp.writelines(",".join(map(repr, row)) + ",\n" for row in table)
+        for rows in blocks:
+            fp.writelines(",".join(map(repr, row)) + end
+                          for row in rows.reshape(len(rows), -1).tolist())
     return out
+
+
+def run_exponent(config: ExperimentConfig, out_dir: Path, written: list[Path]) -> Path:
+    """Evaluate the weak-subordination exponent on the theta grid and
+    write one CSV row per grid point, TIME_T_CHUNK rows at a time: theta
+    coords, Re, Im, SE. Every value is exact, so SE is always empty; the
+    column stays so the CSV format stays stable. Appends the file to
+    `written` first."""
+    T, X = config.processes()
+    grid = config.theta_grid.build(2 * T.dim)
+    values = grid_exponent(T, X, grid)
+    blocks = (np.column_stack([grid[i:i + TIME_T_CHUNK], values.real[i:i + TIME_T_CHUNK],
+                               values.imag[i:i + TIME_T_CHUNK]])
+              for i in range(0, len(grid), TIME_T_CHUNK))
+    cols = [f"theta_{j+1}" for j in range(2 * T.dim)] + ["re", "im", "se"]
+    return _write_csv(out_dir / "exponent.csv", cols, blocks, written, end=",\n")
 
 
 def run_simulate(config: ExperimentConfig, out_dir: Path, written: list[Path],
@@ -414,17 +422,11 @@ def run_simulate(config: ExperimentConfig, out_dir: Path, written: list[Path],
     from the second on. Appends the file to `written` first."""
     T, X = config.processes()
     draw_z = {"weak": _weak_z, "strong": _strong_z}[kind]
-    out = out_dir / "samples.csv"
-    written.append(out)
-    with out.open("w") as fp:
-        cols = [f"{c}_{j+1}" + (f"@{i+1}" if i else "")
-                for i in range(len(config.times)) for c in "TZ" for j in range(T.dim)]
-        fp.write(",".join(cols) + "\n")
-        for rows in _draw_batches(T, X, config.times, config.replicates,
-                                  stream(config.seed, "simulate"), draw_z):
-            fp.writelines(",".join(map(repr, row)) + "\n"
-                          for row in rows.reshape(len(rows), -1).tolist())
-    return out
+    cols = [f"{c}_{j+1}" + (f"@{i+1}" if i else "")
+            for i in range(len(config.times)) for c in "TZ" for j in range(T.dim)]
+    batches = _draw_batches(T, X, config.times, config.replicates,
+                            stream(config.seed, "simulate"), draw_z)
+    return _write_csv(out_dir / "samples.csv", cols, batches, written)
 
 
 def run_verify(config: ExperimentConfig, out_dir: Path, written: list[Path],

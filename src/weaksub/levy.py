@@ -158,7 +158,7 @@ class AtomicJumps(JumpMeasure):
         m = steps.size
         with np.errstate(over="ignore"):  # poisson_counts rejects an inf mean
             mean = self.total_mass * rows * steps
-        step = np.repeat(np.arange(m), poisson_counts(mean, m, rng))
+        step = np.repeat(np.arange(m), poisson_counts(mean, rng))
         return (rng.integers(0, rows, size=step.size) * m + step,
                 self.sample(rng, step.size))
 
@@ -167,18 +167,15 @@ class AtomicJumps(JumpMeasure):
 
     def sample(self, rng: np.random.Generator, size: int) -> Array:
         """Draw `size` i.i.d. jumps from the normalized measure: atom j with
-        probability rate_j / total mass, by one uniform per jump (a lone
-        atom draws none)."""
+        probability rate_j / total mass, by `rng.choice` (a lone atom draws
+        nothing from rng)."""
         if not self.rates.size:
             if size > 0:
                 raise LevySpecError("cannot sample jumps from the zero measure")
             return self.points
         if self.rates.size == 1:
             return self.points.take(np.zeros(size, dtype=np.intp), axis=0)
-        # a uniform in [cdf[j-1], cdf[j]) picks atom j, as rng.choice does
-        cdf = np.cumsum(self.rates / self.total_mass)
-        cdf /= cdf[-1]
-        atom = cdf.searchsorted(rng.random(size), side="right")
+        atom = rng.choice(self.rates.size, size, p=self.rates / self.total_mass)
         return self.points.take(atom, axis=0)
 
     def __repr__(self):
@@ -287,20 +284,20 @@ def window_sums(window: Array, values: Array, windows: int) -> Array:
     return out.reshape(out.shape[:1] + values.shape[1:])
 
 
-def poisson_counts(mean, size: int, rng: np.random.Generator) -> Array:
-    """`size` independent Poisson counts, shape (size,): row i Poisson(mean),
-    or Poisson(mean[i]) for `mean` of shape (size,). A count may be the
-    total of equal windows: its points, drawn after all counts, each get a
-    uniform window label, which splits it into independent Poisson window
-    counts. A negative or NaN mean, or more than MAX_POISSON_POINTS
-    expected points in all, is a LevySpecError.
+def poisson_counts(mean, rng: np.random.Generator) -> Array:
+    """One independent Poisson(mean[i]) count per entry of `mean`, in its
+    shape. A count may be the total of equal windows: its points, drawn
+    after all counts, each get a uniform window label, which splits it
+    into independent Poisson window counts. A negative or NaN mean, or
+    more than MAX_POISSON_POINTS expected points in all, is a
+    LevySpecError.
     """
     with np.errstate(over="ignore"):  # an overflowed expectation is inf
-        expected = np.sum(mean) * (size if np.ndim(mean) == 0 else 1)
+        expected = np.sum(mean)
     if not (np.all(mean >= 0) and expected <= MAX_POISSON_POINTS):
         raise LevySpecError(f"Poisson means must be nonnegative and expect at most "
                             f"{MAX_POISSON_POINTS} points per draw, not {expected:g}")
-    return rng.poisson(mean, size=size)
+    return rng.poisson(mean)
 
 
 class BrownianMotion(LevyLaw):

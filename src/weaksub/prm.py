@@ -80,7 +80,7 @@ def laplace_functional_mc(rate: float, marks, horizon: float, f, reps: int,
     _check_count(reps, 2, "reps")
     with np.errstate(over="ignore"):  # poisson_counts rejects an inf mean
         mean = rate * horizon * reps
-    k = int(poisson_counts(mean, 1, rng)[0])
+    k = int(poisson_counts(mean, rng))
     sums = np.zeros(reps)  # after the checks: a huge reps is a LevySpecError
     for start in range(0, k, TIME_T_CHUNK):
         b = min(TIME_T_CHUNK, k - start)

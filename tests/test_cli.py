@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from weaksub.cli import (
     run_exponent,
     run_simulate,
 )
-from weaksub.verify import SCENARIOS
+from weaksub.subordination import TIME_T_CHUNK
+from weaksub.verify import SCENARIOS, grid_exponent
 
 
 MINIMAL = {"seed": 7, "scenario": "deterministic"}
@@ -114,6 +116,33 @@ class TestRunExponent:
         assert err["error"] == "invalid config"
         assert "not finite at 1 of 2" in err["details"][0]
         assert not (tmp_path / "exponent.csv").exists()
+
+    def test_blocks_write_the_whole_table(self, tmp_path):
+        # three blocks of TIME_T_CHUNK rows, the last one partial, write the
+        # lines of the whole table formatted at once
+        size = 2 * TIME_T_CHUNK + 5
+        cfg = parse_config(json.dumps({**MINIMAL, "theta_grid": {"size": size}}))
+        T, X = cfg.processes()
+        grid = cfg.theta_grid.build(2 * T.dim)
+        values = grid_exponent(T, X, grid)
+        table = np.column_stack([grid, values.real, values.imag]).tolist()
+        lines = run_exponent(cfg, tmp_path, []).read_text().splitlines()
+        assert lines[1:] == [",".join(map(repr, row)) + "," for row in table]
+
+    def test_memory_grows_with_the_grid_not_the_table(self, tmp_path):
+        # the grid and its exponent values take 48 B per row on stacked_C3,
+        # a whole table converted to Python lists about 300 B per row
+        def peak(size):
+            cfg = parse_config(json.dumps({"seed": 1, "scenario": "stacked_C3",
+                                           "theta_grid": {"size": size}}))
+            tracemalloc.start()
+            try:
+                run_exponent(cfg, tmp_path, [])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(3 * 10**4) - peak(10**4) <= 128 * 2 * 10**4
 
 
 class TestRunSimulate:
@@ -307,6 +336,16 @@ HUGE_RATES = {
 
 
 class TestMain:
+    def test_without_quiet_prints_the_summary_and_the_paths(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**MINIMAL, "replicates": 200})
+        codes = [main([command, "--config", str(cfg), "--out", str(tmp_path / command)])
+                 for command in ("verify", "exponent", "simulate")]
+        assert codes == [0, 0, 0]
+        assert capsys.readouterr().out == (
+            (tmp_path / "verify" / "summary.txt").read_text()
+            + f"{tmp_path / 'exponent' / 'exponent.csv'}\n"
+            + f"{tmp_path / 'simulate' / 'samples.csv'}\n")
+
     @pytest.mark.parametrize("case", ["one_atom", "stack"])
     def test_zero_subordinator_over_a_huge_rate_draws_zeros(self, tmp_path, capsys,
                                                             case):

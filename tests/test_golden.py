@@ -5,7 +5,11 @@ no CLI command writes.
 A change that moves a single draw or a single digit of any output fails
 here, so it has to say so and record new digests. Generator streams are
 promised only per numpy version, so the digests are checked only under
-the numpy version they were recorded with.
+the numpy version they were recorded with. They also assume that
+version's OpenBLAS running an FMA kernel (Haswell, SkylakeX or Zen):
+under OPENBLAS_CORETYPE=Prescott the ECF bytes, the `verify` digests and
+the `simulate` digests of C1, whose correlated Brownian draws go through
+BLAS in BrownianMotion.sample, change.
 """
 import hashlib
 import json
@@ -15,6 +19,9 @@ import pytest
 
 import weaksub as ws
 from weaksub.cli import main
+
+# CI runs the `bits` tests again on one OpenBLAS thread and on one CPU
+pytestmark = pytest.mark.bits
 
 NUMPY_VERSION = "2.4.6"
 

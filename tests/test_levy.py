@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -132,7 +133,7 @@ class TestPoissonDraws:
 
     def test_per_row_mean(self):
         mean = np.array([0.0, 5.0, 50.0])
-        counts = poisson_counts(mean, 3, np.random.default_rng(1))
+        counts = poisson_counts(mean, np.random.default_rng(1))
         assert counts.shape == (3,)
         assert counts[0] == 0 and counts[2] > counts[1] > 0
 
@@ -144,7 +145,7 @@ class TestPoissonDraws:
         window, points = zero.window_draws(np.ones(10), 7, rng)
         assert window.shape == (0,) and points.shape == (0, 3)
         assert np.array_equal(window_sums(window, points, 70), np.zeros((70, 3)))
-        assert np.array_equal(poisson_counts(0.0, 10, rng), np.zeros(10))
+        assert np.array_equal(poisson_counts(np.zeros(10), rng), np.zeros(10))
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("mean,size", [
@@ -154,7 +155,7 @@ class TestPoissonDraws:
         (2**27 / 10 + 1.0, 10)])
     def test_bad_or_too_large_mean_raises(self, mean, size):
         with pytest.raises(ws.LevySpecError, match="expect at most"):
-            poisson_counts(mean, size, np.random.default_rng(3))
+            poisson_counts(np.full(size, mean), np.random.default_rng(3))
 
     def test_compound_poisson_rate_beyond_sampler_raises(self):
         X = ws.CompoundPoisson(ws.AtomicJumps([[1.0]], [1e300]))
@@ -382,6 +383,41 @@ class TestValidateTriplet:
     def test_bad_lift_copies_rejected(self, m):
         with pytest.raises(ws.LevySpecError, match="lift copies must be an integer >= 1"):
             ws.Lift(ws.BrownianMotion([0.0], [[1.0]]), m)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ws.AtomicJumps([[1, 0]], [1.0, 2.0]),
+         "need one point per row and one each of rates per point"),
+        (lambda: ws.BrownianMotion([[0, 0]], np.eye(2)), "mu must be a vector"),
+        (lambda: ws.CompoundPoisson(ws.AtomicJumps(np.zeros((0, 2)), [])),
+         "compound Poisson needs a nonzero jump measure"),
+        (lambda: ws.IndependentStack([]), "stack needs at least one block"),
+        (lambda: ws.SubordinatorSpec([1.0, 2.0], ws.AtomicJumps([[1.0, 1.0, 1.0]], [1.0])),
+         "jump measure dimension differs from drift"),
+        (lambda: ws.weak_exponent(ws.SubordinatorSpec([1.0, 1.0]),
+                                  ws.BrownianMotion(np.zeros(3), np.eye(3)),
+                                  np.zeros(2), np.zeros(3)),
+         "theta1, theta2, T and X dimensions disagree"),
+    ], ids=["rates_per_point", "mu_matrix", "zero_compound_poisson", "empty_stack",
+            "measure_dim", "weak_exponent_dims"])
+    def test_spec_error_message(self, build, message):
+        with pytest.raises(ws.LevySpecError, match=f"^{re.escape(message)}$"):
+            build()
+
+
+class TestLawAttributes:
+    LAWS = {"gamma_rays": ws.GammaRays([[1.0, 0.0], [0.5, 2.0]], [1.0, 2.0], [1.5, 0.5]),
+            "cpp": ws.CompoundPoisson(ws.AtomicJumps([[1.0], [-2.0]], [2.0, 0.5])),
+            "lift": ws.Lift(ws.BrownianMotion([0.5], [[2.0]]), 3)}
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    def test_repr_rebuilds_an_equal_repr(self, name):
+        law = self.LAWS[name]
+        again = eval(repr(law), {"array": np.array, **vars(ws)})
+        assert type(again) is type(law) and repr(again) == repr(law)
+
+    def test_lift_jump_rate_is_its_process_rate(self):
+        X = ws.CompoundPoisson(ws.AtomicJumps([[1.0], [2.0]], [2.0, 0.5]))
+        assert ws.Lift(X, 3).jump_rate == 2.5
 
 
 class TestDurations:

@@ -381,6 +381,7 @@ def reference_times(n, rows=3000):
     return np.concatenate([signed, t])
 
 
+@pytest.mark.bits
 class TestSameBitsAsReferenceForms:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("name", ["bm", "cpp", "stack", "lift"])

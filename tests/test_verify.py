@@ -97,6 +97,7 @@ class TestECF:
         ecf = ws.ecf_grid(samples, np.zeros(shape))
         assert ecf.shape == shape[:-1] and ecf.dtype == complex
 
+    @pytest.mark.bits
     @pytest.mark.parametrize("d, n, points", [
         (d, n, points) for d, points in
         [(4, 16), (4, 64), (8, 16), (40, 16), (4, 300), (40, 300)]
@@ -112,6 +113,7 @@ class TestECF:
         re, im = _reference_sums(samples, grid)
         assert ws.ecf_grid(samples, grid).tobytes() == ((re + 1j * im) / n).tobytes()
 
+    @pytest.mark.bits
     @pytest.mark.parametrize("d, n, points", [
         (d, n, points) for d, points in
         [(4, 16), (4, 64), (8, 16), (8, 64), (40, 16), (4, 300), (40, 300)]
@@ -137,6 +139,7 @@ class TestECF:
         reference = total / len(samples)
         assert ws.ecf_grid(samples, grid).tobytes() == reference.tobytes()
 
+    @pytest.mark.bits
     @pytest.mark.parametrize("value", [np.nextafter(64.0, np.inf), 64.0, 1e300, np.inf,
                                        np.nan, -np.nextafter(64.0, np.inf)])
     def test_out_of_reach_blocks_sum_libm_bit_for_bit(self, monkeypatch, value):
@@ -184,6 +187,7 @@ class TestECF:
         assert np.abs(terms.real - np.cos(phases)).max() <= 4.5e-16
         assert np.abs(terms.imag - np.sin(phases)).max() <= 4.5e-16
 
+    @pytest.mark.bits
     def test_same_bits_with_numpy_dispatch_disabled(self, tmp_path):
         # numpy picks SIMD loops at run time (__cpu_dispatch__); with every
         # target this CPU has switched off, an ECF keeps its bits
@@ -208,6 +212,7 @@ class TestECF:
         ecf = ws.ecf_grid(samples, ws.ThetaGridSpec().build(4))
         assert done.stdout == ecf.tobytes().hex()
 
+    @pytest.mark.bits
     def test_independent_of_sampler_batch(self, monkeypatch):
         # the ECF's blocks follow BLOCK_PHASES alone: with 1000-row sampler
         # batches, which do not divide the default grid's 4096-row blocks,
@@ -215,6 +220,7 @@ class TestECF:
         monkeypatch.setattr(subordination, "TIME_T_CHUNK", 1000)
         _assert_ecfs_of_one_draw_per_child("stacked_C3", 31, 9000, ws.ThetaGridSpec())
 
+    @pytest.mark.bits
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 6000), max_size=8), st.sampled_from([1, 3, 16, 300]))
     def test_streamed_sums_equal_ecf_grid(self, cuts, points):
@@ -228,6 +234,7 @@ class TestECF:
             sums.add(piece)
         assert sums.ecf().tobytes() == ws.ecf_grid(samples, grid).tobytes()
 
+    @pytest.mark.bits
     @pytest.mark.parametrize("d, points", [(4, 16), (4, 3), (8, 64), (40, 300)])
     def test_phase_products_within_phase_product(self, monkeypatch, d, points):
         # OpenBLAS stays on one thread for a product of at most PHASE_PRODUCT
@@ -538,6 +545,7 @@ class TestEqualityInLawSuite:
         assert cross.bound == ws.clt_bound(n, n, k=k)
         assert (cross.n_samples, cross.k) == (n, k)
 
+    @pytest.mark.bits
     @pytest.mark.parametrize("n, size", [(9000, 16), (20_000, 3), (20_000, 5)])
     @pytest.mark.parametrize("name", verify.SCENARIOS)
     def test_ecfs_are_ecf_grid_of_one_draw_per_child(self, name, n, size):
@@ -548,6 +556,7 @@ class TestEqualityInLawSuite:
         # 21845-row block holds every row and is summed by `ecf`
         _assert_ecfs_of_one_draw_per_child(name, 41, n, ws.ThetaGridSpec(size=size))
 
+    @pytest.mark.bits
     @pytest.mark.parametrize("failing, raised", [(("strong",), "strong"), (("weak",), "weak"),
                                                  (("strong", "weak"), "weak")],
                              ids=["strong", "weak", "both"])
