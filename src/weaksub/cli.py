@@ -60,11 +60,11 @@ MAX_ROWS = 10_000_000
 # sampling at 26-31 ns of CPU time per jump on a 2-vCPU Xeon (simulate
 # under a compound Poisson subordinate of rate 1e6, 6e7 jumps).
 MAX_RUN_JUMPS = 10**9
-# Largest ECF terms of a verify run, 2 x replicates x theta grid points:
-# on a 2-vCPU Xeon, 8-14 s at the 17-28 ns per term of blocks within the
-# ECF tables' reach (20-26 ns in a slower stretch of the machine), 21-24 s
-# at the 41-47 ns of libm's cosines and sines of phases just beyond it
-# (33-35 s at 65-70 ns for phases in the hundreds).
+# Largest ECF terms of a verify run, 2 x replicates x theta grid points,
+# each theta's terms of a block summed pairwise: on a 2-vCPU Xeon, 6.5-8 s
+# at the 13-16 ns of CPU per term of blocks within the ECF tables' reach,
+# 22-28 s at the 43-55 ns of libm's cosines and sines of phases just beyond
+# it (47-51 ns for phases in the hundreds).
 MAX_ECF_TERMS = 5 * 10**8
 # Most theta grid points of a verify run: writing report.json takes about
 # 9 KB of memory per point (134 MB peak RSS at 10 000 points, 978 MB at

@@ -40,7 +40,7 @@ EXACT_CHECK_THETAS = 100  # A3: frequencies of the stacked closed-form check
 EXACT_TOL = 1e-10  # A3: largest |psi_strong - psi_weak| of an "equal" exact check
 DIFFER_RATIO = 2.0  # a "differ" check needs max |diff|/bound above this
 PHASE_PRODUCT = 2**16  # multiply-adds per ECF phase product: OpenBLAS stays on one thread
-BLOCK_PHASES = 2**16  # phases per ECF block, summed in about 30 numpy calls, each a GIL release
+BLOCK_PHASES = 2**16  # per ECF block: 30 numpy calls (GIL releases), sums pairwise per theta
 TABLE_REACH = 64  # largest |phase| whose cosine and sine the ECF's tables serve
 
 
@@ -67,12 +67,14 @@ class _ECFSums:
     """Running sums of cos <theta, x> and sin <theta, x> over samples, shape
     (k, d), fed to `add` in pieces of any size, at the frequencies `grid`,
     shape (m, d). The sums run over blocks of `rows` = max(2, BLOCK_PHASES
-    // m) samples, carried across pieces. A block's phases are formed in
-    row sub-products of `sub_rows` = max(1, PHASE_PRODUCT // grid size)
-    samples, which OpenBLAS runs on the calling thread; so `ecf` is bit
-    for bit the same however the samples were split. Every block is formed
-    in three (rows, m) buffers and a (rows, m) index that live only while
-    `add` sums its blocks or `ecf` sums the last one.
+    // m) samples, carried across pieces. A block is laid out grid-major,
+    (m, rows), so each grid point's terms form one contiguous row: its
+    phases are formed in column sub-products grid @ x.T of `sub_rows` =
+    max(1, PHASE_PRODUCT // grid size) samples, which OpenBLAS runs on the
+    calling thread, and each sum is numpy's pairwise sum of one row; so
+    `ecf` is bit for bit the same however the samples were split. Every
+    block is formed in three (m, rows) buffers and an (m, rows) index that
+    live only while `add` sums its blocks or `ecf` sums the last one.
 
     A block whose phases all lie within +-TABLE_REACH is summed from the
     tables (Tang's table-driven method): phase = j / 2**7 + lo exactly,
@@ -81,10 +83,9 @@ class _ECFSums:
     sin of j / 2**7, and cos lo = 1 - z (1/2 - z/24), sin lo = lo (1 - z
     (1/6 - z/120)), z = lo**2, truncated below 1e-17. Each term is within
     4.5e-16 of libm's cosine and sine. The sums are sum(C cos lo) -
-    sum(S sin lo) and sum(S cos lo) + sum(C sin lo), each a sum over the
-    block's rows in order, on a grid of two or more points. Any other
-    block (a phase beyond the reach, inf or NaN) sums libm's cosines and
-    sines."""
+    sum(S sin lo) and sum(S cos lo) + sum(C sin lo), each pairwise over one
+    grid point's row. Any other block (a phase beyond the reach, inf or
+    NaN) sums libm's cosines and sines, pairwise per grid point too."""
 
     def __init__(self, grid: Array):
         self.grid = grid
@@ -104,25 +105,25 @@ class _ECFSums:
 
     def _blocks(self, x: Array) -> None:
         """Add the sums of x's blocks of `rows` samples, the last one
-        possibly shorter, formed in buffers freed on return."""
-        buffers = np.empty((3, min(self.rows, len(x)), self.grid.shape[0]))
-        index = np.empty(buffers.shape[1:], dtype=np.intp)
+        possibly shorter, each in the leading values of buffers freed on return."""
+        buffers = np.empty((3, self.grid.shape[0] * min(self.rows, len(x))))
+        index = np.empty(buffers.shape[1], dtype=np.intp)
         for start in range(0, len(x), self.rows):
             self._block(x[start : start + self.rows], buffers, index)
 
     def _block(self, x: Array, buffers: Array, index: Array) -> None:
-        phase, a, b = buffers[:, : len(x)]
+        phase, a, b = buffers[:, : self.grid.shape[0] * len(x)].reshape(3, -1, len(x))
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(x), self.sub_rows):
                 part = slice(start, start + self.sub_rows)
-                np.matmul(x[part], self.grid.T, out=phase[part])
+                np.matmul(self.grid, x[part].T, out=phase[:, part])
             # initial=0.0 lies within the reach: a grid of no points has no phases
             if (-TABLE_REACH <= phase.min(initial=0.0)
                     and phase.max(initial=0.0) <= TABLE_REACH):
-                self._table_sums(phase, a, b, index[: len(x)])
+                self._table_sums(phase, a, b, index[: phase.size].reshape(phase.shape))
             else:
-                self.sums[0] += np.cos(phase, out=a).sum(axis=0)
-                self.sums[1] += np.sin(phase, out=phase).sum(axis=0)
+                self.sums[0] += np.cos(phase, out=a).sum(axis=1)
+                self.sums[1] += np.sin(phase, out=phase).sum(axis=1)
 
     def _table_sums(self, phase: Array, lo: Array, sin_lo: Array, j: Array) -> None:
         """Add the table-driven sums of one block's phases, all within
@@ -141,17 +142,17 @@ class _ECFSums:
         cos_lo *= z
         np.subtract(1, cos_lo, out=cos_lo)
         # mode="clip" reads j as it is (all in range); "raise" would copy the
-        # output. Each product is rounded into a buffer, then summed over the
-        # rows in order (on two or more columns): no BLAS, no fused
-        # multiply-add. The cosines are read twice, as the three buffers hold
-        # them, cos lo and sin lo
+        # output. Each product is rounded into a buffer, then summed pairwise
+        # over its grid point's row: no BLAS, no fused multiply-add. The
+        # cosines are read twice, as the three buffers hold them, cos lo and
+        # sin lo
         table = np.take(_COS_TABLE, j, out=phase, mode="clip")
-        re = np.multiply(table, cos_lo, out=table).sum(axis=0)
+        re = np.multiply(table, cos_lo, out=table).sum(axis=1)
         table = np.take(_COS_TABLE, j, out=phase, mode="clip")
-        im = np.multiply(table, sin_lo, out=table).sum(axis=0)
+        im = np.multiply(table, sin_lo, out=table).sum(axis=1)
         table = np.take(_SIN_TABLE, j, out=phase, mode="clip")
-        self.sums[0] += re - np.multiply(sin_lo, table, out=sin_lo).sum(axis=0)
-        self.sums[1] += im + np.multiply(cos_lo, table, out=cos_lo).sum(axis=0)
+        self.sums[0] += re - np.multiply(sin_lo, table, out=sin_lo).sum(axis=1)
+        self.sums[1] += im + np.multiply(cos_lo, table, out=cos_lo).sum(axis=1)
 
     def ecf(self) -> Array:
         """The mean of exp(i <theta, x>) over every sample added, shape (m,),
@@ -173,10 +174,11 @@ def ecf_grid(samples, theta) -> Array:
     Cosines and sines of the real phases <theta, x> are summed over blocks
     of max(2, BLOCK_PHASES // theta's points) samples, each block's phases
     formed in products of at most PHASE_PRODUCT multiply-adds, which
-    OpenBLAS runs on the calling thread: from tables where a
-    block's phases lie within +-TABLE_REACH, each term within 4.5e-16 of
-    libm's, and from libm's cosines and sines elsewhere (see `_ECFSums`).
-    A phase beyond the floating-point range is a LevySpecError.
+    OpenBLAS runs on the calling thread, and each sum pairwise over one
+    theta's terms of a block: from tables where a block's phases lie within
+    +-TABLE_REACH, each term within 4.5e-16 of libm's, and from libm's
+    cosines and sines elsewhere (see `_ECFSums`). A phase beyond the
+    floating-point range is a LevySpecError.
     """
     samples = np.asarray(samples, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -225,7 +227,9 @@ class ThetaGridSpec:
                 raise LevySpecError(f"theta grid scale must be finite and > 0, "
                                     f"not {self.scale!r}")
             grid_rng = np.random.default_rng(self.grid_seed)
-            return self.scale * grid_rng.standard_normal((self.size, dim))
+            with np.errstate(over="ignore"):  # a point beyond the range is inf
+                grid = self.scale * grid_rng.standard_normal((self.size, dim))
+            return _finite(grid, "the theta grid", "theta grid points")
         pts = _floats(self.points, "theta grid points")
         if (pts.ndim != 2 or pts.shape[1] != dim or not len(pts)
                 or not np.all(np.isfinite(pts))):
@@ -304,18 +308,19 @@ class ECFReport:
 def cf_compare(samples, target, theta_grid, k: float = DEFAULT_K) -> ECFReport:
     """Compare the ECF of the samples, shape (N, d) with N >= MIN_SAMPLES, against
     the exact CF values `target`, one per row of the nonempty (m, d)
-    `theta_grid`. Per-theta verdict: |ecf - target| <= k*sqrt(2/N).
-    """
-    theta_grid = np.asarray(theta_grid, dtype=float)
+    `theta_grid`, each checked before the ECF is summed. Per-theta verdict:
+    |ecf - target| <= k*sqrt(2/N)."""
+    samples, theta_grid = np.asarray(samples, dtype=float), np.asarray(theta_grid, dtype=float)
     target = np.asarray(target, dtype=complex)
-    if theta_grid.ndim != 2 or not len(theta_grid) or target.shape != theta_grid.shape[:1]:
-        raise LevySpecError(f"need a nonempty 2-d theta grid and one target value per "
-                            f"grid point, not shapes {theta_grid.shape} and {target.shape}")
-    emp = ecf_grid(samples, theta_grid)  # checks the samples' shape
+    if (theta_grid.ndim != 2 or not len(theta_grid) or target.shape != theta_grid.shape[:1]
+            or samples.ndim != 2 or samples.shape[1] != theta_grid.shape[1]):
+        raise LevySpecError(f"need (N, d) samples, a nonempty (m, d) theta grid and one "
+                            f"target value per grid point, not shapes {samples.shape}, "
+                            f"{theta_grid.shape} and {target.shape}")
     n = len(samples)
     if n < MIN_SAMPLES:
-        raise LevySpecError(f"need at least {MIN_SAMPLES} samples for a CLT bound")
-    return ECFReport(theta_grid, emp, target, clt_bound(n, k=k), n, k)
+        raise LevySpecError(f"need at least {MIN_SAMPLES} samples for a CLT bound, not {n}")
+    return ECFReport(theta_grid, ecf_grid(samples, theta_grid), target, clt_bound(n, k=k), n, k)
 
 
 # ---------------------------------------------------------------------------

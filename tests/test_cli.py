@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weaksub
 from weaksub.cli import (
     ConfigError,
     ExperimentConfig,
@@ -18,6 +23,7 @@ from weaksub.cli import (
 from weaksub.subordination import TIME_T_CHUNK
 from weaksub.verify import SCENARIOS, grid_exponent
 
+SRC = str(Path(weaksub.__file__).resolve().parents[1])
 
 MINIMAL = {"seed": 7, "scenario": "deterministic"}
 
@@ -369,6 +375,26 @@ class TestMain:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "invalid config"
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["exponent", "verify"])
+    def test_overflowing_grid_scale_exit_2_under_warnings_as_errors(self, tmp_path,
+                                                                   command):
+        # in a fresh interpreter under -W error, as the installed command runs
+        # in CI: scale 1e308 x a standard normal overflows, which is a config
+        # error naming the grid points, not a RuntimeWarning and an exit 3
+        cfg = write_config(tmp_path, {**MINIMAL, "replicates": 2000, "theta_grid": {
+            "size": 100, "scale": 1e308}})
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "weaksub.cli", command,
+             "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert "Warning" not in done.stderr
+        err = json.loads(done.stderr)
+        assert err["error"] == "invalid config"
+        assert "theta grid points" in err["details"][0]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     @pytest.mark.parametrize("case", sorted(OVERFLOWING))

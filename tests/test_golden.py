@@ -61,13 +61,13 @@ DIGESTS = {
     "times_strong": "847c81c1a4e3e2cd34fdac3ad75e65393f1081096525eb675b1427987ecce79d",
     "times_weak": "62b91e52a7bb71768d67d8077dc33b89587c22b483c1e8be82a69d4877213f21",
     "verify_deterministic":
-        "caeb2e7a1693819a68b0854e6cac5e2417a4c566ce949710383f161db0a21a2c",
+        "5f9518551a02639f7e47f28e1af6aa48a8f648779aff1ed88ac984d577da8f64",
     "verify_stacked_C3":
-        "b7de4a6c5a09a14976b6b813175d92a12c35dc918d068c9847be1447677e9991",
+        "fa778cf45af71e13b64d9d42afb319d53c46d5215f05779687b5b789640008d7",
     "verify_finite_activity_C1":
-        "8ef75fa61aaf70c6ca8bd8149ba98e02624d61114edd9767e8f6b872b7858ff5",
+        "70fc55ade0b45208f02dd561dc7704db721b76c332071925fe6fed464050a8d7",
     "verify_negative_control":
-        "ed54ee3d3b34507dfd6025abb70c9c80d215f42d1ee4695af9e7663aa7ea3f37",
+        "a796ed0de2768821bcc2522384bc7c41d10c694eeb4aaeaffa16cc04ba4615d4",
 }
 
 
@@ -98,7 +98,7 @@ def test_ecf_grid_bytes():
     rng = np.random.default_rng(7)
     ecf = ws.ecf_grid(2.0 * rng.standard_normal((12_000, 4)), ws.ThetaGridSpec().build(4))
     assert hashlib.sha256(ecf.tobytes()).hexdigest() == (
-        "569bff3de2ad8498eda14fb99e6b6cdc99d40e06af16cddc1b9699e4893d35ed")
+        "8f41007aebe1e24ba70051bc3d99ae8cab63282a44df29bb330eea2efecb27ae")
 
 
 @same_numpy

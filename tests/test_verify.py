@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -20,10 +21,17 @@ from weaksub.verify import (
 SRC = str(Path(ws.__file__).resolve().parents[1])
 
 
+def _row_sums(terms):
+    """Each grid point's terms, a row of terms, summed as one contiguous
+    1-d array."""
+    return np.array([np.ascontiguousarray(row).sum() for row in terms])
+
+
 def _table_terms(phase):
-    """Sums over the rows of phase, in order, of the table formula's cosines
-    and sines: phase = k / 2**7 + lo, with libm's cos and sin of k / 2**7
-    (odd in k for sin) and the polynomials' cos lo and sin lo."""
+    """Sums over each grid point's row of phase, shape (points, rows), of the
+    table formula's cosines and sines: phase = k / 2**7 + lo, with libm's
+    cos and sin of k / 2**7 (odd in k for sin) and the polynomials' cos lo
+    and sin lo."""
     k = np.rint(phase * 2**7)
     lo = phase - k * 2**-7
     c = np.cos(np.abs(k) * 2**-7)
@@ -31,26 +39,23 @@ def _table_terms(phase):
     z = lo * lo
     cos_lo = 1 - z * (0.5 - z * (1 / 24))
     sin_lo = lo * (1 - z * (1 / 6 - z * (1 / 120)))
-
-    def row_sum(terms):
-        return np.cumsum(terms, axis=0)[-1]
-
-    return [row_sum(c * cos_lo) - row_sum(s * sin_lo),
-            row_sum(s * cos_lo) + row_sum(c * sin_lo)]
+    return [_row_sums(c * cos_lo) - _row_sums(s * sin_lo),
+            _row_sums(s * cos_lo) + _row_sums(c * sin_lo)]
 
 
 def _phases(x, grid):
-    """x @ grid.T in row sub-products of max(1, 2**16 // grid size) rows."""
+    """grid @ x.T, shape (points, rows), in column sub-products of
+    max(1, 2**16 // grid size) rows of x."""
     rows = max(1, 2**16 // grid.size)
-    return np.concatenate([x[start : start + rows] @ grid.T
-                           for start in range(0, len(x), rows)])
+    return np.concatenate([grid @ x[start : start + rows].T
+                           for start in range(0, len(x), rows)], axis=1)
 
 
 def _reference_sums(samples, grid):
-    """The cosine and sine sums of an ECF on a grid of two or more points:
-    blocks of max(2, 2**16 // grid points) rows, their phases formed by
-    `_phases`, by the table formula where every |phase| <= 64 and by libm
-    elsewhere."""
+    """The cosine and sine sums of an ECF: blocks of max(2, 2**16 // grid
+    points) rows, their phases formed by `_phases`, by the table formula
+    where every |phase| <= 64 and by libm elsewhere, each sum over one grid
+    point's terms of a block."""
     rows = max(2, 2**16 // len(grid))
     sums = np.zeros((2, len(grid)))
     with np.errstate(invalid="ignore", over="ignore"):
@@ -59,7 +64,7 @@ def _reference_sums(samples, grid):
             if np.all(np.abs(phase) <= 64):
                 sums += _table_terms(phase)
             else:
-                sums += [np.cos(phase).sum(axis=0), np.sin(phase).sum(axis=0)]
+                sums += [_row_sums(np.cos(phase)), _row_sums(np.sin(phase))]
     return sums
 
 
@@ -135,7 +140,8 @@ class TestECF:
         for start in range(0, len(samples), rows):
             phase = _phases(samples[start : start + rows], grid)
             assert np.abs(phase).max() > 64
-            total += np.exp(1j * phase).sum(axis=0)
+            terms = np.exp(1j * phase)
+            total += _row_sums(terms.real) + 1j * _row_sums(terms.imag)
         reference = total / len(samples)
         assert ws.ecf_grid(samples, grid).tobytes() == reference.tobytes()
 
@@ -159,7 +165,7 @@ class TestECF:
         table_blocks = []
         table_sums = verify._ECFSums._table_sums
         monkeypatch.setattr(verify._ECFSums, "_table_sums", lambda self, phase, *buffers: (
-            table_blocks.append(len(phase)), table_sums(self, phase, *buffers)))
+            table_blocks.append(phase.shape[1]), table_sums(self, phase, *buffers)))
         sums = verify._ECFSums(grid)
         sums.add(samples)
         if np.isfinite(value):
@@ -170,6 +176,21 @@ class TestECF:
                 sums.ecf()
         assert table_blocks == ([4096, 4096, 3808] if value == 64 else [4096, 3808])
         assert sums.sums.tobytes() == _reference_sums(samples, grid).tobytes()
+
+    @pytest.mark.parametrize("n", [4000, 60_000])
+    @pytest.mark.parametrize("name", verify.SCENARIOS)
+    def test_within_1e_15_of_exactly_rounded_sums(self, name, n):
+        # each grid point's terms are summed pairwise, so the ECF of a strong
+        # draw is within 1e-15 of the mean of libm's cosines and sines summed
+        # exactly (math.fsum); summed over the rows in order, the 4000-row
+        # draws here were 1.1e-15 to 3.3e-15 off
+        record = scenario_record(name)
+        x = ws.simulate_strong_at(record.T, record.X, 1.0, n, np.random.default_rng(0))
+        x = x.reshape(n, -1)
+        grid = ws.ThetaGridSpec().build(x.shape[1])
+        for phase, value in zip(grid @ x.T, ws.ecf_grid(x, grid)):
+            assert abs(value.real - math.fsum(np.cos(phase)) / n) <= 1e-15
+            assert abs(value.imag - math.fsum(np.sin(phase)) / n) <= 1e-15
 
     def test_table_terms_close_to_libm(self):
         # one sample x = 1 on a one-column grid: each grid point's ECF is the
@@ -239,12 +260,12 @@ class TestECF:
     def test_phase_products_within_phase_product(self, monkeypatch, d, points):
         # OpenBLAS stays on one thread for a product of at most PHASE_PRODUCT
         # multiply-adds, so every block (4096 rows on the default grid) is
-        # formed in row sub-products, streamed or not, and each row's
-        # phases come from exactly one of them
+        # formed in sub-products grid @ x.T over columns of samples, streamed
+        # or not, and each sample's phases come from exactly one of them
         products = []
         matmul = np.matmul
-        monkeypatch.setattr(verify.np, "matmul", lambda x, grid, **kw: (
-            products.append((*x.shape, grid.shape[1])), matmul(x, grid, **kw))[1])
+        monkeypatch.setattr(verify.np, "matmul", lambda grid, x, **kw: (
+            products.append((*grid.shape, x.shape[1])), matmul(grid, x, **kw))[1])
         rng = np.random.default_rng(53)
         samples, grid = rng.standard_normal((30_000, d)), rng.standard_normal((points, d))
         sums = verify._ECFSums(grid)
@@ -252,8 +273,8 @@ class TestECF:
             sums.add(piece)
         sums.ecf()
         ws.ecf_grid(samples, grid)
-        assert max(rows * cols * m for rows, cols, m in products) <= verify.PHASE_PRODUCT
-        assert sum(rows for rows, _, _ in products) == 2 * len(samples)
+        assert max(m * cols * rows for m, cols, rows in products) <= verify.PHASE_PRODUCT
+        assert sum(rows for _, _, rows in products) == 2 * len(samples)
 
     def test_no_block_buffers_held_between_pieces(self):
         # a block's three float buffers and index (2 MB at 4096 rows on the
@@ -367,6 +388,14 @@ class TestCFCompare:
         with pytest.raises(ws.LevySpecError):
             ws.cf_compare(np.zeros((50, 2)), np.ones(16),
                           ws.ThetaGridSpec().build(2))
+
+    @pytest.mark.parametrize("n", [0, 50])
+    def test_too_few_samples_named_before_summing(self, monkeypatch, n):
+        # the 100-sample rule, not ecf_grid's "empty sample", and no ECF summed
+        monkeypatch.setattr(verify, "ecf_grid", lambda *args: pytest.fail("summed"))
+        with pytest.raises(ws.LevySpecError, match=f"need at least 100 samples for a "
+                                                   f"CLT bound, not {n}$"):
+            ws.cf_compare(np.zeros((n, 2)), np.ones(16), ws.ThetaGridSpec().build(2))
 
     @pytest.mark.parametrize("case", ["empty_grid", "few_samples",
                                       "column_mismatch", "one_d_grid"])
@@ -490,6 +519,21 @@ class TestThetaGridSpec:
         with pytest.raises(ws.LevySpecError, match="one or more rows"):
             grid.build(4)
         with pytest.raises(ws.LevySpecError, match="one or more rows"):
+            equality_in_law_suite("deterministic", np.random.default_rng(0),
+                                  n_paths=1000, theta_grid=grid)
+
+    def test_overflowing_scale_names_the_grid_points(self, monkeypatch):
+        # scale x a standard normal beyond the floating-point range is an
+        # error naming the grid, with no overflow warning, before any draw
+        def no_simulation(*args):
+            raise AssertionError("the suite simulated before checking the grid")
+
+        monkeypatch.setattr(verify, "_draw_batches", no_simulation)
+        grid = ws.ThetaGridSpec(size=100, scale=1e308)
+        with pytest.raises(ws.LevySpecError, match=r"the theta grid is not finite at "
+                                                   r"\d+ of 100 theta grid points"):
+            grid.build(4)
+        with pytest.raises(ws.LevySpecError, match="theta grid points"):
             equality_in_law_suite("deterministic", np.random.default_rng(0),
                                   n_paths=1000, theta_grid=grid)
 
