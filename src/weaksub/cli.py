@@ -60,11 +60,11 @@ MAX_ROWS = 10_000_000
 # sampling at 26-31 ns of CPU time per jump on a 2-vCPU Xeon (simulate
 # under a compound Poisson subordinate of rate 1e6, 6e7 jumps).
 MAX_RUN_JUMPS = 10**9
-# Largest ECF terms of a verify run, 2 x replicates x theta grid points,
-# each theta's terms of a block summed pairwise: on a 2-vCPU Xeon, 6.5-8 s
-# at the 13-16 ns of CPU per term of blocks within the ECF tables' reach,
-# 22-28 s at the 43-55 ns of libm's cosines and sines of phases just beyond
-# it (47-51 ns for phases in the hundreds).
+# Largest ECF terms of a verify run, 2 x replicates x theta grid points:
+# on a 2-vCPU Xeon, 6.5-8 s at 13-16 ns of CPU per term within the ECF
+# tables' reach on a 16-point grid (15 s at 29 ns on 10 000 points, whose
+# blocks of 6 samples sum short rows), 22-29 s at libm's 43-57 ns per
+# term of phases beyond it.
 MAX_ECF_TERMS = 5 * 10**8
 # Most theta grid points of a verify run: writing report.json takes about
 # 9 KB of memory per point (134 MB peak RSS at 10 000 points, 978 MB at
