@@ -12,7 +12,8 @@ first child and the weak from the second.
 
 Exit status: 0 success (for verify, the suite passed); 1 the verify
 suite failed; 2 invalid config, with a JSON error on stderr, or invalid
-flags, with argparse's usage error; 3 any other error, with a JSON error
+flags (--kind with a command other than simulate too), with argparse's
+usage error; 3 any other error, with a JSON error
 naming the exception on stderr. On exit 2 or 3, or an interrupt, the
 files the run wrote, and the directories it made for --out, go.
 """
@@ -22,7 +23,6 @@ import argparse
 import contextlib
 import json
 import sys
-import traceback
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -464,25 +464,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Subordination of multivariate Lévy processes: exponent "
                     "grids, exact samples at a list of times, equality-in-law "
                     "checks.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_ in (("exponent", "evaluate exponents on a theta grid"),
-                        ("simulate", "sample (T, Z) at a list of times"),
-                        ("verify", "run an equality-in-law suite")):
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("--config", required=True, type=Path)
-        p.add_argument("--seed", type=_count, default=None,
-                       help="override the config seed")
-        p.add_argument("--out", type=Path, default=Path("."))
-        p.add_argument("--replicates", type=_count, default=None,
-                       help="override the config replicate count")
-        p.add_argument("--quiet", action="store_true")
-        if name == "simulate":
-            p.add_argument("--kind", choices=("weak", "strong"), default="weak")
+    parser.add_argument("command", choices=("exponent", "simulate", "verify"),
+                        help="exponent: evaluate exponents on a theta grid; "
+                             "simulate: sample (T, Z) at a list of times; "
+                             "verify: run an equality-in-law suite")
+    parser.add_argument("--config", required=True, type=Path)
+    parser.add_argument("--seed", type=_count, default=None,
+                        help="override the config seed")
+    parser.add_argument("--out", type=Path, default=Path("."))
+    parser.add_argument("--replicates", type=_count, default=None,
+                        help="override the config replicate count")
+    parser.add_argument("--quiet", action="store_true")
+    parser.add_argument("--kind", choices=("weak", "strong"), default=None,
+                        help="simulate only (default weak)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.kind is not None and args.command != "simulate":
+        parser.error(f"argument --kind: not allowed with {args.command}")
     written: list[Path] = []  # the run's outputs
     code = 3  # until the command ends, so an interrupt removes them too
     try:
@@ -501,7 +503,7 @@ def main(argv=None) -> int:
             if args.command == "exponent":
                 out = run_exponent(config, args.out, written)
             else:
-                out = run_simulate(config, args.out, written, kind=args.kind)
+                out = run_simulate(config, args.out, written, kind=args.kind or "weak")
             if not args.quiet:
                 print(out)
             code = 0
@@ -511,6 +513,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         code = 2
     except Exception as exc:  # the command's boundary: report, never a bare traceback
+        import traceback
         print(json.dumps({"error": "internal error", "type": type(exc).__name__,
                           "details": str(exc),
                           "traceback": traceback.format_exc()}),

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -476,6 +475,7 @@ def _strong_and_weak_ecfs(T: SubordinatorSpec, X: LevyLaw, n: int,
             stop.set()
             raise
 
+    from concurrent.futures import ThreadPoolExecutor  # so exponent and simulate skip it
     strong_rng, weak_rng = rng.spawn(2)
     with ThreadPoolExecutor(1) as worker:
         strong = worker.submit(side_ecf, strong_rng, _strong_z)

@@ -638,11 +638,15 @@ class TestMain:
         assert code == 0
         rows = (tmp_path / "samples.csv").read_text().strip().split("\n")
         assert len(rows) == 6  # header + 5 replicates
-        for flag in ("--seed", "--replicates"):
+        # --kind is simulate's alone: with another command, a usage error
+        bad = [("simulate", flag, "-1") for flag in ("--seed", "--replicates")]
+        bad += [(command, "--kind", "strong") for command in ("exponent", "verify")]
+        for command, flag, value in bad:
             with pytest.raises(SystemExit) as exc:
-                main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
-                      flag, "-1"])
+                main([command, "--config", str(cfg), "--out", str(tmp_path / "bad"),
+                      flag, value])
             assert exc.value.code == 2
+            assert not (tmp_path / "bad").exists()
 
     def test_replicates_flag_above_max_rows(self, tmp_path, capsys):
         from weaksub.cli import MAX_ROWS
@@ -811,6 +815,36 @@ class TestMain:
                      "--quiet"])
         assert code == 0
         assert (tmp_path / "exponent.csv").exists()
+
+    def test_simulate_defaults_to_weak_with_flags_on_either_side(self, tmp_path):
+        cfg = write_config(tmp_path, {**MINIMAL, "replicates": 20})
+        runs = {"kind_weak": (["simulate", "--kind", "weak"], []),
+                "default": (["simulate"], []), "flags_first": ([], ["simulate"])}
+        for name, (before, after) in runs.items():
+            flags = ["--config", str(cfg), "--out", str(tmp_path / name), "--quiet"]
+            assert main(before + flags + after) == 0
+        samples = {(tmp_path / name / "samples.csv").read_bytes() for name in runs}
+        assert len(samples) == 1
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(command in out for command in ("exponent", "simulate", "verify"))
+
+    @pytest.mark.parametrize("argv", [["bogus", "--config", "config.json"],
+                                      ["simulate", "--out", "out"]],
+                             ids=["unknown_command", "no_config"])
+    def test_usage_error_exit_2_without_output(self, tmp_path, capsys, monkeypatch,
+                                               argv):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, MINIMAL)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: weaksub")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 # --- fuzzing: any JSON parses to a config or raises ConfigError -----------

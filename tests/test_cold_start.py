@@ -1,6 +1,8 @@
 """Start-up cost: importing weaksub, running any CLI command and using
-gamma-ray subordinators load no scipy. Each check runs in a fresh interpreter, since this test process
-may already have imported scipy for other tests."""
+gamma-ray subordinators load no scipy, and importing weaksub and its CLI
+loads neither weaksub.prm nor what only a verify run or an internal error
+uses. Each check runs in a fresh interpreter, since this test process
+may already have imported scipy, weaksub.prm and the rest for other tests."""
 import json
 import os
 import subprocess
@@ -25,6 +27,31 @@ def test_import_loads_no_scipy(tmp_path):
                      "print(sorted(m for m in sys.modules\n"
                      "             if m.split('.')[0] == 'scipy'))", tmp_path)
     assert out.strip() == "[]"
+
+
+LAZY_IMPORT = """
+import json, sys
+import weaksub, weaksub.cli
+loaded = [m for m in ("weaksub.prm", "concurrent.futures", "traceback")
+          if m in sys.modules]
+from weaksub import marked_laplace_check
+names = [weaksub.PointMassMark.__name__, weaksub.prm.MarkedCheckResult.__name__,
+         marked_laplace_check.__name__]
+try:
+    weaksub.no_such_name
+    unknown = "resolved"
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({"loaded": loaded, "names": names, "unknown": unknown}))
+"""
+
+
+def test_import_loads_prm_and_verify_only_parts_on_first_use(tmp_path):
+    result = json.loads(run_python(LAZY_IMPORT, tmp_path))
+    assert result == {
+        "loaded": [],
+        "names": ["PointMassMark", "MarkedCheckResult", "marked_laplace_check"],
+        "unknown": "module 'weaksub' has no attribute 'no_such_name'"}
 
 
 # one small config per command; none of them needs scipy
