@@ -21,13 +21,6 @@ PSD_TOL = 1e-10
 # Largest expected point count of one `poisson_counts` call: above the CLI's
 # largest draw, a row expecting MAX_ROWS = 10**7 jumps.
 MAX_POISSON_POINTS = 2**27
-# Largest dimension whose Brownian draws are scaled and shifted a column at
-# a time; above it, one (N, 1) x (d,) broadcast. Both give the same bits.
-# numpy runs the broadcast as an inner loop of length d per row, slow for
-# small d, and the columns as d strided passes, slow for large d: on one
-# Xeon core, draws of 8192 and 24600 rows took 0.72-0.91 times as long by
-# columns at d = 2 to 5, and 1.09-1.5 times as long at d = 8 to 64.
-BM_COLUMNWISE_MAX_DIM = 4
 
 Array = np.ndarray
 
@@ -336,9 +329,6 @@ class BrownianMotion(LevyLaw):
     def sample(self, dt, rng):
         dt = _durations(dt)
         out = rng.standard_normal((len(dt), self.dim)) @ self._factor.T
-        if self.dim > BM_COLUMNWISE_MAX_DIM:
-            out *= np.sqrt(dt)[:, None]
-            return np.add(out, dt[:, None] * self.mu, out=out)
         scale = np.sqrt(dt)
         for column, mu in zip(out.T, self.mu):
             column *= scale

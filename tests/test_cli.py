@@ -586,14 +586,26 @@ class TestMain:
         assert json.loads(err)["error"] == "invalid config"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("rates", [[1e308, 1e308], [-1]], ids=["sum_inf", "negative"])
-    def test_bad_compound_poisson_atoms_are_one_detail(self, tmp_path, capsys, rates):
-        atoms = [{"point": [1, i], "rate": rate} for i, rate in enumerate(rates)]
-        cfg = write_config(tmp_path, {**MINIMAL, "subordinate": {
-            "family": "compound_poisson", "atoms": atoms}})
-        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    # rates that AtomicJumps rejects, and atoms that are missing or empty
+    @pytest.mark.parametrize("rates, detail", [
+        ([1e308, 1e308], "rate"), ([-1], "rate"),
+        (None, "compound_poisson needs atoms"), ([], "compound_poisson needs atoms")],
+        ids=["sum_inf", "negative", "missing", "empty"])
+    def test_bad_compound_poisson_atoms_are_one_detail(self, tmp_path, capsys, rates,
+                                                      detail):
+        subordinate = {"family": "compound_poisson"}
+        if rates is not None:
+            subordinate["atoms"] = [{"point": [1, i], "rate": rate}
+                                    for i, rate in enumerate(rates)]
+        obj = {**MINIMAL, "subordinate": subordinate}
+        with pytest.raises(ConfigError, match=detail):
+            parse_config(json.dumps(obj))
+        cfg = write_config(tmp_path, obj)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
         details = json.loads(capsys.readouterr().err)["details"]
-        assert len(details) == 1 and "rate" in details[0]
+        assert len(details) == 1 and detail in details[0]
+        assert not out.exists()
 
     def test_unequal_atom_points_are_named(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BAD_CONFIGS["points_unequal_length"])
