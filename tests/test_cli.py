@@ -235,6 +235,7 @@ class TestRunSimulate:
 BROWNIAN_3D = {"family": "brownian", "mu": [0, 0, 0],
                "sigma": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
 CPP_2D = {"family": "compound_poisson", "atoms": [{"point": [1.0, 0.0], "rate": 1.0}]}
+BROWNIAN_1D = {"family": "brownian", "mu": [0], "sigma": [[1]]}
 # a case's "horizon" is the last of its times
 BAD_CONFIGS = {
     "seed_bool": {**MINIMAL, "seed": True},
@@ -313,8 +314,126 @@ BAD_CONFIGS = {
     "atom_rates_sum_inf": {**MINIMAL, "subordinate": {
         "family": "compound_poisson", "atoms": [{"point": [1, 0], "rate": 1e308},
                                                 {"point": [0, 1], "rate": 1e308}]}},
+    # nested objects: a family, block, atom or subordinator that is wrong or
+    # missing, and an unknown key at each level
+    **{f"family_{name}": {**MINIMAL, "subordinate": {"family": family}}
+       for name, family in [("unknown", "levy"), ("list", []), ("object", {})]},
+    "brownian_no_sigma": {**MINIMAL, "subordinate": {"family": "brownian", "mu": [0, 0]}},
+    **{f"stack_{name}": {**MINIMAL, "subordinate": {"family": "stack", **blocks}}
+       for name, blocks in [("empty", {"blocks": []}), ("not_list", {"blocks": 5}),
+                            ("no_blocks", {}),
+                            ("bad_block", {"blocks": [BROWNIAN_1D, {"family": "levy"}]})]},
+    "atom_not_obj": {**MINIMAL, "subordinator": {"drift": [0, 0], "atoms": [5]}},
+    "atom_no_rate": {**MINIMAL, "subordinator": {"drift": [0, 0],
+                                                 "atoms": [{"point": [1, 1]}]}},
+    "sub_not_obj": {**MINIMAL, "subordinator": 5},
+    "sub_no_drift": {**MINIMAL, "subordinator": {"atoms": [{"point": [1, 1], "rate": 1}]}},
+    "unknown_in_config": {**MINIMAL, "typo_field": 1},
+    "unknown_in_grid": {**MINIMAL, "theta_grid": {"sizes": 8}},
+    "unknown_in_subordinator": {**MINIMAL, "subordinator": {"drift": [0, 0], "rates": 1}},
+    "unknown_in_atom": {**MINIMAL, "subordinator": {
+        "drift": [0, 0], "atoms": [{"point": [1, 1], "rate": 1, "mass": 2}]}},
+    "unknown_in_brownian": {**MINIMAL, "subordinate": {
+        "family": "brownian", "mu": [0, 0], "sigma": [[1, 0], [0, 1]], "atoms": []}},
+    "unknown_in_compound_poisson": {**MINIMAL, "subordinate": {**CPP_2D, "mu": [0, 0]}},
+    "unknown_in_stack": {**MINIMAL, "subordinate": {
+        "family": "stack", "blocks": [BROWNIAN_1D, BROWNIAN_1D], "sigma": 1}},
+    # every fault is listed, in the order of the schema's keys
+    "many_faults": {"seed": -1, "extra": 1, "k": 0, "times": [2, 1], "replicates": -5,
+                    "theta_grid": {"size": 0, "scale": "x", "grid_seed": -1,
+                                   "points": 5, "extra": 1},
+                    "subordinate": {"family": "brownian", "mu": "x", "sigma": "y"},
+                    "subordinator": {"drift": "x", "x": 1}, "scenario": "mystery"},
 }
 
+
+FAMILY = "family must be brownian, compound_poisson or stack"
+NOT_LIST = "must be a list of numbers"
+NOT_MATRIX = "must be a list of lists of numbers"
+SIZE = f"theta_grid.size must be an integer >= 1 and <= {10**7}"
+REPLICATES = f"replicates must be an integer >= 0 and <= {10**7}"
+SCENARIO = ("unknown scenario 'mystery'; expected one of deterministic, "
+            "finite_activity_C1, stacked_C3, negative_control")
+# The exact details of each BAD_CONFIGS case that parse_config rejects; the
+# others parse, and fail only at run time.
+PARSE_DETAILS = {
+    "atom_no_rate": ["subordinator.atoms[0] needs point and rate"],
+    "atom_not_obj": ["subordinator.atoms[0] must be a JSON object",
+                     "subordinator.atoms[0] needs point and rate"],
+    "atom_rates_sum_inf": ["subordinate: jump rates must sum to a finite total mass"],
+    **{f"atoms_{name}": ["subordinator.atoms must be a list"]
+       for name in ("0", "5", "empty_object", "empty_text", "false", "null")},
+    "brownian_no_sigma": ["subordinate: brownian needs mu and sigma"],
+    "dimension_mismatch": ["subordinator dimension 2 differs from subordinate dimension 3"],
+    "drift_infinity": ["not valid JSON: Infinity is not a finite number"],
+    "drift_text": [f"subordinator.drift {NOT_LIST}"],
+    "family_list": [f"subordinate.{FAMILY}"],
+    "family_object": [f"subordinate.{FAMILY}"],
+    "family_unknown": [f"subordinate.{FAMILY}"],
+    "grid_not_object": ["theta_grid must be a JSON object"],
+    "horizon_text": [f"times {NOT_LIST}"],
+    "k_negative": ["k must be a finite number > 0"],
+    "k_text": ["k must be a finite number > 0"],
+    "many_faults": ["unknown key 'extra' in config", "seed must be an integer >= 0",
+                    SCENARIO, "unknown key 'x' in subordinator",
+                    f"subordinator.drift {NOT_LIST}", f"subordinate.mu {NOT_LIST}",
+                    f"subordinate.sigma {NOT_MATRIX}",
+                    "unknown key 'extra' in theta_grid", SIZE,
+                    "theta_grid.scale must be a finite number > 0",
+                    "theta_grid.grid_seed must be an integer >= 0",
+                    f"theta_grid.points {NOT_MATRIX}",
+                    "times must be 1 to 16 strictly increasing numbers > 0",
+                    REPLICATES, "k must be a finite number > 0"],
+    "mu_minus_infinity": ["not valid JSON: -Infinity is not a finite number"],
+    "mu_object": [f"subordinate.mu {NOT_LIST}"],
+    "point_object": [f"subordinator.atoms[0].point {NOT_LIST}"],
+    "point_zero": ["subordinator: jump points must be nonzero"],
+    "points_nan": ["not valid JSON: NaN is not a finite number"],
+    "points_object": [f"theta_grid.points {NOT_MATRIX}"],
+    "points_unequal_length": [
+        "subordinator: jump points must be rows of numbers, all of one length"],
+    "points_wrong_columns": ["theta_grid: theta grid points must have 4 columns"],
+    "rate_negative": ["subordinator: jump rates must be positive"],
+    "rate_not_scalar": ["subordinator.atoms[0].rate must be a number"],
+    "replicates_text": [REPLICATES],
+    "replicates_too_large": [REPLICATES],
+    "scale_text": ["theta_grid.scale must be a finite number > 0"],
+    "seed_bool": ["seed must be an integer >= 0"],
+    "seed_negative": ["seed must be an integer >= 0"],
+    "sigma_1e308": ["subordinate: the symmetrised sigma is not finite at 2 of 2 rows: "
+                    "beyond the floating-point range"],
+    "sigma_2x3": ["subordinate: sigma must be square of order dim(mu)"],
+    "sigma_nan": ["not valid JSON: NaN is not a finite number"],
+    "sigma_not_psd": ["subordinate: covariance not PSD: min eigenvalue -1"],
+    "sigma_ragged": [f"subordinate.sigma {NOT_MATRIX}"],
+    "size_text": [SIZE],
+    "size_too_large": [SIZE],
+    "size_zero": [SIZE],
+    "stack_bad_block": [f"subordinate.blocks[1].{FAMILY}",
+                        "subordinate: stack needs valid blocks"],
+    "stack_empty": ["subordinate: stack needs valid blocks"],
+    "stack_no_blocks": ["subordinate: stack needs valid blocks"],
+    "stack_not_list": ["subordinate: stack needs valid blocks"],
+    "sub_no_drift": ["subordinator.drift required"],
+    "sub_not_obj": ["subordinator must be a JSON object", "subordinator.drift required"],
+    "unknown_in_atom": ["unknown key 'mass' in subordinator.atoms[0]"],
+    "unknown_in_brownian": ["unknown key 'atoms' in subordinate"],
+    "unknown_in_compound_poisson": ["unknown key 'mu' in subordinate"],
+    "unknown_in_config": ["unknown key 'typo_field' in config"],
+    "unknown_in_grid": ["unknown key 'sizes' in theta_grid"],
+    "unknown_in_stack": ["unknown key 'sigma' in subordinate"],
+    "unknown_in_subordinator": ["unknown key 'rates' in subordinator"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_parse_time_details_are_pinned(case):
+    try:
+        parse_config(json.dumps(BAD_CONFIGS[case]))
+    except ConfigError as exc:
+        assert exc.errors == PARSE_DETAILS[case]
+    else:
+        assert case not in PARSE_DETAILS
 
 # draws of (T, Z) beyond the floating-point range: t x drift, caught when the
 # config is parsed, and two subordinator jumps of 1e308, caught in the draws
