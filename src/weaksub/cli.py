@@ -2,9 +2,12 @@
 samples of (T, Z) at a list of times to CSV, and run the
 equality-in-law verification suites to JSON reports.
 
-Configs are JSON with a strict schema (unknown keys are errors; so are
-the non-finite literals NaN and Infinity); see the README for the
-documented fields. All runs are deterministic given the seed: simulate
+Configs are JSON with a strict schema of rule tables (see the README):
+CONFIG_RULES and GRID_RULES give each field of ExperimentConfig and
+ThetaGridSpec, whose defaults fill absent keys, one rule, and FAMILIES
+gives each subordinate family one row. One walker applies them and lists
+every fault (the non-finite literals NaN and Infinity are faults too).
+All runs are deterministic given the seed: simulate
 and verify each read one generator, `stream(seed, command)`. `simulate`
 writes the rows of one `simulate_*_at` call on it, a batch at a time;
 `verify` splits it with Generator.spawn(2), the strong draws from the
@@ -23,7 +26,7 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -116,136 +119,160 @@ class ExperimentConfig:
         return T, X
 
 
-def _take(obj, allowed: tuple[str, ...], errors: list[str], where: str) -> dict:
-    if not isinstance(obj, dict):
-        errors.append(f"{where} must be a JSON object")
-        return {}
-    for key in obj:
-        if key not in allowed:
-            errors.append(f"unknown key {key!r} in {where}")
-    return {k: obj[k] for k in allowed if k in obj}
+# A rule parses the value of one config key: rule(value, errors, where)
+# returns it parsed, or appends each fault to `errors`, naming the key by
+# its path `where`. Every rule is built once, here, at import.
 
 
-def _number(obj: dict, key: str, default, errors: list[str], where: str = "",
-            minimum: int | None = None, maximum: int | None = None):
-    """obj[key], or `default` when absent: an integer >= `minimum` (and
-    <= `maximum`, when given) when `minimum` is given, else a finite
-    number > 0. A bad value is recorded in `errors` and replaced by the
-    default."""
-    value = obj.get(key, default)
-    if minimum is None:
-        ok = isinstance(value, (int, float)) and 0 < value <= sys.float_info.max
-        kind = "a finite number > 0"
-    else:
-        ok = (isinstance(value, int) and value >= minimum
-              and (maximum is None or value <= maximum))
-        kind = f"an integer >= {minimum}" + (
-            "" if maximum is None else f" and <= {maximum}")
-    if isinstance(value, bool) or not ok:
-        errors.append(f"{where}{key} must be {kind}")
-        return default
+def _object(make, rules: dict, needs=(), missing=""):
+    """Rule: a JSON object, each key parsed by its rule in `rules`, then
+    make(**values). Faults are listed in the table's order: the value is
+    not an object, has a key with no rule, lacks a key of `needs` or has
+    it [] (the fault `missing`), a rule fails, or, when none of these
+    did, make raises a ValueError (a LevySpecError)."""
+    def rule(obj, errors, where):
+        start = len(errors)
+        name = where or "config"
+        if not isinstance(obj, dict):
+            errors.append(f"{name} must be a JSON object")
+            obj = {}
+        if not obj.keys() <= rules.keys():
+            errors.extend(f"unknown key {key!r} in {name}" for key in obj if key not in rules)
+        lacking = [key for key in needs if obj.get(key, []) == []]
+        if lacking:
+            errors.append(missing.format(where=where))
+        prefix = f"{where}." if where else ""
+        got = {key: parse(obj[key], errors, prefix + key)
+               for key, parse in rules.items() if key in obj and key not in lacking}
+        if len(errors) == start:
+            try:
+                return make(**got)
+            except ValueError as exc:
+                errors.append(f"{where}: {exc}")
+        return None
+    return rule
+
+
+def _check(ok, kind: str):
+    """Rule: a JSON value for which ok(value) holds (a boolean never does)."""
+    def rule(value, errors, where):
+        if not isinstance(value, bool) and ok(value):
+            return value
+        errors.append(f"{where} must be {kind}")
+        return None
+    return rule
+
+
+def _integer(minimum: int, maximum: int | None = None):
+    return _check(lambda v: isinstance(v, int) and v >= minimum
+                  and (maximum is None or v <= maximum),
+                  f"an integer >= {minimum}" + ("" if maximum is None else
+                                                f" and <= {maximum}"))
+
+
+_POSITIVE = _check(lambda v: isinstance(v, (int, float)) and 0 < v <= sys.float_info.max,
+                   "a finite number > 0")
+
+
+def _array(ndim: int):
+    """Rule: a JSON number (ndim 0) or a rectangular list of numbers
+    nested `ndim` deep, as a float array. Booleans and strings are not
+    numbers."""
+    def numeric(v, depth):  # type(True) is bool, not int
+        if depth == 0:
+            return type(v) in (int, float) and abs(v) <= sys.float_info.max
+        return type(v) is list and all([numeric(x, depth - 1) for x in v])
+
+    kind = ("a number", "a list of numbers", "a list of lists of numbers")[ndim]
+
+    def rule(value, errors, where):
+        if numeric(value, ndim):
+            with contextlib.suppress(ValueError):  # ragged nesting
+                arr = np.asarray(value, dtype=float)
+                if arr.ndim == ndim:
+                    return arr
+        errors.append(f"{where} must be {kind}")
+        return None
+    return rule
+
+
+_NUMBER, _VECTOR, _MATRIX = map(_array, range(3))
+
+
+def _list(item):
+    """Rule: a JSON list, each entry parsed by the rule `item`."""
+    def rule(value, errors, where):
+        if not isinstance(value, list):
+            errors.append(f"{where} must be a list")
+            return None
+        return [item(entry, errors, f"{where}[{i}]") for i, entry in enumerate(value)]
+    return rule
+
+
+def _scenario(value, errors, where):
+    if value is not None and value not in SCENARIOS:
+        errors.append(f"unknown scenario {value!r}; expected one of {', '.join(SCENARIOS)}")
     return value
 
 
-def _numbers(value, ndim: int, errors: list[str], where: str) -> np.ndarray | None:
-    """`value` as a float array when it is a JSON number (ndim 0) or a
-    rectangular list of numbers nested `ndim` deep; else record an error
-    and return None. Booleans and strings are not numbers."""
-    def numeric(v, depth):
-        if depth == 0:
-            return (isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and abs(v) <= sys.float_info.max)
-        return isinstance(v, list) and all(numeric(x, depth - 1) for x in v)
+def _times(value, errors, where):
+    got = _VECTOR(value, errors, where)
+    if got is not None and not (1 <= got.size <= MAX_TIMES and got[0] > 0
+                                and np.all(np.diff(got) > 0)):
+        errors.append(f"times must be 1 to {MAX_TIMES} strictly increasing numbers > 0")
+    return None if got is None else tuple(got.tolist())
 
-    if numeric(value, ndim):
-        try:
-            arr = np.asarray(value, dtype=float)
-        except ValueError:  # ragged nesting
-            arr = None
-        if arr is not None and arr.ndim == ndim:
-            return arr
-    kind = ("a number", "a list of numbers", "a list of lists of numbers")[ndim]
-    errors.append(f"{where} must be {kind}")
+
+def _jumps(atoms) -> AtomicJumps | None:
+    """The jump measure of parsed atoms, (point, rate) pairs; None for none."""
+    return AtomicJumps(*zip(*atoms)) if atoms else None
+
+
+_ATOMS = _list(_object(lambda point, rate: (point, rate),
+                       {"point": _VECTOR, "rate": _NUMBER},
+                       ("point", "rate"), "{where} needs point and rate"))
+
+
+def _law(value, errors, where):
+    """Rule: a subordinate law, built by the row of FAMILIES its family names."""
+    family = value.get("family") if isinstance(value, dict) else None
+    if isinstance(family, str) and family in _LAWS:  # a list or object is unhashable
+        return _LAWS[family]({k: v for k, v in value.items() if k != "family"},
+                             errors, where)
+    errors.append(f"{where}.family must be {_FAMILY_NAMES}")
     return None
 
 
-def _parse_jumps(obj, errors, where) -> AtomicJumps | None:
-    atoms = obj.get("atoms", [])
-    if not isinstance(atoms, list):
-        errors.append(f"{where}.atoms must be a list")
-        return None
-    if not atoms:
-        return None
-    points, rates = [], []
-    for i, atom in enumerate(atoms):
-        here = f"{where}.atoms[{i}]"
-        got = _take(atom, ("point", "rate"), errors, here)
-        if "point" not in got or "rate" not in got:
-            errors.append(f"{here} needs point and rate")
-            return None
-        points.append(_numbers(got["point"], 1, errors, f"{here}.point"))
-        rates.append(_numbers(got["rate"], 0, errors, f"{here}.rate"))
-    if any(p is None for p in points) or any(r is None for r in rates):
-        return None
-    try:
-        return AtomicJumps(points, rates)
-    except ValueError as exc:
-        errors.append(f"{where}: {exc}")
-        return None
+# Each subordinate family: its constructor, and its keys, all needed, in
+# argument order with their rules.
+FAMILIES = {
+    "brownian": (BrownianMotion, {"mu": _VECTOR, "sigma": _MATRIX}),
+    "compound_poisson": (lambda atoms: CompoundPoisson(_jumps(atoms)), {"atoms": _ATOMS}),
+    "stack": (IndependentStack, {"blocks": _list(_law)}),
+}
+_LAWS = {family: _object(make, rules, tuple(rules),
+                         f"{{where}}: {family} needs {' and '.join(rules)}")
+         for family, (make, rules) in FAMILIES.items()}
+_FAMILY_NAMES = "{} or {}".format(", ".join(list(FAMILIES)[:-1]), list(FAMILIES)[-1])
 
-
-def _parse_subordinator(obj, errors) -> SubordinatorSpec | None:
-    got = _take(obj, ("drift", "atoms"), errors, "subordinator")
-    if "drift" not in got:
-        errors.append("subordinator.drift required")
-        return None
-    d = _numbers(got["drift"], 1, errors, "subordinator.drift")
-    if d is None:
-        return None
-    try:
-        return SubordinatorSpec(d, _parse_jumps(got, errors, "subordinator"))
-    except ValueError as exc:
-        errors.append(f"subordinator: {exc}")
-        return None
-
-
-def _parse_subordinate(obj, errors, where="subordinate") -> LevyLaw | None:
-    family = obj.get("family") if isinstance(obj, dict) else None
-    if family == "brownian":
-        got = _take(obj, ("family", "mu", "sigma"), errors, where)
-        if "mu" not in got or "sigma" not in got:
-            errors.append(f"{where}: brownian needs mu and sigma")
-            return None
-        mu = _numbers(got["mu"], 1, errors, f"{where}.mu")
-        sigma = _numbers(got["sigma"], 2, errors, f"{where}.sigma")
-        if mu is None or sigma is None:
-            return None
-        try:
-            return BrownianMotion(mu, sigma)
-        except ValueError as exc:
-            errors.append(f"{where}: {exc}")
-            return None
-    if family == "compound_poisson":
-        got = _take(obj, ("family", "atoms"), errors, where)
-        if got.get("atoms") in (None, []):
-            errors.append(f"{where}: compound_poisson needs atoms")
-            return None
-        jumps = _parse_jumps(got, errors, where)
-        return None if jumps is None else CompoundPoisson(jumps)
-    if family == "stack":
-        got = _take(obj, ("family", "blocks"), errors, where)
-        blocks = got.get("blocks", [])
-        blocks = [_parse_subordinate(b, errors, f"{where}.blocks[{i}]")
-                  for i, b in enumerate(blocks if isinstance(blocks, list) else [])]
-        if not blocks or any(b is None for b in blocks):
-            errors.append(f"{where}: stack needs valid blocks")
-            return None
-        return IndependentStack(blocks)
-    errors.append(f"{where}.family must be brownian, compound_poisson or stack")
-    return None
-
-
-TOP_LEVEL_KEYS = tuple(field.name for field in fields(ExperimentConfig))
+# The keys of theta_grid and of the config, one rule each, in the order
+# faults are listed; absent keys take the dataclasses' defaults.
+GRID_RULES = {"size": _integer(1, MAX_ROWS), "scale": _POSITIVE, "grid_seed": _integer(0),
+              "points": lambda value, errors, where: (
+                  None if value is None else _MATRIX(value, errors, where))}
+CONFIG_RULES = {
+    "seed": _integer(0),
+    "scenario": _scenario,
+    "subordinator": _object(lambda drift, atoms=(): SubordinatorSpec(drift, _jumps(atoms)),
+                            {"drift": _VECTOR, "atoms": _ATOMS},
+                            ("drift",), "{where}.drift required"),
+    "subordinate": _law,
+    "theta_grid": _object(ThetaGridSpec, GRID_RULES),
+    "times": _times,
+    "replicates": _integer(0, MAX_ROWS),
+    "k": _POSITIVE,
+}
+_CONFIG = _object(ExperimentConfig, CONFIG_RULES, ("seed",), "seed required")
 
 
 def _reject_constant(name: str):
@@ -256,58 +283,14 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     """Parse and validate a JSON experiment config (strict schema). The
     `overrides` (the CLI's --seed and --replicates) replace those keys
     before validation, so the same rules check them."""
-    errors: list[str] = []
     try:
         raw = json.loads(text, parse_constant=_reject_constant)
     except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise ConfigError([f"not valid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
-    raw = {**_take(raw, TOP_LEVEL_KEYS, errors, "config"), **(overrides or {})}
-
-    if "seed" not in raw:
-        errors.append("seed required")
-    seed = _number(raw, "seed", 0, errors, minimum=0)
-
-    scenario = raw.get("scenario")
-    if scenario is not None and scenario not in SCENARIOS:
-        errors.append(f"unknown scenario {scenario!r}; "
-                      f"expected one of {', '.join(SCENARIOS)}")
-
-    subordinator = None
-    if "subordinator" in raw:
-        subordinator = _parse_subordinator(raw["subordinator"], errors)
-    subordinate = None
-    if "subordinate" in raw:
-        subordinate = _parse_subordinate(raw["subordinate"], errors)
-
-    defaults = ExperimentConfig(seed=0)
-    got = _take(raw.get("theta_grid", {}),
-                tuple(field.name for field in fields(ThetaGridSpec)), errors, "theta_grid")
-    grid = ThetaGridSpec(
-        size=_number(got, "size", defaults.theta_grid.size, errors,
-                     "theta_grid.", minimum=1, maximum=MAX_ROWS),
-        scale=_number(got, "scale", defaults.theta_grid.scale, errors,
-                      "theta_grid."),
-        grid_seed=_number(got, "grid_seed", defaults.theta_grid.grid_seed, errors,
-                          "theta_grid.", minimum=0),
-        points=(None if got.get("points") is None else
-                _numbers(got["points"], 2, errors, "theta_grid.points")))
-
-    times = defaults.times
-    if "times" in raw:
-        got = _numbers(raw["times"], 1, errors, "times")
-        if got is not None and not (1 <= got.size <= MAX_TIMES and got[0] > 0
-                                    and np.all(np.diff(got) > 0)):
-            errors.append(f"times must be 1 to {MAX_TIMES} strictly increasing "
-                          f"numbers > 0")
-        times = times if got is None else tuple(got.tolist())
-    config = ExperimentConfig(
-        seed=seed, scenario=scenario, subordinator=subordinator,
-        subordinate=subordinate,
-        replicates=_number(raw, "replicates", defaults.replicates, errors,
-                           minimum=0, maximum=MAX_ROWS),
-        theta_grid=grid, k=_number(raw, "k", defaults.k, errors), times=times)
+    errors: list[str] = []
+    config = _CONFIG({**raw, **(overrides or {})}, errors, "")
     if errors:
         raise ConfigError(errors)
 
@@ -315,6 +298,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     if T.dim != X.dim:
         raise ConfigError([f"subordinator dimension {T.dim} differs from "
                            f"subordinate dimension {X.dim}"])
+    grid = config.theta_grid
     if grid.points is not None and grid.points.shape[1] != 2 * T.dim:
         raise ConfigError([f"theta_grid: theta grid points must have "
                            f"{2 * T.dim} columns"])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,11 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import weaksub
 from weaksub.cli import (
+    CONFIG_RULES,
+    FAMILIES,
+    GRID_RULES,
     ConfigError,
     ExperimentConfig,
     main,
@@ -21,7 +25,7 @@ from weaksub.cli import (
     run_simulate,
 )
 from weaksub.subordination import TIME_T_CHUNK
-from weaksub.verify import SCENARIOS, grid_exponent
+from weaksub.verify import SCENARIOS, ThetaGridSpec, grid_exponent
 
 SRC = str(Path(weaksub.__file__).resolve().parents[1])
 
@@ -79,6 +83,13 @@ class TestParseConfig:
     def test_bad_scenario(self):
         with pytest.raises(ConfigError, match="unknown scenario"):
             parse_config(json.dumps({"seed": 1, "scenario": "mystery"}))
+
+    # the parser fills the dataclasses from its tables, so a field without a
+    # rule, or a rule without a field, would be a TypeError at run time
+    @pytest.mark.parametrize("rules, cls", [(CONFIG_RULES, ExperimentConfig),
+                                            (GRID_RULES, ThetaGridSpec)])
+    def test_rule_tables_name_every_field(self, rules, cls):
+        assert sorted(rules) == sorted(f.name for f in dataclasses.fields(cls))
 
 
 class TestRunExponent:
@@ -409,11 +420,10 @@ PARSE_DETAILS = {
     "size_text": [SIZE],
     "size_too_large": [SIZE],
     "size_zero": [SIZE],
-    "stack_bad_block": [f"subordinate.blocks[1].{FAMILY}",
-                        "subordinate: stack needs valid blocks"],
-    "stack_empty": ["subordinate: stack needs valid blocks"],
-    "stack_no_blocks": ["subordinate: stack needs valid blocks"],
-    "stack_not_list": ["subordinate: stack needs valid blocks"],
+    "stack_bad_block": [f"subordinate.blocks[1].{FAMILY}"],
+    "stack_empty": ["subordinate: stack needs blocks"],
+    "stack_no_blocks": ["subordinate: stack needs blocks"],
+    "stack_not_list": ["subordinate.blocks must be a list"],
     "sub_no_drift": ["subordinator.drift required"],
     "sub_not_obj": ["subordinator must be a JSON object", "subordinator.drift required"],
     "unknown_in_atom": ["unknown key 'mass' in subordinator.atoms[0]"],
@@ -1002,11 +1012,14 @@ def _config_like():
         return st.fixed_dictionaries({}, optional=fields) | anything
 
     atoms = st.lists(obj({"point": vec, "rate": num}), max_size=3) | anything
+    # every family of the parser's table, and each of its keys (any JSON
+    # value for a key with no strategy of its own here)
+    shaped = {"mu": vec, "sigma": mat, "atoms": atoms,
+              "blocks": st.deferred(lambda: st.lists(law, max_size=2) | anything)}
     law = st.deferred(lambda: obj({
-        "family": st.sampled_from(["brownian", "compound_poisson", "stack"])
-        | anything,
-        "mu": vec, "sigma": mat, "atoms": atoms,
-        "blocks": st.lists(law, max_size=2) | anything}))
+        "family": st.sampled_from(sorted(FAMILIES)) | anything,
+        **{key: shaped.get(key, anything)
+           for _, rules in FAMILIES.values() for key in rules}}))
     return obj({
         "seed": num, "scenario": st.sampled_from(SCENARIOS) | anything,
         "subordinator": obj({"drift": vec, "atoms": atoms}),
@@ -1018,6 +1031,10 @@ def _config_like():
 
 @settings(max_examples=400)
 @given(_config_like())
+# a family that is a list or an object cannot key a lookup
+@example({"seed": 1, "subordinate": {"family": []}})
+@example({"seed": 1, "subordinate": {"family": {}}})
+@example({"seed": 1, "subordinate": {"family": "stack", "blocks": [{"family": []}]}})
 def test_any_json_parses_or_raises_config_error(obj):
     try:
         cfg = parse_config(json.dumps(obj))
