@@ -41,15 +41,3 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
-
-# weaksub.prm, which no CLI command runs, and its names load on first use
-_PRM_NAMES = ("ConstantFunctional", "PointMassMark", "laplace_functional_mc",
-              "marked_laplace_check")
-
-
-def __getattr__(name):
-    if name == "prm" or name in _PRM_NAMES:
-        import importlib  # `from . import prm` would call __getattr__ again
-        prm = importlib.import_module(".prm", __name__)
-        return prm if name == "prm" else getattr(prm, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

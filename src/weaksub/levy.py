@@ -48,12 +48,14 @@ def _finite(values: Array, what: str, unit: str) -> Array:
 
 
 def _floats(value, name: str) -> Array:
-    """value as a float array; numpy's error for ragged rows or values that
-    are not numbers becomes a LevySpecError naming the argument."""
+    """a read-only float copy of value; numpy's error for ragged rows or
+    values that are not numbers becomes a LevySpecError naming the argument."""
     try:
-        return np.asarray(value, dtype=float)
+        values = np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise LevySpecError(f"{name} must be rows of numbers, all of one length") from exc
+    values.flags.writeable = False
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +310,7 @@ class BrownianMotion(LevyLaw):
             raise LevySpecError("mu and sigma must be finite")
         with np.errstate(over="ignore"):
             self.sigma = _finite(0.5 * (sigma + sigma.T), "the symmetrised sigma", "rows")
+        self.sigma.flags.writeable = False
         vals, vecs = np.linalg.eigh(self.sigma)
         # rounding leaves eigenvalues down to -PSD_TOL x the largest |eigenvalue|,
         # which clip to 0
@@ -428,7 +431,7 @@ class Lift(LevyLaw):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubordinatorSpec:
     """Nonnegative drift plus a jump measure on the nonnegative orthant:
     atoms (finite activity) or gamma rays (infinite activity); with no

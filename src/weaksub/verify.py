@@ -326,7 +326,7 @@ def cf_compare(samples, target, theta_grid, k: float = DEFAULT_K) -> ECFReport:
 # Equality-in-law suites
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """One suite scenario: the processes T and X, from which the rest is
     worked out. X's blocks are those of an `IndependentStack`; any other X

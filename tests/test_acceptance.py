@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import weaksub as ws
+from weaksub import prm
 from weaksub.verify import scenario_record
 
 N = 100_000
@@ -78,11 +79,11 @@ class TestAcceptance:
     @pytest.mark.parametrize("rate", [0.5, 2.0, 5.0])
     @pytest.mark.parametrize("c", [0.2, 1.0, 3.0])
     def test_a4_campbell_identity(self, rate, c):
-        mark = ws.PointMassMark((0.0,))
-        f = ws.ConstantFunctional(c)
+        mark = prm.PointMassMark((0.0,))
+        f = prm.ConstantFunctional(c)
         target = np.exp(-rate * (1 - np.exp(-c)))
         rng = np.random.default_rng(int(1000 * rate + 100 * c))
-        est, se = ws.laplace_functional_mc(rate, mark, 1.0, f, N, rng)
+        est, se = prm.laplace_functional_mc(rate, mark, 1.0, f, N, rng)
         if rate == 2.0 and c == 1.0:
             assert target == pytest.approx(0.28243, abs=5e-5)
         announce(f"A4 Campbell identity (rate={rate}, c={c})",
@@ -97,8 +98,8 @@ class TestAcceptance:
             inside = (time <= 0.75) and np.all(np.abs(mark) <= 1.2)
             return 1.0 if inside else 0.0
 
-        result = ws.marked_laplace_check(T, X, f, horizon=1.0, reps=20_000,
-                                         rng=np.random.default_rng(105))
+        result = prm.marked_laplace_check(T, X, f, horizon=1.0, reps=20_000,
+                                          rng=np.random.default_rng(105))
         announce("A5 marked-PPP Laplace functional", result.within(4.0),
                  f"|{result.lhs:.5f} - {result.rhs:.5f}| <= "
                  f"4*SE={4 * result.combined_se:.5f}")

@@ -1,8 +1,9 @@
 """Start-up cost: importing weaksub, running any CLI command and using
 gamma-ray subordinators load no scipy, and importing weaksub and its CLI
 loads neither weaksub.prm nor what only a verify run or an internal error
-uses. Each check runs in a fresh interpreter, since this test process
-may already have imported scipy, weaksub.prm and the rest for other tests."""
+uses; weaksub.prm's names are its own, not the package's. Each check runs
+in a fresh interpreter, since this test process may already have imported
+scipy, weaksub.prm and the rest for other tests."""
 import json
 import os
 import subprocess
@@ -30,27 +31,49 @@ def test_import_loads_no_scipy(tmp_path):
 
 
 LAZY_IMPORT = """
-import json, sys
+import json, sys, types
 import weaksub, weaksub.cli
 loaded = [m for m in ("weaksub.prm", "concurrent.futures", "traceback")
           if m in sys.modules]
-from weaksub import marked_laplace_check
-names = [weaksub.PointMassMark.__name__, weaksub.prm.MarkedCheckResult.__name__,
-         marked_laplace_check.__name__]
+
+def surface():
+    return sorted(name for name, value in vars(weaksub).items()
+                  if not name.startswith("_")
+                  and not isinstance(value, types.ModuleType))
+
+before = surface()
+import weaksub.prm
+names = [getattr(weaksub.prm, name).__name__ for name in %r]
+on_package = [name for name in names if hasattr(weaksub, name)]
 try:
     weaksub.no_such_name
     unknown = "resolved"
 except AttributeError as exc:
     unknown = str(exc)
-print(json.dumps({"loaded": loaded, "names": names, "unknown": unknown}))
+print(json.dumps({"loaded": loaded, "before": before, "after": surface(),
+                  "names": names, "on_package": on_package,
+                  "unknown": unknown}))
 """
+
+# the package's public names, other than its submodules
+SURFACE = [
+    "AtomicJumps", "BrownianMotion", "CompoundPoisson", "ECFReport",
+    "GammaRays", "IndependentStack", "JumpMeasure", "LevyLaw", "LevySpecError",
+    "Lift", "SubordinatorSpec", "ThetaGridSpec", "cf_compare", "clt_bound",
+    "ecf_grid", "equality_in_law_suite", "laplace_exponent",
+    "sample_subordinate_at", "simulate_strong_at", "simulate_weak_at",
+    "stacked_strong_exponent", "stacked_subordinator", "vector_time_exponent",
+    "weak_exponent"]
+# weaksub.prm's names are imported from it, not from weaksub
+PRM_NAMES = ["ConstantFunctional", "PointMassMark", "laplace_functional_mc",
+             "marked_laplace_check"]
 
 
 def test_import_loads_prm_and_verify_only_parts_on_first_use(tmp_path):
-    result = json.loads(run_python(LAZY_IMPORT, tmp_path))
+    result = json.loads(run_python(LAZY_IMPORT % PRM_NAMES, tmp_path))
     assert result == {
-        "loaded": [],
-        "names": ["PointMassMark", "MarkedCheckResult", "marked_laplace_check"],
+        "loaded": [], "before": SURFACE, "after": SURFACE,
+        "names": PRM_NAMES, "on_package": [],
         "unknown": "module 'weaksub' has no attribute 'no_such_name'"}
 
 

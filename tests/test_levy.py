@@ -419,6 +419,56 @@ class TestLawAttributes:
         X = ws.CompoundPoisson(ws.AtomicJumps([[1.0], [2.0]], [2.0, 0.5]))
         assert ws.Lift(X, 3).jump_rate == 2.5
 
+    # (T, X) from fresh input arrays, one case per constructor that takes
+    # arrays, and the values of those arrays
+    POINTS = [[1.0, 0.0], [0.5, 1.0]]
+    BUILDS = {
+        "brownian": (lambda mu, sigma: (ws.SubordinatorSpec([1.0, 0.5]),
+                                        ws.BrownianMotion(mu, sigma)),
+                     [[0.0, 0.0], np.eye(2)]),
+        "atoms": (lambda d, points, rates: (
+            ws.SubordinatorSpec(d, ws.AtomicJumps(points, rates)),
+            ws.BrownianMotion([0.0, 0.0], np.eye(2))), [[0.2, 0.1], POINTS, [1.0, 2.0]]),
+        "compound_poisson": (lambda points, rates: (
+            ws.SubordinatorSpec([1.0, 0.5]),
+            ws.CompoundPoisson(ws.AtomicJumps(points, rates))), [POINTS, [1.0, 2.0]]),
+        "gamma_rays": (lambda d, directions, c, b: (
+            ws.SubordinatorSpec(d, ws.GammaRays(directions, c, b)),
+            ws.BrownianMotion([0.0, 0.0], np.eye(2))),
+            [[0.2, 0.1], POINTS, [1.5, 0.5], [1.0, 2.0]])}
+
+    @staticmethod
+    def outputs(T, X):
+        theta = np.array([[1.0, 0.0], [0.3, -0.7]])
+        draws = [sample(T, X, [0.5, 1.0], 50, np.random.default_rng(0))
+                 for sample in (ws.simulate_strong_at, ws.simulate_weak_at)]
+        return [X.exponent(theta), ws.laplace_exponent(T, np.abs(theta)),
+                ws.weak_exponent(T, X, theta, theta), *draws]
+
+    @pytest.mark.parametrize("name", sorted(BUILDS))
+    def test_edited_inputs_leave_the_law_as_built(self, name):
+        build, values = self.BUILDS[name]
+        inputs = [np.array(value, dtype=float) for value in values]
+        T, X = build(*inputs)
+        before = self.outputs(T, X)
+        for a in inputs:
+            a += 1.0  # a rate edited in place left total_mass stale
+        for old, new in zip(before, self.outputs(T, X)):
+            assert np.array_equal(old, new)
+        held = [value for law in (T, T.jumps, X, getattr(X, "jumps", X))
+                for key, value in vars(law).items()
+                if isinstance(value, np.ndarray) and not key.startswith("_")]
+        assert len(held) >= len(inputs)
+        for value in held:
+            with pytest.raises(ValueError, match="read-only"):
+                value[...] = 0.0
+
+    def test_subordinator_compares_and_hashes_by_identity(self):
+        # its drift is an array, so field-wise == and hash raised
+        T = ws.SubordinatorSpec([1.0, 2.0])
+        assert T == T and T != ws.SubordinatorSpec([1.0, 2.0])
+        assert len({T, T, ws.SubordinatorSpec([1.0, 2.0])}) == 2
+
 
 class TestDurations:
     LAWS = {"bm": ws.BrownianMotion([0.0], [[1.0]]),

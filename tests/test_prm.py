@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import weaksub as ws
+from weaksub import prm
 from weaksub.subordination import TIME_T_CHUNK
 
 
 def unit_mark():
-    return ws.PointMassMark((0.0,))
+    return prm.PointMassMark((0.0,))
 
 
 def correlated_bm():
@@ -36,21 +37,21 @@ class UniformMark:
 
 class TestCampbellIdentity:
     def test_zero_functional_exact(self):
-        est, se = ws.laplace_functional_mc(2.0, unit_mark(), 1.0,
-                                           ws.ConstantFunctional(0.0), 1000,
-                                           np.random.default_rng(0))
+        est, se = prm.laplace_functional_mc(2.0, unit_mark(), 1.0,
+                                            prm.ConstantFunctional(0.0), 1000,
+                                            np.random.default_rng(0))
         assert est == 1.0
 
     def test_empty_intensity(self):
-        est, _ = ws.laplace_functional_mc(0.0, unit_mark(), 1.0,
-                                          ws.ConstantFunctional(3.0), 1000,
-                                          np.random.default_rng(0))
+        est, _ = prm.laplace_functional_mc(0.0, unit_mark(), 1.0,
+                                           prm.ConstantFunctional(3.0), 1000,
+                                           np.random.default_rng(0))
         assert est == 1.0
 
     def test_reference_value(self):
-        est, se = ws.laplace_functional_mc(2.0, unit_mark(), 1.0,
-                                           ws.ConstantFunctional(1.0), 10**5,
-                                           np.random.default_rng(1))
+        est, se = prm.laplace_functional_mc(2.0, unit_mark(), 1.0,
+                                            prm.ConstantFunctional(1.0), 10**5,
+                                            np.random.default_rng(1))
         assert abs(est - 0.28243) <= 4 * se
 
     @pytest.mark.parametrize("seed", range(8))
@@ -59,10 +60,10 @@ class TestCampbellIdentity:
         rate = rng.uniform(0.2, 4.0)
         c = rng.uniform(0.1, 3.0)
         horizon = rng.uniform(0.5, 2.0)
-        f = ws.ConstantFunctional(c)
+        f = prm.ConstantFunctional(c)
         target = np.exp(-rate * horizon * -np.expm1(-c))
-        est, se = ws.laplace_functional_mc(rate, unit_mark(), horizon, f,
-                                           4 * 10**4, rng)
+        est, se = prm.laplace_functional_mc(rate, unit_mark(), horizon, f,
+                                            4 * 10**4, rng)
         assert abs(est - target) <= 4 * max(se, 1e-12)
 
     def test_functional_of_time_and_mark(self):
@@ -74,9 +75,9 @@ class TestCampbellIdentity:
             def evaluate(self, times, marks):
                 return np.where((times <= s) & (marks[:, 0] <= p), c, 0.0)
 
-        est, se = ws.laplace_functional_mc(rate, UniformMark(), 1.0,
-                                           CornerFunctional(), 4 * 10**4,
-                                           np.random.default_rng(7))
+        est, se = prm.laplace_functional_mc(rate, UniformMark(), 1.0,
+                                            CornerFunctional(), 4 * 10**4,
+                                            np.random.default_rng(7))
         assert abs(est - np.exp(-rate * s * p * -np.expm1(-c))) <= 4 * se
 
     def test_functional_runs_after_every_draw_and_may_draw(self):
@@ -95,8 +96,8 @@ class TestCampbellIdentity:
                 states.append(rng.bit_generator.state)
                 return np.where(rng.uniform(size=len(times)) <= p, c, 0.0)
 
-        est, se = ws.laplace_functional_mc(rate, UniformMark(), horizon,
-                                           DrawingFunctional(), reps, rng)
+        est, se = prm.laplace_functional_mc(rate, UniformMark(), horizon,
+                                            DrawingFunctional(), reps, rng)
         assert abs(est - np.exp(-rate * horizon * p * -np.expm1(-c))) <= 4 * se
         twin = np.random.default_rng(seed)
         k = twin.poisson(rate * horizon * reps, size=1)[0]
@@ -126,9 +127,9 @@ class TestCampbellIdentity:
                 sizes.append(len(times))
                 return times * marks[:, 0]
 
-        est, se = ws.laplace_functional_mc(1.0, UniformMark(), 1.0,
-                                           ProductFunctional(), reps,
-                                           np.random.default_rng(seed))
+        est, se = prm.laplace_functional_mc(1.0, UniformMark(), 1.0,
+                                            ProductFunctional(), reps,
+                                            np.random.default_rng(seed))
         assert sizes == [TIME_T_CHUNK, TIME_T_CHUNK]
         twin = np.random.default_rng(seed)
         twin.poisson(reps, size=1)
@@ -147,8 +148,8 @@ class TestCampbellIdentity:
         # tracemalloc peaks differ by less than 1 MiB (they were 12 and
         # 114 MiB when every point was held at once)
         def peak(rate):
-            return traced_peak(lambda: ws.laplace_functional_mc(
-                rate, unit_mark(), 1.0, ws.ConstantFunctional(1.0), 10**5,
+            return traced_peak(lambda: prm.laplace_functional_mc(
+                rate, unit_mark(), 1.0, prm.ConstantFunctional(1.0), 10**5,
                 np.random.default_rng(3)))
 
         peak(5.0)  # first-call allocations are not the points'
@@ -167,15 +168,15 @@ class TestCampbellIdentity:
     ])
     def test_bad_arguments_raise(self, rate, horizon, reps):
         with pytest.raises(ws.LevySpecError):
-            ws.laplace_functional_mc(rate, unit_mark(), horizon,
-                                     ws.ConstantFunctional(1.0), reps,
-                                     np.random.default_rng(0))
+            prm.laplace_functional_mc(rate, unit_mark(), horizon,
+                                      prm.ConstantFunctional(1.0), reps,
+                                      np.random.default_rng(0))
 
     @pytest.mark.parametrize("c", [np.nan, -1.0])
     def test_constant_functional_rejects_nan_and_negative(self, c):
         with pytest.raises(ws.LevySpecError):
-            ws.ConstantFunctional(c)
-        assert ws.ConstantFunctional(np.inf).c == np.inf
+            prm.ConstantFunctional(c)
+        assert prm.ConstantFunctional(np.inf).c == np.inf
 
     @pytest.mark.parametrize("value", [np.nan, -1.0])
     def test_bad_functional_values_raise(self, value):
@@ -184,8 +185,8 @@ class TestCampbellIdentity:
                 return np.where(times < 0.5, value, 1.0)
 
         with pytest.raises(ws.LevySpecError, match="nonnegative"):
-            ws.laplace_functional_mc(2.0, unit_mark(), 1.0, BadFunctional(), 100,
-                                     np.random.default_rng(0))
+            prm.laplace_functional_mc(2.0, unit_mark(), 1.0, BadFunctional(), 100,
+                                      np.random.default_rng(0))
 
     @pytest.mark.parametrize("values", [
         lambda t: 1.0, lambda t: np.ones(1), lambda t: np.ones(len(t) - 1),
@@ -198,8 +199,8 @@ class TestCampbellIdentity:
                 return values(times)
 
         with pytest.raises(ws.LevySpecError, match="one value per point"):
-            ws.laplace_functional_mc(2.0, unit_mark(), 1.0, Functional(), 100,
-                                     np.random.default_rng(0))
+            prm.laplace_functional_mc(2.0, unit_mark(), 1.0, Functional(), 100,
+                                      np.random.default_rng(0))
 
     @pytest.mark.parametrize("value", [np.nan, -1.0])
     def test_bad_values_past_the_first_block_raise(self, value):
@@ -211,8 +212,8 @@ class TestCampbellIdentity:
                 return np.full(len(times), value if len(calls) == 3 else 1.0)
 
         with pytest.raises(ws.LevySpecError, match="nonnegative"):
-            ws.laplace_functional_mc(1.0, unit_mark(), 1.0, LateBadFunctional(),
-                                     4 * TIME_T_CHUNK, np.random.default_rng(0))
+            prm.laplace_functional_mc(1.0, unit_mark(), 1.0, LateBadFunctional(),
+                                      4 * TIME_T_CHUNK, np.random.default_rng(0))
         assert calls == [TIME_T_CHUNK] * 3
 
 
@@ -226,17 +227,17 @@ class TestMarkedLaplaceCheck:
             inside = (time <= 0.8) and np.all(np.abs(mark) <= 1.0)
             return 0.9 if inside else 0.0
 
-        result = ws.marked_laplace_check(T, X, f, horizon=1.0, reps=6000,
-                                         rng=np.random.default_rng(9))
+        result = prm.marked_laplace_check(T, X, f, horizon=1.0, reps=6000,
+                                          rng=np.random.default_rng(9))
         assert result.lhs_se > 0 and result.rhs_se > 0
         assert result.within(4.0), (result.lhs, result.rhs, result.combined_se)
 
     def test_pure_drift_has_no_jumps(self):
         # no rep has a jump, so both products are empty: exactly 1, se 0
         T = ws.SubordinatorSpec([1.0, 0.5])
-        result = ws.marked_laplace_check(T, correlated_bm(), lambda *a: 1.0,
-                                         horizon=1.0, reps=50,
-                                         rng=np.random.default_rng(10))
+        result = prm.marked_laplace_check(T, correlated_bm(), lambda *a: 1.0,
+                                          horizon=1.0, reps=50,
+                                          rng=np.random.default_rng(10))
         assert (result.lhs, result.lhs_se, result.rhs, result.rhs_se) == (1, 0, 1, 0)
 
     def test_infinite_functional_on_a_mark_box(self):
@@ -249,14 +250,14 @@ class TestMarkedLaplaceCheck:
         def f(time, jump, mark):
             return np.inf if mark[0] > 0 and mark[1] > 0 else 0.0
 
-        result = ws.marked_laplace_check(T, correlated_bm(), f, horizon=1.0,
-                                         reps=4000, rng=np.random.default_rng(11),
-                                         inner=2)
+        result = prm.marked_laplace_check(T, correlated_bm(), f, horizon=1.0,
+                                          reps=4000, rng=np.random.default_rng(11),
+                                          inner=2)
         for est, se in ((result.lhs, result.lhs_se), (result.rhs, result.rhs_se)):
             assert abs(est - np.exp(-1.0)) <= 4 * se, (est, se)
 
         # with f = inf everywhere and 50 jumps expected, every product is 0
-        result = ws.marked_laplace_check(
+        result = prm.marked_laplace_check(
             ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1, 1]], [50.0])),
             correlated_bm(), lambda *a: np.inf, horizon=1.0, reps=20,
             rng=np.random.default_rng(12), inner=2)
@@ -270,7 +271,7 @@ class TestMarkedLaplaceCheck:
         T = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1, 1]], [1.0]))
 
         def peak(reps):
-            return traced_peak(lambda: ws.marked_laplace_check(
+            return traced_peak(lambda: prm.marked_laplace_check(
                 T, correlated_bm(), lambda *a: 0.5, horizon=1.0, reps=reps,
                 rng=np.random.default_rng(4), inner=2))
 
@@ -288,45 +289,45 @@ class TestMarkedLaplaceCheck:
     def test_bad_arguments_raise(self, horizon, reps, inner):
         T = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1, 1]], [1.0]))
         with pytest.raises(ws.LevySpecError):
-            ws.marked_laplace_check(T, correlated_bm(), lambda *a: 0.0,
-                                    horizon=horizon, reps=reps,
-                                    rng=np.random.default_rng(0), inner=inner)
+            prm.marked_laplace_check(T, correlated_bm(), lambda *a: 0.0,
+                                     horizon=horizon, reps=reps,
+                                     rng=np.random.default_rng(0), inner=inner)
 
     @pytest.mark.parametrize("value", [np.nan, -1.0])
     def test_bad_mark_values_raise(self, value):
         # a negative f made estimates of 6.86 and 5.46 for a functional <= 1
         T = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1, 1]], [1.0]))
         with pytest.raises(ws.LevySpecError, match="nonnegative"):
-            ws.marked_laplace_check(T, correlated_bm(), lambda *a: value,
-                                    horizon=1.0, reps=200,
-                                    rng=np.random.default_rng(0))
+            prm.marked_laplace_check(T, correlated_bm(), lambda *a: value,
+                                     horizon=1.0, reps=200,
+                                     rng=np.random.default_rng(0))
 
     def test_within_default_width_is_the_suites(self):
-        within = inspect.signature(ws.prm.MarkedCheckResult.within)
+        within = inspect.signature(prm.MarkedCheckResult.within)
         assert within.parameters["k"].default is ws.verify.DEFAULT_K
         # 3.5 combined SE apart: within k = 4, not within k = 3
-        result = ws.prm.MarkedCheckResult(0.5, 0.1 / np.sqrt(2), 0.85, 0.1 / np.sqrt(2))
+        result = prm.MarkedCheckResult(0.5, 0.1 / np.sqrt(2), 0.85, 0.1 / np.sqrt(2))
         assert result.within() and not result.within(3.0)
 
     @pytest.mark.parametrize("k", [np.inf, np.nan, 0.0, -1.0])
     def test_within_rejects_a_bad_width(self, k):
         # 28 SE apart: an infinite width must not call these equal, and a
         # NaN, zero or negative one must not call them different
-        result = ws.prm.MarkedCheckResult(0.5, 0.01, 0.9, 0.01)
+        result = prm.MarkedCheckResult(0.5, 0.01, 0.9, 0.01)
         with pytest.raises(ws.LevySpecError, match="CLT width k must be finite"):
             result.within(k)
 
     def test_jump_rate_beyond_poisson_sampler_raises(self):
         T = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1, 1]], [1e300]))
         with pytest.raises(ws.LevySpecError, match="expect at most"):
-            ws.marked_laplace_check(T, correlated_bm(), lambda *a: 0.0,
-                                    horizon=1e10, reps=100,
-                                    rng=np.random.default_rng(0))
+            prm.marked_laplace_check(T, correlated_bm(), lambda *a: 0.0,
+                                     horizon=1e10, reps=100,
+                                     rng=np.random.default_rng(0))
 
     def test_gamma_rays_rejected(self):
         # gamma rays jump infinitely often in every window: no single jumps
         T = ws.SubordinatorSpec(np.zeros(2), ws.GammaRays([[1, 1]], [1.0], [1.0]))
         with pytest.raises(ws.LevySpecError, match="atomic"):
-            ws.marked_laplace_check(T, correlated_bm(), lambda *a: 0.0,
-                                    horizon=1.0, reps=100,
-                                    rng=np.random.default_rng(0))
+            prm.marked_laplace_check(T, correlated_bm(), lambda *a: 0.0,
+                                     horizon=1.0, reps=100,
+                                     rng=np.random.default_rng(0))

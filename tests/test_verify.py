@@ -749,6 +749,12 @@ class TestScenarioProcesses:
         grid = ws.ThetaGridSpec().build(4)
         assert np.all(np.abs(ws.ecf_grid(samples, grid)) <= 1 + 1e-12)
 
+    def test_records_compare_and_hash_by_identity(self):
+        # a record's T and X hold arrays, so field-wise == and hash raised
+        a, b = scenario_record("stacked_C3"), scenario_record("finite_activity_C1")
+        assert a == a and a != b
+        assert len({a, b, verify.Scenario(a.T, a.X)}) == 3
+
 
 _CORRELATED = ws.BrownianMotion([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]])
 _ATOMS = {"one_atom": ws.AtomicJumps([[1.0, 1.0]], [1.0]),
