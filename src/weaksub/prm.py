@@ -30,7 +30,8 @@ class PointMassMark:
     point: tuple
 
     def sample(self, rng, size):
-        return np.tile(np.asarray(self.point, dtype=float), (size, 1))
+        point = np.asarray(self.point, dtype=float)
+        return np.broadcast_to(point, (size, point.size))  # np.tile's rows, read-only
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class ConstantFunctional:
 
 def _nonnegative(values):
     """values, checked >= 0 (inf is allowed, NaN is not)."""
-    if not np.all(np.asarray(values) >= 0):
+    if not np.asarray(values).min(initial=0.0) >= 0:  # NaN >= 0 is False
         raise LevySpecError("functional values must be nonnegative, not NaN")
     return values
 
@@ -84,8 +85,8 @@ def laplace_functional_mc(rate: float, marks, horizon: float, f, reps: int,
     sums = np.zeros(reps)  # after the checks: a huge reps is a LevySpecError
     for start in range(0, k, TIME_T_CHUNK):
         b = min(TIME_T_CHUNK, k - start)
-        values = _nonnegative(f.evaluate(rng.uniform(0.0, horizon, size=b),
-                                         marks.sample(rng, b)))
+        # the bits of uniform(0.0, horizon, b), which computes 0.0 + horizon * u
+        values = _nonnegative(f.evaluate(horizon * rng.random(b), marks.sample(rng, b)))
         if np.shape(values) != (b,):  # np.add.at would broadcast it
             raise LevySpecError(f"f must return one value per point, shape "
                                 f"({b},), not {np.shape(values)}")
@@ -112,10 +113,13 @@ class _MarkAverage:
     rng: np.random.Generator
 
     def evaluate(self, times, jumps):
-        times, jumps = np.repeat(times, self.k), np.repeat(jumps, self.k, axis=0)
-        marks = sample_subordinate_at(self.X, jumps, self.rng)
-        values = _nonnegative(np.array([self.f(*p) for p in zip(times, jumps, marks)],
-                                       dtype=float))
+        marks = sample_subordinate_at(self.X, np.repeat(jumps, self.k, axis=0), self.rng)
+        # f gets row views, and a point's k marks share its jump's row
+        jumps.flags.writeable = marks.flags.writeable = False
+        values = _nonnegative(np.array(
+            [self.f(t, jump, mark) for t, jump, point_marks in
+             zip(times.tolist(), jumps, marks.reshape(-1, self.k, self.X.dim))
+             for mark in point_marks], dtype=float))
         with np.errstate(divide="ignore"):  # a zero mean makes the product 0
             return -np.log(np.exp(-values).reshape(-1, self.k).mean(axis=1))
 
@@ -148,7 +152,9 @@ def marked_laplace_check(T: SubordinatorSpec, X: LevyLaw, f, horizon: float,
     `inner` (an integer >= 1) fresh marks from the same kernel; this is
     unbiased as marks are conditionally independent given the jumps. f is
     called as f(time, jump_vector, mark_vector) -> nonnegative float, once
-    per mark; a NaN or negative value is a LevySpecError.
+    per mark, point by point, with a float time and read-only vectors, a
+    point's marks sharing one jump vector; a NaN or negative value is a
+    LevySpecError.
     """
     _check_count(inner, 1, "inner")
     if not isinstance(T.jumps, AtomicJumps):

@@ -207,16 +207,22 @@ def clt_bound(*sizes: int, k: float = DEFAULT_K) -> float:
     return bound
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThetaGridSpec:
     """An ECF frequency grid: explicit `points`, or else `size` standard normal
     rows from the stream `grid_seed` (an integer >= 0 either way: A3 reads it),
-    times `scale`, whose default keeps |CF| well away from zero for test laws."""
+    times `scale`, whose default keeps |CF| well away from zero for test laws.
+    It keeps a read-only float copy of `points`, and compares and hashes by
+    identity."""
 
     size: int = 16
     scale: float = 0.5
     grid_seed: int = 20240817
     points: Array | None = None
+
+    def __post_init__(self):
+        if self.points is not None:
+            object.__setattr__(self, "points", _floats(self.points, "theta grid points"))
 
     def build(self, dim: int) -> Array:
         _check_count(self.grid_seed, 0, "theta grid seed")
@@ -229,7 +235,7 @@ class ThetaGridSpec:
             with np.errstate(over="ignore"):  # a point beyond the range is inf
                 grid = self.scale * grid_rng.standard_normal((self.size, dim))
             return _finite(grid, "the theta grid", "theta grid points")
-        pts = _floats(self.points, "theta grid points")
+        pts = self.points
         if (pts.ndim != 2 or pts.shape[1] != dim or not len(pts)
                 or not np.all(np.isfinite(pts))):
             raise LevySpecError(f"theta grid points must be finite, in {dim} columns "

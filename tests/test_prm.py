@@ -37,10 +37,20 @@ class UniformMark:
 
 class TestCampbellIdentity:
     def test_zero_functional_exact(self):
-        est, se = prm.laplace_functional_mc(2.0, unit_mark(), 1.0,
-                                            prm.ConstantFunctional(0.0), 1000,
-                                            np.random.default_rng(0))
-        assert est == 1.0
+        for c in (0.0, -0.0):
+            est, se = prm.laplace_functional_mc(2.0, unit_mark(), 1.0,
+                                                prm.ConstantFunctional(c), 1000,
+                                                np.random.default_rng(0))
+            assert est == 1.0
+
+    @pytest.mark.parametrize("point", [(0.5, -1.0, 2.0), 3.0], ids=["vector", "scalar"])
+    def test_point_mass_marks_are_a_read_only_tile(self, point):
+        sample = prm.PointMassMark(point).sample(np.random.default_rng(0), 5)
+        tiled = np.tile(np.asarray(point, dtype=float), (5, 1))
+        assert sample.shape == tiled.shape
+        np.testing.assert_array_equal(sample, tiled)
+        with pytest.raises(ValueError, match="read-only"):
+            sample[0, 0] = 1.0
 
     def test_empty_intensity(self):
         est, _ = prm.laplace_functional_mc(0.0, unit_mark(), 1.0,
@@ -89,11 +99,12 @@ class TestCampbellIdentity:
         # returns
         rate, horizon, c, p, reps, seed = 2.0, 1.5, 0.8, 0.3, 4 * 10**4, 8
         rng = np.random.default_rng(seed)
-        states = []
+        states, block_times = [], []
 
         class DrawingFunctional:
             def evaluate(self, times, marks):
                 states.append(rng.bit_generator.state)
+                block_times.append(times)
                 return np.where(rng.uniform(size=len(times)) <= p, c, 0.0)
 
         est, se = prm.laplace_functional_mc(rate, UniformMark(), horizon,
@@ -102,15 +113,17 @@ class TestCampbellIdentity:
         twin = np.random.default_rng(seed)
         k = twin.poisson(rate * horizon * reps, size=1)[0]
         assert k > 3 * TIME_T_CHUNK and k % TIME_T_CHUNK  # a partial last block
-        expected = []
+        expected, expected_times = [], []
         for start in range(0, k, TIME_T_CHUNK):
             b = min(TIME_T_CHUNK, k - start)
-            twin.uniform(0.0, horizon, size=b)
+            expected_times.append(twin.uniform(0.0, horizon, size=b))
             twin.uniform(0.0, 1.0, size=(b, 1))
             expected.append(twin.bit_generator.state)
             twin.uniform(size=b)
             twin.integers(0, reps, size=b)
         assert states == expected
+        # each block's times are uniform(0, horizon)'s, bit for bit
+        assert [t.tobytes() for t in block_times] == [t.tobytes() for t in expected_times]
         assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_whole_blocks_sum_as_one_bincount(self):
@@ -172,13 +185,14 @@ class TestCampbellIdentity:
                                       prm.ConstantFunctional(1.0), reps,
                                       np.random.default_rng(0))
 
-    @pytest.mark.parametrize("c", [np.nan, -1.0])
+    @pytest.mark.parametrize("c", [np.nan, -1.0, -np.inf])
     def test_constant_functional_rejects_nan_and_negative(self, c):
         with pytest.raises(ws.LevySpecError):
             prm.ConstantFunctional(c)
-        assert prm.ConstantFunctional(np.inf).c == np.inf
+        for accepted in (np.inf, -0.0):
+            assert prm.ConstantFunctional(accepted).c == accepted
 
-    @pytest.mark.parametrize("value", [np.nan, -1.0])
+    @pytest.mark.parametrize("value", [np.nan, -1.0, -np.inf])
     def test_bad_functional_values_raise(self, value):
         class BadFunctional:
             def evaluate(self, times, marks):
@@ -231,6 +245,42 @@ class TestMarkedLaplaceCheck:
                                           rng=np.random.default_rng(9))
         assert result.lhs_se > 0 and result.rhs_se > 0
         assert result.within(4.0), (result.lhs, result.rhs, result.combined_se)
+
+    def test_f_runs_once_per_mark_point_by_point(self):
+        # f gets a float time and read-only rows, and a point's inner marks
+        # share its jump's row, so a write into it must raise rather than
+        # reach the point's other marks. Each side is one block, replayed
+        # from a twin stream: the calls follow the points, and each point's
+        # marks in the order they were drawn
+        T = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1, 1], [0.5, 2]], [1.0, 2.0]))
+        X, seed, reps, inner = correlated_bm(), 13, 40, 3
+        calls = []
+
+        def f(time, jump, mark):
+            calls.append((time, jump, mark))
+            return 0.5
+
+        prm.marked_laplace_check(T, X, f, horizon=1.0, reps=reps,
+                                 rng=np.random.default_rng(seed), inner=inner)
+        twin, points = np.random.default_rng(seed), []
+        for k in (1, inner):
+            n = twin.poisson(T.jumps.total_mass * reps)
+            times, jumps = twin.uniform(0.0, 1.0, size=n), T.jumps.sample(twin, n)
+            marks = ws.sample_subordinate_at(X, np.repeat(jumps, k, axis=0), twin)
+            twin.integers(0, reps, size=n)
+            points += zip(times, jumps, marks.reshape(n, k, 2))
+        assert len(calls) == sum(len(m) for *_, m in points) > 300
+        rows = iter(calls)
+        for time, jump, marks in points:
+            (t, row, mark), *rest = itertools.islice(rows, len(marks))
+            assert type(t) is float and t == time
+            assert not row.flags.writeable and row.tobytes() == jump.tobytes()
+            assert all(other == t and other_row is row for other, other_row, _ in rest)
+            got = np.array([mark] + [m for *_, m in rest])
+            assert got.tobytes() == marks.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            calls[-1][1][0] = 9.0
+        assert not calls[-1][2].flags.writeable
 
     def test_pure_drift_has_no_jumps(self):
         # no rep has a jump, so both products are empty: exactly 1, se 0

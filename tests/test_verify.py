@@ -509,6 +509,18 @@ class TestThetaGridSpec:
             with pytest.raises(ws.LevySpecError, match="seed must be an integer >= 0"):
                 ws.ThetaGridSpec(grid_seed=grid_seed, points=points).build(4)
 
+    def test_points_are_a_read_only_copy(self):
+        # the grid once kept the caller's array: an edit after construction
+        # moved the grid, and == and hash raised on an array field
+        points = np.array([[1.0, 0.0]])
+        grid = ws.ThetaGridSpec(points=points)
+        points[0, 0] = 9.0
+        np.testing.assert_array_equal(grid.build(2), [[1.0, 0.0]])
+        with pytest.raises(ValueError, match="read-only"):
+            grid.points[0, 0] = 9.0
+        assert grid == grid and hash(grid) == hash(grid)
+        assert ws.ThetaGridSpec(points=np.eye(2)) != ws.ThetaGridSpec(points=np.eye(2))
+
     def test_no_points_rejected(self, monkeypatch):
         # a grid of no points would make every ECF check pass vacuously
         def no_simulation(*args):
