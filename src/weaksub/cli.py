@@ -40,7 +40,8 @@ from .levy import (
     LevySpecError,
     SubordinatorSpec,
 )
-from .subordination import TIME_T_CHUNK, _draw_batches, _strong_z, _weak_z, expected_jumps
+from .subordination import (TIME_T_CHUNK, _draw_batches, _strong_z, _weak_z,
+                            expected_jumps, weak_exponent)
 from .verify import (
     DEFAULT_K,
     DEFAULT_N_PATHS,
@@ -48,7 +49,6 @@ from .verify import (
     SCENARIOS,
     ThetaGridSpec,
     equality_in_law_suite,
-    grid_exponent,
     scenario_record,
 )
 
@@ -389,7 +389,7 @@ def run_exponent(config: ExperimentConfig, out_dir: Path, written: list[Path]) -
     `written` first."""
     T, X = config.processes()
     grid = config.theta_grid.build(2 * T.dim)
-    values = grid_exponent(T, X, grid)
+    values = weak_exponent(T, X, grid[:, :T.dim], grid[:, T.dim:])
     blocks = (np.column_stack([grid[i:i + TIME_T_CHUNK], values.real[i:i + TIME_T_CHUNK],
                                values.imag[i:i + TIME_T_CHUNK]])
               for i in range(0, len(grid), TIME_T_CHUNK))

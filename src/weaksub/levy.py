@@ -375,10 +375,10 @@ class IndependentStack(LevyLaw):
     """Stack of independent Lévy laws, concatenated coordinatewise."""
 
     def __init__(self, blocks: Sequence[LevyLaw]):
-        if not blocks:
-            raise LevySpecError("stack needs at least one block")
         self.blocks = tuple(blocks)
-        self.dim = sum(b.dim for b in blocks)
+        if not self.blocks:
+            raise LevySpecError("stack needs at least one block")
+        self.dim = sum(b.dim for b in self.blocks)
 
     @property
     def jump_rate(self) -> float:

@@ -44,17 +44,25 @@ def weak_exponent(T: SubordinatorSpec, X: LevyLaw, theta1, theta2):
 
     theta1 and theta2 have shape (..., n) and broadcast against each
     other; the result has the broadcast shape without its last axis.
-    Every ray is evaluated against every row in one
-    `vector_time_exponent` call, so temporaries hold rays x rows x n
-    values: pass a large grid in blocks of rows.
+    The rows are evaluated in blocks of max(1, TIME_T_CHUNK // rays), so
+    the (rays x rows x n) temporaries stay within TIME_T_CHUNK x n values
+    however many rows there are. A value that is not finite, from a theta
+    too large for floating point, is a LevySpecError.
     """
     if X.dim != T.dim:
         raise LevySpecError("theta1, theta2, T and X dimensions disagree")
     theta1, theta2 = _theta_pair(T.dim, theta1, theta2)
-    a = T.jumps.points
-    u = 1j * (theta1 @ a.T) + vector_time_exponent(X, a, theta2[..., None, :])
-    drift = 1j * (theta1 @ T.d) + vector_time_exponent(X, T.d, theta2)
-    return drift - T.jumps.laplace(-u)
+    shape, a = theta1.shape[:-1], T.jumps.points
+    theta1, theta2 = theta1.reshape(-1, T.dim), theta2.reshape(-1, T.dim)
+    block = max(1, TIME_T_CHUNK // max(1, len(a)))
+    psi = np.empty(len(theta1), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(psi), block):
+            t1, t2 = theta1[i : i + block], theta2[i : i + block]
+            u = 1j * (t1 @ a.T) + vector_time_exponent(X, a, t2[:, None, :])
+            drift = 1j * (t1 @ T.d) + vector_time_exponent(X, T.d, t2)
+            psi[i : i + block] = drift - T.jumps.laplace(-u)
+    return _finite(psi, "the exact exponent", "theta grid points").reshape(shape)[()]
 
 
 def _theta_pair(n: int, theta1, theta2) -> tuple[Array, Array]:
@@ -107,7 +115,7 @@ def stacked_strong_exponent(R: SubordinatorSpec, dims,
 
 
 # Rows per batch of the samplers, (jumps x theta rows) per block of
-# `weaksub exponent`, and points per block of prm's Poisson-window
+# `weak_exponent`, and points per block of prm's Poisson-window
 # estimates; bounds their temporaries.
 TIME_T_CHUNK = 8192
 # Expected jumps, T's and X's together, per batch of the samplers: a

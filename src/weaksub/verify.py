@@ -22,7 +22,6 @@ from .levy import (
     _floats,
 )
 from .subordination import (
-    TIME_T_CHUNK,
     _draw_batches,
     _strong_z,
     _weak_z,
@@ -243,20 +242,6 @@ class ThetaGridSpec:
         return pts
 
 
-def grid_exponent(T: SubordinatorSpec, X: LevyLaw, grid) -> Array:
-    """weak_exponent at each row (theta1, theta2) of an (m, 2n) grid, in
-    blocks of rows whose (rays x rows x n) temporaries stay within
-    TIME_T_CHUNK x n values. A value that is not finite, from a grid too
-    large for floating point, is a LevySpecError, so no NaN reaches a
-    table or a report."""
-    block = max(1, TIME_T_CHUNK // max(1, T.jumps.points.shape[0]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        psi = np.concatenate([
-            weak_exponent(T, X, rows[:, : T.dim], rows[:, T.dim :])
-            for rows in np.split(grid, range(block, len(grid), block))])
-    return _finite(psi, "the exact exponent", "theta grid points")
-
-
 @dataclass
 class ECFReport:
     theta_grid: Array
@@ -313,7 +298,7 @@ class ECFReport:
 def cf_compare(samples, target, theta_grid, k: float = DEFAULT_K) -> ECFReport:
     """Compare the ECF of the samples, shape (N, d) with N >= MIN_SAMPLES, against
     the exact CF values `target`, one per row of the nonempty (m, d)
-    `theta_grid`, each checked before the ECF is summed. Per-theta verdict:
+    `theta_grid`, each checked, with k, before the ECF is summed. Per-theta verdict:
     |ecf - target| <= k*sqrt(2/N)."""
     samples, theta_grid = np.asarray(samples, dtype=float), np.asarray(theta_grid, dtype=float)
     target = np.asarray(target, dtype=complex)
@@ -325,7 +310,8 @@ def cf_compare(samples, target, theta_grid, k: float = DEFAULT_K) -> ECFReport:
     n = len(samples)
     if n < MIN_SAMPLES:
         raise LevySpecError(f"need at least {MIN_SAMPLES} samples for a CLT bound, not {n}")
-    return ECFReport(theta_grid, ecf_grid(samples, theta_grid), target, clt_bound(n, k=k), n, k)
+    bound = clt_bound(n, k=k)  # checks k before the ECF is summed
+    return ECFReport(theta_grid, ecf_grid(samples, theta_grid), target, bound, n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +501,10 @@ def equality_in_law_suite(name: str, rng: np.random.Generator,
     n = T.dim
     grid = theta_grid.build(2 * n)
     _check_count(n_paths, MIN_SAMPLES, "n_paths")
+    n_paths = int(n_paths)  # a numpy integer would not serialize
     bound = clt_bound(n_paths, k=k)  # checks k, and the bound, before any simulation
 
-    target = np.exp(grid_exponent(T, X, grid))
+    target = np.exp(weak_exponent(T, X, grid[:, :n], grid[:, n:]))
     strong_ecf, weak_ecf = _strong_and_weak_ecfs(T, X, n_paths, rng, grid)
     strong = ECFReport(grid, strong_ecf, target, bound, n_paths, k)
     weak = ECFReport(grid, weak_ecf, target, bound, n_paths, k)

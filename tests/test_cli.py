@@ -24,8 +24,8 @@ from weaksub.cli import (
     run_exponent,
     run_simulate,
 )
-from weaksub.subordination import TIME_T_CHUNK
-from weaksub.verify import SCENARIOS, ThetaGridSpec, grid_exponent
+from weaksub.subordination import TIME_T_CHUNK, weak_exponent
+from weaksub.verify import SCENARIOS, ThetaGridSpec
 
 SRC = str(Path(weaksub.__file__).resolve().parents[1])
 
@@ -141,7 +141,7 @@ class TestRunExponent:
         cfg = parse_config(json.dumps({**MINIMAL, "theta_grid": {"size": size}}))
         T, X = cfg.processes()
         grid = cfg.theta_grid.build(2 * T.dim)
-        values = grid_exponent(T, X, grid)
+        values = weak_exponent(T, X, grid[:, :T.dim], grid[:, T.dim:])
         table = np.column_stack([grid, values.real, values.imag]).tolist()
         lines = run_exponent(cfg, tmp_path, []).read_text().splitlines()
         assert lines[1:] == [",".join(map(repr, row)) + "," for row in table]

@@ -250,6 +250,13 @@ class TestKacStack:
         with pytest.raises(ws.LevySpecError):
             ws.IndependentStack([ws.BrownianMotion([0.0], [[1.0]])]).exponent([1, 1])
 
+    def test_blocks_from_a_generator(self):
+        # the blocks are counted from the tuple, not from the spent generator
+        bm = ws.BrownianMotion([0.0], [[1.0]])
+        stack = ws.IndependentStack(b for b in (bm, bm))
+        assert stack.dim == 2 and stack.blocks == (bm, bm)
+        assert stack.exponent([1, 1]) == pytest.approx(-1.0)
+
 
 class TestLaplaceExponent:
     def test_at_zero(self):
@@ -391,14 +398,22 @@ class TestValidateTriplet:
         (lambda: ws.CompoundPoisson(ws.AtomicJumps(np.zeros((0, 2)), [])),
          "compound Poisson needs a nonzero jump measure"),
         (lambda: ws.IndependentStack([]), "stack needs at least one block"),
+        (lambda: ws.IndependentStack(iter([])), "stack needs at least one block"),
         (lambda: ws.SubordinatorSpec([1.0, 2.0], ws.AtomicJumps([[1.0, 1.0, 1.0]], [1.0])),
          "jump measure dimension differs from drift"),
         (lambda: ws.weak_exponent(ws.SubordinatorSpec([1.0, 1.0]),
                                   ws.BrownianMotion(np.zeros(3), np.eye(3)),
                                   np.zeros(2), np.zeros(3)),
          "theta1, theta2, T and X dimensions disagree"),
+        # <theta1, a> = 2e308 overflows to inf in the second row
+        (lambda: ws.weak_exponent(
+            ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps([[1.0, 1.0]], [1.0])),
+            ws.BrownianMotion(np.zeros(2), np.eye(2)), [[0, 0], [1e308, 1e308]], np.zeros(2)),
+         "the exact exponent is not finite at 1 of 2 theta grid points: "
+         "beyond the floating-point range"),
     ], ids=["rates_per_point", "mu_matrix", "zero_compound_poisson", "empty_stack",
-            "measure_dim", "weak_exponent_dims"])
+            "empty_stack_iterator", "measure_dim", "weak_exponent_dims",
+            "weak_exponent_not_finite"])
     def test_spec_error_message(self, build, message):
         with pytest.raises(ws.LevySpecError, match=f"^{re.escape(message)}$"):
             build()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,43 @@ class TestWeakExponent:
             u = 1j * th[:2] @ a + ws.vector_time_exponent(X, a, th[2:])
             exact = w @ (c * np.expm1(x * u / b) / x)
             assert abs(ws.weak_exponent(T, X, th[:2], th[2:]) - exact) <= 1e-8
+
+    def test_memory_bounded_by_a_block_of_rows(self):
+        # 20 000 rows under a 100-atom clock: blocks of TIME_T_CHUNK // 100
+        # rows peak near 1.4 MiB, where one call over every ray and row
+        # held 183 MiB
+        rng = np.random.default_rng(6)
+        T = ws.SubordinatorSpec(np.zeros(2), ws.AtomicJumps(rng.random((100, 2)),
+                                                            np.ones(100)))
+        th = rng.standard_normal((20_000, 4))
+        tracemalloc.start()
+        try:
+            ws.weak_exponent(T, correlated_bm(), th[:, :2], th[:, 2:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @pytest.mark.bits
+    def test_blocks_are_bit_for_bit_the_block_calls(self):
+        # 3000 rows under a 6-atom clock are three blocks of
+        # TIME_T_CHUNK // 6 rows, the last one partial
+        rng = np.random.default_rng(7)
+        T = ws.SubordinatorSpec([0.1, 0.2], ws.AtomicJumps(rng.random((6, 2)),
+                                                           rng.random(6)))
+        th, block = rng.standard_normal((3000, 4)), TIME_T_CHUNK // 6
+        assert 2 * block < len(th) < 3 * block
+        parts = [ws.weak_exponent(T, correlated_bm(), rows[:, :2], rows[:, 2:])
+                 for rows in np.split(th, range(block, len(th), block))]
+        whole = ws.weak_exponent(T, correlated_bm(), th[:, :2], th[:, 2:])
+        assert whole.tobytes() == np.concatenate(parts).tobytes()
+
+    def test_overflow_to_a_finite_value(self):
+        # Psi_X(1e160, 1e160) overflows to -inf, so CF_X there is 0 and C1's
+        # one atom makes the exponent exactly -1, with no RuntimeWarning
+        # (an error under pytest)
+        c1 = scenario_record("finite_activity_C1")
+        assert ws.weak_exponent(c1.T, c1.X, [0, 0], [1e160, 1e160]) == -1
 
 
 class TestStackedSubordinator:

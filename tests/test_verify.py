@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -441,6 +442,8 @@ class TestCLTWidth:
             raise AssertionError("the suite simulated before checking k")
 
         monkeypatch.setattr(verify, "_draw_batches", no_simulation)
+        # cf_compare checks k before it sums the ECF
+        monkeypatch.setattr(verify, "ecf_grid", lambda *args: pytest.fail("summed"))
         with pytest.raises(ws.LevySpecError, match="CLT width k"):
             if call == "clt_bound":
                 ws.clt_bound(200, k=k)
@@ -712,6 +715,14 @@ class TestEqualityInLawSuite:
                           "strong_ecf", "weak_ecf", "strong_vs_weak"}
         assert all(d[name]["expect"] == "equal"
                    for name in ("strong_ecf", "weak_ecf", "strong_vs_weak"))
+
+    def test_numpy_integer_n_paths_serializes(self):
+        # _check_count takes a numpy integer; the report holds a Python int
+        rep = equality_in_law_suite("deterministic", np.random.default_rng(15),
+                                    n_paths=np.int64(200))
+        twin = equality_in_law_suite("deterministic", np.random.default_rng(15),
+                                     n_paths=200)
+        assert json.loads(json.dumps(rep.to_dict())) == twin.to_dict()
 
     @pytest.mark.parametrize("source", ["negative_control", "stacked_C3"])
     def test_suite_follows_the_record_not_the_name(self, monkeypatch, source):
