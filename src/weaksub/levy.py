@@ -304,6 +304,8 @@ class BrownianMotion(LevyLaw):
         if self.mu.ndim != 1:
             raise LevySpecError("mu must be a vector")
         self.dim = self.mu.shape[0]
+        if not self.dim:
+            raise LevySpecError("mu must have one or more coordinates")
         if sigma.shape != (self.dim, self.dim):
             raise LevySpecError("sigma must be square of order dim(mu)")
         if not (np.all(np.isfinite(self.mu)) and np.all(np.isfinite(sigma))):
@@ -447,6 +449,8 @@ class SubordinatorSpec:
         d = _floats(self.d, "drift")
         if d.ndim != 1:
             raise LevySpecError("drift must be a vector")
+        if not d.size:
+            raise LevySpecError("drift must have one or more coordinates")
         object.__setattr__(self, "d", d)
         if self.jumps is None:
             object.__setattr__(self, "jumps", AtomicJumps(np.zeros((0, d.size)), []))

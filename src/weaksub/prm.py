@@ -76,8 +76,10 @@ def laplace_functional_mc(rate: float, marks, horizon: float, f, reps: int,
     so it may draw from rng; the block's window labels are drawn after
     it returns.
     """
-    if not 0 < horizon < np.inf:
+    if isinstance(horizon, (bool, np.bool_)) or not 0 < horizon < np.inf:
         raise LevySpecError("horizon must be positive and finite")
+    if isinstance(rate, (bool, np.bool_)):
+        raise LevySpecError(f"rate must be a number, not {rate!r}")
     _check_count(reps, 2, "reps")
     with np.errstate(over="ignore"):  # poisson_counts rejects an inf mean
         mean = rate * horizon * reps

@@ -37,8 +37,7 @@ MIN_SAMPLES = 100  # fewest samples of an ECF compared with a CLT bound
 EXACT_CHECK_THETAS = 100  # A3: frequencies of the stacked closed-form check
 EXACT_TOL = 1e-10  # A3: largest |psi_strong - psi_weak| of an "equal" exact check
 DIFFER_RATIO = 2.0  # a "differ" check needs max |diff|/bound above this
-PHASE_PRODUCT = 2**16  # multiply-adds per ECF phase product: OpenBLAS stays on one thread
-BLOCK_PHASES = 2**16  # per ECF block: 30 numpy calls (GIL releases), sums pairwise per theta
+BLOCK_PHASES = 2**16  # ECF phases per block; OpenBLAS runs a product this size on one thread
 TABLE_REACH = 64  # largest |phase| whose cosine and sine the ECF's tables serve
 
 
@@ -68,11 +67,12 @@ class _ECFSums:
     // m) samples, carried across pieces. A block is laid out grid-major,
     (m, rows), so each grid point's terms form one contiguous row: its
     phases are formed in column sub-products grid @ x.T of `sub_rows` =
-    max(1, PHASE_PRODUCT // grid size) samples, which OpenBLAS runs on the
-    calling thread, and each sum is numpy's pairwise sum of one row; so
-    `ecf` is bit for bit the same however the samples were split. Every
-    block is formed in three (m, rows) buffers and an (m, rows) index that
-    live only while `add` sums its blocks or `ecf` sums the last one.
+    max(1, rows // d) samples, at most BLOCK_PHASES multiply-adds each,
+    which OpenBLAS runs on the calling thread, and each sum is numpy's
+    pairwise sum of one row; so `ecf` is bit for bit the same however the
+    samples were split and however many threads OpenBLAS runs. Every block
+    is formed in three (m, rows) buffers and an (m, rows) index that live
+    only while `add` sums its blocks or `ecf` sums the last one.
 
     A block whose phases all lie within +-TABLE_REACH is summed from the
     tables (Tang's table-driven method): phase = j / 2**7 + lo exactly,
@@ -88,7 +88,7 @@ class _ECFSums:
     def __init__(self, grid: Array):
         self.grid = grid
         self.rows = max(2, BLOCK_PHASES // max(1, grid.shape[0]))
-        self.sub_rows = max(1, PHASE_PRODUCT // max(1, grid.size))
+        self.sub_rows = max(1, self.rows // max(1, grid.shape[1]))
         self.n = 0
         self.sums = np.zeros((2, grid.shape[0]))
         self.carry = np.empty((0, grid.shape[1]))  # fewer than `rows` samples
@@ -103,25 +103,25 @@ class _ECFSums:
 
     def _blocks(self, x: Array) -> None:
         """Add the sums of x's blocks of `rows` samples, the last one
-        possibly shorter, each in the leading values of buffers freed on return."""
-        buffers = np.empty((3, self.grid.shape[0] * min(self.rows, len(x))))
+        possibly shorter, each formed in the leading values of buffers
+        freed on return."""
+        m = self.grid.shape[0]
+        buffers = np.empty((3, m * min(self.rows, len(x))))
         index = np.empty(buffers.shape[1], dtype=np.intp)
         for start in range(0, len(x), self.rows):
-            self._block(x[start : start + self.rows], buffers, index)
-
-    def _block(self, x: Array, buffers: Array, index: Array) -> None:
-        phase, a, b = buffers[:, : self.grid.shape[0] * len(x)].reshape(3, -1, len(x))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, len(x), self.sub_rows):
-                part = slice(start, start + self.sub_rows)
-                np.matmul(self.grid, x[part].T, out=phase[:, part])
-            # initial=0.0 lies within the reach: a grid of no points has no phases
-            if (-TABLE_REACH <= phase.min(initial=0.0)
-                    and phase.max(initial=0.0) <= TABLE_REACH):
-                self._table_sums(phase, a, b, index[: phase.size].reshape(phase.shape))
-            else:
-                self.sums[0] += np.cos(phase, out=a).sum(axis=1)
-                self.sums[1] += np.sin(phase, out=phase).sum(axis=1)
+            block = x[start : start + self.rows]
+            phase, a, b = buffers[:, : m * len(block)].reshape(3, m, len(block))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for col in range(0, len(block), self.sub_rows):
+                    part = slice(col, col + self.sub_rows)
+                    np.matmul(self.grid, block[part].T, out=phase[:, part])
+                # initial=0.0 lies within the reach: a grid of no points has no phases
+                if (-TABLE_REACH <= phase.min(initial=0.0)
+                        and phase.max(initial=0.0) <= TABLE_REACH):
+                    self._table_sums(phase, a, b, index[: phase.size].reshape(phase.shape))
+                else:
+                    self.sums[0] += np.cos(phase, out=a).sum(axis=1)
+                    self.sums[1] += np.sin(phase, out=phase).sum(axis=1)
 
     def _table_sums(self, phase: Array, lo: Array, sin_lo: Array, j: Array) -> None:
         """Add the table-driven sums of one block's phases, all within
@@ -169,14 +169,11 @@ def ecf_grid(samples, theta) -> Array:
     """Empirical CF of samples, shape (N, d), at the frequencies theta,
     shape (..., d): the mean of exp(i <theta, x>) over the samples, shape (...).
 
-    Cosines and sines of the real phases <theta, x> are summed over blocks
-    of max(2, BLOCK_PHASES // theta's points) samples, each block's phases
-    formed in products of at most PHASE_PRODUCT multiply-adds, which
-    OpenBLAS runs on the calling thread, and each sum pairwise over one
-    theta's terms of a block: from tables where a block's phases lie within
-    +-TABLE_REACH, each term within 4.5e-16 of libm's, and from libm's
-    cosines and sines elsewhere (see `_ECFSums`). A phase beyond the
-    floating-point range is a LevySpecError.
+    The bits do not depend on how the samples are batched or on how many
+    threads OpenBLAS runs: the phase products run on the calling thread,
+    and each cosine and sine term is within 4.5e-16 of libm's (see
+    `_ECFSums`). A phase beyond the floating-point range is a
+    LevySpecError.
     """
     samples = np.asarray(samples, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -191,11 +188,11 @@ def ecf_grid(samples, theta) -> Array:
 def clt_bound(*sizes: int, k: float = DEFAULT_K) -> float:
     """Comparison tolerance k * sqrt(sum of 2/n over the sample sizes): for
     |ECF - CF| on one sample, for |ECF_a - ECF_b| on two. k must be finite
-    and > 0, each size >= 1, and the bound of one or more sizes finite and
-    at least the smallest normal float, so |diff| / bound stays finite
-    and no diff passes for an inf bound; with no sizes, this checks k
-    alone."""
-    if not (0 < k < np.inf and min(sizes, default=1) >= 1):
+    and > 0 (a bool is not), each size >= 1, and the bound of one or more
+    sizes finite and at least the smallest normal float, so |diff| / bound
+    stays finite and no diff passes for an inf bound; with no sizes, this
+    checks k alone."""
+    if isinstance(k, (bool, np.bool_)) or not (0 < k < np.inf and min(sizes, default=1) >= 1):
         raise LevySpecError(f"the CLT width k must be finite and > 0, and each sample "
                             f"size >= 1, not k = {k!r} and sizes {sizes}")
     with np.errstate(over="ignore"):  # an overflowed bound is inf
@@ -227,7 +224,7 @@ class ThetaGridSpec:
         _check_count(self.grid_seed, 0, "theta grid seed")
         if self.points is None:
             _check_count(self.size, 1, "theta grid size")
-            if not 0 < self.scale < np.inf:
+            if isinstance(self.scale, (bool, np.bool_)) or not 0 < self.scale < np.inf:
                 raise LevySpecError(f"theta grid scale must be finite and > 0, "
                                     f"not {self.scale!r}")
             grid_rng = np.random.default_rng(self.grid_seed)
@@ -307,9 +304,12 @@ def cf_compare(samples, target, theta_grid, k: float = DEFAULT_K) -> ECFReport:
         raise LevySpecError(f"need (N, d) samples, a nonempty (m, d) theta grid and one "
                             f"target value per grid point, not shapes {samples.shape}, "
                             f"{theta_grid.shape} and {target.shape}")
+    if not np.all(np.isfinite(target)):
+        raise LevySpecError("the target CF values must be finite")
     n = len(samples)
     if n < MIN_SAMPLES:
         raise LevySpecError(f"need at least {MIN_SAMPLES} samples for a CLT bound, not {n}")
+    k = k.item() if isinstance(k, np.generic) else k  # a numpy scalar would not serialize
     bound = clt_bound(n, k=k)  # checks k before the ECF is summed
     return ECFReport(theta_grid, ecf_grid(samples, theta_grid), target, bound, n, k)
 
@@ -502,6 +502,7 @@ def equality_in_law_suite(name: str, rng: np.random.Generator,
     grid = theta_grid.build(2 * n)
     _check_count(n_paths, MIN_SAMPLES, "n_paths")
     n_paths = int(n_paths)  # a numpy integer would not serialize
+    k = k.item() if isinstance(k, np.generic) else k  # nor would a numpy k
     bound = clt_bound(n_paths, k=k)  # checks k, and the bound, before any simulation
 
     target = np.exp(weak_exponent(T, X, grid[:, :n], grid[:, n:]))

@@ -395,6 +395,9 @@ class TestValidateTriplet:
         (lambda: ws.AtomicJumps([[1, 0]], [1.0, 2.0]),
          "need one point per row and one each of rates per point"),
         (lambda: ws.BrownianMotion([[0, 0]], np.eye(2)), "mu must be a vector"),
+        (lambda: ws.BrownianMotion(np.zeros(0), np.zeros((0, 0))),
+         "mu must have one or more coordinates"),
+        (lambda: ws.SubordinatorSpec(np.zeros(0)), "drift must have one or more coordinates"),
         (lambda: ws.CompoundPoisson(ws.AtomicJumps(np.zeros((0, 2)), [])),
          "compound Poisson needs a nonzero jump measure"),
         (lambda: ws.IndependentStack([]), "stack needs at least one block"),
@@ -411,7 +414,8 @@ class TestValidateTriplet:
             ws.BrownianMotion(np.zeros(2), np.eye(2)), [[0, 0], [1e308, 1e308]], np.zeros(2)),
          "the exact exponent is not finite at 1 of 2 theta grid points: "
          "beyond the floating-point range"),
-    ], ids=["rates_per_point", "mu_matrix", "zero_compound_poisson", "empty_stack",
+    ], ids=["rates_per_point", "mu_matrix", "empty_mu", "empty_drift",
+            "zero_compound_poisson", "empty_stack",
             "empty_stack_iterator", "measure_dim", "weak_exponent_dims",
             "weak_exponent_not_finite"])
     def test_spec_error_message(self, build, message):

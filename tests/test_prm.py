@@ -381,3 +381,20 @@ class TestMarkedLaplaceCheck:
             prm.marked_laplace_check(T, correlated_bm(), lambda *a: 0.0,
                                      horizon=1.0, reps=100,
                                      rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy_bool"])
+@pytest.mark.parametrize("call, message", [
+    (lambda b: ws.clt_bound(100, k=b), "CLT width k"),
+    (lambda b: ws.ThetaGridSpec(scale=b).build(2), "theta grid scale"),
+    (lambda b: prm.laplace_functional_mc(1.0, unit_mark(), b, prm.ConstantFunctional(1.0),
+                                         10, np.random.default_rng(0)), "horizon"),
+    (lambda b: prm.laplace_functional_mc(b, unit_mark(), 1.0, prm.ConstantFunctional(1.0),
+                                         10, np.random.default_rng(0)), "rate"),
+    (lambda b: prm.MarkedCheckResult(0, 1, 0, 1).within(b), "CLT width k"),
+], ids=["clt_bound_k", "grid_scale", "horizon", "rate", "within_k"])
+def test_bool_is_not_a_number(call, message, value):
+    # True is not read as 1: a bool k, scale, horizon or rate is rejected
+    # like the argument's other bad values
+    with pytest.raises(ws.LevySpecError, match=message):
+        call(value)

@@ -107,12 +107,15 @@ class TestECF:
     @pytest.mark.parametrize("d, n, points", [
         (d, n, points) for d, points in
         [(4, 16), (4, 64), (8, 16), (40, 16), (4, 300), (40, 300)]
-        for n in [20_000, 9217, 4097, 1025, 1]])
+        for n in [20_000, 9217, 4097, 1025, 1]] + [(1, 5, 40_000)])
     def test_in_reach_blocks_equal_the_table_formula_bit_for_bit(self, d, n, points):
-        # blocks of 4096 to 218 rows here, each formed in sub-products of
-        # 1024 to 5 rows, so every n but 1 spans more than one block on
-        # some grids, and 1025, 4097 and 9217 rows leave a 1-row tail on
-        # some grids; every phase is within the tables' reach
+        # on the 16- to 300-point grids, blocks of 4096 to 218 rows, each
+        # formed in sub-products of 1024 to 5 rows, so every n but 1 spans
+        # more than one block on some grids, and 1025, 4097 and 9217 rows
+        # leave a 1-row tail on some grids. The 1-column grid of 40 000
+        # points has blocks of 2 rows, each formed in one 2-column product
+        # where the reference forms two 1-column ones: each phase is one
+        # multiplication either way. Every phase is within the tables' reach
         rng = np.random.default_rng(23)
         samples, grid = rng.standard_normal((n, d)), rng.standard_normal((points, d))
         assert np.abs(samples @ grid.T).max() <= 64
@@ -132,7 +135,7 @@ class TestECF:
         # of 4096 to 218 rows here, so every n but 1 spans more than one
         # block on some grids, and 1025, 4097 and 9217 rows leave a 1-row
         # tail on some grids. The sizes are literals, so a change to
-        # BLOCK_PHASES or PHASE_PRODUCT that moves the bits fails here
+        # BLOCK_PHASES that moves the bits fails here
         rng = np.random.default_rng(23)
         samples = 300.0 * rng.standard_normal((n, d))
         grid = rng.standard_normal((points, d))
@@ -259,7 +262,7 @@ class TestECF:
     @pytest.mark.bits
     @pytest.mark.parametrize("d, points", [(4, 16), (4, 3), (8, 64), (40, 300)])
     def test_phase_products_within_phase_product(self, monkeypatch, d, points):
-        # OpenBLAS stays on one thread for a product of at most PHASE_PRODUCT
+        # OpenBLAS stays on one thread for a product of at most BLOCK_PHASES
         # multiply-adds, so every block (4096 rows on the default grid) is
         # formed in sub-products grid @ x.T over columns of samples, streamed
         # or not, and each sample's phases come from exactly one of them
@@ -274,7 +277,7 @@ class TestECF:
             sums.add(piece)
         sums.ecf()
         ws.ecf_grid(samples, grid)
-        assert max(m * cols * rows for m, cols, rows in products) <= verify.PHASE_PRODUCT
+        assert max(m * cols * rows for m, cols, rows in products) <= verify.BLOCK_PHASES
         assert sum(rows for _, _, rows in products) == 2 * len(samples)
 
     def test_no_block_buffers_held_between_pieces(self):
@@ -399,17 +402,20 @@ class TestCFCompare:
             ws.cf_compare(np.zeros((n, 2)), np.ones(16), ws.ThetaGridSpec().build(2))
 
     @pytest.mark.parametrize("case", ["empty_grid", "few_samples",
-                                      "column_mismatch", "one_d_grid"])
+                                      "column_mismatch", "one_d_grid", "nan_target"])
     @pytest.mark.parametrize("compare", ["one_sample"])  # keeps the test ids
     def test_unusable_inputs_rejected(self, compare, case):
         samples = np.random.default_rng(8).standard_normal((1000, 2))
         grid = {"empty_grid": np.zeros((0, 2)), "few_samples": np.ones((4, 2)),
                 "column_mismatch": np.ones((4, 3)),
-                "one_d_grid": np.ones(2)}[case]
+                "one_d_grid": np.ones(2), "nan_target": np.ones((4, 2))}[case]
+        target = np.ones(len(grid))
         if case == "few_samples":
             samples = samples[:3]
+        if case == "nan_target":  # its max_ratio would be NaN, which JSON has not
+            target[1] = np.nan
         with pytest.raises(ws.LevySpecError):
-            ws.cf_compare(samples, np.ones(len(grid)), grid)
+            ws.cf_compare(samples, target, grid)
 
     def test_target_needs_one_value_per_grid_point(self):
         samples = np.random.default_rng(8).standard_normal((1000, 2))
@@ -723,6 +729,19 @@ class TestEqualityInLawSuite:
         twin = equality_in_law_suite("deterministic", np.random.default_rng(15),
                                      n_paths=200)
         assert json.loads(json.dumps(rep.to_dict())) == twin.to_dict()
+
+    @pytest.mark.parametrize("k", [np.int64(4), np.float32(4)], ids=["int64", "float32"])
+    @pytest.mark.parametrize("call", ["cf_compare", "suite"])
+    def test_numpy_k_serializes_as_its_python_number(self, call, k):
+        # the report holds k.item(): its JSON is byte for byte that of a
+        # Python k, so an int k of 4 still reads "k": 4
+        def report(k):
+            if call == "suite":
+                return equality_in_law_suite("deterministic", np.random.default_rng(1),
+                                             n_paths=200, k=k)
+            return ws.cf_compare(np.zeros((200, 2)), [1.0], np.zeros((1, 2)), k=k)
+
+        assert json.dumps(report(k).to_dict()) == json.dumps(report(k.item()).to_dict())
 
     @pytest.mark.parametrize("source", ["negative_control", "stacked_C3"])
     def test_suite_follows_the_record_not_the_name(self, monkeypatch, source):
