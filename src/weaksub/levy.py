@@ -12,6 +12,7 @@ continuous part.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,11 +30,31 @@ class LevySpecError(ValueError):
     """Raised when a process specification violates its invariants."""
 
 
-def _check_count(value, minimum: int, name: str) -> None:
-    """A LevySpecError unless `value` is an integer >= `minimum` (a bool is not)."""
+def _check_count(value, minimum: int, name: str) -> int:
+    """value as a Python int, checked an integer >= `minimum` (not a bool)."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or value < minimum):
         raise LevySpecError(f"{name} must be an integer >= {minimum}, not {value!r}")
+    return int(value)
+
+
+def _real(value, name: str) -> int | float:
+    """value as a Python int or float: a Python or numpy int or float, or a
+    0-d array of one, not a bool, within a float's range (inf and NaN pass)."""
+    value = value[()] if isinstance(value, np.ndarray) else value  # a 0-d array's number
+    if (isinstance(value, (bool, np.bool_))
+            or not isinstance(value, (int, float, np.integer, np.floating))
+            or isinstance(value, int) and abs(value) > sys.float_info.max):
+        raise LevySpecError(f"{name} must be a real number, not {value!r}")
+    return int(value) if isinstance(value, (int, np.integer)) else float(value)
+
+
+def _positive(value, name: str) -> int | float:
+    """`_real`'s Python number, checked finite and > 0."""
+    value = _real(value, name)
+    if not 0 < value < math.inf:  # NaN is not
+        raise LevySpecError(f"{name} must be finite and > 0, not {value!r}")
+    return value
 
 
 def _finite(values: Array, what: str, unit: str) -> Array:
@@ -48,12 +69,14 @@ def _finite(values: Array, what: str, unit: str) -> Array:
 
 
 def _floats(value, name: str) -> Array:
-    """a read-only float copy of value; numpy's error for ragged rows or
+    """a read-only finite float copy of value; numpy's error for ragged rows or
     values that are not numbers becomes a LevySpecError naming the argument."""
     try:
         values = np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise LevySpecError(f"{name} must be rows of numbers, all of one length") from exc
+    if not np.isfinite(values).all():
+        raise LevySpecError(f"{name} must be finite")
     values.flags.writeable = False
     return values
 
@@ -73,10 +96,8 @@ def _rays(points, **weights) -> tuple[Array, ...]:
                                for w in weights.values()):
         raise LevySpecError(f"need one point per row and one each of "
                             f"{', '.join(weights)} per point")
-    for name, a in {"points": points, **weights}.items():
-        if not np.all(np.isfinite(a)):
-            raise LevySpecError(f"jump {name} must be finite")
-        if name != "points" and np.any(a <= 0):
+    for name, a in weights.items():
+        if np.any(a <= 0):
             raise LevySpecError(f"jump {name} must be positive")
     if np.any(np.all(points == 0.0, axis=1)):
         raise LevySpecError("jump points must be nonzero")
@@ -308,8 +329,6 @@ class BrownianMotion(LevyLaw):
             raise LevySpecError("mu must have one or more coordinates")
         if sigma.shape != (self.dim, self.dim):
             raise LevySpecError("sigma must be square of order dim(mu)")
-        if not (np.all(np.isfinite(self.mu)) and np.all(np.isfinite(sigma))):
-            raise LevySpecError("mu and sigma must be finite")
         with np.errstate(over="ignore"):
             self.sigma = _finite(0.5 * (sigma + sigma.T), "the symmetrised sigma", "rows")
         self.sigma.flags.writeable = False
@@ -326,10 +345,17 @@ class BrownianMotion(LevyLaw):
 
     def exponent(self, theta):
         """i<mu, theta> - theta sigma theta' / 2, the quadratic form clipped
-        at 0 as __init__ clips sigma's eigenvalues, so Re psi <= 0."""
+        at 0 as __init__ clips sigma's eigenvalues, so Re psi <= 0. A form
+        beyond the floating-point range makes Re psi = -inf, its limit (CF
+        0), with no warning: where its terms overflow to inf of both signs,
+        the form is |theta B|^2 (B B' = sigma), which cannot be NaN."""
         theta = _theta_rows(theta, self.dim)
-        quad = np.maximum(np.sum((theta @ self.sigma) * theta, axis=-1), 0.0)
-        return 1j * (theta @ self.mu) - 0.5 * quad
+        with np.errstate(over="ignore", invalid="ignore"):
+            quad = np.maximum(np.sum((theta @ self.sigma) * theta, axis=-1), 0.0)
+            if np.isnan(quad).any():
+                squares = np.sum(np.square(theta @ self._factor), axis=-1)
+                quad = np.where(np.isnan(quad), squares, quad)
+            return 1j * (theta @ self.mu) - 0.5 * quad
 
     def sample(self, dt, rng):
         dt = _durations(dt)
@@ -456,8 +482,6 @@ class SubordinatorSpec:
             object.__setattr__(self, "jumps", AtomicJumps(np.zeros((0, d.size)), []))
         if self.jumps.dim != d.shape[0]:
             raise LevySpecError("jump measure dimension differs from drift")
-        if not np.all(np.isfinite(d)):
-            raise LevySpecError("drift must be finite")
         if np.any(d < 0):
             raise LevySpecError("orthant violation: drift has a negative coordinate")
         if np.any(self.jumps.points < 0):
@@ -473,9 +497,13 @@ def laplace_exponent(T: SubordinatorSpec, z):
     """Extended Laplace exponent <d, z> + sum_j Lambda_j(<z, a_j>) over the
     rays a_j of T's jump measure (for atoms, rate_j (1 - exp(-<z, t_j>))),
     for finite z with Re z >= 0 coordinatewise, shape (..., n): shape
-    (...). Exact.
+    (...). Exact. A value that is not finite, from a z too large for
+    floating point, is a LevySpecError, as in `weak_exponent`.
     """
     z = _theta_rows(z, T.dim, dtype=complex)
     if not (np.all(np.isfinite(z)) and np.all(z.real >= 0)):
         raise LevySpecError("laplace_exponent requires finite z with Re(z) >= 0")
-    return z @ T.d + T.jumps.laplace(z @ T.jumps.points.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = z @ T.d + T.jumps.laplace(z @ T.jumps.points.T)
+    _finite(np.ravel(value), "the exact exponent", "theta grid points")
+    return value

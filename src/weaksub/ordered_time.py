@@ -48,7 +48,9 @@ def vector_time_exponent(psi: LevyLaw, t, theta):
 
     t and theta have shape (..., n) and broadcast against each other;
     the result has the broadcast shape without its last axis. Each
-    nonzero gap is one call of psi.exponent over every row.
+    nonzero gap is one call of psi.exponent over every row. An exponent
+    with Re = -inf, beyond the floating-point range, makes Re = -inf here
+    too, its limit (CF 0), with no warning.
     """
     t = np.asarray(t, dtype=float)
     n = psi.dim
@@ -65,8 +67,9 @@ def vector_time_exponent(psi: LevyLaw, t, theta):
     # as it is, and each row's exponent keeps its bits, which can depend
     # on how many rows one call holds
     theta = np.ascontiguousarray(np.broadcast_to(theta, shape))
-    for gap, alive in _alive_gaps(t):
-        total += gap * psi.exponent(theta if alive is None else np.where(alive, theta, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for gap, alive in _alive_gaps(t):
+            total += gap * psi.exponent(theta if alive is None else np.where(alive, theta, 0.0))
     return total[()]
 
 

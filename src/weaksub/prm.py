@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .levy import (AtomicJumps, LevyLaw, LevySpecError, SubordinatorSpec,
-                   _check_count, poisson_counts)
+                   _check_count, _positive, _real, poisson_counts)
 from .ordered_time import sample_subordinate_at
 from .subordination import TIME_T_CHUNK
-from .verify import DEFAULT_K, clt_bound
+from .verify import DEFAULT_K
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class ConstantFunctional:
     c: float
 
     def __post_init__(self):
-        _nonnegative(self.c)
+        object.__setattr__(self, "c", _nonnegative(_real(self.c, "c")))
 
     def evaluate(self, times, marks):
         return np.full(times.shape[0], self.c)
@@ -76,14 +76,10 @@ def laplace_functional_mc(rate: float, marks, horizon: float, f, reps: int,
     so it may draw from rng; the block's window labels are drawn after
     it returns.
     """
-    if isinstance(horizon, (bool, np.bool_)) or not 0 < horizon < np.inf:
-        raise LevySpecError("horizon must be positive and finite")
-    if isinstance(rate, (bool, np.bool_)):
-        raise LevySpecError(f"rate must be a number, not {rate!r}")
-    _check_count(reps, 2, "reps")
-    with np.errstate(over="ignore"):  # poisson_counts rejects an inf mean
-        mean = rate * horizon * reps
-    k = int(poisson_counts(mean, rng))
+    rate, horizon = _real(rate, "rate"), _positive(horizon, "horizon")
+    reps = _check_count(reps, 2, "reps")
+    # Python numbers: an overflowed mean is inf, which poisson_counts rejects
+    k = int(poisson_counts(rate * horizon * reps, rng))
     sums = np.zeros(reps)  # after the checks: a huge reps is a LevySpecError
     for start in range(0, k, TIME_T_CHUNK):
         b = min(TIME_T_CHUNK, k - start)
@@ -138,7 +134,7 @@ class MarkedCheckResult:
         return float(np.sqrt(self.lhs_se**2 + self.rhs_se**2))
 
     def within(self, k: float = DEFAULT_K) -> bool:
-        clt_bound(k=k)  # a k that is not finite and > 0 is a LevySpecError
+        k = _positive(k, "the CLT width k")
         return abs(self.lhs - self.rhs) <= k * self.combined_se
 
 

@@ -95,17 +95,20 @@ def stacked_strong_exponent(R: SubordinatorSpec, dims,
     subordination, T = stacked_subordinator(R, dims) and X the stack of
     the block laws Y: -Lambda_R(z) with
     z_m = -i <theta1 block m, ones> - Psi_{Y_m}(theta2 block m).
-    Shapes as in `weak_exponent`; a block law with Re Psi > 0 makes
-    Re z < 0, which `laplace_exponent` rejects.
+    Shapes as in `weak_exponent`, and so is the rule for a value that is
+    not finite, for z too; a block law with Re Psi > 0 makes Re z < 0,
+    which `laplace_exponent` rejects.
     """
     _check_blocks(R, dims)
     if [y.dim for y in Y] != list(dims):
         raise LevySpecError("block laws and block sizes disagree")
     theta1, theta2 = _theta_pair(sum(dims), theta1, theta2)
     cuts = np.cumsum(dims)[:-1]
-    z = np.stack([-1j * a.sum(axis=-1) - y.exponent(b) for y, a, b in
-                  zip(Y, np.split(theta1, cuts, axis=-1), np.split(theta2, cuts, axis=-1))],
-                 axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.stack([-1j * a.sum(axis=-1) - y.exponent(b) for y, a, b in
+                      zip(Y, np.split(theta1, cuts, axis=-1), np.split(theta2, cuts, axis=-1))],
+                     axis=-1)
+    _finite(z.reshape(-1, len(dims)), "the exact exponent", "theta grid points")
     return -laplace_exponent(R, z)
 
 
@@ -167,7 +170,8 @@ def _draw_batches(T: SubordinatorSpec, X: LevyLaw, times, size: int,
     with a value beyond the floating-point range, is a LevySpecError."""
     _check_count(size, 0, "size")
     t = np.atleast_1d(np.asarray(times, dtype=float))
-    steps = np.diff(t, prepend=0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN step, rejected below
+        steps = np.diff(t, prepend=0.0)
     if t.ndim != 1 or not t.size or not (np.all(steps > 0) and t[-1] < np.inf):
         raise LevySpecError("times must be positive, finite and strictly increasing")
     n, m = T.dim, t.size

@@ -20,6 +20,7 @@ from .levy import (
     _check_count,
     _finite,
     _floats,
+    _positive,
 )
 from .subordination import (
     _draw_batches,
@@ -36,6 +37,7 @@ DEFAULT_N_PATHS = 100_000  # samples per suite run, strong and weak each
 MIN_SAMPLES = 100  # fewest samples of an ECF compared with a CLT bound
 EXACT_CHECK_THETAS = 100  # A3: frequencies of the stacked closed-form check
 EXACT_TOL = 1e-10  # A3: largest |psi_strong - psi_weak| of an "equal" exact check
+TARGET_TOL = 1e-12  # largest |target| - 1 of a CF value: rounding in exp of an exponent
 DIFFER_RATIO = 2.0  # a "differ" check needs max |diff|/bound above this
 BLOCK_PHASES = 2**16  # ECF phases per block; OpenBLAS runs a product this size on one thread
 TABLE_REACH = 64  # largest |phase| whose cosine and sine the ECF's tables serve
@@ -188,13 +190,13 @@ def ecf_grid(samples, theta) -> Array:
 def clt_bound(*sizes: int, k: float = DEFAULT_K) -> float:
     """Comparison tolerance k * sqrt(sum of 2/n over the sample sizes): for
     |ECF - CF| on one sample, for |ECF_a - ECF_b| on two. k must be finite
-    and > 0 (a bool is not), each size >= 1, and the bound of one or more
+    and > 0, each size an integer >= 1, and the bound of one or more
     sizes finite and at least the smallest normal float, so |diff| / bound
     stays finite and no diff passes for an inf bound; with no sizes, this
     checks k alone."""
-    if isinstance(k, (bool, np.bool_)) or not (0 < k < np.inf and min(sizes, default=1) >= 1):
-        raise LevySpecError(f"the CLT width k must be finite and > 0, and each sample "
-                            f"size >= 1, not k = {k!r} and sizes {sizes}")
+    k = _positive(k, "the CLT width k")
+    for n in sizes:
+        _check_count(n, 1, "sample size")
     with np.errstate(over="ignore"):  # an overflowed bound is inf
         bound = k * np.sqrt(sum(2.0 / n for n in sizes))
     if sizes and not sys.float_info.min <= bound < np.inf:
@@ -223,18 +225,15 @@ class ThetaGridSpec:
     def build(self, dim: int) -> Array:
         _check_count(self.grid_seed, 0, "theta grid seed")
         if self.points is None:
-            _check_count(self.size, 1, "theta grid size")
-            if isinstance(self.scale, (bool, np.bool_)) or not 0 < self.scale < np.inf:
-                raise LevySpecError(f"theta grid scale must be finite and > 0, "
-                                    f"not {self.scale!r}")
+            size = _check_count(self.size, 1, "theta grid size")
+            scale = _positive(self.scale, "theta grid scale")
             grid_rng = np.random.default_rng(self.grid_seed)
             with np.errstate(over="ignore"):  # a point beyond the range is inf
-                grid = self.scale * grid_rng.standard_normal((self.size, dim))
+                grid = scale * grid_rng.standard_normal((size, dim))
             return _finite(grid, "the theta grid", "theta grid points")
         pts = self.points
-        if (pts.ndim != 2 or pts.shape[1] != dim or not len(pts)
-                or not np.all(np.isfinite(pts))):
-            raise LevySpecError(f"theta grid points must be finite, in {dim} columns "
+        if pts.ndim != 2 or pts.shape[1] != dim or not len(pts):
+            raise LevySpecError(f"theta grid points must be in {dim} columns "
                                 f"and one or more rows")
         return pts
 
@@ -295,7 +294,8 @@ class ECFReport:
 def cf_compare(samples, target, theta_grid, k: float = DEFAULT_K) -> ECFReport:
     """Compare the ECF of the samples, shape (N, d) with N >= MIN_SAMPLES, against
     the exact CF values `target`, one per row of the nonempty (m, d)
-    `theta_grid`, each checked, with k, before the ECF is summed. Per-theta verdict:
+    `theta_grid`, each of modulus at most 1 + TARGET_TOL (so not NaN), all
+    checked, with k, before the ECF is summed. Per-theta verdict:
     |ecf - target| <= k*sqrt(2/N)."""
     samples, theta_grid = np.asarray(samples, dtype=float), np.asarray(theta_grid, dtype=float)
     target = np.asarray(target, dtype=complex)
@@ -304,13 +304,14 @@ def cf_compare(samples, target, theta_grid, k: float = DEFAULT_K) -> ECFReport:
         raise LevySpecError(f"need (N, d) samples, a nonempty (m, d) theta grid and one "
                             f"target value per grid point, not shapes {samples.shape}, "
                             f"{theta_grid.shape} and {target.shape}")
-    if not np.all(np.isfinite(target)):
-        raise LevySpecError("the target CF values must be finite")
+    if not np.all(np.abs(target) <= 1 + TARGET_TOL):
+        raise LevySpecError(f"the target CF values must have modulus at most "
+                            f"1 + {TARGET_TOL:g}, as a CF's do")
     n = len(samples)
     if n < MIN_SAMPLES:
         raise LevySpecError(f"need at least {MIN_SAMPLES} samples for a CLT bound, not {n}")
-    k = k.item() if isinstance(k, np.generic) else k  # a numpy scalar would not serialize
-    bound = clt_bound(n, k=k)  # checks k before the ECF is summed
+    k = _positive(k, "the CLT width k")  # a Python number, so the report serializes
+    bound = clt_bound(n, k=k)
     return ECFReport(theta_grid, ecf_grid(samples, theta_grid), target, bound, n, k)
 
 
@@ -500,10 +501,9 @@ def equality_in_law_suite(name: str, rng: np.random.Generator,
     X = record.X if X is None else X
     n = T.dim
     grid = theta_grid.build(2 * n)
-    _check_count(n_paths, MIN_SAMPLES, "n_paths")
-    n_paths = int(n_paths)  # a numpy integer would not serialize
-    k = k.item() if isinstance(k, np.generic) else k  # nor would a numpy k
-    bound = clt_bound(n_paths, k=k)  # checks k, and the bound, before any simulation
+    n_paths = _check_count(n_paths, MIN_SAMPLES, "n_paths")
+    k = _positive(k, "the CLT width k")
+    bound = clt_bound(n_paths, k=k)  # checks the bound before any simulation
 
     target = np.exp(weak_exponent(T, X, grid[:, :n], grid[:, n:]))
     strong_ecf, weak_ecf = _strong_and_weak_ecfs(T, X, n_paths, rng, grid)

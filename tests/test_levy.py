@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import weaksub as ws
 from weaksub.levy import poisson_counts, window_sums
+from weaksub.verify import scenario_processes
 
 
 class TestExponentBM:
@@ -414,10 +415,32 @@ class TestValidateTriplet:
             ws.BrownianMotion(np.zeros(2), np.eye(2)), [[0, 0], [1e308, 1e308]], np.zeros(2)),
          "the exact exponent is not finite at 1 of 2 theta grid points: "
          "beyond the floating-point range"),
+        # 2 x 1e308 overflows the drift term
+        (lambda: ws.laplace_exponent(ws.SubordinatorSpec([2.0]), [[1.0], [1e308]]),
+         "the exact exponent is not finite at 1 of 2 theta grid points: "
+         "beyond the floating-point range"),
+        # stacked_C3 at theta2 = (1e160, 1e160): its z is not finite
+        (lambda: ws.stacked_strong_exponent(*scenario_processes("stacked_C3")[2].values(),
+                                            [0, 0], [1e160, 1e160]),
+         "the exact exponent is not finite at 1 of 1 theta grid points: "
+         "beyond the floating-point range"),
+        (lambda: ws.BrownianMotion([0.0, np.nan], np.eye(2)), "mu must be finite"),
+        (lambda: ws.clt_bound(100, k=np.array([4.0, 4.0])),
+         "the CLT width k must be a real number, not array([4., 4.])"),
+        (lambda: ws.ThetaGridSpec(scale=np.array(np.inf)).build(2),
+         "theta grid scale must be finite and > 0, not inf"),
+        (lambda: ws.clt_bound(1.5), "sample size must be an integer >= 1, not 1.5"),
+        (lambda: ws.cf_compare(np.zeros((200, 2)), [5.0], np.zeros((1, 2))),
+         "the target CF values must have modulus at most 1 + 1e-12, as a CF's do"),
+        (lambda: ws.ThetaGridSpec(points=np.zeros((1, 3))).build(2),
+         "theta grid points must be in 2 columns and one or more rows"),
     ], ids=["rates_per_point", "mu_matrix", "empty_mu", "empty_drift",
             "zero_compound_poisson", "empty_stack",
             "empty_stack_iterator", "measure_dim", "weak_exponent_dims",
-            "weak_exponent_not_finite"])
+            "weak_exponent_not_finite", "laplace_exponent_not_finite",
+            "stacked_strong_exponent_not_finite", "floats_not_finite", "not_a_real_number",
+            "not_positive", "sample_size_not_an_integer", "target_not_a_cf",
+            "grid_points_shape"])
     def test_spec_error_message(self, build, message):
         with pytest.raises(ws.LevySpecError, match=f"^{re.escape(message)}$"):
             build()

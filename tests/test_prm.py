@@ -383,7 +383,8 @@ class TestMarkedLaplaceCheck:
                                      rng=np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy_bool"])
+@pytest.mark.parametrize("value", [True, np.True_, np.array(True), np.array([1.0, 1.0])],
+                         ids=["bool", "numpy_bool", "zero_d_bool", "two_element"])
 @pytest.mark.parametrize("call, message", [
     (lambda b: ws.clt_bound(100, k=b), "CLT width k"),
     (lambda b: ws.ThetaGridSpec(scale=b).build(2), "theta grid scale"),
@@ -394,7 +395,7 @@ class TestMarkedLaplaceCheck:
     (lambda b: prm.MarkedCheckResult(0, 1, 0, 1).within(b), "CLT width k"),
 ], ids=["clt_bound_k", "grid_scale", "horizon", "rate", "within_k"])
 def test_bool_is_not_a_number(call, message, value):
-    # True is not read as 1: a bool k, scale, horizon or rate is rejected
-    # like the argument's other bad values
+    # True is not read as 1, nor an array as a number: a bool or array k,
+    # scale, horizon or rate is rejected like the argument's other bad values
     with pytest.raises(ws.LevySpecError, match=message):
         call(value)
